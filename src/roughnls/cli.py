@@ -7,7 +7,8 @@ the output directory, --workers the thread count (the ROUGH_NLS_WORKERS
 environment variable sits between the flag and the config).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort (blowup
-guard), 4 resource refusal.
+guard), 4 resource refusal, 5 internal consistency failure (representation
+error).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BlowupError, ConfigError, FitError, ResourceLimitError
+from .errors import BlowupError, ConfigError, FitError, RepresentationError, ResourceLimitError
 from .harness import ExperimentConfig, parse_config, run
 from .morawetz import MorawetzReport, morawetz_audit
 from .partition import build_partition
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 4
+    except RepresentationError as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, BlowupError -> 3,
-ResourceLimitError -> 4. Everything else is an ordinary bug.
+ResourceLimitError -> 4, RepresentationError -> 5. Everything else is an
+ordinary bug.
 """
 
 

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
-from .grids import GridSpec, SpectralField
+from .grids import GridSpec, SpectralField, _xi_sq
 from .linear_flow import composite_norm, composite_spec, high_pass, linear_trajectory
 from .morawetz import c_star_spread, gn_ratios, morawetz_audit
 from .partition import FrequencyPartition, PartitionConfig, build_partition
@@ -434,11 +434,7 @@ def _shaped_noise(grid: GridSpec, field_seed: int, decay: float) -> SpectralFiel
     """Seeded complex Gaussian spectrum shaped by (1 + |xi|^2)^(-decay), physical."""
     rng = np.random.Generator(np.random.Philox(key=np.array([field_seed, 7], dtype=np.uint64)))
     noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    ax = grid.xi_axis()
-    xi2 = np.zeros(grid.shape)
-    for mesh in np.meshgrid(*([ax] * grid.dim), indexing="ij", sparse=True):
-        xi2 = xi2 + mesh**2
-    fhat = SpectralField(grid, noise * (1.0 + xi2) ** (-decay), "frequency")
+    fhat = SpectralField(grid, noise * (1.0 + _xi_sq(grid)) ** (-decay), "frequency")
     return fhat.as_physical()
 
 
@@ -657,7 +653,7 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
     artifacts = []
     if config.forcing is not None:
         traj, series = _run_forced(config, part, task_seed)
-        series = increment_residuals(traj, series)
+        series = increment_residuals(series)
     else:
         u0 = initial_field(config.initial, config.grid)
         traj, series = evolve_full(u0, config.solver)
@@ -834,8 +830,9 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
     seeds = [config.seed + i for i in range(config.n_samples)]
     todo = [s for s in seeds if s not in done]
 
+    # every task that uses the partition either draws forcing from it or reports on it
     context = None
-    if config.partition is not None:
+    if config.forcing is not None or config.kind == "partition-report":
         context = build_partition(config.partition, config.grid)
     task = _TASKS[config.kind]
 

@@ -6,7 +6,8 @@ is an exact phase rotation (|u| is invariant under i u_t = mu |u|^p u), so the
 only scheme error is the O(dt^2) splitting error. The rough channel v is never
 time-stepped: every value of v is produced by the exact free propagator from
 the initial data, and the stepper only freezes v at the step midpoint while
-rotating u = w + v as a unit.
+rotating u = w + v as a unit. One step loop (solve_w) serves both equations:
+the full equation is the remainder equation with v = 0.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .errors import BlowupError, ConfigError, RepresentationError
 from .grids import (
     GridSpec,
     SpectralField,
-    fractional_derivative,
+    _xi_sq,
     free_propagate,
     lp_norm,
     sobolev_norm,
+    to_frequency,
     to_physical,
 )
 from .trajectory import Trajectory
@@ -33,7 +35,6 @@ __all__ = [
     "SolverConfig",
     "ConservationSeries",
     "dealias_mask",
-    "strang_step_full",
     "evolve_full",
     "solve_w",
     "increment_residuals",
@@ -141,8 +142,6 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _half_kinetic(grid: GridSpec, dt: float) -> np.ndarray:
-    from .grids import _xi_sq
-
     return np.exp(-0.5j * dt * _xi_sq(grid))
 
 
@@ -152,39 +151,6 @@ def _guard(phys: np.ndarray, threshold: float | None, t: float) -> None:
     amp = float(np.max(np.abs(phys)))
     if amp > threshold:
         raise BlowupError(t=t, amplitude=amp, threshold=threshold)
-
-
-def strang_step_full(
-    u: SpectralField,
-    dt: float,
-    cfg: SolverConfig,
-    threshold: float | None = None,
-    t: float = 0.0,
-) -> SpectralField:
-    """One Strang step of the full equation; returns frequency representation.
-
-    Composition: half kinetic, exact nonlinear rotation
-    u -> u exp(-i dt mu |u|^p), optional 2/3-rule truncation, half kinetic.
-    Every substep is unimodular pointwise or in Fourier, so mass is conserved
-    to roundoff (exactly when dealiasing removes nothing).
-    """
-    grid = u.grid
-    if grid.dim != cfg.dim:
-        raise ConfigError(f"field is {grid.dim}d but config says {cfg.dim}d")
-    k = _half_kinetic(grid, dt)
-    what = u.as_frequency().values * k
-    phys = to_physical(SpectralField(grid, what, "frequency")).values
-    _guard(phys, threshold, t)
-    if cfg.mu != 0.0:
-        phys = phys * np.exp(-1j * dt * cfg.mu * np.abs(phys) ** cfg.power)
-    what = np.fft.fftn(phys) * (grid.cell_volume)
-    from .grids import _forward_phase
-
-    what = what * _forward_phase(grid)
-    if cfg.dealias:
-        what = np.where(dealias_mask(grid), what, 0.0)
-    what = what * k
-    return SpectralField(grid, what, "frequency")
 
 
 def _nonlinear_density(phys: np.ndarray, power: float) -> np.ndarray:
@@ -207,10 +173,11 @@ def energy_of(w: SpectralField, u: SpectralField, power: float, mu: float) -> fl
 
 @dataclass
 class ConservationSeries:
-    """Mass/energy samples at snapshot times plus identity-vs-difference rates.
+    """Mass/energy samples every series_stride steps plus identity-vs-difference rates.
 
-    Rate columns are NaN until increment_residuals fills them (and always NaN
-    at the two boundary snapshots, which have no centered difference).
+    solve_w fills the identity rates inline; the difference and residual
+    columns are NaN until increment_residuals fills them (and always NaN at
+    the two boundary samples, which have no centered difference).
     """
 
     times: np.ndarray
@@ -247,43 +214,6 @@ class ConservationSeries:
     CSV_HEADER = ["t", "M", "E", "dMdt_fd", "dMdt_id", "rM", "dEdt_fd", "dEdt_id", "rE"]
 
 
-def _series_from(traj: Trajectory, power: float, mu: float) -> ConservationSeries:
-    n = traj.n_snapshots
-    m = np.empty(n)
-    e = np.empty(n)
-    has_v = "v" in traj.channels
-    for k in range(n):
-        w = traj.snapshot("w", k) if "w" in traj.channels else traj.snapshot("u", k)
-        u = traj.snapshot("u", k) if has_v or "u" in traj.channels else w
-        m[k] = mass_of(w)
-        e[k] = energy_of(w, u, power, mu)
-    return ConservationSeries(times=traj.times.copy(), mass=m, energy=e, power=power, mu=mu)
-
-
-def evolve_full(u0: SpectralField, cfg: SolverConfig) -> tuple[Trajectory, ConservationSeries]:
-    """Integrate the full equation from u0; snapshots in channel 'u'."""
-    grid = u0.grid
-    threshold = cfg.blowup_factor * max(float(np.max(np.abs(u0.as_physical().values))), 0.0)
-    if threshold == 0.0:
-        threshold = None
-    n_snap = cfg.n_snapshots
-    stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
-    stack[0] = u0.as_physical().values
-    times = np.empty(n_snap)
-    times[0] = 0.0
-    state = u0
-    snap = 1
-    for step in range(cfg.n_steps):
-        t = step * cfg.dt
-        state = strang_step_full(state, cfg.dt, cfg, threshold=threshold, t=t)
-        if (step + 1) % cfg.snapshot_stride == 0:
-            stack[snap] = to_physical(state).values
-            times[snap] = (step + 1) * cfg.dt
-            snap += 1
-    traj = Trajectory(grid=grid, times=times, channels={"u": stack}, meta=cfg.provenance())
-    return traj, _series_from(traj, cfg.power, cfg.mu)
-
-
 def solve_w(
     w0: SpectralField,
     v0: SpectralField | None,
@@ -296,48 +226,51 @@ def solve_w(
     from the exact propagator applied to v0, so their unitarity and frequency
     support are exact. Channel 'u' is synthesized as v + w on demand.
 
-    The conservation series is sampled inline every cfg.series_stride steps,
-    including the identity rates, so it can run on a much finer time grid
-    than the stored snapshots without blowing up memory.
-    """
-    from .grids import _forward_phase, _xi_sq
+    With v0 None or identically zero, w solves the full equation and the
+    per-step v work is skipped; v0 None also stores no v channel.
 
+    The conservation series is sampled inline every cfg.series_stride steps,
+    including the identity rates (exactly 0 when v = 0), so it can run on a
+    much finer time grid than the stored snapshots without blowing up memory.
+    """
     grid = w0.grid
     if grid.dim != cfg.dim:
         raise ConfigError(f"field is {grid.dim}d but config says {cfg.dim}d")
-    if v0 is None:
-        v0 = SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128), "frequency")
-    if v0.grid != grid:
+    if v0 is not None and v0.grid != grid:
         raise ConfigError("w0 and v0 live on different grids")
 
-    v0hat = v0.as_frequency().values
-    has_v = bool(np.any(v0hat))
+    v0hat = None if v0 is None else v0.as_frequency().values
+    has_v = v0hat is not None and bool(np.any(v0hat))
     xi2 = _xi_sq(grid)
-    phase_fwd = _forward_phase(grid)
     k_half = _half_kinetic(grid, cfg.dt)
     mask = dealias_mask(grid)
     dvol = grid.cell_volume
     spec_weight = grid.dxi**grid.dim / (2.0 * math.pi) ** grid.dim
 
-    u_init = w0.as_physical().values + v0.as_physical().values
+    def v_at(t: float) -> np.ndarray:
+        return to_physical(SpectralField(grid, v0hat * np.exp(-1j * t * xi2), "frequency")).values
+
+    n_snap = cfg.n_snapshots
+    snap_times = np.empty(n_snap)
+    snap_times[0] = 0.0
+    w_stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
+    w_stack[0] = w0.as_physical().values
+    v_stack = None
+    if v0 is not None:
+        v_stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
+        v_stack[0] = v0.as_physical().values
+
+    u_init = w_stack[0] + v_stack[0] if has_v else w_stack[0]
     threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init))), 0.0)
     if threshold == 0.0:
         threshold = None
-
-    n_snap = cfg.n_snapshots
-    w_stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
-    v_stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
-    snap_times = np.empty(n_snap)
-    w_stack[0] = w0.as_physical().values
-    v_stack[0] = v0.as_physical().values
-    snap_times[0] = 0.0
 
     n_ser = cfg.n_series
     ser_times = np.empty(n_ser)
     ser_mass = np.empty(n_ser)
     ser_energy = np.empty(n_ser)
-    ser_dm_id = np.empty(n_ser)
-    ser_de_id = np.empty(n_ser)
+    ser_dm_id = np.zeros(n_ser)
+    ser_de_id = np.zeros(n_ser)
 
     def sample_series(idx: int, t_k: float, what_k: np.ndarray, w_phys_k: np.ndarray) -> None:
         if has_v:
@@ -354,19 +287,16 @@ def solve_w(
         else:
             pot = 0.0
         ser_energy[idx] = kin + pot
-        nl_u = _nonlinear_density(u_k, cfg.power)
         if has_v:
+            nl_u = _nonlinear_density(u_k, cfg.power)
             nl_w = _nonlinear_density(w_phys_k, cfg.power)
             ser_dm_id[idx] = (
                 2.0 * cfg.mu * float(np.sum((np.conj(w_phys_k) * (nl_u - nl_w)).imag)) * dvol
             )
             lap_v = to_physical(SpectralField(grid, -xi2 * vhat_k, "frequency")).values
             ser_de_id[idx] = cfg.mu * float(np.sum((nl_u * np.conj(lap_v)).imag)) * dvol
-        else:
-            ser_dm_id[idx] = 0.0
-            ser_de_id[idx] = 0.0
 
-    what = w0.as_frequency().values.copy()
+    what = w0.as_frequency().values
     sample_series(0, 0.0, what, w_stack[0])
     snap = 1
     ser = 1
@@ -374,15 +304,16 @@ def solve_w(
         t_mid = (step + 0.5) * cfg.dt
         what = what * k_half
         w_phys = to_physical(SpectralField(grid, what, "frequency")).values
-        v_mid = to_physical(
-            SpectralField(grid, v0hat * np.exp(-1j * t_mid * xi2), "frequency")
-        ).values
-        u_phys = w_phys + v_mid
+        if has_v:
+            v_mid = v_at(t_mid)
+            u_phys = w_phys + v_mid
+        else:
+            u_phys = w_phys
         _guard(u_phys, threshold, t_mid)
         if cfg.mu != 0.0:
             u_phys = u_phys * np.exp(-1j * cfg.dt * cfg.mu * np.abs(u_phys) ** cfg.power)
-        w_phys = u_phys - v_mid
-        what = np.fft.fftn(w_phys) * dvol * phase_fwd
+        w_phys = u_phys - v_mid if has_v else u_phys
+        what = to_frequency(SpectralField(grid, w_phys, "physical")).values
         if cfg.dealias:
             what = np.where(mask, what, 0.0)
         what = what * k_half
@@ -394,29 +325,25 @@ def solve_w(
             w_now = to_physical(SpectralField(grid, what, "frequency")).values
         if at_snap:
             w_stack[snap] = w_now
-            v_stack[snap] = to_physical(
-                SpectralField(grid, v0hat * np.exp(-1j * t_k * xi2), "frequency")
-            ).values
             snap_times[snap] = t_k
-            # substep bookkeeping check: (u - v) + v must reproduce u to far
-            # better than the documented 1e-9 channel consistency budget
-            drift = float(np.max(np.abs((w_phys + v_mid) - u_phys)))
-            scale = max(float(np.max(np.abs(u_phys))), 1e-300)
-            if drift > 1e-9 * scale:
-                raise RepresentationError(
-                    f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
-                )
+            if v_stack is not None:
+                v_stack[snap] = v_at(t_k)
+            if has_v:
+                # substep bookkeeping check: (u - v) + v must reproduce u to far
+                # better than the documented 1e-9 channel consistency budget
+                drift = float(np.max(np.abs((w_phys + v_mid) - u_phys)))
+                scale = max(float(np.max(np.abs(u_phys))), 1e-300)
+                if drift > 1e-9 * scale:
+                    raise RepresentationError(
+                        f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
+                    )
             snap += 1
         if at_ser:
             sample_series(ser, t_k, what, w_now)
             ser += 1
 
-    traj = Trajectory(
-        grid=grid,
-        times=snap_times,
-        channels={"v": v_stack, "w": w_stack},
-        meta=cfg.provenance(),
-    )
+    channels = {"w": w_stack} if v_stack is None else {"v": v_stack, "w": w_stack}
+    traj = Trajectory(grid=grid, times=snap_times, channels=channels, meta=cfg.provenance())
     series = ConservationSeries(
         times=ser_times,
         mass=ser_mass,
@@ -429,54 +356,29 @@ def solve_w(
     return traj, series
 
 
-def _laplacian_phys(field: SpectralField) -> np.ndarray:
-    return -fractional_derivative(field, 2.0, "homogeneous").as_physical().values
+def evolve_full(u0: SpectralField, cfg: SolverConfig) -> tuple[Trajectory, ConservationSeries]:
+    """Integrate the full equation from u0 (solve_w with v = 0); snapshots in channel 'u'."""
+    traj, series = solve_w(u0, None, cfg)
+    return Trajectory(traj.grid, traj.times, {"u": traj.channels["w"]}, traj.meta), series
 
 
-def increment_residuals(traj: Trajectory, series: ConservationSeries) -> ConservationSeries:
-    """Fill centered-difference rates, identity rates, and their residuals.
+def increment_residuals(series: ConservationSeries) -> ConservationSeries:
+    """Fill centered-difference rates and their residuals against the identity rates.
 
     Identities: dM/dt = 2 mu Im int conj(w) (|u|^p u - |w|^p w) dx and
-    dE/dt = mu Im int |u|^p u conj(Lap v) dx. Identity rates sampled inline
-    by solve_w are reused; otherwise they are recomputed from the trajectory,
-    whose snapshot times must then match the series. Residual columns hold
-    the per-sample difference (fd - id); max_rel_* normalizes the worst
-    interior residual by the larger of the two rate scales and is NaN when
-    the identity rate vanishes identically (e.g. v = 0), where the absolute
-    residual is the meaningful number.
+    dE/dt = mu Im int |u|^p u conj(Lap v) dx, sampled inline by solve_w.
+    Residual columns hold the per-sample difference (fd - id); max_rel_*
+    normalizes the worst interior residual by the larger of the two rate
+    scales and is NaN when the identity rate vanishes identically (e.g.
+    v = 0), where the absolute residual is the meaningful number.
     """
     n = series.times.size
     if n < 3:
         raise ConfigError("increment residuals need at least 3 series samples")
-    power, mu = series.power, series.mu
-
-    if series.dmass_id is not None and series.denergy_id is not None:
-        dm_id = np.asarray(series.dmass_id, dtype=float)
-        de_id = np.asarray(series.denergy_id, dtype=float)
-    else:
-        if traj.n_snapshots != n or np.max(np.abs(traj.times - series.times)) > 1e-12:
-            raise ConfigError("series times do not match trajectory snapshots")
-        dvol = traj.grid.cell_volume
-        has_v = "v" in traj.channels
-        dm_id = np.full(n, math.nan)
-        de_id = np.full(n, math.nan)
-        for k in range(n):
-            if has_v:
-                w = traj.channels["w"][k]
-                v = traj.channels["v"][k]
-                u = w + v
-            else:
-                u = traj.channel("u")[k]
-                w = u
-                v = None
-            nl_u = _nonlinear_density(u, power)
-            nl_w = _nonlinear_density(w, power)
-            dm_id[k] = 2.0 * mu * float(np.sum((np.conj(w) * (nl_u - nl_w)).imag)) * dvol
-            if v is None or not np.any(v):
-                de_id[k] = 0.0
-            else:
-                lap_v = _laplacian_phys(SpectralField(traj.grid, v, "physical"))
-                de_id[k] = mu * float(np.sum((nl_u * np.conj(lap_v)).imag)) * dvol
+    if series.dmass_id is None or series.denergy_id is None:
+        raise ConfigError("increment residuals need a series with inline identity rates")
+    dm_id = np.asarray(series.dmass_id, dtype=float)
+    de_id = np.asarray(series.denergy_id, dtype=float)
 
     h = series.times[1] - series.times[0]
     dm_fd = np.full(n, math.nan)
@@ -498,8 +400,8 @@ def increment_residuals(traj: Trajectory, series: ConservationSeries) -> Conserv
         times=series.times,
         mass=series.mass,
         energy=series.energy,
-        power=power,
-        mu=mu,
+        power=series.power,
+        mu=series.mu,
         dmass_fd=dm_fd,
         dmass_id=dm_id,
         res_mass=res_m,
@@ -608,8 +510,6 @@ def almost_conservation_monitor(
         raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
     if "v" in traj.channels:
         vhat0 = traj.snapshot("v", 0).as_frequency()
-        from .grids import _xi_sq
-
         low = np.sqrt(_xi_sq(traj.grid)) < n0 / 2.0
         leak = float(np.linalg.norm(vhat0.values[low]))
         total = float(np.linalg.norm(vhat0.values))

@@ -8,6 +8,7 @@ import pytest
 from roughnls import (
     ConfigError,
     GridSpec,
+    RepresentationError,
     ResourceLimitError,
     ResultRecord,
     config_hash,
@@ -119,6 +120,17 @@ def test_zero_samples_valid(tmp_path):
     assert json.load(open(tmp_path / "summary.json"))["n_records"] == 0
 
 
+def test_unforced_evolve_builds_no_partition(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("unforced evolve must not build the partition")
+
+    monkeypatch.setattr("roughnls.harness.build_partition", refuse)
+    raw = evolve_config(tmp_path, n_samples=1)
+    del raw["forcing"]
+    recs = run(parse_config(raw))
+    assert len(recs) == 1 and "r_mass" not in recs[0].metrics
+
+
 def test_memory_guard_refuses(tmp_path):
     cfg = parse_config(evolve_config(
         tmp_path,
@@ -178,7 +190,7 @@ def test_result_record_round_trip():
     assert back == rec
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(evolve_config(tmp_path / "out", n_samples=1)))
     assert cli_main(["evolve", "--config", str(cfg_path)]) == 0
@@ -194,6 +206,12 @@ def test_cli_exit_codes(tmp_path):
     small_path = tmp_path / "small.json"
     small_path.write_text(json.dumps(small))
     assert cli_main(["evolve", "--config", str(small_path)]) == 4
+
+    def drifting(*args):
+        raise RepresentationError("channel bookkeeping drift")
+
+    monkeypatch.setattr("roughnls.harness.solve_w", drifting)
+    assert cli_main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "out4")]) == 5
 
 
 def test_cli_partition_and_morawetz(tmp_path):

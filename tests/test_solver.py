@@ -1,11 +1,14 @@
 """Splitting integrator: conservation, residual identities, twins, proxies."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from roughnls import (
     BlowupError,
     ConfigError,
+    ConservationSeries,
     GridSpec,
     PartitionConfig,
     SolverConfig,
@@ -18,6 +21,8 @@ from roughnls import (
     high_pass,
     increment_residuals,
     mass_of,
+    parse_config,
+    run,
     scattering_proxy,
     solve_w,
     twin_run,
@@ -105,7 +110,10 @@ def test_forced_residuals_present_and_small():
     w0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=2, series_stride=2)
     traj, series = solve_w(w0, v0, cfg)
-    series = increment_residuals(traj, series)
+    bare = ConservationSeries(series.times, series.mass, series.energy, series.power, series.mu)
+    with pytest.raises(ConfigError):
+        increment_residuals(bare)  # no inline identity rates
+    series = increment_residuals(series)
     assert np.isfinite(series.max_rel_mass)
     assert np.isfinite(series.max_rel_energy)
     assert series.max_rel_mass >= 0.0
@@ -168,3 +176,45 @@ def test_dealias_flag_changes_solution():
     t2, _ = evolve_full(u0, off)
     d = np.max(np.abs(t1.channel("u")[-1] - t2.channel("u")[-1]))
     assert d > 0.0
+
+
+def test_series_stride_applies_unforced(tmp_path):
+    g = GridSpec(3, 8, np.pi)
+    u0 = bump(g, 0.4, 1.5)
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.1, snapshot_stride=100, series_stride=10)
+    traj, series = evolve_full(u0, cfg)
+    assert traj.n_snapshots == 2
+    assert series.times.size == cfg.n_series == 11
+    np.testing.assert_allclose(series.times, np.arange(11) * 0.01, rtol=0, atol=1e-15)
+    assert np.all(series.dmass_id == 0.0) and np.all(series.denergy_id == 0.0)
+
+    config = parse_config({
+        "kind": "evolve",
+        "out_dir": str(tmp_path),
+        "n_samples": 1,
+        "save_fields": False,
+        "grid": {"dim": 3, "points": 8, "half_width": float(np.pi)},
+        "solver": {"dt": 1e-3, "t_final": 0.1, "snapshot_stride": 100, "series_stride": 10},
+        "initial": {"kind": "bump", "amplitude": 0.4, "width": 1.5},
+    })
+    run(config)
+    with open(tmp_path / "run_0000" / "series.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ConservationSeries.CSV_HEADER
+    assert len(rows) - 1 == config.solver.n_series == 11
+
+
+def test_zero_forcing_is_the_full_equation():
+    g = GridSpec(3, 12, np.pi)
+    u0 = bump(g, 0.6, 1.0, wave=(1, 0, 0))
+    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5)
+    zero = SpectralField(g, np.zeros(g.shape, dtype=complex), "physical")
+    forced, forced_series = solve_w(u0, zero, cfg)
+    full, full_series = evolve_full(u0, cfg)
+    assert np.array_equal(forced.channels["w"], full.channels["u"])
+    assert np.array_equal(forced_series.mass, full_series.mass)
+    assert np.array_equal(forced_series.energy, full_series.energy)
+    assert not np.any(forced.channels["v"])
+    bare, _ = solve_w(u0, None, cfg)
+    assert set(bare.channels) == {"w"}
+    assert np.array_equal(bare.channels["w"], full.channels["u"])

@@ -9,9 +9,10 @@ skipping completed seeds and a re-run of a finished batch is a no-op.
 
 Determinism contract: (config, master seed) fully determines every metric.
 Tasks are pure functions of their seed, run on a bounded thread pool, and are
-collected and written sorted by seed by the main thread alone; aggregation
-uses compensated summation over that fixed order, so the worker count never
-changes any reported value.
+written in seed order by the main thread alone, each record flushed to disk
+as soon as its seed and every earlier one are done, so a failing seed loses
+none of the finished ones before it; aggregation uses compensated summation
+over that fixed order, so the worker count never changes any reported value.
 
 Layout under out_dir: records.jsonl (append-only, one record per line),
 summary.json (recomputed from records on every run), metrics.csv (long format
@@ -555,17 +556,25 @@ def _clean_metrics(metrics: dict) -> dict:
 # resource guard
 
 
+def _uses_partition(config: ExperimentConfig) -> bool:
+    """Every task that uses the partition draws forcing from it or reports on it."""
+    return config.forcing is not None or config.kind == "partition-report"
+
+
 def _estimate_bytes(config: ExperimentConfig) -> int:
     """Rough peak-memory estimate for one run, before anything is allocated.
 
-    Counts snapshot stacks per in-flight task plus FFT workspace; partition
-    cutoff storage is small by construction and ignored.
+    Counts snapshot stacks per in-flight task, FFT workspace and, when the run
+    builds one, the partition: its four float lattice arrays (normalizer,
+    residual, unity and square sums). Its per-shell profile matrices and cell
+    masks are far smaller and ignored.
     """
     g = config.grid
     if g is None:
         return 0
     per = 16 * g.n_points
     workspace = 8 * per
+    partition = 2 * per if _uses_partition(config) else 0
     kind = config.kind
     if kind == "partition-report":
         per_task = 4 * per
@@ -581,7 +590,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
             per_task = traj + (g.dim + 1) * 8 * g.n_points + workspace
         else:
             per_task = traj + workspace
-    return config.workers * per_task + workspace
+    return config.workers * per_task + workspace + partition
 
 
 def _guard_memory(config: ExperimentConfig) -> None:
@@ -830,10 +839,7 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
     seeds = [config.seed + i for i in range(config.n_samples)]
     todo = [s for s in seeds if s not in done]
 
-    # every task that uses the partition either draws forcing from it or reports on it
-    context = None
-    if config.forcing is not None or config.kind == "partition-report":
-        context = build_partition(config.partition, config.grid)
+    context = build_partition(config.partition, config.grid) if _uses_partition(config) else None
     task = _TASKS[config.kind]
 
     def work(task_seed: int) -> ResultRecord:
@@ -849,17 +855,13 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
 
     n_workers = _effective_workers(config.workers, workers)
     if todo:
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                fresh = list(pool.map(work, todo))
-        else:
-            fresh = [work(s) for s in todo]
-        fresh.sort(key=lambda r: r.seed)
-        with open(records_path, "a") as fh:
-            for rec in fresh:
+        # the pool starts no thread until a task is submitted; one worker runs inline
+        with ThreadPoolExecutor(max_workers=n_workers) as pool, open(records_path, "a") as fh:
+            for rec in pool.map(work, todo) if n_workers > 1 else map(work, todo):
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
-        known.extend(fresh)
+                os.fsync(fh.fileno())
+                known.append(rec)
 
     wanted = set(seeds)
     final = sorted((r for r in known if r.seed in wanted), key=lambda r: r.seed)

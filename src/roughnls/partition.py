@@ -14,23 +14,33 @@ ramp of width mollify_fraction * side outside it, zero beyond the doubled
 piece. Renormalizing by the pointwise sum makes the family an exact partition
 of unity at every lattice point; a bookkeeping residual cutoff absorbs the
 region beyond coverage.
+
+Storage is per shell, not per cube. The cubes of shell N >= 2 are the cells
+m in [-2P, 2P)^d outside the inner block [-P, P)^d, P = N^{a+1}/2, and each
+cube's cutoff is a product of 1D axis profiles. A shell therefore keeps one
+(4P x points) profile matrix and a boolean mask of its outer cells, and a
+weighted sum over its cubes is d tensor-matrix contractions. The 2^d core and
+N = 1 pieces are sampled as single cutoffs. The flat normalizer, the residual
+and the unity, square and overlap diagnostics are lattice arrays. A single
+cube's support and values are sampled on demand (`FrequencyPartition.cutoff`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, ResolutionError, ResourceLimitError
-from .grids import GridSpec, SpectralField, smoothstep, to_physical
+from .grids import GridSpec, SpectralField, lp_norm, smoothstep, to_physical
 
 __all__ = [
     "PartitionConfig",
     "AxisSegment",
     "CubeCutoff",
+    "ShellBlock",
     "FrequencyPartition",
     "build_partition",
     "project_cube",
@@ -98,6 +108,13 @@ class PartitionConfig:
         return self.a > max(3 - 4 * s, 1 - 2 * s, 10)
 
 
+def _profile(x, lo, hi, w):
+    """Interval profile: 1 on [lo, hi], smoothstep ramps of width w, 0 beyond."""
+    up = smoothstep((x - (lo - w)) / w)
+    down = smoothstep(((hi + w) - x) / w)
+    return np.where(x < lo, up, np.where(x > hi, down, 1.0))
+
+
 @dataclass(frozen=True)
 class AxisSegment:
     """One axis factor of a cutoff: an interval [lo, hi] or a symmetric band
@@ -110,10 +127,7 @@ class AxisSegment:
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         x = np.abs(t) if self.kind == "band" else t
-        lo, hi, w = self.lo, self.hi, self.w
-        up = smoothstep((x - (lo - w)) / w)
-        down = smoothstep(((hi + w) - x) / w)
-        return np.where(x < lo, up, np.where(x > hi, down, 1.0))
+        return _profile(x, self.lo, self.hi, self.w)
 
     def support_bounds(self) -> list[tuple[float, float]]:
         lo, hi = self.lo - self.w, self.hi + self.w
@@ -147,22 +161,111 @@ class CubeCutoff:
         )
 
 
+@dataclass(frozen=True)
+class ShellBlock:
+    """The cubes of one shell N >= 2 in separable form.
+
+    Row m + 2P of `profiles` is the profile of the interval [m*side, (m+1)*side]
+    (ramp width w) on the FFT-ordered lattice axis, for m in [-2P, 2P). The
+    shell's cubes are the True cells of `outer`, in C order, numbered from
+    `start`; cube (m_1, ..., m_d) has raw cutoff prod_i profiles[m_i + 2P, x_i].
+    """
+
+    shell: int
+    start: int
+    stop: int  # one past the index of the last cube
+    side: float
+    w: float
+    profiles: np.ndarray  # (4P, points)
+    outer: np.ndarray  # bool, (4P,)*d, False on the inner block
+
+    def cube_axes(self, k: int) -> tuple[AxisSegment, ...]:
+        """Axis segments of the shell's k-th cube."""
+        cell = np.unravel_index(np.flatnonzero(self.outer)[k], self.outer.shape)
+        half = self.outer.shape[0] // 2
+        return tuple(
+            AxisSegment("interval", m * self.side, (m + 1) * self.side, self.w)
+            for m in (c - half for c in cell)
+        )
+
+    def combine(self, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+        """sum_k coeffs[k] prod_i profiles[m_i(k), x_i] on the whole lattice (grid shape).
+
+        A complex coefficient vector is carried as a trailing (real, imag)
+        axis, so the contractions stay real.
+        """
+        cplx = np.iscomplexobj(coeffs)
+        cells = np.zeros(self.outer.shape + ((2,) if cplx else ()))
+        cells[self.outer] = np.stack([coeffs.real, coeffs.imag], axis=-1) if cplx else coeffs
+        for _ in range(self.outer.ndim):
+            # contract the leading cell axis; the lattice axes collect at the end
+            cells = np.tensordot(cells, profiles, axes=([0], [0]))
+        return cells[0] + 1j * cells[1] if cplx else cells
+
+
+def _identity(v: np.ndarray) -> np.ndarray:
+    return v
+
+
+def _positive(v: np.ndarray) -> np.ndarray:
+    return (v > 0).astype(np.float64)
+
+
+def _raw_sum(grid: GridSpec, pieces, shells, coeffs: np.ndarray, factor=_identity) -> np.ndarray:
+    """Flat sum_j c_j factor(raw_j) over every cutoff but the residual, before renormalization.
+
+    `factor` acts on sampled values and axis profiles alike, which is exact
+    for multiplicative maps: np.square gives sum c_j raw_j^2 and `_positive`
+    the support indicator.
+    """
+    out = np.zeros(grid.n_points, dtype=np.result_type(coeffs, np.float64))
+    for piece, c in zip(pieces, coeffs):
+        out[piece.support] += c * factor(piece.values)  # support indices are unique
+    for block in shells:
+        out += block.combine(coeffs[block.start : block.stop], factor(block.profiles)).reshape(-1)
+    return out
+
+
 @dataclass
 class FrequencyPartition:
     config: PartitionConfig
     grid: GridSpec
-    cutoffs: list[CubeCutoff]
-    shell_members: dict[int, list[int]]  # shell label -> cutoff indices
+    # the core and N = 1 pieces, with values before renormalization
+    pieces: list[CubeCutoff] = dc_field(repr=False)
+    shells: list[ShellBlock] = dc_field(repr=False)  # one per shell N >= 2
+    shell_members: dict[int, range]  # shell label -> cutoff indices
     kappa: int  # measured max overlap of cutoff supports
-    unity_sum: np.ndarray = dc_field(repr=False, default=None)  # sum_j psi_j, flat
-    sq_sum: np.ndarray = dc_field(repr=False, default=None)  # sum_j psi_j^2, flat
+    normalizer: np.ndarray = dc_field(repr=False)  # t = max(sum_j raw_j, 1), flat
+    residual: np.ndarray = dc_field(repr=False)  # 1 - sum_j raw_j / t, flat
+    sq_sum: np.ndarray = dc_field(repr=False)  # sum_j psi_j^2, flat
+    unity_sum: np.ndarray = dc_field(repr=False, default=None)  # sum_j psi_j, flat; set from multiplier
 
     @property
     def n_cutoffs(self) -> int:
-        return len(self.cutoffs)
+        return self.shell_members[RESIDUAL_SHELL].stop
 
     def shell_count(self, shell: int) -> int:
-        return len(self.shell_members.get(shell, []))
+        return len(self.shell_members.get(shell, ()))
+
+    def multiplier(self, coeffs: np.ndarray) -> np.ndarray:
+        """Flat sum_j c_j psi_j over all n_cutoffs cutoffs, the residual (last) included."""
+        raw = _raw_sum(self.grid, self.pieces, self.shells, coeffs[:-1])
+        return raw / self.normalizer + coeffs[-1] * self.residual
+
+    def cutoff(self, j: int) -> CubeCutoff:
+        """The j-th cutoff psi_j, sampled on demand."""
+        if not 0 <= j < self.n_cutoffs:
+            raise IndexError(f"cube index {j} out of range 0..{self.n_cutoffs - 1}")
+        if j == self.n_cutoffs - 1:
+            sup = np.flatnonzero(self.residual > 0)
+            return CubeCutoff(j, RESIDUAL_SHELL, (), sup, self.residual[sup])
+        if j < len(self.pieces):
+            piece = self.pieces[j]
+            return replace(piece, values=piece.values / self.normalizer[piece.support])
+        block = next(b for b in self.shells if j < b.stop)
+        axes = block.cube_axes(j - block.start)
+        sup, vals = _sample_cutoff(self.grid, axes)
+        return CubeCutoff(j, block.shell, axes, sup, vals / self.normalizer[sup])
 
     def coverage_mask(self) -> np.ndarray:
         """Flat boolean mask of lattice points with |xi|_inf <= 2*N_max."""
@@ -245,8 +348,11 @@ def _axis_slices(xs_sorted: np.ndarray, order: np.ndarray, seg: AxisSegment):
     return idx[keep], vals[keep]
 
 
-def _sample_cutoff(grid: GridSpec, xs_sorted, order, axes: tuple[AxisSegment, ...]):
+def _sample_cutoff(grid: GridSpec, axes: tuple[AxisSegment, ...]):
     """Tensor-product sampling of a cutoff on the lattice; flat support + values."""
+    xi = grid.xi_axis()
+    order = np.argsort(xi, kind="stable")
+    xs_sorted = xi[order]
     per_axis = [_axis_slices(xs_sorted, order, seg) for seg in axes]
     if any(ix.size == 0 for ix, _ in per_axis):
         return np.empty(0, dtype=np.int64), np.empty(0)
@@ -273,18 +379,22 @@ def _shell_one_axes(dim: int, frac: float) -> list[tuple[AxisSegment, ...]]:
     return pieces
 
 
-def _shell_cells(dim: int, a: int, n: int) -> np.ndarray:
-    """Mesh-cell index vectors m for shell N >= 2, lexicographic by center.
+def _shell_block(config: PartitionConfig, grid: GridSpec, n: int, start: int) -> ShellBlock:
+    """Separable form of shell N >= 2, its cubes numbered from `start`.
 
     Cells [m*l, (m+1)*l)^d with l = 2*N^-a tile {N < |xi|_inf <= 2N} exactly:
     m ranges over [-2P, 2P-1]^d minus [-P, P-1]^d, P = N^{a+1}/2.
     """
-    p = n ** (a + 1) // 2
-    rng = np.arange(-2 * p, 2 * p)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    m = np.stack([g.reshape(-1) for g in grids], axis=1)
-    inner = np.all((m >= -p) & (m <= p - 1), axis=1)
-    return m[~inner]
+    p = n ** (config.a + 1) // 2
+    side = 2.0 * n**-config.a
+    w = config.mollify_fraction * side
+    m = np.arange(-2 * p, 2 * p)[:, None]
+    profiles = _profile(grid.xi_axis()[None, :], m * side, (m + 1) * side, w)
+    inner = np.zeros(4 * p, dtype=bool)
+    inner[p : 3 * p] = True
+    outer = ~reduce(np.logical_and.outer, [inner] * config.dim)
+    stop = start + expected_count(config.dim, config.a, n)
+    return ShellBlock(n, start, stop, side, w, profiles, outer)
 
 
 def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartition:
@@ -309,75 +419,45 @@ def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartiti
                 f"spacing {grid.dxi:g} and allow_subcell is off"
             )
 
-    xi = grid.xi_axis()
-    order = np.argsort(xi, kind="stable")
-    xs_sorted = xi[order]
     frac = config.mollify_fraction
-
-    raw: list[tuple[int, tuple[AxisSegment, ...], np.ndarray, np.ndarray]] = []
-
     core_axes = tuple(AxisSegment("interval", -1.0, 1.0, frac * 2.0) for _ in range(config.dim))
-    raw.append((CORE_SHELL, core_axes) + _sample_cutoff(grid, xs_sorted, order, core_axes))
-
+    pieces = [CubeCutoff(0, CORE_SHELL, core_axes, *_sample_cutoff(grid, core_axes))]
     for axes in _shell_one_axes(config.dim, frac):
-        raw.append((1, axes) + _sample_cutoff(grid, xs_sorted, order, axes))
-
+        pieces.append(CubeCutoff(len(pieces), 1, axes, *_sample_cutoff(grid, axes)))
+    shell_members = {CORE_SHELL: range(0, 1), 1: range(1, len(pieces))}
+    shells = []
+    start = len(pieces)
     for n in config.shells[1:]:
-        side = 2.0 * n**-config.a
-        w = frac * side
-        for m in _shell_cells(config.dim, config.a, n):
-            axes = tuple(
-                AxisSegment("interval", mj * side, (mj + 1) * side, w) for mj in m
-            )
-            raw.append((n, axes) + _sample_cutoff(grid, xs_sorted, order, axes))
+        shells.append(_shell_block(config, grid, n, start))
+        shell_members[n] = range(start, shells[-1].stop)
+        start = shells[-1].stop
+    shell_members[RESIDUAL_SHELL] = range(total, total + 1)
 
     # Renormalize by the pointwise sum so the family sums to one exactly on the
     # covered lattice; the residual cutoff absorbs everything outside.
-    s = np.zeros(grid.n_points)
-    for _, _, sup, vals in raw:
-        s[sup] += vals  # support indices are unique within one cutoff
+    ones = np.ones(total + 1)
+    s = _raw_sum(grid, pieces, shells, ones[:-1])
     t = np.maximum(s, 1.0)
-
-    cutoffs: list[CubeCutoff] = []
-    shell_members: dict[int, list[int]] = {}
-    counts = np.zeros(grid.n_points, dtype=np.int64)
-    unity = np.zeros(grid.n_points)
-    sq = np.zeros(grid.n_points)
-    for shell, axes, sup, vals in raw:
-        normed = vals / t[sup]
-        j = len(cutoffs)
-        cutoffs.append(CubeCutoff(j, shell, axes, sup, normed))
-        shell_members.setdefault(shell, []).append(j)
-        counts[sup] += 1
-        unity[sup] += normed
-        sq[sup] += normed**2
-
-    res_vals = 1.0 - s / t
-    res_sup = np.nonzero(res_vals > 0)[0]
-    res_vals = res_vals[res_sup]
-    j = len(cutoffs)
-    cutoffs.append(CubeCutoff(j, RESIDUAL_SHELL, (), res_sup, res_vals))
-    shell_members[RESIDUAL_SHELL] = [j]
-    counts[res_sup] += 1
-    unity[res_sup] += res_vals
-    sq[res_sup] += res_vals**2
-
-    return FrequencyPartition(
+    res = 1.0 - s / t
+    counts = _raw_sum(grid, pieces, shells, ones[:-1], _positive) + (res > 0)
+    part = FrequencyPartition(
         config=config,
         grid=grid,
-        cutoffs=cutoffs,
+        pieces=pieces,
+        shells=shells,
         shell_members=shell_members,
         kappa=int(counts.max()),
-        unity_sum=unity,
-        sq_sum=sq,
+        normalizer=t,
+        residual=res,
+        sq_sum=_raw_sum(grid, pieces, shells, ones[:-1], np.square) / t**2 + res**2,
     )
+    part.unity_sum = part.multiplier(ones)
+    return part
 
 
 def project_cube(partition: FrequencyPartition, field: SpectralField, j: int) -> SpectralField:
     """box_j f: multiply fhat by the j-th cutoff. Output keeps the input representation."""
-    if not 0 <= j < partition.n_cutoffs:
-        raise IndexError(f"cube index {j} out of range 0..{partition.n_cutoffs - 1}")
-    cut = partition.cutoffs[j]
+    cut = partition.cutoff(j)
     fhat = field.as_frequency()
     out = np.zeros_like(fhat.values).reshape(-1)
     out[cut.support] = cut.values * fhat.values.reshape(-1)[cut.support]
@@ -413,8 +493,6 @@ def bernstein_exponent(
     and the ratio would go flat). The expected slope from the cube side
     2*N^-a is -a*(d/p - d/q).
     """
-    from .grids import lp_norm
-
     cfg = partition.config
     if shells is None:
         shells = tuple(n for n in cfg.shells if n >= 2)
@@ -423,15 +501,15 @@ def bernstein_exponent(
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB3A7], dtype=np.uint64)))
     medians = []
     for n in shells:
-        members = partition.shell_members.get(n, [])
-        usable = [j for j in members if partition.cutoffs[j].support.size > 0]
+        cuts = [partition.cutoff(j) for j in partition.shell_members.get(n, ())]
+        usable = [cut for cut in cuts if cut.support.size > 0]
         if not usable:
             raise ResolutionError(f"shell {n} has no lattice-resolvable cubes on this grid")
         take = min(n_probes, len(usable))
         picks = rng.choice(len(usable), size=take, replace=False)
         ratios = []
         for k in picks:
-            cut = partition.cutoffs[usable[int(k)]]
+            cut = usable[int(k)]
             moduli = rng.rayleigh(scale=math.sqrt(0.5), size=cut.support.size)
             fhat = np.zeros(partition.grid.n_points, dtype=np.complex128)
             fhat[cut.support] = cut.values * moduli

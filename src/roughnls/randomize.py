@@ -4,7 +4,10 @@ Each cutoff j gets an independent unit complex Gaussian g_j (real and
 imaginary parts each of variance 1/2, so E|g_j|^2 = 1), drawn from a
 counter-based Philox stream keyed by (master seed, cube index). The draw is
 therefore reproducible per cube, independent of enumeration order or of how
-many other cubes exist.
+many other cubes exist. `cube_gaussian` builds the stream of one cube;
+`draw` re-keys a single bit generator per cube instead, which yields the same
+coefficients bit for bit, and applies them through the partition's
+per-shell multiplier rather than cube by cube.
 """
 
 from __future__ import annotations
@@ -51,6 +54,25 @@ class RandomizationDraw:
         return self.coefficients.size
 
 
+def _cube_gaussians(seed: int, n: int) -> np.ndarray:
+    """cube_gaussian(seed, j, 1)[0] for j in 0..n-1, from one re-keyed generator.
+
+    Resetting the bit generator to key (seed, j), counter 0 and an empty
+    buffer is the state Philox(key=(seed, j)) starts in, and the Generator
+    keeps no state of its own, so each cube's numbers are unchanged.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    pairs = np.empty((n, 2))
+    for j, pair in enumerate(pairs):
+        key[1] = j
+        bitgen.state = fresh
+        rng.standard_normal(out=pair)
+    return (pairs[:, 0] + 1j * pairs[:, 1]) * math.sqrt(0.5)
+
+
 def draw(f: SpectralField, partition: FrequencyPartition, seed: int) -> RandomizationDraw:
     """Sample f^omega = sum_j g_j(omega) box_j f.
 
@@ -59,13 +81,8 @@ def draw(f: SpectralField, partition: FrequencyPartition, seed: int) -> Randomiz
     grid = partition.grid
     if f.grid != grid:
         raise ValueError("field grid does not match partition grid")
-    coeffs = np.array(
-        [cube_gaussian(seed, j, 1)[0] for j in range(partition.n_cutoffs)]
-    )
-    mult = np.zeros(grid.n_points, dtype=np.complex128)
-    for cut, g in zip(partition.cutoffs, coeffs):
-        mult[cut.support] += g * cut.values
-    fhat = f.as_frequency().values.reshape(-1) * mult
+    coeffs = _cube_gaussians(seed, partition.n_cutoffs)
+    fhat = f.as_frequency().values.reshape(-1) * partition.multiplier(coeffs)
     field = to_physical(SpectralField(grid, fhat.reshape(grid.shape), "frequency"))
     return RandomizationDraw(seed=seed, coefficients=coeffs, field=field)
 

@@ -17,6 +17,7 @@ from roughnls import (
     run,
     summarize,
 )
+from roughnls import harness
 from roughnls.cli import main as cli_main
 from roughnls.harness import InitialSpec, _set_axis
 
@@ -129,6 +130,33 @@ def test_unforced_evolve_builds_no_partition(tmp_path, monkeypatch):
     del raw["forcing"]
     recs = run(parse_config(raw))
     assert len(recs) == 1 and "r_mass" not in recs[0].metrics
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failed_seed_keeps_finished_records(tmp_path, monkeypatch, workers):
+    cfg = parse_config(evolve_config(tmp_path, n_samples=5))
+    seeds = [cfg.seed + i for i in range(5)]
+    evolve = harness._TASKS["evolve"]
+    ran = []
+
+    def task(config, part, task_seed, run_dir):
+        ran.append(task_seed)
+        if failing and task_seed == seeds[2]:
+            raise RuntimeError("third seed fails")
+        return evolve(config, part, task_seed, run_dir)
+
+    monkeypatch.setitem(harness._TASKS, "evolve", task)
+    failing = True
+    with pytest.raises(RuntimeError):
+        run(cfg, workers=workers)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+    assert [ResultRecord.from_line(line).seed for line in lines] == seeds[:2]
+
+    failing = False
+    ran.clear()
+    recs = run(cfg, workers=workers)
+    assert sorted(ran) == seeds[2:]
+    assert [r.seed for r in recs] == seeds
 
 
 def test_memory_guard_refuses(tmp_path):

@@ -1,5 +1,7 @@
 """Unit-cube frequency partition: counts, unity, orthogonality, Bernstein."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from roughnls import (
     SpectralField,
     bernstein_exponent,
     build_partition,
+    cube_gaussian,
     expected_count,
 )
 
@@ -120,3 +123,40 @@ def test_grid_too_coarse_raises():
     g = GridSpec(1, 16, 1.0)
     with pytest.raises(ConfigError):
         build_partition(PartitionConfig(dim=1, a=2, n_max=4, allow_subcell=False), g)
+
+
+# every (dim, a) whose n_max = 2 family has at most 30,000 cubes: (4, 2) has
+# 61,440 and (4, 3) 983,040, too many to sample one by one in a unit test
+SEPARABLE_CASES = [
+    (d, a) for d in (1, 2, 3, 4) for a in (1, 2, 3) if expected_count(d, a, 2) <= 30_000
+]
+
+
+@pytest.mark.parametrize("dim,a", SEPARABLE_CASES)
+def test_separable_sums_match_cube_by_cube(dim, a):
+    # The per-shell contractions against sums over single cutoffs built on
+    # demand; only the summation order differs, so 1e-14 is ample.
+    points = {1: 64, 2: 24, 3: 12, 4: 12}[dim]
+    g = GridSpec(dim, points, np.pi)
+    cfg = PartitionConfig(dim=dim, a=a, n_max=2)
+    part = build_partition(cfg, g)
+    coeffs = np.array([cube_gaussian(5, j)[0] for j in range(part.n_cutoffs)])
+    unity = np.zeros(g.n_points)
+    sq = np.zeros(g.n_points)
+    mult = np.zeros(g.n_points, dtype=complex)
+    counts = np.zeros(g.n_points, dtype=np.int64)
+    per_shell = Counter()
+    for j, c in enumerate(coeffs):
+        cut = part.cutoff(j)
+        unity[cut.support] += cut.values
+        sq[cut.support] += cut.values**2
+        mult[cut.support] += c * cut.values
+        counts[cut.support] += 1
+        per_shell[cut.shell] += 1
+    assert np.max(np.abs(part.unity_sum - unity)) < 1e-14
+    assert np.max(np.abs(part.sq_sum - sq)) < 1e-14
+    assert np.max(np.abs(part.multiplier(coeffs) - mult)) < 1e-14
+    assert part.kappa == counts.max()
+    for n in cfg.shells:
+        assert per_shell[n] == part.shell_count(n) == expected_count(dim, a, n)
+    assert per_shell[0] == per_shell[-1] == 1

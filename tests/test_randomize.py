@@ -50,6 +50,18 @@ def test_draw_deterministic_and_seed_sensitive():
     assert d1.n_cubes == part.n_cutoffs
 
 
+def test_draw_coefficients_are_the_per_cube_streams():
+    # one re-keyed generator must give each cube's own Philox stream, bit for bit
+    g = GridSpec(3, 32, np.pi)
+    part = build_partition(PartitionConfig(dim=3, a=1, n_max=4, s=-0.1), g)
+    f = noise_field(g, seed=1)
+    for seed in (0, 1004):
+        coeffs = draw(f, part, seed).coefficients
+        ref = np.array([cube_gaussian(seed, j, 1)[0] for j in range(part.n_cutoffs)])
+        assert coeffs.size == part.n_cutoffs == 29_129
+        assert np.array_equal(coeffs.view(np.uint64), ref.view(np.uint64))
+
+
 def test_draw_is_linear_in_f():
     g, part = small_partition()
     f = noise_field(g, seed=6)

@@ -22,6 +22,7 @@ from .grids import (
     GridSpec,
     SpectralField,
     fractional_derivative,
+    free_multiplier,
     free_propagate,
     gradient,
     l2_inner,

@@ -31,6 +31,7 @@ __all__ = [
     "fractional_derivative",
     "littlewood_paley",
     "free_propagate",
+    "free_multiplier",
     "lp_norm",
     "sobolev_norm",
     "l2_inner",
@@ -109,14 +110,28 @@ def _xi_sq(grid: GridSpec) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _forward_phase(grid: GridSpec) -> np.ndarray:
-    # e^{-i x0 . xi} with x0 = (-L, ..., -L): reference phase of the leftmost sample.
-    ax = np.exp(1j * grid.half_width * grid.xi_axis())
+def _outer_power(ax: np.ndarray, dim: int) -> np.ndarray:
+    """The lattice array ax[m_1] * ... * ax[m_d], a product of per-axis factors."""
     out = ax
-    for _ in range(grid.dim - 1):
+    for _ in range(dim - 1):
         out = np.multiply.outer(out, ax)
     return out
+
+
+@lru_cache(maxsize=64)
+def _transform_weight(grid: GridSpec) -> np.ndarray:
+    # dx^d * e^{-i x0 . xi} with x0 = (-L, ..., -L): cell volume times the
+    # reference phase of the leftmost sample.
+    return grid.cell_volume * _outer_power(np.exp(1j * grid.half_width * grid.xi_axis()), grid.dim)
+
+
+def free_multiplier(grid: GridSpec, t: float) -> np.ndarray:
+    """The free-flow symbol e^{-i t |xi|^2} on the lattice, exact up to rounding.
+
+    Built as the outer product of the d per-axis factors e^{-i t xi_k^2}: d*M
+    complex exponentials instead of M^d.
+    """
+    return _outer_power(np.exp(-1j * t * grid.xi_axis() ** 2), grid.dim)
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,8 @@ def to_frequency(field: SpectralField) -> SpectralField:
     if field.rep != PHYSICAL:
         raise RepresentationError("to_frequency expects a physical-representation field")
     g = field.grid
-    fhat = np.fft.fftn(field.values) * (g.cell_volume * _forward_phase(g))
+    fhat = np.fft.fftn(field.values)
+    fhat *= _transform_weight(g)
     return SpectralField(g, fhat, FREQUENCY)
 
 
@@ -165,7 +181,7 @@ def to_physical(field: SpectralField) -> SpectralField:
     if field.rep != FREQUENCY:
         raise RepresentationError("to_physical expects a frequency-representation field")
     g = field.grid
-    raw = field.values / (g.cell_volume * _forward_phase(g))
+    raw = field.values / _transform_weight(g)
     return SpectralField(g, np.fft.ifftn(raw), PHYSICAL)
 
 
@@ -243,7 +259,7 @@ def free_propagate(field: SpectralField, t: float) -> SpectralField:
     """Exact free flow e^{it Laplacian}: multiply fhat by e^{-i t |xi|^2}."""
     if t == 0:
         return field
-    return _apply_multiplier(field, np.exp(-1j * t * _xi_sq(field.grid)))
+    return _apply_multiplier(field, free_multiplier(field.grid, t))
 
 
 @lru_cache(maxsize=64)

@@ -188,6 +188,16 @@ class ShellBlock:
             for m in (c - half for c in cell)
         )
 
+    def supported(self) -> np.ndarray:
+        """Indices (numbered from `start`) of the cubes with lattice support.
+
+        A cube is empty exactly when one of its profile rows vanishes on the
+        whole lattice axis, so this needs no sampling.
+        """
+        live = self.profiles.any(axis=1)
+        cells = reduce(np.logical_and.outer, [live] * self.outer.ndim)
+        return self.start + np.flatnonzero(cells[self.outer])
+
     def combine(self, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
         """sum_k coeffs[k] prod_i profiles[m_i(k), x_i] on the whole lattice (grid shape).
 
@@ -266,6 +276,14 @@ class FrequencyPartition:
         axes = block.cube_axes(j - block.start)
         sup, vals = _sample_cutoff(self.grid, axes)
         return CubeCutoff(j, block.shell, axes, sup, vals / self.normalizer[sup])
+
+    def supported_members(self, shell: int) -> list[int]:
+        """The shell's cutoff indices with nonempty lattice support, in index order."""
+        block = next((b for b in self.shells if b.shell == shell), None)
+        if block is not None:
+            return block.supported().tolist()
+        members = self.shell_members.get(shell, ())
+        return [j for j in members if self.cutoff(j).support.size > 0]
 
     def coverage_mask(self) -> np.ndarray:
         """Flat boolean mask of lattice points with |xi|_inf <= 2*N_max."""
@@ -501,15 +519,14 @@ def bernstein_exponent(
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB3A7], dtype=np.uint64)))
     medians = []
     for n in shells:
-        cuts = [partition.cutoff(j) for j in partition.shell_members.get(n, ())]
-        usable = [cut for cut in cuts if cut.support.size > 0]
+        usable = partition.supported_members(n)
         if not usable:
             raise ResolutionError(f"shell {n} has no lattice-resolvable cubes on this grid")
         take = min(n_probes, len(usable))
         picks = rng.choice(len(usable), size=take, replace=False)
         ratios = []
         for k in picks:
-            cut = usable[int(k)]
+            cut = partition.cutoff(usable[int(k)])
             moduli = rng.rayleigh(scale=math.sqrt(0.5), size=cut.support.size)
             fhat = np.zeros(partition.grid.n_points, dtype=np.complex128)
             fhat[cut.support] = cut.values * moduli

@@ -4,10 +4,14 @@ remainder equation i w_t + Lap w = mu |u|^p u with u = v + w, v free.
 The kinetic half-steps are exact Fourier multipliers and the nonlinear substep
 is an exact phase rotation (|u| is invariant under i u_t = mu |u|^p u), so the
 only scheme error is the O(dt^2) splitting error. The rough channel v is never
-time-stepped: every value of v is produced by the exact free propagator from
-the initial data, and the stepper only freezes v at the step midpoint while
-rotating u = w + v as a unit. One step loop (solve_w) serves both equations:
-the full equation is the remainder equation with v = 0.
+time-stepped: every value of v (step midpoints, stored snapshots, series
+samples) is produced from v_hat(0) by the exact free propagator, and the
+stepper only freezes v at the step midpoint while rotating u = w + v as a unit.
+A step makes two grid transforms: one inverse transform of
+K_half w_hat + v_hat(t_mid), which is u at the midpoint because the transform
+is linear, and one forward transform of the rotated u, from which v_hat(t_mid)
+is subtracted in frequency space. One step loop (solve_w) serves both
+equations: the full equation is the remainder equation with v = 0.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .grids import (
     GridSpec,
     SpectralField,
     _xi_sq,
+    free_multiplier,
     free_propagate,
     lp_norm,
     sobolev_norm,
@@ -142,15 +147,37 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _half_kinetic(grid: GridSpec, dt: float) -> np.ndarray:
-    return np.exp(-0.5j * dt * _xi_sq(grid))
+    return free_multiplier(grid, 0.5 * dt)
 
 
-def _guard(phys: np.ndarray, threshold: float | None, t: float) -> None:
+def _abs_sq(phys: np.ndarray) -> np.ndarray:
+    """|u|^2 as re^2 + im^2, without the square root of np.abs."""
+    re, im = phys.real, phys.imag
+    out = re * re
+    out += im * im
+    return out
+
+
+def _guard(abs_sq: np.ndarray, threshold: float | None, t: float) -> None:
     if threshold is None:
         return
-    amp = float(np.max(np.abs(phys)))
-    if amp > threshold:
-        raise BlowupError(t=t, amplitude=amp, threshold=threshold)
+    peak = float(np.max(abs_sq))
+    if peak > threshold * threshold:
+        raise BlowupError(t=t, amplitude=math.sqrt(peak), threshold=threshold)
+
+
+def _rotate(phys: np.ndarray, abs_sq: np.ndarray, dt_mu: float, power: float) -> None:
+    """Exact nonlinear substep in place: u <- u e^{-i dt mu |u|^p}, |u|^p = (|u|^2)^(p/2).
+
+    The phase is assembled from cos and sin of the real angle, which avoids a
+    lattice-sized complex exponential.
+    """
+    theta = abs_sq ** (0.5 * power)
+    theta *= -dt_mu
+    phase = np.empty_like(phys)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    phys *= phase
 
 
 def _nonlinear_density(phys: np.ndarray, power: float) -> np.ndarray:
@@ -221,10 +248,14 @@ def solve_w(
 ) -> tuple[Trajectory, ConservationSeries]:
     """Integrate the forced remainder equation; snapshots in channels v and w.
 
-    Per step: half kinetic on w; freeze v at the midpoint, rotate u = w + v as
-    a unit and recover w = u - v; half kinetic. The stored v snapshots come
-    from the exact propagator applied to v0, so their unitarity and frequency
-    support are exact. Channel 'u' is synthesized as v + w on demand.
+    Per step, in two grid transforms: one inverse transform of
+    K_half w_hat + v_hat(t_mid) gives u = w + v at the step midpoint; the
+    guard reads |u|; u is rotated by the exact nonlinear phase; one forward
+    transform gives u_hat, and w_hat = u_hat - v_hat(t_mid) is dealiased and
+    multiplied by K_half in frequency space. Every value of v (midpoints,
+    stored snapshots, series samples) is the exact free propagator applied to
+    v0, so unitarity and frequency support of the v snapshots are exact.
+    Channel 'u' is synthesized as v + w on demand.
 
     With v0 None or identically zero, w solves the full equation and the
     per-step v work is skipped; v0 None also stores no v channel.
@@ -247,8 +278,8 @@ def solve_w(
     dvol = grid.cell_volume
     spec_weight = grid.dxi**grid.dim / (2.0 * math.pi) ** grid.dim
 
-    def v_at(t: float) -> np.ndarray:
-        return to_physical(SpectralField(grid, v0hat * np.exp(-1j * t * xi2), "frequency")).values
+    def physical(fhat: np.ndarray) -> np.ndarray:
+        return to_physical(SpectralField(grid, fhat, "frequency")).values
 
     n_snap = cfg.n_snapshots
     snap_times = np.empty(n_snap)
@@ -272,13 +303,10 @@ def solve_w(
     ser_dm_id = np.zeros(n_ser)
     ser_de_id = np.zeros(n_ser)
 
-    def sample_series(idx: int, t_k: float, what_k: np.ndarray, w_phys_k: np.ndarray) -> None:
-        if has_v:
-            vhat_k = v0hat * np.exp(-1j * t_k * xi2)
-            v_k = to_physical(SpectralField(grid, vhat_k, "frequency")).values
-            u_k = w_phys_k + v_k
-        else:
-            u_k = w_phys_k
+    def sample_series(
+        idx: int, t_k: float, what_k: np.ndarray, w_phys_k: np.ndarray, vhat_k: np.ndarray | None
+    ) -> None:
+        u_k = physical(what_k + vhat_k) if has_v else w_phys_k
         ser_times[idx] = t_k
         ser_mass[idx] = float(np.sum(np.abs(w_phys_k) ** 2)) * dvol
         kin = 0.5 * float(np.sum(xi2 * np.abs(what_k) ** 2)) * spec_weight
@@ -293,53 +321,64 @@ def solve_w(
             ser_dm_id[idx] = (
                 2.0 * cfg.mu * float(np.sum((np.conj(w_phys_k) * (nl_u - nl_w)).imag)) * dvol
             )
-            lap_v = to_physical(SpectralField(grid, -xi2 * vhat_k, "frequency")).values
+            lap_v = physical(-xi2 * vhat_k)
             ser_de_id[idx] = cfg.mu * float(np.sum((nl_u * np.conj(lap_v)).imag)) * dvol
 
-    what = w0.as_frequency().values
-    sample_series(0, 0.0, what, w_stack[0])
+    what = w0.as_frequency().values.copy()  # the loop updates it in place
+    sample_series(0, 0.0, what, w_stack[0], v0hat)
+    rotate = cfg.mu != 0.0
     snap = 1
     ser = 1
     for step in range(cfg.n_steps):
         t_mid = (step + 0.5) * cfg.dt
-        what = what * k_half
-        w_phys = to_physical(SpectralField(grid, what, "frequency")).values
-        if has_v:
-            v_mid = v_at(t_mid)
-            u_phys = w_phys + v_mid
-        else:
-            u_phys = w_phys
-        _guard(u_phys, threshold, t_mid)
-        if cfg.mu != 0.0:
-            u_phys = u_phys * np.exp(-1j * cfg.dt * cfg.mu * np.abs(u_phys) ** cfg.power)
-        w_phys = u_phys - v_mid if has_v else u_phys
-        what = to_frequency(SpectralField(grid, w_phys, "physical")).values
-        if cfg.dealias:
-            what = np.where(mask, what, 0.0)
-        what = what * k_half
         done = step + 1
-        t_k = done * cfg.dt
         at_snap = done % cfg.snapshot_stride == 0
         at_ser = done % cfg.series_stride == 0
-        if at_snap or at_ser:
-            w_now = to_physical(SpectralField(grid, what, "frequency")).values
-        if at_snap:
-            w_stack[snap] = w_now
-            snap_times[snap] = t_k
-            if v_stack is not None:
-                v_stack[snap] = v_at(t_k)
-            if has_v:
+        what *= k_half
+        if has_v:
+            vhat_mid = v0hat * free_multiplier(grid, t_mid)
+            what += vhat_mid
+        u_phys = physical(what)
+        # the dels below drop each lattice temporary before the next one is
+        # allocated, which keeps the step's peak memory down
+        if rotate or threshold is not None:
+            abs_sq = _abs_sq(u_phys)
+            _guard(abs_sq, threshold, t_mid)
+            if rotate:
+                _rotate(u_phys, abs_sq, cfg.dt * cfg.mu, cfg.power)
+            del abs_sq
+        uhat = to_frequency(SpectralField(grid, u_phys, "physical")).values
+        del u_phys
+        if has_v:
+            what = uhat - vhat_mid
+            if at_snap:
                 # substep bookkeeping check: (u - v) + v must reproduce u to far
                 # better than the documented 1e-9 channel consistency budget
-                drift = float(np.max(np.abs((w_phys + v_mid) - u_phys)))
-                scale = max(float(np.max(np.abs(u_phys))), 1e-300)
+                drift = float(np.max(np.abs((what + vhat_mid) - uhat)))
+                scale = max(float(np.max(np.abs(uhat))), 1e-300)
                 if drift > 1e-9 * scale:
                     raise RepresentationError(
                         f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
                     )
+            del uhat, vhat_mid
+        else:
+            what = uhat
+        if cfg.dealias:
+            what = np.where(mask, what, 0.0)
+        what *= k_half
+        if not (at_snap or at_ser):
+            continue
+        t_k = done * cfg.dt
+        w_now = physical(what)
+        vhat_k = v0hat * free_multiplier(grid, t_k) if has_v else None
+        if at_snap:
+            w_stack[snap] = w_now
+            snap_times[snap] = t_k
+            if v_stack is not None:
+                v_stack[snap] = physical(vhat_k) if has_v else 0.0
             snap += 1
         if at_ser:
-            sample_series(ser, t_k, what, w_now)
+            sample_series(ser, t_k, what, w_now, vhat_k)
             ser += 1
 
     channels = {"w": w_stack} if v_stack is None else {"v": v_stack, "w": w_stack}

@@ -7,6 +7,7 @@ from roughnls import (
     GridSpec,
     SpectralField,
     fractional_derivative,
+    free_multiplier,
     free_propagate,
     gradient,
     l2_inner,
@@ -14,6 +15,7 @@ from roughnls import (
     lp_symbol,
     sobolev_norm,
 )
+from roughnls.grids import _xi_sq
 
 
 def gaussian_field(grid, width=1.0, amp=1.0):
@@ -168,6 +170,31 @@ def test_free_propagate_group_law_and_isometry():
     diff = once.as_frequency().values - direct.as_frequency().values
     assert np.max(np.abs(diff)) < 1e-12
     assert free_propagate(f, 0.7).l2_norm() == pytest.approx(f.l2_norm(), rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16), (4, 8)])
+@pytest.mark.parametrize("t", [1e-3, 0.3, -0.8])
+def test_free_multiplier_matches_lattice_exponential(dim, points, t):
+    g = GridSpec(dim, points, np.pi)
+    got = free_multiplier(g, t)
+    assert got.shape == g.shape
+    assert np.max(np.abs(got - np.exp(-1j * t * _xi_sq(g)))) < 1e-13
+
+
+@pytest.mark.parametrize("dim,points,half_width", [(1, 64, 3.0), (2, 16, np.pi), (3, 12, 2.5), (4, 6, np.pi)])
+def test_transforms_match_inline_normalization(dim, points, half_width):
+    # The cached weight is dx^d * e^{i L xi} per axis, formed exactly as the
+    # inline fftn(x) * (dvol * phase) and ifftn(x / (dvol * phase)) did.
+    g = GridSpec(dim, points, half_width)
+    ax = np.exp(1j * g.half_width * g.xi_axis())
+    phase = ax
+    for _ in range(dim - 1):
+        phase = np.multiply.outer(phase, ax)
+    f = noise_field(g, seed=dim)
+    fhat = f.as_frequency().values
+    assert np.array_equal(fhat, np.fft.fftn(f.values) * (g.cell_volume * phase))
+    back = SpectralField(g, fhat, "frequency").as_physical().values
+    assert np.array_equal(back, np.fft.ifftn(fhat / (g.cell_volume * phase)))
 
 
 def test_lp_norm_against_closed_form():

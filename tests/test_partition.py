@@ -135,7 +135,8 @@ SEPARABLE_CASES = [
 @pytest.mark.parametrize("dim,a", SEPARABLE_CASES)
 def test_separable_sums_match_cube_by_cube(dim, a):
     # The per-shell contractions against sums over single cutoffs built on
-    # demand; only the summation order differs, so 1e-14 is ample.
+    # demand; only the summation order differs, so 1e-14 is ample. At a >= 2
+    # the cubes are narrower than the lattice spacing and some are empty.
     points = {1: 64, 2: 24, 3: 12, 4: 12}[dim]
     g = GridSpec(dim, points, np.pi)
     cfg = PartitionConfig(dim=dim, a=a, n_max=2)
@@ -146,8 +147,11 @@ def test_separable_sums_match_cube_by_cube(dim, a):
     mult = np.zeros(g.n_points, dtype=complex)
     counts = np.zeros(g.n_points, dtype=np.int64)
     per_shell = Counter()
+    supported = {n: [] for n in cfg.shells}
     for j, c in enumerate(coeffs):
         cut = part.cutoff(j)
+        if cut.support.size and cut.shell in supported:
+            supported[cut.shell].append(j)
         unity[cut.support] += cut.values
         sq[cut.support] += cut.values**2
         mult[cut.support] += c * cut.values
@@ -159,4 +163,6 @@ def test_separable_sums_match_cube_by_cube(dim, a):
     assert part.kappa == counts.max()
     for n in cfg.shells:
         assert per_shell[n] == part.shell_count(n) == expected_count(dim, a, n)
+        # usability from the profile rows matches the sampled supports
+        assert part.supported_members(n) == supported[n]
     assert per_shell[0] == per_shell[-1] == 1

@@ -218,3 +218,115 @@ def test_zero_forcing_is_the_full_equation():
     bare, _ = solve_w(u0, None, cfg)
     assert set(bare.channels) == {"w"}
     assert np.array_equal(bare.channels["w"], full.channels["u"])
+
+
+def _unfused_reference(w0, v0, cfg):
+    """The split step with three transforms, in plain numpy: a separate inverse
+    transform of v at the midpoint, the exp(-1j dt mu |u|^p) rotation and
+    np.where dealiasing. Returns w and v snapshots and M, E and the identity
+    rates at the series samples."""
+    g = w0.grid
+    xi = g.xi_axis()
+    xi2 = sum(c**2 for c in np.meshgrid(*([xi] * g.dim), indexing="ij", sparse=True))
+    ax = np.exp(1j * g.half_width * xi)
+    phase = ax
+    for _ in range(g.dim - 1):
+        phase = np.multiply.outer(phase, ax)
+    dvol = g.cell_volume
+    spec_weight = g.dxi**g.dim / (2 * np.pi) ** g.dim
+
+    def fwd(x):
+        return np.fft.fftn(x) * (dvol * phase)
+
+    def inv(x):
+        return np.fft.ifftn(x / (dvol * phase))
+
+    keep = np.abs(np.fft.fftfreq(g.points) * g.points) < g.points / 3.0
+    mask = keep
+    for _ in range(g.dim - 1):
+        mask = np.logical_and.outer(mask, keep)
+    k_half = np.exp(-0.5j * cfg.dt * xi2)
+    mu, p = cfg.mu, cfg.power
+    v0hat = fwd(v0.values) if v0 is not None else np.zeros(g.shape, dtype=complex)
+
+    def v_at(t):
+        return inv(v0hat * np.exp(-1j * t * xi2))
+
+    ws, vs, rows = [], [], []
+
+    def sample(t, what, w):
+        v = v_at(t)
+        u = w + v
+        kin = 0.5 * np.sum(xi2 * np.abs(what) ** 2) * spec_weight
+        energy = kin + mu / (p + 2) * np.sum(np.abs(u) ** (p + 2)) * dvol
+        nl_u, nl_w = np.abs(u) ** p * u, np.abs(w) ** p * w
+        dm = 2 * mu * np.sum((np.conj(w) * (nl_u - nl_w)).imag) * dvol
+        lap_v = inv(-xi2 * v0hat * np.exp(-1j * t * xi2))
+        de = mu * np.sum((nl_u * np.conj(lap_v)).imag) * dvol
+        rows.append((np.sum(np.abs(w) ** 2) * dvol, energy, dm, de))
+
+    what = fwd(w0.values)
+    ws.append(w0.values)
+    vs.append(v_at(0.0))
+    sample(0.0, what, w0.values)
+    for step in range(cfg.n_steps):
+        t_mid = (step + 0.5) * cfg.dt
+        w = inv(what * k_half)
+        v_mid = v_at(t_mid)
+        u = w + v_mid
+        u = u * np.exp(-1j * cfg.dt * mu * np.abs(u) ** p)
+        what = np.where(mask, fwd(u - v_mid), 0.0) * k_half
+        done = step + 1
+        w = inv(what)
+        if done % cfg.snapshot_stride == 0:
+            ws.append(w)
+            vs.append(v_at(done * cfg.dt))
+        if done % cfg.series_stride == 0:
+            sample(done * cfg.dt, what, w)
+    return np.array(ws), np.array(vs), np.array(rows).T
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+@pytest.mark.parametrize("dim,points,half_width", [(3, 16, np.pi), (4, 8, np.pi / 2)])
+@pytest.mark.parametrize("forced", [True, False])
+def test_fused_step_matches_unfused_reference(dim, points, half_width, forced):
+    # The fused step transforms K_half w_hat + v_hat(t_mid) once instead of w
+    # and v separately, and rotates by cos/sin of a real angle; the arithmetic
+    # is the same up to rounding, so 20 steps must agree to 1e-12 relative.
+    g = GridSpec(dim, points, half_width)
+    w0 = bump(g, 0.5, 1.0, wave=(1,) + (0,) * (dim - 1))
+    v0 = rough_v0(g, n0=2.0, amp=0.3) if forced else None
+    cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
+    traj, series = solve_w(w0, v0, cfg)
+    ws, vs, (mass, energy, dm, de) = _unfused_reference(w0, v0, cfg)
+    assert _rel(traj.channels["w"], ws) < 1e-12
+    assert _rel(series.mass, mass) < 1e-12
+    assert _rel(series.energy, energy) < 1e-12
+    if forced:
+        assert _rel(traj.channels["v"], vs) < 1e-12
+        assert _rel(series.dmass_id, dm) < 1e-12
+        assert _rel(series.denergy_id, de) < 1e-12
+    else:
+        assert "v" not in traj.channels
+        assert not np.any(series.dmass_id) and not np.any(series.denergy_id)
+
+
+@pytest.mark.parametrize("n_steps", [4, 8])
+def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
+    import roughnls.solver as solver
+
+    calls = []
+    for name in ("to_physical", "to_frequency"):
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda f, real=real, name=name: calls.append(name) or real(f))
+    g = GridSpec(3, 8, np.pi / 2)
+    v0 = rough_v0(g, n0=2.0, amp=0.2)
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=n_steps * 1e-3, snapshot_stride=n_steps, series_stride=n_steps)
+    solve_w(bump(g, 0.3, 1.5), v0, cfg)
+    # 2 per step; the t = 0 sample makes u and Lap v (2); the final snapshot
+    # and sample make w, v, u and Lap v (4)
+    assert len(calls) == 2 * n_steps + 6
+    assert calls.count("to_frequency") == n_steps

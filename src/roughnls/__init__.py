@@ -51,6 +51,7 @@ from .linear_flow import (
     composite_spec,
     ensemble_linear_stats,
     high_pass,
+    linear_seed,
     linear_trajectory,
 )
 from .morawetz import (
@@ -66,7 +67,7 @@ from .morawetz import (
     localization_ratio,
     morawetz_audit,
 )
-from .norms import NormSpec, is_admissible, snapshot_norms, spacetime_norm
+from .norms import FrequencyView, NormSpec, is_admissible, snapshot_norms, spacetime_norm
 from .partition import (
     FrequencyPartition,
     PartitionConfig,

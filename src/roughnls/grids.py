@@ -29,10 +29,12 @@ __all__ = [
     "to_frequency",
     "to_physical",
     "fractional_derivative",
+    "derivative_symbol",
     "littlewood_paley",
     "free_propagate",
     "free_multiplier",
     "lp_norm",
+    "modulus_lp_norm",
     "sobolev_norm",
     "l2_inner",
     "gradient",
@@ -192,6 +194,23 @@ def _apply_multiplier(field: SpectralField, mult: np.ndarray) -> SpectralField:
     return out.as_physical() if start_physical else out
 
 
+def derivative_symbol(grid: GridSpec, s: float, kind: str) -> np.ndarray:
+    """The lattice symbol |xi|^s (homogeneous, zero at xi = 0) or (1 + |xi|^2)^(s/2).
+
+    The square of the symbol of order s is the symbol of order 2s, which is
+    how Parseval sums weight |fhat|^2.
+    """
+    xi2 = _xi_sq(grid)
+    if kind == "homogeneous":
+        with np.errstate(divide="ignore"):
+            mult = np.where(xi2 > 0, xi2 ** (s / 2.0), 0.0)
+    elif kind == "inhomogeneous":
+        mult = (1.0 + xi2) ** (s / 2.0)
+    else:
+        raise ValueError(f"kind must be 'homogeneous' or 'inhomogeneous', got {kind!r}")
+    return mult
+
+
 def fractional_derivative(field: SpectralField, s: float, kind: str = "homogeneous") -> SpectralField:
     """Apply |grad|^s (homogeneous) or <grad>^s (inhomogeneous, Bessel).
 
@@ -199,18 +218,9 @@ def fractional_derivative(field: SpectralField, s: float, kind: str = "homogeneo
     dropped, also for negative s); s = 0 is the identity. Output keeps the input
     representation.
     """
-    g = field.grid
-    if kind == "homogeneous":
-        if s == 0:
-            return field
-        xi2 = _xi_sq(g)
-        with np.errstate(divide="ignore"):
-            mult = np.where(xi2 > 0, xi2 ** (s / 2.0), 0.0)
-    elif kind == "inhomogeneous":
-        mult = (1.0 + _xi_sq(g)) ** (s / 2.0)
-    else:
-        raise ValueError(f"kind must be 'homogeneous' or 'inhomogeneous', got {kind!r}")
-    return _apply_multiplier(field, mult)
+    if kind == "homogeneous" and s == 0:
+        return field
+    return _apply_multiplier(field, derivative_symbol(field.grid, s, kind))
 
 
 def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -289,12 +299,16 @@ def gradient(field: SpectralField) -> list[SpectralField]:
 
 def lp_norm(field: SpectralField, r: float) -> float:
     """Spatial L^r norm by Riemann sum; r = inf is the lattice max of |f|."""
-    v = np.abs(field.as_physical().values)
+    return modulus_lp_norm(np.abs(field.as_physical().values), r, field.grid)
+
+
+def modulus_lp_norm(modulus: np.ndarray, r: float, grid: GridSpec) -> float:
+    """lp_norm of a field whose pointwise modulus |f| is already at hand."""
     if math.isinf(r):
-        return float(v.max())
+        return float(modulus.max())
     if r <= 0:
         raise ValueError(f"Lebesgue exponent must be positive, got {r}")
-    return float((np.sum(v**r) * field.grid.cell_volume) ** (1.0 / r))
+    return float((np.sum(modulus**r) * grid.cell_volume) ** (1.0 / r))
 
 
 def sobolev_norm(field: SpectralField, s: float, kind: str = "inhomogeneous") -> float:

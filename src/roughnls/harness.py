@@ -38,7 +38,9 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .grids import GridSpec, SpectralField, _xi_sq
-from .linear_flow import composite_norm, composite_spec, high_pass, linear_trajectory
+# composite_norm, linear_trajectory and gn_ratios are not called in this module;
+# the names stay bound because bench/tracing.py wraps them here.
+from .linear_flow import composite_norm, composite_spec, high_pass, linear_seed, linear_trajectory
 from .morawetz import c_star_spread, gn_ratios, morawetz_audit
 from .partition import FrequencyPartition, PartitionConfig, build_partition
 from .randomize import draw
@@ -567,7 +569,12 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     Counts snapshot stacks per in-flight task, FFT workspace and, when the run
     builds one, the partition: its four float lattice arrays (normalizer,
     residual, unity and square sums). Its per-shell profile matrices and cell
-    masks are far smaller and ignored.
+    masks are far smaller and ignored. A Morawetz audit adds its cached
+    kernel tables (d + 1 real lattice arrays and their half-spectrum
+    transforms, about d + 1 complex fields together) and the lattice
+    temporaries of one snapshot: the two views' transforms, two gradients,
+    the momentum density and its transform, about 3d + 6 complex fields
+    (4d + 7 lattice fields in all).
     """
     g = config.grid
     if g is None:
@@ -587,7 +594,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
         if kind == "twin-ladder":
             per_task = 2 * traj + workspace
         elif kind == "morawetz-audit":
-            per_task = traj + (g.dim + 1) * 8 * g.n_points + workspace
+            per_task = traj + (4 * g.dim + 7) * per + workspace
         else:
             per_task = traj + workspace
     return config.workers * per_task + workspace + partition
@@ -645,13 +652,12 @@ def _task_partition_report(config, part: FrequencyPartition, task_seed: int, run
 
 def _task_linear_stats(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
     f = shaped_profile(config.grid, config.forcing.field_seed, config.forcing.decay, config.forcing.amplitude)
-    rnd = draw(f, part, task_seed)
-    traj = linear_trajectory(rnd, config.forcing.n0, config.times)
     pc = config.partition
+    families = ("Y", "Z")
+    specs = [composite_spec(f"{family}{config.grid.dim}", pc.s, float(pc.a)) for family in families]
+    traj, norms = linear_seed(f, part, task_seed, config.forcing.n0, config.times, specs)
     metrics = {"L2": traj.snapshot("v", 0).l2_norm()}
-    for family in ("Y", "Z"):
-        spec = composite_spec(f"{family}{config.grid.dim}", pc.s, float(pc.a))
-        total, parts = composite_norm(traj, spec)
+    for family, (total, parts) in zip(families, norms):
         metrics[family] = total
         for label, val in parts.items():
             metrics[f"{family}:{label}"] = val
@@ -692,7 +698,7 @@ def _task_morawetz(config, part: FrequencyPartition, task_seed: int, run_dir: Pa
         "loc_min": float(rep.localization.min()),
     }
     if config.grid.dim == 4:
-        ratios = gn_ratios(traj)
+        ratios = rep.gn_ratios
         metrics["gn_max"] = float(ratios.max())
         metrics["gn_median"] = float(np.median(ratios))
     artifacts = []

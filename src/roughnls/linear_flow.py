@@ -38,6 +38,7 @@ __all__ = [
     "composite_norm",
     "linear_trajectory",
     "EnsembleLinearStats",
+    "linear_seed",
     "ensemble_linear_stats",
     "COMPOSITE_NAMES",
 ]
@@ -176,6 +177,24 @@ def linear_trajectory(
     return Trajectory(grid=grid, times=times, channels={channel: stack}, meta=meta)
 
 
+def linear_seed(
+    f: SpectralField,
+    partition: FrequencyPartition,
+    seed: int,
+    n0: float,
+    times: np.ndarray,
+    specs: list[CompositeNormSpec],
+) -> tuple[Trajectory, list[tuple[float, dict[str, float]]]]:
+    """One seed of the linear ensemble: draw f^omega, sample v(t), take each composite norm.
+
+    Returns the trajectory and composite_norm's (total, breakdown) per spec.
+    Both ensemble_linear_stats and the harness's linear-stats task run their
+    seeds through here.
+    """
+    traj = linear_trajectory(draw(f, partition, int(seed)), n0, times)
+    return traj, [composite_norm(traj, spec) for spec in specs]
+
+
 @dataclass(frozen=True)
 class EnsembleLinearStats:
     """Per-seed composite norms of the free evolution plus tail statistics.
@@ -223,9 +242,7 @@ def ensemble_linear_stats(
     comp_arrays = {label: np.empty(n_samples) for label in spec.labels()}
 
     def one(i: int) -> None:
-        rnd = draw(f, partition, int(seeds[i]))
-        traj = linear_trajectory(rnd, n0, times)
-        total, br = composite_norm(traj, spec)
+        _, [(total, br)] = linear_seed(f, partition, seeds[i], n0, times, [spec])
         totals[i] = total
         for label, val in br.items():
             comp_arrays[label][i] = val

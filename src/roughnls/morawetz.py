@@ -6,12 +6,20 @@ e = |u|^p u - |w|^p w. The pairwise functional
 
     M(t) = sum_{x,y} (x-y)/|x-y| . p(t,x) m(t,y) dx^{2d}
 
-is evaluated as d circular FFT correlations against a kernel tabulated with
-minimal-image displacements and K(0) = 0; a direct double sum is kept as a
-cross-check. The kernels are not periodic, so the circular sum matches the
-whole-space integral only for well-localized densities; every functional value
-is paired with a localization ratio (fraction of mass inside the half-box) so
-the approximation stays auditable.
+is the circular pairing against a kernel tabulated with minimal-image
+displacements and K(0) = 0, evaluated in Parseval form: one real-input
+transform of m and of each component of p, summed against cached conjugated
+transforms of the kernel tables over the half spectrum, with no inverse
+transform. A direct double sum is kept as a cross-check. The kernels are not
+periodic, so the circular sum matches the whole-space integral only for
+well-localized densities; every functional value is paired with a
+localization ratio (fraction of mass inside the half-box) so the
+approximation stays auditable.
+
+The audit is one pass over the snapshots. Each snapshot gets one
+FrequencyView (see norms) per channel, every spatial figure of the terms
+below is read from those two views, m and p come from the w view's
+gradient, and the 4D Gagliardo-Nirenberg ratio reuses figures already taken.
 
 The audit measures, per trajectory, the constant C* = LHS / (T1 + T2 + T3) in
 
@@ -45,15 +53,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .grids import (
-    GridSpec,
-    SpectralField,
-    fractional_derivative,
-    gradient,
-    lp_norm,
-    sobolev_norm,
-)
-from .norms import NormSpec, spacetime_norm
+from .grids import GridSpec, SpectralField, gradient
+
+# spacetime_norm is not called here, since the audit reads its figures from
+# snapshot views; the name stays bound because bench/tracing.py wraps it here.
+from .norms import FrequencyView, NormSpec, snapshot_view, spacetime_norm, time_norm
 from .trajectory import Trajectory
 
 __all__ = [
@@ -94,14 +98,23 @@ class LocalDensities:
     """Pointwise densities of one snapshot: mass m, momentum p, defect e.
 
     m has the grid's shape, p stacks the d components along axis 0, and e is
-    complex with the grid's shape. m >= 0 and p is real by construction; e
-    vanishes wherever u = w.
+    complex with the grid's shape, or None where the caller did not form it
+    (the audit). m >= 0 and p is real by construction; e vanishes wherever
+    u = w.
     """
 
     grid: GridSpec
     m: np.ndarray
     p: np.ndarray
-    e: np.ndarray
+    e: np.ndarray | None = None
+
+
+def _mass_momentum(w: FrequencyView) -> tuple[np.ndarray, np.ndarray]:
+    """m = |w|^2 / 2 and p = Im(conj(w) grad w) / 2, the gradient taken from the view."""
+    m = 0.5 * w.modulus**2
+    conj_w = np.conj(w.values)
+    mom = np.stack([0.5 * np.imag(conj_w * gk) for gk in w.gradient()])
+    return m, mom
 
 
 def local_densities(w: SpectralField, u: SpectralField, power: float | None = None) -> LocalDensities:
@@ -114,12 +127,10 @@ def local_densities(w: SpectralField, u: SpectralField, power: float | None = No
         raise ConfigError("w and u must live on the same grid")
     g = w.grid
     p = _default_power(g.dim, power)
-    wp = w.as_physical().values
+    wv = FrequencyView(g, w.as_physical().values)
     up = u.as_physical().values
-    m = 0.5 * np.abs(wp) ** 2
-    grads = gradient(w)
-    mom = np.stack([0.5 * np.imag(np.conj(wp) * gk.values) for gk in grads])
-    defect = np.abs(up) ** p * up - np.abs(wp) ** p * wp
+    m, mom = _mass_momentum(wv)
+    defect = np.abs(up) ** p * up - wv.modulus**p * wv.values
     return LocalDensities(g, m, mom, defect)
 
 
@@ -145,16 +156,34 @@ def _kernel_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _kernel_tables_hat(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugated DFTs of the kernel tables, precomputed for the correlation path."""
+    """Half-spectrum pairing tables: conj(rfftn(kernel)) with every constant folded in.
+
+    For real f and g, sum_{x,y} K(x-y) f(x) g(y) = (1/N) sum_xi conj(Khat) fhat
+    conj(ghat) over the full DFT lattice. The summand at -xi is the conjugate
+    of the one at xi, so the real part of the full sum is the half-spectrum sum
+    with weight 2 off the planes k_last = 0 and k_last = M/2. That weight, 1/N
+    and dx^{2d} are multiplied into the tables.
+    """
     vec, sca = _kernel_tables(grid)
     axes = tuple(range(1, grid.dim + 1))
-    return np.conj(np.fft.fftn(vec, axes=axes)), np.conj(np.fft.fftn(sca))
+    half = np.full(grid.points // 2 + 1, 2.0)
+    half[0] = half[-1] = 1.0
+    scale = half * (grid.cell_volume**2 / grid.n_points)
+    return np.conj(np.fft.rfftn(vec, axes=axes)) * scale, np.conj(np.fft.rfftn(sca)) * scale
 
 
 def _pair_fft(table_hat: np.ndarray, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> float:
-    """sum_{x,y} K(x-y) f(x) g(y) dx^{2d} via one circular correlation."""
-    corr = np.fft.ifftn(table_hat * np.fft.fftn(f)).real
-    return float(np.sum(corr * g) * grid.cell_volume**2)
+    """sum_{x,y} K(x-y) f(x) g(y) dx^{2d} for real f, g, as one half-spectrum Parseval sum.
+
+    f may stack components along a leading axis, paired with a matching stack
+    of tables (the vector kernel); the components' products are summed before
+    the single pairing with g.
+    """
+    axes = tuple(range(f.ndim - grid.dim, f.ndim))
+    prod = table_hat * np.fft.rfftn(f, axes=axes)
+    if prod.ndim > grid.dim:
+        prod = prod.sum(axis=0)
+    return float(np.sum((np.conj(np.fft.rfftn(g)) * prod).real))
 
 
 def _pair_direct(kind: str, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> float:
@@ -197,7 +226,9 @@ def interaction_functional(
 
     kind 'vector' evaluates sum (x-y)/|x-y| . p(x) m(y) dx^{2d}; kind 'scalar'
     pairs a caller-supplied real field f(x) against m(y) under the weight
-    1/|x-y| (used by the remainder terms). method 'direct' switches to the
+    1/|x-y| (used by the remainder terms). method 'fft' (the default) is the
+    half-spectrum Parseval sum: d + 1 (vector) or 2 (scalar) real-input
+    transforms and no inverse transform. method 'direct' switches to the
     double-sum reference path.
     """
     g = dens.grid
@@ -221,8 +252,8 @@ def interaction_functional(
 
     vec_hat, sca_hat = _kernel_tables_hat(g)
     if kind == "scalar":
-        return _pair_fft(sca_hat, f, dens.m, g)
-    return float(sum(_pair_fft(vec_hat[k], dens.p[k], dens.m, g) for k in range(g.dim)))
+        return _pair_fft(sca_hat, np.real(f), dens.m, g)
+    return _pair_fft(vec_hat, dens.p, dens.m, g)
 
 
 def localization_ratio(density: np.ndarray, grid: GridSpec) -> float:
@@ -244,24 +275,6 @@ def localization_ratio(density: np.ndarray, grid: GridSpec) -> float:
     return float(mag[mask].sum()) / total
 
 
-def _grad_sup_series(traj: Trajectory, channel: str) -> np.ndarray:
-    """max_x |grad f| at each snapshot, gradient magnitude taken euclidean."""
-    stack = traj.channel(channel)
-    out = np.empty(traj.n_snapshots)
-    for k in range(traj.n_snapshots):
-        fld = SpectralField(traj.grid, stack[k], "physical")
-        comps = gradient(fld)
-        mag = np.zeros(traj.grid.shape)
-        for c in comps:
-            mag += np.abs(c.values) ** 2
-        out[k] = math.sqrt(float(mag.max()))
-    return out
-
-
-def _l2_time(series: np.ndarray, times: np.ndarray) -> float:
-    return float(math.sqrt(np.trapezoid(series**2, times)))
-
-
 @dataclass(frozen=True)
 class MorawetzReport:
     """Measured sides of the interaction Morawetz inequality for one run.
@@ -270,6 +283,8 @@ class MorawetzReport:
     terms holds the three right-hand-side products T1, T2, T3; c_star is
     lhs / (T1 + T2 + T3), zero for a zero left-hand side. interaction and
     localization trace M(t) and the half-box mass fraction per snapshot.
+    gn_ratios holds the 4D per-snapshot Gagliardo-Nirenberg ratios of w (see
+    gn_ratios) and is None in 3D; it is not part of to_dict().
     """
 
     dim: int
@@ -279,6 +294,7 @@ class MorawetzReport:
     times: np.ndarray
     interaction: np.ndarray
     localization: np.ndarray
+    gn_ratios: np.ndarray | None = None
 
     CSV_HEADER = ["t", "interaction", "localization"]
 
@@ -306,8 +322,8 @@ class MorawetzReport:
 def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None = None) -> MorawetzReport:
     """Evaluate both sides of the interaction Morawetz inequality on a trajectory.
 
-    Needs channels v and w (u is derived as v + w). The right-hand side terms
-    are, with S = ||w||_{Linf Hdot(1/2)}, m2 = ||w||_{Linf L2}:
+    Needs channels v and w. The right-hand side terms are, with
+    S = ||w||_{Linf Hdot(1/2)}, m2 = ||w||_{Linf L2}:
 
     3D, with A4 = ||w||_{L4}^2 + ||v||_{L4}^2 and A6 = ||w||_{Linf L6}^3 + ||v||_{Linf L6}^3:
         T1 = m2^2 S^2
@@ -320,7 +336,8 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
         T3 = ||v||_{L2 Linf} S^2 ( m2 ||v||_{L4_tx}^2 + ||v||_{L6_t L3_x}^3 )
 
     C* is measured, never asserted; ensemble stability is judged separately
-    by c_star_spread.
+    by c_star_spread. power is validated as in local_densities, but no audited
+    figure depends on it: the defect field is not part of the audit.
     """
     g = traj.grid
     if dim is None:
@@ -332,21 +349,50 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
     for name in ("v", "w"):
         if name not in traj.channels:
             raise ConfigError(f"audit needs channel {name!r} (have {sorted(traj.channels)})")
-    p = _default_power(dim, power)
+    _default_power(dim, power)
 
     inf = math.inf
-    w_mass = spacetime_norm(traj, NormSpec(inf, 2), "w")
-    w_hhalf = spacetime_norm(traj, NormSpec(inf, 2, 0.5, "homogeneous"), "w")
-    v_sup = spacetime_norm(traj, NormSpec(2, inf), "v")
-    dv_sup = _l2_time(_grad_sup_series(traj, "v"), traj.times)
-
+    # (channel, figure): the spatial norm taken at every snapshot and its time exponent
+    specs = {
+        ("w", "mass"): NormSpec(inf, 2),
+        ("w", "hhalf"): NormSpec(inf, 2, 0.5, "homogeneous"),
+        ("v", "sup"): NormSpec(2, inf),
+        ("v", "l4"): NormSpec(4, 4),
+    }
     if dim == 3:
-        w_l4 = spacetime_norm(traj, NormSpec(4, 4), "w")
-        v_l4 = spacetime_norm(traj, NormSpec(4, 4), "v")
-        w_l6 = spacetime_norm(traj, NormSpec(inf, 6), "w")
-        v_l6 = spacetime_norm(traj, NormSpec(inf, 6), "v")
+        specs[("w", "l4")] = NormSpec(4, 4)
+        specs[("w", "l6")] = NormSpec(inf, 6)
+        specs[("v", "l6")] = NormSpec(inf, 6)
+    else:
+        specs[("w", "g")] = NormSpec(4, 4, -0.25, "homogeneous")
+        specs[("w", "hhalf_inh")] = NormSpec(inf, 2, 0.5, "inhomogeneous")
+        specs[("v", "l6l3")] = NormSpec(6, 3)
+
+    n = traj.n_snapshots
+    series = {key: np.empty(n) for key in specs}
+    dv = np.empty(n)
+    inter = np.empty(n)
+    loc = np.empty(n)
+    gn = np.empty(n) if dim == 4 else None
+    for k in range(n):
+        views = {"w": snapshot_view(traj, "w", k), "v": snapshot_view(traj, "v", k)}
+        for (ch, fig), spec in specs.items():
+            series[ch, fig][k] = views[ch].norm(spec.r, spec.s, spec.kind)
+        dv[k] = math.sqrt(float(sum(c.real**2 + c.imag**2 for c in views["v"].gradient()).max()))
+        m, mom = _mass_momentum(views["w"])
+        inter[k] = interaction_functional(LocalDensities(g, m, mom))
+        loc[k] = localization_ratio(m, g)
+        if gn is not None:
+            gn[k] = _gn_ratio(views["w"])
+
+    norm = {key: time_norm(series[key], traj.times, spec.q) for key, spec in specs.items()}
+    w_mass, w_hhalf = norm["w", "mass"], norm["w", "hhalf"]
+    v_sup, v_l4 = norm["v", "sup"], norm["v", "l4"]
+    dv_sup = time_norm(dv, traj.times, 2)
+    if dim == 3:
+        w_l4 = norm["w", "l4"]
         mix4 = w_l4**2 + v_l4**2
-        mix6 = w_l6**3 + v_l6**3
+        mix6 = norm["w", "l6"] ** 3 + norm["v", "l6"] ** 3
         lhs = w_l4**4
         terms = {
             "T1": w_mass**2 * w_hhalf**2,
@@ -354,15 +400,12 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
             "T3": dv_sup * mix4 * mix6 * w_mass**2,
         }
     else:
-        g_norm = spacetime_norm(traj, NormSpec(4, 4, -0.25, "homogeneous"), "w")
-        w_hhalf_inh = spacetime_norm(traj, NormSpec(inf, 2, 0.5, "inhomogeneous"), "w")
-        v_l4 = spacetime_norm(traj, NormSpec(4, 4), "v")
-        v_l6l3 = spacetime_norm(traj, NormSpec(6, 3), "v")
+        g_norm = norm["w", "g"]
         lhs = g_norm**4
         terms = {
             "T1": w_mass**2 * w_hhalf**2,
-            "T2": w_hhalf_inh * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
-            "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + v_l6l3**3),
+            "T2": norm["w", "hhalf_inh"] * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
+            "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + norm["v", "l6l3"] ** 3),
         }
 
     rhs = float(sum(terms.values()))
@@ -373,19 +416,6 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
     else:
         c_star = lhs / rhs
 
-    w_stack = traj.channel("w")
-    u_stack = traj.channel("u")
-    inter = np.empty(traj.n_snapshots)
-    loc = np.empty(traj.n_snapshots)
-    for k in range(traj.n_snapshots):
-        dens = local_densities(
-            SpectralField(g, w_stack[k], "physical"),
-            SpectralField(g, u_stack[k], "physical"),
-            power=p,
-        )
-        inter[k] = interaction_functional(dens)
-        loc[k] = localization_ratio(dens.m, g)
-
     return MorawetzReport(
         dim=dim,
         lhs=float(lhs),
@@ -394,6 +424,7 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
         times=traj.times.copy(),
         interaction=inter,
         localization=loc,
+        gn_ratios=gn,
     )
 
 
@@ -537,27 +568,25 @@ def identity_mor_mainterm(
     )
 
 
+def _gn_ratio(f: FrequencyView) -> float:
+    """||f||_{L3}^3 / (||f||_{H(1/2)} || |grad|^{-1/4} f ||_{L4}^2); 0 when both sides vanish."""
+    num = f.norm(3) ** 3
+    den = f.norm(2, 0.5, "inhomogeneous") * f.norm(4, -0.25, "homogeneous") ** 2
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / den
+
+
 def gn_ratios(traj: Trajectory, channel: str = "w") -> np.ndarray:
     """Per-snapshot ratio ||f||_{L3}^3 / (||f||_{H(1/2)} || |grad|^{-1/4} f ||_{L4}^2).
 
     The 4D Gagliardo-Nirenberg comparison: a single constant should cover a
     whole ensemble, so the interesting output is the spread of these ratios.
     Snapshots with a vanishing right-hand side report 0 when the left side
-    also vanishes.
+    also vanishes. morawetz_audit reports the same ratios of w as
+    MorawetzReport.gn_ratios.
     """
     g = traj.grid
     if g.dim != 4:
         raise ConfigError(f"the Gagliardo-Nirenberg check is for dimension 4, got {g.dim}")
-    stack = traj.channel(channel)
-    out = np.empty(traj.n_snapshots)
-    for k in range(traj.n_snapshots):
-        fld = SpectralField(g, stack[k], "physical")
-        num = lp_norm(fld, 3.0) ** 3
-        den = sobolev_norm(fld, 0.5, "inhomogeneous") * lp_norm(
-            fractional_derivative(fld, -0.25, "homogeneous"), 4.0
-        ) ** 2
-        if den == 0.0:
-            out[k] = 0.0 if num == 0.0 else math.inf
-        else:
-            out[k] = num / den
-    return out
+    return np.array([_gn_ratio(snapshot_view(traj, channel, k)) for k in range(traj.n_snapshots)])

@@ -101,3 +101,30 @@ def test_ensemble_linear_stats_reproducible():
     assert s1.moment_ratios is None
     assert s1.reference_norm > 0.0
     assert all(np.all(arr > 0) for arr in s1.components.values())
+
+
+def test_harness_and_ensemble_give_identical_norms(tmp_path):
+    # Both entry points run each seed through linear_seed, so the harness's
+    # per-seed Y metrics equal the ensemble's totals and components bit for bit.
+    from roughnls.harness import parse_config, run, shaped_profile
+
+    cfg = parse_config({
+        "kind": "linear-stats",
+        "out_dir": str(tmp_path),
+        "seed": 40,
+        "n_samples": 3,
+        "grid": {"dim": 3, "points": 12, "half_width": float(np.pi)},
+        "partition": {"a": 1, "n_max": 2, "s": -0.1},
+        "forcing": {"field_seed": 9, "decay": 1.2, "n0": 2.0, "amplitude": 0.3},
+        "times": {"t_final": 0.3, "n_times": 4},
+    })
+    recs = run(cfg, workers=1)
+    f = shaped_profile(cfg.grid, 9, 1.2, 0.3)
+    part = build_partition(cfg.partition, cfg.grid)
+    spec = composite_spec("Y3", -0.1, 1.0)
+    stats = ensemble_linear_stats(f, part, 2.0, cfg.times, 3, spec, seed0=40, workers=2)
+    assert [r.seed for r in recs] == list(stats.seeds)
+    for i, rec in enumerate(recs):
+        assert rec.metrics["Y"] == stats.totals[i]
+        for label, arr in stats.components.items():
+            assert rec.metrics[f"Y:{label}"] == arr[i]

@@ -6,6 +6,7 @@ import pytest
 from roughnls import (
     ConfigError,
     GridSpec,
+    SolverConfig,
     SpectralField,
     Trajectory,
     c_star_spread,
@@ -15,6 +16,7 @@ from roughnls import (
     local_densities,
     localization_ratio,
     morawetz_audit,
+    solve_w,
 )
 from roughnls.morawetz import SCALING_DEGREES, _pair_direct, _pair_fft, _kernel_tables_hat
 
@@ -279,3 +281,176 @@ def test_gn_ratios_finite_positive_4d():
     ratios = gn_ratios(traj)
     assert ratios.shape == (3,)
     assert np.all(ratios > 0) and np.all(np.isfinite(ratios))
+
+
+# ---------------------------------------------------------------------------
+# the snapshot-major audit against a norm-major reference in plain numpy
+
+
+def _ref_symbol(grid, s, kind):
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
+    xi2 = sum(c**2 for c in np.meshgrid(*([xi] * grid.dim), indexing="ij"))
+    if kind == "homogeneous":
+        with np.errstate(divide="ignore"):
+            return np.where(xi2 > 0, xi2 ** (s / 2.0), 0.0)
+    return (1.0 + xi2) ** (s / 2.0)
+
+
+def _ref_series(stack, grid, r, s=0.0, kind="none"):
+    """||D^s f||_{L^r} per snapshot, one fftn/ifftn pair per snapshot and norm."""
+    out = []
+    for f in stack:
+        if kind != "none":
+            f = np.fft.ifftn(np.fft.fftn(f) * _ref_symbol(grid, s, kind))
+        a = np.abs(f)
+        out.append(a.max() if np.isinf(r) else (np.sum(a**r) * grid.cell_volume) ** (1.0 / r))
+    return np.array(out)
+
+
+def _ref_time(series, times, q):
+    return series.max() if np.isinf(q) else np.trapezoid(series**q, times) ** (1.0 / q)
+
+
+def _ref_gradient(f, grid):
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
+    xi[grid.points // 2] = 0.0
+    comps = np.meshgrid(*([xi] * grid.dim), indexing="ij")
+    fhat = np.fft.fftn(f)
+    return [np.fft.ifftn(fhat * 1j * c) for c in comps]
+
+
+def _ref_kernel(grid):
+    ax = grid.dx * np.arange(grid.points)
+    ax = (ax + grid.half_width) % (2.0 * grid.half_width) - grid.half_width
+    r = np.stack(np.meshgrid(*([ax] * grid.dim), indexing="ij"))
+    rad = np.sqrt(np.sum(r * r, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rad > 0.0, r / rad, 0.0)
+
+
+def _reference_audit(traj):
+    """The norm-major audit: every norm re-transforms each snapshot, and the
+    interaction is d complex circular correlations. The v + w stack and the
+    defect field are left out because no reported figure reads them."""
+    g, t = traj.grid, traj.times
+    w, v = traj.channels["w"], traj.channels["v"]
+    inf = np.inf
+    w_mass = _ref_time(_ref_series(w, g, 2), t, inf)
+    w_hhalf = _ref_time(_ref_series(w, g, 2, 0.5, "homogeneous"), t, inf)
+    v_sup = _ref_time(_ref_series(v, g, inf), t, 2)
+    dv = np.array([np.sqrt(sum(np.abs(c) ** 2 for c in _ref_gradient(f, g)).max()) for f in v])
+    dv_sup = _ref_time(dv, t, 2)
+    v_l4 = _ref_time(_ref_series(v, g, 4), t, 4)
+    gn = None
+    if g.dim == 3:
+        w_l4 = _ref_time(_ref_series(w, g, 4), t, 4)
+        mix4 = w_l4**2 + v_l4**2
+        mix6 = _ref_time(_ref_series(w, g, 6), t, inf) ** 3 + _ref_time(_ref_series(v, g, 6), t, inf) ** 3
+        lhs = w_l4**4
+        terms = {
+            "T1": w_mass**2 * w_hhalf**2,
+            "T2": v_sup * mix4 * mix6 * w_hhalf**2,
+            "T3": dv_sup * mix4 * mix6 * w_mass**2,
+        }
+    else:
+        g_series = _ref_series(w, g, 4, -0.25, "homogeneous")
+        h_series = _ref_series(w, g, 2, 0.5, "inhomogeneous")
+        g_norm = _ref_time(g_series, t, 4)
+        lhs = g_norm**4
+        terms = {
+            "T1": w_mass**2 * w_hhalf**2,
+            "T2": _ref_time(h_series, t, inf) * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
+            "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + _ref_time(_ref_series(v, g, 3), t, 6) ** 3),
+        }
+        gn = _ref_series(w, g, 3) ** 3 / (h_series * g_series**2)
+    kern_hat = np.conj(np.fft.fftn(_ref_kernel(g), axes=tuple(range(1, g.dim + 1))))
+    inner = np.abs(g.x_axis()) < 0.5 * g.half_width
+    mask = np.ones(g.shape, bool)
+    for ax in range(g.dim):
+        mask &= inner.reshape((-1,) + (1,) * (g.dim - 1 - ax))
+    inter, bound, loc = [], [], []
+    for f in w:
+        m = 0.5 * np.abs(f) ** 2
+        total = scale = 0.0
+        for kh, gk in zip(kern_hat, _ref_gradient(f, g)):
+            p = 0.5 * np.imag(np.conj(f) * gk)
+            total += np.sum(np.fft.ifftn(kh * np.fft.fftn(p)).real * m) * g.cell_volume**2
+            scale += np.sum(np.abs(p)) * np.sum(m) * g.cell_volume**2
+        inter.append(total)
+        bound.append(scale)
+        loc.append(m[mask].sum() / m.sum())
+    return lhs, terms, (np.array(inter), np.array(bound)), np.array(loc), gn
+
+
+def _forced_traj(dim, points):
+    g = GridSpec(dim, points, np.pi)
+    w0 = gaussian(g, 0.5, 1.5, wave=(1,) + (0,) * (dim - 1))
+    v0 = gaussian(g, 0.3, 2.0, wave=(0, 2) + (0,) * (dim - 2))
+    cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5)
+    return solve_w(w0, v0, cfg)[0]
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _forced_traj(3, 12),
+        lambda: _forced_traj(4, 8),
+        lambda: synth_traj(GridSpec(3, 12, np.pi), n_times=5),
+        lambda: synth_traj(GridSpec(4, 8, np.pi), n_times=5),
+    ],
+    ids=["forced-3d-12", "forced-4d-8", "synth-3d", "synth-4d"],
+)
+def test_audit_matches_norm_major_reference(make):
+    traj = make()
+    lhs, terms, (inter, bound), loc, gn = _reference_audit(traj)
+    rep = morawetz_audit(traj)
+    assert _rel(rep.lhs, lhs) < 1e-12
+    for name in ("T1", "T2", "T3"):
+        assert _rel(rep.terms[name], terms[name]) < 1e-12
+    assert _rel(rep.c_star, lhs / sum(terms.values())) < 1e-12
+    # M(t) can cancel almost to zero (a plane-wave momentum against an even
+    # mass), so it is compared relative to its bound |M| <= ||p||_1 ||m||_1,
+    # the scale of its rounding error.
+    assert np.max(np.abs(rep.interaction - inter) / bound) < 1e-12
+    assert _rel(rep.localization, loc) < 1e-12
+    if traj.grid.dim == 4:
+        assert _rel(rep.gn_ratios, gn) < 1e-12
+        assert _rel(gn_ratios(traj), gn) < 1e-12
+        assert "gn_ratios" not in rep.to_dict()
+    else:
+        assert rep.gn_ratios is None
+
+
+def _count_transforms(monkeypatch):
+    """Patch np.fft's n-d transforms to count 1-component transforms."""
+    counter = {"n": 0}
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        fn = getattr(np.fft, name)
+
+        def counted(a, s=None, axes=None, *args, _fn=fn, **kwargs):
+            a = np.asarray(a)
+            batch = 1 if axes is None else a.size // int(np.prod([a.shape[ax] for ax in axes]))
+            counter["n"] += batch
+            return _fn(a, s, axes, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counter
+
+
+@pytest.mark.parametrize("dim,points,limit", [(3, 12, 12), (4, 8, 16)])
+def test_audit_transform_count(monkeypatch, dim, points, limit):
+    # Each snapshot: one forward transform per channel, d inverse transforms
+    # per gradient (v for sup |grad v|, w for the momentum), one for
+    # |grad|^{-1/4} w in 4D, and d + 1 real-input transforms for the pairing.
+    # The 4D Gagliardo-Nirenberg ratios come with the audit at no transform.
+    traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
+    morawetz_audit(traj)  # warm the kernel caches
+    counter = _count_transforms(monkeypatch)
+    rep = morawetz_audit(traj)
+    assert (rep.gn_ratios is not None) == (dim == 4)
+    assert counter["n"] <= limit * traj.n_snapshots, counter["n"] / traj.n_snapshots

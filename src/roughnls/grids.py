@@ -10,6 +10,9 @@ Conventions (fixed once, used everywhere):
   With this normalization discrete Parseval reads
   sum_x |f|^2 dx^d = sum_xi |fhat|^2 dxi^d / (2pi)^d.
 * e^{it Laplacian} acts as the multiplier e^{-i t |xi|^2}.
+* Each grid transform (to_frequency, to_physical) allocates one lattice
+  array and transforms in place in it: the per-axis FFT passes and the
+  weight multiply write into that array, never into the input.
 """
 
 from __future__ import annotations
@@ -169,22 +172,39 @@ class SpectralField:
 
 
 def to_frequency(field: SpectralField) -> SpectralField:
-    """Forward transform. Errors if the field is already in frequency representation."""
+    """Forward transform. Errors if the field is already in frequency representation.
+
+    Allocates one complex lattice array: every axis pass of the FFT and the
+    weight multiply run in place in it. The input is not written.
+    """
     if field.rep != PHYSICAL:
         raise RepresentationError("to_frequency expects a physical-representation field")
     g = field.grid
-    fhat = np.fft.fftn(field.values)
+    values = field.values
+    if values.dtype == np.complex128:
+        fhat = np.empty(g.shape, dtype=np.complex128)
+        np.fft.fftn(values, out=fhat)
+    else:
+        # fftn would cast any other dtype into a temporary; cast into the buffer instead
+        fhat = values.astype(np.complex128)
+        np.fft.fftn(fhat, out=fhat)
     fhat *= _transform_weight(g)
     return SpectralField(g, fhat, FREQUENCY)
 
 
 def to_physical(field: SpectralField) -> SpectralField:
-    """Inverse transform. Errors if the field is already in physical representation."""
+    """Inverse transform. Errors if the field is already in physical representation.
+
+    Allocates one complex lattice array, the input divided by the weight;
+    every axis pass of the inverse FFT runs in place in it. The input is not
+    written.
+    """
     if field.rep != FREQUENCY:
         raise RepresentationError("to_physical expects a frequency-representation field")
     g = field.grid
     raw = field.values / _transform_weight(g)
-    return SpectralField(g, np.fft.ifftn(raw), PHYSICAL)
+    np.fft.ifftn(raw, out=raw)
+    return SpectralField(g, raw, PHYSICAL)
 
 
 def _apply_multiplier(field: SpectralField, mult: np.ndarray) -> SpectralField:

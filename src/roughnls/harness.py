@@ -563,24 +563,32 @@ def _uses_partition(config: ExperimentConfig) -> bool:
     return config.forcing is not None or config.kind == "partition-report"
 
 
+# complex lattice fields a forced solve_w needs above its snapshot stacks
+_SOLVER_FIELDS = 12
+
+
 def _estimate_bytes(config: ExperimentConfig) -> int:
     """Rough peak-memory estimate for one run, before anything is allocated.
 
     Counts snapshot stacks per in-flight task, FFT workspace and, when the run
     builds one, the partition: its four float lattice arrays (normalizer,
     residual, unity and square sums). Its per-shell profile matrices and cell
-    masks are far smaller and ignored. A Morawetz audit adds its cached
-    kernel tables (d + 1 real lattice arrays and their half-spectrum
-    transforms, about d + 1 complex fields together) and the lattice
-    temporaries of one snapshot: the two views' transforms, two gradients,
-    the momentum density and its transform, about 3d + 6 complex fields
-    (4d + 7 lattice fields in all).
+    masks are far smaller and ignored. A task that runs solve_w adds the
+    solver's workspace: 12 complex lattice fields. Under tracemalloc a forced
+    solve_w peaks 10.6 fields above its stacks at 32^3 and 64^3 (11.2 at
+    16^3, where small allocations weigh more), counting the transforms and
+    multipliers it caches. A Morawetz audit adds its cached half-spectrum
+    kernel tables (d + 1 real-input transforms, about (d + 1) / 2 complex
+    fields) and the lattice temporaries of one snapshot: the two views'
+    transforms, two gradients, the momentum density and its transform, about
+    3d + 6 complex fields.
     """
     g = config.grid
     if g is None:
         return 0
     per = 16 * g.n_points
     workspace = 8 * per
+    solver = _SOLVER_FIELDS * per
     partition = 2 * per if _uses_partition(config) else 0
     kind = config.kind
     if kind == "partition-report":
@@ -592,11 +600,12 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
         chans = 2 if config.forcing is not None else 1
         traj = snaps * chans * per
         if kind == "twin-ladder":
-            per_task = 2 * traj + workspace
+            per_task = 2 * traj + solver
         elif kind == "morawetz-audit":
-            per_task = traj + (4 * g.dim + 7) * per + workspace
+            audit = (3 * g.dim + 6) * per + (g.dim + 1) * per // 2
+            per_task = traj + audit + solver
         else:
-            per_task = traj + workspace
+            per_task = traj + solver
     return config.workers * per_task + workspace + partition
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import SpectralField, free_propagate, lp_symbol, sobolev_norm, to_physical
-from .norms import NormSpec, spacetime_norm
+from .norms import NormSpec, snapshot_view, time_norm
 from .partition import FrequencyPartition
 from .randomize import RandomizationDraw, TailReport, draw, tail_fit
 from .trajectory import Trajectory
@@ -115,18 +115,41 @@ def composite_spec(name: str, s: float, a: float, epsilon: float = 0.01) -> Comp
 
 def composite_norm(traj: Trajectory, spec: CompositeNormSpec) -> tuple[float, dict[str, float]]:
     """Sum of the spec's component norms plus a per-component breakdown."""
-    if traj.grid.dim != spec.dim:
-        raise ConfigError(f"{spec.name} is a {spec.dim}d norm; trajectory is {traj.grid.dim}d")
-    for ch in spec.channels:
-        if ch not in traj.channels and not (ch == "u" and {"v", "w"} <= traj.channels.keys()):
-            raise ConfigError(f"trajectory lacks channel {ch!r} required by {spec.name}")
-    breakdown: dict[str, float] = {}
-    total = 0.0
-    for (ns, ch), label in zip(spec.components, spec.labels()):
-        val = spacetime_norm(traj, ns, ch)
-        breakdown[label] = val
-        total += val
-    return total, breakdown
+    return _composite_norms(traj, [spec])[0]
+
+
+def _composite_norms(
+    traj: Trajectory, specs: list[CompositeNormSpec]
+) -> list[tuple[float, dict[str, float]]]:
+    """composite_norm of each spec, in one pass over the snapshots.
+
+    Each snapshot gets one FrequencyView per channel, shared by every
+    component of every spec, so each snapshot is transformed once per channel.
+    Each component's per-snapshot series is then folded with time_norm.
+    """
+    for spec in specs:
+        if traj.grid.dim != spec.dim:
+            raise ConfigError(f"{spec.name} is a {spec.dim}d norm; trajectory is {traj.grid.dim}d")
+        for ch in spec.channels:
+            if ch not in traj.channels and not (ch == "u" and {"v", "w"} <= traj.channels.keys()):
+                raise ConfigError(f"trajectory lacks channel {ch!r} required by {spec.name}")
+    channels = sorted({ch for spec in specs for ch in spec.channels})
+    series = [np.empty((len(spec.components), traj.n_snapshots)) for spec in specs]
+    for k in range(traj.n_snapshots):
+        views = {ch: snapshot_view(traj, ch, k) for ch in channels}
+        for spec, rows in zip(specs, series):
+            for (ns, ch), row in zip(spec.components, rows):
+                row[k] = views[ch].norm(ns.r, ns.s, ns.kind)
+    results = []
+    for spec, rows in zip(specs, series):
+        breakdown: dict[str, float] = {}
+        total = 0.0
+        for (ns, _), label, row in zip(spec.components, spec.labels(), rows):
+            val = time_norm(row, traj.times, ns.q)
+            breakdown[label] = val
+            total += val
+        results.append((total, breakdown))
+    return results
 
 
 def _is_dyadic(n: float) -> bool:
@@ -187,12 +210,13 @@ def linear_seed(
 ) -> tuple[Trajectory, list[tuple[float, dict[str, float]]]]:
     """One seed of the linear ensemble: draw f^omega, sample v(t), take each composite norm.
 
-    Returns the trajectory and composite_norm's (total, breakdown) per spec.
+    Returns the trajectory and composite_norm's (total, breakdown) per spec;
+    all specs read one shared view per snapshot.
     Both ensemble_linear_stats and the harness's linear-stats task run their
     seeds through here.
     """
     traj = linear_trajectory(draw(f, partition, int(seed)), n0, times)
-    return traj, [composite_norm(traj, spec) for spec in specs]
+    return traj, _composite_norms(traj, specs)
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,14 @@ def local_densities(w: SpectralField, u: SpectralField, power: float | None = No
     return LocalDensities(g, m, mom, defect)
 
 
-@lru_cache(maxsize=16)
 def _kernel_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Tabulated kernels on the displacement lattice, minimal image, K(0) = 0.
 
     Index delta holds the value at displacement r = delta*dx wrapped to
     [-L, L)^d. Returns (vector table (d, *shape) with x_k/|x|, scalar table
-    with 1/|x|).
+    with 1/|x|). Not cached: the audit keeps only their half-spectrum
+    transforms (_kernel_tables_hat), so (d + 1) real lattice tables do not
+    stay resident after an audit.
     """
     ax = grid.dx * np.arange(grid.points)
     two_l = 2.0 * grid.half_width

@@ -1,5 +1,7 @@
 """Fourier conventions: transforms, multipliers, derivatives, free flow."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,10 +193,46 @@ def test_transforms_match_inline_normalization(dim, points, half_width):
     for _ in range(dim - 1):
         phase = np.multiply.outer(phase, ax)
     f = noise_field(g, seed=dim)
+    kept = f.values.copy()
     fhat = f.as_frequency().values
     assert np.array_equal(fhat, np.fft.fftn(f.values) * (g.cell_volume * phase))
+    assert np.array_equal(f.values, kept)  # the transform does not write its input
+    kept_hat = fhat.copy()
     back = SpectralField(g, fhat, "frequency").as_physical().values
     assert np.array_equal(back, np.fft.ifftn(fhat / (g.cell_volume * phase)))
+    assert np.array_equal(fhat, kept_hat)
+    # a real-dtype physical field transforms as its complex cast does
+    real = f.values.real.copy()
+    rhat = SpectralField(g, real, "physical").as_frequency().values
+    assert rhat.dtype == np.complex128
+    assert np.array_equal(rhat, np.fft.fftn(real) * (g.cell_volume * phase))
+    assert np.array_equal(real, f.values.real)
+
+
+@pytest.mark.parametrize("dim,points", [(3, 32), (4, 16)])
+def test_transforms_allocate_one_lattice_field(dim, points):
+    # Each transform allocates its result and transforms in place in it, so
+    # its traced peak is one complex lattice field above its input.
+    g = GridSpec(dim, points, np.pi)
+    field = 16 * g.n_points
+    f = noise_field(g, seed=5)
+    inputs = {
+        "to_frequency": SpectralField(g, f.values, "physical"),
+        "to_frequency real": SpectralField(g, f.values.real.copy(), "physical"),
+        "to_physical": f.as_frequency(),  # also warms the cached weight
+    }
+    for name, field_in in inputs.items():
+        transform = field_in.as_frequency if field_in.rep == "physical" else field_in.as_physical
+        transform()  # warm the FFT plan caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = transform()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.values.dtype == np.complex128
+        assert field <= peak < 1.25 * field, (name, peak / field)
 
 
 def test_lp_norm_against_closed_form():

@@ -15,6 +15,7 @@ from roughnls import (
     ensemble_linear_stats,
     free_propagate,
     high_pass,
+    linear_seed,
     linear_trajectory,
 )
 
@@ -85,6 +86,31 @@ def test_composite_norm_parts_sum_to_total():
     total, parts = composite_norm(traj3, spec)
     assert total == pytest.approx(sum(parts.values()), rel=1e-12)
     assert set(parts.keys()) == set(spec.labels())
+
+
+def test_composite_norms_transform_each_snapshot_once(monkeypatch):
+    # Y3 and Z3 read one shared view per snapshot: their six components make
+    # one forward transform of each v snapshot between them.
+    g3 = GridSpec(3, 12, np.pi)
+    part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
+    f3 = SpectralField(g3, rng.normal(size=g3.shape) + 1j * rng.normal(size=g3.shape), "physical")
+    times = np.linspace(0.0, 0.3, 4)
+    specs = [composite_spec("Y3", -0.1, 1.0), composite_spec("Z3", -0.1, 1.0)]
+    calls = {"n": 0}
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    linear_seed(f3, part3, 3, 2.0, times, [])  # the draw and the trajectory alone
+    without_norms = calls["n"]
+    traj, norms = linear_seed(f3, part3, 3, 2.0, times, specs)
+    assert calls["n"] - 2 * without_norms == traj.n_snapshots
+    # sharing the views leaves every figure as composite_norm gives it alone
+    assert norms == [composite_norm(traj, spec) for spec in specs]
 
 
 def test_ensemble_linear_stats_reproducible():

@@ -1,5 +1,7 @@
 """Interaction functionals: FFT pairing, densities, audits, main-term identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -454,3 +456,20 @@ def test_audit_transform_count(monkeypatch, dim, points, limit):
     rep = morawetz_audit(traj)
     assert (rep.gn_ratios is not None) == (dim == 4)
     assert counter["n"] <= limit * traj.n_snapshots, counter["n"] / traj.n_snapshots
+
+
+def test_audit_keeps_only_half_spectrum_kernel_tables():
+    # After an audit on a fresh grid, what stays resident is the cached
+    # half-spectrum kernel tables plus a few lattice-sized symbols and
+    # weights (under three complex fields), not the d + 1 real kernel tables.
+    grid = GridSpec(4, 12, 2.75)  # a grid no other test warms
+    traj = synth_traj(grid, n_times=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        morawetz_audit(traj)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    tables = sum(t.nbytes for t in _kernel_tables_hat(grid))
+    assert retained < tables + 3 * 16 * grid.n_points, retained / grid.n_points

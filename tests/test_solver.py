@@ -1,6 +1,7 @@
 """Splitting integrator: conservation, residual identities, twins, proxies."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,3 +331,30 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
     # and sample make w, v, u and Lap v (4)
     assert len(calls) == 2 * n_steps + 6
     assert calls.count("to_frequency") == n_steps
+
+
+def test_forced_solve_stays_within_the_guard_workspace():
+    # The memory guard charges a task that runs solve_w _SOLVER_FIELDS complex
+    # lattice fields above its snapshot stacks; a forced solve on a fresh grid
+    # (its multipliers and weights cached inside the measurement) fits in it.
+    from roughnls.harness import _SOLVER_FIELDS
+
+    def forced(grid):
+        rng = np.random.Generator(np.random.Philox(key=np.array([3, 9], dtype=np.uint64)))
+        v0 = SpectralField(grid, 0.1 * (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)))
+        cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=10, series_stride=5)
+        return bump(grid, 0.3, 1.5), v0, cfg
+
+    solve_w(*forced(GridSpec(3, 8, np.pi)))  # first-call imports are not lattice memory
+    grid = GridSpec(3, 16, 2.25)  # a grid no other test warms
+    w0, v0, cfg = forced(grid)
+    field = 16 * grid.n_points
+    stacks = 2 * cfg.n_snapshots * field
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_w(w0, v0, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - stacks <= _SOLVER_FIELDS * field, (peak - stacks) / field

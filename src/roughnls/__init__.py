@@ -22,6 +22,7 @@ from .grids import (
     GridSpec,
     SpectralField,
     fractional_derivative,
+    free_flow_into,
     free_multiplier,
     free_propagate,
     gradient,

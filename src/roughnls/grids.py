@@ -36,6 +36,7 @@ __all__ = [
     "littlewood_paley",
     "free_propagate",
     "free_multiplier",
+    "free_flow_into",
     "lp_norm",
     "modulus_lp_norm",
     "sobolev_norm",
@@ -130,13 +131,32 @@ def _transform_weight(grid: GridSpec) -> np.ndarray:
     return grid.cell_volume * _outer_power(np.exp(1j * grid.half_width * grid.xi_axis()), grid.dim)
 
 
+def _free_axis_factor(grid: GridSpec, t: float) -> np.ndarray:
+    """The per-axis factor e^{-i t xi_k^2} of the free-flow symbol, one axis long."""
+    return np.exp(-1j * t * grid.xi_axis() ** 2)
+
+
 def free_multiplier(grid: GridSpec, t: float) -> np.ndarray:
     """The free-flow symbol e^{-i t |xi|^2} on the lattice, exact up to rounding.
 
     Built as the outer product of the d per-axis factors e^{-i t xi_k^2}: d*M
     complex exponentials instead of M^d.
     """
-    return _outer_power(np.exp(-1j * t * grid.xi_axis() ** 2), grid.dim)
+    return _outer_power(_free_axis_factor(grid, t), grid.dim)
+
+
+def free_flow_into(fhat: np.ndarray, grid: GridSpec, t: float, out: np.ndarray) -> np.ndarray:
+    """out = e^{-i t |xi|^2} fhat, with no lattice-sized multiplier: d broadcast
+    multiplies by the per-axis factors of free_multiplier. The symbol is
+    diagonal, so fhat may carry any diagonal weight (the raw np.fft.fftn
+    coordinates as well as the continuum-normalized ones). Returns out.
+    """
+    factor = _free_axis_factor(grid, t)
+    src = fhat
+    for ax in range(grid.dim):
+        np.multiply(src, factor.reshape((-1,) + (1,) * (grid.dim - 1 - ax)), out=out)
+        src = out
+    return out
 
 
 @dataclass(frozen=True)

@@ -563,8 +563,11 @@ def _uses_partition(config: ExperimentConfig) -> bool:
     return config.forcing is not None or config.kind == "partition-report"
 
 
-# complex lattice fields a forced solve_w needs above its snapshot stacks
-_SOLVER_FIELDS = 12
+# complex lattice fields a forced solve_w needs above its snapshot stacks: its
+# work arrays (w_hat, u, v_hat(t), the phase and two float buffers, 5 fields),
+# v_hat(0), the two half-step multipliers and |xi|^2; tracemalloc measures
+# 8.6 fields at 64^3, 8.8 at 32^3 and 9.7 at 16^3
+_SOLVER_FIELDS = 10
 
 
 def _estimate_bytes(config: ExperimentConfig) -> int:
@@ -574,11 +577,11 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     builds one, the partition: its four float lattice arrays (normalizer,
     residual, unity and square sums). Its per-shell profile matrices and cell
     masks are far smaller and ignored. A task that runs solve_w adds the
-    solver's workspace: 12 complex lattice fields. Under tracemalloc a forced
-    solve_w peaks 10.6 fields above its stacks at 32^3 and 64^3 (11.2 at
-    16^3, where small allocations weigh more), counting the transforms and
-    multipliers it caches. A Morawetz audit adds its cached half-spectrum
-    kernel tables (d + 1 real-input transforms, about (d + 1) / 2 complex
+    solver's workspace: 10 complex lattice fields. Under tracemalloc a forced
+    solve_w peaks 8.6 fields above its stacks at 64^3 and 8.8 at 32^3 (9.7
+    at 16^3, where small allocations weigh more), counting its work arrays
+    and the multipliers it caches. A Morawetz audit adds its cached
+    half-spectrum kernel tables (d + 1 real-input transforms, about (d + 1) / 2 complex
     fields) and the lattice temporaries of one snapshot: the two views'
     transforms, two gradients, the momentum density and its transform, about
     3d + 6 complex fields.

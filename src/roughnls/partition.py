@@ -209,8 +209,32 @@ class ShellBlock:
         cells[self.outer] = np.stack([coeffs.real, coeffs.imag], axis=-1) if cplx else coeffs
         for _ in range(self.outer.ndim):
             # contract the leading cell axis; the lattice axes collect at the end
-            cells = np.tensordot(cells, profiles, axes=([0], [0]))
+            cells = _contract_leading(cells, profiles)
         return cells[0] + 1j * cells[1] if cplx else cells
+
+
+# multiply-adds per matrix product in _contract_leading: OpenBLAS runs products
+# this small on the calling thread whatever its thread count
+_PRODUCT_SIZE = 1 << 18
+
+
+def _contract_leading(cells: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """sum_a cells[a, ...] profiles[a, m], shaped cells.shape[1:] + (m,).
+
+    The same products as np.tensordot(cells, profiles, axes=([0], [0])), bit
+    for bit, cut into row blocks of at most _PRODUCT_SIZE multiply-adds. A
+    threaded BLAS would wake its threads for the whole product, which on
+    these small matrices costs far more than the arithmetic (a 32^3 build
+    took about 100 ms with two OpenBLAS threads against 5 ms with one); the
+    blocks keep the time the same for any thread count.
+    """
+    a, m = profiles.shape
+    rows = cells.reshape(a, -1).T
+    out = np.empty((rows.shape[0], m))
+    step = max(1, _PRODUCT_SIZE // (a * m))
+    for lo in range(0, rows.shape[0], step):
+        np.matmul(rows[lo : lo + step], profiles, out=out[lo : lo + step])
+    return out.reshape(cells.shape[1:] + (m,))
 
 
 def _identity(v: np.ndarray) -> np.ndarray:

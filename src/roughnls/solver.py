@@ -13,15 +13,18 @@ is linear, and one forward transform of the rotated u, from which v_hat(t_mid)
 is subtracted in frequency space. One step loop (solve_w) serves both
 equations: the full equation is the remainder equation with v = 0.
 
-The step works in place. Each grid transform allocates one lattice array
-(see grids); v_hat(t_mid) is built inside its free multiplier's array; the
-nonlinear angle is formed in the |u|^2 buffer once the guard has read it;
-v_hat(t_mid) is subtracted from the forward transform's own output; and the
-closing half-step is one multiply by K_half with the 2/3 mask folded in,
-built once per solve. Lattice temporaries are dropped before the next one is
-made, so a forced solve peaks about 10.6 complex lattice fields above its
-snapshot stacks, cached multipliers and weights included, against 14.6 when
-each operation made a new array.
+The solve carries w_hat in numpy's unnormalized coordinates, np.fft.fftn(w),
+rather than the continuum-normalized transform of grids: the transform weight
+is diagonal, so every multiplier of the step acts on these coordinates
+unchanged, and each grid transform is a bare in-place np.fft call with no
+weight pass. The solve allocates its lattice work arrays once (w_hat, u,
+v_hat(t), the phase and two float buffers) and the step and the series
+sample share them: v_hat(t) is built in place by per-axis broadcast
+multiplies, |u|^2 and the nonlinear angle go into the float buffers, the
+forward transform writes into w_hat, and snapshots are transformed straight
+into their stack slots. After set-up neither a step nor a sample allocates
+a lattice array, and a forced solve peaks about 8.6 complex lattice fields
+above its snapshot stacks at 64^3, cached multipliers included.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ from .grids import (
     GridSpec,
     SpectralField,
     _xi_sq,
+    free_flow_into,
     free_multiplier,
     free_propagate,
     lp_norm,
     sobolev_norm,
-    to_frequency,
-    to_physical,
 )
 from .trajectory import Trajectory
 
@@ -160,11 +162,15 @@ def _half_kinetic(grid: GridSpec, dt: float) -> np.ndarray:
     return free_multiplier(grid, 0.5 * dt)
 
 
-def _abs_sq(phys: np.ndarray) -> np.ndarray:
-    """|u|^2 as re^2 + im^2, without the square root of np.abs."""
-    re, im = phys.real, phys.imag
-    out = re * re
-    out += im * im
+def _abs_sq(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|values|^2 as re^2 + im^2 into out, without the square root of np.abs.
+
+    out and scratch are float lattice buffers; scratch is overwritten.
+    """
+    re, im = values.real, values.imag
+    np.multiply(re, re, out=out)
+    np.multiply(im, im, out=scratch)
+    out += scratch
     return out
 
 
@@ -176,30 +182,39 @@ def _guard(abs_sq: np.ndarray, threshold: float | None, t: float) -> None:
         raise BlowupError(t=t, amplitude=math.sqrt(peak), threshold=threshold)
 
 
-def _rotate(phys: np.ndarray, abs_sq: np.ndarray, dt_mu: float, power: float) -> None:
+def _rotate(
+    phys: np.ndarray, abs_sq: np.ndarray, phase: np.ndarray, dt_mu: float, power: float
+) -> None:
     """Exact nonlinear substep in place: u <- u e^{-i dt mu |u|^p}, |u|^p = (|u|^2)^(p/2).
 
-    The angle is formed in abs_sq's own buffer, which is overwritten. The
-    phase is assembled from cos and sin of the real angle, which avoids a
-    lattice-sized complex exponential.
+    The angle is formed in abs_sq's own buffer, which is overwritten, and the
+    phase is assembled in the complex buffer `phase` from cos and sin of the
+    real angle, which avoids a lattice-sized complex exponential.
     """
     theta = np.power(abs_sq, 0.5 * power, out=abs_sq)
     theta *= -dt_mu
-    phase = np.empty_like(phys)
     np.cos(theta, out=phase.real)
     np.sin(theta, out=phase.imag)
     phys *= phase
 
 
-def _abs_pow(values: np.ndarray, e: float) -> np.ndarray:
-    """|values|^e, raised in the modulus's own buffer."""
-    out = np.abs(values)
-    out **= e
-    return out
-
-
-def _nonlinear_density(phys: np.ndarray, power: float) -> np.ndarray:
-    return _abs_pow(phys, power) * phys
+def _split_checked(
+    uhat: np.ndarray, vhat: np.ndarray, out: np.ndarray, check: np.ndarray, modulus: np.ndarray
+) -> None:
+    """out = uhat - vhat, checked: (u - v) + v must reproduce u to far better
+    than the documented 1e-9 channel consistency budget. check (complex) and
+    modulus (float) are work buffers; the check is scale-invariant, so it
+    holds in any diagonally weighted frequency coordinates.
+    """
+    np.subtract(uhat, vhat, out=out)
+    np.add(out, vhat, out=check)
+    check -= uhat
+    drift = float(np.max(np.abs(check, out=modulus)))
+    scale = max(float(np.max(np.abs(uhat, out=modulus))), 1e-300)
+    if drift > 1e-9 * scale:
+        raise RepresentationError(
+            f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
+        )
 
 
 def mass_of(w: SpectralField) -> float:
@@ -266,16 +281,27 @@ def solve_w(
 ) -> tuple[Trajectory, ConservationSeries]:
     """Integrate the forced remainder equation; snapshots in channels v and w.
 
+    The solve carries w_hat as numpy's unnormalized np.fft.fftn(w), not the
+    continuum-normalized transform: the transform weight is diagonal, so
+    K_half, the 2/3 mask and the free symbol act on these coordinates
+    unchanged, and each transform is a bare in-place np.fft call.
+
     Per step, in two grid transforms: one inverse transform of
     K_half w_hat + v_hat(t_mid) gives u = w + v at the step midpoint; the
     guard reads |u|; u is rotated in place by the exact nonlinear phase; one
-    forward transform gives u_hat, from which v_hat(t_mid) is subtracted in
-    place, and the result is multiplied by K_half with the 2/3 mask folded
-    in (one multiplier, built once per solve). u_hat is copied only at snapshot steps, for
-    the channel bookkeeping check. Every value of v (midpoints,
-    stored snapshots, series samples) is the exact free propagator applied to
-    v0, so unitarity and frequency support of the v snapshots are exact.
-    Channel 'u' is synthesized as v + w on demand.
+    forward transform gives u_hat, from which v_hat(t_mid) is subtracted,
+    and the result is multiplied by K_half with the 2/3 mask folded in (one
+    multiplier, built once per solve). At snapshot steps the subtraction is
+    checked against u_hat for channel bookkeeping drift. Every value of v
+    (midpoints, stored snapshots, series samples) is the exact free
+    propagator applied to v_hat(0) = np.fft.fftn(v0), so unitarity and
+    frequency support of the v snapshots are exact. Channel 'u' is
+    synthesized as v + w on demand.
+
+    The solve allocates its lattice work arrays once: w_hat, u, v_hat(t),
+    the phase and two float buffers. The step and the series sample work in
+    them, and snapshots are transformed straight into their stack slots, so
+    neither a step nor a sample allocates a lattice array.
 
     With v0 None or identically zero, w solves the full equation and the
     per-step v work is skipped; v0 None also stores no v channel.
@@ -290,43 +316,42 @@ def solve_w(
     if v0 is not None and v0.grid != grid:
         raise ConfigError("w0 and v0 live on different grids")
 
-    v0hat = None if v0 is None else v0.as_frequency().values
-    has_v = v0hat is not None and bool(np.any(v0hat))
+    shape = grid.shape
+    n_snap = cfg.n_snapshots
+    snap_times = np.empty(n_snap)
+    snap_times[0] = 0.0
+    w_stack = np.empty((n_snap,) + shape, dtype=np.complex128)
+    w_stack[0] = w0.as_physical().values
+    v_stack = None
+    v0hat = None
+    if v0 is not None:
+        v_stack = np.empty((n_snap,) + shape, dtype=np.complex128)
+        v_stack[0] = v0.as_physical().values
+        v0hat = np.fft.fftn(v_stack[0])
+        if not np.any(v0hat):
+            v0hat = None
+    has_v = v0hat is not None
+
+    # the solve's work arrays, shared by the step and the series sample
+    what = np.fft.fftn(w_stack[0])
+    u = np.empty(shape, dtype=np.complex128)
+    phase = np.empty(shape, dtype=np.complex128)
+    vhat = np.empty(shape, dtype=np.complex128) if has_v else None
+    abs_sq = np.empty(shape)
+    scratch = np.empty(shape)
+
     xi2 = _xi_sq(grid)
     k_half = _half_kinetic(grid, cfg.dt)
     # the closing half-step also dealiases: one multiply by K_half with the
     # 2/3 mask folded in, built once per solve and dropped with it
     k_half_out = np.where(dealias_mask(grid), k_half, 0.0) if cfg.dealias else k_half
     dvol = grid.cell_volume
-    spec_weight = grid.dxi**grid.dim / (2.0 * math.pi) ** grid.dim
+    # Parseval for the unnormalized transform: sum_x |f|^2 = sum_xi |fftn f|^2 / N
+    kin_weight = 0.5 * dvol / grid.n_points
+    half_power = 0.5 * cfg.power
 
-    def physical(fhat: np.ndarray) -> np.ndarray:
-        return to_physical(SpectralField(grid, fhat, "frequency")).values
-
-    def free_v(t: float) -> np.ndarray:
-        """v_hat(t) = e^{-it|xi|^2} * v_hat(0), built inside the multiplier's own array.
-
-        The multiplier is the left factor: complex products round differently
-        with the factors swapped, and this order is the one numpy's temporary
-        elision gave the inline v0hat * free_multiplier(...) on large lattices.
-        """
-        out = free_multiplier(grid, t)
-        out *= v0hat
-        return out
-
-    n_snap = cfg.n_snapshots
-    snap_times = np.empty(n_snap)
-    snap_times[0] = 0.0
-    w_stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
-    w_stack[0] = w0.as_physical().values
-    v_stack = None
-    if v0 is not None:
-        v_stack = np.empty((n_snap,) + grid.shape, dtype=np.complex128)
-        v_stack[0] = v0.as_physical().values
-
-    u_init = w_stack[0] + v_stack[0] if has_v else w_stack[0]
-    threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init))), 0.0)
-    del u_init
+    u_init = np.add(w_stack[0], v_stack[0], out=u) if has_v else w_stack[0]
+    threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init, out=abs_sq))), 0.0)
     if threshold == 0.0:
         threshold = None
 
@@ -338,40 +363,58 @@ def solve_w(
     ser_de_id = np.zeros(n_ser)
 
     def sample_series(
-        idx: int, t_k: float, what_k: np.ndarray, w_phys_k: np.ndarray, vhat_k: np.ndarray | None
+        idx: int,
+        t_k: float,
+        what_k: np.ndarray,
+        w_k: np.ndarray,
+        u_k: np.ndarray | None,
+        vhat_k: np.ndarray | None,
     ) -> None:
-        u_k = physical(what_k + vhat_k) if has_v else w_phys_k
+        """Sample M, E and the identity rates at t_k from w_hat, w and, when
+        forced, u and v_hat(t_k). u_k and vhat_k are work arrays and are
+        overwritten; w_hat and w are only read.
+        """
         ser_times[idx] = t_k
-        ser_mass[idx] = float(np.sum(_abs_pow(w_phys_k, 2))) * dvol
-        kin_density = _abs_pow(what_k, 2)
-        kin_density *= xi2
-        kin = 0.5 * float(np.sum(kin_density)) * spec_weight
-        del kin_density
-        if cfg.mu != 0.0:
-            pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(_abs_pow(u_k, cfg.power + 2.0))) * dvol
-        else:
-            pot = 0.0
-        ser_energy[idx] = kin + pot
-        if has_v:
-            # 2 mu Im conj(w) (nl_u - nl_w) and mu Im conj(Lap v) nl_u, each
-            # product formed in place in its left factor, in the factor order
-            # that keeps the rounding of the inline forms (see free_v)
-            nl_u = _nonlinear_density(u_k, cfg.power)
-            del u_k
-            nl_diff = _nonlinear_density(w_phys_k, cfg.power)
-            np.subtract(nl_u, nl_diff, out=nl_diff)
-            dm_density = np.conj(w_phys_k)
-            dm_density *= nl_diff
-            del nl_diff
-            ser_dm_id[idx] = 2.0 * cfg.mu * float(np.sum(dm_density.imag)) * dvol
-            del dm_density
-            lap_v = physical(-xi2 * vhat_k)
-            de_density = np.conj(lap_v, out=lap_v)
-            de_density *= nl_u
-            ser_de_id[idx] = cfg.mu * float(np.sum(de_density.imag)) * dvol
+        kin = _abs_sq(what_k, abs_sq, scratch)
+        kin *= xi2
+        kinetic = kin_weight * float(np.sum(kin))
+        if not has_v:
+            mod_sq = _abs_sq(w_k, abs_sq, scratch)
+            ser_mass[idx] = float(np.sum(mod_sq)) * dvol
+            if cfg.mu != 0.0:
+                pot = np.power(mod_sq, half_power, out=scratch)
+                pot *= mod_sq
+                kinetic += cfg.mu / (cfg.power + 2.0) * float(np.sum(pot)) * dvol
+            ser_energy[idx] = kinetic
+            return
+        # |u|^2 gives |u|^{p+2} and, in u's own buffer, nl_u = |u|^p u
+        mod_sq = _abs_sq(u_k, abs_sq, scratch)
+        u_pow = np.power(mod_sq, half_power, out=scratch)
+        u_k *= u_pow
+        mod_sq *= u_pow
+        pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(mod_sq)) * dvol if cfg.mu != 0.0 else 0.0
+        ser_energy[idx] = kinetic + pot
+        # dE/dt = mu Im int conj(Lap v) nl_u with Lap v = -ifftn(|xi|^2 v_hat);
+        # the sign is folded into the sum
+        vhat_k *= xi2
+        np.fft.ifftn(vhat_k, out=vhat_k)
+        np.conjugate(vhat_k, out=vhat_k)
+        vhat_k *= u_k
+        ser_de_id[idx] = -cfg.mu * float(np.sum(vhat_k.imag)) * dvol
+        # dM/dt = 2 mu Im int conj(w) (nl_u - |w|^p w), summed as
+        # -Im w conj(nl_u - |w|^p w) so the product forms in place
+        mod_sq = _abs_sq(w_k, abs_sq, scratch)
+        ser_mass[idx] = float(np.sum(mod_sq)) * dvol
+        np.power(mod_sq, half_power, out=mod_sq)
+        np.multiply(w_k, mod_sq, out=vhat_k)
+        np.subtract(u_k, vhat_k, out=vhat_k)
+        np.conjugate(vhat_k, out=vhat_k)
+        vhat_k *= w_k
+        ser_dm_id[idx] = -2.0 * cfg.mu * float(np.sum(vhat_k.imag)) * dvol
 
-    what = w0.as_frequency().values.copy()  # the loop updates it in place
-    sample_series(0, 0.0, what, w_stack[0], v0hat)
+    if has_v:
+        free_flow_into(v0hat, grid, 0.0, out=vhat)
+    sample_series(0, 0.0, what, w_stack[0], u, vhat)
     rotate = cfg.mu != 0.0
     snap = 1
     ser = 1
@@ -382,53 +425,47 @@ def solve_w(
         at_ser = done % cfg.series_stride == 0
         what *= k_half
         if has_v:
-            vhat_mid = free_v(t_mid)
-            what += vhat_mid
-        u_phys = physical(what)
-        del what  # u_phys carries the step until the forward transform
-        # every lattice array below is either written in place or dropped
-        # (del) before the next one is allocated, which keeps the step's peak
-        # memory and its page faults down
+            free_flow_into(v0hat, grid, t_mid, out=vhat)
+            what += vhat
+        np.fft.ifftn(what, out=u)
         if rotate or threshold is not None:
-            abs_sq = _abs_sq(u_phys)
+            _abs_sq(u, abs_sq, scratch)
             _guard(abs_sq, threshold, t_mid)
             if rotate:
-                _rotate(u_phys, abs_sq, cfg.dt * cfg.mu, cfg.power)
-            del abs_sq
-        what = to_frequency(SpectralField(grid, u_phys, "physical")).values
-        del u_phys
+                _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, cfg.power)
+        np.fft.fftn(u, out=what)
         if has_v:
-            uhat = what.copy() if at_snap else None
-            what -= vhat_mid
             if at_snap:
-                # substep bookkeeping check: (u - v) + v must reproduce u to far
-                # better than the documented 1e-9 channel consistency budget
-                check = what + vhat_mid
-                check -= uhat
-                drift = float(np.max(np.abs(check)))
-                del check
-                scale = max(float(np.max(np.abs(uhat))), 1e-300)
-                if drift > 1e-9 * scale:
-                    raise RepresentationError(
-                        f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
-                    )
-            del uhat, vhat_mid
+                # w_hat goes to u's buffer, which then carries w_hat; u_hat
+                # stays in the other one for the check
+                _split_checked(what, vhat, u, phase, abs_sq)
+                what, u = u, what
+            else:
+                what -= vhat
         what *= k_half_out
         if not (at_snap or at_ser):
             continue
         t_k = done * cfg.dt
-        w_now = physical(what)
-        vhat_k = free_v(t_k) if has_v else None
+        if has_v:
+            free_flow_into(v0hat, grid, t_k, out=vhat)
         if at_snap:
-            w_stack[snap] = w_now
+            w_k = np.fft.ifftn(what, out=w_stack[snap])
             snap_times[snap] = t_k
-            if v_stack is not None:
-                v_stack[snap] = physical(vhat_k) if has_v else 0.0
+            if has_v:
+                v_k = np.fft.ifftn(vhat, out=v_stack[snap])
+                if at_ser:
+                    np.add(w_k, v_k, out=u)
+            elif v_stack is not None:
+                v_stack[snap] = 0.0
             snap += 1
+        else:
+            w_k = np.fft.ifftn(what, out=phase)
+            if has_v:
+                np.add(what, vhat, out=u)
+                np.fft.ifftn(u, out=u)
         if at_ser:
-            sample_series(ser, t_k, what, w_now, vhat_k)
+            sample_series(ser, t_k, what, w_k, u, vhat)
             ser += 1
-        del w_now, vhat_k  # not carried into the next steps
 
     channels = {"w": w_stack} if v_stack is None else {"v": v_stack, "w": w_stack}
     traj = Trajectory(grid=grid, times=snap_times, channels=channels, meta=cfg.provenance())

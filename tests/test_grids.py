@@ -9,6 +9,7 @@ from roughnls import (
     GridSpec,
     SpectralField,
     fractional_derivative,
+    free_flow_into,
     free_multiplier,
     free_propagate,
     gradient,
@@ -178,9 +179,15 @@ def test_free_propagate_group_law_and_isometry():
 @pytest.mark.parametrize("t", [1e-3, 0.3, -0.8])
 def test_free_multiplier_matches_lattice_exponential(dim, points, t):
     g = GridSpec(dim, points, np.pi)
+    exact = np.exp(-1j * t * _xi_sq(g))
     got = free_multiplier(g, t)
     assert got.shape == g.shape
-    assert np.max(np.abs(got - np.exp(-1j * t * _xi_sq(g)))) < 1e-13
+    assert np.max(np.abs(got - exact)) < 1e-13
+    # the same symbol applied in place, one broadcast multiply per axis
+    fhat = noise_field(g, seed=dim).values
+    out = np.empty(g.shape, dtype=complex)
+    assert free_flow_into(fhat, g, t, out) is out
+    assert np.max(np.abs(out - exact * fhat)) < 1e-13 * np.max(np.abs(fhat))
 
 
 @pytest.mark.parametrize("dim,points,half_width", [(1, 64, 3.0), (2, 16, np.pi), (3, 12, 2.5), (4, 6, np.pi)])

@@ -317,20 +317,22 @@ def test_fused_step_matches_unfused_reference(dim, points, half_width, forced):
 
 @pytest.mark.parametrize("n_steps", [4, 8])
 def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
-    import roughnls.solver as solver
-
-    calls = []
-    for name in ("to_physical", "to_frequency"):
-        real = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda f, real=real, name=name: calls.append(name) or real(f))
     g = GridSpec(3, 8, np.pi / 2)
     v0 = rough_v0(g, n0=2.0, amp=0.2)
+    w0 = bump(g, 0.3, 1.5)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=n_steps * 1e-3, snapshot_stride=n_steps, series_stride=n_steps)
-    solve_w(bump(g, 0.3, 1.5), v0, cfg)
-    # 2 per step; the t = 0 sample makes u and Lap v (2); the final snapshot
-    # and sample make w, v, u and Lap v (4)
+    calls = []  # every np.fft.fftn / ifftn call made inside solve_w
+    for name in ("fftn", "ifftn"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        )
+    solve_w(w0, v0, cfg)
+    # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 sample
+    # makes Lap v (1), its u being w0 + v0; the final snapshot and sample make
+    # w and v into their stack slots and Lap v (3), u again being w + v
     assert len(calls) == 2 * n_steps + 6
-    assert calls.count("to_frequency") == n_steps
+    assert calls.count("fftn") == n_steps + 2
 
 
 def test_forced_solve_stays_within_the_guard_workspace():

@@ -59,6 +59,7 @@ from .morawetz import (
     CStarSpread,
     LocalDensities,
     MainTermReport,
+    MorawetzAccumulator,
     MorawetzReport,
     c_star_spread,
     gn_ratios,
@@ -89,6 +90,7 @@ from .solver import (
     AlmostConservationReport,
     ConservationSeries,
     ScatteringReport,
+    SnapshotSink,
     SolverConfig,
     TwinReport,
     almost_conservation_monitor,
@@ -103,6 +105,8 @@ from .solver import (
 )
 from .trajectory import (
     Trajectory,
+    TrajectoryReader,
+    TrajectoryWriter,
     load_trajectory,
     read_snapshot,
     save_trajectory,

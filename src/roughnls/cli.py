@@ -21,10 +21,10 @@ from pathlib import Path
 
 from .errors import BlowupError, ConfigError, FitError, RepresentationError, ResourceLimitError
 from .harness import ExperimentConfig, parse_config, run
-from .morawetz import MorawetzReport, morawetz_audit
+from .morawetz import MorawetzAccumulator, MorawetzReport
 from .partition import build_partition
 from .randomize import tail_fit
-from .trajectory import load_trajectory
+from .trajectory import TrajectoryReader
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
@@ -193,8 +193,12 @@ def _write_morawetz_outputs(rep: MorawetzReport, out: Path) -> tuple[Path, Path]
 
 
 def _cmd_morawetz(args) -> int:
-    traj = load_trajectory(args.traj)
-    rep = morawetz_audit(traj, dim=args.dim)
+    # one snapshot pair in memory at a time, read from the files in time order
+    reader = TrajectoryReader(args.traj)
+    audit = MorawetzAccumulator(reader.grid, dim=args.dim)
+    for t, snap in reader.snapshots(("v", "w")):
+        audit.add(t, snap["w"], snap["v"])
+    rep = audit.report()
     out = Path(args.out) if args.out is not None else Path(args.traj)
     report_path, csv_path = _write_morawetz_outputs(rep, out)
     print(f"c_star = {rep.c_star:.6g} (lhs {rep.lhs:.6g}, rhs {rep.rhs:.6g})")

@@ -38,21 +38,22 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .grids import GridSpec, SpectralField, _xi_sq
-# composite_norm, linear_trajectory and gn_ratios are not called in this module;
-# the names stay bound because bench/tracing.py wraps them here.
+# composite_norm, linear_trajectory, gn_ratios, morawetz_audit and save_trajectory
+# are not called in this module; the names stay bound because bench/tracing.py
+# wraps them here.
 from .linear_flow import composite_norm, composite_spec, high_pass, linear_seed, linear_trajectory
-from .morawetz import c_star_spread, gn_ratios, morawetz_audit
+from .morawetz import MorawetzAccumulator, c_star_spread, gn_ratios, morawetz_audit
 from .partition import FrequencyPartition, PartitionConfig, build_partition
 from .randomize import draw
 from .solver import (
     ConservationSeries,
+    SnapshotSink,
     SolverConfig,
-    evolve_full,
     increment_residuals,
     solve_w,
     twin_run,
 )
-from .trajectory import Trajectory, save_trajectory
+from .trajectory import Trajectory, TrajectoryWriter, save_trajectory
 
 __all__ = [
     "KINDS",
@@ -563,28 +564,34 @@ def _uses_partition(config: ExperimentConfig) -> bool:
     return config.forcing is not None or config.kind == "partition-report"
 
 
-# complex lattice fields a forced solve_w needs above its snapshot stacks: its
-# work arrays (w_hat, u, v_hat(t), the phase and two float buffers, 5 fields),
-# v_hat(0), the two half-step multipliers and |xi|^2; tracemalloc measures
-# 8.6 fields at 64^3, 8.8 at 32^3 and 9.7 at 16^3
+# complex lattice fields a forced solve_w needs beside what its snapshot consumer
+# keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
+# 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
+# two half-step multipliers and |xi|^2; tracemalloc measures 8.6 fields above
+# the stacks at 64^3, 8.8 at 32^3 and 9.7 at 16^3
 _SOLVER_FIELDS = 10
 
 
 def _estimate_bytes(config: ExperimentConfig) -> int:
     """Rough peak-memory estimate for one run, before anything is allocated.
 
-    Counts snapshot stacks per in-flight task, FFT workspace and, when the run
-    builds one, the partition: its four float lattice arrays (normalizer,
+    Counts per in-flight task its snapshot fields, FFT workspace and, when the
+    run builds one, the partition: its four float lattice arrays (normalizer,
     residual, unity and square sums). Its per-shell profile matrices and cell
-    masks are far smaller and ignored. A task that runs solve_w adds the
+    masks are far smaller and ignored. The evolve and morawetz-audit tasks
+    stream their snapshots to disk or into the audit and hold no snapshot
+    stack: they are charged one snapshot field per channel (the initial w
+    and v the task holds for its solve). twin-ladder compares whole runs and
+    is charged its snapshot stacks twice. A task that runs solve_w adds the
     solver's workspace: 10 complex lattice fields. Under tracemalloc a forced
     solve_w peaks 8.6 fields above its stacks at 64^3 and 8.8 at 32^3 (9.7
     at 16^3, where small allocations weigh more), counting its work arrays
-    and the multipliers it caches. A Morawetz audit adds its cached
-    half-spectrum kernel tables (d + 1 real-input transforms, about (d + 1) / 2 complex
-    fields) and the lattice temporaries of one snapshot: the two views'
-    transforms, two gradients, the momentum density and its transform, about
-    3d + 6 complex fields.
+    and the multipliers it caches; a whole streamed forced evolve task peaks
+    10.1 fields at 16^3 and 9.3 at 32^3, with 3 snapshots or 21. A Morawetz
+    audit adds its cached half-spectrum kernel tables (d + 1 real-input
+    transforms, about (d + 1) / 2 complex fields) and the lattice
+    temporaries of one snapshot: the two views' transforms, two gradients,
+    the momentum density and its transform, about 3d + 6 complex fields.
     """
     g = config.grid
     if g is None:
@@ -599,16 +606,14 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     elif kind == "linear-stats":
         per_task = (config.times.size + 4) * per
     else:
-        snaps = config.solver.n_snapshots if config.solver is not None else 1
         chans = 2 if config.forcing is not None else 1
-        traj = snaps * chans * per
         if kind == "twin-ladder":
-            per_task = 2 * traj + solver
+            per_task = 2 * config.solver.n_snapshots * chans * per + solver
         elif kind == "morawetz-audit":
             audit = (3 * g.dim + 6) * per + (g.dim + 1) * per // 2
-            per_task = traj + audit + solver
+            per_task = chans * per + audit + solver
         else:
-            per_task = traj + solver
+            per_task = chans * per + solver
     return config.workers * per_task + workspace + partition
 
 
@@ -626,10 +631,17 @@ def _guard_memory(config: ExperimentConfig) -> None:
 # tasks
 
 
-def _run_forced(config: ExperimentConfig, part: FrequencyPartition, task_seed: int):
+def _run_forced(
+    config: ExperimentConfig, part: FrequencyPartition, task_seed: int, sink: SnapshotSink
+) -> ConservationSeries:
+    """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v)."""
     v0 = forcing_field(config.grid, part, config.forcing, task_seed)
     w0 = initial_field(config.initial, config.grid)
-    return solve_w(w0, v0, config.solver)
+    return solve_w(w0, v0, config.solver, sink)[1]
+
+
+def _discard(t: float, w: np.ndarray, v: np.ndarray | None) -> None:
+    """The snapshot sink of a run that keeps no fields."""
 
 
 def _series_metrics(series: ConservationSeries) -> dict:
@@ -677,29 +689,41 @@ def _task_linear_stats(config, part: FrequencyPartition, task_seed: int, run_dir
 
 
 def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_dir: Path):
+    forced = config.forcing is not None
     artifacts = []
-    if config.forcing is not None:
-        traj, series = _run_forced(config, part, task_seed)
-        series = increment_residuals(series)
+    writer = None
+    sink = _discard
+    if config.save_fields:
+        # the snapshots stream into traj/ as the solve makes them; an unforced
+        # run stores w as channel 'u', as evolve_full names it
+        names = ("v", "w") if forced else ("u",)
+        writer = TrajectoryWriter(run_dir / "traj", config.grid, names, config.solver.provenance())
+        if forced:
+            sink = lambda t, w, v: writer.add(t, {"v": v, "w": w})
+        else:
+            sink = lambda t, w, v: writer.add(t, {"u": w})
+    if forced:
+        series = increment_residuals(_run_forced(config, part, task_seed, sink))
     else:
         u0 = initial_field(config.initial, config.grid)
-        traj, series = evolve_full(u0, config.solver)
+        series = solve_w(u0, None, config.solver, sink)[1]
     metrics = _series_metrics(series)
-    if config.forcing is not None:
+    if forced:
         metrics["r_mass"] = series.max_rel_mass
         metrics["r_energy"] = series.max_rel_energy
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_series_csv(run_dir / "series.csv", series)
     artifacts.append(str(run_dir.name) + "/series.csv")
-    if config.save_fields:
-        save_trajectory(traj, run_dir / "traj")
+    if writer is not None:
+        writer.close()
         artifacts.append(str(run_dir.name) + "/traj")
     return metrics, artifacts
 
 
 def _task_morawetz(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
-    traj, _ = _run_forced(config, part, task_seed)
-    rep = morawetz_audit(traj)
+    audit = MorawetzAccumulator(config.grid)
+    _run_forced(config, part, task_seed, audit.add)
+    rep = audit.report()
     metrics = {
         "lhs": rep.lhs,
         "T1": rep.terms["T1"],

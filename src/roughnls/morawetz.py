@@ -16,10 +16,12 @@ well-localized densities; every functional value is paired with a
 localization ratio (fraction of mass inside the half-box) so the
 approximation stays auditable.
 
-The audit is one pass over the snapshots. Each snapshot gets one
-FrequencyView (see norms) per channel, every spatial figure of the terms
-below is read from those two views, m and p come from the w view's
-gradient, and the 4D Gagliardo-Nirenberg ratio reuses figures already taken.
+The audit is one pass over the snapshots, in time order, and keeps only
+per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
+snapshots into it. Each snapshot gets one FrequencyView (see norms) per
+channel, every spatial figure of the terms below is read from those two
+views, m and p come from the w view's gradient, and the 4D
+Gagliardo-Nirenberg ratio reuses figures already taken.
 
 The audit measures, per trajectory, the constant C* = LHS / (T1 + T2 + T3) in
 
@@ -69,6 +71,7 @@ __all__ = [
     "local_densities",
     "interaction_functional",
     "localization_ratio",
+    "MorawetzAccumulator",
     "morawetz_audit",
     "c_star_spread",
     "identity_mor_mainterm",
@@ -320,6 +323,114 @@ class MorawetzReport:
         }
 
 
+class MorawetzAccumulator:
+    """The interaction Morawetz audit, fed one snapshot at a time in time order.
+
+    add(t, w, v) reads every per-snapshot figure of the audit from one
+    FrequencyView of w and one of v and keeps only those numbers; the arrays
+    themselves are not kept, so they may be buffers reused for the next
+    snapshot. report() folds the figures into the time norms and the terms
+    documented at morawetz_audit. A solve can stream its snapshots straight
+    into add, so the audit holds no snapshot stack.
+    """
+
+    def __init__(self, grid: GridSpec, dim: int | None = None, power: float | None = None):
+        if dim is None:
+            dim = grid.dim
+        if dim != grid.dim:
+            raise ConfigError(f"audit dimension {dim} does not match the grid dimension {grid.dim}")
+        if dim not in (3, 4):
+            raise ConfigError(f"the inequality audit is defined for dimensions 3 and 4, got {dim}")
+        _default_power(dim, power)
+        self.grid = grid
+        self.dim = dim
+        inf = math.inf
+        # (channel, figure): the spatial norm taken at every snapshot and its time exponent
+        specs = {
+            ("w", "mass"): NormSpec(inf, 2),
+            ("w", "hhalf"): NormSpec(inf, 2, 0.5, "homogeneous"),
+            ("v", "sup"): NormSpec(2, inf),
+            ("v", "l4"): NormSpec(4, 4),
+        }
+        if dim == 3:
+            specs[("w", "l4")] = NormSpec(4, 4)
+            specs[("w", "l6")] = NormSpec(inf, 6)
+            specs[("v", "l6")] = NormSpec(inf, 6)
+        else:
+            specs[("w", "g")] = NormSpec(4, 4, -0.25, "homogeneous")
+            specs[("w", "hhalf_inh")] = NormSpec(inf, 2, 0.5, "inhomogeneous")
+            specs[("v", "l6l3")] = NormSpec(6, 3)
+        self._specs = specs
+        self._series: dict[tuple[str, str], list[float]] = {key: [] for key in specs}
+        self._times: list[float] = []
+        self._dv: list[float] = []
+        self._inter: list[float] = []
+        self._loc: list[float] = []
+        self._gn: list[float] = []
+
+    def add(self, t: float, w: np.ndarray, v: np.ndarray) -> None:
+        """Take the audit's figures of the snapshot at time t from the physical values of w and v."""
+        g = self.grid
+        views = {"w": FrequencyView(g, w), "v": FrequencyView(g, v)}
+        for (ch, fig), spec in self._specs.items():
+            self._series[ch, fig].append(views[ch].norm(spec.r, spec.s, spec.kind))
+        self._dv.append(math.sqrt(float(sum(c.real**2 + c.imag**2 for c in views["v"].gradient()).max())))
+        m, mom = _mass_momentum(views["w"])
+        self._inter.append(interaction_functional(LocalDensities(g, m, mom)))
+        self._loc.append(localization_ratio(m, g))
+        if self.dim == 4:
+            self._gn.append(_gn_ratio(views["w"]))
+        self._times.append(float(t))
+
+    def report(self) -> MorawetzReport:
+        """Both sides of the inequality over the snapshots added so far."""
+        times = np.array(self._times)
+        norm = {
+            key: time_norm(np.array(self._series[key]), times, spec.q)
+            for key, spec in self._specs.items()
+        }
+        w_mass, w_hhalf = norm["w", "mass"], norm["w", "hhalf"]
+        v_sup, v_l4 = norm["v", "sup"], norm["v", "l4"]
+        dv_sup = time_norm(np.array(self._dv), times, 2)
+        if self.dim == 3:
+            w_l4 = norm["w", "l4"]
+            mix4 = w_l4**2 + v_l4**2
+            mix6 = norm["w", "l6"] ** 3 + norm["v", "l6"] ** 3
+            lhs = w_l4**4
+            terms = {
+                "T1": w_mass**2 * w_hhalf**2,
+                "T2": v_sup * mix4 * mix6 * w_hhalf**2,
+                "T3": dv_sup * mix4 * mix6 * w_mass**2,
+            }
+        else:
+            g_norm = norm["w", "g"]
+            lhs = g_norm**4
+            terms = {
+                "T1": w_mass**2 * w_hhalf**2,
+                "T2": norm["w", "hhalf_inh"] * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
+                "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + norm["v", "l6l3"] ** 3),
+            }
+
+        rhs = float(sum(terms.values()))
+        if lhs == 0.0:
+            c_star = 0.0
+        elif rhs == 0.0:
+            c_star = math.inf
+        else:
+            c_star = lhs / rhs
+
+        return MorawetzReport(
+            dim=self.dim,
+            lhs=float(lhs),
+            terms={k: float(v) for k, v in terms.items()},
+            c_star=float(c_star),
+            times=times,
+            interaction=np.array(self._inter),
+            localization=np.array(self._loc),
+            gn_ratios=np.array(self._gn) if self.dim == 4 else None,
+        )
+
+
 def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None = None) -> MorawetzReport:
     """Evaluate both sides of the interaction Morawetz inequality on a trajectory.
 
@@ -338,95 +449,17 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
 
     C* is measured, never asserted; ensemble stability is judged separately
     by c_star_spread. power is validated as in local_densities, but no audited
-    figure depends on it: the defect field is not part of the audit.
+    figure depends on it: the defect field is not part of the audit. The
+    stored snapshots are fed to a MorawetzAccumulator in time order.
     """
-    g = traj.grid
-    if dim is None:
-        dim = g.dim
-    if dim != g.dim:
-        raise ConfigError(f"audit dimension {dim} does not match the grid dimension {g.dim}")
-    if dim not in (3, 4):
-        raise ConfigError(f"the inequality audit is defined for dimensions 3 and 4, got {dim}")
+    audit = MorawetzAccumulator(traj.grid, dim, power)
     for name in ("v", "w"):
         if name not in traj.channels:
             raise ConfigError(f"audit needs channel {name!r} (have {sorted(traj.channels)})")
-    _default_power(dim, power)
-
-    inf = math.inf
-    # (channel, figure): the spatial norm taken at every snapshot and its time exponent
-    specs = {
-        ("w", "mass"): NormSpec(inf, 2),
-        ("w", "hhalf"): NormSpec(inf, 2, 0.5, "homogeneous"),
-        ("v", "sup"): NormSpec(2, inf),
-        ("v", "l4"): NormSpec(4, 4),
-    }
-    if dim == 3:
-        specs[("w", "l4")] = NormSpec(4, 4)
-        specs[("w", "l6")] = NormSpec(inf, 6)
-        specs[("v", "l6")] = NormSpec(inf, 6)
-    else:
-        specs[("w", "g")] = NormSpec(4, 4, -0.25, "homogeneous")
-        specs[("w", "hhalf_inh")] = NormSpec(inf, 2, 0.5, "inhomogeneous")
-        specs[("v", "l6l3")] = NormSpec(6, 3)
-
-    n = traj.n_snapshots
-    series = {key: np.empty(n) for key in specs}
-    dv = np.empty(n)
-    inter = np.empty(n)
-    loc = np.empty(n)
-    gn = np.empty(n) if dim == 4 else None
-    for k in range(n):
-        views = {"w": snapshot_view(traj, "w", k), "v": snapshot_view(traj, "v", k)}
-        for (ch, fig), spec in specs.items():
-            series[ch, fig][k] = views[ch].norm(spec.r, spec.s, spec.kind)
-        dv[k] = math.sqrt(float(sum(c.real**2 + c.imag**2 for c in views["v"].gradient()).max()))
-        m, mom = _mass_momentum(views["w"])
-        inter[k] = interaction_functional(LocalDensities(g, m, mom))
-        loc[k] = localization_ratio(m, g)
-        if gn is not None:
-            gn[k] = _gn_ratio(views["w"])
-
-    norm = {key: time_norm(series[key], traj.times, spec.q) for key, spec in specs.items()}
-    w_mass, w_hhalf = norm["w", "mass"], norm["w", "hhalf"]
-    v_sup, v_l4 = norm["v", "sup"], norm["v", "l4"]
-    dv_sup = time_norm(dv, traj.times, 2)
-    if dim == 3:
-        w_l4 = norm["w", "l4"]
-        mix4 = w_l4**2 + v_l4**2
-        mix6 = norm["w", "l6"] ** 3 + norm["v", "l6"] ** 3
-        lhs = w_l4**4
-        terms = {
-            "T1": w_mass**2 * w_hhalf**2,
-            "T2": v_sup * mix4 * mix6 * w_hhalf**2,
-            "T3": dv_sup * mix4 * mix6 * w_mass**2,
-        }
-    else:
-        g_norm = norm["w", "g"]
-        lhs = g_norm**4
-        terms = {
-            "T1": w_mass**2 * w_hhalf**2,
-            "T2": norm["w", "hhalf_inh"] * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
-            "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + norm["v", "l6l3"] ** 3),
-        }
-
-    rhs = float(sum(terms.values()))
-    if lhs == 0.0:
-        c_star = 0.0
-    elif rhs == 0.0:
-        c_star = math.inf
-    else:
-        c_star = lhs / rhs
-
-    return MorawetzReport(
-        dim=dim,
-        lhs=float(lhs),
-        terms={k: float(v) for k, v in terms.items()},
-        c_star=float(c_star),
-        times=traj.times.copy(),
-        interaction=inter,
-        localization=loc,
-        gn_ratios=gn,
-    )
+    v, w = traj.channels["v"], traj.channels["w"]
+    for k, t in enumerate(traj.times):
+        audit.add(t, w[k], v[k])
+    return audit.report()
 
 
 @dataclass(frozen=True)

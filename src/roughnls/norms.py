@@ -151,9 +151,7 @@ class FrequencyView:
 
 def snapshot_view(traj: Trajectory, channel: str, k: int) -> FrequencyView:
     """The view of one snapshot; an unstored 'u' is v + w of this snapshot only."""
-    if channel == "u" and "u" not in traj.channels and {"v", "w"} <= traj.channels.keys():
-        return FrequencyView(traj.grid, traj.channels["v"][k] + traj.channels["w"][k])
-    return FrequencyView(traj.grid, traj.channel(channel)[k])
+    return FrequencyView(traj.grid, traj.snapshot(channel, k).values)
 
 
 def snapshot_norms(traj: Trajectory, spec: NormSpec, channel: str) -> np.ndarray:

@@ -18,18 +18,26 @@ rather than the continuum-normalized transform of grids: the transform weight
 is diagonal, so every multiplier of the step acts on these coordinates
 unchanged, and each grid transform is a bare in-place np.fft call with no
 weight pass. The solve allocates its lattice work arrays once (w_hat, u,
-v_hat(t), the phase and two float buffers) and the step and the series
-sample share them: v_hat(t) is built in place by per-axis broadcast
-multiplies, |u|^2 and the nonlinear angle go into the float buffers, the
-forward transform writes into w_hat, and snapshots are transformed straight
-into their stack slots. After set-up neither a step nor a sample allocates
-a lattice array, and a forced solve peaks about 8.6 complex lattice fields
-above its snapshot stacks at 64^3, cached multipliers included.
+v_hat(t), the phase and two float buffers) and the step, the series sample
+and the snapshots share them: v_hat(t) is built in place by per-axis
+broadcast multiplies, |u|^2 and the nonlinear angle go into the float
+buffers, the forward transform writes into w_hat, and a snapshot's w and v
+are transformed into the phase and u buffers. After set-up neither a step
+nor a sample nor a snapshot allocates a lattice array.
+
+Snapshots are streamed: each one is handed to a consumer (a SnapshotSink)
+as it is made and is valid only during that call. The consumer may copy it
+into stacks (solve_w's default, which returns a Trajectory), write it to
+disk (trajectory.TrajectoryWriter) or fold it into an audit
+(morawetz.MorawetzAccumulator), so a streamed solve holds no snapshot
+stack. A forced solve peaks about 8.6 complex lattice fields above what its
+consumer keeps at 64^3, cached multipliers included.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +57,7 @@ from .grids import (
 from .trajectory import Trajectory
 
 __all__ = [
+    "SnapshotSink",
     "SolverConfig",
     "ConservationSeries",
     "dealias_mask",
@@ -62,6 +71,10 @@ __all__ = [
     "ScatteringReport",
     "scattering_proxy",
 ]
+
+
+# receives each snapshot of a solve as sink(t, w, v); see solve_w
+SnapshotSink = Callable[[float, np.ndarray, "np.ndarray | None"], None]
 
 
 @dataclass(frozen=True)
@@ -278,7 +291,8 @@ def solve_w(
     w0: SpectralField,
     v0: SpectralField | None,
     cfg: SolverConfig,
-) -> tuple[Trajectory, ConservationSeries]:
+    sink: SnapshotSink | None = None,
+) -> tuple[Trajectory | None, ConservationSeries]:
     """Integrate the forced remainder equation; snapshots in channels v and w.
 
     The solve carries w_hat as numpy's unnormalized np.fft.fftn(w), not the
@@ -293,22 +307,30 @@ def solve_w(
     and the result is multiplied by K_half with the 2/3 mask folded in (one
     multiplier, built once per solve). At snapshot steps the subtraction is
     checked against u_hat for channel bookkeeping drift. Every value of v
-    (midpoints, stored snapshots, series samples) is the exact free
-    propagator applied to v_hat(0) = np.fft.fftn(v0), so unitarity and
-    frequency support of the v snapshots are exact. Channel 'u' is
-    synthesized as v + w on demand.
+    (midpoints, snapshots, series samples) is the exact free propagator
+    applied to v_hat(0) = np.fft.fftn(v0), so unitarity and frequency
+    support of the v snapshots are exact. Channel 'u' is synthesized as
+    v + w on demand.
+
+    Each snapshot is handed to sink(t, w, v) as it is made, in time order:
+    w and v are its physical values, and v is None when v0 is None. From
+    t > 0 on they are two of the solve's work arrays, so they are valid only
+    during the call and must not be written to. Without a sink the snapshots
+    are copied into (n_snapshots, *shape) stacks and returned as a
+    Trajectory; with one, no stack is built and the trajectory returned is
+    None.
 
     The solve allocates its lattice work arrays once: w_hat, u, v_hat(t),
-    the phase and two float buffers. The step and the series sample work in
-    them, and snapshots are transformed straight into their stack slots, so
-    neither a step nor a sample allocates a lattice array.
+    the phase and two float buffers. The step, the series sample and the
+    snapshots work in them, so neither a step nor a sample nor a snapshot
+    allocates a lattice array.
 
     With v0 None or identically zero, w solves the full equation and the
-    per-step v work is skipped; v0 None also stores no v channel.
+    per-step v work is skipped; v0 None also makes no v snapshots.
 
     The conservation series is sampled inline every cfg.series_stride steps,
     including the identity rates (exactly 0 when v = 0), so it can run on a
-    much finer time grid than the stored snapshots without blowing up memory.
+    much finer time grid than the snapshots without blowing up memory.
     """
     grid = w0.grid
     if grid.dim != cfg.dim:
@@ -317,23 +339,31 @@ def solve_w(
         raise ConfigError("w0 and v0 live on different grids")
 
     shape = grid.shape
-    n_snap = cfg.n_snapshots
-    snap_times = np.empty(n_snap)
-    snap_times[0] = 0.0
-    w_stack = np.empty((n_snap,) + shape, dtype=np.complex128)
-    w_stack[0] = w0.as_physical().values
-    v_stack = None
+    stacks = None
+    if sink is None:
+        names = ("w",) if v0 is None else ("v", "w")
+        stacks = {name: np.empty((cfg.n_snapshots,) + shape, dtype=np.complex128) for name in names}
+        snap_times: list[float] = []
+
+        def sink(t: float, w_k: np.ndarray, v_k: np.ndarray | None) -> None:
+            k = len(snap_times)
+            snap_times.append(t)
+            stacks["w"][k] = w_k
+            if v_k is not None:
+                stacks["v"][k] = v_k
+
+    w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
+    v_init = None
     v0hat = None
     if v0 is not None:
-        v_stack = np.empty((n_snap,) + shape, dtype=np.complex128)
-        v_stack[0] = v0.as_physical().values
-        v0hat = np.fft.fftn(v_stack[0])
+        v_init = np.ascontiguousarray(v0.as_physical().values, dtype=np.complex128)
+        v0hat = np.fft.fftn(v_init)
         if not np.any(v0hat):
             v0hat = None
     has_v = v0hat is not None
 
-    # the solve's work arrays, shared by the step and the series sample
-    what = np.fft.fftn(w_stack[0])
+    # the solve's work arrays, shared by the step, the series sample and the snapshots
+    what = np.fft.fftn(w_init)
     u = np.empty(shape, dtype=np.complex128)
     phase = np.empty(shape, dtype=np.complex128)
     vhat = np.empty(shape, dtype=np.complex128) if has_v else None
@@ -350,7 +380,7 @@ def solve_w(
     kin_weight = 0.5 * dvol / grid.n_points
     half_power = 0.5 * cfg.power
 
-    u_init = np.add(w_stack[0], v_stack[0], out=u) if has_v else w_stack[0]
+    u_init = np.add(w_init, v_init, out=u) if has_v else w_init
     threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init, out=abs_sq))), 0.0)
     if threshold == 0.0:
         threshold = None
@@ -412,11 +442,12 @@ def solve_w(
         vhat_k *= w_k
         ser_dm_id[idx] = -2.0 * cfg.mu * float(np.sum(vhat_k.imag)) * dvol
 
+    sink(0.0, w_init, v_init)
     if has_v:
         free_flow_into(v0hat, grid, 0.0, out=vhat)
-    sample_series(0, 0.0, what, w_stack[0], u, vhat)
+    sample_series(0, 0.0, what, w_init, u, vhat)
+    del w_init, v_init, u_init
     rotate = cfg.mu != 0.0
-    snap = 1
     ser = 1
     for step in range(cfg.n_steps):
         t_mid = (step + 0.5) * cfg.dt
@@ -448,27 +479,30 @@ def solve_w(
         t_k = done * cfg.dt
         if has_v:
             free_flow_into(v0hat, grid, t_k, out=vhat)
+        # w goes to the phase buffer, free after the step; a snapshot's v goes
+        # to u's buffer, which then becomes u = v + w for the series sample
+        w_k = np.fft.ifftn(what, out=phase)
         if at_snap:
-            w_k = np.fft.ifftn(what, out=w_stack[snap])
-            snap_times[snap] = t_k
             if has_v:
-                v_k = np.fft.ifftn(vhat, out=v_stack[snap])
-                if at_ser:
-                    np.add(w_k, v_k, out=u)
-            elif v_stack is not None:
-                v_stack[snap] = 0.0
-            snap += 1
-        else:
-            w_k = np.fft.ifftn(what, out=phase)
-            if has_v:
-                np.add(what, vhat, out=u)
-                np.fft.ifftn(u, out=u)
+                v_k = np.fft.ifftn(vhat, out=u)
+            elif v0 is not None:
+                v_k = u
+                v_k[...] = 0.0
+            else:
+                v_k = None
+            sink(t_k, w_k, v_k)
+            if has_v and at_ser:
+                u += w_k
+        elif has_v:
+            np.add(what, vhat, out=u)
+            np.fft.ifftn(u, out=u)
         if at_ser:
             sample_series(ser, t_k, what, w_k, u, vhat)
             ser += 1
 
-    channels = {"w": w_stack} if v_stack is None else {"v": v_stack, "w": w_stack}
-    traj = Trajectory(grid=grid, times=snap_times, channels=channels, meta=cfg.provenance())
+    traj = None
+    if stacks is not None:
+        traj = Trajectory(grid=grid, times=snap_times, channels=stacks, meta=cfg.provenance())
     series = ConservationSeries(
         times=ser_times,
         mass=ser_mass,

@@ -8,6 +8,13 @@ layout so runs can be consumed by other tools:
     header: magic 'RNLS' | version u32 | d u32 | M u32 | L f64 | t f64 | tag u8
     data:   M^d complex values as (real f64, imag f64) pairs, row-major,
             axis 0 slowest.
+
+A trajectory directory holds one such file per channel and snapshot plus
+manifest.json, written last. TrajectoryWriter writes it one snapshot at a
+time, so a solve can stream its snapshots to disk without stacking them, and
+save_trajectory feeds a stored Trajectory through the same writer.
+TrajectoryReader reads a directory back one snapshot at a time, and
+load_trajectory stacks what it reads.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ __all__ = [
     "Trajectory",
     "write_snapshot",
     "read_snapshot",
+    "TrajectoryWriter",
+    "TrajectoryReader",
     "save_trajectory",
     "load_trajectory",
     "SNAPSHOT_MAGIC",
@@ -39,6 +48,7 @@ _HEADER = struct.Struct("<4sIIIddB")
 CHANNEL_TAGS = {"u": 0, "v": 1, "w": 2}
 _TAG_CHANNELS = {v: k for k, v in CHANNEL_TAGS.items()}
 _OTHER_TAG = 255
+_MANIFEST = "manifest.json"
 
 
 @dataclass
@@ -77,24 +87,38 @@ class Trajectory:
         raise KeyError(f"trajectory has no channel {name!r} (have {sorted(self.channels)})")
 
     def snapshot(self, name: str, k: int) -> SpectralField:
+        """Snapshot k of a channel; an unstored 'u' is v[k] + w[k], built for this snapshot only."""
+        if name == "u" and name not in self.channels and {"v", "w"} <= self.channels.keys():
+            return SpectralField(self.grid, self.channels["v"][k] + self.channels["w"][k], "physical")
         return SpectralField(self.grid, self.channel(name)[k], "physical")
+
+
+def _write_values(path: Path, grid: GridSpec, values: np.ndarray, t: float, channel: str) -> None:
+    """Write physical lattice values in the binary layout above, from the array's own buffer.
+
+    A C-contiguous complex128 array on a little-endian host is written as it
+    is; any other layout or dtype is converted first.
+    """
+    tag = CHANNEL_TAGS.get(channel, _OTHER_TAG)
+    header = _HEADER.pack(
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.points, grid.half_width, float(t), tag
+    )
+    data = np.ascontiguousarray(values, dtype="<c16")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data)
 
 
 def write_snapshot(path: str | Path, field: SpectralField, t: float, channel: str = "u") -> None:
     """Write one physical-representation snapshot in the binary layout above."""
-    g = field.grid
-    tag = CHANNEL_TAGS.get(channel, _OTHER_TAG)
-    header = _HEADER.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.dim, g.points, g.half_width, float(t), tag
-    )
-    data = np.ascontiguousarray(field.as_physical().values.astype("<c16"))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
+    _write_values(Path(path), field.grid, field.as_physical().values, t, channel)
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, float, str]:
-    """Read a snapshot file; returns (field, t, channel name)."""
+    """Read a snapshot file; returns (field, t, channel name).
+
+    The data are read straight into the array the field holds.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -105,55 +129,107 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float, str]:
         if version != SNAPSHOT_VERSION:
             raise ConfigError(f"{path}: unsupported snapshot version {version}")
         grid = GridSpec(dim, m, half_width)
-        count = grid.n_points
-        buf = fh.read(16 * count)
-        if len(buf) != 16 * count:
+        values = np.empty(grid.shape, dtype="<c16")
+        if fh.readinto(values) != values.nbytes:
             raise ConfigError(f"{path}: truncated snapshot data")
-    values = np.frombuffer(buf, dtype="<c16").astype(np.complex128).reshape(grid.shape)
+    values = values.astype(np.complex128, copy=False)
     return SpectralField(grid, values, "physical"), t, _TAG_CHANNELS.get(tag, "other")
+
+
+class TrajectoryWriter:
+    """Writes a trajectory directory one snapshot at a time; manifest.json goes last.
+
+    add() writes one snapshot file per channel from the arrays it is given
+    and keeps none of them, so they may be buffers the caller reuses for the
+    next snapshot. close() writes manifest.json. A run that raises before
+    close() leaves no manifest, and load_trajectory refuses the directory.
+    Opening a writer removes a manifest left in the directory by an earlier
+    run, so a directory being rewritten never shows one.
+    """
+
+    def __init__(self, out_dir: str | Path, grid: GridSpec, channels, meta: dict | None = None):
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / _MANIFEST).unlink(missing_ok=True)
+        self.grid = grid
+        self.meta = {} if meta is None else meta
+        self.files: dict[str, list[str]] = {name: [] for name in channels}
+        self.times: list[float] = []
+
+    def add(self, t: float, fields: dict[str, np.ndarray]) -> None:
+        """Write the snapshot at time t; fields maps every channel to its physical values."""
+        if fields.keys() != self.files.keys():
+            raise ValueError(f"snapshot has channels {sorted(fields)}, expected {sorted(self.files)}")
+        k = len(self.times)
+        for name, files in self.files.items():
+            fname = f"{name}_{k:06d}.rnls"
+            _write_values(self.out / fname, self.grid, fields[name], t, name)
+            files.append(fname)
+        self.times.append(float(t))
+
+    def close(self) -> Path:
+        """Write manifest.json, which marks the directory complete; returns the directory."""
+        g = self.grid
+        manifest = {
+            "format": "rough-nls trajectory",
+            "version": SNAPSHOT_VERSION,
+            "grid": {"dim": g.dim, "points": g.points, "half_width": g.half_width},
+            "times": self.times,
+            "channels": self.files,
+            "meta": self.meta,
+        }
+        (self.out / _MANIFEST).write_text(json.dumps(manifest, indent=2))
+        return self.out
 
 
 def save_trajectory(traj: Trajectory, out_dir: str | Path) -> Path:
     """Persist a trajectory as a directory of snapshots plus manifest.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, list[str]] = {}
-    for name, arr in traj.channels.items():
-        files[name] = []
-        for k, t in enumerate(traj.times):
-            fname = f"{name}_{k:06d}.rnls"
-            write_snapshot(out / fname, SpectralField(traj.grid, arr[k], "physical"), t, name)
-            files[name].append(fname)
-    manifest = {
-        "format": "rough-nls trajectory",
-        "version": SNAPSHOT_VERSION,
-        "grid": {"dim": traj.grid.dim, "points": traj.grid.points, "half_width": traj.grid.half_width},
-        "times": [float(t) for t in traj.times],
-        "channels": files,
-        "meta": traj.meta,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return out
+    writer = TrajectoryWriter(out_dir, traj.grid, traj.channels, traj.meta)
+    for k, t in enumerate(traj.times):
+        writer.add(t, {name: arr[k] for name, arr in traj.channels.items()})
+    return writer.close()
+
+
+class TrajectoryReader:
+    """A trajectory directory opened through its manifest; snapshots are read on demand."""
+
+    def __init__(self, in_dir: str | Path):
+        self.root = Path(in_dir)
+        manifest_path = self.root / _MANIFEST
+        if not manifest_path.exists():
+            raise ConfigError(f"{self.root}: not a trajectory directory (no manifest.json)")
+        manifest = json.loads(manifest_path.read_text())
+        gs = manifest["grid"]
+        self.grid = GridSpec(gs["dim"], gs["points"], gs["half_width"])
+        self.times = np.asarray(manifest["times"], dtype=float)
+        self.files: dict[str, list[str]] = manifest["channels"]
+        self.meta: dict = manifest.get("meta", {})
+
+    def read(self, name: str, k: int) -> np.ndarray:
+        """Physical values of snapshot k of a channel, checked against the manifest."""
+        fname = self.files[name][k]
+        fld, t, _ = read_snapshot(self.root / fname)
+        if fld.grid != self.grid:
+            raise ConfigError(f"{fname}: grid mismatch inside trajectory directory")
+        if abs(t - self.times[k]) > 1e-12 * max(1.0, abs(self.times[k])):
+            raise ConfigError(f"{fname}: snapshot time {t} disagrees with manifest")
+        return fld.values
+
+    def snapshots(self, channels):
+        """Yield (t, {channel: values}) per snapshot in time order, one snapshot in memory at a time."""
+        for name in channels:
+            if name not in self.files:
+                raise ConfigError(f"{self.root}: trajectory has no channel {name!r} (have {sorted(self.files)})")
+        for k, t in enumerate(self.times):
+            yield float(t), {name: self.read(name, k) for name in channels}
 
 
 def load_trajectory(in_dir: str | Path) -> Trajectory:
-    src = Path(in_dir)
-    manifest_path = src / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"{src}: not a trajectory directory (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
-    gs = manifest["grid"]
-    grid = GridSpec(gs["dim"], gs["points"], gs["half_width"])
-    times = np.asarray(manifest["times"], dtype=float)
+    reader = TrajectoryReader(in_dir)
     channels = {}
-    for name, files in manifest["channels"].items():
-        stack = np.empty((len(files),) + grid.shape, dtype=np.complex128)
-        for k, fname in enumerate(files):
-            fld, t, _ = read_snapshot(src / fname)
-            if fld.grid != grid:
-                raise ConfigError(f"{fname}: grid mismatch inside trajectory directory")
-            if abs(t - times[k]) > 1e-12 * max(1.0, abs(times[k])):
-                raise ConfigError(f"{fname}: snapshot time {t} disagrees with manifest")
-            stack[k] = fld.values
+    for name, files in reader.files.items():
+        stack = np.empty((len(files),) + reader.grid.shape, dtype=np.complex128)
+        for k in range(len(files)):
+            stack[k] = reader.read(name, k)
         channels[name] = stack
-    return Trajectory(grid, times, channels, manifest.get("meta", {}))
+    return Trajectory(reader.grid, reader.times, channels, reader.meta)

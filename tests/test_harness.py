@@ -1,11 +1,14 @@
 """Batch runner: validation, hashing, resume, determinism, sweeps, CLI."""
 
+import filecmp
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from roughnls import (
+    BlowupError,
     ConfigError,
     GridSpec,
     RepresentationError,
@@ -13,12 +16,16 @@ from roughnls import (
     ResultRecord,
     config_hash,
     initial_field,
+    load_trajectory,
+    morawetz_audit,
     parse_config,
     run,
+    save_trajectory,
+    solve_w,
     summarize,
 )
-from roughnls import harness
-from roughnls.cli import main as cli_main
+from roughnls import harness, solver
+from roughnls.cli import _write_morawetz_outputs, main as cli_main
 from roughnls.harness import InitialSpec, _set_axis
 
 GRID = {"dim": 3, "points": 12, "half_width": float(np.pi)}
@@ -159,6 +166,97 @@ def test_failed_seed_keeps_finished_records(tmp_path, monkeypatch, workers):
     assert [r.seed for r in recs] == seeds
 
 
+def _same_files(a, b):
+    """Both directories hold the same file names with the same bytes."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert not mismatch and not errors, (mismatch, errors)
+
+
+def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
+    # The evolve task streams its snapshots into traj/ during the solve; the
+    # files are those that saving the stacked trajectory makes, byte for byte.
+    cfg = parse_config(evolve_config(tmp_path / "run", n_samples=1, save_fields=True))
+    run(cfg)
+    part = harness.build_partition(cfg.partition, cfg.grid)
+    v0 = harness.forcing_field(cfg.grid, part, cfg.forcing, cfg.seed)
+    w0 = initial_field(cfg.initial, cfg.grid)
+    traj, _ = solve_w(w0, v0, cfg.solver)
+    save_trajectory(traj, tmp_path / "saved")
+    _same_files(tmp_path / "run" / "run_0000" / "traj", tmp_path / "saved")
+
+    raw = evolve_config(tmp_path / "unforced", n_samples=1, save_fields=True)
+    del raw["forcing"]
+    unforced = parse_config(raw)
+    run(unforced)
+    full, _ = solver.evolve_full(initial_field(unforced.initial, unforced.grid), unforced.solver)
+    save_trajectory(full, tmp_path / "saved_unforced")
+    _same_files(tmp_path / "unforced" / "run_0000" / "traj", tmp_path / "saved_unforced")
+
+
+def test_failed_forced_evolve_leaves_no_manifest(tmp_path, monkeypatch):
+    # A seed that raises mid-solve has written some snapshot files but no
+    # manifest.json; the rerun that resume makes completes the directory,
+    # byte for byte as a clean run writes it.
+    cfg = parse_config(evolve_config(tmp_path / "failed", n_samples=1, save_fields=True))
+    guard = solver._guard
+    calls = []
+
+    def blow_up(abs_sq, threshold, t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise BlowupError(t=t, amplitude=1.0, threshold=0.5)
+        guard(abs_sq, threshold, t)
+
+    monkeypatch.setattr(solver, "_guard", blow_up)
+    with pytest.raises(BlowupError):
+        run(cfg)
+    traj_dir = tmp_path / "failed" / "run_0000" / "traj"
+    # the guard fires in the third step, after the snapshots at t = 0, dt, 2 dt
+    written = {p.name for p in traj_dir.iterdir()}
+    assert written == {f"{ch}_{k:06d}.rnls" for ch in "vw" for k in range(3)}
+    assert not (tmp_path / "failed" / "records.jsonl").read_text()
+
+    monkeypatch.setattr(solver, "_guard", guard)
+    (rec,) = run(cfg)
+    assert "run_0000/traj" in rec.artifacts
+    clean = parse_config(evolve_config(tmp_path / "clean", n_samples=1, save_fields=True))
+    run(clean)
+    _same_files(traj_dir, tmp_path / "clean" / "run_0000" / "traj")
+    assert load_trajectory(traj_dir).n_snapshots == cfg.solver.n_snapshots
+
+
+def test_streamed_evolve_memory_does_not_grow_with_snapshots(tmp_path):
+    # A streamed forced evolve task holds no snapshot stack: with 3 snapshots
+    # or 21 its traced peak is the same to within one lattice field.
+    def config(stride):
+        solver_sec = {"dt": 1e-3, "t_final": 0.02, "snapshot_stride": stride, "series_stride": 5}
+        return parse_config(evolve_config(
+            tmp_path / f"s{stride}", n_samples=1, save_fields=True,
+            grid={"dim": 3, "points": 16, "half_width": 2.25}, solver=solver_sec,
+        ))
+
+    few, many = config(10), config(1)
+    assert (few.solver.n_snapshots, many.solver.n_snapshots) == (3, 21)
+    part = harness.build_partition(few.partition, few.grid)
+    task = harness._TASKS["evolve"]
+    task(few, part, 1, tmp_path / "warm")  # first-call caches are not per-task memory
+    peaks = []
+    for cfg in (few, many):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            task(cfg, part, 1, tmp_path / f"run{cfg.solver.n_snapshots}")
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    field = 16 * few.grid.n_points
+    assert abs(peaks[1] - peaks[0]) < field, [p / field for p in peaks]
+    # and the memory guard charges the streamed task no stack either
+    assert harness._estimate_bytes(few) == harness._estimate_bytes(many)
+
+
 def test_memory_guard_refuses(tmp_path):
     cfg = parse_config(evolve_config(
         tmp_path,
@@ -266,3 +364,8 @@ def test_cli_partition_and_morawetz(tmp_path):
     assert rows[0] == "t,interaction,localization"
     doc = json.load(open(tmp_path / "mor" / "morawetz.json"))
     assert "c_star" in doc
+    # the CLI streams the snapshots from the files; auditing the loaded
+    # trajectory writes the same two files
+    _write_morawetz_outputs(morawetz_audit(load_trajectory(traj_dir)), tmp_path / "loaded")
+    for name in ("morawetz.json", "interaction.csv"):
+        assert (tmp_path / "mor" / name).read_bytes() == (tmp_path / "loaded" / name).read_bytes()

@@ -8,6 +8,7 @@ import pytest
 from roughnls import (
     ConfigError,
     GridSpec,
+    MorawetzAccumulator,
     SolverConfig,
     SpectralField,
     Trajectory,
@@ -473,3 +474,25 @@ def test_audit_keeps_only_half_spectrum_kernel_tables():
         tracemalloc.stop()
     tables = sum(t.nbytes for t in _kernel_tables_hat(grid))
     assert retained < tables + 3 * 16 * grid.n_points, retained / grid.n_points
+
+
+@pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
+def test_streamed_audit_equals_stored_audit(dim, points):
+    # The snapshots a solve streams into the accumulator are made in its work
+    # buffers, not in stack slots; the report must not move by a bit.
+    g = GridSpec(dim, points, np.pi)
+    w0 = gaussian(g, 0.5, 1.5, wave=(1,) + (0,) * (dim - 1))
+    v0 = gaussian(g, 0.3, 2.0, wave=(0, 2) + (0,) * (dim - 2))
+    cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
+    stored = morawetz_audit(solve_w(w0, v0, cfg)[0])
+    audit = MorawetzAccumulator(g)
+    traj, _ = solve_w(w0, v0, cfg, audit.add)
+    streamed = audit.report()
+    assert traj is None
+    assert streamed.to_dict() == stored.to_dict()
+    for name in ("times", "interaction", "localization"):
+        assert np.array_equal(getattr(streamed, name), getattr(stored, name))
+    if dim == 4:
+        assert np.array_equal(streamed.gn_ratios, stored.gn_ratios)
+    else:
+        assert streamed.gn_ratios is None and stored.gn_ratios is None

@@ -221,6 +221,32 @@ def test_zero_forcing_is_the_full_equation():
     assert np.array_equal(bare.channels["w"], full.channels["u"])
 
 
+@pytest.mark.parametrize("forcing", ["rough", "zero", "none"])
+def test_sink_receives_the_stacked_snapshots(forcing):
+    # A sink gets every snapshot in time order, equal bit for bit to the
+    # stacks solve_w builds without one, and the series does not change.
+    g = GridSpec(3, 12, np.pi)
+    w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
+    v0 = {
+        "rough": rough_v0(g, n0=2.0, amp=0.2),
+        "zero": SpectralField(g, np.zeros(g.shape, dtype=complex), "physical"),
+        "none": None,
+    }[forcing]
+    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
+    stacked, series = solve_w(w0, v0, cfg)
+    got = []
+    traj, streamed = solve_w(w0, v0, cfg, lambda t, w, v: got.append((t, w.copy(), v if v is None else v.copy())))
+    assert traj is None
+    assert [t for t, _, _ in got] == list(stacked.times)
+    assert np.array_equal(np.stack([w for _, w, _ in got]), stacked.channels["w"])
+    if v0 is None:
+        assert all(v is None for _, _, v in got)
+    else:
+        assert np.array_equal(np.stack([v for _, _, v in got]), stacked.channels["v"])
+    for name in ("mass", "energy", "dmass_id", "denergy_id"):
+        assert np.array_equal(getattr(streamed, name), getattr(series, name))
+
+
 def _unfused_reference(w0, v0, cfg):
     """The split step with three transforms, in plain numpy: a separate inverse
     transform of v at the midpoint, the exp(-1j dt mu |u|^p) rotation and
@@ -330,7 +356,7 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
     solve_w(w0, v0, cfg)
     # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 sample
     # makes Lap v (1), its u being w0 + v0; the final snapshot and sample make
-    # w and v into their stack slots and Lap v (3), u again being w + v
+    # w and v for the snapshot and Lap v (3), u again being w + v
     assert len(calls) == 2 * n_steps + 6
     assert calls.count("fftn") == n_steps + 2
 

@@ -1,12 +1,17 @@
 """Snapshot container and the binary trajectory format."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from roughnls import (
+    ConfigError,
     GridSpec,
     SpectralField,
     Trajectory,
+    TrajectoryWriter,
     load_trajectory,
     read_snapshot,
     save_trajectory,
@@ -48,6 +53,80 @@ def test_snapshot_rejects_corrupt_magic(tmp_path):
         read_snapshot(path)
 
 
+def _old_snapshot_bytes(field, t, tag):
+    """The file the writer made before it wrote the array's own buffer."""
+    g = field.grid
+    header = struct.pack("<4sIIIddB", b"RNLS", 1, g.dim, g.points, g.half_width, float(t), tag)
+    data = np.ascontiguousarray(field.as_physical().values.astype("<c16"))
+    return header + data.tobytes()
+
+
+def test_snapshot_bytes_match_the_old_formula(tmp_path):
+    g = GridSpec(3, 16, np.pi)
+    rng = np.random.Generator(np.random.Philox(key=np.array([4, 2], dtype=np.uint64)))
+    vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    fields = {
+        "contiguous": SpectralField(g, vals, "physical"),
+        "transposed": SpectralField(g, vals.transpose(2, 0, 1), "physical"),
+        "real": SpectralField(g, vals.real.copy(), "physical"),
+        "frequency": SpectralField(g, vals, "frequency"),
+    }
+    for name, field in fields.items():
+        path = tmp_path / f"{name}.rnls"
+        write_snapshot(path, field, t=0.125, channel="w")
+        assert path.read_bytes() == _old_snapshot_bytes(field, 0.125, 2), name
+        back, _, _ = read_snapshot(path)
+        assert back.values.dtype == np.complex128
+        assert np.array_equal(back.values, field.as_physical().values), name
+
+    # writing a contiguous complex field copies nothing; reading allocates
+    # only the array it returns
+    path = tmp_path / "contiguous.rnls"
+    nbytes = 16 * g.n_points
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_snapshot(path, fields["contiguous"], t=0.125, channel="w")
+        wrote = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back, _, _ = read_snapshot(path)
+        read = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert wrote < nbytes / 4, wrote / nbytes
+    assert read < 1.25 * nbytes, read / nbytes
+
+
+def test_truncated_snapshot_data_rejected(tmp_path):
+    g = GridSpec(2, 8, 1.0)
+    path = tmp_path / "snap.rnls"
+    write_snapshot(path, SpectralField(g, np.ones(g.shape, dtype=complex)), t=0.0, channel="v")
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ConfigError, match="truncated snapshot data"):
+        read_snapshot(path)
+
+
+def test_writer_writes_the_manifest_last(tmp_path):
+    g = GridSpec(2, 8, 1.0)
+    traj = make_traj(g, n_times=3)
+    out = save_trajectory(traj, tmp_path / "traj")
+    writer = TrajectoryWriter(out, g, ("v", "w"), traj.meta)
+    assert not (out / "manifest.json").exists()  # an earlier run's manifest goes first
+    for k, t in enumerate(traj.times[:2]):
+        writer.add(t, {"v": traj.channels["v"][k], "w": traj.channels["w"][k]})
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(ConfigError, match="no manifest"):
+        load_trajectory(out)
+    with pytest.raises(ValueError):
+        writer.add(traj.times[2], {"w": traj.channels["w"][2]})
+    writer.add(traj.times[2], {"v": traj.channels["v"][2], "w": traj.channels["w"][2]})
+    assert writer.close() == out
+    back = load_trajectory(out)
+    for ch in ("v", "w"):
+        assert np.array_equal(back.channel(ch), traj.channel(ch))
+
+
 def test_trajectory_round_trip(tmp_path):
     g = GridSpec(2, 16, 2.0)
     traj = make_traj(g, n_times=4)
@@ -69,6 +148,19 @@ def test_channel_u_synthesized():
     snap = traj.snapshot("u", 1)
     assert snap.rep == "physical"
     assert np.allclose(snap.values, u[1])
+
+
+def test_snapshot_u_sums_one_snapshot(monkeypatch):
+    g = GridSpec(3, 8, 1.0)
+    traj = make_traj(g, n_times=4)
+    stack = traj.channel("u")
+
+    def no_stack(name):
+        raise AssertionError("snapshot('u', k) must not build the v + w stack")
+
+    monkeypatch.setattr(traj, "channel", no_stack)
+    for k in range(traj.n_snapshots):
+        assert np.array_equal(traj.snapshot("u", k).values, stack[k])
 
 
 def test_missing_channel_raises():

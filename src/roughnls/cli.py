@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from .errors import BlowupError, ConfigError, FitError, RepresentationError, ResourceLimitError
-from .harness import ExperimentConfig, parse_config, run
-from .morawetz import MorawetzAccumulator, MorawetzReport
+from .harness import ExperimentConfig, parse_config, read_config, run
+from .morawetz import MorawetzAccumulator
 from .partition import build_partition
 from .randomize import tail_fit
 from .trajectory import TrajectoryReader
@@ -77,15 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> ExperimentConfig:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+    raw = read_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:
@@ -120,13 +112,16 @@ def _expect_kind(config, kind: str) -> None:
 def _cmd_partition(args) -> int:
     config = _load_with_overrides(args)
     _expect_kind(config, "partition-report")
-    part = build_partition(config.partition, config.grid)
     out = Path(config.out_dir)
+    if config.n_samples > 0:
+        # run() builds the partition and writes its report into summary.json
+        run(config, workers=args.workers)
+        report = json.loads((out / "summary.json").read_text())["partition"]
+    else:
+        report = build_partition(config.partition, config.grid).report()
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "partition.json"
-    report_path.write_text(json.dumps(part.report(), indent=2, sort_keys=True))
-    if config.n_samples > 0:
-        run(config, workers=args.workers)
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"partition report: {report_path}")
     return 0
 
@@ -180,18 +175,6 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _write_morawetz_outputs(rep: MorawetzReport, out: Path) -> tuple[Path, Path]:
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "morawetz.json"
-    report_path.write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    csv_path = out / "interaction.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MorawetzReport.CSV_HEADER)
-        writer.writerows(rep.csv_rows())
-    return report_path, csv_path
-
-
 def _cmd_morawetz(args) -> int:
     # one snapshot pair in memory at a time, read from the files in time order
     reader = TrajectoryReader(args.traj)
@@ -200,7 +183,7 @@ def _cmd_morawetz(args) -> int:
         audit.add(t, snap["w"], snap["v"])
     rep = audit.report()
     out = Path(args.out) if args.out is not None else Path(args.traj)
-    report_path, csv_path = _write_morawetz_outputs(rep, out)
+    report_path, csv_path = rep.write(out)
     print(f"c_star = {rep.c_star:.6g} (lhs {rep.lhs:.6g}, rhs {rep.rhs:.6g})")
     print(f"report: {report_path}")
     print(f"per-snapshot functional: {csv_path}")

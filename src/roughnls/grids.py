@@ -1,4 +1,4 @@
-"""Periodic grids, spectral fields, Fourier multipliers, and dyadic frequency projectors.
+"""Periodic grids, spectral fields, Fourier multipliers, and Littlewood-Paley symbols.
 
 Conventions (fixed once, used everywhere):
 
@@ -33,7 +33,6 @@ __all__ = [
     "to_physical",
     "fractional_derivative",
     "derivative_symbol",
-    "littlewood_paley",
     "free_propagate",
     "free_multiplier",
     "free_flow_into",
@@ -298,11 +297,6 @@ def lp_symbol(grid: GridSpec, n: float, variant: str) -> np.ndarray:
     if variant == "high":
         return 1.0 - _phi(r / n)
     raise ValueError(f"variant must be 'low', 'band' or 'high', got {variant!r}")
-
-
-def littlewood_paley(field: SpectralField, n: float, variant: str = "band") -> SpectralField:
-    """Dyadic frequency projector P_N / P_{<=N} / P_{>=N} acting on one field."""
-    return _apply_multiplier(field, lp_symbol(field.grid, float(n), variant))
 
 
 def free_propagate(field: SpectralField, t: float) -> SpectralField:

@@ -64,6 +64,7 @@ __all__ = [
     "ResultRecord",
     "config_hash",
     "parse_config",
+    "read_config",
     "load_config",
     "run",
     "sweep",
@@ -403,7 +404,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_config(path: str | Path) -> dict:
+    """The top-level JSON object of a config file, not yet validated."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {p} does not exist")
@@ -412,7 +414,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     _require(isinstance(data, dict), f"{p}: top level must be an object")
-    return parse_config(data)
+    return data
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 def _set_axis(raw: dict, axis: str, value) -> None:
@@ -739,13 +745,7 @@ def _task_morawetz(config, part: FrequencyPartition, task_seed: int, run_dir: Pa
         metrics["gn_median"] = float(np.median(ratios))
     artifacts = []
     if config.save_fields:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "morawetz.json").write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-        with open(run_dir / "interaction.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rep.CSV_HEADER)
-            writer.writerows(rep.csv_rows())
-        artifacts = [str(run_dir.name) + "/morawetz.json", str(run_dir.name) + "/interaction.csv"]
+        artifacts = [f"{run_dir.name}/{path.name}" for path in rep.write(run_dir)]
     return metrics, artifacts
 
 

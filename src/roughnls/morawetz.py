@@ -48,9 +48,12 @@ derivative of the momentum density, which never enters the reported bounds.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -321,6 +324,18 @@ class MorawetzReport:
             "c_star": self.c_star,
             "min_localization": float(self.localization.min()),
         }
+
+    def write(self, out: Path) -> tuple[Path, Path]:
+        """Write morawetz.json (to_dict) and interaction.csv (csv_rows) into out; returns both paths."""
+        out.mkdir(parents=True, exist_ok=True)
+        report_path = out / "morawetz.json"
+        report_path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        csv_path = out / "interaction.csv"
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.CSV_HEADER)
+            writer.writerows(self.csv_rows())
+        return report_path, csv_path
 
 
 class MorawetzAccumulator:

@@ -15,20 +15,25 @@ piece. Renormalizing by the pointwise sum makes the family an exact partition
 of unity at every lattice point; a bookkeeping residual cutoff absorbs the
 region beyond coverage.
 
-Storage is per shell, not per cube. The cubes of shell N >= 2 are the cells
-m in [-2P, 2P)^d outside the inner block [-P, P)^d, P = N^{a+1}/2, and each
-cube's cutoff is a product of 1D axis profiles. A shell therefore keeps one
-(4P x points) profile matrix and a boolean mask of its outer cells, and a
-weighted sum over its cubes is d tensor-matrix contractions. The 2^d core and
-N = 1 pieces are sampled as single cutoffs. The flat normalizer, the residual
-and the unity, square and overlap diagnostics are lattice arrays. A single
-cube's support and values are sampled on demand (`FrequencyPartition.cutoff`).
+Storage is per block of cutoffs, not per cube: every cutoff is a product of
+d 1D axis profiles. The 2^d core and N = 1 pieces form one block with two
+profile rows, the core interval [-1, 1] and the band {1 <= |t| <= 2}; its cell
+0 is the core and cell delta != 0 the piece prod_j K_{delta_j}. Each shell
+N >= 2 is one block: its cubes are the cells m in [-2P, 2P)^d outside the
+inner block [-P, P)^d, P = N^{a+1}/2, with one profile row per m. A block
+keeps its (rows x points) profile table and a boolean mask of its cells, so a
+weighted sum over its cutoffs (`FrequencyPartition.multiplier`) is d
+tensor-matrix contractions, and so are all its coefficients
+sum_xi psi_j(xi) h(xi) (`FrequencyPartition.coefficients`, the adjoint). The
+flat normalizer, the residual and the unity, square and overlap diagnostics
+are lattice arrays. A single cube's support and values are sampled on demand
+(`FrequencyPartition.cutoff`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
 import numpy as np
@@ -38,12 +43,10 @@ from .grids import GridSpec, SpectralField, lp_norm, smoothstep, to_physical
 
 __all__ = [
     "PartitionConfig",
-    "AxisSegment",
     "CubeCutoff",
     "ShellBlock",
     "FrequencyPartition",
     "build_partition",
-    "project_cube",
     "expected_count",
     "bernstein_exponent",
     "BernsteinFit",
@@ -116,101 +119,48 @@ def _profile(x, lo, hi, w):
 
 
 @dataclass(frozen=True)
-class AxisSegment:
-    """One axis factor of a cutoff: an interval [lo, hi] or a symmetric band
-    {lo <= |t| <= hi}, with ramp width w on each side."""
-
-    kind: str  # "interval" | "band"
-    lo: float
-    hi: float
-    w: float
-
-    def profile(self, t: np.ndarray) -> np.ndarray:
-        x = np.abs(t) if self.kind == "band" else t
-        return _profile(x, self.lo, self.hi, self.w)
-
-    def support_bounds(self) -> list[tuple[float, float]]:
-        lo, hi = self.lo - self.w, self.hi + self.w
-        if self.kind == "band":
-            return [(-hi, -lo), (lo, hi)]
-        return [(lo, hi)]
-
-
-@dataclass(frozen=True)
 class CubeCutoff:
-    """One member of the partition: geometry plus sampled lattice values."""
+    """One member of the partition, sampled: its lattice support and values."""
 
     index: int
     shell: int  # 0 core, -1 residual, else the dyadic shell N
-    axes: tuple[AxisSegment, ...]
     support: np.ndarray  # flat indices into the FFT-ordered lattice
     values: np.ndarray  # renormalized psi_j at those points
-
-    @property
-    def center(self) -> np.ndarray:
-        """Piece center; symmetric band axes report 0."""
-        return np.array(
-            [0.0 if ax.kind == "band" else 0.5 * (ax.lo + ax.hi) for ax in self.axes]
-        )
-
-    @property
-    def half_side(self) -> np.ndarray:
-        """Per-axis half-extent; band axes report the outer radius."""
-        return np.array(
-            [ax.hi if ax.kind == "band" else 0.5 * (ax.hi - ax.lo) for ax in self.axes]
-        )
 
 
 @dataclass(frozen=True)
 class ShellBlock:
-    """The cubes of one shell N >= 2 in separable form.
+    """Cutoffs start..stop-1 in separable form.
 
-    Row m + 2P of `profiles` is the profile of the interval [m*side, (m+1)*side]
-    (ramp width w) on the FFT-ordered lattice axis, for m in [-2P, 2P). The
-    shell's cubes are the True cells of `outer`, in C order, numbered from
-    `start`; cube (m_1, ..., m_d) has raw cutoff prod_i profiles[m_i + 2P, x_i].
+    The cutoffs are the True cells of `cells`, numbered in C order from
+    `start`; cell (m_1, ..., m_d) has raw cutoff prod_i profiles[m_i, x_i],
+    one profile row per axis on the FFT-ordered lattice axis.
     """
 
-    shell: int
     start: int
-    stop: int  # one past the index of the last cube
-    side: float
-    w: float
-    profiles: np.ndarray  # (4P, points)
-    outer: np.ndarray  # bool, (4P,)*d, False on the inner block
-
-    def cube_axes(self, k: int) -> tuple[AxisSegment, ...]:
-        """Axis segments of the shell's k-th cube."""
-        cell = np.unravel_index(np.flatnonzero(self.outer)[k], self.outer.shape)
-        half = self.outer.shape[0] // 2
-        return tuple(
-            AxisSegment("interval", m * self.side, (m + 1) * self.side, self.w)
-            for m in (c - half for c in cell)
-        )
+    stop: int  # one past the index of the last cutoff
+    profiles: np.ndarray  # (rows, points)
+    cells: np.ndarray  # bool, (rows,)*d
 
     def supported(self) -> np.ndarray:
-        """Indices (numbered from `start`) of the cubes with lattice support.
+        """Indices (numbered from `start`) of the cutoffs with lattice support.
 
-        A cube is empty exactly when one of its profile rows vanishes on the
+        A cutoff is empty exactly when one of its profile rows vanishes on the
         whole lattice axis, so this needs no sampling.
         """
         live = self.profiles.any(axis=1)
-        cells = reduce(np.logical_and.outer, [live] * self.outer.ndim)
-        return self.start + np.flatnonzero(cells[self.outer])
+        cells = reduce(np.logical_and.outer, [live] * self.cells.ndim)
+        return self.start + np.flatnonzero(cells[self.cells])
 
     def combine(self, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-        """sum_k coeffs[k] prod_i profiles[m_i(k), x_i] on the whole lattice (grid shape).
+        """sum_k coeffs[k] prod_i profiles[m_i(k), x_i] on the whole lattice (grid shape)."""
+        cells = np.zeros(self.cells.shape, dtype=coeffs.dtype)
+        cells[self.cells] = coeffs
+        return _contract_axes(cells, profiles)
 
-        A complex coefficient vector is carried as a trailing (real, imag)
-        axis, so the contractions stay real.
-        """
-        cplx = np.iscomplexobj(coeffs)
-        cells = np.zeros(self.outer.shape + ((2,) if cplx else ()))
-        cells[self.outer] = np.stack([coeffs.real, coeffs.imag], axis=-1) if cplx else coeffs
-        for _ in range(self.outer.ndim):
-            # contract the leading cell axis; the lattice axes collect at the end
-            cells = _contract_leading(cells, profiles)
-        return cells[0] + 1j * cells[1] if cplx else cells
+    def contract(self, h: np.ndarray) -> np.ndarray:
+        """sum_x h[x] prod_i profiles[m_i(k), x_i] for each cutoff k: the adjoint of combine."""
+        return _contract_axes(h, self.profiles.T)[self.cells]
 
 
 # multiply-adds per matrix product in _contract_leading: OpenBLAS runs products
@@ -237,6 +187,20 @@ def _contract_leading(cells: np.ndarray, profiles: np.ndarray) -> np.ndarray:
     return out.reshape(cells.shape[1:] + (m,))
 
 
+def _contract_axes(cells: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """sum_a cells[a_1, ..., a_d] prod_i profiles[a_i, m_i], every axis contracted.
+
+    A complex array is carried as a trailing (real, imag) axis, so the
+    contractions stay real.
+    """
+    cplx = np.iscomplexobj(cells)
+    out = np.stack([cells.real, cells.imag], axis=-1) if cplx else cells
+    for _ in range(cells.ndim):
+        # contract the leading axis; the contracted axes collect at the end
+        out = _contract_leading(out, profiles)
+    return out[0] + 1j * out[1] if cplx else out
+
+
 def _identity(v: np.ndarray) -> np.ndarray:
     return v
 
@@ -245,17 +209,15 @@ def _positive(v: np.ndarray) -> np.ndarray:
     return (v > 0).astype(np.float64)
 
 
-def _raw_sum(grid: GridSpec, pieces, shells, coeffs: np.ndarray, factor=_identity) -> np.ndarray:
+def _raw_sum(grid: GridSpec, blocks, coeffs: np.ndarray, factor=_identity) -> np.ndarray:
     """Flat sum_j c_j factor(raw_j) over every cutoff but the residual, before renormalization.
 
-    `factor` acts on sampled values and axis profiles alike, which is exact
-    for multiplicative maps: np.square gives sum c_j raw_j^2 and `_positive`
-    the support indicator.
+    `factor` acts on the axis profiles, which is exact for multiplicative
+    maps: np.square gives sum c_j raw_j^2 and `_positive` the support
+    indicator.
     """
     out = np.zeros(grid.n_points, dtype=np.result_type(coeffs, np.float64))
-    for piece, c in zip(pieces, coeffs):
-        out[piece.support] += c * factor(piece.values)  # support indices are unique
-    for block in shells:
+    for block in blocks:
         out += block.combine(coeffs[block.start : block.stop], factor(block.profiles)).reshape(-1)
     return out
 
@@ -264,9 +226,8 @@ def _raw_sum(grid: GridSpec, pieces, shells, coeffs: np.ndarray, factor=_identit
 class FrequencyPartition:
     config: PartitionConfig
     grid: GridSpec
-    # the core and N = 1 pieces, with values before renormalization
-    pieces: list[CubeCutoff] = dc_field(repr=False)
-    shells: list[ShellBlock] = dc_field(repr=False)  # one per shell N >= 2
+    # the core and N = 1 pieces, then one block per shell N >= 2
+    blocks: list[ShellBlock] = dc_field(repr=False)
     shell_members: dict[int, range]  # shell label -> cutoff indices
     kappa: int  # measured max overlap of cutoff supports
     normalizer: np.ndarray = dc_field(repr=False)  # t = max(sum_j raw_j, 1), flat
@@ -283,31 +244,44 @@ class FrequencyPartition:
 
     def multiplier(self, coeffs: np.ndarray) -> np.ndarray:
         """Flat sum_j c_j psi_j over all n_cutoffs cutoffs, the residual (last) included."""
-        raw = _raw_sum(self.grid, self.pieces, self.shells, coeffs[:-1])
+        raw = _raw_sum(self.grid, self.blocks, coeffs[:-1])
         return raw / self.normalizer + coeffs[-1] * self.residual
 
+    def coefficients(self, h: np.ndarray) -> np.ndarray:
+        """c_j = sum_xi psi_j(xi) h(xi) for every cutoff, the residual (last) included.
+
+        The adjoint of `multiplier`: sum(multiplier(c) * h) = sum(c * coefficients(h)).
+        """
+        h = np.reshape(h, -1)
+        g = (h / self.normalizer).reshape(self.grid.shape)
+        return np.concatenate([block.contract(g) for block in self.blocks] + [[np.sum(self.residual * h)]])
+
     def cutoff(self, j: int) -> CubeCutoff:
-        """The j-th cutoff psi_j, sampled on demand."""
+        """The j-th cutoff psi_j, sampled on demand.
+
+        Along each axis the support runs in increasing frequency, the order in
+        which `bernstein_exponent` lays its probe moduli down.
+        """
         if not 0 <= j < self.n_cutoffs:
             raise IndexError(f"cube index {j} out of range 0..{self.n_cutoffs - 1}")
-        if j == self.n_cutoffs - 1:
+        shell = next(n for n, members in self.shell_members.items() if j in members)
+        if shell == RESIDUAL_SHELL:
             sup = np.flatnonzero(self.residual > 0)
-            return CubeCutoff(j, RESIDUAL_SHELL, (), sup, self.residual[sup])
-        if j < len(self.pieces):
-            piece = self.pieces[j]
-            return replace(piece, values=piece.values / self.normalizer[piece.support])
-        block = next(b for b in self.shells if j < b.stop)
-        axes = block.cube_axes(j - block.start)
-        sup, vals = _sample_cutoff(self.grid, axes)
-        return CubeCutoff(j, block.shell, axes, sup, vals / self.normalizer[sup])
+            return CubeCutoff(j, shell, sup, self.residual[sup])
+        block = next(b for b in self.blocks if j < b.stop)
+        cell = np.unravel_index(np.flatnonzero(block.cells)[j - block.start], block.cells.shape)
+        order = np.argsort(self.grid.xi_axis(), kind="stable")
+        rows = [block.profiles[m, order] for m in cell]
+        idx = np.meshgrid(*[order[row > 0] for row in rows], indexing="ij")
+        sup = np.ravel_multi_index(tuple(i.reshape(-1) for i in idx), self.grid.shape)
+        vals = reduce(np.multiply.outer, [row[row > 0] for row in rows]).reshape(-1)
+        return CubeCutoff(j, shell, sup, vals / self.normalizer[sup])
 
     def supported_members(self, shell: int) -> list[int]:
-        """The shell's cutoff indices with nonempty lattice support, in index order."""
-        block = next((b for b in self.shells if b.shell == shell), None)
-        if block is not None:
-            return block.supported().tolist()
-        members = self.shell_members.get(shell, ())
-        return [j for j in members if self.cutoff(j).support.size > 0]
+        """The cutoff indices of the core or of shell N with nonempty lattice support, in index order."""
+        members = self.shell_members.get(shell, range(0))
+        blocks = [b for b in self.blocks if b.start < members.stop and members.start < b.stop]
+        return [j for b in blocks for j in b.supported().tolist() if j in members]
 
     def coverage_mask(self) -> np.ndarray:
         """Flat boolean mask of lattice points with |xi|_inf <= 2*N_max."""
@@ -335,9 +309,6 @@ class FrequencyPartition:
         if total == 0:
             raise ValueError("orthogonality ratio of the zero field is undefined")
         return float((power * self.sq_sum).sum() / total)
-
-    def project(self, field: SpectralField, j: int) -> SpectralField:
-        return project_cube(self, field, j)
 
     def report(self) -> dict:
         cov_dev, full_dev = self.unity_deviation()
@@ -369,63 +340,26 @@ class FrequencyPartition:
         }
 
 
-def _axis_slices(xs_sorted: np.ndarray, order: np.ndarray, seg: AxisSegment):
-    """Lattice points of one axis inside the segment's support.
+def _core_block(config: PartitionConfig, grid: GridSpec) -> ShellBlock:
+    """The core and the N = 1 pieces as one block of 2^d cutoffs.
 
-    Returns (original indices, profile values); empty arrays if none.
+    Row 0 is the core interval [-1, 1] (ramp 2*frac), row 1 the band
+    {1 <= |t| <= 2} (ramp frac). Cell 0 is the core O_1 = [-1,1]^d, and
+    cell delta != 0 the N = 1 product piece prod_i K_{delta_i}.
     """
-    pos: list[np.ndarray] = []
-    for lo, hi in seg.support_bounds():
-        i0 = np.searchsorted(xs_sorted, lo, side="left")
-        i1 = np.searchsorted(xs_sorted, hi, side="right")
-        if i1 > i0:
-            pos.append(np.arange(i0, i1))
-    if not pos:
-        e = np.empty(0, dtype=np.int64)
-        return e, np.empty(0)
-    p = np.concatenate(pos)
-    idx = order[p]
-    vals = seg.profile(xs_sorted[p])
-    keep = vals > 0
-    return idx[keep], vals[keep]
-
-
-def _sample_cutoff(grid: GridSpec, axes: tuple[AxisSegment, ...]):
-    """Tensor-product sampling of a cutoff on the lattice; flat support + values."""
     xi = grid.xi_axis()
-    order = np.argsort(xi, kind="stable")
-    xs_sorted = xi[order]
-    per_axis = [_axis_slices(xs_sorted, order, seg) for seg in axes]
-    if any(ix.size == 0 for ix, _ in per_axis):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    idx_arrays = [ix for ix, _ in per_axis]
-    val_arrays = [v for _, v in per_axis]
-    mesh = np.meshgrid(*idx_arrays, indexing="ij")
-    flat = np.ravel_multi_index(tuple(m.reshape(-1) for m in mesh), grid.shape)
-    vals = reduce(np.multiply.outer, val_arrays).reshape(-1)
-    keep = vals > 0
-    return flat[keep], vals[keep]
-
-
-def _shell_one_axes(dim: int, frac: float) -> list[tuple[AxisSegment, ...]]:
-    """Product-partition pieces of {1 < |xi|_inf <= 2}: delta in {0,1}^d \\ {0}."""
-    pieces = []
-    for bits in range(1, 2**dim):
-        segs = []
-        for j in range(dim):
-            if (bits >> (dim - 1 - j)) & 1:
-                segs.append(AxisSegment("band", 1.0, 2.0, frac * 1.0))
-            else:
-                segs.append(AxisSegment("interval", -1.0, 1.0, frac * 2.0))
-        pieces.append(tuple(segs))
-    return pieces
+    frac = config.mollify_fraction
+    profiles = np.stack([_profile(xi, -1.0, 1.0, frac * 2.0), _profile(np.abs(xi), 1.0, 2.0, frac)])
+    return ShellBlock(0, 2**config.dim, profiles, np.ones((2,) * config.dim, dtype=bool))
 
 
 def _shell_block(config: PartitionConfig, grid: GridSpec, n: int, start: int) -> ShellBlock:
     """Separable form of shell N >= 2, its cubes numbered from `start`.
 
     Cells [m*l, (m+1)*l)^d with l = 2*N^-a tile {N < |xi|_inf <= 2N} exactly:
-    m ranges over [-2P, 2P-1]^d minus [-P, P-1]^d, P = N^{a+1}/2.
+    m ranges over [-2P, 2P-1]^d minus [-P, P-1]^d, P = N^{a+1}/2. Row m + 2P
+    of the profile table is the profile of [m*l, (m+1)*l] with ramp
+    mollify_fraction * l.
     """
     p = n ** (config.a + 1) // 2
     side = 2.0 * n**-config.a
@@ -435,8 +369,7 @@ def _shell_block(config: PartitionConfig, grid: GridSpec, n: int, start: int) ->
     inner = np.zeros(4 * p, dtype=bool)
     inner[p : 3 * p] = True
     outer = ~reduce(np.logical_and.outer, [inner] * config.dim)
-    stop = start + expected_count(config.dim, config.a, n)
-    return ShellBlock(n, start, stop, side, w, profiles, outer)
+    return ShellBlock(start, start + expected_count(config.dim, config.a, n), profiles, outer)
 
 
 def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartition:
@@ -461,50 +394,32 @@ def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartiti
                 f"spacing {grid.dxi:g} and allow_subcell is off"
             )
 
-    frac = config.mollify_fraction
-    core_axes = tuple(AxisSegment("interval", -1.0, 1.0, frac * 2.0) for _ in range(config.dim))
-    pieces = [CubeCutoff(0, CORE_SHELL, core_axes, *_sample_cutoff(grid, core_axes))]
-    for axes in _shell_one_axes(config.dim, frac):
-        pieces.append(CubeCutoff(len(pieces), 1, axes, *_sample_cutoff(grid, axes)))
-    shell_members = {CORE_SHELL: range(0, 1), 1: range(1, len(pieces))}
-    shells = []
-    start = len(pieces)
+    blocks = [_core_block(config, grid)]
+    shell_members = {CORE_SHELL: range(0, 1), 1: range(1, blocks[0].stop)}
     for n in config.shells[1:]:
-        shells.append(_shell_block(config, grid, n, start))
-        shell_members[n] = range(start, shells[-1].stop)
-        start = shells[-1].stop
+        blocks.append(_shell_block(config, grid, n, blocks[-1].stop))
+        shell_members[n] = range(blocks[-1].start, blocks[-1].stop)
     shell_members[RESIDUAL_SHELL] = range(total, total + 1)
 
     # Renormalize by the pointwise sum so the family sums to one exactly on the
     # covered lattice; the residual cutoff absorbs everything outside.
     ones = np.ones(total + 1)
-    s = _raw_sum(grid, pieces, shells, ones[:-1])
+    s = _raw_sum(grid, blocks, ones[:-1])
     t = np.maximum(s, 1.0)
     res = 1.0 - s / t
-    counts = _raw_sum(grid, pieces, shells, ones[:-1], _positive) + (res > 0)
+    counts = _raw_sum(grid, blocks, ones[:-1], _positive) + (res > 0)
     part = FrequencyPartition(
         config=config,
         grid=grid,
-        pieces=pieces,
-        shells=shells,
+        blocks=blocks,
         shell_members=shell_members,
         kappa=int(counts.max()),
         normalizer=t,
         residual=res,
-        sq_sum=_raw_sum(grid, pieces, shells, ones[:-1], np.square) / t**2 + res**2,
+        sq_sum=_raw_sum(grid, blocks, ones[:-1], np.square) / t**2 + res**2,
     )
     part.unity_sum = part.multiplier(ones)
     return part
-
-
-def project_cube(partition: FrequencyPartition, field: SpectralField, j: int) -> SpectralField:
-    """box_j f: multiply fhat by the j-th cutoff. Output keeps the input representation."""
-    cut = partition.cutoff(j)
-    fhat = field.as_frequency()
-    out = np.zeros_like(fhat.values).reshape(-1)
-    out[cut.support] = cut.values * fhat.values.reshape(-1)[cut.support]
-    res = SpectralField(field.grid, out.reshape(field.grid.shape), "frequency")
-    return to_physical(res) if field.rep == "physical" else res
 
 
 @dataclass(frozen=True)
@@ -513,10 +428,6 @@ class BernsteinFit:
     expected: float
     shells: tuple[int, ...]
     ratios: tuple[float, ...]  # median ||box f||_q / ||box f||_p per shell
-
-    @property
-    def error(self) -> float:
-        return abs(self.slope - self.expected)
 
 
 def bernstein_exponent(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -126,15 +127,17 @@ def moment_estimate(
     """Moment of the scalar chaos F(omega) = f^omega(x0) at a lattice point.
 
     The chaos coefficients are c_j = (box_j f)(x0); x0 defaults to the lattice
-    argmax of |f|.
+    argmax of |f|. The inverse transform at x0 is (2L)^-d sum_xi ghat(xi)
+    e^{i x0.xi}, so all of them come from one adjoint contraction,
+    c = partition.coefficients(fhat e^{i x0.xi} / (2L)^d).
     """
-    phys = f.as_physical()
+    grid = f.grid
     if point is None:
-        point = np.unravel_index(int(np.argmax(np.abs(phys.values))), f.grid.shape)
-    coeffs = np.array(
-        [partition.project(f, j).as_physical().values[tuple(point)] for j in range(partition.n_cutoffs)]
-    )
-    return chaos_moment(coeffs, p, n_samples, seed)
+        point = np.unravel_index(int(np.argmax(np.abs(f.as_physical().values))), grid.shape)
+    x, xi = grid.x_axis(), grid.xi_axis()
+    phase = reduce(np.multiply.outer, [np.exp(1j * x[i] * xi) for i in point])
+    h = f.as_frequency().values * phase / (2.0 * grid.half_width) ** grid.dim
+    return chaos_moment(partition.coefficients(h), p, n_samples, seed)
 
 
 @dataclass(frozen=True)

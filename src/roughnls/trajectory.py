@@ -198,12 +198,18 @@ class TrajectoryReader:
         manifest_path = self.root / _MANIFEST
         if not manifest_path.exists():
             raise ConfigError(f"{self.root}: not a trajectory directory (no manifest.json)")
-        manifest = json.loads(manifest_path.read_text())
-        gs = manifest["grid"]
-        self.grid = GridSpec(gs["dim"], gs["points"], gs["half_width"])
-        self.times = np.asarray(manifest["times"], dtype=float)
-        self.files: dict[str, list[str]] = manifest["channels"]
-        self.meta: dict = manifest.get("meta", {})
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            gs = manifest["grid"]
+            self.grid = GridSpec(gs["dim"], gs["points"], gs["half_width"])
+            self.times = np.asarray(manifest["times"], dtype=float)
+            self.files: dict[str, list[str]] = manifest["channels"]
+            self.meta: dict = manifest.get("meta", {})
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"{manifest_path}: not a valid trajectory manifest ({exc!r})") from exc
+        missing = [f for files in self.files.values() for f in files if not (self.root / f).is_file()]
+        if missing:
+            raise ConfigError(f"{self.root}: manifest names missing snapshot files {missing[:3]}")
 
     def read(self, name: str, k: int) -> np.ndarray:
         """Physical values of snapshot k of a channel, checked against the manifest."""

@@ -11,6 +11,8 @@ from roughnls import (
     BlowupError,
     ConfigError,
     GridSpec,
+    Trajectory,
+    build_partition,
     RepresentationError,
     ResourceLimitError,
     ResultRecord,
@@ -25,7 +27,7 @@ from roughnls import (
     summarize,
 )
 from roughnls import harness, solver
-from roughnls.cli import _write_morawetz_outputs, main as cli_main
+from roughnls.cli import main as cli_main
 from roughnls.harness import InitialSpec, _set_axis
 
 GRID = {"dim": 3, "points": 12, "half_width": float(np.pi)}
@@ -339,6 +341,27 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     monkeypatch.setattr("roughnls.harness.solve_w", drifting)
     assert cli_main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "out4")]) == 5
 
+    def blowing_up(*args):
+        raise BlowupError(t=0.05, amplitude=1.0, threshold=0.5)
+
+    monkeypatch.setattr("roughnls.harness.solve_w", blowing_up)
+    assert cli_main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "out5")]) == 3
+
+    # a trajectory directory whose manifest is unreadable or names a missing file
+    traj = tmp_path / "traj"
+    shape = (2, 4, 4, 4)
+    save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), traj)
+    assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 0
+    manifest = json.loads((traj / "manifest.json").read_text())
+    (traj / manifest["channels"]["w"][1]).unlink()
+    assert cli_main(["morawetz", "--traj", str(traj)]) == 2
+    (traj / "manifest.json").write_text("{not json")
+    assert cli_main(["morawetz", "--traj", str(traj)]) == 2
+    del manifest["times"]
+    (traj / "manifest.json").write_text(json.dumps(manifest))
+    assert cli_main(["morawetz", "--traj", str(traj)]) == 2
+
 
 def test_cli_partition_and_morawetz(tmp_path):
     part_cfg = {
@@ -366,6 +389,34 @@ def test_cli_partition_and_morawetz(tmp_path):
     assert "c_star" in doc
     # the CLI streams the snapshots from the files; auditing the loaded
     # trajectory writes the same two files
-    _write_morawetz_outputs(morawetz_audit(load_trajectory(traj_dir)), tmp_path / "loaded")
+    morawetz_audit(load_trajectory(traj_dir)).write(tmp_path / "loaded")
     for name in ("morawetz.json", "interaction.csv"):
         assert (tmp_path / "mor" / name).read_bytes() == (tmp_path / "loaded" / name).read_bytes()
+
+
+def test_cli_partition_builds_once(tmp_path, monkeypatch):
+    # with samples, partition.json comes from run()'s own build, byte for byte
+    # the report of a fresh build
+    part_cfg = {
+        "kind": "partition-report",
+        "out_dir": str(tmp_path / "part"),
+        "n_samples": 2,
+        "grid": dict(GRID),
+        "partition": dict(PART),
+    }
+    p = tmp_path / "part.json"
+    p.write_text(json.dumps(part_cfg))
+    expected = json.dumps(build_partition(parse_config(part_cfg).partition, GridSpec(**GRID)).report(),
+                          indent=2, sort_keys=True)
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return build_partition(*args)
+
+    monkeypatch.setattr("roughnls.cli.build_partition", counting)
+    monkeypatch.setattr("roughnls.harness.build_partition", counting)
+    assert cli_main(["partition", "--config", str(p)]) == 0
+    assert len(builds) == 1
+    assert (tmp_path / "part" / "partition.json").read_text() == expected
+    assert len((tmp_path / "part" / "records.jsonl").read_text().splitlines()) == 2

@@ -1,6 +1,8 @@
 """Unit-cube frequency partition: counts, unity, orthogonality, Bernstein."""
 
+import itertools
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from roughnls import (
     cube_gaussian,
     expected_count,
 )
+from roughnls.grids import smoothstep
 
 
 def noise_field(grid, seed=0):
@@ -90,9 +93,28 @@ def test_projection_reconstructs_on_coverage():
     fhat = f.as_frequency().values
     total = np.zeros_like(fhat)
     for j in range(part.n_cutoffs):
-        total = total + part.project(f, j).as_frequency().values
+        cut = part.cutoff(j)
+        total[cut.support] += cut.values * fhat[cut.support]
     mask = part.coverage_mask()
     assert np.max(np.abs(total[mask] - fhat[mask])) < 1e-9 * np.abs(fhat).max()
+
+
+@pytest.mark.parametrize("dim,points", [(1, 64), (2, 24), (3, 12), (4, 10)])
+def test_coefficients_are_the_adjoint_of_multiplier(dim, points):
+    # <multiplier(c), h> = <c, coefficients(h)> for complex c and h: the cube
+    # coefficients are the transpose of the weighted sum, residual included.
+    g = GridSpec(dim, points, np.pi)
+    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2), g)
+    rng = np.random.default_rng(dim)
+    c = rng.normal(size=part.n_cutoffs) + 1j * rng.normal(size=part.n_cutoffs)
+    h = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
+    lhs = np.vdot(part.multiplier(c), h)
+    rhs = np.vdot(c, part.coefficients(h))
+    assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+    # a real h gives real coefficients, the residual's last
+    real = part.coefficients(h.real)
+    assert real.dtype == np.float64 and real.size == part.n_cutoffs
+    assert real[-1] == pytest.approx(np.sum(part.residual * h.real), rel=1e-12, abs=1e-12)
 
 
 def test_report_keys():
@@ -132,15 +154,56 @@ SEPARABLE_CASES = [
 ]
 
 
+def ramp(x, lo, hi, w):
+    """The documented axis profile: 1 on [lo, hi], smoothstep ramps of width w, 0 beyond."""
+    return np.where(x < lo, smoothstep((x - (lo - w)) / w),
+                    np.where(x > hi, smoothstep(((hi + w) - x) / w), 1.0))
+
+
+def geometric_cutoffs(grid, cfg):
+    """(shell, axis profiles) of every cube in index order, from the documented geometry.
+
+    The core [-1, 1]^d (ramp 2*frac); the N = 1 pieces prod_i K_{delta_i},
+    delta != 0 in C order, with K_0 = [-1, 1] and K_1 = {1 <= |t| <= 2} (ramp
+    frac); then per shell N >= 2 the cells [m*side, (m+1)*side] (ramp
+    frac*side) with m in [-2P, 2P)^d outside [-P, P)^d, in C order.
+    """
+    xi = grid.xi_axis()
+    frac, dim = cfg.mollify_fraction, cfg.dim
+    k = {0: ramp(xi, -1.0, 1.0, 2.0 * frac), 1: ramp(np.abs(xi), 1.0, 2.0, frac)}
+    for delta in itertools.product((0, 1), repeat=dim):
+        yield (1 if any(delta) else 0), [k[b] for b in delta]
+    for n in cfg.shells[1:]:
+        p, side = n ** (cfg.a + 1) // 2, 2.0 * n**-cfg.a
+        rows = {m: ramp(xi, m * side, (m + 1) * side, frac * side) for m in range(-2 * p, 2 * p)}
+        for cell in itertools.product(range(-2 * p, 2 * p), repeat=dim):
+            if not all(-p <= m < p for m in cell):
+                yield n, [rows[m] for m in cell]
+
+
 @pytest.mark.parametrize("dim,a", SEPARABLE_CASES)
 def test_separable_sums_match_cube_by_cube(dim, a):
-    # The per-shell contractions against sums over single cutoffs built on
-    # demand; only the summation order differs, so 1e-14 is ample. At a >= 2
-    # the cubes are narrower than the lattice spacing and some are empty.
+    # The per-block contractions against sums over single cutoffs built here
+    # from the geometry; only the summation order differs, so 1e-14 is ample.
+    # At a >= 2 the cubes are narrower than the lattice spacing and some are
+    # empty.
     points = {1: 64, 2: 24, 3: 12, 4: 12}[dim]
     g = GridSpec(dim, points, np.pi)
     cfg = PartitionConfig(dim=dim, a=a, n_max=2)
     part = build_partition(cfg, g)
+    cubes = []
+    raw_sum = np.zeros(g.n_points)
+    for shell, profiles in geometric_cutoffs(g, cfg):
+        idx = [np.flatnonzero(prof) for prof in profiles]
+        sup = np.ravel_multi_index([m.reshape(-1) for m in np.meshgrid(*idx, indexing="ij")], g.shape)
+        raw = reduce(np.multiply.outer, [prof[i] for prof, i in zip(profiles, idx)]).reshape(-1)
+        raw_sum[sup] += raw
+        cubes.append((shell, sup, raw))
+    t = np.maximum(raw_sum, 1.0)
+    res = 1.0 - raw_sum / t
+    cubes.append((-1, np.flatnonzero(res > 0), res[res > 0]))
+    assert len(cubes) == part.n_cutoffs
+
     coeffs = np.array([cube_gaussian(5, j)[0] for j in range(part.n_cutoffs)])
     unity = np.zeros(g.n_points)
     sq = np.zeros(g.n_points)
@@ -148,21 +211,29 @@ def test_separable_sums_match_cube_by_cube(dim, a):
     counts = np.zeros(g.n_points, dtype=np.int64)
     per_shell = Counter()
     supported = {n: [] for n in cfg.shells}
-    for j, c in enumerate(coeffs):
-        cut = part.cutoff(j)
-        if cut.support.size and cut.shell in supported:
-            supported[cut.shell].append(j)
-        unity[cut.support] += cut.values
-        sq[cut.support] += cut.values**2
-        mult[cut.support] += c * cut.values
-        counts[cut.support] += 1
-        per_shell[cut.shell] += 1
+    for j, (c, (shell, sup, raw)) in enumerate(zip(coeffs, cubes)):
+        vals = raw if shell == -1 else raw / t[sup]
+        if sup.size and shell in supported:
+            supported[shell].append(j)
+        unity[sup] += vals
+        sq[sup] += vals**2
+        mult[sup] += c * vals
+        counts[sup] += 1
+        per_shell[shell] += 1
     assert np.max(np.abs(part.unity_sum - unity)) < 1e-14
     assert np.max(np.abs(part.sq_sum - sq)) < 1e-14
     assert np.max(np.abs(part.multiplier(coeffs) - mult)) < 1e-14
     assert part.kappa == counts.max()
     for n in cfg.shells:
         assert per_shell[n] == part.shell_count(n) == expected_count(dim, a, n)
-        # usability from the profile rows matches the sampled supports
+        # usability from the profile rows matches the geometric supports
         assert part.supported_members(n) == supported[n]
     assert per_shell[0] == per_shell[-1] == 1
+    # cutoffs sampled on demand: the same points and values as the geometry
+    for j in list(range(2**dim + 1)) + list(range(2**dim + 1, part.n_cutoffs, 97)) + [part.n_cutoffs - 1]:
+        cut, (shell, sup, raw) = part.cutoff(j), cubes[j]
+        assert cut.shell == shell
+        order = np.argsort(sup)
+        assert np.array_equal(np.sort(cut.support), sup[order])
+        ref = raw if shell == -1 else raw / t[sup]
+        assert np.max(np.abs(cut.values[np.argsort(cut.support)] - ref[order]), initial=0.0) < 1e-14

@@ -16,6 +16,7 @@ from roughnls import (
     moment_estimate,
     tail_fit,
 )
+from roughnls import randomize
 
 
 def small_partition(dim=1, points=256, half_width=np.pi, n_max=2):
@@ -84,7 +85,13 @@ def test_draw_preserves_mean_l2():
     g, part = small_partition()
     f = noise_field(g, seed=8)
     sq = [draw(f, part, seed=s).field.l2_norm() ** 2 for s in range(60)]
-    target = sum(part.project(f, j).l2_norm() ** 2 for j in range(part.n_cutoffs))
+    fhat = f.as_frequency().values
+    target = 0.0
+    for j in range(part.n_cutoffs):
+        cut = part.cutoff(j)
+        box = np.zeros_like(fhat)
+        box[cut.support] = cut.values * fhat[cut.support]
+        target += SpectralField(g, box, "frequency").l2_norm() ** 2
     assert abs(np.mean(sq) / target - 1.0) < 0.25
 
 
@@ -134,3 +141,27 @@ def test_moment_estimate_single_cube():
     assert est.moment > 0.0
     assert est.coeff_norm > 0.0
     assert est.ratio == pytest.approx(est.moment / (2.0 * est.coeff_norm), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,points,point", [(1, 64, (37,)), (2, 32, (5, 20)), (3, 16, (3, 9, 14))])
+def test_moment_estimate_coefficients_are_the_cube_projections(dim, points, point, monkeypatch):
+    # c_j = (box_j f)(x0): one inverse transform per cube, read at x0
+    g = GridSpec(dim, points, 2.5)
+    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2), g)
+    f = noise_field(g, seed=dim)
+    seen = {}
+
+    def capture(coeffs, p, n_samples, seed=0):
+        seen["c"] = coeffs
+        return chaos_moment(coeffs, p, n_samples, seed)
+
+    monkeypatch.setattr(randomize, "chaos_moment", capture)
+    moment_estimate(f, part, p=4.0, n_samples=200, point=point)
+    fhat = f.as_frequency().values.reshape(-1)
+    ref = np.empty(part.n_cutoffs, dtype=complex)
+    for j in range(part.n_cutoffs):
+        cut = part.cutoff(j)
+        box = np.zeros(g.n_points, dtype=complex)
+        box[cut.support] = cut.values * fhat[cut.support]
+        ref[j] = SpectralField(g, box.reshape(g.shape), "frequency").as_physical().values[point]
+    assert np.max(np.abs(seen["c"] - ref)) < 1e-13 * np.max(np.abs(ref))

@@ -63,6 +63,74 @@ def test_draw_coefficients_are_the_per_cube_streams():
         assert np.array_equal(coeffs.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("seed", [0, 1004, 2**63 + 5])
+def test_lane_philox_is_numpys_stream(seed):
+    # the first two words of Philox(key=(seed, j)), one lane per cube
+    j = np.arange(100_001, dtype=np.uint64)
+    w0, w1 = randomize._philox_words(seed, j)
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    ref = np.empty((j.size, 2), dtype=np.uint64)
+    for k in range(j.size):
+        fresh["state"]["key"][1] = k
+        bitgen.state = fresh
+        ref[k] = bitgen.random_raw(2)
+    assert np.array_equal(w0, ref[:, 0]) and np.array_equal(w1, ref[:, 1])
+    for k in (0, 1, 4097, 8192, 99_999, 100_000):
+        key = np.array([seed, k], dtype=np.uint64)
+        assert np.array_equal(np.random.Philox(key=key).random_raw(2), ref[k])
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+def test_ziggurat_fast_path_is_numpys(sign):
+    # numpy returns at once iff rabs < ki[idx]; its taking the largest rabs the
+    # fast path accepts, from one word and with the same value, shows that
+    # every accepted lane is accepted by numpy too
+    wi, ki = randomize._ziggurat_tables()
+    idx = np.array([i for i in range(256) if i != 1])
+    rabs = ki[idx] - np.uint64(1)
+    words = (rabs << np.uint64(9)) | np.uint64(sign << 8) | idx.astype(np.uint64)
+    bitgen = randomize._mt19937_emitting([int(w) for w in words])
+    x = np.random.Generator(bitgen).standard_normal(idx.size)
+    assert bitgen.state["state"]["pos"] == 2 * idx.size
+    expect = (-1.0) ** sign * (rabs.astype(np.float64) * wi[idx])
+    assert np.array_equal(x.view(np.uint64), expect.view(np.uint64))
+    fast, ok = randomize._fast_normals(words, wi, ki)
+    assert ok.all() and np.array_equal(fast.view(np.uint64), x.view(np.uint64))
+    assert not randomize._fast_normals(words + np.uint64(1 << 9), wi, ki)[1].any()
+
+
+def test_draw_coefficients_4d_take_both_paths(monkeypatch):
+    # 16^4, a=1, n_max=2: the vectorized lanes and the per-cube fallback
+    g = GridSpec(4, 16, np.pi)
+    part = build_partition(PartitionConfig(dim=4, a=1, n_max=2, s=-0.1), g)
+    accepted = []
+    fast_normals = randomize._fast_normals
+
+    def spy(r, wi, ki):
+        x, ok = fast_normals(r, wi, ki)
+        accepted.append(ok)
+        return x, ok
+
+    monkeypatch.setattr(randomize, "_fast_normals", spy)
+    coeffs = draw(noise_field(g, seed=2), part, seed=7000).coefficients
+    ref = np.array([cube_gaussian(7000, j, 1)[0] for j in range(part.n_cutoffs)])
+    assert coeffs.size == part.n_cutoffs == 3_857
+    assert np.array_equal(coeffs.view(np.uint64), ref.view(np.uint64))
+    both = np.concatenate([re & im for re, im in zip(accepted[::2], accepted[1::2])])
+    assert 0 < np.count_nonzero(~both) < both.size
+
+
+def test_draw_rejects_seeds_philox_rejects():
+    g, part = small_partition()
+    f = noise_field(g)
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            cube_gaussian(seed, 0)
+        with pytest.raises(OverflowError):
+            draw(f, part, seed=seed)
+
+
 def test_draw_is_linear_in_f():
     g, part = small_partition()
     f = noise_field(g, seed=6)

@@ -31,6 +31,7 @@ __all__ = [
     "SpectralField",
     "to_frequency",
     "to_physical",
+    "raw_spectrum",
     "fractional_derivative",
     "derivative_symbol",
     "free_propagate",
@@ -218,12 +219,20 @@ def to_physical(field: SpectralField) -> SpectralField:
     every axis pass of the inverse FFT runs in place in it. The input is not
     written.
     """
-    if field.rep != FREQUENCY:
-        raise RepresentationError("to_physical expects a frequency-representation field")
-    g = field.grid
-    raw = field.values / _transform_weight(g)
+    raw = raw_spectrum(field)
     np.fft.ifftn(raw, out=raw)
-    return SpectralField(g, raw, PHYSICAL)
+    return SpectralField(field.grid, raw, PHYSICAL)
+
+
+def raw_spectrum(field: SpectralField) -> np.ndarray:
+    """numpy's raw np.fft.fftn coordinates of a frequency-representation field.
+
+    One new lattice array, the values divided by the transform weight; no
+    transform. Errors if the field is in physical representation.
+    """
+    if field.rep != FREQUENCY:
+        raise RepresentationError("expected a frequency-representation field")
+    return field.values / _transform_weight(field.grid)
 
 
 def _apply_multiplier(field: SpectralField, mult: np.ndarray) -> SpectralField:

@@ -31,13 +31,14 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
-from .grids import GridSpec, SpectralField, _xi_sq
+from .grids import FREQUENCY, GridSpec, SpectralField, _xi_sq
 # composite_norm, linear_trajectory, gn_ratios, morawetz_audit and save_trajectory
 # are not called in this module; the names stay bound because bench/tracing.py
 # wraps them here.
@@ -441,20 +442,35 @@ def _set_axis(raw: dict, axis: str, value) -> None:
 
 
 def _shaped_noise(grid: GridSpec, field_seed: int, decay: float) -> SpectralField:
-    """Seeded complex Gaussian spectrum shaped by (1 + |xi|^2)^(-decay), physical."""
+    """Seeded complex Gaussian spectrum shaped by (1 + |xi|^2)^(-decay), frequency representation."""
     rng = np.random.Generator(np.random.Philox(key=np.array([field_seed, 7], dtype=np.uint64)))
     noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    fhat = SpectralField(grid, noise * (1.0 + _xi_sq(grid)) ** (-decay), "frequency")
-    return fhat.as_physical()
+    return SpectralField(grid, noise * (1.0 + _xi_sq(grid)) ** (-decay), FREQUENCY)
 
 
 def shaped_profile(grid: GridSpec, field_seed: int, decay: float, amplitude: float) -> SpectralField:
-    """The fixed base profile f for an ensemble, rescaled to sup |f| = amplitude."""
-    f = _shaped_noise(grid, field_seed, decay)
-    mx = float(np.abs(f.values).max())
+    """The fixed base profile f for an ensemble, rescaled to sup |f| = amplitude.
+
+    Returned as its spectrum (frequency representation), which is what a draw
+    reads; one inverse transform finds the sup, and the physical values are
+    not kept.
+    """
+    fhat = _shaped_noise(grid, field_seed, decay)
+    mx = float(np.abs(fhat.as_physical().values).max())
     if mx == 0.0:
         raise ConfigError("profile is identically zero")
-    return SpectralField(grid, (amplitude / mx) * f.values, "physical")
+    return SpectralField(grid, (amplitude / mx) * fhat.values, FREQUENCY)
+
+
+@lru_cache(maxsize=2)
+def _profile_spectrum(grid: GridSpec, forcing: ForcingSpec) -> SpectralField:
+    """shaped_profile of a forcing spec, built once per (grid, spec) and shared by a run's seeds.
+
+    The cache keeps at most two profiles, and their arrays are read-only.
+    """
+    f = shaped_profile(grid, forcing.field_seed, forcing.decay, forcing.amplitude)
+    f.values.flags.writeable = False
+    return f
 
 
 def forcing_field(
@@ -463,10 +479,13 @@ def forcing_field(
     forcing: ForcingSpec,
     task_seed: int,
 ) -> SpectralField:
-    """One run's rough component v(0): cube draw, high-pass, sup normalization."""
-    f = _shaped_noise(grid, forcing.field_seed, forcing.decay)
-    rnd = draw(f, partition, task_seed)
-    v0 = high_pass(rnd.field, forcing.n0).as_physical()
+    """One run's rough component v(0): cube draw, high-pass, sup normalization.
+
+    The draw reads the run's profile spectrum and the high-pass the draw's
+    spectrum, so once the profile exists v(0) costs one inverse transform.
+    """
+    rnd = draw(_profile_spectrum(grid, forcing), partition, task_seed)
+    v0 = high_pass(rnd.spectrum, forcing.n0).as_physical()
     mx = float(np.abs(v0.values).max())
     if mx == 0.0:
         raise ConfigError(
@@ -584,7 +603,13 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     Counts per in-flight task its snapshot fields, FFT workspace and, when the
     run builds one, the partition: its four float lattice arrays (normalizer,
     residual, unity and square sums). Its per-shell profile matrices and cell
-    masks are far smaller and ignored. The evolve and morawetz-audit tasks
+    masks are far smaller and ignored. A run with forcing holds its base
+    profile's spectrum once, one complex field shared by its tasks. A
+    linear-stats seed holds its snapshot stack, v-hat(0) and one snapshot's
+    spectrum v-hat(t), and per snapshot the view's derivative buffers, their
+    real symbols, |f|, |fhat|^2 and the norm temporaries, charged 2d fields;
+    under tracemalloc a seed peaks n_times + 7.0 fields at 32^3 and
+    n_times + 8.5 at 12^4. The evolve and morawetz-audit tasks
     stream their snapshots to disk or into the audit and hold no snapshot
     stack: they are charged one snapshot field per channel (the initial w
     and v the task holds for its solve). twin-ladder compares whole runs and
@@ -606,11 +631,12 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     workspace = 8 * per
     solver = _SOLVER_FIELDS * per
     partition = 2 * per if _uses_partition(config) else 0
+    profile = per if config.forcing is not None else 0
     kind = config.kind
     if kind == "partition-report":
         per_task = 4 * per
     elif kind == "linear-stats":
-        per_task = (config.times.size + 4) * per
+        per_task = (config.times.size + 2 + 2 * g.dim) * per
     else:
         chans = 2 if config.forcing is not None else 1
         if kind == "twin-ladder":
@@ -620,7 +646,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
             per_task = chans * per + audit + solver
         else:
             per_task = chans * per + solver
-    return config.workers * per_task + workspace + partition
+    return config.workers * per_task + workspace + partition + profile
 
 
 def _guard_memory(config: ExperimentConfig) -> None:
@@ -681,7 +707,7 @@ def _task_partition_report(config, part: FrequencyPartition, task_seed: int, run
 
 
 def _task_linear_stats(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
-    f = shaped_profile(config.grid, config.forcing.field_seed, config.forcing.decay, config.forcing.amplitude)
+    f = _profile_spectrum(config.grid, config.forcing)
     pc = config.partition
     families = ("Y", "Z")
     specs = [composite_spec(f"{family}{config.grid.dim}", pc.s, float(pc.a)) for family in families]

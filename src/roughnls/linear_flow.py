@@ -1,8 +1,12 @@
 """Free evolution of randomized data and composite space-time norms.
 
 The rough channel v(t) = e^{it Laplacian} P_{>= N0} f^omega is evaluated
-exactly (spectral multiplier from the t=0 data, never time-stepped). Six
-named composite norms measure the two channels:
+exactly (spectral multiplier from the t=0 data, never time-stepped). A seed
+stays in frequency space from the draw to the norms: the high-pass acts on
+the draw's spectrum, v-hat(0) is kept in numpy's raw FFT coordinates, each
+snapshot is one in-place inverse transform of e^{-i t |xi|^2} v-hat(0), and
+the norms' views read the same spectra, so a seed makes no forward
+transform. Six named composite norms measure the two channels:
 
     Y3 = <grad>^{s+a/2-eps} L2_t Linf_x + L8_{t,x} + L4_{t,x} + L8_t L12_x   (v)
     Z3 = Linf_t H^s + <grad>^{s+3a/2-eps} Linf_t Linf_x                      (v)
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import SpectralField, free_propagate, lp_symbol, sobolev_norm, to_physical
-from .norms import NormSpec, snapshot_view, time_norm
+from .grids import SpectralField, free_flow_into, lp_symbol, raw_spectrum, sobolev_norm
+from .norms import NormSpec, Symbols, snapshot_view, time_norm
 from .partition import FrequencyPartition
 from .randomize import RandomizationDraw, TailReport, draw, tail_fit
 from .trajectory import Trajectory
@@ -124,8 +128,10 @@ def _composite_norms(
     """composite_norm of each spec, in one pass over the snapshots.
 
     Each snapshot gets one FrequencyView per channel, shared by every
-    component of every spec, so each snapshot is transformed once per channel.
-    Each component's per-snapshot series is then folded with time_norm.
+    component of every spec, so each snapshot is transformed at most once per
+    channel (not at all for a free-flow channel), and the views of the pass
+    share its derivative symbols. Each component's per-snapshot series is then
+    folded with time_norm.
     """
     for spec in specs:
         if traj.grid.dim != spec.dim:
@@ -135,11 +141,13 @@ def _composite_norms(
                 raise ConfigError(f"trajectory lacks channel {ch!r} required by {spec.name}")
     channels = sorted({ch for spec in specs for ch in spec.channels})
     series = [np.empty((len(spec.components), traj.n_snapshots)) for spec in specs]
+    symbols: Symbols = {}
     for k in range(traj.n_snapshots):
-        views = {ch: snapshot_view(traj, ch, k) for ch in channels}
+        views = {ch: snapshot_view(traj, ch, k, symbols) for ch in channels}
         for spec, rows in zip(specs, series):
             for (ns, ch), row in zip(spec.components, rows):
                 row[k] = views[ch].norm(ns.r, ns.s, ns.kind)
+        del views  # release this snapshot's arrays before the next view is built
     results = []
     for spec, rows in zip(specs, series):
         breakdown: dict[str, float] = {}
@@ -158,7 +166,10 @@ def _is_dyadic(n: float) -> bool:
 
 
 def high_pass(field: SpectralField, n0: float) -> SpectralField:
-    """P_{>= n0}: zero below n0/2, identity above n0, smooth ramp between."""
+    """P_{>= n0}: zero below n0/2, identity above n0, smooth ramp between.
+
+    Returns the frequency representation; a field given in it makes no transform.
+    """
     sym = lp_symbol(field.grid, n0 / 2.0, "high")
     fhat = field.as_frequency()
     return SpectralField(field.grid, fhat.values * sym, "frequency")
@@ -174,9 +185,13 @@ def linear_trajectory(
 
     Each snapshot is computed by one exact multiplier from the t=0 data, so
     unitarity and frequency support hold to rounding error regardless of the
-    stride.
+    stride. The high-pass acts on the draw's spectrum, and v-hat(0) is kept
+    in numpy's raw FFT coordinates: snapshot k is one in-place inverse
+    transform of e^{-i t_k |xi|^2} v-hat(0) in its stack slot, and no forward
+    transform is made. The trajectory records v-hat(0) (Trajectory.free_spectra),
+    so the norms' views read the same spectra.
     """
-    grid = rnd.field.grid
+    grid = rnd.spectrum.grid
     if not _is_dyadic(n0):
         raise ConfigError(f"n0 must be a dyadic integer >= 1, got {n0}")
     if n0 > grid.nyquist / 2.0:
@@ -185,19 +200,23 @@ def linear_trajectory(
             "refine the grid or lower the cutoff"
         )
     times = np.asarray(times, dtype=float)
-    v0 = high_pass(rnd.field, n0).as_frequency()
+    v0 = high_pass(rnd.spectrum, n0)
     kept = float(np.linalg.norm(v0.values))
-    had = float(np.linalg.norm(rnd.field.as_frequency().values))
+    had = float(np.linalg.norm(rnd.spectrum.values))
     if kept <= 1e-13 * had or had == 0.0:
         warnings.warn(
             f"high-pass at n0={n0:g} removed all frequency content; v is identically zero",
             stacklevel=2,
         )
+    v0_hat = raw_spectrum(v0)
     stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
     for k, t in enumerate(times):
-        stack[k] = to_physical(free_propagate(v0, float(t))).values
+        free_flow_into(v0_hat, grid, float(t), stack[k])
+        np.fft.ifftn(stack[k], out=stack[k])
     meta = {"seed": rnd.seed, "n0": float(n0)}
-    return Trajectory(grid=grid, times=times, channels={channel: stack}, meta=meta)
+    return Trajectory(
+        grid=grid, times=times, channels={channel: stack}, meta=meta, free_spectra={channel: v0_hat}
+    )
 
 
 def linear_seed(

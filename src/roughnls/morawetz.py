@@ -62,7 +62,7 @@ from .grids import GridSpec, SpectralField, gradient
 
 # spacetime_norm is not called here, since the audit reads its figures from
 # snapshot views; the name stays bound because bench/tracing.py wraps it here.
-from .norms import FrequencyView, NormSpec, snapshot_view, spacetime_norm, time_norm
+from .norms import FrequencyView, NormSpec, Symbols, snapshot_view, spacetime_norm, time_norm
 from .trajectory import Trajectory
 
 __all__ = [
@@ -344,9 +344,11 @@ class MorawetzAccumulator:
     add(t, w, v) reads every per-snapshot figure of the audit from one
     FrequencyView of w and one of v and keeps only those numbers; the arrays
     themselves are not kept, so they may be buffers reused for the next
-    snapshot. report() folds the figures into the time norms and the terms
-    documented at morawetz_audit. A solve can stream its snapshots straight
-    into add, so the audit holds no snapshot stack.
+    snapshot. The views transform the physical values once each, and share
+    the derivative symbols the accumulator keeps for its grid. report()
+    folds the figures into the time norms and the terms documented at
+    morawetz_audit. A solve can stream its snapshots straight into add, so
+    the audit holds no snapshot stack.
     """
 
     def __init__(self, grid: GridSpec, dim: int | None = None, power: float | None = None):
@@ -376,6 +378,7 @@ class MorawetzAccumulator:
             specs[("w", "hhalf_inh")] = NormSpec(inf, 2, 0.5, "inhomogeneous")
             specs[("v", "l6l3")] = NormSpec(6, 3)
         self._specs = specs
+        self._symbols: Symbols = {}
         self._series: dict[tuple[str, str], list[float]] = {key: [] for key in specs}
         self._times: list[float] = []
         self._dv: list[float] = []
@@ -386,7 +389,8 @@ class MorawetzAccumulator:
     def add(self, t: float, w: np.ndarray, v: np.ndarray) -> None:
         """Take the audit's figures of the snapshot at time t from the physical values of w and v."""
         g = self.grid
-        views = {"w": FrequencyView(g, w), "v": FrequencyView(g, v)}
+        sym = self._symbols
+        views = {"w": FrequencyView(g, w, symbols=sym), "v": FrequencyView(g, v, symbols=sym)}
         for (ch, fig), spec in self._specs.items():
             self._series[ch, fig].append(views[ch].norm(spec.r, spec.s, spec.kind))
         self._dv.append(math.sqrt(float(sum(c.real**2 + c.imag**2 for c in views["v"].gradient()).max())))
@@ -638,4 +642,5 @@ def gn_ratios(traj: Trajectory, channel: str = "w") -> np.ndarray:
     g = traj.grid
     if g.dim != 4:
         raise ConfigError(f"the Gagliardo-Nirenberg check is for dimension 4, got {g.dim}")
-    return np.array([_gn_ratio(snapshot_view(traj, channel, k)) for k in range(traj.n_snapshots)])
+    symbols: Symbols = {}
+    return np.array([_gn_ratio(snapshot_view(traj, channel, k, symbols)) for k in range(traj.n_snapshots)])

@@ -1,11 +1,16 @@
 """Mixed space-time Lebesgue/Sobolev norms L^q_t L^r_x with optional derivative weight.
 
 Every spatial norm is read through a FrequencyView: one snapshot of one
-channel, holding its physical values and making its forward transform once,
-on first use. From the view, an L^2 norm of D^s f is a Parseval sum over
-|fhat|^2 with no further transform, any other L^r norm of D^s f costs one
-inverse transform of symbol * fhat (cached in the view, so one D^s serves
-several exponents), and a gradient costs d inverse transforms. An unstored
+channel, holding its physical values and its spectrum in numpy's raw
+coordinates, np.fft.fftn(values). A producer that already holds that
+spectrum passes it in and the view makes no forward transform; otherwise the
+view makes one, on first use. From the view, an L^2 norm of D^s f is a
+Parseval sum over |fhat|^2 with no further transform, any other L^r norm of
+D^s f costs one in-place inverse transform of fhat * symbol (cached in the
+view, so one D^s serves several exponents), and a gradient costs d of them.
+The raw coordinates need no weight pass: the transform weight folds into the
+Parseval constant dx^d / N. The derivative symbols of a norm pass are built
+once and shared by its views through a dict the pass owns. An unstored
 u = v + w is summed one snapshot at a time, so no v + w stack is built.
 
 Spatial integrals are Riemann sums on the lattice, the time integral is a
@@ -22,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    FREQUENCY,
-    GridSpec,
-    SpectralField,
-    derivative_symbol,
-    gradient,
-    modulus_lp_norm,
-)
+from .grids import GridSpec, _xi_grids_odd, derivative_symbol, free_flow_into, modulus_lp_norm
 from .trajectory import Trajectory
 
 __all__ = [
@@ -80,18 +78,31 @@ def is_admissible(q: float, r: float, d: int) -> bool:
     return abs(lhs - d / 2.0) < 1e-9
 
 
+# A norm pass's derivative symbols, keyed by (order, kind) and shared by its views.
+Symbols = dict[tuple[float, str], np.ndarray]
+
+
 class FrequencyView:
-    """One snapshot of one channel: physical values plus a transform made on first use.
+    """One snapshot of one channel: physical values and their raw spectrum fftn(values).
 
     Norms are memoized per (r, s, kind) and D^s f per (s, kind), so a figure
     asked for twice, or a D^s f that serves two exponents, is computed once.
-    Arrays handed out are the view's own and must not be written to.
+    Symbols come from `symbols`, the dict of the norm pass the view belongs
+    to; a view given none keeps its own. Arrays handed out are the view's own
+    and must not be written to.
     """
 
-    def __init__(self, grid: GridSpec, values: np.ndarray):
+    def __init__(
+        self,
+        grid: GridSpec,
+        values: np.ndarray,
+        fhat: np.ndarray | None = None,
+        symbols: Symbols | None = None,
+    ):
         self.grid = grid
         self.values = values
-        self._fhat: np.ndarray | None = None
+        self._fhat = fhat
+        self._symbols = {} if symbols is None else symbols
         self._modulus: np.ndarray | None = None
         self._power: np.ndarray | None = None
         self._derivatives: dict[tuple[float, str], np.ndarray] = {}
@@ -99,9 +110,9 @@ class FrequencyView:
 
     @property
     def fhat(self) -> np.ndarray:
-        """Continuum-normalized transform of the values (one forward transform, once)."""
+        """numpy's raw spectrum np.fft.fftn(values): the one given, else one forward transform, once."""
         if self._fhat is None:
-            self._fhat = SpectralField(self.grid, self.values).as_frequency().values
+            self._fhat = np.fft.fftn(self.values)
         return self._fhat
 
     @property
@@ -111,19 +122,34 @@ class FrequencyView:
             self._modulus = np.abs(self.values)
         return self._modulus
 
+    def _symbol(self, s: float, kind: str) -> np.ndarray:
+        key = (s, kind)
+        sym = self._symbols.get(key)
+        if sym is None:
+            sym = self._symbols[key] = derivative_symbol(self.grid, s, kind)
+        return sym
+
     def _derivative(self, s: float, kind: str) -> np.ndarray:
-        """Physical values of D^s f: one inverse transform of symbol * fhat, cached."""
+        """Physical values of D^s f: one in-place inverse transform of fhat * symbol, cached."""
         key = (s, kind)
         out = self._derivatives.get(key)
         if out is None:
-            mult = derivative_symbol(self.grid, s, kind)
-            out = SpectralField(self.grid, self.fhat * mult, FREQUENCY).as_physical().values
+            out = self.fhat * self._symbol(s, kind)
+            np.fft.ifftn(out, out=out)
             self._derivatives[key] = out
         return out
 
     def gradient(self) -> list[np.ndarray]:
-        """Physical values of the d spectral partial derivatives (d inverse transforms)."""
-        return [c.values for c in gradient(SpectralField(self.grid, self.fhat, FREQUENCY))]
+        """Physical values of the d spectral partial derivatives, one in-place inverse transform each.
+
+        The odd symbol i xi_k is zeroed at the unpaired Nyquist mode, as in grids.gradient.
+        """
+        out = []
+        for c in _xi_grids_odd(self.grid):
+            comp = self.fhat * (1j * c)
+            np.fft.ifftn(comp, out=comp)
+            out.append(comp)
+        return out
 
     def norm(self, r: float, s: float = 0.0, kind: str = "none") -> float:
         """Spatial ||D^s f||_{L^r}, with D^s as in NormSpec."""
@@ -140,25 +166,35 @@ class FrequencyView:
         return val
 
     def _parseval(self, s: float, kind: str) -> float:
-        # sum_x |D^s f|^2 dx^d = sum_xi |xi-symbol|^2 |fhat|^2 (dxi / 2pi)^d, dxi / 2pi = 1/(2L)
+        # sum_x |D^s f|^2 dx^d = (dx^d / N) sum_xi |xi-symbol|^2 |fftn f|^2
         if self._power is None:
             fhat = self.fhat
             self._power = fhat.real**2 + fhat.imag**2
-        weight = derivative_symbol(self.grid, 2.0 * s, kind)
-        total = float(np.sum(self._power * weight))
-        return math.sqrt(total / (2.0 * self.grid.half_width) ** self.grid.dim)
+        total = float(np.sum(self._power * self._symbol(2.0 * s, kind)))
+        return math.sqrt(total * self.grid.cell_volume / self.grid.n_points)
 
 
-def snapshot_view(traj: Trajectory, channel: str, k: int) -> FrequencyView:
-    """The view of one snapshot; an unstored 'u' is v + w of this snapshot only."""
-    return FrequencyView(traj.grid, traj.snapshot(channel, k).values)
+def snapshot_view(
+    traj: Trajectory, channel: str, k: int, symbols: Symbols | None = None
+) -> FrequencyView:
+    """The view of one snapshot; an unstored 'u' is v + w of this snapshot only.
+
+    A channel the trajectory records as a free flow gets its spectrum from the
+    recorded v-hat(0), e^{-i t_k |xi|^2} v-hat(0), with no forward transform.
+    """
+    fhat = None
+    spectrum = traj.free_spectra.get(channel)
+    if spectrum is not None:
+        fhat = free_flow_into(spectrum, traj.grid, float(traj.times[k]), np.empty_like(spectrum))
+    return FrequencyView(traj.grid, traj.snapshot(channel, k).values, fhat, symbols)
 
 
 def snapshot_norms(traj: Trajectory, spec: NormSpec, channel: str) -> np.ndarray:
     """Spatial norm of D^s(channel) at each snapshot time."""
+    symbols: Symbols = {}
     return np.array(
         [
-            snapshot_view(traj, channel, k).norm(spec.r, spec.s, spec.kind)
+            snapshot_view(traj, channel, k, symbols).norm(spec.r, spec.s, spec.kind)
             for k in range(traj.n_snapshots)
         ]
     )

@@ -10,14 +10,17 @@ lanes and maps its two words through the fast path of numpy's ziggurat
 normal sampler; the few cubes that leave that path are drawn by numpy from
 a re-keyed bit generator. The coefficients are `cube_gaussian`'s bit for
 bit, and `draw` applies them through the partition's per-shell multiplier
-rather than cube by cube.
+rather than cube by cube. A draw keeps the spectrum of f^omega, which the
+multiplier gives it: given f in frequency representation, `draw` makes no
+transform, and f^omega's physical values cost one inverse transform, made
+only when asked for (`RandomizationDraw.field`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -47,11 +50,16 @@ def cube_gaussian(seed: int, j: int, size: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RandomizationDraw:
-    """One realization: the seed, the per-cube coefficients, and f^omega."""
+    """One realization: the seed, the per-cube coefficients, and the spectrum of f^omega."""
 
     seed: int
     coefficients: np.ndarray  # complex, one per cutoff
-    field: SpectralField  # physical representation
+    spectrum: SpectralField  # frequency representation
+
+    @cached_property
+    def field(self) -> SpectralField:
+        """f^omega in physical representation: one inverse transform, on first use."""
+        return to_physical(self.spectrum)
 
     @property
     def n_cubes(self) -> int:
@@ -196,17 +204,18 @@ def _cube_gaussians(seed: int, n: int) -> np.ndarray:
 
 
 def draw(f: SpectralField, partition: FrequencyPartition, seed: int) -> RandomizationDraw:
-    """Sample f^omega = sum_j g_j(omega) box_j f.
+    """Sample f^omega = sum_j g_j(omega) box_j f, kept as its spectrum.
 
     Linear in f; the same seed reproduces the same coefficients bit for bit.
+    An f in frequency representation is read as it is, with no transform.
     """
     grid = partition.grid
     if f.grid != grid:
         raise ValueError("field grid does not match partition grid")
     coeffs = _cube_gaussians(seed, partition.n_cutoffs)
     fhat = f.as_frequency().values.reshape(-1) * partition.multiplier(coeffs)
-    field = to_physical(SpectralField(grid, fhat.reshape(grid.shape), "frequency"))
-    return RandomizationDraw(seed=seed, coefficients=coeffs, field=field)
+    spectrum = SpectralField(grid, fhat.reshape(grid.shape), "frequency")
+    return RandomizationDraw(seed=seed, coefficients=coeffs, spectrum=spectrum)
 
 
 @dataclass(frozen=True)

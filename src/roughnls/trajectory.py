@@ -53,12 +53,20 @@ _MANIFEST = "manifest.json"
 
 @dataclass
 class Trajectory:
-    """Uniformly strided snapshots of one or more field channels."""
+    """Uniformly strided snapshots of one or more field channels.
+
+    `free_spectra` names the channels that are exact free flows: for such a
+    channel it holds v-hat(0), numpy's raw np.fft.fftn of the flow at t = 0,
+    and snapshot k is the inverse transform of e^{-i t_k |xi|^2} v-hat(0). It
+    lets norms read each snapshot's spectrum without a forward transform. It
+    lives in memory only; the files hold the snapshots.
+    """
 
     grid: GridSpec
     times: np.ndarray
     channels: dict[str, np.ndarray]
     meta: dict = dc_field(default_factory=dict)
+    free_spectra: dict[str, np.ndarray] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -73,6 +81,9 @@ class Trajectory:
         for name, arr in self.channels.items():
             if arr.shape != want:
                 raise ValueError(f"channel {name!r} has shape {arr.shape}, expected {want}")
+        for name, arr in self.free_spectra.items():
+            if name not in self.channels or arr.shape != self.grid.shape:
+                raise ValueError(f"free spectrum {name!r} must be the grid-shaped v-hat(0) of a stored channel")
 
     @property
     def n_snapshots(self) -> int:

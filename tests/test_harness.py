@@ -3,6 +3,7 @@
 import filecmp
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,93 @@ def test_streamed_evolve_memory_does_not_grow_with_snapshots(tmp_path):
     assert abs(peaks[1] - peaks[0]) < field, [p / field for p in peaks]
     # and the memory guard charges the streamed task no stack either
     assert harness._estimate_bytes(few) == harness._estimate_bytes(many)
+
+
+def _count_fft(monkeypatch) -> dict:
+    """Count np.fft.fftn and np.fft.ifftn calls from here on."""
+    calls = {"fftn": 0, "ifftn": 0}
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    return calls
+
+
+def linear_stats_config(out_dir, points=12, n_times=4):
+    return parse_config({
+        "kind": "linear-stats",
+        "out_dir": str(out_dir),
+        "n_samples": 1,
+        "grid": dict(GRID, points=points),
+        "partition": dict(PART),
+        "forcing": dict(FORCING),
+        "times": {"t_final": 0.3, "n_times": n_times},
+    })
+
+
+def test_forcing_field_reads_the_profile_spectrum(tmp_path, monkeypatch):
+    # v(0) is the old physical round trip's to rounding: shaped noise made
+    # physical, drawn, transformed back and high-passed. Once the run's
+    # profile spectrum exists, one seed's v(0) is one inverse transform.
+    cfg = parse_config(evolve_config(tmp_path))
+    grid, forcing = cfg.grid, cfg.forcing
+    part = harness.build_partition(cfg.partition, grid)
+    noise = harness._shaped_noise(grid, forcing.field_seed, forcing.decay).as_physical()
+    hp = harness.high_pass(harness.draw(noise, part, 5).field, forcing.n0).as_physical().values
+    want = forcing.amplitude / np.abs(hp).max() * hp
+    harness.forcing_field(grid, part, forcing, 4)  # builds the profile spectrum
+    calls = _count_fft(monkeypatch)
+    got = harness.forcing_field(grid, part, forcing, 5).values
+    assert calls == {"fftn": 0, "ifftn": 1}
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+
+def test_profile_spectrum_is_shared_and_read_only(tmp_path):
+    cfg = linear_stats_config(tmp_path)
+    f = harness._profile_spectrum(cfg.grid, cfg.forcing)
+    assert f is harness._profile_spectrum(cfg.grid, cfg.forcing)
+    assert f.rep == "frequency" and not f.values.flags.writeable
+    sup = np.abs(f.as_physical().values).max()
+    assert sup == pytest.approx(cfg.forcing.amplitude, rel=1e-12)
+
+
+def test_linear_stats_seed_makes_no_forward_transform(tmp_path, monkeypatch):
+    # At 4 times: one inverse transform per snapshot for the stack and one per
+    # derivative symbol read outside L2 (Y3's and Z3's L^inf components),
+    # 12 in all, and no forward transform once the profile spectrum exists.
+    cfg = linear_stats_config(tmp_path)
+    part = harness.build_partition(cfg.partition, cfg.grid)
+    task = harness._TASKS["linear-stats"]
+    task(cfg, part, 1, tmp_path / "warm")
+    calls = _count_fft(monkeypatch)
+    task(cfg, part, 2, tmp_path / "run")
+    assert calls == {"fftn": 0, "ifftn": 12}
+
+
+def test_linear_stats_seed_peaks_within_its_charge(tmp_path):
+    # One 32^3 seed's traced peak stays under the guard's per-task charge,
+    # and the charge is no more than twice the peak.
+    cfg = linear_stats_config(tmp_path, points=32)
+    part = harness.build_partition(cfg.partition, cfg.grid)
+    task = harness._TASKS["linear-stats"]
+    task(cfg, part, 1, tmp_path / "warm")  # the profile and first-call caches
+    charge = harness._estimate_bytes(replace(cfg, workers=2)) - harness._estimate_bytes(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        task(cfg, part, 2, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert charge / 2 <= peak < charge, (peak / (16 * cfg.grid.n_points), charge / (16 * cfg.grid.n_points))
 
 
 def test_memory_guard_refuses(tmp_path):

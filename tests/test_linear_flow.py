@@ -13,11 +13,14 @@ from roughnls import (
     composite_spec,
     draw,
     ensemble_linear_stats,
+    fractional_derivative,
     free_propagate,
     high_pass,
     linear_seed,
     linear_trajectory,
+    lp_norm,
 )
+from roughnls.norms import snapshot_view, time_norm
 
 
 def setup_draw(dim=1, points=256, half_width=np.pi, seed=0):
@@ -89,28 +92,81 @@ def test_composite_norm_parts_sum_to_total():
 
 
 def test_composite_norms_transform_each_snapshot_once(monkeypatch):
-    # Y3 and Z3 read one shared view per snapshot: their six components make
-    # one forward transform of each v snapshot between them.
+    # Y3 and Z3 read one shared view per snapshot, whose spectrum is the
+    # trajectory's own free flow of v-hat(0): once the profile's spectrum
+    # exists, a seed makes no forward transform, and per snapshot one inverse
+    # transform for the stack plus one per distinct derivative symbol outside
+    # L^2 (Y3's <grad>^0.39 and Z3's <grad>^1.39 in L^inf; Z3's H^s is a
+    # Parseval sum).
     g3 = GridSpec(3, 12, np.pi)
     part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
     f3 = SpectralField(g3, rng.normal(size=g3.shape) + 1j * rng.normal(size=g3.shape), "physical")
+    f3 = f3.as_frequency()
     times = np.linspace(0.0, 0.3, 4)
     specs = [composite_spec("Y3", -0.1, 1.0), composite_spec("Z3", -0.1, 1.0)]
-    calls = {"n": 0}
-    fftn = np.fft.fftn
+    calls = {"fftn": 0, "ifftn": 0}
 
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return fftn(*args, **kwargs)
+    def counting(name):
+        real = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "fftn", counted)
-    linear_seed(f3, part3, 3, 2.0, times, [])  # the draw and the trajectory alone
-    without_norms = calls["n"]
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
     traj, norms = linear_seed(f3, part3, 3, 2.0, times, specs)
-    assert calls["n"] - 2 * without_norms == traj.n_snapshots
+    assert calls == {"fftn": 0, "ifftn": traj.n_snapshots * (1 + 2)}
     # sharing the views leaves every figure as composite_norm gives it alone
     assert norms == [composite_norm(traj, spec) for spec in specs]
+
+
+@pytest.mark.parametrize("dim,points", [(3, 12), (4, 10)])
+def test_linear_seed_matches_physical_round_trip(dim, points):
+    # The round trip a seed made before it stayed in frequency space: the
+    # draw's physical field, its forward transform, the high-pass, the free
+    # flow of the continuum-normalized spectrum, and each spatial norm taken
+    # from physical values by the grids functions, apart from FrequencyView.
+    # Every Y/Z component and L2 agree.
+    g = GridSpec(dim, points, np.pi)
+    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2, s=-0.1), g)
+    rng = np.random.Generator(np.random.Philox(key=np.array([dim, 13], dtype=np.uint64)))
+    f = SpectralField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape), "physical")
+    times = np.linspace(0.0, 0.3, 4)
+    specs = [composite_spec(f"{family}{dim}", -0.1, 1.0) for family in "YZ"]
+    traj, norms = linear_seed(f.as_frequency(), part, 5, 2.0, times, specs)
+
+    v0 = high_pass(draw(f, part, 5).field.as_frequency(), 2.0)
+    snaps = [free_propagate(v0, float(t)).as_physical() for t in times]
+    for spec, (total, parts) in zip(specs, norms):
+        want = {}
+        for (ns, _), label in zip(spec.components, spec.labels()):
+            kind = "homogeneous" if ns.kind == "none" else ns.kind
+            series = np.array([lp_norm(fractional_derivative(v, ns.s, kind), ns.r) for v in snaps])
+            want[label] = time_norm(series, times, ns.q)
+        assert parts.keys() == want.keys()
+        for label, val in parts.items():
+            assert val == pytest.approx(want[label], rel=1e-12, abs=0.0), label
+        assert total == pytest.approx(sum(want.values()), rel=1e-12, abs=0.0)
+    assert traj.snapshot("v", 0).l2_norm() == pytest.approx(lp_norm(snaps[0], 2), rel=1e-12, abs=0.0)
+
+
+def test_linear_trajectory_records_its_spectrum():
+    # The trajectory keeps v-hat(0) in numpy's raw coordinates, and each
+    # snapshot is its free flow: a view built from the recorded spectrum
+    # agrees with the forward transform of the stored values.
+    g, part, rnd = setup_draw(dim=2, points=32, seed=6)
+    times = np.linspace(0.0, 0.2, 3)
+    traj = linear_trajectory(rnd, 2.0, times)
+    v0_hat = traj.free_spectra["v"]
+    assert np.allclose(v0_hat, np.fft.fftn(traj.channels["v"][0]), rtol=0, atol=1e-12 * np.abs(v0_hat).max())
+    for k in range(traj.n_snapshots):
+        view = snapshot_view(traj, "v", k)
+        expect = np.fft.fftn(traj.channels["v"][k])
+        assert np.max(np.abs(view.fhat - expect)) < 1e-12 * np.abs(expect).max()
 
 
 def test_ensemble_linear_stats_reproducible():

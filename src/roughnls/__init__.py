@@ -4,7 +4,7 @@ frequency-cube-randomized rough initial data.
 Modules: grids (Fourier conventions and spectral fields), partition
 (unit-cube frequency decomposition with smooth weights), randomize (cube
 Gaussian draws and tail statistics), linear_flow (free evolution and
-ensemble norms), solver (splitting integrator for the forced difference
+composite norms), solver (splitting integrator for the forced difference
 equation), morawetz (interaction functional audits), trajectory (snapshot
 container and binary format), norms (space-time Lebesgue/Sobolev norms),
 harness (batch experiment runner), cli (command line entry point).
@@ -50,7 +50,6 @@ from .linear_flow import (
     CompositeNormSpec,
     composite_norm,
     composite_spec,
-    ensemble_linear_stats,
     high_pass,
     linear_seed,
     linear_trajectory,

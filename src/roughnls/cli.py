@@ -178,7 +178,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_morawetz(args) -> int:
     # one snapshot pair in memory at a time, read from the files in time order
     reader = TrajectoryReader(args.traj)
-    audit = MorawetzAccumulator(reader.grid, dim=args.dim)
+    if args.dim is not None and reader.grid.dim != args.dim:
+        raise ConfigError(f"trajectory grid has dim {reader.grid.dim}, --dim asked for {args.dim}")
+    audit = MorawetzAccumulator(reader.grid)
     for t, snap in reader.snapshots(("v", "w")):
         audit.add(t, snap["w"], snap["v"])
     rep = audit.report()

@@ -39,11 +39,8 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .grids import FREQUENCY, GridSpec, SpectralField, _xi_sq
-# composite_norm, linear_trajectory, gn_ratios, morawetz_audit and save_trajectory
-# are not called in this module; the names stay bound because bench/tracing.py
-# wraps them here.
-from .linear_flow import composite_norm, composite_spec, high_pass, linear_seed, linear_trajectory
-from .morawetz import MorawetzAccumulator, c_star_spread, gn_ratios, morawetz_audit
+from .linear_flow import composite_spec, high_pass, linear_seed
+from .morawetz import MorawetzAccumulator, c_star_spread
 from .partition import FrequencyPartition, PartitionConfig, build_partition
 from .randomize import draw
 from .solver import (
@@ -54,7 +51,7 @@ from .solver import (
     solve_w,
     twin_run,
 )
-from .trajectory import Trajectory, TrajectoryWriter, save_trajectory
+from .trajectory import TrajectoryWriter
 
 __all__ = [
     "KINDS",
@@ -876,15 +873,18 @@ def _write_summary(config: ExperimentConfig, records: list[ResultRecord], contex
 
 
 def _effective_workers(config_workers: int, override: int | None) -> int:
-    if override is not None:
-        return max(1, int(override))
     env = os.environ.get(ENV_WORKERS)
-    if env is not None:
+    if override is not None:
+        source, n = "workers", int(override)
+    elif env is not None:
         try:
-            return max(1, int(env))
+            source, n = ENV_WORKERS, int(env)
         except ValueError as exc:
             raise ConfigError(f"{ENV_WORKERS}={env!r} is not an integer") from exc
-    return max(1, config_workers)
+    else:
+        source, n = "config.workers", config_workers
+    _require(n >= 1, f"{source} must be at least 1, got {n}")
+    return n
 
 
 def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
@@ -892,11 +892,12 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
 
     The worker count (argument, else the ROUGH_NLS_WORKERS environment
     variable, else the config) only sets parallelism; results are identical
-    for any value. Returns every record of this config, old and new, sorted
-    by seed.
+    for any value, and a count below 1 is a ConfigError. Returns every
+    record of this config, old and new, sorted by seed.
     """
     if config.kind == "sweep":
         return sweep(config, workers=workers)
+    n_workers = _effective_workers(config.workers, workers)
     _guard_memory(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -921,7 +922,6 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
             artifacts=tuple(artifacts),
         )
 
-    n_workers = _effective_workers(config.workers, workers)
     if todo:
         # the pool starts no thread until a task is submitted; one worker runs inline
         with ThreadPoolExecutor(max_workers=n_workers) as pool, open(records_path, "a") as fh:
@@ -937,28 +937,20 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
     return final
 
 
-def sweep(
-    config: ExperimentConfig,
-    axis: str | None = None,
-    values=None,
-    workers: int | None = None,
-) -> list[ResultRecord]:
+def sweep(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
     """One run per axis value; writes a long-format table plus per-value medians.
 
-    The axis is a dotted numeric config field such as 'forcing.n0' or
-    'solver.dt'. Each value gets its own subdirectory (own records, resume,
-    summary); sweep.csv collects (axis value, seed, metric, value) rows and
-    sweep_summary.json the per-value medians. When the axis is a forcing
-    cutoff, the mass/energy ratio columns are also checked for being
-    nonincreasing in the cutoff and flagged if not.
+    The config's sweep section names the base kind, the values and the axis,
+    a dotted numeric config field such as 'forcing.n0' or 'solver.dt'; a
+    config of another kind is a ConfigError. Each value gets its own
+    subdirectory (own records, resume, summary); sweep.csv collects
+    (axis value, seed, metric, value) rows and sweep_summary.json the
+    per-value medians. When the axis is a forcing cutoff, the mass/energy
+    ratio columns are also checked for being nonincreasing in the cutoff and
+    flagged if not.
     """
-    axis = axis if axis is not None else config.sweep_axis
-    values = tuple(values) if values is not None else config.sweep_values
-    kind = config.sweep_kind if config.sweep_kind is not None else config.kind
-    if axis is None or values is None or not values:
-        raise ConfigError("sweep needs an axis and a non-empty list of values")
-    if kind == "sweep":
-        raise ConfigError("sweep cannot nest another sweep")
+    _require(config.kind == "sweep", f"sweep needs a config of kind 'sweep', got {config.kind!r}")
+    axis, values, kind = config.sweep_axis, config.sweep_values, config.sweep_kind
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

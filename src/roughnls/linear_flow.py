@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .grids import SpectralField, free_flow_into, lp_symbol, raw_spectrum, sobolev_norm
+from .grids import SpectralField, free_flow_into, lp_symbol, raw_spectrum
 from .norms import NormSpec, Symbols, snapshot_view, time_norm
 from .partition import FrequencyPartition
-from .randomize import RandomizationDraw, TailReport, draw, tail_fit
+from .randomize import RandomizationDraw, draw
 from .trajectory import Trajectory
 
 __all__ = [
@@ -41,9 +40,7 @@ __all__ = [
     "composite_spec",
     "composite_norm",
     "linear_trajectory",
-    "EnsembleLinearStats",
     "linear_seed",
-    "ensemble_linear_stats",
     "COMPOSITE_NAMES",
 ]
 
@@ -231,86 +228,9 @@ def linear_seed(
 
     Returns the trajectory and composite_norm's (total, breakdown) per spec;
     all specs read one shared view per snapshot.
-    Both ensemble_linear_stats and the harness's linear-stats task run their
-    seeds through here.
+    The harness's linear-stats task runs each of its seeds through here;
+    harness.run is the seed loop and worker pool, and the linear-stats
+    subcommand fits the tail of the resulting ensemble.
     """
     traj = linear_trajectory(draw(f, partition, int(seed)), n0, times)
     return traj, _composite_norms(traj, specs)
-
-
-@dataclass(frozen=True)
-class EnsembleLinearStats:
-    """Per-seed composite norms of the free evolution plus tail statistics.
-
-    `tail` is present when the ensemble is large enough for a survival fit
-    (>= 200 samples) and `moment_ratios` when it supports moment estimates
-    (>= 100 samples); both are None for smaller ensembles.
-    """
-
-    name: str
-    seeds: np.ndarray
-    totals: np.ndarray
-    components: dict[str, np.ndarray]
-    tail: TailReport | None
-    moment_ratios: dict[float, float] | None
-    reference_norm: float
-
-
-def ensemble_linear_stats(
-    f: SpectralField,
-    partition: FrequencyPartition,
-    n0: float,
-    times: np.ndarray,
-    n_samples: int,
-    spec: CompositeNormSpec,
-    seed0: int = 0,
-    q_lo: float = 0.75,
-    q_hi: float = 0.975,
-    moment_orders: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0),
-    workers: int = 1,
-) -> EnsembleLinearStats:
-    """Composite-norm statistics of e^{it Laplacian} f^omega over seeds.
-
-    Seeds are seed0 .. seed0 + n_samples - 1, so results are reproducible and
-    independent of the worker count. The tail window defaults to the upper
-    quartile because moderate ensembles cannot resolve deeper quantiles.
-    Moment ratios divide the empirical p-th moment of the norm samples by
-    sqrt(p) times the H^s norm of f (s from the partition config); the
-    square-root growth law predicts these stay bounded in p.
-    """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    seeds = np.arange(seed0, seed0 + n_samples, dtype=np.int64)
-    totals = np.empty(n_samples)
-    comp_arrays = {label: np.empty(n_samples) for label in spec.labels()}
-
-    def one(i: int) -> None:
-        _, [(total, br)] = linear_seed(f, partition, seeds[i], n0, times, [spec])
-        totals[i] = total
-        for label, val in br.items():
-            comp_arrays[label][i] = val
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(n_samples)))
-    else:
-        for i in range(n_samples):
-            one(i)
-
-    ref = sobolev_norm(f, partition.config.s)
-    tail = tail_fit(totals, q_lo=q_lo, q_hi=q_hi) if n_samples >= 200 else None
-    ratios = None
-    if n_samples >= 100 and ref > 0:
-        ratios = {
-            p: float(np.mean(totals**p) ** (1.0 / p) / (math.sqrt(p) * ref))
-            for p in moment_orders
-        }
-    return EnsembleLinearStats(
-        name=spec.name,
-        seeds=seeds,
-        totals=totals,
-        components=comp_arrays,
-        tail=tail,
-        moment_ratios=ratios,
-        reference_norm=ref,
-    )

@@ -59,10 +59,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import GridSpec, SpectralField, gradient
-
-# spacetime_norm is not called here, since the audit reads its figures from
-# snapshot views; the name stays bound because bench/tracing.py wraps it here.
-from .norms import FrequencyView, NormSpec, Symbols, snapshot_view, spacetime_norm, time_norm
+from .norms import FrequencyView, NormSpec, Symbols, snapshot_view, time_norm
 from .trajectory import Trajectory
 
 __all__ = [
@@ -348,17 +345,14 @@ class MorawetzAccumulator:
     the derivative symbols the accumulator keeps for its grid. report()
     folds the figures into the time norms and the terms documented at
     morawetz_audit. A solve can stream its snapshots straight into add, so
-    the audit holds no snapshot stack.
+    the audit holds no snapshot stack. The audit's dimension is the grid's,
+    and a grid that is not 3D or 4D is a ConfigError.
     """
 
-    def __init__(self, grid: GridSpec, dim: int | None = None, power: float | None = None):
-        if dim is None:
-            dim = grid.dim
-        if dim != grid.dim:
-            raise ConfigError(f"audit dimension {dim} does not match the grid dimension {grid.dim}")
+    def __init__(self, grid: GridSpec):
+        dim = grid.dim
         if dim not in (3, 4):
             raise ConfigError(f"the inequality audit is defined for dimensions 3 and 4, got {dim}")
-        _default_power(dim, power)
         self.grid = grid
         self.dim = dim
         inf = math.inf
@@ -450,7 +444,7 @@ class MorawetzAccumulator:
         )
 
 
-def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None = None) -> MorawetzReport:
+def morawetz_audit(traj: Trajectory) -> MorawetzReport:
     """Evaluate both sides of the interaction Morawetz inequality on a trajectory.
 
     Needs channels v and w. The right-hand side terms are, with
@@ -467,11 +461,12 @@ def morawetz_audit(traj: Trajectory, dim: int | None = None, power: float | None
         T3 = ||v||_{L2 Linf} S^2 ( m2 ||v||_{L4_tx}^2 + ||v||_{L6_t L3_x}^3 )
 
     C* is measured, never asserted; ensemble stability is judged separately
-    by c_star_spread. power is validated as in local_densities, but no audited
-    figure depends on it: the defect field is not part of the audit. The
+    by c_star_spread. The audit is defined for 3D and 4D grids only, and its
+    dimension is the trajectory grid's. No audited figure depends on the
+    nonlinearity power, since the defect field is not part of the audit. The
     stored snapshots are fed to a MorawetzAccumulator in time order.
     """
-    audit = MorawetzAccumulator(traj.grid, dim, power)
+    audit = MorawetzAccumulator(traj.grid)
     for name in ("v", "w"):
         if name not in traj.channels:
             raise ConfigError(f"audit needs channel {name!r} (have {sorted(traj.channels)})")

@@ -287,18 +287,6 @@ class TailReport:
     r_squared: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": [float(v) for v in self.lam],
-            "survival": [float(v) for v in self.survival],
-            "wilson_lo": [float(v) for v in self.wilson_lo],
-            "wilson_hi": [float(v) for v in self.wilson_hi],
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_samples": self.n_samples,
-        }
-
 
 def _wilson(k: np.ndarray, n: int, z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
     ph = k / n

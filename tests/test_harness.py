@@ -383,6 +383,12 @@ def test_sweep_unknown_axis_rejected(tmp_path):
         parse_config(cfg)
 
 
+def test_sweep_needs_a_sweep_config(tmp_path):
+    with pytest.raises(ConfigError, match="kind 'sweep'"):
+        harness.sweep(parse_config(evolve_config(tmp_path / "ev")))
+    assert not (tmp_path / "ev").exists()
+
+
 def test_set_axis_preserves_integer_fields():
     raw = {"grid": {"points": 12}}
     _set_axis(raw, "grid.points", 24.0)
@@ -449,6 +455,49 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     del manifest["times"]
     (traj / "manifest.json").write_text(json.dumps(manifest))
     assert cli_main(["morawetz", "--traj", str(traj)]) == 2
+
+
+def test_cli_rejects_worker_counts_below_one(tmp_path, monkeypatch, capsys):
+    # the flag and the environment variable are held to config.workers' rule
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(evolve_config(tmp_path / "out", n_samples=1)))
+    args = ["evolve", "--config", str(cfg_path)]
+    assert cli_main(args + ["--workers", "0"]) == 2
+    for env in ("0", "-3", "abc"):
+        monkeypatch.setenv(harness.ENV_WORKERS, env)
+        assert cli_main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "config error: workers must be at least 1, got 0",
+        "config error: ROUGH_NLS_WORKERS must be at least 1, got 0",
+        "config error: ROUGH_NLS_WORKERS must be at least 1, got -3",
+        "config error: ROUGH_NLS_WORKERS='abc' is not an integer",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_dim_mismatch_exits_2(tmp_path):
+    traj = tmp_path / "traj"
+    shape = (2, 4, 4, 4)
+    save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), traj)
+    assert cli_main(["morawetz", "--traj", str(traj), "--dim", "4", "--out", str(tmp_path / "mor4")]) == 2
+    assert not (tmp_path / "mor4").exists()
+    assert cli_main(["morawetz", "--traj", str(traj), "--dim", "3", "--out", str(tmp_path / "mor3")]) == 0
+
+    lin = {
+        "kind": "linear-stats",
+        "out_dir": str(tmp_path / "lin"),
+        "grid": dict(GRID),
+        "partition": dict(PART),
+        "forcing": dict(FORCING),
+        "times": {"t_final": 0.3, "n_times": 4},
+    }
+    lin_path = tmp_path / "lin.json"
+    lin_path.write_text(json.dumps(lin))
+    assert cli_main(["linear-stats", "--config", str(lin_path), "--dim", "4"]) == 2
+    assert not (tmp_path / "lin").exists()
+    assert cli_main(["linear-stats", "--config", str(lin_path), "--dim", "3"]) == 0
 
 
 def test_cli_partition_and_morawetz(tmp_path):

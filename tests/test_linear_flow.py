@@ -1,5 +1,7 @@
 """Free evolution of randomized data and its composite ensemble norms."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,15 @@ from roughnls import (
     composite_norm,
     composite_spec,
     draw,
-    ensemble_linear_stats,
     fractional_derivative,
     free_propagate,
     high_pass,
     linear_seed,
     linear_trajectory,
     lp_norm,
+    parse_config,
+    run,
+    shaped_profile,
 )
 from roughnls.norms import snapshot_view, time_norm
 
@@ -169,44 +173,40 @@ def test_linear_trajectory_records_its_spectrum():
         assert np.max(np.abs(view.fhat - expect)) < 1e-12 * np.abs(expect).max()
 
 
-def test_ensemble_linear_stats_reproducible():
-    g3 = GridSpec(3, 12, np.pi)
-    part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
-    rng = np.random.Generator(np.random.Philox(key=np.array([8, 8], dtype=np.uint64)))
-    f3 = SpectralField(g3, rng.normal(size=g3.shape) + 1j * rng.normal(size=g3.shape), "physical")
-    times = np.linspace(0.0, 0.3, 4)
-    spec = composite_spec("Y3", -0.1, 1.0)
-    s1 = ensemble_linear_stats(f3, part3, 2.0, times, 8, spec, seed0=0)
-    s2 = ensemble_linear_stats(f3, part3, 2.0, times, 8, spec, seed0=0, workers=2)
-    assert np.array_equal(s1.totals, s2.totals)
-    assert s1.tail is None  # 8 samples cannot support a tail fit
-    assert s1.moment_ratios is None
-    assert s1.reference_norm > 0.0
-    assert all(np.all(arr > 0) for arr in s1.components.values())
-
-
-def test_harness_and_ensemble_give_identical_norms(tmp_path):
-    # Both entry points run each seed through linear_seed, so the harness's
-    # per-seed Y metrics equal the ensemble's totals and components bit for bit.
-    from roughnls.harness import parse_config, run, shaped_profile
-
-    cfg = parse_config({
+def linear_stats_config(out_dir, seed, n_samples):
+    return parse_config({
         "kind": "linear-stats",
-        "out_dir": str(tmp_path),
-        "seed": 40,
-        "n_samples": 3,
+        "out_dir": str(out_dir),
+        "seed": seed,
+        "n_samples": n_samples,
         "grid": {"dim": 3, "points": 12, "half_width": float(np.pi)},
         "partition": {"a": 1, "n_max": 2, "s": -0.1},
         "forcing": {"field_seed": 9, "decay": 1.2, "n0": 2.0, "amplitude": 0.3},
         "times": {"t_final": 0.3, "n_times": 4},
     })
+
+
+def test_linear_stats_reproducible_across_workers(tmp_path):
+    r1 = run(linear_stats_config(tmp_path / "w1", 0, 8), workers=1)
+    r2 = run(linear_stats_config(tmp_path / "w2", 0, 8), workers=2)
+    assert [r.metrics for r in r1] == [r.metrics for r in r2]
+    s1, s2 = (json.loads((tmp_path / w / "summary.json").read_text()) for w in ("w1", "w2"))
+    assert s1["metrics"] == s2["metrics"]
+    components = [v for r in r1 for k, v in r.metrics.items() if k.startswith("Y:")]
+    assert len(components) == 8 * 4 and all(v > 0 for v in components)
+
+
+def test_harness_and_ensemble_give_identical_norms(tmp_path):
+    # The harness runs each seed of its ensemble through linear_seed, so its
+    # per-seed Y metrics equal linear_seed's totals and components bit for bit.
+    cfg = linear_stats_config(tmp_path, 40, 3)
     recs = run(cfg, workers=1)
     f = shaped_profile(cfg.grid, 9, 1.2, 0.3)
     part = build_partition(cfg.partition, cfg.grid)
     spec = composite_spec("Y3", -0.1, 1.0)
-    stats = ensemble_linear_stats(f, part, 2.0, cfg.times, 3, spec, seed0=40, workers=2)
-    assert [r.seed for r in recs] == list(stats.seeds)
-    for i, rec in enumerate(recs):
-        assert rec.metrics["Y"] == stats.totals[i]
-        for label, arr in stats.components.items():
-            assert rec.metrics[f"Y:{label}"] == arr[i]
+    assert [r.seed for r in recs] == [40, 41, 42]
+    for rec in recs:
+        _, [(total, parts)] = linear_seed(f, part, rec.seed, 2.0, cfg.times, [spec])
+        assert rec.metrics["Y"] == total
+        for label, val in parts.items():
+            assert rec.metrics[f"Y:{label}"] == val

@@ -61,7 +61,6 @@ from .morawetz import (
     MorawetzAccumulator,
     MorawetzReport,
     c_star_spread,
-    gn_ratios,
     identity_mor_mainterm,
     interaction_functional,
     local_densities,
@@ -94,10 +93,7 @@ from .solver import (
     TwinReport,
     almost_conservation_monitor,
     dealias_mask,
-    energy_of,
-    evolve_full,
     increment_residuals,
-    mass_of,
     scattering_proxy,
     solve_w,
     twin_run,

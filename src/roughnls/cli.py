@@ -3,8 +3,11 @@
 Every subcommand except `morawetz` consumes a JSON experiment config and
 routes through the batch runner; `morawetz` audits an already-saved
 trajectory directory. Common flags: --seed overrides the master seed, --out
-the output directory, --workers the thread count (the ROUGH_NLS_WORKERS
-environment variable sits between the flag and the config).
+the output directory, --workers the thread count. Each flag is written into
+the config before it is validated; without --workers, the ROUGH_NLS_WORKERS
+environment variable sets the count, and the config's `workers` key applies
+when neither is given. A worker count below 1 from the flag or the variable
+is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric abort (blowup
 guard), 4 resource refusal, 5 internal consistency failure (representation
@@ -16,11 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
 from .errors import BlowupError, ConfigError, FitError, RepresentationError, ResourceLimitError
-from .harness import ExperimentConfig, parse_config, read_config, run
+from .harness import ENV_WORKERS, ExperimentConfig, parse_config, read_config, run
 from .morawetz import MorawetzAccumulator
 from .partition import build_partition
 from .randomize import tail_fit
@@ -76,12 +80,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _worker_override(flag: int | None) -> int | None:
+    """The worker count from --workers, else from ROUGH_NLS_WORKERS; None when neither is set."""
+    env = os.environ.get(ENV_WORKERS)
+    if flag is not None:
+        source, n = "workers", flag
+    elif env is not None:
+        try:
+            source, n = ENV_WORKERS, int(env)
+        except ValueError as exc:
+            raise ConfigError(f"{ENV_WORKERS}={env!r} is not an integer") from exc
+    else:
+        return None
+    if n < 1:
+        raise ConfigError(f"{source} must be at least 1, got {n}")
+    return n
+
+
 def _load_with_overrides(args) -> ExperimentConfig:
     raw = read_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out_dir"] = args.out
+    workers = _worker_override(args.workers)
+    if workers is not None:
+        raw["workers"] = workers
     if getattr(args, "samples", None) is not None:
         raw["n_samples"] = args.samples
     if args.command == "evolve":
@@ -115,7 +139,7 @@ def _cmd_partition(args) -> int:
     out = Path(config.out_dir)
     if config.n_samples > 0:
         # run() builds the partition and writes its report into summary.json
-        run(config, workers=args.workers)
+        run(config)
         report = json.loads((out / "summary.json").read_text())["partition"]
     else:
         report = build_partition(config.partition, config.grid).report()
@@ -131,7 +155,7 @@ def _cmd_linear_stats(args) -> int:
     _expect_kind(config, "linear-stats")
     if args.dim is not None and config.grid.dim != args.dim:
         raise ConfigError(f"config grid has dim {config.grid.dim}, --dim asked for {args.dim}")
-    records = run(config, workers=args.workers)
+    records = run(config)
     out = Path(config.out_dir)
     values = []
     with open(out / "norms.csv", "w", newline="") as fh:
@@ -166,7 +190,7 @@ def _cmd_linear_stats(args) -> int:
 def _cmd_evolve(args) -> int:
     config = _load_with_overrides(args)
     _expect_kind(config, "evolve")
-    records = run(config, workers=args.workers)
+    records = run(config)
     out = Path(config.out_dir)
     for rec in records:
         line = ", ".join(f"{k}={v:.3e}" for k, v in sorted(rec.metrics.items()))
@@ -196,7 +220,7 @@ def _cmd_generic(kind: str):
     def _run(args) -> int:
         config = _load_with_overrides(args)
         _expect_kind(config, kind)
-        records = run(config, workers=args.workers)
+        records = run(config)
         print(f"{len(records)} record(s) under {config.out_dir}")
         return 0
 

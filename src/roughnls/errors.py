@@ -5,6 +5,15 @@ ResourceLimitError -> 4, RepresentationError -> 5. Everything else is an
 ordinary bug.
 """
 
+__all__ = [
+    "RepresentationError",
+    "ConfigError",
+    "ResolutionError",
+    "BlowupError",
+    "ResourceLimitError",
+    "FitError",
+]
+
 
 class RepresentationError(ValueError):
     """A field was passed in the wrong representation (physical vs frequency)."""

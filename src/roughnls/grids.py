@@ -44,6 +44,8 @@ __all__ = [
     "gradient",
     "smoothstep",
     "lp_symbol",
+    "xi_sq",
+    "xi_grids_odd",
 ]
 
 PHYSICAL = "physical"
@@ -108,7 +110,8 @@ def _xi_grids(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=64)
-def _xi_sq(grid: GridSpec) -> np.ndarray:
+def xi_sq(grid: GridSpec) -> np.ndarray:
+    """|xi|^2 on the FFT-ordered lattice, cached per grid; shared, so never written to."""
     comps = _xi_grids(grid)
     out = np.zeros(grid.shape)
     for c in comps:
@@ -248,7 +251,7 @@ def derivative_symbol(grid: GridSpec, s: float, kind: str) -> np.ndarray:
     The square of the symbol of order s is the symbol of order 2s, which is
     how Parseval sums weight |fhat|^2.
     """
-    xi2 = _xi_sq(grid)
+    xi2 = xi_sq(grid)
     if kind == "homogeneous":
         with np.errstate(divide="ignore"):
             mult = np.where(xi2 > 0, xi2 ** (s / 2.0), 0.0)
@@ -292,7 +295,7 @@ def lp_symbol(grid: GridSpec, n: float, variant: str) -> np.ndarray:
     """
     if n <= 0:
         raise ValueError(f"dyadic scale must be positive, got {n}")
-    r = np.sqrt(_xi_sq(grid))
+    r = np.sqrt(xi_sq(grid))
     if n > grid.nyquist * math.sqrt(grid.dim):
         warnings.warn(
             f"dyadic scale N={n:g} exceeds the largest lattice frequency; "
@@ -316,10 +319,13 @@ def free_propagate(field: SpectralField, t: float) -> SpectralField:
 
 
 @lru_cache(maxsize=64)
-def _xi_grids_odd(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    # Derivative axes: the unpaired mode at -M/2 has no positive partner, so an
-    # odd multiplier there would make the derivative of a real field complex;
-    # it is zeroed, the usual convention for odd-order spectral derivatives.
+def xi_grids_odd(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The sparse per-axis frequency grids of a spectral derivative, cached per grid.
+
+    The unpaired mode at -M/2 has no positive partner, so an odd multiplier
+    there would make the derivative of a real field complex; it is zeroed,
+    the usual convention for odd-order spectral derivatives.
+    """
     ax = grid.xi_axis().copy()
     ax[grid.points // 2] = 0.0
     return tuple(np.meshgrid(*([ax] * grid.dim), indexing="ij", sparse=True))
@@ -332,7 +338,7 @@ def gradient(field: SpectralField) -> list[SpectralField]:
     unpaired Nyquist frequency.
     """
     fhat = field.as_frequency()
-    comps = _xi_grids_odd(field.grid)
+    comps = xi_grids_odd(field.grid)
     shape = field.grid.shape
     return [
         to_physical(SpectralField(field.grid, fhat.values * np.broadcast_to(1j * c, shape), FREQUENCY))

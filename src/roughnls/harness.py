@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
-from .grids import FREQUENCY, GridSpec, SpectralField, _xi_sq
+from .grids import FREQUENCY, GridSpec, SpectralField, xi_sq
 from .linear_flow import composite_spec, high_pass, linear_seed
 from .morawetz import MorawetzAccumulator, c_star_spread
 from .partition import FrequencyPartition, PartitionConfig, build_partition
@@ -65,12 +65,14 @@ __all__ = [
     "read_config",
     "load_config",
     "run",
+    "summarize",
     "sweep",
     "shaped_profile",
     "forcing_field",
     "initial_field",
 ]
 
+# the CLI reads the worker count from this variable when --workers is absent
 ENV_WORKERS = "ROUGH_NLS_WORKERS"
 
 KINDS = ("partition-report", "linear-stats", "evolve", "morawetz-audit", "twin-ladder", "sweep")
@@ -442,7 +444,7 @@ def _shaped_noise(grid: GridSpec, field_seed: int, decay: float) -> SpectralFiel
     """Seeded complex Gaussian spectrum shaped by (1 + |xi|^2)^(-decay), frequency representation."""
     rng = np.random.Generator(np.random.Philox(key=np.array([field_seed, 7], dtype=np.uint64)))
     noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    return SpectralField(grid, noise * (1.0 + _xi_sq(grid)) ** (-decay), FREQUENCY)
+    return SpectralField(grid, noise * (1.0 + xi_sq(grid)) ** (-decay), FREQUENCY)
 
 
 def shaped_profile(grid: GridSpec, field_seed: int, decay: float, amplitude: float) -> SpectralField:
@@ -724,7 +726,7 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
     sink = _discard
     if config.save_fields:
         # the snapshots stream into traj/ as the solve makes them; an unforced
-        # run stores w as channel 'u', as evolve_full names it
+        # run solves the full equation, so its w is stored as channel 'u'
         names = ("v", "w") if forced else ("u",)
         writer = TrajectoryWriter(run_dir / "traj", config.grid, names, config.solver.provenance())
         if forced:
@@ -872,32 +874,16 @@ def _write_summary(config: ExperimentConfig, records: list[ResultRecord], contex
     return summary
 
 
-def _effective_workers(config_workers: int, override: int | None) -> int:
-    env = os.environ.get(ENV_WORKERS)
-    if override is not None:
-        source, n = "workers", int(override)
-    elif env is not None:
-        try:
-            source, n = ENV_WORKERS, int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_WORKERS}={env!r} is not an integer") from exc
-    else:
-        source, n = "config.workers", config_workers
-    _require(n >= 1, f"{source} must be at least 1, got {n}")
-    return n
-
-
-def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
+def run(config: ExperimentConfig) -> list[ResultRecord]:
     """Execute one experiment: skip completed seeds, write records and summary.
 
-    The worker count (argument, else the ROUGH_NLS_WORKERS environment
-    variable, else the config) only sets parallelism; results are identical
-    for any value, and a count below 1 is a ConfigError. Returns every
-    record of this config, old and new, sorted by seed.
+    config.workers threads run the seeds, and the memory guard charges that
+    many tasks; the count only sets parallelism, and results are identical
+    for any value. Returns every record of this config, old and new, sorted
+    by seed.
     """
     if config.kind == "sweep":
-        return sweep(config, workers=workers)
-    n_workers = _effective_workers(config.workers, workers)
+        return sweep(config)
     _guard_memory(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -924,8 +910,8 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
 
     if todo:
         # the pool starts no thread until a task is submitted; one worker runs inline
-        with ThreadPoolExecutor(max_workers=n_workers) as pool, open(records_path, "a") as fh:
-            for rec in pool.map(work, todo) if n_workers > 1 else map(work, todo):
+        with ThreadPoolExecutor(max_workers=config.workers) as pool, open(records_path, "a") as fh:
+            for rec in pool.map(work, todo) if config.workers > 1 else map(work, todo):
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -937,7 +923,7 @@ def run(config: ExperimentConfig, workers: int | None = None) -> list[ResultReco
     return final
 
 
-def sweep(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
+def sweep(config: ExperimentConfig) -> list[ResultRecord]:
     """One run per axis value; writes a long-format table plus per-value medians.
 
     The config's sweep section names the base kind, the values and the axis,
@@ -947,7 +933,8 @@ def sweep(config: ExperimentConfig, workers: int | None = None) -> list[ResultRe
     (axis value, seed, metric, value) rows and sweep_summary.json the
     per-value medians. When the axis is a forcing cutoff, the mass/energy
     ratio columns are also checked for being nonincreasing in the cutoff and
-    flagged if not.
+    flagged if not. Every value's run takes the sweep's operational keys,
+    config.workers among them.
     """
     _require(config.kind == "sweep", f"sweep needs a config of kind 'sweep', got {config.kind!r}")
     axis, values, kind = config.sweep_axis, config.sweep_values, config.sweep_kind
@@ -969,7 +956,7 @@ def sweep(config: ExperimentConfig, workers: int | None = None) -> list[ResultRe
         raw["memory_limit_mb"] = config.memory_limit_mb
         raw["save_fields"] = config.save_fields
         sub = parse_config(raw)
-        recs = run(sub, workers=workers)
+        recs = run(sub)
         all_records.extend(recs)
         stats = summarize(recs)["metrics"]
         per_value_medians[f"{value:g}"] = {k: v["median"] for k, v in stats.items()}

@@ -17,7 +17,8 @@ transform. Six named composite norms measure the two channels:
     X4 = <grad>^1 L2_t L4_x + L4_t L8_x + L4_{t,x}                           (w)
 
 Here s is the data regularity, a the cube-partition decay parameter, and
-eps a small positive shift standing in for the strict-inequality exponents.
+eps = EPSILON = 0.01 a small positive shift standing in for the
+strict-inequality exponents.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ __all__ = [
     "CompositeNormSpec",
     "composite_spec",
     "composite_norm",
+    "high_pass",
     "linear_trajectory",
     "linear_seed",
     "COMPOSITE_NAMES",
 ]
 
 COMPOSITE_NAMES = ("Y3", "Z3", "X3", "Y4", "Z4", "X4")
+# the shift eps below the strict-inequality exponents of the composite norms
+EPSILON = 0.01
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,6 @@ class CompositeNormSpec:
 
     name: str
     components: tuple[tuple[NormSpec, str], ...]
-    epsilon: float = 0.01
 
     @property
     def dim(self) -> int:
@@ -67,15 +70,13 @@ class CompositeNormSpec:
         return [f"{ns.label()}[{ch}]" for ns, ch in self.components]
 
 
-def composite_spec(name: str, s: float, a: float, epsilon: float = 0.01) -> CompositeNormSpec:
+def composite_spec(name: str, s: float, a: float) -> CompositeNormSpec:
     """Resolve one of the six named composite norms at parameters (s, a)."""
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     inf = math.inf
     jb = "inhomogeneous"
     if name == "Y3":
         comps = [
-            (NormSpec(2, inf, s + 0.5 * a - epsilon, jb), "v"),
+            (NormSpec(2, inf, s + 0.5 * a - EPSILON, jb), "v"),
             (NormSpec(8, 8), "v"),
             (NormSpec(4, 4), "v"),
             (NormSpec(8, 12), "v"),
@@ -83,7 +84,7 @@ def composite_spec(name: str, s: float, a: float, epsilon: float = 0.01) -> Comp
     elif name == "Z3":
         comps = [
             (NormSpec(inf, 2, s, jb), "v"),
-            (NormSpec(inf, inf, s + 1.5 * a - epsilon, jb), "v"),
+            (NormSpec(inf, inf, s + 1.5 * a - EPSILON, jb), "v"),
         ]
     elif name == "X3":
         comps = [
@@ -93,7 +94,7 @@ def composite_spec(name: str, s: float, a: float, epsilon: float = 0.01) -> Comp
         ]
     elif name == "Y4":
         comps = [
-            (NormSpec(2, inf, s + a - epsilon, jb), "v"),
+            (NormSpec(2, inf, s + a - EPSILON, jb), "v"),
             (NormSpec(4, 8), "v"),
             (NormSpec(6, 3), "v"),
             (NormSpec(4, 4, -0.25, jb), "v"),
@@ -101,7 +102,7 @@ def composite_spec(name: str, s: float, a: float, epsilon: float = 0.01) -> Comp
     elif name == "Z4":
         comps = [
             (NormSpec(inf, 2, s, jb), "v"),
-            (NormSpec(inf, inf, s + 2.0 * a - epsilon, jb), "v"),
+            (NormSpec(inf, inf, s + 2.0 * a - EPSILON, jb), "v"),
         ]
     elif name == "X4":
         comps = [
@@ -111,7 +112,7 @@ def composite_spec(name: str, s: float, a: float, epsilon: float = 0.01) -> Comp
         ]
     else:
         raise ConfigError(f"unknown composite norm {name!r}; choose from {COMPOSITE_NAMES}")
-    return CompositeNormSpec(name=name, components=tuple(comps), epsilon=epsilon)
+    return CompositeNormSpec(name=name, components=tuple(comps))
 
 
 def composite_norm(traj: Trajectory, spec: CompositeNormSpec) -> tuple[float, dict[str, float]]:
@@ -176,9 +177,8 @@ def linear_trajectory(
     rnd: RandomizationDraw,
     n0: float,
     times: np.ndarray,
-    channel: str = "v",
 ) -> Trajectory:
-    """Sample v(t) = e^{it Laplacian} P_{>= n0} f^omega on a uniform time grid.
+    """Sample v(t) = e^{it Laplacian} P_{>= n0} f^omega on a uniform time grid, as channel 'v'.
 
     Each snapshot is computed by one exact multiplier from the t=0 data, so
     unitarity and frequency support hold to rounding error regardless of the
@@ -211,9 +211,7 @@ def linear_trajectory(
         free_flow_into(v0_hat, grid, float(t), stack[k])
         np.fft.ifftn(stack[k], out=stack[k])
     meta = {"seed": rnd.seed, "n0": float(n0)}
-    return Trajectory(
-        grid=grid, times=times, channels={channel: stack}, meta=meta, free_spectra={channel: v0_hat}
-    )
+    return Trajectory(grid=grid, times=times, channels={"v": stack}, meta=meta, free_spectra={"v": v0_hat})
 
 
 def linear_seed(

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import GridSpec, SpectralField, gradient
-from .norms import FrequencyView, NormSpec, Symbols, snapshot_view, time_norm
+from .norms import FrequencyView, NormSpec, Symbols, time_norm
 from .trajectory import Trajectory
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "morawetz_audit",
     "c_star_spread",
     "identity_mor_mainterm",
-    "gn_ratios",
 ]
 
 # Homogeneity degree of each reported audit value under (w, v) -> (alpha w, alpha v),
@@ -86,14 +85,11 @@ SCALING_DEGREES = {
 }
 
 
-def _default_power(dim: int, power: float | None) -> float:
-    if power is not None:
-        if power < 0:
-            raise ConfigError(f"nonlinearity power must be nonnegative, got {power}")
-        return float(power)
+def _critical_power(dim: int) -> float:
+    """The energy-critical power 4/(d-2), defined in dimensions 3 and 4."""
     if dim in (3, 4):
         return 4.0 / (dim - 2)
-    raise ConfigError(f"no default nonlinearity power in dimension {dim}; pass power explicitly")
+    raise ConfigError(f"the energy-critical power is defined in dimensions 3 and 4, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -120,16 +116,16 @@ def _mass_momentum(w: FrequencyView) -> tuple[np.ndarray, np.ndarray]:
     return m, mom
 
 
-def local_densities(w: SpectralField, u: SpectralField, power: float | None = None) -> LocalDensities:
+def local_densities(w: SpectralField, u: SpectralField) -> LocalDensities:
     """Mass/momentum densities of w and the defect |u|^p u - |w|^p w.
 
-    The gradient inside p is spectral (i xi multipliers). power defaults to
-    the energy-critical exponent 4/(d-2) in dimensions 3 and 4.
+    The gradient inside p is spectral (i xi multipliers). The power is the
+    energy-critical exponent 4/(d-2), so the grid must be 3D or 4D.
     """
     if w.grid != u.grid:
         raise ConfigError("w and u must live on the same grid")
     g = w.grid
-    p = _default_power(g.dim, power)
+    p = _critical_power(g.dim)
     wv = FrequencyView(g, w.as_physical().values)
     up = u.as_physical().values
     m, mom = _mass_momentum(wv)
@@ -287,8 +283,10 @@ class MorawetzReport:
     terms holds the three right-hand-side products T1, T2, T3; c_star is
     lhs / (T1 + T2 + T3), zero for a zero left-hand side. interaction and
     localization trace M(t) and the half-box mass fraction per snapshot.
-    gn_ratios holds the 4D per-snapshot Gagliardo-Nirenberg ratios of w (see
-    gn_ratios) and is None in 3D; it is not part of to_dict().
+    gn_ratios holds the 4D per-snapshot Gagliardo-Nirenberg ratios of w,
+    ||w||_{L3}^3 / (||w||_{H(1/2)} || |grad|^{-1/4} w ||_{L4}^2), and is None
+    in 3D; it is not part of to_dict(). A single constant should cover a
+    whole ensemble, so the interesting output is their spread.
     """
 
     dim: int
@@ -487,8 +485,8 @@ class CStarSpread:
     stable: bool
 
 
-def c_star_spread(values, threshold: float = 10.0) -> CStarSpread:
-    """max/median spread of C* across runs; stable when the ratio stays below threshold.
+def c_star_spread(values) -> CStarSpread:
+    """max/median spread of C* across runs; stable when the ratio stays below 10.
 
     Accepts MorawetzReport instances or bare numbers. Degenerate runs with
     C* = 0 are excluded from the median so an all-linear ensemble does not
@@ -507,7 +505,7 @@ def c_star_spread(values, threshold: float = 10.0) -> CStarSpread:
     mx = float(live.max())
     med = float(np.median(live))
     ratio = mx / med
-    return CStarSpread(n=vals.size, max=mx, median=med, ratio=ratio, stable=ratio < threshold)
+    return CStarSpread(n=vals.size, max=mx, median=med, ratio=ratio, stable=ratio < 10.0)
 
 
 @dataclass(frozen=True)
@@ -558,7 +556,6 @@ def identity_mor_mainterm(
     w: SpectralField,
     u: SpectralField,
     v: SpectralField,
-    power: float | None = None,
     y_points=None,
     n_points: int = 8,
     seed: int = 0,
@@ -568,14 +565,14 @@ def identity_mor_mainterm(
     At each center y both sides are evaluated by lattice quadrature with
     spectral gradients; the identity holds exactly in the continuum, so the
     residual is pure discretization error and must shrink under grid
-    refinement. y_points are physical coordinates snapped to the nearest
-    lattice point; by default n_points centers are drawn from a seeded
-    counter-based generator.
+    refinement. The power is the energy-critical 4/(d-2). y_points are
+    physical coordinates snapped to the nearest lattice point; by default
+    n_points centers are drawn from a seeded counter-based generator.
     """
     g = w.grid
     if u.grid != g or v.grid != g:
         raise ConfigError("w, u, v must live on the same grid")
-    p = _default_power(g.dim, power)
+    p = _critical_power(g.dim)
     coeff = (g.dim - 1) / (p + 2.0)
 
     wp = w.as_physical().values
@@ -623,19 +620,3 @@ def _gn_ratio(f: FrequencyView) -> float:
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
-
-
-def gn_ratios(traj: Trajectory, channel: str = "w") -> np.ndarray:
-    """Per-snapshot ratio ||f||_{L3}^3 / (||f||_{H(1/2)} || |grad|^{-1/4} f ||_{L4}^2).
-
-    The 4D Gagliardo-Nirenberg comparison: a single constant should cover a
-    whole ensemble, so the interesting output is the spread of these ratios.
-    Snapshots with a vanishing right-hand side report 0 when the left side
-    also vanishes. morawetz_audit reports the same ratios of w as
-    MorawetzReport.gn_ratios.
-    """
-    g = traj.grid
-    if g.dim != 4:
-        raise ConfigError(f"the Gagliardo-Nirenberg check is for dimension 4, got {g.dim}")
-    symbols: Symbols = {}
-    return np.array([_gn_ratio(snapshot_view(traj, channel, k, symbols)) for k in range(traj.n_snapshots)])

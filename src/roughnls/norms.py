@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, _xi_grids_odd, derivative_symbol, free_flow_into, modulus_lp_norm
+from .grids import GridSpec, derivative_symbol, free_flow_into, modulus_lp_norm, xi_grids_odd
 from .trajectory import Trajectory
 
 __all__ = [
@@ -145,7 +145,7 @@ class FrequencyView:
         The odd symbol i xi_k is zeroed at the unpaired Nyquist mode, as in grids.gradient.
         """
         out = []
-        for c in _xi_grids_odd(self.grid):
+        for c in xi_grids_odd(self.grid):
             comp = self.fhat * (1j * c)
             np.fft.ifftn(comp, out=comp)
             out.append(comp)

@@ -10,7 +10,7 @@ prod_j K_{delta_j}, delta != 0, with K_0 = [-1,1] and K_1 = {1 <= |t| <= 2},
 which realizes the same count.
 
 Each piece carries a tensor-product cutoff: 1 on the piece, a C^2 smoothstep
-ramp of width mollify_fraction * side outside it, zero beyond the doubled
+ramp of width MOLLIFY_FRACTION * side outside it, zero beyond the doubled
 piece. Renormalizing by the pointwise sum makes the family an exact partition
 of unity at every lattice point; a bookkeeping residual cutoff absorbs the
 region beyond coverage.
@@ -54,6 +54,10 @@ __all__ = [
 
 CORE_SHELL = 0
 RESIDUAL_SHELL = -1
+# each cutoff's ramp width as a fraction of its piece's side
+MOLLIFY_FRACTION = 0.25
+# build_partition refuses a family with more cutoffs than this, residual included
+MAX_CUBES = 500_000
 
 
 def expected_count(dim: int, a: int, shell: int) -> int:
@@ -73,9 +77,6 @@ class PartitionConfig:
     a: int
     n_max: int
     s: float = 0.0
-    mollify_fraction: float = 0.25
-    allow_subcell: bool = True
-    max_cubes: int = 500_000
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3, 4):
@@ -85,10 +86,6 @@ class PartitionConfig:
         n = self.n_max
         if n < 1 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_max must be a power of two >= 1, got {n}")
-        if not (0 < self.mollify_fraction <= 0.5):
-            raise ConfigError(
-                f"mollify_fraction must lie in (0, 1/2], got {self.mollify_fraction}"
-            )
 
     @property
     def shells(self) -> tuple[int, ...]:
@@ -348,7 +345,7 @@ def _core_block(config: PartitionConfig, grid: GridSpec) -> ShellBlock:
     cell delta != 0 the N = 1 product piece prod_i K_{delta_i}.
     """
     xi = grid.xi_axis()
-    frac = config.mollify_fraction
+    frac = MOLLIFY_FRACTION
     profiles = np.stack([_profile(xi, -1.0, 1.0, frac * 2.0), _profile(np.abs(xi), 1.0, 2.0, frac)])
     return ShellBlock(0, 2**config.dim, profiles, np.ones((2,) * config.dim, dtype=bool))
 
@@ -359,11 +356,11 @@ def _shell_block(config: PartitionConfig, grid: GridSpec, n: int, start: int) ->
     Cells [m*l, (m+1)*l)^d with l = 2*N^-a tile {N < |xi|_inf <= 2N} exactly:
     m ranges over [-2P, 2P-1]^d minus [-P, P-1]^d, P = N^{a+1}/2. Row m + 2P
     of the profile table is the profile of [m*l, (m+1)*l] with ramp
-    mollify_fraction * l.
+    MOLLIFY_FRACTION * l.
     """
     p = n ** (config.a + 1) // 2
     side = 2.0 * n**-config.a
-    w = config.mollify_fraction * side
+    w = MOLLIFY_FRACTION * side
     m = np.arange(-2 * p, 2 * p)[:, None]
     profiles = _profile(grid.xi_axis()[None, :], m * side, (m + 1) * side, w)
     inner = np.zeros(4 * p, dtype=bool)
@@ -382,17 +379,10 @@ def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartiti
             f"shell frequency {config.coverage:g}"
         )
     total = config.total_cubes()
-    if total + 1 > config.max_cubes:
+    if total + 1 > MAX_CUBES:
         raise ResourceLimitError(
-            f"partition would have {total} cubes, above the max_cubes cap "
-            f"{config.max_cubes}; lower a or n_max"
+            f"partition would have {total} cubes, above the cap {MAX_CUBES}; lower a or n_max"
         )
-    for n in config.shells[1:]:
-        if 2.0 * n**-config.a < grid.dxi and not config.allow_subcell:
-            raise ResolutionError(
-                f"shell {n} cube side {2.0 * n**-config.a:g} is below the lattice "
-                f"spacing {grid.dxi:g} and allow_subcell is off"
-            )
 
     blocks = [_core_block(config, grid)]
     shell_members = {CORE_SHELL: range(0, 1), 1: range(1, blocks[0].stop)}
@@ -427,37 +417,29 @@ class BernsteinFit:
     slope: float
     expected: float
     shells: tuple[int, ...]
-    ratios: tuple[float, ...]  # median ||box f||_q / ||box f||_p per shell
+    ratios: tuple[float, ...]  # median ||box f||_inf / ||box f||_2 per shell
 
 
-def bernstein_exponent(
-    partition: FrequencyPartition,
-    p: float = 2.0,
-    q: float = math.inf,
-    shells: tuple[int, ...] | None = None,
-    n_probes: int = 8,
-    seed: int = 0,
-) -> BernsteinFit:
-    """Fit the growth exponent of ||box_j f||_q / ||box_j f||_p across shells.
+def bernstein_exponent(partition: FrequencyPartition) -> BernsteinFit:
+    """Fit the growth exponent of ||box_j f||_inf / ||box_j f||_2 across the shells N >= 2.
 
-    Probes single-cube random fields on shells N in {2, 4, ...} and regresses
-    log2(median ratio) on log2 N. Probe spectra have random Rayleigh moduli
+    Probes up to 8 single-cube random fields per shell, drawn from a Philox
+    stream with seed 0, and regresses log2(median ratio) on log2 N. Probe spectra have random Rayleigh moduli
     with aligned phases (random phases would not saturate the volume factor,
     and the ratio would go flat). The expected slope from the cube side
-    2*N^-a is -a*(d/p - d/q).
+    2*N^-a is -a*d/2.
     """
     cfg = partition.config
-    if shells is None:
-        shells = tuple(n for n in cfg.shells if n >= 2)
+    shells = tuple(n for n in cfg.shells if n >= 2)
     if len(shells) < 2:
         raise ConfigError("bernstein_exponent needs at least two shells >= 2")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB3A7], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0xB3A7], dtype=np.uint64)))
     medians = []
     for n in shells:
         usable = partition.supported_members(n)
         if not usable:
             raise ResolutionError(f"shell {n} has no lattice-resolvable cubes on this grid")
-        take = min(n_probes, len(usable))
+        take = min(8, len(usable))
         picks = rng.choice(len(usable), size=take, replace=False)
         ratios = []
         for k in picks:
@@ -468,13 +450,11 @@ def bernstein_exponent(
             f = to_physical(
                 SpectralField(partition.grid, fhat.reshape(partition.grid.shape), "frequency")
             )
-            denom = lp_norm(f, p)
+            denom = lp_norm(f, 2.0)
             if denom > 0:
-                ratios.append(lp_norm(f, q) / denom)
+                ratios.append(lp_norm(f, math.inf) / denom)
         medians.append(float(np.median(ratios)))
     lg_n = np.log2(np.asarray(shells, dtype=float))
     lg_r = np.log2(np.asarray(medians))
     slope = float(np.polyfit(lg_n, lg_r, 1)[0])
-    dp = 0.0 if math.isinf(p) else cfg.dim / p
-    dq = 0.0 if math.isinf(q) else cfg.dim / q
-    return BernsteinFit(slope, -cfg.a * (dp - dq), tuple(shells), tuple(medians))
+    return BernsteinFit(slope, -cfg.a * (cfg.dim / 2.0), shells, tuple(medians))

@@ -300,11 +300,10 @@ def tail_fit(
     samples: np.ndarray,
     q_lo: float = 0.90,
     q_hi: float = 0.998,
-    n_grid: int = 20,
 ) -> TailReport:
     """Fit the subgaussian tail rate of |samples| over a quantile-spaced grid.
 
-    The grid spans the empirical quantiles [q_lo, q_hi]. The defaults are
+    The grid is 20 evenly spaced levels of the empirical quantiles in [q_lo, q_hi]. The defaults are
     calibrated on the exact standard-normal survival curve, where this window
     recovers rate ~ 0.575 against the asymptotic 1/2: the pre-asymptotic
     survival is steeper than exp(-lambda^2/2) by a 1/lambda prefactor, and
@@ -318,7 +317,7 @@ def tail_fit(
         raise FitError(f"tail fit needs at least 200 samples, got {n}")
     if not (0 < q_lo < q_hi < 1):
         raise FitError(f"bad quantile window ({q_lo}, {q_hi})")
-    lam = np.quantile(x, np.linspace(q_lo, q_hi, n_grid))
+    lam = np.quantile(x, np.linspace(q_lo, q_hi, 20))
     lam = np.unique(lam)
     counts = (x[None, :] > lam[:, None]).sum(axis=1)
     keep = counts > 0

@@ -47,12 +47,11 @@ from .errors import BlowupError, ConfigError, RepresentationError
 from .grids import (
     GridSpec,
     SpectralField,
-    _xi_sq,
     free_flow_into,
     free_multiplier,
     free_propagate,
-    lp_norm,
     sobolev_norm,
+    xi_sq,
 )
 from .trajectory import Trajectory
 
@@ -61,7 +60,6 @@ __all__ = [
     "SolverConfig",
     "ConservationSeries",
     "dealias_mask",
-    "evolve_full",
     "solve_w",
     "increment_residuals",
     "TwinReport",
@@ -230,20 +228,6 @@ def _split_checked(
         )
 
 
-def mass_of(w: SpectralField) -> float:
-    """M = integral |w|^2 dx."""
-    return w.l2_norm() ** 2
-
-
-def energy_of(w: SpectralField, u: SpectralField, power: float, mu: float) -> float:
-    """E = 1/2 integral |grad w|^2 + mu/(p+2) integral |u|^{p+2}."""
-    kin = 0.5 * sobolev_norm(w, 1.0, "homogeneous") ** 2
-    if mu == 0.0:
-        return kin
-    pot = mu / (power + 2.0) * lp_norm(u, power + 2.0) ** (power + 2.0)
-    return kin + pot
-
-
 @dataclass
 class ConservationSeries:
     """Mass/energy samples every series_stride steps plus identity-vs-difference rates.
@@ -370,7 +354,7 @@ def solve_w(
     abs_sq = np.empty(shape)
     scratch = np.empty(shape)
 
-    xi2 = _xi_sq(grid)
+    xi2 = xi_sq(grid)
     k_half = _half_kinetic(grid, cfg.dt)
     # the closing half-step also dealiases: one multiply by K_half with the
     # 2/3 mask folded in, built once per solve and dropped with it
@@ -513,12 +497,6 @@ def solve_w(
         denergy_id=ser_de_id,
     )
     return traj, series
-
-
-def evolve_full(u0: SpectralField, cfg: SolverConfig) -> tuple[Trajectory, ConservationSeries]:
-    """Integrate the full equation from u0 (solve_w with v = 0); snapshots in channel 'u'."""
-    traj, series = solve_w(u0, None, cfg)
-    return Trajectory(traj.grid, traj.times, {"u": traj.channels["w"]}, traj.meta), series
 
 
 def increment_residuals(series: ConservationSeries) -> ConservationSeries:
@@ -669,7 +647,7 @@ def almost_conservation_monitor(
         raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
     if "v" in traj.channels:
         vhat0 = traj.snapshot("v", 0).as_frequency()
-        low = np.sqrt(_xi_sq(traj.grid)) < n0 / 2.0
+        low = np.sqrt(xi_sq(traj.grid)) < n0 / 2.0
         leak = float(np.linalg.norm(vhat0.values[low]))
         total = float(np.linalg.norm(vhat0.values))
         if total > 0 and leak > 1e-9 * total:
@@ -703,18 +681,15 @@ class ScatteringReport:
     decreasing: bool
 
 
-def scattering_proxy(
-    traj: Trajectory,
-    fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
-) -> ScatteringReport:
+def scattering_proxy(traj: Trajectory) -> ScatteringReport:
     """H^1 Cauchy differences of the free pullback along a time ladder.
 
-    Picks the snapshots nearest fraction * t_final, pulls each w back by the
-    free flow, and reports whether consecutive differences decrease (they
+    Picks the snapshots nearest t_final / 4, t_final / 2, 3 t_final / 4 and
+    t_final, pulls each w back by the free flow, and reports whether consecutive differences decrease (they
     vanish identically for a linear run).
     """
     t_final = float(traj.times[-1])
-    idx = sorted({int(np.argmin(np.abs(traj.times - f * t_final))) for f in fractions})
+    idx = sorted({int(np.argmin(np.abs(traj.times - f * t_final))) for f in (0.25, 0.5, 0.75, 1.0)})
     if len(idx) < 2:
         raise ConfigError("scattering proxy needs at least two distinct ladder times")
     name = "w" if "w" in traj.channels else "u"

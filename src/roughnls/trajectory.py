@@ -90,18 +90,18 @@ class Trajectory:
         return self.times.size
 
     def channel(self, name: str) -> np.ndarray:
-        """Snapshot stack for a channel; 'u' is synthesized as v + w if absent."""
-        if name in self.channels:
-            return self.channels[name]
-        if name == "u" and "v" in self.channels and "w" in self.channels:
-            return self.channels["v"] + self.channels["w"]
-        raise KeyError(f"trajectory has no channel {name!r} (have {sorted(self.channels)})")
+        """Snapshot stack of a stored channel."""
+        if name not in self.channels:
+            raise KeyError(f"trajectory has no channel {name!r} (have {sorted(self.channels)})")
+        return self.channels[name]
 
     def snapshot(self, name: str, k: int) -> SpectralField:
         """Snapshot k of a channel; an unstored 'u' is v[k] + w[k], built for this snapshot only."""
         if name == "u" and name not in self.channels and {"v", "w"} <= self.channels.keys():
-            return SpectralField(self.grid, self.channels["v"][k] + self.channels["w"][k], "physical")
-        return SpectralField(self.grid, self.channel(name)[k], "physical")
+            values = self.channels["v"][k] + self.channels["w"][k]
+        else:
+            values = self.channel(name)[k]
+        return SpectralField(self.grid, values, "physical")
 
 
 def _write_values(path: Path, grid: GridSpec, values: np.ndarray, t: float, channel: str) -> None:
@@ -139,7 +139,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float, str]:
             raise ConfigError(f"{path}: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ConfigError(f"{path}: unsupported snapshot version {version}")
-        grid = GridSpec(dim, m, half_width)
+        try:
+            grid = GridSpec(dim, m, half_width)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad snapshot grid ({exc})") from exc
         values = np.empty(grid.shape, dtype="<c16")
         if fh.readinto(values) != values.nbytes:
             raise ConfigError(f"{path}: truncated snapshot data")

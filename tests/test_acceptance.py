@@ -22,7 +22,6 @@ from roughnls import (
     c_star_spread,
     composite_spec,
     draw,
-    evolve_full,
     expected_count,
     free_propagate,
     high_pass,
@@ -191,7 +190,7 @@ def test_c06_free_flow_exactness():
 def test_c07_solver_order_and_conservation(grid32):
     u0 = bump(grid32, 0.6, 1.5, wave=(1, 0, 0))
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=1.0, snapshot_stride=1000, series_stride=100)
-    _, series = evolve_full(u0, cfg)
+    _, series = solve_w(u0, None, cfg)
     drift = float(np.max(np.abs(series.mass / series.mass[0] - 1.0)))
     assert drift < 1e-10, f"mass drift {drift:.3e}"
 
@@ -199,7 +198,7 @@ def test_c07_solver_order_and_conservation(grid32):
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(1.0 / dt)
         c = SolverConfig(dim=3, dt=dt, t_final=1.0, snapshot_stride=n, series_stride=n, dealias=False)
-        _, s = evolve_full(u0, c)
+        _, s = solve_w(u0, None, c)
         finals.append(s.energy[-1])
     ratio = abs(finals[0] - finals[1]) / abs(finals[1] - finals[2])
     assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3, f"self-convergence ratio {ratio:.3f}"
@@ -271,12 +270,13 @@ def test_c10_inequality_audits(tmp_path):
             "kind": "morawetz-audit",
             "out_dir": str(tmp_path / f"d{d}"),
             "n_samples": 10,
+            "workers": 4,
             "save_fields": False,
             "solver": {"dt": 2e-3, "t_final": 0.4, "snapshot_stride": 10, "series_stride": 10},
             "initial": {"kind": "bump", "amplitude": 0.25, "width": 1.5},
             **sections,
         })
-        recs = run(cfg, workers=4)
+        recs = run(cfg)
         assert len(recs) == 10
         spread = c_star_spread([r.metrics["c_star"] for r in recs])
         assert spread.ratio < 10.0, f"d={d} spread {spread.ratio:.3f}"
@@ -336,11 +336,11 @@ def test_c12_perturbation_ladder(grid32, part32):
 def test_c13_scattering_proxy(grid32):
     u0 = bump(grid32, 0.2, 2.0)
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10)
-    traj, _ = evolve_full(u0, cfg)
+    traj, _ = solve_w(u0, None, cfg)
     rep = scattering_proxy(traj)
     assert rep.decreasing, f"deltas {rep.deltas}"
     lin_cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10, mu=0.0, dealias=False)
-    lin_traj, _ = evolve_full(u0, lin_cfg)
+    lin_traj, _ = solve_w(u0, None, lin_cfg)
     lin = scattering_proxy(lin_traj)
     assert max(lin.deltas) < 1e-12
     print(f"\n[c13] pullback deltas decreasing ({', '.join(f'{d:.2e}' for d in rep.deltas)}); linear deltas {max(lin.deltas):.2e} ~ 0: PASS")
@@ -358,8 +358,8 @@ def test_c14_harness_determinism(tmp_path):
         "solver": {"dt": 0.02, "t_final": 0.1},
         "initial": {"kind": "bump", "amplitude": 0.3, "width": 1.5},
     }
-    r1 = run(parse_config(dict(base, out_dir=str(tmp_path / "w1"))), workers=1)
-    r8 = run(parse_config(dict(base, out_dir=str(tmp_path / "w8"))), workers=8)
+    r1 = run(parse_config(dict(base, out_dir=str(tmp_path / "w1"), workers=1)))
+    r8 = run(parse_config(dict(base, out_dir=str(tmp_path / "w8"), workers=8)))
     assert len(r1) == len(r8) == 8
     for a, b in zip(r1, r8):
         assert a.seed == b.seed

@@ -18,7 +18,7 @@ from roughnls import (
     lp_symbol,
     sobolev_norm,
 )
-from roughnls.grids import _xi_sq
+from roughnls.grids import xi_sq
 
 
 def gaussian_field(grid, width=1.0, amp=1.0):
@@ -179,7 +179,7 @@ def test_free_propagate_group_law_and_isometry():
 @pytest.mark.parametrize("t", [1e-3, 0.3, -0.8])
 def test_free_multiplier_matches_lattice_exponential(dim, points, t):
     g = GridSpec(dim, points, np.pi)
-    exact = np.exp(-1j * t * _xi_sq(g))
+    exact = np.exp(-1j * t * xi_sq(g))
     got = free_multiplier(g, t)
     assert got.shape == g.shape
     assert np.max(np.abs(got - exact)) < 1e-13

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -101,7 +102,7 @@ def test_run_resume_skips_completed(tmp_path):
 
 def test_worker_count_does_not_change_metrics(tmp_path):
     r1 = run(parse_config(evolve_config(tmp_path / "w1", n_samples=3)))
-    r2 = run(parse_config(evolve_config(tmp_path / "w2", n_samples=3)), workers=3)
+    r2 = run(parse_config(evolve_config(tmp_path / "w2", n_samples=3, workers=3)))
     assert [r.metrics for r in r1] == [r.metrics for r in r2]
 
 
@@ -144,7 +145,7 @@ def test_unforced_evolve_builds_no_partition(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_failed_seed_keeps_finished_records(tmp_path, monkeypatch, workers):
-    cfg = parse_config(evolve_config(tmp_path, n_samples=5))
+    cfg = parse_config(evolve_config(tmp_path, n_samples=5, workers=workers))
     seeds = [cfg.seed + i for i in range(5)]
     evolve = harness._TASKS["evolve"]
     ran = []
@@ -158,13 +159,13 @@ def test_failed_seed_keeps_finished_records(tmp_path, monkeypatch, workers):
     monkeypatch.setitem(harness._TASKS, "evolve", task)
     failing = True
     with pytest.raises(RuntimeError):
-        run(cfg, workers=workers)
+        run(cfg)
     lines = (tmp_path / "records.jsonl").read_text().splitlines()
     assert [ResultRecord.from_line(line).seed for line in lines] == seeds[:2]
 
     failing = False
     ran.clear()
-    recs = run(cfg, workers=workers)
+    recs = run(cfg)
     assert sorted(ran) == seeds[2:]
     assert [r.seed for r in recs] == seeds
 
@@ -193,8 +194,10 @@ def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
     del raw["forcing"]
     unforced = parse_config(raw)
     run(unforced)
-    full, _ = solver.evolve_full(initial_field(unforced.initial, unforced.grid), unforced.solver)
-    save_trajectory(full, tmp_path / "saved_unforced")
+    full, _ = solve_w(initial_field(unforced.initial, unforced.grid), None, unforced.solver)
+    # the harness writes an unforced run's field as channel 'u'
+    as_u = Trajectory(full.grid, full.times, {"u": full.channels["w"]}, full.meta)
+    save_trajectory(as_u, tmp_path / "saved_unforced")
     _same_files(tmp_path / "unforced" / "run_0000" / "traj", tmp_path / "saved_unforced")
 
 
@@ -456,6 +459,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     (traj / "manifest.json").write_text(json.dumps(manifest))
     assert cli_main(["morawetz", "--traj", str(traj)]) == 2
 
+    # a snapshot file whose header claims 7 points per axis, which no grid has
+    bad = save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), tmp_path / "bad")
+    snap = bad / manifest["channels"]["w"][1]
+    header = bytearray(snap.read_bytes())
+    struct.pack_into("<I", header, 12, 7)  # magic, version and dim come first
+    snap.write_bytes(bytes(header))
+    assert cli_main(["morawetz", "--traj", str(bad)]) == 2
+
 
 def test_cli_rejects_worker_counts_below_one(tmp_path, monkeypatch, capsys):
     # the flag and the environment variable are held to config.workers' rule
@@ -474,6 +486,50 @@ def test_cli_rejects_worker_counts_below_one(tmp_path, monkeypatch, capsys):
         "config error: ROUGH_NLS_WORKERS='abc' is not an integer",
     ]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_worker_count_reaches_the_memory_guard(tmp_path, monkeypatch):
+    # The guard charges the worker count the run starts, wherever it comes
+    # from: a 1.71 MiB limit admits this config's one worker and refuses
+    # eight from the flag or from the environment variable.
+    lin = {
+        "kind": "linear-stats",
+        "out_dir": str(tmp_path / "lin"),
+        "workers": 1,
+        "memory_limit_mb": 1.71,
+        "grid": dict(GRID),
+        "partition": dict(PART),
+        "forcing": dict(FORCING),
+        "times": {"t_final": 0.3, "n_times": 4},
+    }
+    one = parse_config(lin)
+    assert harness._estimate_bytes(one) < 1.71 * 2**20 < harness._estimate_bytes(replace(one, workers=8))
+    lin_path = tmp_path / "lin.json"
+    lin_path.write_text(json.dumps(lin))
+    args = ["linear-stats", "--config", str(lin_path)]
+    assert cli_main(args + ["--workers", "8"]) == 4
+    monkeypatch.setenv(harness.ENV_WORKERS, "8")
+    assert cli_main(args) == 4
+    assert not (tmp_path / "lin").exists()
+    monkeypatch.delenv(harness.ENV_WORKERS)
+    assert cli_main(args) == 0
+    assert len((tmp_path / "lin" / "records.jsonl").read_text().splitlines()) == 1
+
+
+def test_cli_partition_report_checks_the_worker_count(tmp_path, capsys):
+    # with n_samples 0 the report is built without run(), and the flag is still checked
+    part_cfg = {
+        "kind": "partition-report",
+        "out_dir": str(tmp_path / "part"),
+        "n_samples": 0,
+        "grid": dict(GRID),
+        "partition": dict(PART),
+    }
+    p = tmp_path / "part.json"
+    p.write_text(json.dumps(part_cfg))
+    assert cli_main(["partition", "--config", str(p), "--workers", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: workers must be at least 1, got 0"]
+    assert not (tmp_path / "part").exists()
 
 
 def test_cli_dim_mismatch_exits_2(tmp_path):

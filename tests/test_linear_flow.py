@@ -173,12 +173,13 @@ def test_linear_trajectory_records_its_spectrum():
         assert np.max(np.abs(view.fhat - expect)) < 1e-12 * np.abs(expect).max()
 
 
-def linear_stats_config(out_dir, seed, n_samples):
+def linear_stats_config(out_dir, seed, n_samples, workers=1):
     return parse_config({
         "kind": "linear-stats",
         "out_dir": str(out_dir),
         "seed": seed,
         "n_samples": n_samples,
+        "workers": workers,
         "grid": {"dim": 3, "points": 12, "half_width": float(np.pi)},
         "partition": {"a": 1, "n_max": 2, "s": -0.1},
         "forcing": {"field_seed": 9, "decay": 1.2, "n0": 2.0, "amplitude": 0.3},
@@ -187,8 +188,8 @@ def linear_stats_config(out_dir, seed, n_samples):
 
 
 def test_linear_stats_reproducible_across_workers(tmp_path):
-    r1 = run(linear_stats_config(tmp_path / "w1", 0, 8), workers=1)
-    r2 = run(linear_stats_config(tmp_path / "w2", 0, 8), workers=2)
+    r1 = run(linear_stats_config(tmp_path / "w1", 0, 8, workers=1))
+    r2 = run(linear_stats_config(tmp_path / "w2", 0, 8, workers=2))
     assert [r.metrics for r in r1] == [r.metrics for r in r2]
     s1, s2 = (json.loads((tmp_path / w / "summary.json").read_text()) for w in ("w1", "w2"))
     assert s1["metrics"] == s2["metrics"]
@@ -200,7 +201,7 @@ def test_harness_and_ensemble_give_identical_norms(tmp_path):
     # The harness runs each seed of its ensemble through linear_seed, so its
     # per-seed Y metrics equal linear_seed's totals and components bit for bit.
     cfg = linear_stats_config(tmp_path, 40, 3)
-    recs = run(cfg, workers=1)
+    recs = run(cfg)
     f = shaped_profile(cfg.grid, 9, 1.2, 0.3)
     part = build_partition(cfg.partition, cfg.grid)
     spec = composite_spec("Y3", -0.1, 1.0)

@@ -13,7 +13,6 @@ from roughnls import (
     SpectralField,
     Trajectory,
     c_star_spread,
-    gn_ratios,
     identity_mor_mainterm,
     interaction_functional,
     local_densities,
@@ -270,18 +269,10 @@ def test_c_star_spread():
         c_star_spread([1.0, np.inf])
 
 
-def test_gn_ratios_dimension_guard():
-    g = GridSpec(3, 8, np.pi)
-    z = np.zeros((2,) + g.shape, complex)
-    traj = Trajectory(g, np.array([0.0, 0.1]), {"v": z, "w": z}, {})
-    with pytest.raises(ConfigError):
-        gn_ratios(traj)
-
-
 def test_gn_ratios_finite_positive_4d():
     g = GridSpec(4, 8, np.pi)
     traj = synth_traj(g)
-    ratios = gn_ratios(traj)
+    ratios = morawetz_audit(traj).gn_ratios
     assert ratios.shape == (3,)
     assert np.all(ratios > 0) and np.all(np.isfinite(ratios))
 
@@ -423,7 +414,6 @@ def test_audit_matches_norm_major_reference(make):
     assert _rel(rep.localization, loc) < 1e-12
     if traj.grid.dim == 4:
         assert _rel(rep.gn_ratios, gn) < 1e-12
-        assert _rel(gn_ratios(traj), gn) < 1e-12
         assert "gn_ratios" not in rep.to_dict()
     else:
         assert rep.gn_ratios is None

@@ -18,6 +18,7 @@ from roughnls import (
     expected_count,
 )
 from roughnls.grids import smoothstep
+from roughnls.partition import MOLLIFY_FRACTION
 
 
 def noise_field(grid, seed=0):
@@ -138,15 +139,6 @@ def test_bernstein_slope_1d():
     assert abs(fit.slope - fit.expected) < 0.2
 
 
-def test_grid_too_coarse_raises():
-    # Shell-4 cubes of side 1/4 need lattice spacing <= 1/4; a tiny box makes
-    # the cubes sub-lattice and the build must refuse (or place them) per
-    # allow_subcell.
-    g = GridSpec(1, 16, 1.0)
-    with pytest.raises(ConfigError):
-        build_partition(PartitionConfig(dim=1, a=2, n_max=4, allow_subcell=False), g)
-
-
 # every (dim, a) whose n_max = 2 family has at most 30,000 cubes: (4, 2) has
 # 61,440 and (4, 3) 983,040, too many to sample one by one in a unit test
 SEPARABLE_CASES = [
@@ -169,7 +161,7 @@ def geometric_cutoffs(grid, cfg):
     frac*side) with m in [-2P, 2P)^d outside [-P, P)^d, in C order.
     """
     xi = grid.xi_axis()
-    frac, dim = cfg.mollify_fraction, cfg.dim
+    frac, dim = MOLLIFY_FRACTION, cfg.dim
     k = {0: ramp(xi, -1.0, 1.0, 2.0 * frac), 1: ramp(np.abs(xi), 1.0, 2.0, frac)}
     for delta in itertools.product((0, 1), repeat=dim):
         yield (1 if any(delta) else 0), [k[b] for b in delta]

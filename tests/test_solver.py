@@ -17,11 +17,8 @@ from roughnls import (
     almost_conservation_monitor,
     build_partition,
     draw,
-    energy_of,
-    evolve_full,
     high_pass,
     increment_residuals,
-    mass_of,
     parse_config,
     run,
     scattering_proxy,
@@ -70,7 +67,7 @@ def test_mass_conserved_unforced():
     g = GridSpec(3, 16, np.pi)
     u0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.05, snapshot_stride=10, dealias=False)
-    traj, series = evolve_full(u0, cfg)
+    traj, series = solve_w(u0, None, cfg)
     drift = np.max(np.abs(series.mass / series.mass[0] - 1.0))
     assert drift < 1e-12
 
@@ -82,18 +79,10 @@ def test_linear_limit_matches_free_flow():
     g = GridSpec(2, 16, np.pi)
     u0 = bump(g, 0.3, 1.0)
     cfg = SolverConfig(dim=2, dt=1e-2, t_final=0.1, mu=0.0, power=2.0, dealias=False)
-    traj, _ = evolve_full(u0, cfg)
+    traj, _ = solve_w(u0, None, cfg)
     exact = free_propagate(u0, 0.1).as_physical().values
-    got = traj.snapshot("u", traj.n_snapshots - 1).values
+    got = traj.snapshot("w", traj.n_snapshots - 1).values
     assert np.max(np.abs(got - exact)) < 1e-10
-
-
-def test_energy_decomposition_positive():
-    g = GridSpec(3, 12, np.pi)
-    u0 = bump(g, 0.5, 1.0)
-    e = energy_of(u0, u0, 4.0, 1.0)
-    assert e > 0.0
-    assert mass_of(u0) > 0.0
 
 
 def test_blowup_guard_raises():
@@ -102,7 +91,7 @@ def test_blowup_guard_raises():
     # Focusing sign with large data and a tight guard must trip the guard.
     cfg = SolverConfig(dim=1, dt=1e-2, t_final=5.0, mu=-1.0, power=4.0, blowup_factor=1.05)
     with pytest.raises(BlowupError):
-        evolve_full(u0, cfg)
+        solve_w(u0, None, cfg)
 
 
 def test_forced_residuals_present_and_small():
@@ -161,7 +150,7 @@ def test_scattering_proxy_zero_for_linear():
     g = GridSpec(3, 12, np.pi)
     u0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, mu=0.0, snapshot_stride=10)
-    traj, _ = evolve_full(u0, cfg)
+    traj, _ = solve_w(u0, None, cfg)
     rep = scattering_proxy(traj)
     # Linear runs have an exactly constant pullback; only roundoff remains,
     # whose ordering is meaningless, so just the magnitude is checked.
@@ -173,9 +162,9 @@ def test_dealias_flag_changes_solution():
     u0 = bump(g, 0.6, 1.0)
     on = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=True)
     off = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=False)
-    t1, _ = evolve_full(u0, on)
-    t2, _ = evolve_full(u0, off)
-    d = np.max(np.abs(t1.channel("u")[-1] - t2.channel("u")[-1]))
+    t1, _ = solve_w(u0, None, on)
+    t2, _ = solve_w(u0, None, off)
+    d = np.max(np.abs(t1.channel("w")[-1] - t2.channel("w")[-1]))
     assert d > 0.0
 
 
@@ -183,7 +172,7 @@ def test_series_stride_applies_unforced(tmp_path):
     g = GridSpec(3, 8, np.pi)
     u0 = bump(g, 0.4, 1.5)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.1, snapshot_stride=100, series_stride=10)
-    traj, series = evolve_full(u0, cfg)
+    traj, series = solve_w(u0, None, cfg)
     assert traj.n_snapshots == 2
     assert series.times.size == cfg.n_series == 11
     np.testing.assert_allclose(series.times, np.arange(11) * 0.01, rtol=0, atol=1e-15)
@@ -211,14 +200,12 @@ def test_zero_forcing_is_the_full_equation():
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5)
     zero = SpectralField(g, np.zeros(g.shape, dtype=complex), "physical")
     forced, forced_series = solve_w(u0, zero, cfg)
-    full, full_series = evolve_full(u0, cfg)
-    assert np.array_equal(forced.channels["w"], full.channels["u"])
+    full, full_series = solve_w(u0, None, cfg)
+    assert np.array_equal(forced.channels["w"], full.channels["w"])
     assert np.array_equal(forced_series.mass, full_series.mass)
     assert np.array_equal(forced_series.energy, full_series.energy)
     assert not np.any(forced.channels["v"])
-    bare, _ = solve_w(u0, None, cfg)
-    assert set(bare.channels) == {"w"}
-    assert np.array_equal(bare.channels["w"], full.channels["u"])
+    assert set(full.channels) == {"w"}
 
 
 @pytest.mark.parametrize("forcing", ["rough", "zero", "none"])

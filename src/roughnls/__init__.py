@@ -1,12 +1,13 @@
 """Pseudo-spectral toolkit for the energy-critical defocusing NLS with
 frequency-cube-randomized rough initial data.
 
-Modules: grids (Fourier conventions and spectral fields), partition
+Modules: grids (Fourier conventions, spectral fields and symbols), partition
 (unit-cube frequency decomposition with smooth weights), randomize (cube
 Gaussian draws and tail statistics), linear_flow (free evolution and
 composite norms), solver (splitting integrator for the forced difference
 equation), morawetz (interaction functional audits), trajectory (snapshot
-container and binary format), norms (space-time Lebesgue/Sobolev norms),
+container and binary format), norms (FrequencyView: spatial norms,
+derivatives and gradients of one snapshot; space-time Lebesgue/Sobolev norms),
 harness (batch experiment runner), cli (command line entry point).
 """
 
@@ -21,15 +22,9 @@ from .errors import (
 from .grids import (
     GridSpec,
     SpectralField,
-    fractional_derivative,
     free_flow_into,
     free_multiplier,
-    free_propagate,
-    gradient,
-    l2_inner,
-    lp_norm,
     lp_symbol,
-    sobolev_norm,
 )
 from .harness import (
     ExperimentConfig,

@@ -1,4 +1,4 @@
-"""Periodic grids, spectral fields, Fourier multipliers, and Littlewood-Paley symbols.
+"""Periodic grids, spectral fields, Fourier symbols, and Littlewood-Paley symbols.
 
 Conventions (fixed once, used everywhere):
 
@@ -13,6 +13,12 @@ Conventions (fixed once, used everywhere):
 * Each grid transform (to_frequency, to_physical) allocates one lattice
   array and transforms in place in it: the per-axis FFT passes and the
   weight multiply write into that array, never into the input.
+
+The continuum weight exists only at the SpectralField boundary (to_frequency,
+to_physical, raw_spectrum, the as_* methods and l2_norm). Every other
+spectral operation works in numpy's raw np.fft.fftn coordinates, on which
+the diagonal symbols here act unchanged: norms, derivatives and gradients
+are read through norms.FrequencyView, and the free flow is free_flow_into.
 """
 
 from __future__ import annotations
@@ -32,16 +38,10 @@ __all__ = [
     "to_frequency",
     "to_physical",
     "raw_spectrum",
-    "fractional_derivative",
     "derivative_symbol",
-    "free_propagate",
     "free_multiplier",
     "free_flow_into",
-    "lp_norm",
     "modulus_lp_norm",
-    "sobolev_norm",
-    "l2_inner",
-    "gradient",
     "smoothstep",
     "lp_symbol",
     "xi_sq",
@@ -238,13 +238,6 @@ def raw_spectrum(field: SpectralField) -> np.ndarray:
     return field.values / _transform_weight(field.grid)
 
 
-def _apply_multiplier(field: SpectralField, mult: np.ndarray) -> SpectralField:
-    start_physical = field.rep == PHYSICAL
-    fhat = field.as_frequency()
-    out = SpectralField(field.grid, fhat.values * mult, FREQUENCY)
-    return out.as_physical() if start_physical else out
-
-
 def derivative_symbol(grid: GridSpec, s: float, kind: str) -> np.ndarray:
     """The lattice symbol |xi|^s (homogeneous, zero at xi = 0) or (1 + |xi|^2)^(s/2).
 
@@ -260,18 +253,6 @@ def derivative_symbol(grid: GridSpec, s: float, kind: str) -> np.ndarray:
     else:
         raise ValueError(f"kind must be 'homogeneous' or 'inhomogeneous', got {kind!r}")
     return mult
-
-
-def fractional_derivative(field: SpectralField, s: float, kind: str = "homogeneous") -> SpectralField:
-    """Apply |grad|^s (homogeneous) or <grad>^s (inhomogeneous, Bessel).
-
-    The homogeneous symbol |xi|^s is zero at xi = 0 for s != 0 (the mean mode is
-    dropped, also for negative s); s = 0 is the identity. Output keeps the input
-    representation.
-    """
-    if kind == "homogeneous" and s == 0:
-        return field
-    return _apply_multiplier(field, derivative_symbol(field.grid, s, kind))
 
 
 def smoothstep(t: np.ndarray) -> np.ndarray:
@@ -311,13 +292,6 @@ def lp_symbol(grid: GridSpec, n: float, variant: str) -> np.ndarray:
     raise ValueError(f"variant must be 'low', 'band' or 'high', got {variant!r}")
 
 
-def free_propagate(field: SpectralField, t: float) -> SpectralField:
-    """Exact free flow e^{it Laplacian}: multiply fhat by e^{-i t |xi|^2}."""
-    if t == 0:
-        return field
-    return _apply_multiplier(field, free_multiplier(field.grid, t))
-
-
 @lru_cache(maxsize=64)
 def xi_grids_odd(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """The sparse per-axis frequency grids of a spectral derivative, cached per grid.
@@ -331,44 +305,10 @@ def xi_grids_odd(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.meshgrid(*([ax] * grid.dim), indexing="ij", sparse=True))
 
 
-def gradient(field: SpectralField) -> list[SpectralField]:
-    """Spectral partial derivatives [d/dx_1 f, ..., d/dx_d f], physical representation.
-
-    Real fields get real derivatives: the odd symbol i xi_k is zeroed at the
-    unpaired Nyquist frequency.
-    """
-    fhat = field.as_frequency()
-    comps = xi_grids_odd(field.grid)
-    shape = field.grid.shape
-    return [
-        to_physical(SpectralField(field.grid, fhat.values * np.broadcast_to(1j * c, shape), FREQUENCY))
-        for c in comps
-    ]
-
-
-def lp_norm(field: SpectralField, r: float) -> float:
-    """Spatial L^r norm by Riemann sum; r = inf is the lattice max of |f|."""
-    return modulus_lp_norm(np.abs(field.as_physical().values), r, field.grid)
-
-
 def modulus_lp_norm(modulus: np.ndarray, r: float, grid: GridSpec) -> float:
-    """lp_norm of a field whose pointwise modulus |f| is already at hand."""
+    """Spatial L^r norm of a field from its modulus |f|, by Riemann sum; r = inf is the lattice max."""
     if math.isinf(r):
         return float(modulus.max())
     if r <= 0:
         raise ValueError(f"Lebesgue exponent must be positive, got {r}")
     return float((np.sum(modulus**r) * grid.cell_volume) ** (1.0 / r))
-
-
-def sobolev_norm(field: SpectralField, s: float, kind: str = "inhomogeneous") -> float:
-    """||D^s f||_L2 with D = <grad> (default) or |grad|."""
-    if s == 0 and kind == "inhomogeneous":
-        return field.l2_norm()
-    return fractional_derivative(field, s, kind).l2_norm()
-
-
-def l2_inner(f: SpectralField, g: SpectralField) -> complex:
-    """Lattice inner product int conj(f) g dx."""
-    a = f.as_physical().values
-    b = g.as_physical().values
-    return complex(np.sum(np.conj(a) * b) * f.grid.cell_volume)

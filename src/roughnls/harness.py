@@ -547,11 +547,21 @@ class ResultRecord:
 
 
 def _load_records(path: Path) -> list[ResultRecord]:
+    """The records of a records file, first cut back to its last newline.
+
+    A run killed mid-write can leave a last line with no newline; a record
+    appended straight after it would join that line and be lost.
+    """
     if not path.exists():
         return []
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        os.truncate(path, keep)
+        warnings.warn(f"{path}: cut a torn last line ({len(data) - keep} bytes)", stacklevel=2)
     out = []
     bad = 0
-    for line in path.read_text().splitlines():
+    for line in data[:keep].decode().splitlines():
         line = line.strip()
         if not line:
             continue

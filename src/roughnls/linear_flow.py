@@ -135,7 +135,7 @@ def _composite_norms(
         if traj.grid.dim != spec.dim:
             raise ConfigError(f"{spec.name} is a {spec.dim}d norm; trajectory is {traj.grid.dim}d")
         for ch in spec.channels:
-            if ch not in traj.channels and not (ch == "u" and {"v", "w"} <= traj.channels.keys()):
+            if ch not in traj.channels:
                 raise ConfigError(f"trajectory lacks channel {ch!r} required by {spec.name}")
     channels = sorted({ch for spec in specs for ch in spec.channels})
     series = [np.empty((len(spec.components), traj.n_snapshots)) for spec in specs]

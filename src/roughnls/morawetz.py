@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField, gradient
+from .grids import GridSpec, SpectralField
 from .norms import FrequencyView, NormSpec, Symbols, time_norm
 from .trajectory import Trajectory
 
@@ -579,8 +579,8 @@ def identity_mor_mainterm(
     up = u.as_physical().values
     nl_u = np.abs(up) ** p * up
     nl_w = np.abs(wp) ** p * wp
-    grad_w = np.stack([c.values for c in gradient(w)])
-    grad_v = np.stack([c.values for c in gradient(v)])
+    grad_w = np.stack(FrequencyView(g, wp).gradient())
+    grad_v = np.stack(FrequencyView(g, v.as_physical().values).gradient())
     f_main = np.real((nl_u - nl_w)[None] * np.conj(grad_w))
     g_hardy = np.abs(up) ** (p + 2.0) - np.abs(wp) ** (p + 2.0)
     h_cross = np.real(nl_u[None] * np.conj(grad_v))

@@ -129,7 +129,7 @@ class FrequencyView:
             sym = self._symbols[key] = derivative_symbol(self.grid, s, kind)
         return sym
 
-    def _derivative(self, s: float, kind: str) -> np.ndarray:
+    def derivative(self, s: float, kind: str) -> np.ndarray:
         """Physical values of D^s f: one in-place inverse transform of fhat * symbol, cached."""
         key = (s, kind)
         out = self._derivatives.get(key)
@@ -142,7 +142,8 @@ class FrequencyView:
     def gradient(self) -> list[np.ndarray]:
         """Physical values of the d spectral partial derivatives, one in-place inverse transform each.
 
-        The odd symbol i xi_k is zeroed at the unpaired Nyquist mode, as in grids.gradient.
+        The odd symbol i xi_k is zeroed at the unpaired Nyquist mode (grids.xi_grids_odd),
+        so a real field has a real gradient.
         """
         out = []
         for c in xi_grids_odd(self.grid):
@@ -161,7 +162,7 @@ class FrequencyView:
             elif r == 2:
                 val = self._parseval(s, kind)
             else:
-                val = modulus_lp_norm(np.abs(self._derivative(s, kind)), r, self.grid)
+                val = modulus_lp_norm(np.abs(self.derivative(s, kind)), r, self.grid)
             self._norms[key] = val
         return val
 

@@ -39,7 +39,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError, ResolutionError, ResourceLimitError
-from .grids import GridSpec, SpectralField, lp_norm, smoothstep, to_physical
+from .grids import GridSpec, SpectralField, modulus_lp_norm, smoothstep
 
 __all__ = [
     "PartitionConfig",
@@ -447,12 +447,11 @@ def bernstein_exponent(partition: FrequencyPartition) -> BernsteinFit:
             moduli = rng.rayleigh(scale=math.sqrt(0.5), size=cut.support.size)
             fhat = np.zeros(partition.grid.n_points, dtype=np.complex128)
             fhat[cut.support] = cut.values * moduli
-            f = to_physical(
-                SpectralField(partition.grid, fhat.reshape(partition.grid.shape), "frequency")
-            )
-            denom = lp_norm(f, 2.0)
+            # raw coordinates: the probe is a half-box translate of the weighted one, same ratio
+            modulus = np.abs(np.fft.ifftn(fhat.reshape(partition.grid.shape)))
+            denom = modulus_lp_norm(modulus, 2.0, partition.grid)
             if denom > 0:
-                ratios.append(lp_norm(f, math.inf) / denom)
+                ratios.append(modulus_lp_norm(modulus, math.inf, partition.grid) / denom)
         medians.append(float(np.median(ratios)))
     lg_n = np.log2(np.asarray(shells, dtype=float))
     lg_r = np.log2(np.asarray(medians))

@@ -44,15 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BlowupError, ConfigError, RepresentationError
-from .grids import (
-    GridSpec,
-    SpectralField,
-    free_flow_into,
-    free_multiplier,
-    free_propagate,
-    sobolev_norm,
-    xi_sq,
-)
+from .grids import GridSpec, SpectralField, free_flow_into, free_multiplier, xi_sq
+from .norms import FrequencyView, Symbols
 from .trajectory import Trajectory
 
 __all__ = [
@@ -576,16 +569,14 @@ def twin_run(
     ref, _ = solve_w(w0, None, cfg)
     ref_w = ref.channels["w"]
     amps = tuple(sorted(set(float(a) for a in amplitudes), reverse=True))
+    v0_values = v0.as_physical().values
+    symbols: Symbols = {}
     divs: list[float] = []
     for alpha in amps:
-        v_scaled = SpectralField(v0.grid, alpha * v0.as_frequency().values, "frequency")
+        v_scaled = SpectralField(v0.grid, alpha * v0_values, "physical")
         traj, _ = solve_w(w0, v_scaled, cfg)
-        diff = traj.channels["w"] - ref_w
-        worst = 0.0
-        for k in range(traj.n_snapshots):
-            fld = SpectralField(traj.grid, diff[k], "physical")
-            worst = max(worst, sobolev_norm(fld, 1.0, "inhomogeneous"))
-        divs.append(worst)
+        views = (FrequencyView(traj.grid, d, None, symbols) for d in traj.channels["w"] - ref_w)
+        divs.append(max(view.norm(2, 1.0, "inhomogeneous") for view in views))
     slopes: list[float] = []
     for (a1, d1), (a2, d2) in zip(zip(amps, divs), zip(amps[1:], divs[1:])):
         if a2 > 0 and d1 > 0 and d2 > 0:
@@ -646,10 +637,11 @@ def almost_conservation_monitor(
     if e0 > energy_bound:
         raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
     if "v" in traj.channels:
-        vhat0 = traj.snapshot("v", 0).as_frequency()
+        # raw coordinates: the transform weight has constant modulus, so the relative leak is unchanged
+        vhat0 = np.fft.fftn(traj.channel("v")[0])
         low = np.sqrt(xi_sq(traj.grid)) < n0 / 2.0
-        leak = float(np.linalg.norm(vhat0.values[low]))
-        total = float(np.linalg.norm(vhat0.values))
+        leak = float(np.linalg.norm(vhat0[low]))
+        total = float(np.linalg.norm(vhat0))
         if total > 0 and leak > 1e-9 * total:
             raise ConfigError(
                 f"v carries frequency content below n0/2 = {n0 / 2:g} "
@@ -693,16 +685,17 @@ def scattering_proxy(traj: Trajectory) -> ScatteringReport:
     if len(idx) < 2:
         raise ConfigError("scattering proxy needs at least two distinct ladder times")
     name = "w" if "w" in traj.channels else "u"
+    grid = traj.grid
     pulled = []
     for k in idx:
-        t = float(traj.times[k])
-        pulled.append(free_propagate(traj.snapshot(name, k), -t))
+        fhat = np.fft.fftn(traj.snapshot(name, k).values)
+        pulled.append(free_flow_into(fhat, grid, -float(traj.times[k]), fhat))
+    symbols: Symbols = {}
     deltas = []
     for f1, f2 in zip(pulled, pulled[1:]):
-        diff = SpectralField(
-            traj.grid, f2.as_frequency().values - f1.as_frequency().values, "frequency"
-        )
-        deltas.append(sobolev_norm(diff, 1.0, "inhomogeneous"))
+        diff = f2 - f1
+        view = FrequencyView(grid, np.fft.ifftn(diff), diff, symbols)
+        deltas.append(view.norm(2, 1.0, "inhomogeneous"))
     decreasing = all(d2 <= d1 * (1 + 1e-9) for d1, d2 in zip(deltas, deltas[1:]))
     return ScatteringReport(
         times=tuple(float(traj.times[k]) for k in idx),

@@ -1,5 +1,6 @@
 """Export hygiene: __all__ lists resolve, the package root re-exports only listed names,
-and no module reaches into another module's private names."""
+no module reaches into another module's private names, and no module in src/ or
+tests/ imports a name it never uses."""
 
 import ast
 import importlib
@@ -39,3 +40,29 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom):
                 found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"private names imported across modules: {found}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; names listed in its __all__ count as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    tests = Path(__file__).parent
+    paths = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"] + sorted(tests.rglob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, f"imported and never used: {unused}"

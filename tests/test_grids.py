@@ -1,4 +1,5 @@
-"""Fourier conventions: transforms, multipliers, derivatives, free flow."""
+"""Fourier conventions: transforms, multipliers, and the spectral operations
+(derivatives, gradients, norms and the free flow) in numpy's raw coordinates."""
 
 import tracemalloc
 
@@ -6,25 +7,28 @@ import numpy as np
 import pytest
 
 from roughnls import (
+    FrequencyView,
     GridSpec,
     SpectralField,
-    fractional_derivative,
+    Trajectory,
     free_flow_into,
     free_multiplier,
-    free_propagate,
-    gradient,
-    l2_inner,
-    lp_norm,
     lp_symbol,
-    sobolev_norm,
+    scattering_proxy,
 )
-from roughnls.grids import xi_sq
+from roughnls.grids import derivative_symbol, xi_grids_odd, xi_sq
 
 
 def gaussian_field(grid, width=1.0, amp=1.0):
     mesh = np.meshgrid(*([grid.x_axis()] * grid.dim), indexing="ij", sparse=True)
     r2 = sum(x**2 for x in mesh)
     return SpectralField(grid, amp * np.exp(-width * r2).astype(complex), "physical")
+
+
+def free_flow(values, grid, t):
+    """e^{it Lap} of physical values through free_flow_into in numpy's raw coordinates."""
+    fhat = np.fft.fftn(values)
+    return np.fft.ifftn(free_flow_into(fhat, grid, t, fhat))
 
 
 def noise_field(grid, seed=0):
@@ -101,9 +105,9 @@ def test_gradient_of_plane_wave():
     g = GridSpec(2, 16, np.pi)
     mesh = np.meshgrid(*([g.x_axis()] * 2), indexing="ij")
     f = SpectralField(g, np.exp(1j * (2 * mesh[0] - mesh[1])), "physical")
-    grads = gradient(f)
-    assert np.max(np.abs(grads[0].as_physical().values - 2j * f.values)) < 1e-10
-    assert np.max(np.abs(grads[1].as_physical().values + 1j * f.values)) < 1e-10
+    grads = FrequencyView(g, f.values).gradient()
+    assert np.max(np.abs(grads[0] - 2j * f.values)) < 1e-10
+    assert np.max(np.abs(grads[1] + 1j * f.values)) < 1e-10
 
 
 def test_gradient_of_real_field_is_real():
@@ -112,29 +116,30 @@ def test_gradient_of_real_field_is_real():
     g = GridSpec(3, 8, np.pi)
     rng = np.random.Generator(np.random.Philox(key=np.array([9, 9], dtype=np.uint64)))
     f = SpectralField(g, rng.normal(size=g.shape).astype(complex), "physical")
-    for comp in gradient(f):
-        assert np.max(np.abs(comp.as_physical().values.imag)) < 1e-12
+    for comp in FrequencyView(g, f.values).gradient():
+        assert np.max(np.abs(comp.imag)) < 1e-12
 
 
 def test_fractional_derivative_homogeneous_drops_mean():
     g = GridSpec(2, 16, np.pi)
     f = noise_field(g, seed=1)
-    scale = np.abs(f.as_frequency().values).max()
+    view = FrequencyView(g, f.values)
+    fhat = view.fhat
+    scale = np.abs(fhat).max()
     for s in (0.5, -0.25):
-        out = fractional_derivative(f, s, "homogeneous").as_frequency().values
+        out = np.fft.fftn(view.derivative(s, "homogeneous"))
         # xi = 0 sits at FFT index 0; the round trip through the physical
         # representation leaves only roundoff there.
         assert abs(out[0, 0]) < 1e-13 * scale
-    smooth = fractional_derivative(f, 1.0, "inhomogeneous")
-    fhat = f.as_frequency().values
-    assert abs(smooth.as_frequency().values[0, 0] - fhat[0, 0]) < 1e-12
+    smooth = np.fft.fftn(view.derivative(1.0, "inhomogeneous"))
+    assert abs(smooth[0, 0] - fhat[0, 0]) < 1e-12
 
 
 def test_fractional_derivative_matches_symbol_on_plane_wave():
     g = GridSpec(1, 32, np.pi)
     x = g.x_axis()
     f = SpectralField(g, np.exp(4j * x), "physical")
-    out = fractional_derivative(f, 0.5, "homogeneous").as_physical().values
+    out = FrequencyView(g, f.values).derivative(0.5, "homogeneous")
     assert np.max(np.abs(out - 2.0 * np.exp(4j * x))) < 1e-10
 
 
@@ -159,7 +164,7 @@ def test_free_propagate_gaussian_closed_form():
     a = 1.0
     f = SpectralField(g, np.exp(-a * x**2).astype(complex), "physical")
     t = 0.3
-    out = free_propagate(f, t).as_physical().values
+    out = free_flow(f.values, g, t)
     sigma = 1.0 + 4j * a * t
     exact = np.exp(-a * x**2 / sigma) / np.sqrt(sigma)
     assert np.max(np.abs(out - exact)) < 1e-8
@@ -168,11 +173,12 @@ def test_free_propagate_gaussian_closed_form():
 def test_free_propagate_group_law_and_isometry():
     g = GridSpec(2, 16, np.pi)
     f = noise_field(g, seed=7)
-    once = free_propagate(free_propagate(f, 0.2), 0.3)
-    direct = free_propagate(f, 0.5)
-    diff = once.as_frequency().values - direct.as_frequency().values
-    assert np.max(np.abs(diff)) < 1e-12
-    assert free_propagate(f, 0.7).l2_norm() == pytest.approx(f.l2_norm(), rel=1e-13)
+    fhat = np.fft.fftn(f.values)
+    once = free_flow_into(free_flow_into(fhat, g, 0.2, np.empty_like(fhat)), g, 0.3, np.empty_like(fhat))
+    direct = free_flow_into(fhat, g, 0.5, np.empty_like(fhat))
+    assert np.max(np.abs(once - direct)) < 1e-12
+    moved = FrequencyView(g, free_flow(f.values, g, 0.7))
+    assert moved.norm(2) == pytest.approx(FrequencyView(g, f.values).norm(2), rel=1e-13)
 
 
 @pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16), (4, 8)])
@@ -244,23 +250,59 @@ def test_transforms_allocate_one_lattice_field(dim, points):
 
 def test_lp_norm_against_closed_form():
     g = GridSpec(1, 64, np.pi)
-    f = SpectralField(g, np.ones(64, dtype=complex), "physical")
-    assert lp_norm(f, 4.0) == pytest.approx((2 * np.pi) ** 0.25, rel=1e-12)
-    assert lp_norm(f, np.inf) == pytest.approx(1.0)
+    f = FrequencyView(g, np.ones(64, dtype=complex))
+    assert f.norm(4.0) == pytest.approx((2 * np.pi) ** 0.25, rel=1e-12)
+    assert f.norm(np.inf) == pytest.approx(1.0)
 
 
 def test_sobolev_norm_plane_wave():
     g = GridSpec(1, 32, np.pi)
     f = SpectralField(g, np.exp(2j * g.x_axis()), "physical")
     l2 = f.l2_norm()
-    assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(5.0) * l2, rel=1e-12)
-    assert sobolev_norm(f, 0.5, "homogeneous") == pytest.approx(np.sqrt(2.0) * l2, rel=1e-12)
+    view = FrequencyView(g, f.values)
+    assert view.norm(2, 1.0, "inhomogeneous") == pytest.approx(np.sqrt(5.0) * l2, rel=1e-12)
+    assert view.norm(2, 0.5, "homogeneous") == pytest.approx(np.sqrt(2.0) * l2, rel=1e-12)
 
 
-def test_l2_inner_conjugate_linear():
-    g = GridSpec(1, 16, 1.0)
-    f = noise_field(g, seed=11)
-    h = noise_field(g, seed=12)
-    ip = l2_inner(f, h)
-    assert l2_inner(h, f) == pytest.approx(np.conj(ip))
-    assert l2_inner(f, f).real == pytest.approx(f.l2_norm() ** 2, rel=1e-12)
+def weighted_multiply(f, mult):
+    """Reference: continuum-weighted transform of f, times mult, inverse transform to physical values."""
+    return SpectralField(f.grid, f.as_frequency().values * mult, "frequency").as_physical().values
+
+
+def riemann_lp(values, r, grid):
+    """Reference: Riemann-sum L^r norm; r = inf is the lattice max."""
+    if np.isinf(r):
+        return float(np.abs(values).max())
+    return float((np.sum(np.abs(values) ** r) * grid.cell_volume) ** (1.0 / r))
+
+
+@pytest.mark.parametrize("dim,points,half_width", [(3, 12, 2.5), (4, 8, np.pi)])
+def test_view_matches_weighted_reference(dim, points, half_width):
+    # The continuum-weighted formulas the package used before every spectral
+    # operation moved to numpy's raw coordinates: the view's H^s and D^s L^r
+    # norms, its gradient and scattering_proxy's pulled-back H^1 deltas agree.
+    g = GridSpec(dim, points, half_width)
+    f = noise_field(g, seed=dim + 20)
+    view = FrequencyView(g, f.values)
+    for s, kind in ((0.5, "inhomogeneous"), (1.0, "inhomogeneous"), (0.5, "homogeneous"), (-0.25, "homogeneous")):
+        ds = weighted_multiply(f, derivative_symbol(g, s, kind))
+        for r in (2.0, 3.0, 4.0, np.inf):
+            assert view.norm(r, s, kind) == pytest.approx(riemann_lp(ds, r, g), rel=1e-12), (s, kind, r)
+    for got, c in zip(view.gradient(), xi_grids_odd(g)):
+        want = weighted_multiply(f, np.broadcast_to(1j * c, g.shape))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    times = np.linspace(0.0, 0.4, 5)
+    stack = np.stack([noise_field(g, seed=dim + 30 + k).values for k in range(times.size)])
+    rep = scattering_proxy(Trajectory(g, times, {"w": stack}))
+    pulled = [
+        SpectralField(g, w, "physical").as_frequency().values * free_multiplier(g, -t)
+        for w, t in zip(stack, times)
+    ]
+    h1 = derivative_symbol(g, 1.0, "inhomogeneous")
+    want = [
+        riemann_lp(SpectralField(g, (p2 - p1) * h1, "frequency").as_physical().values, 2.0, g)
+        for p1, p2 in zip(pulled[1:], pulled[2:])
+    ]
+    assert rep.times == tuple(times[1:])
+    assert rep.deltas == pytest.approx(want, rel=1e-12)

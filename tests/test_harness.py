@@ -18,7 +18,6 @@ from roughnls import (
     RepresentationError,
     ResourceLimitError,
     ResultRecord,
-    config_hash,
     initial_field,
     load_trajectory,
     morawetz_audit,
@@ -123,6 +122,28 @@ def test_records_survive_corrupt_tail(tmp_path):
     with pytest.warns(UserWarning):
         recs = run(cfg)
     assert len(recs) == 2
+
+
+def test_record_after_torn_line_survives(tmp_path, monkeypatch):
+    # A run killed mid-write leaves a torn last line; the resumed seed's
+    # record must land on a line of its own, not be fused into the torn one.
+    cfg = parse_config(evolve_config(tmp_path, n_samples=3))
+    run(cfg)
+    path = tmp_path / "records.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
+    with pytest.warns(UserWarning):
+        recs = run(cfg)
+    assert len(recs) == 3
+    valid = [ResultRecord.from_line(line) for line in path.read_text().splitlines()]
+    assert sorted(r.seed for r in valid) == [r.seed for r in recs]
+    assert json.load(open(tmp_path / "summary.json"))["n_records"] == 3
+
+    def refuse(*args):
+        raise AssertionError("a second resume must run nothing")
+
+    monkeypatch.setitem(harness._TASKS, "evolve", refuse)
+    assert run(cfg) == recs
 
 
 def test_zero_samples_valid(tmp_path):

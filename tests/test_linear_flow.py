@@ -14,17 +14,22 @@ from roughnls import (
     composite_norm,
     composite_spec,
     draw,
-    fractional_derivative,
-    free_propagate,
+    free_flow_into,
     high_pass,
     linear_seed,
     linear_trajectory,
-    lp_norm,
     parse_config,
     run,
     shaped_profile,
 )
+from roughnls.grids import derivative_symbol, modulus_lp_norm
 from roughnls.norms import snapshot_view, time_norm
+
+
+def weighted_free_flow(fhat: SpectralField, t: float) -> SpectralField:
+    """e^{it Lap} of a continuum-normalized spectrum, returned in physical representation."""
+    out = free_flow_into(fhat.values, fhat.grid, t, np.empty_like(fhat.values))
+    return SpectralField(fhat.grid, out, "frequency").as_physical()
 
 
 def setup_draw(dim=1, points=256, half_width=np.pi, seed=0):
@@ -59,7 +64,7 @@ def test_linear_trajectory_matches_free_flow():
     traj = linear_trajectory(rnd, 2.0, times)
     v0 = high_pass(rnd.field, 2.0)
     for k in (0, 3, 5):
-        expect = free_propagate(v0, float(times[k])).as_physical().values
+        expect = weighted_free_flow(v0, float(times[k])).values
         got = traj.snapshot("v", k).values
         assert np.max(np.abs(got - expect)) < 1e-10
     # free flow preserves the L2 norm along the whole trajectory
@@ -133,8 +138,8 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
     # The round trip a seed made before it stayed in frequency space: the
     # draw's physical field, its forward transform, the high-pass, the free
     # flow of the continuum-normalized spectrum, and each spatial norm taken
-    # from physical values by the grids functions, apart from FrequencyView.
-    # Every Y/Z component and L2 agree.
+    # from physical values: D^s as transform, symbol, inverse transform, then
+    # a Riemann sum, apart from FrequencyView. Every Y/Z component and L2 agree.
     g = GridSpec(dim, points, np.pi)
     part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2, s=-0.1), g)
     rng = np.random.Generator(np.random.Philox(key=np.array([dim, 13], dtype=np.uint64)))
@@ -144,18 +149,27 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
     traj, norms = linear_seed(f.as_frequency(), part, 5, 2.0, times, specs)
 
     v0 = high_pass(draw(f, part, 5).field.as_frequency(), 2.0)
-    snaps = [free_propagate(v0, float(t)).as_physical() for t in times]
+    snaps = [weighted_free_flow(v0, float(t)) for t in times]
+
+    def derivative_norm(v, s, kind, r):
+        if kind == "homogeneous" and s == 0:
+            return modulus_lp_norm(np.abs(v.values), r, g)
+        dv = SpectralField(g, v.as_frequency().values * derivative_symbol(g, s, kind), "frequency")
+        return modulus_lp_norm(np.abs(dv.as_physical().values), r, g)
+
     for spec, (total, parts) in zip(specs, norms):
         want = {}
         for (ns, _), label in zip(spec.components, spec.labels()):
             kind = "homogeneous" if ns.kind == "none" else ns.kind
-            series = np.array([lp_norm(fractional_derivative(v, ns.s, kind), ns.r) for v in snaps])
+            series = np.array([derivative_norm(v, ns.s, kind, ns.r) for v in snaps])
             want[label] = time_norm(series, times, ns.q)
         assert parts.keys() == want.keys()
         for label, val in parts.items():
             assert val == pytest.approx(want[label], rel=1e-12, abs=0.0), label
         assert total == pytest.approx(sum(want.values()), rel=1e-12, abs=0.0)
-    assert traj.snapshot("v", 0).l2_norm() == pytest.approx(lp_norm(snaps[0], 2), rel=1e-12, abs=0.0)
+    assert traj.snapshot("v", 0).l2_norm() == pytest.approx(
+        modulus_lp_norm(np.abs(snaps[0].values), 2, g), rel=1e-12, abs=0.0
+    )
 
 
 def test_linear_trajectory_records_its_spectrum():

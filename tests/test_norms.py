@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roughnls import GridSpec, NormSpec, SpectralField, Trajectory, is_admissible, spacetime_norm
+from roughnls import GridSpec, NormSpec, Trajectory, is_admissible, spacetime_norm
 from roughnls.norms import snapshot_norms
 
 

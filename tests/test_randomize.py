@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from roughnls import (
-    ConfigError,
     FitError,
     GridSpec,
     PartitionConfig,

@@ -17,7 +17,8 @@ over that fixed order, so the worker count never changes any reported value.
 Layout under out_dir: records.jsonl (append-only, one record per line),
 summary.json (recomputed from records on every run), metrics.csv (long format
 seed/metric/value), per-seed artifact directories, and for sweeps one
-subdirectory per axis value plus sweep.csv / sweep_summary.json.
+subdirectory per axis value plus sweep.csv / sweep_summary.json. Summaries
+and tables replace the old ones atomically (trajectory.write_atomic).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .solver import (
     solve_w,
     twin_run,
 )
-from .trajectory import TrajectoryWriter
+from .trajectory import TrajectoryWriter, write_atomic
 
 __all__ = [
     "KINDS",
@@ -335,12 +336,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     _require(workers >= 1, f"config.workers must be at least 1, got {workers}")
     memory_limit_mb = _get_number(data, "memory_limit_mb", "config", default=4096.0)
     _require(memory_limit_mb > 0, "config.memory_limit_mb must be positive")
-    save_fields = data.get("save_fields", kind == "evolve")
-    _require(isinstance(save_fields, bool), "config.save_fields must be true or false")
-
+    sub_kind = None
     if kind == "sweep":
         _require("sweep" in data, "config: kind 'sweep' needs a sweep section")
         axis, values, sub_kind = _parse_sweep(data["sweep"])
+    # fields are saved by default for evolve runs, a sweep's values included
+    save_fields = data.get("save_fields", (sub_kind or kind) == "evolve")
+    _require(isinstance(save_fields, bool), "config.save_fields must be true or false")
+
+    if kind == "sweep":
         base = {k: v for k, v in data.items() if k not in ("sweep",)}
         base["kind"] = sub_kind
         _set_axis(base, axis, values[0])  # also validates the axis path
@@ -602,36 +606,27 @@ def _uses_partition(config: ExperimentConfig) -> bool:
 # keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
 # 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
 # two half-step multipliers and |xi|^2; tracemalloc measures 8.6 fields above
-# the stacks at 64^3, 8.8 at 32^3 and 9.7 at 16^3
+# the w stack at 64^3, 8.8 at 32^3 and 9.7 at 16^3
 _SOLVER_FIELDS = 10
 
 
 def _estimate_bytes(config: ExperimentConfig) -> int:
-    """Rough peak-memory estimate for one run, before anything is allocated.
+    """Rough peak-memory estimate for one run, before anything is allocated, in
+    complex lattice fields ("fields"); tracemalloc figures are per task.
 
-    Counts per in-flight task its snapshot fields, FFT workspace and, when the
-    run builds one, the partition: its four float lattice arrays (normalizer,
-    residual, unity and square sums). Its per-shell profile matrices and cell
-    masks are far smaller and ignored. A run with forcing holds its base
-    profile's spectrum once, one complex field shared by its tasks. A
-    linear-stats seed holds its snapshot stack, v-hat(0) and one snapshot's
-    spectrum v-hat(t), and per snapshot the view's derivative buffers, their
-    real symbols, |f|, |fhat|^2 and the norm temporaries, charged 2d fields;
-    under tracemalloc a seed peaks n_times + 7.0 fields at 32^3 and
-    n_times + 8.5 at 12^4. The evolve and morawetz-audit tasks
-    stream their snapshots to disk or into the audit and hold no snapshot
-    stack: they are charged one snapshot field per channel (the initial w
-    and v the task holds for its solve). twin-ladder compares whole runs and
-    is charged its snapshot stacks twice. A task that runs solve_w adds the
-    solver's workspace: 10 complex lattice fields. Under tracemalloc a forced
-    solve_w peaks 8.6 fields above its stacks at 64^3 and 8.8 at 32^3 (9.7
-    at 16^3, where small allocations weigh more), counting its work arrays
-    and the multipliers it caches; a whole streamed forced evolve task peaks
-    10.1 fields at 16^3 and 9.3 at 32^3, with 3 snapshots or 21. A Morawetz
-    audit adds its cached half-spectrum kernel tables (d + 1 real-input
-    transforms, about (d + 1) / 2 complex fields) and the lattice
-    temporaries of one snapshot: the two views' transforms, two gradients,
-    the momentum density and its transform, about 3d + 6 complex fields.
+    A run holds FFT workspace, the partition's four float lattice arrays when
+    it builds one, and with forcing its base profile's spectrum. Per task:
+    - linear-stats: v-hat(0), one snapshot's spectrum and values, and 2d
+      fields of view buffers and symbols; 8.0 fields at 32^3 with 4 times or
+      16, 9.5 at 12^4.
+    - evolve, morawetz-audit: the snapshots stream, so one field per channel
+      (the initial w and v) plus the solver's 10 fields; a streamed forced
+      evolve task peaks 10.1 fields at 16^3 and 9.3 at 32^3, with 3
+      snapshots or 21. The audit adds its half-spectrum kernel tables,
+      (d + 1) / 2 fields, and one snapshot's temporaries, 3d + 6 fields.
+    - twin-ladder: the unforced twin's w stack, the inputs, and 4 fields for
+      a rung's scaled forcing and its gap view, plus the solver's 10; 17.1
+      fields at 16^3 with 3 snapshots and 35.1 with 21.
     """
     g = config.grid
     if g is None:
@@ -645,11 +640,11 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     if kind == "partition-report":
         per_task = 4 * per
     elif kind == "linear-stats":
-        per_task = (config.times.size + 2 + 2 * g.dim) * per
+        per_task = (3 + 2 * g.dim) * per
     else:
         chans = 2 if config.forcing is not None else 1
         if kind == "twin-ladder":
-            per_task = 2 * config.solver.n_snapshots * chans * per + solver
+            per_task = (config.solver.n_snapshots + chans + 4) * per + solver
         elif kind == "morawetz-audit":
             audit = (3 * g.dim + 6) * per + (g.dim + 1) * per // 2
             per_task = chans * per + audit + solver
@@ -720,8 +715,8 @@ def _task_linear_stats(config, part: FrequencyPartition, task_seed: int, run_dir
     pc = config.partition
     families = ("Y", "Z")
     specs = [composite_spec(f"{family}{config.grid.dim}", pc.s, float(pc.a)) for family in families]
-    traj, norms = linear_seed(f, part, task_seed, config.forcing.n0, config.times, specs)
-    metrics = {"L2": traj.snapshot("v", 0).l2_norm()}
+    _, l2, norms = linear_seed(f, part, task_seed, config.forcing.n0, config.times, specs)
+    metrics = {"L2": l2}
     for family, (total, parts) in zip(families, norms):
         metrics[family] = total
         for label, val in parts.items():
@@ -874,8 +869,9 @@ def _write_summary(config: ExperimentConfig, records: list[ResultRecord], contex
     summary.update(summarize(records))
     summary.update(_kind_extras(config, records, context))
     out = Path(config.out_dir)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    with open(out / "metrics.csv", "w", newline="") as fh:
+    with write_atomic(out / "summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True))
+    with write_atomic(out / "metrics.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "metric", "value"])
         for rec in sorted(records, key=lambda r: r.seed):
@@ -974,7 +970,7 @@ def sweep(config: ExperimentConfig) -> list[ResultRecord]:
             for key in sorted(rec.metrics):
                 rows.append([value, rec.seed, key, rec.metrics[key]])
 
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    with write_atomic(out / "sweep.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis_value", "seed", "metric", "value"])
         writer.writerows(rows)
@@ -994,5 +990,6 @@ def sweep(config: ExperimentConfig) -> list[ResultRecord]:
         "medians": per_value_medians,
         "flags": flags,
     }
-    (out / "sweep_summary.json").write_text(json.dumps(sweep_summary, indent=2, sort_keys=True))
+    with write_atomic(out / "sweep_summary.json") as fh:
+        fh.write(json.dumps(sweep_summary, indent=2, sort_keys=True))
     return all_records

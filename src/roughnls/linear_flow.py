@@ -3,10 +3,11 @@
 The rough channel v(t) = e^{it Laplacian} P_{>= N0} f^omega is evaluated
 exactly (spectral multiplier from the t=0 data, never time-stepped). A seed
 stays in frequency space from the draw to the norms: the high-pass acts on
-the draw's spectrum, v-hat(0) is kept in numpy's raw FFT coordinates, each
-snapshot is one in-place inverse transform of e^{-i t |xi|^2} v-hat(0), and
-the norms' views read the same spectra, so a seed makes no forward
-transform. Six named composite norms measure the two channels:
+the draw's spectrum, and the trajectory holds v-hat(0) alone, in numpy's raw
+FFT coordinates, with no snapshot stack. The norm pass builds each
+snapshot's spectrum e^{-i t |xi|^2} v-hat(0) once and its values by one
+inverse transform, so a seed makes no forward transform and no free flow
+twice. Six named composite norms measure the two channels:
 
     Y3 = <grad>^{s+a/2-eps} L2_t Linf_x + L8_{t,x} + L4_{t,x} + L8_t L12_x   (v)
     Z3 = Linf_t H^s + <grad>^{s+3a/2-eps} Linf_t Linf_x                      (v)
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import SpectralField, free_flow_into, lp_symbol, raw_spectrum
+from .grids import SpectralField, lp_symbol, raw_spectrum
 from .norms import NormSpec, Symbols, snapshot_view, time_norm
 from .partition import FrequencyPartition
 from .randomize import RandomizationDraw, draw
@@ -117,31 +118,33 @@ def composite_spec(name: str, s: float, a: float) -> CompositeNormSpec:
 
 def composite_norm(traj: Trajectory, spec: CompositeNormSpec) -> tuple[float, dict[str, float]]:
     """Sum of the spec's component norms plus a per-component breakdown."""
-    return _composite_norms(traj, [spec])[0]
+    return _composite_norms(traj, [spec])[0][0]
 
 
 def _composite_norms(
     traj: Trajectory, specs: list[CompositeNormSpec]
-) -> list[tuple[float, dict[str, float]]]:
-    """composite_norm of each spec, in one pass over the snapshots.
+) -> tuple[list[tuple[float, dict[str, float]]], dict[str, float]]:
+    """composite_norm of each spec in one pass, and each channel's L^2 norm at the first snapshot.
 
     Each snapshot gets one FrequencyView per channel, shared by every
     component of every spec, so each snapshot is transformed at most once per
-    channel (not at all for a free-flow channel), and the views of the pass
-    share its derivative symbols. Each component's per-snapshot series is then
-    folded with time_norm.
+    channel, and the views share the pass's derivative symbols. Each
+    component's per-snapshot series is then folded with time_norm.
     """
     for spec in specs:
         if traj.grid.dim != spec.dim:
             raise ConfigError(f"{spec.name} is a {spec.dim}d norm; trajectory is {traj.grid.dim}d")
         for ch in spec.channels:
-            if ch not in traj.channels:
+            if ch not in traj.names:
                 raise ConfigError(f"trajectory lacks channel {ch!r} required by {spec.name}")
     channels = sorted({ch for spec in specs for ch in spec.channels})
     series = [np.empty((len(spec.components), traj.n_snapshots)) for spec in specs]
     symbols: Symbols = {}
+    first_l2: dict[str, float] = {}
     for k in range(traj.n_snapshots):
         views = {ch: snapshot_view(traj, ch, k, symbols) for ch in channels}
+        if k == 0:
+            first_l2 = {ch: view.norm(2) for ch, view in views.items()}
         for spec, rows in zip(specs, series):
             for (ns, ch), row in zip(spec.components, rows):
                 row[k] = views[ch].norm(ns.r, ns.s, ns.kind)
@@ -155,7 +158,7 @@ def _composite_norms(
             breakdown[label] = val
             total += val
         results.append((total, breakdown))
-    return results
+    return results, first_l2
 
 
 def _is_dyadic(n: float) -> bool:
@@ -178,15 +181,12 @@ def linear_trajectory(
     n0: float,
     times: np.ndarray,
 ) -> Trajectory:
-    """Sample v(t) = e^{it Laplacian} P_{>= n0} f^omega on a uniform time grid, as channel 'v'.
+    """v(t) = e^{it Laplacian} P_{>= n0} f^omega on a uniform time grid, as free channel 'v'.
 
-    Each snapshot is computed by one exact multiplier from the t=0 data, so
-    unitarity and frequency support hold to rounding error regardless of the
-    stride. The high-pass acts on the draw's spectrum, and v-hat(0) is kept
-    in numpy's raw FFT coordinates: snapshot k is one in-place inverse
-    transform of e^{-i t_k |xi|^2} v-hat(0) in its stack slot, and no forward
-    transform is made. The trajectory records v-hat(0) (Trajectory.free_spectra),
-    so the norms' views read the same spectra.
+    The trajectory holds only v-hat(0), the high-passed draw's spectrum in
+    numpy's raw FFT coordinates, and makes no transform. Each snapshot is one
+    exact multiplier from it, so unitarity and frequency support hold to
+    rounding error regardless of the stride.
     """
     grid = rnd.spectrum.grid
     if not _is_dyadic(n0):
@@ -205,13 +205,8 @@ def linear_trajectory(
             f"high-pass at n0={n0:g} removed all frequency content; v is identically zero",
             stacklevel=2,
         )
-    v0_hat = raw_spectrum(v0)
-    stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
-    for k, t in enumerate(times):
-        free_flow_into(v0_hat, grid, float(t), stack[k])
-        np.fft.ifftn(stack[k], out=stack[k])
     meta = {"seed": rnd.seed, "n0": float(n0)}
-    return Trajectory(grid=grid, times=times, channels={"v": stack}, meta=meta, free_spectra={"v": v0_hat})
+    return Trajectory(grid=grid, times=times, channels={}, meta=meta, free_spectra={"v": raw_spectrum(v0)})
 
 
 def linear_seed(
@@ -221,14 +216,14 @@ def linear_seed(
     n0: float,
     times: np.ndarray,
     specs: list[CompositeNormSpec],
-) -> tuple[Trajectory, list[tuple[float, dict[str, float]]]]:
+) -> tuple[Trajectory, float, list[tuple[float, dict[str, float]]]]:
     """One seed of the linear ensemble: draw f^omega, sample v(t), take each composite norm.
 
-    Returns the trajectory and composite_norm's (total, breakdown) per spec;
-    all specs read one shared view per snapshot.
-    The harness's linear-stats task runs each of its seeds through here;
-    harness.run is the seed loop and worker pool, and the linear-stats
-    subcommand fits the tail of the resulting ensemble.
+    Returns the trajectory, ||v(t_0)||_{L^2} and composite_norm's
+    (total, breakdown) per spec. The specs, at least one, share one view per
+    snapshot, and the L^2 norm is read off the first, at no transform. The
+    harness's linear-stats task runs each of its seeds through here.
     """
     traj = linear_trajectory(draw(f, partition, int(seed)), n0, times)
-    return traj, _composite_norms(traj, specs)
+    norms, first_l2 = _composite_norms(traj, specs)
+    return traj, first_l2["v"], norms

@@ -60,7 +60,7 @@ import numpy as np
 from .errors import ConfigError
 from .grids import GridSpec, SpectralField
 from .norms import FrequencyView, NormSpec, Symbols, time_norm
-from .trajectory import Trajectory
+from .trajectory import Trajectory, write_atomic
 
 __all__ = [
     "LocalDensities",
@@ -324,9 +324,10 @@ class MorawetzReport:
         """Write morawetz.json (to_dict) and interaction.csv (csv_rows) into out; returns both paths."""
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "morawetz.json"
-        report_path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        with write_atomic(report_path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True))
         csv_path = out / "interaction.csv"
-        with open(csv_path, "w", newline="") as fh:
+        with write_atomic(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_HEADER)
             writer.writerows(self.csv_rows())
@@ -445,32 +446,20 @@ class MorawetzAccumulator:
 def morawetz_audit(traj: Trajectory) -> MorawetzReport:
     """Evaluate both sides of the interaction Morawetz inequality on a trajectory.
 
-    Needs channels v and w. The right-hand side terms are, with
-    S = ||w||_{Linf Hdot(1/2)}, m2 = ||w||_{Linf L2}:
-
-    3D, with A4 = ||w||_{L4}^2 + ||v||_{L4}^2 and A6 = ||w||_{Linf L6}^3 + ||v||_{Linf L6}^3:
-        T1 = m2^2 S^2
-        T2 = ||v||_{L2 Linf} A4 A6 S^2
-        T3 = ||grad v||_{L2 Linf} A4 A6 m2^2
-
-    4D, with G = || |grad|^{-1/4} w ||_{L4_tx}:
-        T1 = m2^2 S^2
-        T2 = ||w||_{Linf H(1/2)} G^2 ( ||v||_{L2 Linf} S^2 + ||grad v||_{L2 Linf} m2^2 )
-        T3 = ||v||_{L2 Linf} S^2 ( m2 ||v||_{L4_tx}^2 + ||v||_{L6_t L3_x}^3 )
-
-    C* is measured, never asserted; ensemble stability is judged separately
-    by c_star_spread. The audit is defined for 3D and 4D grids only, and its
+    Needs channels v and w. The right-hand side terms T1, T2 and T3 are the
+    three summands of the module docstring's inequality, in order. C* is
+    measured, never asserted; ensemble stability is judged separately by
+    c_star_spread. The audit is defined for 3D and 4D grids only, and its
     dimension is the trajectory grid's. No audited figure depends on the
     nonlinearity power, since the defect field is not part of the audit. The
-    stored snapshots are fed to a MorawetzAccumulator in time order.
+    snapshots are fed to a MorawetzAccumulator in time order, one at a time.
     """
     audit = MorawetzAccumulator(traj.grid)
     for name in ("v", "w"):
-        if name not in traj.channels:
-            raise ConfigError(f"audit needs channel {name!r} (have {sorted(traj.channels)})")
-    v, w = traj.channels["v"], traj.channels["w"]
+        if name not in traj.names:
+            raise ConfigError(f"audit needs channel {name!r} (have {list(traj.names)})")
     for k, t in enumerate(traj.times):
-        audit.add(t, w[k], v[k])
+        audit.add(t, traj.snapshot("w", k).values, traj.snapshot("v", k).values)
     return audit.report()
 
 

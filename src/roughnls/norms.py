@@ -4,14 +4,17 @@ Every spatial norm is read through a FrequencyView: one snapshot of one
 channel, holding its physical values and its spectrum in numpy's raw
 coordinates, np.fft.fftn(values). A producer that already holds that
 spectrum passes it in and the view makes no forward transform; otherwise the
-view makes one, on first use. From the view, an L^2 norm of D^s f is a
-Parseval sum over |fhat|^2 with no further transform, any other L^r norm of
-D^s f costs one in-place inverse transform of fhat * symbol (cached in the
-view, so one D^s serves several exponents), and a gradient costs d of them.
-The raw coordinates need no weight pass: the transform weight folds into the
-Parseval constant dx^d / N. The derivative symbols of a norm pass are built
-once and shared by its views through a dict the pass owns. An unstored
-u = v + w is summed one snapshot at a time, so no v + w stack is built.
+view makes one, on first use. A trajectory's free channel is such a
+producer: snapshot_view builds the snapshot's spectrum from the channel's
+v-hat(0) and takes the values as one inverse transform of it. From the view,
+an L^2 norm of D^s f is a Parseval sum over |fhat|^2 with no further
+transform, any other L^r norm of D^s f costs one in-place inverse transform
+of fhat * symbol (cached in the view, so one D^s serves several exponents),
+and a gradient costs d of them. The raw coordinates need no weight pass: the
+transform weight folds into the Parseval constant dx^d / N. The derivative
+symbols of a norm pass are built once and shared by its views through a dict
+the pass owns. An unstored u = v + w is summed one snapshot at a time, so no
+v + w stack is built.
 
 Spatial integrals are Riemann sums on the lattice, the time integral is a
 composite trapezoid rule on g(t)^q where g is the spatial norm, and q or r
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, derivative_symbol, free_flow_into, modulus_lp_norm, xi_grids_odd
+from .grids import GridSpec, derivative_symbol, modulus_lp_norm, xi_grids_odd
 from .trajectory import Trajectory
 
 __all__ = [
@@ -178,16 +181,11 @@ class FrequencyView:
 def snapshot_view(
     traj: Trajectory, channel: str, k: int, symbols: Symbols | None = None
 ) -> FrequencyView:
-    """The view of one snapshot; an unstored 'u' is v + w of this snapshot only.
-
-    A channel the trajectory records as a free flow gets its spectrum from the
-    recorded v-hat(0), e^{-i t_k |xi|^2} v-hat(0), with no forward transform.
-    """
-    fhat = None
-    spectrum = traj.free_spectra.get(channel)
-    if spectrum is not None:
-        fhat = free_flow_into(spectrum, traj.grid, float(traj.times[k]), np.empty_like(spectrum))
-    return FrequencyView(traj.grid, traj.snapshot(channel, k).values, fhat, symbols)
+    """The view of one snapshot; a free channel's is its spectrum plus one inverse transform of it."""
+    if channel in traj.free_spectra:
+        fhat = traj.spectrum(channel, k)
+        return FrequencyView(traj.grid, np.fft.ifftn(fhat), fhat, symbols)
+    return FrequencyView(traj.grid, traj.snapshot(channel, k).values, None, symbols)
 
 
 def snapshot_norms(traj: Trajectory, spec: NormSpec, channel: str) -> np.ndarray:

@@ -4,10 +4,10 @@ remainder equation i w_t + Lap w = mu |u|^p u with u = v + w, v free.
 The kinetic half-steps are exact Fourier multipliers and the nonlinear substep
 is an exact phase rotation (|u| is invariant under i u_t = mu |u|^p u), so the
 only scheme error is the O(dt^2) splitting error. The rough channel v is never
-time-stepped: every value of v (step midpoints, stored snapshots, series
-samples) is produced from v_hat(0) by the exact free propagator, and the
-stepper only freezes v at the step midpoint while rotating u = w + v as a unit.
-A step makes two grid transforms: one inverse transform of
+time-stepped: every value of v (step midpoints, snapshots from t = 0 on,
+series samples) is produced from v_hat(0) by the exact free propagator, and
+the stepper only freezes v at the step midpoint while rotating u = w + v as a
+unit. A step makes two grid transforms: one inverse transform of
 K_half w_hat + v_hat(t_mid), which is u at the midpoint because the transform
 is linear, and one forward transform of the rotated u, from which v_hat(t_mid)
 is subtracted in frequency space. One step loop (solve_w) serves both
@@ -25,13 +25,9 @@ buffers, the forward transform writes into w_hat, and a snapshot's w and v
 are transformed into the phase and u buffers. After set-up neither a step
 nor a sample nor a snapshot allocates a lattice array.
 
-Snapshots are streamed: each one is handed to a consumer (a SnapshotSink)
-as it is made and is valid only during that call. The consumer may copy it
-into stacks (solve_w's default, which returns a Trajectory), write it to
-disk (trajectory.TrajectoryWriter) or fold it into an audit
-(morawetz.MorawetzAccumulator), so a streamed solve holds no snapshot
-stack. A forced solve peaks about 8.6 complex lattice fields above what its
-consumer keeps at 64^3, cached multipliers included.
+Snapshots are streamed to a consumer (a SnapshotSink; see solve_w). A forced
+solve peaks about 8.6 complex lattice fields above what its consumer keeps
+at 64^3, cached multipliers included.
 """
 
 from __future__ import annotations
@@ -270,37 +266,27 @@ def solve_w(
     cfg: SolverConfig,
     sink: SnapshotSink | None = None,
 ) -> tuple[Trajectory | None, ConservationSeries]:
-    """Integrate the forced remainder equation; snapshots in channels v and w.
+    """Integrate the forced remainder equation; snapshots of w and of the free flow v.
 
-    The solve carries w_hat as numpy's unnormalized np.fft.fftn(w), not the
-    continuum-normalized transform: the transform weight is diagonal, so
-    K_half, the 2/3 mask and the free symbol act on these coordinates
-    unchanged, and each transform is a bare in-place np.fft call.
-
-    Per step, in two grid transforms: one inverse transform of
+    The solve works in the raw coordinates and work arrays of the module
+    docstring. Per step, in two grid transforms: one inverse transform of
     K_half w_hat + v_hat(t_mid) gives u = w + v at the step midpoint; the
     guard reads |u|; u is rotated in place by the exact nonlinear phase; one
     forward transform gives u_hat, from which v_hat(t_mid) is subtracted,
     and the result is multiplied by K_half with the 2/3 mask folded in (one
     multiplier, built once per solve). At snapshot steps the subtraction is
-    checked against u_hat for channel bookkeeping drift. Every value of v
-    (midpoints, snapshots, series samples) is the exact free propagator
-    applied to v_hat(0) = np.fft.fftn(v0), so unitarity and frequency
-    support of the v snapshots are exact. Channel 'u' is synthesized as
-    v + w on demand.
+    checked against u_hat for channel bookkeeping drift. Every value of v,
+    the t = 0 snapshot's included, is the exact free propagator applied to
+    v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
+    snapshots are exact. Channel 'u' is synthesized as v + w on demand.
 
     Each snapshot is handed to sink(t, w, v) as it is made, in time order:
-    w and v are its physical values, and v is None when v0 is None. From
-    t > 0 on they are two of the solve's work arrays, so they are valid only
-    during the call and must not be written to. Without a sink the snapshots
-    are copied into (n_snapshots, *shape) stacks and returned as a
-    Trajectory; with one, no stack is built and the trajectory returned is
-    None.
-
-    The solve allocates its lattice work arrays once: w_hat, u, v_hat(t),
-    the phase and two float buffers. The step, the series sample and the
-    snapshots work in them, so neither a step nor a sample nor a snapshot
-    allocates a lattice array.
+    w and v are its physical values, and v is None when v0 is None. Apart
+    from the initial w they are the solve's work arrays, valid only during
+    the call and not to be written to. Without a sink the w snapshots are
+    copied into one stack and returned as a Trajectory holding v, when v0 is
+    given, as v_hat(0) alone; its v snapshots equal a sink's bit for bit.
+    With a sink no stack is built and the trajectory returned is None.
 
     With v0 None or identically zero, w solves the full equation and the
     per-step v work is skipped; v0 None also makes no v snapshots.
@@ -316,18 +302,14 @@ def solve_w(
         raise ConfigError("w0 and v0 live on different grids")
 
     shape = grid.shape
-    stacks = None
+    w_stack = None
     if sink is None:
-        names = ("w",) if v0 is None else ("v", "w")
-        stacks = {name: np.empty((cfg.n_snapshots,) + shape, dtype=np.complex128) for name in names}
+        w_stack = np.empty((cfg.n_snapshots,) + shape, dtype=np.complex128)
         snap_times: list[float] = []
 
         def sink(t: float, w_k: np.ndarray, v_k: np.ndarray | None) -> None:
-            k = len(snap_times)
+            w_stack[len(snap_times)] = w_k
             snap_times.append(t)
-            stacks["w"][k] = w_k
-            if v_k is not None:
-                stacks["v"][k] = v_k
 
     w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
     v_init = None
@@ -419,9 +401,19 @@ def solve_w(
         vhat_k *= w_k
         ser_dm_id[idx] = -2.0 * cfg.mu * float(np.sum(vhat_k.imag)) * dvol
 
-    sink(0.0, w_init, v_init)
+    def v_snapshot(out: np.ndarray) -> np.ndarray | None:
+        """A snapshot's v: the inverse transform of v_hat(t) into out; zeros unforced, None without v0."""
+        if has_v:
+            return np.fft.ifftn(vhat, out=out)
+        if v0 is None:
+            return None
+        out[...] = 0.0
+        return out
+
+    # the t = 0 snapshot's v goes to the phase buffer; u holds w0 + v0 for the sample
     if has_v:
         free_flow_into(v0hat, grid, 0.0, out=vhat)
+    sink(0.0, w_init, v_snapshot(phase))
     sample_series(0, 0.0, what, w_init, u, vhat)
     del w_init, v_init, u_init
     rotate = cfg.mu != 0.0
@@ -460,14 +452,7 @@ def solve_w(
         # to u's buffer, which then becomes u = v + w for the series sample
         w_k = np.fft.ifftn(what, out=phase)
         if at_snap:
-            if has_v:
-                v_k = np.fft.ifftn(vhat, out=u)
-            elif v0 is not None:
-                v_k = u
-                v_k[...] = 0.0
-            else:
-                v_k = None
-            sink(t_k, w_k, v_k)
+            sink(t_k, w_k, v_snapshot(u))
             if has_v and at_ser:
                 u += w_k
         elif has_v:
@@ -478,8 +463,9 @@ def solve_w(
             ser += 1
 
     traj = None
-    if stacks is not None:
-        traj = Trajectory(grid=grid, times=snap_times, channels=stacks, meta=cfg.provenance())
+    if w_stack is not None:
+        free = {} if v0 is None else {"v": v0hat if has_v else np.zeros(shape, dtype=np.complex128)}
+        traj = Trajectory(grid, snap_times, {"w": w_stack}, cfg.provenance(), free)
     series = ConservationSeries(
         times=ser_times,
         mass=ser_mass,
@@ -564,19 +550,24 @@ def twin_run(
 
     D(alpha) = sup over snapshots of ||w_alpha - w_twin||_{H^1}; the reported
     slope is the log-log increment between the two smallest nonzero rungs and
-    should sit near 1 while the first Duhamel term dominates.
+    should sit near 1 while the first Duhamel term dominates. Only the twin's
+    w stack is held; each rung streams into a sink that keeps the H^1 gaps.
     """
-    ref, _ = solve_w(w0, None, cfg)
-    ref_w = ref.channels["w"]
+    ref: list[np.ndarray] = []
+    solve_w(w0, None, cfg, lambda t, w, v: ref.append(w.copy()))
     amps = tuple(sorted(set(float(a) for a in amplitudes), reverse=True))
     v0_values = v0.as_physical().values
     symbols: Symbols = {}
     divs: list[float] = []
     for alpha in amps:
-        v_scaled = SpectralField(v0.grid, alpha * v0_values, "physical")
-        traj, _ = solve_w(w0, v_scaled, cfg)
-        views = (FrequencyView(traj.grid, d, None, symbols) for d in traj.channels["w"] - ref_w)
-        divs.append(max(view.norm(2, 1.0, "inhomogeneous") for view in views))
+        gaps: list[float] = []
+
+        def gap(t: float, w: np.ndarray, v: np.ndarray | None) -> None:
+            view = FrequencyView(w0.grid, w - ref[len(gaps)], None, symbols)
+            gaps.append(view.norm(2, 1.0, "inhomogeneous"))
+
+        solve_w(w0, SpectralField(v0.grid, alpha * v0_values, "physical"), cfg, gap)
+        divs.append(max(gaps))
     slopes: list[float] = []
     for (a1, d1), (a2, d2) in zip(zip(amps, divs), zip(amps[1:], divs[1:])):
         if a2 > 0 and d1 > 0 and d2 > 0:
@@ -636,9 +627,9 @@ def almost_conservation_monitor(
         raise ConfigError(f"initial mass {m0:.6g} exceeds A n0^(-2s) = {mass_bound:.6g}")
     if e0 > energy_bound:
         raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
-    if "v" in traj.channels:
+    if "v" in traj.names:
         # raw coordinates: the transform weight has constant modulus, so the relative leak is unchanged
-        vhat0 = np.fft.fftn(traj.channel("v")[0])
+        vhat0 = traj.spectrum("v", 0)
         low = np.sqrt(xi_sq(traj.grid)) < n0 / 2.0
         leak = float(np.linalg.norm(vhat0[low]))
         total = float(np.linalg.norm(vhat0))
@@ -684,11 +675,11 @@ def scattering_proxy(traj: Trajectory) -> ScatteringReport:
     idx = sorted({int(np.argmin(np.abs(traj.times - f * t_final))) for f in (0.25, 0.5, 0.75, 1.0)})
     if len(idx) < 2:
         raise ConfigError("scattering proxy needs at least two distinct ladder times")
-    name = "w" if "w" in traj.channels else "u"
+    name = "w" if "w" in traj.names else "u"
     grid = traj.grid
     pulled = []
     for k in idx:
-        fhat = np.fft.fftn(traj.snapshot(name, k).values)
+        fhat = traj.spectrum(name, k)
         pulled.append(free_flow_into(fhat, grid, -float(traj.times[k]), fhat))
     symbols: Symbols = {}
     deltas = []

@@ -1,9 +1,10 @@
 """Time-sampled fields and their on-disk form.
 
-A Trajectory is a uniform time grid plus one array of snapshots per named
-channel ("v" exact linear flow, "w" stepped remainder; "u" is derived as v+w
-on demand and never stored). Snapshot files use a fixed little-endian binary
-layout so runs can be consumed by other tools:
+A Trajectory is a uniform time grid plus named channels ("v" exact linear
+flow, "w" stepped remainder; "u" is derived as v+w on demand and never
+stored), each held as a snapshot stack or, for a free flow, as its spectrum
+at t = 0 alone. Snapshot files use a fixed little-endian binary layout so
+runs can be consumed by other tools:
 
     header: magic 'RNLS' | version u32 | d u32 | M u32 | L f64 | t f64 | tag u8
     data:   M^d complex values as (real f64, imag f64) pairs, row-major,
@@ -12,7 +13,7 @@ layout so runs can be consumed by other tools:
 A trajectory directory holds one such file per channel and snapshot plus
 manifest.json, written last. TrajectoryWriter writes it one snapshot at a
 time, so a solve can stream its snapshots to disk without stacking them, and
-save_trajectory feeds a stored Trajectory through the same writer.
+save_trajectory feeds a Trajectory through the same writer.
 TrajectoryReader reads a directory back one snapshot at a time, and
 load_trajectory stacks what it reads.
 """
@@ -20,17 +21,20 @@ load_trajectory stacks what it reads.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField
+from .grids import GridSpec, SpectralField, free_flow_into
 
 __all__ = [
     "Trajectory",
+    "write_atomic",
     "write_snapshot",
     "read_snapshot",
     "TrajectoryWriter",
@@ -53,13 +57,12 @@ _MANIFEST = "manifest.json"
 
 @dataclass
 class Trajectory:
-    """Uniformly strided snapshots of one or more field channels.
+    """Uniformly strided snapshots of field channels, each held one way, never both.
 
-    `free_spectra` names the channels that are exact free flows: for such a
-    channel it holds v-hat(0), numpy's raw np.fft.fftn of the flow at t = 0,
-    and snapshot k is the inverse transform of e^{-i t_k |xi|^2} v-hat(0). It
-    lets norms read each snapshot's spectrum without a forward transform. It
-    lives in memory only; the files hold the snapshots.
+    `channels` holds (n_snapshots, *shape) stacks: channels the solver
+    stepped or read from disk. `free_spectra` holds each exact free flow as
+    v-hat(0) alone, numpy's raw np.fft.fftn at t = 0; its snapshot k, the
+    inverse transform of e^{-i t_k |xi|^2} v-hat(0), is built on demand.
     """
 
     grid: GridSpec
@@ -82,26 +85,53 @@ class Trajectory:
             if arr.shape != want:
                 raise ValueError(f"channel {name!r} has shape {arr.shape}, expected {want}")
         for name, arr in self.free_spectra.items():
-            if name not in self.channels or arr.shape != self.grid.shape:
-                raise ValueError(f"free spectrum {name!r} must be the grid-shaped v-hat(0) of a stored channel")
+            if name in self.channels:
+                raise ValueError(f"channel {name!r} is held both as a stack and as a free spectrum")
+            if arr.shape != self.grid.shape:
+                raise ValueError(f"free spectrum {name!r} has shape {arr.shape}, expected {self.grid.shape}")
 
     @property
     def n_snapshots(self) -> int:
         return self.times.size
 
-    def channel(self, name: str) -> np.ndarray:
-        """Snapshot stack of a stored channel."""
-        if name not in self.channels:
-            raise KeyError(f"trajectory has no channel {name!r} (have {sorted(self.channels)})")
-        return self.channels[name]
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every channel held, as a stack or as a free spectrum, sorted."""
+        return tuple(sorted(self.channels.keys() | self.free_spectra.keys()))
+
+    def spectrum(self, name: str, k: int) -> np.ndarray:
+        """np.fft.fftn of snapshot k, new: a free channel's with no transform, any other's with one."""
+        v0_hat = self.free_spectra.get(name)
+        if v0_hat is None:
+            return np.fft.fftn(self.snapshot(name, k).values)
+        return free_flow_into(v0_hat, self.grid, float(self.times[k]), np.empty_like(v0_hat))
 
     def snapshot(self, name: str, k: int) -> SpectralField:
-        """Snapshot k of a channel; an unstored 'u' is v[k] + w[k], built for this snapshot only."""
-        if name == "u" and name not in self.channels and {"v", "w"} <= self.channels.keys():
-            values = self.channels["v"][k] + self.channels["w"][k]
+        """Snapshot k of a channel; a free channel's and an unheld 'u' = v + w are built for this snapshot only."""
+        if name in self.free_spectra:
+            values = self.spectrum(name, k)
+            np.fft.ifftn(values, out=values)
+        elif name in self.channels:
+            values = self.channels[name][k]
+        elif name == "u" and {"v", "w"} <= set(self.names):
+            values = self.snapshot("v", k).values + self.snapshot("w", k).values
         else:
-            values = self.channel(name)[k]
+            raise KeyError(f"trajectory has no channel {name!r} (have {list(self.names)})")
         return SpectralField(self.grid, values, "physical")
+
+
+@contextmanager
+def write_atomic(path: str | Path, newline: str | None = None):
+    """A text file written under a temporary name and moved over `path` once whole; on failure `path` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_values(path: Path, grid: GridSpec, values: np.ndarray, t: float, channel: str) -> None:
@@ -192,15 +222,17 @@ class TrajectoryWriter:
             "channels": self.files,
             "meta": self.meta,
         }
-        (self.out / _MANIFEST).write_text(json.dumps(manifest, indent=2))
+        with write_atomic(self.out / _MANIFEST) as fh:
+            fh.write(json.dumps(manifest, indent=2))
         return self.out
 
 
 def save_trajectory(traj: Trajectory, out_dir: str | Path) -> Path:
-    """Persist a trajectory as a directory of snapshots plus manifest.json."""
-    writer = TrajectoryWriter(out_dir, traj.grid, traj.channels, traj.meta)
+    """Persist a trajectory, free channels included, as snapshot files plus manifest.json."""
+    names = traj.names
+    writer = TrajectoryWriter(out_dir, traj.grid, names, traj.meta)
     for k, t in enumerate(traj.times):
-        writer.add(t, {name: arr[k] for name, arr in traj.channels.items()})
+        writer.add(t, {name: traj.snapshot(name, k).values for name in names})
     return writer.close()
 
 

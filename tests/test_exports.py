@@ -1,6 +1,7 @@
 """Export hygiene: __all__ lists resolve, the package root re-exports only listed names,
-no module reaches into another module's private names, and no module in src/ or
-tests/ imports a name it never uses."""
+no module reaches into another module's private names, no module in src/ or
+tests/ imports a name it never uses, and only the trajectory module reads a
+Trajectory's stacks directly."""
 
 import ast
 import importlib
@@ -40,6 +41,19 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom):
                 found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_only_the_trajectory_module_subscripts_channels():
+    # A Trajectory channel is a stack or a free spectrum; every other module
+    # reads snapshots through Trajectory.snapshot, which serves both.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "trajectory.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "channels":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f".channels[...] read outside trajectory.py: {found}"
 
 
 def _unused_imports(path: Path) -> list[str]:

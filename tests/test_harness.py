@@ -2,13 +2,18 @@
 
 import filecmp
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughnls
 from roughnls import (
     BlowupError,
     ConfigError,
@@ -144,6 +149,53 @@ def test_record_after_torn_line_survives(tmp_path, monkeypatch):
 
     monkeypatch.setitem(harness._TASKS, "evolve", refuse)
     assert run(cfg) == recs
+
+
+def test_failed_summary_write_keeps_the_old_summary(tmp_path, monkeypatch):
+    # summary.json is written to a temporary name and moved over the old one;
+    # a resumed run whose move fails leaves the earlier summary whole and no
+    # temporary file behind.
+    run(parse_config(evolve_config(tmp_path, n_samples=1)))
+    before = (tmp_path / "summary.json").read_text()
+
+    def refuse(src, dst):
+        raise OSError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="summary.json"):
+        run(parse_config(evolve_config(tmp_path, n_samples=2)))
+    assert (tmp_path / "summary.json").read_text() == before
+    assert json.loads(before)["n_records"] == 1
+    assert not list(tmp_path.glob("*.tmp"))
+    assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 2
+
+
+def test_records_do_not_depend_on_blas_threads(tmp_path):
+    # One process per OPENBLAS_NUM_THREADS value runs a 12^3 linear-stats, a
+    # 12^3 forced evolve and an 8^4 morawetz-audit config; their records are
+    # equal apart from wall_clock.
+    lin = {"kind": "linear-stats", "n_samples": 2, "grid": dict(GRID), "partition": dict(PART),
+           "forcing": dict(FORCING), "times": {"t_final": 0.3, "n_times": 4}}
+    evo = {k: v for k, v in evolve_config("").items() if k != "out_dir"}
+    mor = dict(evo, kind="morawetz-audit", grid={"dim": 4, "points": 8, "half_width": float(np.pi)},
+               partition=dict(PART, n_max=1))
+    script = (
+        "import json, sys\n"
+        "from roughnls import parse_config, run\n"
+        "for raw in json.loads(sys.argv[1]):\n"
+        "    run(parse_config(raw))\n"
+    )
+    src = str(Path(roughnls.__file__).parents[1])
+    records = []
+    for threads in ("1", "2"):
+        raws = [dict(c, out_dir=str(tmp_path / threads / c["kind"])) for c in (lin, evo, mor)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", script, json.dumps(raws)], env=env, check=True)
+        lines = [line for raw in raws for line in (Path(raw["out_dir"]) / "records.jsonl").read_text().splitlines()]
+        records.append([{k: v for k, v in json.loads(line).items() if k != "wall_clock"} for line in lines])
+    assert len(records[0]) == 6
+    assert records[0] == records[1]
 
 
 def test_zero_samples_valid(tmp_path):
@@ -353,22 +405,67 @@ def test_linear_stats_seed_makes_no_forward_transform(tmp_path, monkeypatch):
     assert calls == {"fftn": 0, "ifftn": 12}
 
 
+def _traced_peak(cfg, part, run_dir) -> int:
+    """Traced peak of one seed of cfg's task, its caches warmed by an earlier seed."""
+    task = harness._TASKS[cfg.kind]
+    task(cfg, part, 1, run_dir / "warm")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        task(cfg, part, 2, run_dir / "run")
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _charge(cfg) -> int:
+    """The memory guard's charge for one task of cfg."""
+    return harness._estimate_bytes(replace(cfg, workers=2)) - harness._estimate_bytes(cfg)
+
+
 def test_linear_stats_seed_peaks_within_its_charge(tmp_path):
     # One 32^3 seed's traced peak stays under the guard's per-task charge,
     # and the charge is no more than twice the peak.
     cfg = linear_stats_config(tmp_path, points=32)
     part = harness.build_partition(cfg.partition, cfg.grid)
-    task = harness._TASKS["linear-stats"]
-    task(cfg, part, 1, tmp_path / "warm")  # the profile and first-call caches
-    charge = harness._estimate_bytes(replace(cfg, workers=2)) - harness._estimate_bytes(cfg)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        task(cfg, part, 2, tmp_path / "run")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, charge = _traced_peak(cfg, part, tmp_path), _charge(cfg)
     assert charge / 2 <= peak < charge, (peak / (16 * cfg.grid.n_points), charge / (16 * cfg.grid.n_points))
+
+
+def test_linear_stats_seed_peak_does_not_grow_with_times(tmp_path):
+    # A seed holds v-hat(0) and one snapshot at a time, not a stack: at 4
+    # times or 16 its traced peak is the same to within one lattice field,
+    # and so is its charge.
+    few, many = (linear_stats_config(tmp_path / f"t{n}", points=32, n_times=n) for n in (4, 16))
+    part = harness.build_partition(few.partition, few.grid)
+    peaks = [_traced_peak(cfg, part, tmp_path / f"t{cfg.times.size}") for cfg in (few, many)]
+    field = 16 * few.grid.n_points
+    assert abs(peaks[1] - peaks[0]) < field, [p / field for p in peaks]
+    assert _charge(few) == _charge(many)
+
+
+def test_twin_ladder_holds_one_stack(tmp_path):
+    # The twin-ladder task keeps the unforced twin's w stack and streams each
+    # rung into its H^1 gap: with 3 snapshots or 21 its traced peak lies in
+    # [charge / 2, charge), and grows by about one field per added snapshot.
+    def config(stride):
+        solver_sec = {"dt": 1e-3, "t_final": 0.02, "snapshot_stride": stride, "series_stride": 5}
+        return parse_config(evolve_config(
+            tmp_path / f"s{stride}", kind="twin-ladder", n_samples=1, solver=solver_sec,
+            grid={"dim": 3, "points": 16, "half_width": 2.25}, ladder={"amplitudes": [1.0, 0.5, 0.25]},
+        ))
+
+    few, many = config(10), config(1)
+    added = many.solver.n_snapshots - few.solver.n_snapshots
+    assert added == 18
+    part = harness.build_partition(few.partition, few.grid)
+    field = 16 * few.grid.n_points
+    peaks = []
+    for cfg in (few, many):
+        peak, charge = _traced_peak(cfg, part, tmp_path / f"run{cfg.solver.n_snapshots}"), _charge(cfg)
+        assert charge / 2 <= peak < charge, (peak / field, charge / field)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= (added + 0.5) * field, (peaks[1] - peaks[0]) / field
 
 
 def test_memory_guard_refuses(tmp_path):
@@ -395,6 +492,24 @@ def test_sweep_writes_long_table(tmp_path):
     summary = json.load(open(tmp_path / "sweep_summary.json"))
     assert set(summary["medians"]) == {"1", "2"}
     assert "nonincreasing_ratio_mass" in summary["flags"]
+
+
+def test_sweep_of_evolve_saves_fields_by_default(tmp_path):
+    # save_fields defaults from the swept kind: an evolve sweep with no
+    # save_fields key writes traj/ under every value's run directory, as an
+    # evolve run does.
+    raw = evolve_config(
+        tmp_path, kind="sweep", n_samples=1,
+        sweep={"axis": "forcing.n0", "values": [1.0, 2.0], "kind": "evolve"},
+    )
+    del raw["save_fields"]
+    cfg = parse_config(raw)
+    assert cfg.save_fields
+    run(cfg)
+    n_snapshots = parse_config(evolve_config(tmp_path)).solver.n_snapshots
+    for value in ("1", "2"):
+        traj = load_trajectory(tmp_path / f"forcing-n0_{value}" / "run_0000" / "traj")
+        assert traj.names == ("v", "w") and traj.n_snapshots == n_snapshots
 
 
 def test_sweep_unknown_axis_rejected(tmp_path):

@@ -104,9 +104,9 @@ def test_composite_norms_transform_each_snapshot_once(monkeypatch):
     # Y3 and Z3 read one shared view per snapshot, whose spectrum is the
     # trajectory's own free flow of v-hat(0): once the profile's spectrum
     # exists, a seed makes no forward transform, and per snapshot one inverse
-    # transform for the stack plus one per distinct derivative symbol outside
+    # transform for its values plus one per distinct derivative symbol outside
     # L^2 (Y3's <grad>^0.39 and Z3's <grad>^1.39 in L^inf; Z3's H^s is a
-    # Parseval sum).
+    # Parseval sum). The L^2 norm of v(t_0) is read off the first view.
     g3 = GridSpec(3, 12, np.pi)
     part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
@@ -127,8 +127,9 @@ def test_composite_norms_transform_each_snapshot_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counting(name))
-    traj, norms = linear_seed(f3, part3, 3, 2.0, times, specs)
+    traj, l2, norms = linear_seed(f3, part3, 3, 2.0, times, specs)
     assert calls == {"fftn": 0, "ifftn": traj.n_snapshots * (1 + 2)}
+    assert l2 == traj.snapshot("v", 0).l2_norm()
     # sharing the views leaves every figure as composite_norm gives it alone
     assert norms == [composite_norm(traj, spec) for spec in specs]
 
@@ -146,7 +147,7 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
     f = SpectralField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape), "physical")
     times = np.linspace(0.0, 0.3, 4)
     specs = [composite_spec(f"{family}{dim}", -0.1, 1.0) for family in "YZ"]
-    traj, norms = linear_seed(f.as_frequency(), part, 5, 2.0, times, specs)
+    traj, l2, norms = linear_seed(f.as_frequency(), part, 5, 2.0, times, specs)
 
     v0 = high_pass(draw(f, part, 5).field.as_frequency(), 2.0)
     snaps = [weighted_free_flow(v0, float(t)) for t in times]
@@ -167,23 +168,27 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
         for label, val in parts.items():
             assert val == pytest.approx(want[label], rel=1e-12, abs=0.0), label
         assert total == pytest.approx(sum(want.values()), rel=1e-12, abs=0.0)
-    assert traj.snapshot("v", 0).l2_norm() == pytest.approx(
+    assert l2 == pytest.approx(
         modulus_lp_norm(np.abs(snaps[0].values), 2, g), rel=1e-12, abs=0.0
     )
 
 
 def test_linear_trajectory_records_its_spectrum():
-    # The trajectory keeps v-hat(0) in numpy's raw coordinates, and each
-    # snapshot is its free flow: a view built from the recorded spectrum
-    # agrees with the forward transform of the stored values.
+    # The trajectory keeps v-hat(0) in numpy's raw coordinates and no stack.
+    # Each snapshot is its free flow, built on demand: a view's values are
+    # the snapshot's bit for bit, and its spectrum agrees with their forward
+    # transform.
     g, part, rnd = setup_draw(dim=2, points=32, seed=6)
     times = np.linspace(0.0, 0.2, 3)
     traj = linear_trajectory(rnd, 2.0, times)
+    assert traj.channels == {} and traj.names == ("v",)
     v0_hat = traj.free_spectra["v"]
-    assert np.allclose(v0_hat, np.fft.fftn(traj.channels["v"][0]), rtol=0, atol=1e-12 * np.abs(v0_hat).max())
+    assert np.allclose(v0_hat, np.fft.fftn(traj.snapshot("v", 0).values), rtol=0, atol=1e-12 * np.abs(v0_hat).max())
     for k in range(traj.n_snapshots):
         view = snapshot_view(traj, "v", k)
-        expect = np.fft.fftn(traj.channels["v"][k])
+        values = traj.snapshot("v", k).values
+        assert np.array_equal(view.values, values)
+        expect = np.fft.fftn(values)
         assert np.max(np.abs(view.fhat - expect)) < 1e-12 * np.abs(expect).max()
 
 
@@ -221,7 +226,7 @@ def test_harness_and_ensemble_give_identical_norms(tmp_path):
     spec = composite_spec("Y3", -0.1, 1.0)
     assert [r.seed for r in recs] == [40, 41, 42]
     for rec in recs:
-        _, [(total, parts)] = linear_seed(f, part, rec.seed, 2.0, cfg.times, [spec])
+        _, _, [(total, parts)] = linear_seed(f, part, rec.seed, 2.0, cfg.times, [spec])
         assert rec.metrics["Y"] == total
         for label, val in parts.items():
             assert rec.metrics[f"Y:{label}"] == val

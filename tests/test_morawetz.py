@@ -327,7 +327,7 @@ def _reference_audit(traj):
     interaction is d complex circular correlations. The v + w stack and the
     defect field are left out because no reported figure reads them."""
     g, t = traj.grid, traj.times
-    w, v = traj.channels["w"], traj.channels["v"]
+    w, v = (np.stack([traj.snapshot(ch, k).values for k in range(traj.n_snapshots)]) for ch in "wv")
     inf = np.inf
     w_mass = _ref_time(_ref_series(w, g, 2), t, inf)
     w_hhalf = _ref_time(_ref_series(w, g, 2, 0.5, "homogeneous"), t, inf)

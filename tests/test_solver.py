@@ -163,7 +163,7 @@ def test_dealias_flag_changes_solution():
     off = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=False)
     t1, _ = solve_w(u0, None, on)
     t2, _ = solve_w(u0, None, off)
-    d = np.max(np.abs(t1.channel("w")[-1] - t2.channel("w")[-1]))
+    d = np.max(np.abs(t1.channels["w"][-1] - t2.channels["w"][-1]))
     assert d > 0.0
 
 
@@ -203,14 +203,16 @@ def test_zero_forcing_is_the_full_equation():
     assert np.array_equal(forced.channels["w"], full.channels["w"])
     assert np.array_equal(forced_series.mass, full_series.mass)
     assert np.array_equal(forced_series.energy, full_series.energy)
-    assert not np.any(forced.channels["v"])
-    assert set(full.channels) == {"w"}
+    assert forced.names == ("v", "w") and "v" in forced.free_spectra
+    assert not any(np.any(forced.snapshot("v", k).values) for k in range(forced.n_snapshots))
+    assert full.names == ("w",)
 
 
 @pytest.mark.parametrize("forcing", ["rough", "zero", "none"])
 def test_sink_receives_the_stacked_snapshots(forcing):
     # A sink gets every snapshot in time order, equal bit for bit to the
-    # stacks solve_w builds without one, and the series does not change.
+    # trajectory solve_w returns without one (its w stack, and v built from
+    # v_hat(0), t = 0 included), and the series does not change.
     g = GridSpec(3, 12, np.pi)
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = {
@@ -228,7 +230,9 @@ def test_sink_receives_the_stacked_snapshots(forcing):
     if v0 is None:
         assert all(v is None for _, _, v in got)
     else:
-        assert np.array_equal(np.stack([v for _, _, v in got]), stacked.channels["v"])
+        assert set(stacked.channels) == {"w"}
+        v_snapshots = [stacked.snapshot("v", k).values for k in range(stacked.n_snapshots)]
+        assert np.array_equal(np.stack([v for _, _, v in got]), np.stack(v_snapshots))
     for name in ("mass", "energy", "dmass_id", "denergy_id"):
         assert np.array_equal(getattr(streamed, name), getattr(series, name))
 
@@ -319,7 +323,7 @@ def test_fused_step_matches_unfused_reference(dim, points, half_width, forced):
     assert _rel(series.mass, mass) < 1e-12
     assert _rel(series.energy, energy) < 1e-12
     if forced:
-        assert _rel(traj.channels["v"], vs) < 1e-12
+        assert _rel(np.stack([traj.snapshot("v", k).values for k in range(traj.n_snapshots)]), vs) < 1e-12
         assert _rel(series.dmass_id, dm) < 1e-12
         assert _rel(series.denergy_id, de) < 1e-12
     else:
@@ -340,17 +344,19 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
             np.fft, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
     solve_w(w0, v0, cfg)
-    # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 sample
-    # makes Lap v (1), its u being w0 + v0; the final snapshot and sample make
-    # w and v for the snapshot and Lap v (3), u again being w + v
-    assert len(calls) == 2 * n_steps + 6
+    # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 snapshot
+    # makes v from v_hat(0) (1) and its sample Lap v (1), its u being w0 + v0;
+    # the final snapshot and sample make w and v for the snapshot and Lap v
+    # (3), u again being w + v
+    assert len(calls) == 2 * n_steps + 7
     assert calls.count("fftn") == n_steps + 2
 
 
 def test_forced_solve_stays_within_the_guard_workspace():
     # The memory guard charges a task that runs solve_w _SOLVER_FIELDS complex
-    # lattice fields above its snapshot stacks; a forced solve on a fresh grid
-    # (its multipliers and weights cached inside the measurement) fits in it.
+    # lattice fields above the snapshots it keeps; a forced solve on a fresh
+    # grid (its multipliers and weights cached inside the measurement), which
+    # keeps one w stack and v_hat(0), fits in it.
     from roughnls.harness import _SOLVER_FIELDS
 
     def forced(grid):
@@ -363,7 +369,7 @@ def test_forced_solve_stays_within_the_guard_workspace():
     grid = GridSpec(3, 16, 2.25)  # a grid no other test warms
     w0, v0, cfg = forced(grid)
     field = 16 * grid.n_points
-    stacks = 2 * cfg.n_snapshots * field
+    stacks = cfg.n_snapshots * field
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -124,7 +124,7 @@ def test_writer_writes_the_manifest_last(tmp_path):
     assert writer.close() == out
     back = load_trajectory(out)
     for ch in ("v", "w"):
-        assert np.array_equal(back.channel(ch), traj.channel(ch))
+        assert np.array_equal(back.channels[ch], traj.channels[ch])
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -136,8 +136,51 @@ def test_trajectory_round_trip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert sorted(back.channels) == ["v", "w"]
     for ch in ("v", "w"):
-        assert np.array_equal(back.channel(ch), traj.channel(ch))
+        assert np.array_equal(back.channels[ch], traj.channels[ch])
     assert back.meta.get("note") == "test"
+
+
+def free_traj(grid, n_times=3, seed=0):
+    """A stacked w beside a free channel v held as its spectrum alone."""
+    traj = make_traj(grid, n_times=n_times, channels=("v", "w"), seed=seed)
+    v0_hat = np.fft.fftn(traj.channels.pop("v")[0])
+    return Trajectory(grid, traj.times, traj.channels, traj.meta, {"v": v0_hat})
+
+
+def test_free_channel_snapshots_are_its_flow():
+    # Snapshot k of a free channel is ifftn(e^{-i t_k |xi|^2} v-hat(0)),
+    # and spectrum() gives the flowed spectrum with no transform.
+    g = GridSpec(2, 16, 2.0)
+    traj = free_traj(g, n_times=4)
+    assert traj.names == ("v", "w") and set(traj.channels) == {"w"}
+    xi = g.xi_axis()
+    xi2 = xi[:, None] ** 2 + xi[None, :] ** 2
+    for k, t in enumerate(traj.times):
+        want = np.exp(-1j * t * xi2) * traj.free_spectra["v"]
+        assert np.allclose(traj.spectrum("v", k), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(traj.snapshot("v", k).values, np.fft.ifftn(traj.spectrum("v", k)))
+        u = traj.snapshot("u", k).values
+        assert np.array_equal(u, traj.snapshot("v", k).values + traj.channels["w"][k])
+
+
+def test_free_channel_saves_as_snapshot_files(tmp_path):
+    # On disk a free channel is a channel like any other; it loads as a stack.
+    g = GridSpec(2, 8, 1.0)
+    traj = free_traj(g, n_times=3)
+    back = load_trajectory(save_trajectory(traj, tmp_path / "traj"))
+    assert set(back.channels) == {"v", "w"} and not back.free_spectra
+    for k in range(traj.n_snapshots):
+        for ch in ("v", "w"):
+            assert np.array_equal(back.channels[ch][k], traj.snapshot(ch, k).values)
+
+
+def test_channel_held_two_ways_rejected():
+    g = GridSpec(1, 8, 1.0)
+    traj = make_traj(g, n_times=2)
+    with pytest.raises(ValueError, match="both"):
+        Trajectory(g, traj.times, traj.channels, {}, {"v": np.zeros(8, dtype=complex)})
+    with pytest.raises(ValueError, match="free spectrum"):
+        Trajectory(g, traj.times, {"w": traj.channels["w"]}, {}, {"v": np.zeros(4, dtype=complex)})
 
 
 def test_channel_u_synthesized():
@@ -145,27 +188,32 @@ def test_channel_u_synthesized():
     traj = make_traj(g, n_times=2)
     snap = traj.snapshot("u", 1)
     assert snap.rep == "physical"
-    assert np.allclose(snap.values, traj.channel("v")[1] + traj.channel("w")[1])
+    assert np.allclose(snap.values, traj.channels["v"][1] + traj.channels["w"][1])
 
 
-def test_snapshot_u_sums_one_snapshot(monkeypatch):
+def test_snapshot_u_sums_one_snapshot():
+    # snapshot('u', k) allocates one snapshot, not a v + w stack of four.
     g = GridSpec(3, 8, 1.0)
     traj = make_traj(g, n_times=4)
-    stack = traj.channel("v") + traj.channel("w")
-
-    def no_stack(name):
-        raise AssertionError("snapshot('u', k) must not build the v + w stack")
-
-    monkeypatch.setattr(traj, "channel", no_stack)
+    stack = traj.channels["v"] + traj.channels["w"]
+    field = 16 * g.n_points
     for k in range(traj.n_snapshots):
-        assert np.array_equal(traj.snapshot("u", k).values, stack[k])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            snap = traj.snapshot("u", k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(snap.values, stack[k])
+        assert peak < 2 * field, peak / field
 
 
 def test_missing_channel_raises():
     g = GridSpec(1, 8, 1.0)
     traj = Trajectory(g, np.array([0.0, 1.0]), {"w": np.zeros((2, 8), dtype=complex)}, {})
     with pytest.raises(KeyError):
-        traj.channel("v")
+        traj.snapshot("v", 0)
 
 
 def test_nonuniform_times_rejected():

@@ -39,7 +39,6 @@ from .harness import (
     run,
     shaped_profile,
     summarize,
-    sweep,
 )
 from .linear_flow import (
     CompositeNormSpec,

@@ -28,7 +28,7 @@ from .harness import ENV_WORKERS, ExperimentConfig, parse_config, read_config, r
 from .morawetz import MorawetzAccumulator
 from .partition import build_partition
 from .randomize import tail_fit
-from .trajectory import TrajectoryReader
+from .trajectory import TrajectoryReader, write_atomic
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
@@ -145,7 +145,8 @@ def _cmd_partition(args) -> int:
         report = build_partition(config.partition, config.grid).report()
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "partition.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    with write_atomic(report_path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True))
     print(f"partition report: {report_path}")
     return 0
 
@@ -158,7 +159,7 @@ def _cmd_linear_stats(args) -> int:
     records = run(config)
     out = Path(config.out_dir)
     values = []
-    with open(out / "norms.csv", "w", newline="") as fh:
+    with write_atomic(out / "norms.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", args.norm])
         for rec in records:
@@ -181,7 +182,8 @@ def _cmd_linear_stats(args) -> int:
         }
     except FitError as exc:
         tail_doc = {"fitted": False, "n_samples": len(values), "reason": str(exc)}
-    tail_path.write_text(json.dumps(tail_doc, indent=2, sort_keys=True))
+    with write_atomic(tail_path) as fh:
+        fh.write(json.dumps(tail_doc, indent=2, sort_keys=True))
     print(f"norm column: {out / 'norms.csv'}")
     print(f"tail report: {tail_path}")
     return 0

@@ -1,8 +1,11 @@
 """Batch experiment runner: validated configs, seeded parallel tasks, crash-safe records.
 
-A config is one JSON file. Unknown keys are errors everywhere (silent typos are
-the main reproducibility hazard), required sections depend on the experiment
-kind, and every nested object re-validates its own invariants at load. The
+A config is one JSON file, read through one schema table (_SCHEMA) of every
+object's keys with their types and defaults. Unknown keys are errors
+everywhere (silent typos are the main reproducibility hazard), required
+sections depend on the experiment kind, and every spec checks its own
+invariants when it is built. A sweep is parsed into its rungs, one config per
+axis value, and run() memory-guards them all before the first one runs. The
 semantic part of the config (everything that can change a number) is hashed;
 records are keyed by (config_hash, seed) so an interrupted batch resumes by
 skipping completed seeds and a re-run of a finished batch is a no-op.
@@ -17,8 +20,9 @@ over that fixed order, so the worker count never changes any reported value.
 Layout under out_dir: records.jsonl (append-only, one record per line),
 summary.json (recomputed from records on every run), metrics.csv (long format
 seed/metric/value), per-seed artifact directories, and for sweeps one
-subdirectory per axis value plus sweep.csv / sweep_summary.json. Summaries
-and tables replace the old ones atomically (trajectory.write_atomic).
+subdirectory per axis value plus sweep.csv / sweep_summary.json. Summaries,
+tables and each seed's series.csv replace the old ones atomically
+(trajectory.write_atomic).
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
     "load_config",
     "run",
     "summarize",
-    "sweep",
     "shaped_profile",
     "forcing_field",
     "initial_field",
@@ -87,9 +90,6 @@ _KIND_SECTIONS = {
     "twin-ladder": (("grid", "partition", "solver", "forcing", "initial", "ladder"), ()),
 }
 
-_OPERATIONAL_KEYS = ("out_dir", "seed", "n_samples", "workers", "memory_limit_mb", "save_fields", "notes")
-_SECTION_KEYS = ("grid", "partition", "solver", "forcing", "initial", "times", "ladder", "sweep")
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -104,29 +104,88 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
+# The types a config value can have, named as messages name them, each with its test and its conversion.
+_NUM, _INT, _STR, _BOOL, _OBJ = "a number", "an integer", "a string", "true or false", "an object"
+_NUM_OR_NULL, _NUMS, _INTS = "a number or null", "a list of numbers", "a list of integers"
+_TYPES = {
+    _NUM: (_is_number, float),
+    _INT: (_is_int, int),
+    _STR: (lambda x: isinstance(x, str), str),
+    _BOOL: (lambda x: isinstance(x, bool), bool),
+    _OBJ: (lambda x: isinstance(x, dict), dict),
+    _NUM_OR_NULL: (lambda x: x is None or _is_number(x), lambda x: x if x is None else float(x)),
+    # list values keep their elements as written: a sweep records its values as given
+    _NUMS: (lambda x: isinstance(x, list) and all(map(_is_number, x)), tuple),
+    _INTS: (lambda x: isinstance(x, list) and all(map(_is_int, x)), tuple),
+}
+
+# the default of a key that must be given
+_REQ = object()
+
+# The config schema: each object's keys, each with its type and its default.
+# Every object is read through _read.
+_SCHEMA = {
+    "grid": {"dim": (_INT, _REQ), "points": (_INT, _REQ), "half_width": (_NUM, _REQ)},
+    "partition": {"a": (_INT, _REQ), "n_max": (_INT, _REQ), "s": (_NUM, _REQ)},
+    "solver": {
+        "dt": (_NUM, _REQ), "t_final": (_NUM, _REQ), "snapshot_stride": (_INT, 1),
+        "series_stride": (_INT, None), "power": (_NUM_OR_NULL, None), "mu": (_NUM, 1.0),
+        "blowup_factor": (_NUM, 1e6), "dealias": (_BOOL, True),
+    },
+    "forcing": {
+        "field_seed": (_INT, _REQ), "decay": (_NUM, _REQ), "n0": (_NUM, _REQ), "amplitude": (_NUM, _REQ),
+    },
+    "initial": {
+        "kind": (_STR, "bump"), "amplitude": (_NUM, _REQ), "width": (_NUM, _REQ), "wave": (_INTS, None),
+    },
+    "times": {"t_final": (_NUM, _REQ), "n_times": (_INT, _REQ)},
+    "ladder": {"amplitudes": (_NUMS, _REQ)},
+    "sweep": {"kind": (_STR, _REQ), "axis": (_STR, _REQ), "values": (_NUMS, _REQ)},
+}
+_SECTIONS = tuple(_SCHEMA)
+# The top level: the kind, the operational keys and one optional object per
+# section. save_fields defaults to true for evolve runs, a sweep's values included.
+_SCHEMA["config"] = {
+    "kind": (_STR, _REQ), "out_dir": (_STR, _REQ), "seed": (_INT, 0), "n_samples": (_INT, 1),
+    "workers": (_INT, 1), "memory_limit_mb": (_NUM, 4096.0), "save_fields": (_BOOL, None),
+    "notes": (_STR, ""), **dict.fromkeys(_SECTIONS, (_OBJ, None)),
+}
+
+
+def _check_keys(section: dict, where: str) -> None:
     _require(isinstance(section, dict), f"{where} must be an object")
+    allowed = _SCHEMA[where]
     for k in section:
         if k not in allowed:
             raise ConfigError(f"unknown key {where}.{k}; allowed: {', '.join(sorted(allowed))}")
 
 
-def _get_number(section: dict, key: str, where: str, default=None, required: bool = False):
-    if key not in section:
-        _require(not required, f"{where}.{key} is required")
-        return default
-    v = section[key]
-    _require(_is_number(v), f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+def _read(section: dict, where: str) -> dict:
+    """Every key of one config object by the schema: unknown keys rejected, types
+    checked, required keys demanded and defaults filled in."""
+    _check_keys(section, where)
+    values = {}
+    for key, (typ, default) in _SCHEMA[where].items():
+        if key not in section:
+            _require(default is not _REQ, f"{where}.{key} is required")
+            values[key] = default
+            continue
+        test, convert = _TYPES[typ]
+        v = section[key]
+        _require(test(v), f"{where}.{key} must be {typ}, got {v!r}")
+        values[key] = convert(v)
+    return values
 
 
-def _get_int(section: dict, key: str, where: str, default=None, required: bool = False):
-    if key not in section:
-        _require(not required, f"{where}.{key} is required")
-        return default
-    v = section[key]
-    _require(_is_int(v), f"{where}.{key} must be an integer, got {v!r}")
-    return int(v)
+def _spec(cls, where: str, section: dict | None, **extra):
+    """cls built from one config object, None when it is absent; the class checks its own invariants."""
+    if section is None:
+        return None
+    values = _read(section, where)
+    try:
+        return cls(**extra, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -144,6 +203,12 @@ class ForcingSpec:
     n0: float
     amplitude: float
 
+    def __post_init__(self):
+        if not self.n0 > 0:
+            raise ConfigError(f"n0 must be positive, got {self.n0}")
+        if not self.amplitude > 0:
+            raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
+
 
 @dataclass(frozen=True)
 class InitialSpec:
@@ -154,10 +219,17 @@ class InitialSpec:
     width: float = 1.0
     wave: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("bump", "zero"):
+            raise ConfigError(f"kind must be 'bump' or 'zero', got {self.kind!r}")
+        if not self.width > 0:
+            raise ConfigError(f"width must be positive, got {self.width}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One validated experiment: operational settings plus parsed sections."""
+    """One validated experiment: operational settings plus parsed sections, or
+    for a sweep its rungs, one (axis value, config) pair per value in order."""
 
     kind: str
     out_dir: str
@@ -175,8 +247,7 @@ class ExperimentConfig:
     times: np.ndarray | None = None
     ladder: tuple[float, ...] | None = None
     sweep_axis: str | None = None
-    sweep_values: tuple | None = None
-    sweep_kind: str | None = None
+    rungs: tuple[tuple[float, "ExperimentConfig"], ...] = ()
 
     @property
     def hash(self) -> str:
@@ -194,218 +265,95 @@ def config_hash(payload: dict) -> str:
     return sha256(blob.encode()).hexdigest()
 
 
-def _parse_grid(sec: dict) -> GridSpec:
-    _check_keys(sec, ("dim", "points", "half_width"), "grid")
-    dim = _get_int(sec, "dim", "grid", required=True)
-    points = _get_int(sec, "points", "grid", required=True)
-    half_width = _get_number(sec, "half_width", "grid", required=True)
-    try:
-        return GridSpec(dim, points, half_width)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _parse_partition(sec: dict, dim: int) -> PartitionConfig:
-    _check_keys(sec, ("a", "n_max", "s"), "partition")
-    a = _get_int(sec, "a", "partition", required=True)
-    n_max = _get_int(sec, "n_max", "partition", required=True)
-    s = _get_number(sec, "s", "partition", required=True)
-    try:
-        return PartitionConfig(dim=dim, a=a, n_max=n_max, s=s)
-    except ValueError as exc:
-        raise ConfigError(f"partition: {exc}") from exc
-
-
-def _parse_solver(sec: dict, dim: int, forcing_n0: float | None) -> SolverConfig:
-    allowed = ("dt", "t_final", "snapshot_stride", "series_stride", "power", "mu", "blowup_factor", "dealias")
-    _check_keys(sec, allowed, "solver")
-    dt = _get_number(sec, "dt", "solver", required=True)
-    t_final = _get_number(sec, "t_final", "solver", required=True)
-    snapshot_stride = _get_int(sec, "snapshot_stride", "solver", default=1)
-    series_stride = _get_int(sec, "series_stride", "solver", default=None)
-    power = sec.get("power")
-    if power is not None:
-        _require(_is_number(power), f"solver.power must be a number or null, got {power!r}")
-        power = float(power)
-    mu = _get_number(sec, "mu", "solver", default=1.0)
-    blowup_factor = _get_number(sec, "blowup_factor", "solver", default=1e6)
-    dealias = sec.get("dealias", True)
-    _require(isinstance(dealias, bool), "solver.dealias must be true or false")
-    kwargs = dict(
-        dim=dim,
-        dt=dt,
-        t_final=t_final,
-        snapshot_stride=snapshot_stride,
-        series_stride=series_stride,
-        power=power,
-        mu=mu,
-        blowup_factor=blowup_factor,
-        dealias=dealias,
-    )
-    if forcing_n0 is not None:
-        kwargs["n0"] = forcing_n0
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
-def _parse_forcing(sec: dict) -> ForcingSpec:
-    _check_keys(sec, ("field_seed", "decay", "n0", "amplitude"), "forcing")
-    field_seed = _get_int(sec, "field_seed", "forcing", required=True)
-    decay = _get_number(sec, "decay", "forcing", required=True)
-    n0 = _get_number(sec, "n0", "forcing", required=True)
-    amplitude = _get_number(sec, "amplitude", "forcing", required=True)
-    _require(n0 > 0, f"forcing.n0 must be positive, got {n0}")
-    _require(amplitude > 0, f"forcing.amplitude must be positive, got {amplitude}")
-    return ForcingSpec(field_seed=field_seed, decay=decay, n0=n0, amplitude=amplitude)
-
-
-def _parse_initial(sec: dict, dim: int) -> InitialSpec:
-    _check_keys(sec, ("kind", "amplitude", "width", "wave"), "initial")
-    kind = sec.get("kind", "bump")
-    if kind == "zero":
-        _require(set(sec) <= {"kind"}, "initial: kind 'zero' takes no other keys")
-        return InitialSpec(kind="zero")
-    _require(kind == "bump", f"initial.kind must be 'bump' or 'zero', got {kind!r}")
-    amplitude = _get_number(sec, "amplitude", "initial", required=True)
-    width = _get_number(sec, "width", "initial", required=True)
-    _require(width > 0, f"initial.width must be positive, got {width}")
-    wave = sec.get("wave")
-    if wave is not None:
-        _require(
-            isinstance(wave, list) and len(wave) == dim and all(_is_int(k) for k in wave),
-            f"initial.wave must be a list of {dim} integers",
-        )
-        wave = tuple(int(k) for k in wave)
-    return InitialSpec(kind="bump", amplitude=amplitude, width=width, wave=wave)
-
-
-def _parse_times(sec: dict) -> np.ndarray:
-    _check_keys(sec, ("t_final", "n_times"), "times")
-    t_final = _get_number(sec, "t_final", "times", required=True)
-    n_times = _get_int(sec, "n_times", "times", required=True)
-    _require(t_final > 0, f"times.t_final must be positive, got {t_final}")
-    _require(n_times >= 2, f"times.n_times must be at least 2, got {n_times}")
-    return np.linspace(0.0, t_final, n_times)
-
-
-def _parse_ladder(sec: dict) -> tuple[float, ...]:
-    _check_keys(sec, ("amplitudes",), "ladder")
-    amps = sec.get("amplitudes")
-    _require(
-        isinstance(amps, list) and len(amps) >= 2 and all(_is_number(x) and x > 0 for x in amps),
-        "ladder.amplitudes must be a list of at least 2 positive numbers",
-    )
-    vals = tuple(float(x) for x in amps)
-    _require(len(set(vals)) == len(vals), "ladder.amplitudes must be distinct")
-    return vals
-
-
-def _parse_sweep(sec: dict) -> tuple[str, tuple, str]:
-    _check_keys(sec, ("axis", "values", "kind"), "sweep")
-    axis = sec.get("axis")
-    _require(isinstance(axis, str) and axis.count(".") == 1, "sweep.axis must look like 'section.key'")
-    values = sec.get("values")
-    _require(
-        isinstance(values, list) and len(values) >= 1 and all(_is_number(v) for v in values),
-        "sweep.values must be a non-empty list of numbers",
-    )
-    kind = sec.get("kind")
-    _require(
-        kind in KINDS and kind != "sweep",
-        f"sweep.kind must be one of {', '.join(k for k in KINDS if k != 'sweep')}",
-    )
-    return axis, tuple(values), kind
+def _rungs(data: dict, out_dir: str) -> tuple[str, tuple]:
+    """A sweep's axis and its (value, config) pairs, each parsed as a config of the swept kind."""
+    sweep = _read(data["sweep"], "sweep")
+    axis, values, kind = sweep["axis"], sweep["values"], sweep["kind"]
+    _require(axis.count(".") == 1, "sweep.axis must look like 'section.key'")
+    _require(len(values) >= 1, "sweep.values must be a non-empty list of numbers")
+    runnable = tuple(_KIND_SECTIONS)
+    _require(kind in runnable, f"sweep.kind must be one of {', '.join(runnable)}")
+    base = {k: v for k, v in data.items() if k != "sweep"}
+    base["kind"] = kind
+    rungs = []
+    for value in values:
+        raw = copy.deepcopy(base)
+        _set_axis(raw, axis, value)
+        raw["out_dir"] = str(Path(out_dir) / f"{axis.replace('.', '-')}_{value:g}")
+        rungs.append((value, parse_config(raw)))
+    return axis, tuple(rungs)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config dict into an ExperimentConfig. Unknown keys error."""
-    _check_keys(data, ("kind",) + _OPERATIONAL_KEYS + _SECTION_KEYS, "config")
-    kind = data.get("kind")
+    """Validate a raw config dict into an ExperimentConfig. Unknown keys error.
+
+    A sweep is parsed into its rungs, so each of its values is validated
+    before anything runs.
+    """
+    top = _read(data, "config")
+    kind = top.pop("kind")
     _require(kind in KINDS, f"config.kind must be one of {', '.join(KINDS)}, got {kind!r}")
-    out_dir = data.get("out_dir")
-    _require(isinstance(out_dir, str) and out_dir != "", "config.out_dir is required")
-    notes = data.get("notes", "")
-    _require(isinstance(notes, str), "config.notes must be a string")
-
-    seed = _get_int(data, "seed", "config", default=0)
-    n_samples = _get_int(data, "n_samples", "config", default=1)
-    _require(n_samples >= 0, f"config.n_samples must be nonnegative, got {n_samples}")
-    workers = _get_int(data, "workers", "config", default=1)
-    _require(workers >= 1, f"config.workers must be at least 1, got {workers}")
-    memory_limit_mb = _get_number(data, "memory_limit_mb", "config", default=4096.0)
-    _require(memory_limit_mb > 0, "config.memory_limit_mb must be positive")
-    sub_kind = None
-    if kind == "sweep":
-        _require("sweep" in data, "config: kind 'sweep' needs a sweep section")
-        axis, values, sub_kind = _parse_sweep(data["sweep"])
-    # fields are saved by default for evolve runs, a sweep's values included
-    save_fields = data.get("save_fields", (sub_kind or kind) == "evolve")
-    _require(isinstance(save_fields, bool), "config.save_fields must be true or false")
+    sections = {name: top.pop(name) for name in _SECTIONS}
+    del top["notes"]
+    _require(top["out_dir"] != "", "config.out_dir is required")
+    _require(top["n_samples"] >= 0, f"config.n_samples must be nonnegative, got {top['n_samples']}")
+    _require(top["workers"] >= 1, f"config.workers must be at least 1, got {top['workers']}")
+    _require(top["memory_limit_mb"] > 0, "config.memory_limit_mb must be positive")
+    payload = {k: data[k] for k in ("kind",) + _SECTIONS if k in data}
 
     if kind == "sweep":
-        base = {k: v for k, v in data.items() if k not in ("sweep",)}
-        base["kind"] = sub_kind
-        _set_axis(base, axis, values[0])  # also validates the axis path
-        parse_config(base)  # validates the base sections for the first rung
-        payload = {k: data[k] for k in ("kind",) + _SECTION_KEYS if k in data}
-        return ExperimentConfig(
-            kind=kind,
-            out_dir=out_dir,
-            seed=seed,
-            n_samples=n_samples,
-            workers=workers,
-            memory_limit_mb=memory_limit_mb,
-            save_fields=save_fields,
-            payload=payload,
-            sweep_axis=axis,
-            sweep_values=values,
-            sweep_kind=sub_kind,
-        )
+        _require(sections["sweep"] is not None, "config: kind 'sweep' needs a sweep section")
+        axis, rungs = _rungs(data, top["out_dir"])
+        # fields are saved as the rungs save them: by default for a sweep of evolve
+        top["save_fields"] = rungs[0][1].save_fields
+        return ExperimentConfig(kind=kind, payload=payload, sweep_axis=axis, rungs=rungs, **top)
+    if top["save_fields"] is None:
+        top["save_fields"] = kind == "evolve"
 
     required, optional = _KIND_SECTIONS[kind]
-    present = [k for k in _SECTION_KEYS if k in data]
     for name in required:
-        _require(name in data, f"config: kind {kind!r} needs a {name} section")
-    for name in present:
+        _require(sections[name] is not None, f"config: kind {kind!r} needs a {name} section")
+    for name in _SECTIONS:
         _require(
-            name in required or name in optional,
+            sections[name] is None or name in required + optional,
             f"config: section {name!r} is not used by kind {kind!r}",
         )
 
-    grid = _parse_grid(data["grid"])
-    partition = _parse_partition(data["partition"], grid.dim) if "partition" in data else None
-    forcing = _parse_forcing(data["forcing"]) if "forcing" in data else None
-    if forcing is not None:
-        _require(partition is not None, "config: a forcing section needs a partition section")
-    solver = (
-        _parse_solver(data["solver"], grid.dim, forcing.n0 if forcing else None)
-        if "solver" in data
-        else None
-    )
-    initial = _parse_initial(data["initial"], grid.dim) if "initial" in data else None
-    times = _parse_times(data["times"]) if "times" in data else None
-    ladder = _parse_ladder(data["ladder"]) if "ladder" in data else None
+    grid = _spec(GridSpec, "grid", sections["grid"])
+    partition = _spec(PartitionConfig, "partition", sections["partition"], dim=grid.dim)
+    forcing = _spec(ForcingSpec, "forcing", sections["forcing"])
+    _require(forcing is None or partition is not None, "config: a forcing section needs a partition section")
+    n0 = {} if forcing is None else {"n0": forcing.n0}
+    solver = _spec(SolverConfig, "solver", sections["solver"], dim=grid.dim, **n0)
+    initial = sections["initial"]
+    if initial is not None and initial.get("kind") == "zero":
+        _check_keys(initial, "initial")
+        _require(set(initial) == {"kind"}, "initial: kind 'zero' takes no other keys")
+        initial = InitialSpec(kind="zero")
+    else:
+        initial = _spec(InitialSpec, "initial", initial)
+        _require(
+            initial is None or initial.wave is None or len(initial.wave) == grid.dim,
+            f"initial.wave must be a list of {grid.dim} integers",
+        )
+    times = None
+    if sections["times"] is not None:
+        t = _read(sections["times"], "times")
+        t_final, n_times = t["t_final"], t["n_times"]
+        _require(t_final > 0, f"times.t_final must be positive, got {t_final}")
+        _require(n_times >= 2, f"times.n_times must be at least 2, got {n_times}")
+        times = np.linspace(0.0, t_final, n_times)
+    ladder = None
+    if sections["ladder"] is not None:
+        ladder = tuple(float(x) for x in _read(sections["ladder"], "ladder")["amplitudes"])
+        _require(
+            len(ladder) >= 2 and min(ladder) > 0,
+            "ladder.amplitudes must be a list of at least 2 positive numbers",
+        )
+        _require(len(set(ladder)) == len(ladder), "ladder.amplitudes must be distinct")
 
-    payload = {k: data[k] for k in ("kind",) + _SECTION_KEYS if k in data}
-    return ExperimentConfig(
-        kind=kind,
-        out_dir=out_dir,
-        seed=seed,
-        n_samples=n_samples,
-        workers=workers,
-        memory_limit_mb=memory_limit_mb,
-        save_fields=save_fields,
-        payload=payload,
-        grid=grid,
-        partition=partition,
-        solver=solver,
-        forcing=forcing,
-        initial=initial,
-        times=times,
-        ladder=ladder,
-    )
+    return ExperimentConfig(kind=kind, payload=payload, grid=grid, partition=partition, solver=solver,
+                            forcing=forcing, initial=initial, times=times, ladder=ladder, **top)
 
 
 def read_config(path: str | Path) -> dict:
@@ -697,7 +645,7 @@ def _series_metrics(series: ConservationSeries) -> dict:
 
 
 def _write_series_csv(path: Path, series: ConservationSeries) -> None:
-    with open(path, "w", newline="") as fh:
+    with write_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ConservationSeries.CSV_HEADER)
         writer.writerows(series.csv_rows())
@@ -886,10 +834,12 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     config.workers threads run the seeds, and the memory guard charges that
     many tasks; the count only sets parallelism, and results are identical
     for any value. Returns every record of this config, old and new, sorted
-    by seed.
+    by seed. A sweep runs its rungs in order once the guard has passed each.
     """
+    for _, rung in config.rungs:
+        _guard_memory(rung)
     if config.kind == "sweep":
-        return sweep(config)
+        return _run_sweep(config)
     _guard_memory(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -929,40 +879,25 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     return final
 
 
-def sweep(config: ExperimentConfig) -> list[ResultRecord]:
-    """One run per axis value; writes a long-format table plus per-value medians.
+def _run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
+    """One run per rung; writes a long-format table plus per-value medians.
 
-    The config's sweep section names the base kind, the values and the axis,
-    a dotted numeric config field such as 'forcing.n0' or 'solver.dt'; a
-    config of another kind is a ConfigError. Each value gets its own
-    subdirectory (own records, resume, summary); sweep.csv collects
-    (axis value, seed, metric, value) rows and sweep_summary.json the
-    per-value medians. When the axis is a forcing cutoff, the mass/energy
-    ratio columns are also checked for being nonincreasing in the cutoff and
-    flagged if not. Every value's run takes the sweep's operational keys,
-    config.workers among them.
+    The axis is a dotted numeric config field such as 'forcing.n0' or
+    'solver.dt'. Each rung gets its own subdirectory (own records, resume,
+    summary); sweep.csv collects (axis value, seed, metric, value) rows and
+    sweep_summary.json the per-value medians, with the values as written in
+    the config. When the axis is a forcing cutoff, the mass/energy ratio
+    columns are also checked for being nonincreasing in the cutoff and
+    flagged if not.
     """
-    _require(config.kind == "sweep", f"sweep needs a config of kind 'sweep', got {config.kind!r}")
-    axis, values, kind = config.sweep_axis, config.sweep_values, config.sweep_kind
-
+    axis = config.sweep_axis
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_records: list[ResultRecord] = []
     rows = []
     per_value_medians: dict[str, dict] = {}
-    for value in values:
-        raw = copy.deepcopy(config.payload)
-        raw.pop("sweep", None)
-        raw["kind"] = kind
-        _set_axis(raw, axis, value)
-        raw["out_dir"] = str(out / f"{axis.replace('.', '-')}_{value:g}")
-        raw["seed"] = config.seed
-        raw["n_samples"] = config.n_samples
-        raw["workers"] = config.workers
-        raw["memory_limit_mb"] = config.memory_limit_mb
-        raw["save_fields"] = config.save_fields
-        sub = parse_config(raw)
-        recs = run(sub)
+    for value, rung in config.rungs:
+        recs = run(rung)
         all_records.extend(recs)
         stats = summarize(recs)["metrics"]
         per_value_medians[f"{value:g}"] = {k: v["median"] for k, v in stats.items()}
@@ -975,6 +910,7 @@ def sweep(config: ExperimentConfig) -> list[ResultRecord]:
         writer.writerow(["axis_value", "seed", "metric", "value"])
         writer.writerows(rows)
 
+    values = [value for value, _ in config.rungs]
     flags = {}
     if axis.endswith(".n0"):
         for metric in ("ratio_mass", "ratio_energy"):
@@ -984,9 +920,9 @@ def sweep(config: ExperimentConfig) -> list[ResultRecord]:
                     med[i + 1] <= med[i] * (1.0 + 1e-12) for i in range(len(med) - 1)
                 )
     sweep_summary = {
-        "kind": kind,
+        "kind": config.rungs[0][1].kind,
         "axis": axis,
-        "values": list(values),
+        "values": values,
         "medians": per_value_medians,
         "flags": flags,
     }

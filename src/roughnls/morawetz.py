@@ -226,10 +226,9 @@ def interaction_functional(
 
     kind 'vector' evaluates sum (x-y)/|x-y| . p(x) m(y) dx^{2d}; kind 'scalar'
     pairs a caller-supplied real field f(x) against m(y) under the weight
-    1/|x-y| (used by the remainder terms). method 'fft' (the default) is the
-    half-spectrum Parseval sum: d + 1 (vector) or 2 (scalar) real-input
-    transforms and no inverse transform. method 'direct' switches to the
-    double-sum reference path.
+    1/|x-y|. method 'fft' (the default) is the half-spectrum Parseval sum:
+    d + 1 (vector) or 2 (scalar) real-input transforms and no inverse
+    transform. method 'direct' switches to the double-sum reference path.
     """
     g = dens.grid
     if kind == "vector":

@@ -3,6 +3,8 @@
 import filecmp
 import json
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
@@ -34,7 +36,7 @@ from roughnls import (
 )
 from roughnls import harness, solver
 from roughnls.cli import main as cli_main
-from roughnls.harness import InitialSpec, _set_axis
+from roughnls.harness import ForcingSpec, InitialSpec, _set_axis
 
 GRID = {"dim": 3, "points": 12, "half_width": float(np.pi)}
 PART = {"a": 1, "n_max": 2, "s": -0.1}
@@ -79,6 +81,69 @@ def test_kind_section_requirements():
     del cfg2["partition"]
     with pytest.raises(ConfigError):
         parse_config(cfg2)  # forcing needs partition
+
+
+def _config_using(section: str) -> dict:
+    """A valid config whose kind reads the given section."""
+    if section == "times":
+        return {"kind": "linear-stats", "out_dir": "/tmp/x", "grid": dict(GRID), "partition": dict(PART),
+                "forcing": dict(FORCING), "times": {"t_final": 0.3, "n_times": 4}}
+    if section == "sweep":
+        sweep = {"axis": "forcing.n0", "values": [1.0], "kind": "evolve"}
+        return evolve_config("/tmp/x", kind="sweep", sweep=sweep)
+    return evolve_config("/tmp/x", kind="twin-ladder", ladder={"amplitudes": [1.0, 0.5]})
+
+
+SCHEMA_KEYS = [(where, key) for where, keys in harness._SCHEMA.items() for key in keys]
+
+
+@pytest.mark.parametrize("where, key", SCHEMA_KEYS)
+def test_every_schema_key_is_type_checked(where, key):
+    cfg = _config_using(where)
+    parse_config(cfg)
+    (cfg if where == "config" else cfg[where])[key] = [{}]  # no config type admits it
+    with pytest.raises(ConfigError, match=f"^{where}.{key} must be "):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("where, key", [
+    (where, key) for where, key in SCHEMA_KEYS if harness._SCHEMA[where][key][1] is harness._REQ
+])
+def test_every_required_schema_key_is_demanded(where, key):
+    cfg = _config_using(where)
+    del (cfg if where == "config" else cfg[where])[key]
+    with pytest.raises(ConfigError, match=f"^{where}.{key} is required$"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("section, spec, kwargs", [
+    ("forcing", ForcingSpec, dict(FORCING, n0=0.0)),
+    ("forcing", ForcingSpec, dict(FORCING, amplitude=-0.2)),
+    ("initial", InitialSpec, dict(INITIAL, kind="ring")),
+    ("initial", InitialSpec, dict(INITIAL, width=0.0)),
+])
+def test_specs_check_their_own_invariants(section, spec, kwargs):
+    with pytest.raises(ConfigError):
+        spec(**kwargs)
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        parse_config(evolve_config("/tmp/x", **{section: kwargs}))
+
+
+def test_readme_names_every_config_key():
+    # every key of the schema appears in its section's bullet under "Config
+    # schema", and every top-level key in the operational-keys paragraph
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    doc = readme.split("\n## Config schema\n")[1].split("\n## ")[0]
+    bullets = doc.split("Sections:\n\n")[1].split("\n\n")[0]
+    by_section = {b.split("`")[1]: b for b in re.split(r"^- ", bullets, flags=re.M) if b}
+    operational = next(par for par in doc.split("\n\n") if par.startswith("Operational keys"))
+    missing = []
+    for where, keys in harness._SCHEMA.items():
+        # `kind` is documented by the table of kinds above the sections
+        keys = [k for k in keys if k not in harness._SCHEMA and k != "kind"] if where == "config" else keys
+        text = operational if where == "config" else by_section.get(where, "")
+        missing += [f"{where}.{k}" for k in keys if not re.search(f'[`"]{k}[`"]', text)]
+    assert not missing, f"config keys the README does not document: {missing}"
 
 
 def test_config_hash_ignores_operational_keys():
@@ -154,12 +219,15 @@ def test_record_after_torn_line_survives(tmp_path, monkeypatch):
 def test_failed_summary_write_keeps_the_old_summary(tmp_path, monkeypatch):
     # summary.json is written to a temporary name and moved over the old one;
     # a resumed run whose move fails leaves the earlier summary whole and no
-    # temporary file behind.
+    # temporary file behind. The new seed's series.csv is moved into place as usual.
     run(parse_config(evolve_config(tmp_path, n_samples=1)))
     before = (tmp_path / "summary.json").read_text()
+    replace_file = os.replace
 
     def refuse(src, dst):
-        raise OSError(f"cannot replace {dst}")
+        if Path(dst).name == "summary.json":
+            raise OSError(f"cannot replace {dst}")
+        replace_file(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="summary.json"):
@@ -196,6 +264,77 @@ def test_records_do_not_depend_on_blas_threads(tmp_path):
         records.append([{k: v for k, v in json.loads(line).items() if k != "wall_clock"} for line in lines])
     assert len(records[0]) == 6
     assert records[0] == records[1]
+
+
+def test_resume_after_a_killed_seed_matches_a_clean_run(tmp_path):
+    # The child process SIGKILLs itself as seed 2 of 4 starts; a fresh process
+    # resumes the batch, and every output file then matches a clean run's,
+    # wall_clock aside.
+    lin = {"kind": "linear-stats", "n_samples": 4, "workers": 1, "grid": dict(GRID), "partition": dict(PART),
+           "forcing": dict(FORCING), "times": {"t_final": 0.3, "n_times": 4}}
+    cfg_path = tmp_path / "lin.json"
+    cfg_path.write_text(json.dumps(lin))
+    child = (
+        "import os, signal, sys\n"
+        "from roughnls import harness\n"
+        "from roughnls.cli import main\n"
+        "task = harness._TASKS['linear-stats']\n"
+        "def dying(config, part, task_seed, run_dir):\n"
+        "    if task_seed == 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return task(config, part, task_seed, run_dir)\n"
+        "harness._TASKS['linear-stats'] = dying\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(roughnls.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    killed, clean = tmp_path / "killed", tmp_path / "clean"
+
+    def cli(program, out):
+        args = [sys.executable, *program, "linear-stats", "--config", str(cfg_path), "--out", str(out)]
+        return subprocess.run(args, env=env, timeout=120).returncode
+
+    assert cli(("-c", child), killed) == -signal.SIGKILL
+    assert len((killed / "records.jsonl").read_text().splitlines()) == 2
+    assert cli(("-m", "roughnls.cli"), killed) == 0
+    assert cli(("-m", "roughnls.cli"), clean) == 0
+
+    def records(out):
+        lines = (out / "records.jsonl").read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items() if k != "wall_clock"} for line in lines]
+
+    assert [r["seed"] for r in records(killed)] == [0, 1, 2, 3]
+    assert records(killed) == records(clean)
+    names = sorted(path.name for path in clean.iterdir())
+    assert sorted(path.name for path in killed.iterdir()) == names
+    assert {"summary.json", "metrics.csv", "norms.csv", "tail.json"} <= set(names)
+    for name in set(names) - {"records.jsonl"}:
+        assert (killed / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_failed_tail_write_keeps_the_old_tail(tmp_path, monkeypatch):
+    # tail.json is moved over the old one once whole: a re-run whose move
+    # fails leaves the earlier report intact and no temporary file behind.
+    lin = {"kind": "linear-stats", "out_dir": str(tmp_path / "lin"), "n_samples": 3, "grid": dict(GRID),
+           "partition": dict(PART), "forcing": dict(FORCING), "times": {"t_final": 0.3, "n_times": 4}}
+    cfg_path = tmp_path / "lin.json"
+    cfg_path.write_text(json.dumps(lin))
+    assert cli_main(["linear-stats", "--config", str(cfg_path)]) == 0
+    tail = tmp_path / "lin" / "tail.json"
+    before = tail.read_text()
+    replace_file = os.replace
+
+    def refuse(src, dst):
+        if Path(dst).name == "tail.json":
+            raise OSError(f"cannot replace {dst}")
+        replace_file(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="tail.json"):
+        cli_main(["linear-stats", "--config", str(cfg_path), "--samples", "4"])
+    assert tail.read_text() == before
+    assert json.loads(before)["n_samples"] == 3
+    assert not list((tmp_path / "lin").glob("*.tmp"))
 
 
 def test_zero_samples_valid(tmp_path):
@@ -522,10 +661,27 @@ def test_sweep_unknown_axis_rejected(tmp_path):
         parse_config(cfg)
 
 
-def test_sweep_needs_a_sweep_config(tmp_path):
-    with pytest.raises(ConfigError, match="kind 'sweep'"):
-        harness.sweep(parse_config(evolve_config(tmp_path / "ev")))
-    assert not (tmp_path / "ev").exists()
+@pytest.mark.parametrize("axis, values, code", [
+    ("solver.dt", [0.02, 0.03], 2),  # 0.1 is no whole number of steps of 0.03
+    ("grid.points", [12, 64], 4),  # 64^3 is over the 20 MB limit
+])
+def test_cli_sweep_refuses_a_bad_later_value_before_running(tmp_path, axis, values, code):
+    raw = evolve_config(tmp_path / "unused", kind="sweep", n_samples=1, memory_limit_mb=20,
+                        sweep={"axis": axis, "values": values, "kind": "evolve"})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rungs_are_parsed_configs(tmp_path):
+    cfg = parse_config(evolve_config(
+        tmp_path, kind="sweep", sweep={"axis": "grid.points", "values": [12, 16.0], "kind": "evolve"}))
+    assert [value for value, _ in cfg.rungs] == [12, 16.0]
+    assert [rung.grid.points for _, rung in cfg.rungs] == [12, 16]
+    assert [rung.out_dir for _, rung in cfg.rungs] == [str(tmp_path / "grid-points_12"),
+                                                      str(tmp_path / "grid-points_16")]
+    assert all(rung.kind == "evolve" and rung.n_samples == cfg.n_samples for _, rung in cfg.rungs)
 
 
 def test_set_axis_preserves_integer_fields():

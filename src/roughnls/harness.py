@@ -276,10 +276,16 @@ def _rungs(data: dict, out_dir: str) -> tuple[str, tuple]:
     base = {k: v for k, v in data.items() if k != "sweep"}
     base["kind"] = kind
     rungs = []
+    named: dict[str, float] = {}
     for value in values:
+        # a rung's directory and its sweep_summary.json key are named by f"{value:g}"
+        label = f"{value:g}"
+        if label in named:
+            raise ConfigError(f"sweep.values {named[label]!r} and {value!r} share the rung name {label!r}")
+        named[label] = value
         raw = copy.deepcopy(base)
         _set_axis(raw, axis, value)
-        raw["out_dir"] = str(Path(out_dir) / f"{axis.replace('.', '-')}_{value:g}")
+        raw["out_dir"] = str(Path(out_dir) / f"{axis.replace('.', '-')}_{label}")
         rungs.append((value, parse_config(raw)))
     return axis, tuple(rungs)
 
@@ -570,8 +576,14 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     - evolve, morawetz-audit: the snapshots stream, so one field per channel
       (the initial w and v) plus the solver's 10 fields; a streamed forced
       evolve task peaks 10.1 fields at 16^3 and 9.3 at 32^3, with 3
-      snapshots or 21. The audit adds its half-spectrum kernel tables,
-      (d + 1) / 2 fields, and one snapshot's temporaries, 3d + 6 fields.
+      snapshots or 21. The audit adds one snapshot's views of w and v and
+      v's gradient, 2d + 3 fields (one add() peaks 8.5 fields at 24^3 and
+      10.5 at 12^4). Only with save_fields does it compute M(t) for
+      interaction.csv, and add its half-spectrum kernel tables, (d + 1) / 2
+      fields, and d + 1 fields for the momentum density and w's gradient, or
+      for the tables' build on a grid's first audit. A seed then peaks 18.4
+      fields at 12^3 and 21.2 at 8^4 without M(t), 20.4 and 23.7 with it, and
+      23.5 and 28.3 with the tables built.
     - twin-ladder: the unforced twin's w stack, the inputs, and 4 fields for
       a rung's scaled forcing and its gap view, plus the solver's 10; 17.1
       fields at 16^3 with 3 snapshots and 35.1 with 21.
@@ -594,7 +606,9 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
         if kind == "twin-ladder":
             per_task = (config.solver.n_snapshots + chans + 4) * per + solver
         elif kind == "morawetz-audit":
-            audit = (3 * g.dim + 6) * per + (g.dim + 1) * per // 2
+            audit = (2 * g.dim + 3) * per
+            if config.save_fields:
+                audit += 3 * (g.dim + 1) * per // 2
             per_task = chans * per + audit + solver
         else:
             per_task = chans * per + solver
@@ -705,7 +719,8 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
 
 
 def _task_morawetz(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
-    audit = MorawetzAccumulator(config.grid)
+    # M(t) is computed only for the interaction.csv that save_fields writes
+    audit = MorawetzAccumulator(config.grid, interaction=config.save_fields)
     _run_forced(config, part, task_seed, audit.add)
     rep = audit.report()
     metrics = {

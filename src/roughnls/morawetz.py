@@ -21,7 +21,11 @@ per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
 snapshots into it. Each snapshot gets one FrequencyView (see norms) per
 channel, every spatial figure of the terms below is read from those two
 views, m and p come from the w view's gradient, and the 4D
-Gagliardo-Nirenberg ratio reuses figures already taken.
+Gagliardo-Nirenberg ratio reuses figures already taken. M(t) enters none of
+the terms: an accumulator built with interaction=False skips p, w's gradient
+and the pairing (16 -> 7 transforms per 4D snapshot, 12 -> 5 in 3D) and keeps
+m only for the localization ratio. The harness's morawetz-audit task audits
+that way unless it writes interaction.csv (save_fields).
 
 The audit measures, per trajectory, the constant C* = LHS / (T1 + T2 + T3) in
 
@@ -281,7 +285,9 @@ class MorawetzReport:
     lhs is ||w||_{L4_tx}^4 in 3D and || |grad|^{-1/4} w ||_{L4_tx}^4 in 4D;
     terms holds the three right-hand-side products T1, T2, T3; c_star is
     lhs / (T1 + T2 + T3), zero for a zero left-hand side. interaction and
-    localization trace M(t) and the half-box mass fraction per snapshot.
+    localization trace M(t) and the half-box mass fraction per snapshot;
+    interaction is None for an audit that did not compute M(t), and such a
+    report cannot be written.
     gn_ratios holds the 4D per-snapshot Gagliardo-Nirenberg ratios of w,
     ||w||_{L3}^3 / (||w||_{H(1/2)} || |grad|^{-1/4} w ||_{L4}^2), and is None
     in 3D; it is not part of to_dict(). A single constant should cover a
@@ -293,7 +299,7 @@ class MorawetzReport:
     terms: dict[str, float]
     c_star: float
     times: np.ndarray
-    interaction: np.ndarray
+    interaction: np.ndarray | None
     localization: np.ndarray
     gn_ratios: np.ndarray | None = None
 
@@ -304,6 +310,8 @@ class MorawetzReport:
         return float(sum(self.terms.values()))
 
     def csv_rows(self) -> list[list[float]]:
+        if self.interaction is None:
+            raise ValueError("this report has no interaction functional M(t) to write")
         return [
             [float(t), float(m), float(r)]
             for t, m, r in zip(self.times, self.interaction, self.localization)
@@ -321,6 +329,7 @@ class MorawetzReport:
 
     def write(self, out: Path) -> tuple[Path, Path]:
         """Write morawetz.json (to_dict) and interaction.csv (csv_rows) into out; returns both paths."""
+        rows = self.csv_rows()  # before anything is written: a report without M(t) raises
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "morawetz.json"
         with write_atomic(report_path) as fh:
@@ -329,7 +338,7 @@ class MorawetzReport:
         with write_atomic(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_HEADER)
-            writer.writerows(self.csv_rows())
+            writer.writerows(rows)
         return report_path, csv_path
 
 
@@ -345,14 +354,21 @@ class MorawetzAccumulator:
     morawetz_audit. A solve can stream its snapshots straight into add, so
     the audit holds no snapshot stack. The audit's dimension is the grid's,
     and a grid that is not 3D or 4D is a ConfigError.
+
+    With interaction=False add() does not compute M(t): no momentum density,
+    no gradient of w, no pairing and no kernel tables, 7 transforms per 4D
+    snapshot instead of 16 and 5 per 3D snapshot instead of 12. Every other
+    figure is taken as before, so the report's numbers are the same bit for
+    bit; only its interaction is None.
     """
 
-    def __init__(self, grid: GridSpec):
+    def __init__(self, grid: GridSpec, interaction: bool = True):
         dim = grid.dim
         if dim not in (3, 4):
             raise ConfigError(f"the inequality audit is defined for dimensions 3 and 4, got {dim}")
         self.grid = grid
         self.dim = dim
+        self.interaction = interaction
         inf = math.inf
         # (channel, figure): the spatial norm taken at every snapshot and its time exponent
         specs = {
@@ -386,8 +402,11 @@ class MorawetzAccumulator:
         for (ch, fig), spec in self._specs.items():
             self._series[ch, fig].append(views[ch].norm(spec.r, spec.s, spec.kind))
         self._dv.append(math.sqrt(float(sum(c.real**2 + c.imag**2 for c in views["v"].gradient()).max())))
-        m, mom = _mass_momentum(views["w"])
-        self._inter.append(interaction_functional(LocalDensities(g, m, mom)))
+        if self.interaction:
+            m, mom = _mass_momentum(views["w"])
+            self._inter.append(interaction_functional(LocalDensities(g, m, mom)))
+        else:
+            m = 0.5 * views["w"].modulus**2
         self._loc.append(localization_ratio(m, g))
         if self.dim == 4:
             self._gn.append(_gn_ratio(views["w"]))
@@ -436,7 +455,7 @@ class MorawetzAccumulator:
             terms={k: float(v) for k, v in terms.items()},
             c_star=float(c_star),
             times=times,
-            interaction=np.array(self._inter),
+            interaction=np.array(self._inter) if self.interaction else None,
             localization=np.array(self._loc),
             gn_ratios=np.array(self._gn) if self.dim == 4 else None,
         )

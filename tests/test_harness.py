@@ -34,7 +34,7 @@ from roughnls import (
     solve_w,
     summarize,
 )
-from roughnls import harness, solver
+from roughnls import harness, morawetz, solver
 from roughnls.cli import main as cli_main
 from roughnls.harness import ForcingSpec, InitialSpec, _set_axis
 
@@ -571,6 +571,42 @@ def test_linear_stats_seed_peaks_within_its_charge(tmp_path):
     assert charge / 2 <= peak < charge, (peak / (16 * cfg.grid.n_points), charge / (16 * cfg.grid.n_points))
 
 
+def morawetz_config(out_dir, dim, points, save_fields):
+    part = dict(PART, n_max=1) if dim == 4 else dict(PART)
+    return parse_config(evolve_config(out_dir, kind="morawetz-audit", n_samples=1, save_fields=save_fields,
+                                      grid={"dim": dim, "points": points, "half_width": float(np.pi)},
+                                      partition=part))
+
+
+@pytest.mark.parametrize("save_fields", [False, True])
+@pytest.mark.parametrize("dim,points", [(3, 16), (4, 8)])
+def test_morawetz_seed_peaks_within_its_charge(tmp_path, dim, points, save_fields):
+    # One audited seed's traced peak stays under the guard's per-task charge,
+    # and the charge is no more than twice the peak; M(t) and its kernel
+    # tables are charged only when save_fields writes interaction.csv.
+    cfg = morawetz_config(tmp_path, dim, points, save_fields)
+    part = harness.build_partition(cfg.partition, cfg.grid)
+    peak, charge = _traced_peak(cfg, part, tmp_path), _charge(cfg)
+    assert charge / 2 <= peak < charge, (peak / (16 * cfg.grid.n_points), charge / (16 * cfg.grid.n_points))
+
+
+@pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
+def test_morawetz_metrics_do_not_depend_on_save_fields(tmp_path, monkeypatch, dim, points):
+    # M(t) is computed only for the interaction.csv that save_fields writes;
+    # every metric is the same bit for bit without it, and a run without it
+    # never builds the kernel tables.
+    with_fields = run(morawetz_config(tmp_path / "saved", dim, points, True))
+
+    def unbuilt(grid):
+        raise AssertionError("kernel tables built for an audit that writes no interaction.csv")
+
+    monkeypatch.setattr(morawetz, "_kernel_tables_hat", unbuilt)
+    without = run(morawetz_config(tmp_path / "bare", dim, points, False))
+    assert [r.metrics for r in without] == [r.metrics for r in with_fields]
+    assert [tuple(r.artifacts) for r in without] == [()]
+    assert tuple(with_fields[0].artifacts) == ("run_0000/morawetz.json", "run_0000/interaction.csv")
+
+
 def test_linear_stats_seed_peak_does_not_grow_with_times(tmp_path):
     # A seed holds v-hat(0) and one snapshot at a time, not a stack: at 4
     # times or 16 its traced peak is the same to within one lattice field,
@@ -664,6 +700,7 @@ def test_sweep_unknown_axis_rejected(tmp_path):
 @pytest.mark.parametrize("axis, values, code", [
     ("solver.dt", [0.02, 0.03], 2),  # 0.1 is no whole number of steps of 0.03
     ("grid.points", [12, 64], 4),  # 64^3 is over the 20 MB limit
+    ("forcing.n0", [2.0000001, 2.0000002], 2),  # both would run into forcing-n0_2/
 ])
 def test_cli_sweep_refuses_a_bad_later_value_before_running(tmp_path, axis, values, code):
     raw = evolve_config(tmp_path / "unused", kind="sweep", n_samples=1, memory_limit_mb=20,
@@ -672,6 +709,19 @@ def test_cli_sweep_refuses_a_bad_later_value_before_running(tmp_path, axis, valu
     path.write_text(json.dumps(raw))
     assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == code
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_values_sharing_a_rung_name_are_refused(tmp_path):
+    # A rung's directory and medians key are named by f"{value:g}"; values
+    # that differ only past 6 significant digits are refused, naming both,
+    # while close values with distinct names still make one rung each.
+    raw = evolve_config(tmp_path, kind="sweep", sweep={"axis": "forcing.n0", "values": [2.0000001, 2.0000002],
+                                                        "kind": "evolve"})
+    with pytest.raises(ConfigError, match=r"2\.0000001 and 2\.0000002 share the rung name '2'"):
+        parse_config(raw)
+    raw["sweep"]["values"] = [2.0, 2.00001]
+    cfg = parse_config(raw)
+    assert [Path(rung.out_dir).name for _, rung in cfg.rungs] == ["forcing-n0_2", "forcing-n0_2.00001"]
 
 
 def test_sweep_rungs_are_parsed_configs(tmp_path):

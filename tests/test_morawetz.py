@@ -435,18 +435,48 @@ def _count_transforms(monkeypatch):
     return counter
 
 
-@pytest.mark.parametrize("dim,points,limit", [(3, 12, 12), (4, 8, 16)])
-def test_audit_transform_count(monkeypatch, dim, points, limit):
+def _accumulate(traj, interaction=True):
+    """The audit of a stored trajectory through an accumulator that computes M(t) or not."""
+    audit = MorawetzAccumulator(traj.grid, interaction=interaction)
+    for k, t in enumerate(traj.times):
+        audit.add(t, traj.snapshot("w", k).values, traj.snapshot("v", k).values)
+    return audit.report()
+
+
+@pytest.mark.parametrize(
+    "dim,points,interaction,limit",
+    [(3, 12, True, 12), (4, 8, True, 16), (3, 12, False, 5), (4, 8, False, 7)],
+)
+def test_audit_transform_count(monkeypatch, dim, points, interaction, limit):
     # Each snapshot: one forward transform per channel, d inverse transforms
-    # per gradient (v for sup |grad v|, w for the momentum), one for
-    # |grad|^{-1/4} w in 4D, and d + 1 real-input transforms for the pairing.
-    # The 4D Gagliardo-Nirenberg ratios come with the audit at no transform.
+    # for sup |grad v| and one for |grad|^{-1/4} w in 4D. M(t) adds d inverse
+    # transforms for w's gradient (the momentum) and d + 1 real-input
+    # transforms for the pairing. The 4D Gagliardo-Nirenberg ratios come with
+    # the audit at no transform.
     traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
-    morawetz_audit(traj)  # warm the kernel caches
+    _accumulate(traj, interaction)  # warm the symbol and kernel caches
     counter = _count_transforms(monkeypatch)
-    rep = morawetz_audit(traj)
+    rep = _accumulate(traj, interaction)
     assert (rep.gn_ratios is not None) == (dim == 4)
+    assert (rep.interaction is not None) == interaction
     assert counter["n"] <= limit * traj.n_snapshots, counter["n"] / traj.n_snapshots
+
+
+@pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
+def test_audit_without_interaction_keeps_every_other_figure(tmp_path, dim, points):
+    # Skipping M(t) moves no other figure by a bit, and a report without M(t)
+    # refuses to be written rather than leave a partial interaction.csv.
+    traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
+    full, bare = morawetz_audit(traj), _accumulate(traj, interaction=False)
+    assert bare.interaction is None and full.interaction.shape == traj.times.shape
+    assert bare.to_dict() == full.to_dict()
+    for name in ("times", "localization"):
+        assert np.array_equal(getattr(bare, name), getattr(full, name))
+    if dim == 4:
+        assert np.array_equal(bare.gn_ratios, full.gn_ratios)
+    with pytest.raises(ValueError, match="interaction"):
+        bare.write(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_keeps_only_half_spectrum_kernel_tables():

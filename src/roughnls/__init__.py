@@ -34,7 +34,6 @@ from .harness import (
     config_hash,
     forcing_field,
     initial_field,
-    load_config,
     parse_config,
     run,
     shaped_profile,

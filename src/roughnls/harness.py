@@ -68,7 +68,6 @@ __all__ = [
     "config_hash",
     "parse_config",
     "read_config",
-    "load_config",
     "run",
     "summarize",
     "shaped_profile",
@@ -375,10 +374,6 @@ def read_config(path: str | Path) -> dict:
     return data
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(read_config(path))
-
-
 def _set_axis(raw: dict, axis: str, value) -> None:
     """Assign one dotted numeric config field in place; unknown axes error."""
     section, key = axis.split(".", 1)
@@ -560,7 +555,7 @@ def _uses_partition(config: ExperimentConfig) -> bool:
 # keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
 # 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
 # two half-step multipliers and |xi|^2; tracemalloc measures 8.6 fields above
-# the w stack at 64^3, 8.8 at 32^3 and 9.7 at 16^3
+# the w_hat stack at 64^3, 8.8 at 32^3 and 9.7 at 16^3
 _SOLVER_FIELDS = 10
 
 
@@ -576,17 +571,19 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     - evolve, morawetz-audit: the snapshots stream, so one field per channel
       (the initial w and v) plus the solver's 10 fields; a streamed forced
       evolve task peaks 10.1 fields at 16^3 and 9.3 at 32^3, with 3
-      snapshots or 21. The audit adds one snapshot's views of w and v and
-      v's gradient, 2d + 3 fields (one add() peaks 8.5 fields at 24^3 and
-      10.5 at 12^4). Only with save_fields does it compute M(t) for
-      interaction.csv, and add its half-spectrum kernel tables, (d + 1) / 2
-      fields, and d + 1 fields for the momentum density and w's gradient, or
-      for the tables' build on a grid's first audit. A seed then peaks 18.4
-      fields at 12^3 and 21.2 at 8^4 without M(t), 20.4 and 23.7 with it, and
-      23.5 and 28.3 with the tables built.
-    - twin-ladder: the unforced twin's w stack, the inputs, and 4 fields for
-      a rung's scaled forcing and its gap view, plus the solver's 10; 17.1
-      fields at 16^3 with 3 snapshots and 35.1 with 21.
+      snapshots or 21. The audit adds 4 fields: it is handed the solve's
+      spectra and holds one channel's view at a time, then one component of
+      v's gradient (one add() peaks 3.1 fields at 24^3 and at 12^4). Only
+      with save_fields does it compute M(t) for interaction.csv, and add
+      its half-spectrum kernel tables, (d + 1) / 2 fields, and 2(d + 1)
+      fields for the momentum density, w's gradient and their temporaries,
+      or for the tables' build on a grid's first audit (such an add() peaks
+      8.0 fields at 24^3 and 10.5 at 12^4). A seed then peaks 13.3 fields at
+      12^3 and 14.2 at 8^4 without M(t), 17.9 and 21.2 with it, and 20.3
+      and 24.7 with the tables built.
+    - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
+      for a rung's scaled forcing and its gap buffer, plus the solver's 10;
+      16.1 fields at 16^3 with 3 snapshots and 34.1 with 21.
     """
     g = config.grid
     if g is None:
@@ -606,9 +603,9 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
         if kind == "twin-ladder":
             per_task = (config.solver.n_snapshots + chans + 4) * per + solver
         elif kind == "morawetz-audit":
-            audit = (2 * g.dim + 3) * per
+            audit = 4 * per
             if config.save_fields:
-                audit += 3 * (g.dim + 1) * per // 2
+                audit += 5 * (g.dim + 1) * per // 2
             per_task = chans * per + audit + solver
         else:
             per_task = chans * per + solver
@@ -632,13 +629,13 @@ def _guard_memory(config: ExperimentConfig) -> None:
 def _run_forced(
     config: ExperimentConfig, part: FrequencyPartition, task_seed: int, sink: SnapshotSink
 ) -> ConservationSeries:
-    """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v)."""
+    """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v, w_hat, v_hat)."""
     v0 = forcing_field(config.grid, part, config.forcing, task_seed)
     w0 = initial_field(config.initial, config.grid)
     return solve_w(w0, v0, config.solver, sink)[1]
 
 
-def _discard(t: float, w: np.ndarray, v: np.ndarray | None) -> None:
+def _discard(t: float, w: np.ndarray, v: np.ndarray | None, w_hat: np.ndarray, v_hat: np.ndarray | None) -> None:
     """The snapshot sink of a run that keeps no fields."""
 
 
@@ -697,9 +694,9 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
         names = ("v", "w") if forced else ("u",)
         writer = TrajectoryWriter(run_dir / "traj", config.grid, names, config.solver.provenance())
         if forced:
-            sink = lambda t, w, v: writer.add(t, {"v": v, "w": w})
+            sink = lambda t, w, v, w_hat, v_hat: writer.add(t, {"v": v, "w": w})
         else:
-            sink = lambda t, w, v: writer.add(t, {"u": w})
+            sink = lambda t, w, v, w_hat, v_hat: writer.add(t, {"u": w})
     if forced:
         series = increment_residuals(_run_forced(config, part, task_seed, sink))
     else:

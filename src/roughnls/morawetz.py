@@ -18,14 +18,15 @@ approximation stays auditable.
 
 The audit is one pass over the snapshots, in time order, and keeps only
 per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
-snapshots into it. Each snapshot gets one FrequencyView (see norms) per
-channel, every spatial figure of the terms below is read from those two
-views, m and p come from the w view's gradient, and the 4D
-Gagliardo-Nirenberg ratio reuses figures already taken. M(t) enters none of
-the terms: an accumulator built with interaction=False skips p, w's gradient
-and the pairing (16 -> 7 transforms per 4D snapshot, 12 -> 5 in 3D) and keeps
-m only for the localization ratio. The harness's morawetz-audit task audits
-that way unless it writes interaction.csv (save_fields).
+snapshots into it, spectra included. Each snapshot gets one FrequencyView
+(see norms) per channel, one channel at a time: every spatial figure of the
+terms below is read from those two views, m and p come from the w view's
+gradient, and the 4D Gagliardo-Nirenberg ratio reuses figures already taken.
+M(t) enters none of the terms: an accumulator built with interaction=False
+skips p, w's gradient and the pairing (14 -> 5 transforms per 4D snapshot
+whose spectra are given, 10 -> 3 in 3D) and keeps m only for the
+localization ratio. The harness's morawetz-audit task audits that way unless
+it writes interaction.csv (save_fields).
 
 The audit measures, per trajectory, the constant C* = LHS / (T1 + T2 + T3) in
 
@@ -62,8 +63,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField
-from .norms import FrequencyView, NormSpec, Symbols, time_norm
+from .grids import GridSpec, SpectralField, xi_grids_odd
+from .norms import FrequencyView, NormSpec, Symbols, snapshot_view, time_norm
 from .trajectory import Trajectory, write_atomic
 
 __all__ = [
@@ -345,21 +346,27 @@ class MorawetzReport:
 class MorawetzAccumulator:
     """The interaction Morawetz audit, fed one snapshot at a time in time order.
 
-    add(t, w, v) reads every per-snapshot figure of the audit from one
-    FrequencyView of w and one of v and keeps only those numbers; the arrays
-    themselves are not kept, so they may be buffers reused for the next
-    snapshot. The views transform the physical values once each, and share
-    the derivative symbols the accumulator keeps for its grid. report()
-    folds the figures into the time norms and the terms documented at
-    morawetz_audit. A solve can stream its snapshots straight into add, so
+    add(t, w, v, w_hat, v_hat) reads every per-snapshot figure of the audit
+    from one FrequencyView of w and one of v and keeps only those numbers;
+    the arrays themselves are not kept or written, so they may be buffers
+    reused for the next snapshot. A view built on a given spectrum makes no
+    forward transform, one built on values alone makes one. The views share
+    the derivative symbols the accumulator keeps for its grid, and are built
+    one at a time: every figure of w, then w's view is dropped, then every
+    figure of v, and last sup |grad v|, one partial derivative at a time.
+    report() folds the figures into the time norms and the terms documented
+    at morawetz_audit. A solve can stream its snapshots straight into add, so
     the audit holds no snapshot stack. The audit's dimension is the grid's,
     and a grid that is not 3D or 4D is a ConfigError.
 
-    With interaction=False add() does not compute M(t): no momentum density,
-    no gradient of w, no pairing and no kernel tables, 7 transforms per 4D
-    snapshot instead of 16 and 5 per 3D snapshot instead of 12. Every other
-    figure is taken as before, so the report's numbers are the same bit for
-    bit; only its interaction is None.
+    With both spectra given, a 4D snapshot takes 14 transforms and a 3D one
+    10: d for sup |grad v|, one for |grad|^{-1/4} w in 4D, and for M(t) d
+    for w's gradient and d + 1 real-input ones for the pairing. With
+    interaction=False add() does not compute M(t): no momentum density, no
+    gradient of w, no pairing and no kernel tables, so 5 transforms per 4D
+    snapshot and 3 per 3D snapshot. Every other figure is taken as before,
+    so the report's numbers are the same bit for bit; only its interaction
+    is None.
     """
 
     def __init__(self, grid: GridSpec, interaction: bool = True):
@@ -394,23 +401,38 @@ class MorawetzAccumulator:
         self._loc: list[float] = []
         self._gn: list[float] = []
 
-    def add(self, t: float, w: np.ndarray, v: np.ndarray) -> None:
-        """Take the audit's figures of the snapshot at time t from the physical values of w and v."""
+    def add(
+        self,
+        t: float,
+        w: np.ndarray,
+        v: np.ndarray,
+        w_hat: np.ndarray | None = None,
+        v_hat: np.ndarray | None = None,
+    ) -> None:
+        """Take the audit's figures of the snapshot at time t from the physical
+        values of w and v and, when given, their raw spectra np.fft.fftn."""
         g = self.grid
-        sym = self._symbols
-        views = {"w": FrequencyView(g, w, symbols=sym), "v": FrequencyView(g, v, symbols=sym)}
-        for (ch, fig), spec in self._specs.items():
-            self._series[ch, fig].append(views[ch].norm(spec.r, spec.s, spec.kind))
-        self._dv.append(math.sqrt(float(sum(c.real**2 + c.imag**2 for c in views["v"].gradient()).max())))
+        view = FrequencyView(g, w, w_hat, self._symbols)
+        self._take_norms("w", view)
         if self.interaction:
-            m, mom = _mass_momentum(views["w"])
+            m, mom = _mass_momentum(view)
             self._inter.append(interaction_functional(LocalDensities(g, m, mom)))
+            del mom
         else:
-            m = 0.5 * views["w"].modulus**2
+            m = 0.5 * view.modulus**2
         self._loc.append(localization_ratio(m, g))
+        del m
         if self.dim == 4:
-            self._gn.append(_gn_ratio(views["w"]))
+            self._gn.append(_gn_ratio(view))
+        view = FrequencyView(g, v, v_hat, self._symbols)
+        self._take_norms("v", view)
+        self._dv.append(math.sqrt(_max_grad_sq(view)))
         self._times.append(float(t))
+
+    def _take_norms(self, channel: str, view: FrequencyView) -> None:
+        for (ch, fig), spec in self._specs.items():
+            if ch == channel:
+                self._series[ch, fig].append(view.norm(spec.r, spec.s, spec.kind))
 
     def report(self) -> MorawetzReport:
         """Both sides of the inequality over the snapshots added so far."""
@@ -470,14 +492,18 @@ def morawetz_audit(traj: Trajectory) -> MorawetzReport:
     c_star_spread. The audit is defined for 3D and 4D grids only, and its
     dimension is the trajectory grid's. No audited figure depends on the
     nonlinearity power, since the defect field is not part of the audit. The
-    snapshots are fed to a MorawetzAccumulator in time order, one at a time.
+    snapshots are fed to a MorawetzAccumulator in time order, one at a time,
+    each channel with its spectrum: a channel held as spectra (the solve's w
+    and free v) as it is held, so a stored audit equals the one a solve
+    streams bit for bit, and any other with one forward transform.
     """
     audit = MorawetzAccumulator(traj.grid)
     for name in ("v", "w"):
         if name not in traj.names:
             raise ConfigError(f"audit needs channel {name!r} (have {list(traj.names)})")
     for k, t in enumerate(traj.times):
-        audit.add(t, traj.snapshot("w", k).values, traj.snapshot("v", k).values)
+        w, v = snapshot_view(traj, "w", k), snapshot_view(traj, "v", k)
+        audit.add(t, w.values, v.values, w.fhat, v.fhat)
     return audit.report()
 
 
@@ -618,6 +644,28 @@ def identity_mor_mainterm(
         cross=cross,
         max_rel=max_rel,
     )
+
+
+def _max_grad_sq(f: FrequencyView) -> float:
+    """max over the lattice of |grad f|^2, one spectral partial derivative at a time.
+
+    Each component i xi_k fhat is inverse transformed in one complex buffer
+    and its re^2 + im^2 summed into the total in axis order, so the result
+    equals sum(c.real**2 + c.imag**2 for c in f.gradient()).max() bit for
+    bit without holding d components.
+    """
+    fhat = f.fhat
+    comp = np.empty_like(fhat)
+    total = np.zeros(f.grid.shape)
+    sq = np.empty(f.grid.shape)
+    for c in xi_grids_odd(f.grid):
+        np.multiply(fhat, 1j * c, out=comp)
+        np.fft.ifftn(comp, out=comp)
+        np.multiply(comp.real, comp.real, out=sq)
+        np.multiply(comp.imag, comp.imag, out=comp.real)
+        sq += comp.real
+        total += sq
+    return float(total.max())
 
 
 def _gn_ratio(f: FrequencyView) -> float:

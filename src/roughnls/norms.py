@@ -5,16 +5,16 @@ channel, holding its physical values and its spectrum in numpy's raw
 coordinates, np.fft.fftn(values). A producer that already holds that
 spectrum passes it in and the view makes no forward transform; otherwise the
 view makes one, on first use. A trajectory's free channel is such a
-producer: snapshot_view builds the snapshot's spectrum from the channel's
-v-hat(0) and takes the values as one inverse transform of it. From the view,
-an L^2 norm of D^s f is a Parseval sum over |fhat|^2 with no further
-transform, any other L^r norm of D^s f costs one in-place inverse transform
-of fhat * symbol (cached in the view, so one D^s serves several exponents),
-and a gradient costs d of them. The raw coordinates need no weight pass: the
-transform weight folds into the Parseval constant dx^d / N. The derivative
-symbols of a norm pass are built once and shared by its views through a dict
-the pass owns. An unstored u = v + w is summed one snapshot at a time, so no
-v + w stack is built.
+producer, and so is the w of a solve without a sink: snapshot_view takes
+the snapshot's spectrum from the trajectory and the values as one inverse
+transform of it. From the view, an L^2 norm of D^s f is a Parseval sum over
+|fhat|^2 with no further transform, any other L^r norm of D^s f costs one
+in-place inverse transform of fhat * symbol (cached in the view, so one D^s
+serves several exponents), and a gradient costs d of them. The raw
+coordinates need no weight pass: the transform weight folds into the
+Parseval constant dx^d / N. The derivative symbols of a norm pass are built
+once and shared by its views through a dict the pass owns. An unstored
+u = v + w is summed one snapshot at a time, so no v + w stack is built.
 
 Spatial integrals are Riemann sums on the lattice, the time integral is a
 composite trapezoid rule on g(t)^q where g is the spatial norm, and q or r
@@ -92,13 +92,15 @@ class FrequencyView:
     asked for twice, or a D^s f that serves two exponents, is computed once.
     Symbols come from `symbols`, the dict of the norm pass the view belongs
     to; a view given none keeps its own. Arrays handed out are the view's own
-    and must not be written to.
+    and must not be written to. A view given its spectrum may be given no
+    values (None) when only the L^2 norms of a derivative are read, which are
+    Parseval sums of the spectrum.
     """
 
     def __init__(
         self,
         grid: GridSpec,
-        values: np.ndarray,
+        values: np.ndarray | None,
         fhat: np.ndarray | None = None,
         symbols: Symbols | None = None,
     ):
@@ -113,9 +115,12 @@ class FrequencyView:
 
     @property
     def fhat(self) -> np.ndarray:
-        """numpy's raw spectrum np.fft.fftn(values): the one given, else one forward transform, once."""
+        """numpy's raw spectrum np.fft.fftn(values): the one given, else one forward transform, once.
+
+        The transform writes every axis pass into one new array.
+        """
         if self._fhat is None:
-            self._fhat = np.fft.fftn(self.values)
+            self._fhat = np.fft.fftn(self.values, out=np.empty(self.grid.shape, dtype=np.complex128))
         return self._fhat
 
     @property
@@ -181,8 +186,8 @@ class FrequencyView:
 def snapshot_view(
     traj: Trajectory, channel: str, k: int, symbols: Symbols | None = None
 ) -> FrequencyView:
-    """The view of one snapshot; a free channel's is its spectrum plus one inverse transform of it."""
-    if channel in traj.free_spectra:
+    """The view of one snapshot; a channel held as spectra gives its spectrum plus one inverse transform of it."""
+    if traj.holds_spectra(channel):
         fhat = traj.spectrum(channel, k)
         return FrequencyView(traj.grid, np.fft.ifftn(fhat), fhat, symbols)
     return FrequencyView(traj.grid, traj.snapshot(channel, k).values, None, symbols)

@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 
-# receives each snapshot of a solve as sink(t, w, v); see solve_w
-SnapshotSink = Callable[[float, np.ndarray, "np.ndarray | None"], None]
+# receives each snapshot of a solve as sink(t, w, v, w_hat, v_hat); see solve_w
+SnapshotSink = Callable[[float, np.ndarray, "np.ndarray | None", np.ndarray, "np.ndarray | None"], None]
 
 
 @dataclass(frozen=True)
@@ -280,13 +280,17 @@ def solve_w(
     v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
     snapshots are exact. Channel 'u' is synthesized as v + w on demand.
 
-    Each snapshot is handed to sink(t, w, v) as it is made, in time order:
-    w and v are its physical values, and v is None when v0 is None. Apart
-    from the initial w they are the solve's work arrays, valid only during
-    the call and not to be written to. Without a sink the w snapshots are
-    copied into one stack and returned as a Trajectory holding v, when v0 is
-    given, as v_hat(0) alone; its v snapshots equal a sink's bit for bit.
-    With a sink no stack is built and the trajectory returned is None.
+    Each snapshot is handed to sink(t, w, v, w_hat, v_hat) as it is made, in
+    time order: w_hat and v_hat are the spectra the solve holds at t, in raw
+    np.fft.fftn coordinates, and w and v are their inverse transforms, t = 0
+    included. v is None when v0 is None, and v_hat is None when the solve
+    holds no v_hat (v0 None or identically zero). All four are the solve's
+    work arrays, valid only during the call and not to be written to.
+    Without a sink the w_hat snapshots are copied into one spectral stack
+    and returned as a Trajectory holding v, when v0 is given, as v_hat(0)
+    alone; its spectra equal a sink's bit for bit, and so do its snapshots,
+    one inverse transform each. With a sink no stack is built and the
+    trajectory returned is None.
 
     With v0 None or identically zero, w solves the full equation and the
     per-step v work is skipped; v0 None also makes no v snapshots.
@@ -302,13 +306,13 @@ def solve_w(
         raise ConfigError("w0 and v0 live on different grids")
 
     shape = grid.shape
-    w_stack = None
-    if sink is None:
-        w_stack = np.empty((cfg.n_snapshots,) + shape, dtype=np.complex128)
+    stacked = sink is None
+    if stacked:
+        w_hat_stack = np.empty((cfg.n_snapshots,) + shape, dtype=np.complex128)
         snap_times: list[float] = []
 
-        def sink(t: float, w_k: np.ndarray, v_k: np.ndarray | None) -> None:
-            w_stack[len(snap_times)] = w_k
+        def sink(t: float, w_k, v_k, what_k: np.ndarray, vhat_k) -> None:
+            w_hat_stack[len(snap_times)] = what_k
             snap_times.append(t)
 
     w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
@@ -338,11 +342,6 @@ def solve_w(
     # Parseval for the unnormalized transform: sum_x |f|^2 = sum_xi |fftn f|^2 / N
     kin_weight = 0.5 * dvol / grid.n_points
     half_power = 0.5 * cfg.power
-
-    u_init = np.add(w_init, v_init, out=u) if has_v else w_init
-    threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init, out=abs_sq))), 0.0)
-    if threshold == 0.0:
-        threshold = None
 
     n_ser = cfg.n_series
     ser_times = np.empty(n_ser)
@@ -410,10 +409,15 @@ def solve_w(
         out[...] = 0.0
         return out
 
-    # the t = 0 snapshot's v goes to the phase buffer; u holds w0 + v0 for the sample
+    # the t = 0 snapshot's w goes to the phase buffer (the stack needs only
+    # w_hat) and its v to u's, which then holds w0 + v0 for the guard and the sample
     if has_v:
         free_flow_into(v0hat, grid, 0.0, out=vhat)
-    sink(0.0, w_init, v_snapshot(phase))
+    sink(0.0, None if stacked else np.fft.ifftn(what, out=phase), v_snapshot(u), what, vhat)
+    u_init = np.add(w_init, v_init, out=u) if has_v else w_init
+    threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init, out=abs_sq))), 0.0)
+    if threshold == 0.0:
+        threshold = None
     sample_series(0, 0.0, what, w_init, u, vhat)
     del w_init, v_init, u_init
     rotate = cfg.mu != 0.0
@@ -452,7 +456,7 @@ def solve_w(
         # to u's buffer, which then becomes u = v + w for the series sample
         w_k = np.fft.ifftn(what, out=phase)
         if at_snap:
-            sink(t_k, w_k, v_snapshot(u))
+            sink(t_k, w_k, v_snapshot(u), what, vhat)
             if has_v and at_ser:
                 u += w_k
         elif has_v:
@@ -463,9 +467,9 @@ def solve_w(
             ser += 1
 
     traj = None
-    if w_stack is not None:
+    if stacked:
         free = {} if v0 is None else {"v": v0hat if has_v else np.zeros(shape, dtype=np.complex128)}
-        traj = Trajectory(grid, snap_times, {"w": w_stack}, cfg.provenance(), free)
+        traj = Trajectory(grid, snap_times, {}, cfg.provenance(), free, spectra={"w": w_hat_stack})
     series = ConservationSeries(
         times=ser_times,
         mass=ser_mass,
@@ -551,20 +555,22 @@ def twin_run(
     D(alpha) = sup over snapshots of ||w_alpha - w_twin||_{H^1}; the reported
     slope is the log-log increment between the two smallest nonzero rungs and
     should sit near 1 while the first Duhamel term dominates. Only the twin's
-    w stack is held; each rung streams into a sink that keeps the H^1 gaps.
+    w_hat snapshots are held; each rung streams into a sink that keeps the H^1
+    gaps, each a Parseval sum of w_hat - w_hat_twin with no transform.
     """
     ref: list[np.ndarray] = []
-    solve_w(w0, None, cfg, lambda t, w, v: ref.append(w.copy()))
+    solve_w(w0, None, cfg, lambda t, w, v, w_hat, v_hat: ref.append(w_hat.copy()))
     amps = tuple(sorted(set(float(a) for a in amplitudes), reverse=True))
     v0_values = v0.as_physical().values
     symbols: Symbols = {}
+    diff = np.empty(w0.grid.shape, dtype=np.complex128)
     divs: list[float] = []
     for alpha in amps:
         gaps: list[float] = []
 
-        def gap(t: float, w: np.ndarray, v: np.ndarray | None) -> None:
-            view = FrequencyView(w0.grid, w - ref[len(gaps)], None, symbols)
-            gaps.append(view.norm(2, 1.0, "inhomogeneous"))
+        def gap(t: float, w, v, w_hat: np.ndarray, v_hat) -> None:
+            np.subtract(w_hat, ref[len(gaps)], out=diff)
+            gaps.append(FrequencyView(w0.grid, None, diff, symbols).norm(2, 1.0, "inhomogeneous"))
 
         solve_w(w0, SpectralField(v0.grid, alpha * v0_values, "physical"), cfg, gap)
         divs.append(max(gaps))

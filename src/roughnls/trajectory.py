@@ -2,9 +2,10 @@
 
 A Trajectory is a uniform time grid plus named channels ("v" exact linear
 flow, "w" stepped remainder; "u" is derived as v+w on demand and never
-stored), each held as a snapshot stack or, for a free flow, as its spectrum
-at t = 0 alone. Snapshot files use a fixed little-endian binary layout so
-runs can be consumed by other tools:
+stored), each held as a stack of snapshot values, as a stack of snapshot
+spectra or, for a free flow, as its spectrum at t = 0 alone. Snapshot files
+use a fixed little-endian binary layout so runs can be consumed by other
+tools:
 
     header: magic 'RNLS' | version u32 | d u32 | M u32 | L f64 | t f64 | tag u8
     data:   M^d complex values as (real f64, imag f64) pairs, row-major,
@@ -57,12 +58,15 @@ _MANIFEST = "manifest.json"
 
 @dataclass
 class Trajectory:
-    """Uniformly strided snapshots of field channels, each held one way, never both.
+    """Uniformly strided snapshots of field channels, each held one way only.
 
-    `channels` holds (n_snapshots, *shape) stacks: channels the solver
-    stepped or read from disk. `free_spectra` holds each exact free flow as
-    v-hat(0) alone, numpy's raw np.fft.fftn at t = 0; its snapshot k, the
-    inverse transform of e^{-i t_k |xi|^2} v-hat(0), is built on demand.
+    `channels` holds (n_snapshots, *shape) stacks of physical values:
+    channels read from disk or built by hand. `spectra` holds stacks of the
+    same shape of numpy's raw spectra np.fft.fftn: the channel a solve
+    stepped, as the solve held it; its snapshot k is one inverse transform
+    of slot k. `free_spectra` holds each exact free flow as v-hat(0) alone,
+    the raw spectrum at t = 0; its snapshot k, the inverse transform of
+    e^{-i t_k |xi|^2} v-hat(0), is built on demand.
     """
 
     grid: GridSpec
@@ -70,6 +74,7 @@ class Trajectory:
     channels: dict[str, np.ndarray]
     meta: dict = dc_field(default_factory=dict)
     free_spectra: dict[str, np.ndarray] = dc_field(default_factory=dict)
+    spectra: dict[str, np.ndarray] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -84,8 +89,13 @@ class Trajectory:
         for name, arr in self.channels.items():
             if arr.shape != want:
                 raise ValueError(f"channel {name!r} has shape {arr.shape}, expected {want}")
-        for name, arr in self.free_spectra.items():
+        for name, arr in self.spectra.items():
             if name in self.channels:
+                raise ValueError(f"channel {name!r} is held both as values and as spectra")
+            if arr.shape != want:
+                raise ValueError(f"spectral stack {name!r} has shape {arr.shape}, expected {want}")
+        for name, arr in self.free_spectra.items():
+            if name in self.channels or name in self.spectra:
                 raise ValueError(f"channel {name!r} is held both as a stack and as a free spectrum")
             if arr.shape != self.grid.shape:
                 raise ValueError(f"free spectrum {name!r} has shape {arr.shape}, expected {self.grid.shape}")
@@ -97,18 +107,26 @@ class Trajectory:
     @property
     def names(self) -> tuple[str, ...]:
         """Every channel held, as a stack or as a free spectrum, sorted."""
-        return tuple(sorted(self.channels.keys() | self.free_spectra.keys()))
+        return tuple(sorted(self.channels.keys() | self.spectra.keys() | self.free_spectra.keys()))
+
+    def holds_spectra(self, name: str) -> bool:
+        """Whether a channel is held as spectra (a spectral stack or a free spectrum), so spectrum() makes no transform."""
+        return name in self.spectra or name in self.free_spectra
 
     def spectrum(self, name: str, k: int) -> np.ndarray:
-        """np.fft.fftn of snapshot k, new: a free channel's with no transform, any other's with one."""
+        """np.fft.fftn of snapshot k, new: a copy of a spectral stack's slot, a free
+        channel's built with no transform, any other's with one forward transform."""
+        stack = self.spectra.get(name)
+        if stack is not None:
+            return stack[k].copy()
         v0_hat = self.free_spectra.get(name)
         if v0_hat is None:
             return np.fft.fftn(self.snapshot(name, k).values)
         return free_flow_into(v0_hat, self.grid, float(self.times[k]), np.empty_like(v0_hat))
 
     def snapshot(self, name: str, k: int) -> SpectralField:
-        """Snapshot k of a channel; a free channel's and an unheld 'u' = v + w are built for this snapshot only."""
-        if name in self.free_spectra:
+        """Snapshot k of a channel; one held as spectra, and an unheld 'u' = v + w, are built for this snapshot only."""
+        if self.holds_spectra(name):
             values = self.spectrum(name, k)
             np.fft.ifftn(values, out=values)
         elif name in self.channels:

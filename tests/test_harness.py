@@ -408,7 +408,7 @@ def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
     run(unforced)
     full, _ = solve_w(initial_field(unforced.initial, unforced.grid), None, unforced.solver)
     # the harness writes an unforced run's field as channel 'u'
-    as_u = Trajectory(full.grid, full.times, {"u": full.channels["w"]}, full.meta)
+    as_u = Trajectory(full.grid, full.times, {}, full.meta, spectra={"u": full.spectra["w"]})
     save_trajectory(as_u, tmp_path / "saved_unforced")
     _same_files(tmp_path / "unforced" / "run_0000" / "traj", tmp_path / "saved_unforced")
 
@@ -620,7 +620,7 @@ def test_linear_stats_seed_peak_does_not_grow_with_times(tmp_path):
 
 
 def test_twin_ladder_holds_one_stack(tmp_path):
-    # The twin-ladder task keeps the unforced twin's w stack and streams each
+    # The twin-ladder task keeps the unforced twin's w_hat stack and streams each
     # rung into its H^1 gap: with 3 snapshots or 21 its traced peak lies in
     # [charge / 2, charge), and grows by about one field per added snapshot.
     def config(stride):

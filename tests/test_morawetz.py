@@ -7,6 +7,7 @@ import pytest
 
 from roughnls import (
     ConfigError,
+    FrequencyView,
     GridSpec,
     MorawetzAccumulator,
     SolverConfig,
@@ -20,7 +21,7 @@ from roughnls import (
     morawetz_audit,
     solve_w,
 )
-from roughnls.morawetz import SCALING_DEGREES, _pair_direct, _pair_fft, _kernel_tables_hat
+from roughnls.morawetz import SCALING_DEGREES, _kernel_tables_hat, _max_grad_sq, _pair_direct, _pair_fft
 
 
 def gaussian(grid, amp=1.0, width=1.0, wave=None):
@@ -435,28 +436,37 @@ def _count_transforms(monkeypatch):
     return counter
 
 
-def _accumulate(traj, interaction=True):
-    """The audit of a stored trajectory through an accumulator that computes M(t) or not."""
-    audit = MorawetzAccumulator(traj.grid, interaction=interaction)
-    for k, t in enumerate(traj.times):
-        audit.add(t, traj.snapshot("w", k).values, traj.snapshot("v", k).values)
+def _snapshots(traj):
+    """Each snapshot of a stored trajectory as (t, w, v, w_hat, v_hat), the arguments of add()."""
+    return [
+        (t, traj.snapshot("w", k).values, traj.snapshot("v", k).values, traj.spectrum("w", k), traj.spectrum("v", k))
+        for k, t in enumerate(traj.times)
+    ]
+
+
+def _accumulate(grid, snapshots, interaction=True):
+    """The audit of the snapshots through an accumulator that computes M(t) or not."""
+    audit = MorawetzAccumulator(grid, interaction=interaction)
+    for snap in snapshots:
+        audit.add(*snap)
     return audit.report()
 
 
 @pytest.mark.parametrize(
     "dim,points,interaction,limit",
-    [(3, 12, True, 12), (4, 8, True, 16), (3, 12, False, 5), (4, 8, False, 7)],
+    [(3, 12, True, 10), (4, 8, True, 14), (3, 12, False, 3), (4, 8, False, 5)],
 )
 def test_audit_transform_count(monkeypatch, dim, points, interaction, limit):
-    # Each snapshot: one forward transform per channel, d inverse transforms
-    # for sup |grad v| and one for |grad|^{-1/4} w in 4D. M(t) adds d inverse
-    # transforms for w's gradient (the momentum) and d + 1 real-input
-    # transforms for the pairing. The 4D Gagliardo-Nirenberg ratios come with
-    # the audit at no transform.
+    # Each snapshot handed with both spectra: d inverse transforms for
+    # sup |grad v| and one for |grad|^{-1/4} w in 4D, and no forward
+    # transform. M(t) adds d inverse transforms for w's gradient (the
+    # momentum) and d + 1 real-input transforms for the pairing. The 4D
+    # Gagliardo-Nirenberg ratios come with the audit at no transform.
     traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
-    _accumulate(traj, interaction)  # warm the symbol and kernel caches
+    snapshots = _snapshots(traj)
+    _accumulate(traj.grid, snapshots, interaction)  # warm the symbol and kernel caches
     counter = _count_transforms(monkeypatch)
-    rep = _accumulate(traj, interaction)
+    rep = _accumulate(traj.grid, snapshots, interaction)
     assert (rep.gn_ratios is not None) == (dim == 4)
     assert (rep.interaction is not None) == interaction
     assert counter["n"] <= limit * traj.n_snapshots, counter["n"] / traj.n_snapshots
@@ -467,7 +477,7 @@ def test_audit_without_interaction_keeps_every_other_figure(tmp_path, dim, point
     # Skipping M(t) moves no other figure by a bit, and a report without M(t)
     # refuses to be written rather than leave a partial interaction.csv.
     traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
-    full, bare = morawetz_audit(traj), _accumulate(traj, interaction=False)
+    full, bare = morawetz_audit(traj), _accumulate(traj.grid, _snapshots(traj), interaction=False)
     assert bare.interaction is None and full.interaction.shape == traj.times.shape
     assert bare.to_dict() == full.to_dict()
     for name in ("times", "localization"):
@@ -516,3 +526,34 @@ def test_streamed_audit_equals_stored_audit(dim, points):
         assert np.array_equal(streamed.gn_ratios, stored.gn_ratios)
     else:
         assert streamed.gn_ratios is None and stored.gn_ratios is None
+
+
+@pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
+def test_streamed_gradient_sup_equals_the_component_stack(dim, points):
+    # sup |grad v| is taken one partial derivative at a time in one buffer;
+    # it must equal the sum over the d components held at once bit for bit.
+    g = GridSpec(dim, points, np.pi)
+    for seed in range(3):
+        view = FrequencyView(g, noise(g, seed) + 1j * noise(g, seed + 7))
+        reference = sum(c.real**2 + c.imag**2 for c in view.gradient()).max()
+        assert _max_grad_sq(view) == float(reference)
+
+
+def test_one_4d_add_peaks_under_four_fields():
+    # A warm 4D add() handed both spectra holds w's view, then v's view and
+    # one component of v's gradient: its traced peak stays under 4 complex
+    # lattice fields (it was 10.6 with both views and v's whole gradient).
+    g = GridSpec(4, 8, np.pi)
+    w = gaussian(g, 0.5, 1.5, wave=(1, 0, 0, 0)).values
+    v = gaussian(g, 0.3, 2.0, wave=(0, 2, 0, 0)).values
+    snap = (w, v, np.fft.fftn(w), np.fft.fftn(v))
+    audit = MorawetzAccumulator(g, interaction=False)
+    audit.add(0.0, *snap)  # warm the symbols
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        audit.add(0.1, *snap)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * g.n_points, peak / (16 * g.n_points)

@@ -163,7 +163,7 @@ def test_dealias_flag_changes_solution():
     off = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=False)
     t1, _ = solve_w(u0, None, on)
     t2, _ = solve_w(u0, None, off)
-    d = np.max(np.abs(t1.channels["w"][-1] - t2.channels["w"][-1]))
+    d = np.max(np.abs(t1.snapshot("w", t1.n_snapshots - 1).values - t2.snapshot("w", t2.n_snapshots - 1).values))
     assert d > 0.0
 
 
@@ -200,7 +200,8 @@ def test_zero_forcing_is_the_full_equation():
     zero = SpectralField(g, np.zeros(g.shape, dtype=complex), "physical")
     forced, forced_series = solve_w(u0, zero, cfg)
     full, full_series = solve_w(u0, None, cfg)
-    assert np.array_equal(forced.channels["w"], full.channels["w"])
+    for k in range(full.n_snapshots):
+        assert np.array_equal(forced.spectrum("w", k), full.spectrum("w", k))
     assert np.array_equal(forced_series.mass, full_series.mass)
     assert np.array_equal(forced_series.energy, full_series.energy)
     assert forced.names == ("v", "w") and "v" in forced.free_spectra
@@ -211,8 +212,9 @@ def test_zero_forcing_is_the_full_equation():
 @pytest.mark.parametrize("forcing", ["rough", "zero", "none"])
 def test_sink_receives_the_stacked_snapshots(forcing):
     # A sink gets every snapshot in time order, equal bit for bit to the
-    # trajectory solve_w returns without one (its w stack, and v built from
-    # v_hat(0), t = 0 included), and the series does not change.
+    # trajectory solve_w returns without one (its w_hat stack, and v_hat built
+    # from v_hat(0), t = 0 included), each value the inverse transform of its
+    # spectrum, and the series does not change.
     g = GridSpec(3, 12, np.pi)
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = {
@@ -223,16 +225,28 @@ def test_sink_receives_the_stacked_snapshots(forcing):
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
     stacked, series = solve_w(w0, v0, cfg)
     got = []
-    traj, streamed = solve_w(w0, v0, cfg, lambda t, w, v: got.append((t, w.copy(), v if v is None else v.copy())))
+
+    def keep(t, w, v, w_hat, v_hat):
+        copy = lambda a: None if a is None else a.copy()
+        got.append((t, w.copy(), copy(v), w_hat.copy(), copy(v_hat)))
+
+    traj, streamed = solve_w(w0, v0, cfg, keep)
     assert traj is None
-    assert [t for t, _, _ in got] == list(stacked.times)
-    assert np.array_equal(np.stack([w for _, w, _ in got]), stacked.channels["w"])
-    if v0 is None:
-        assert all(v is None for _, _, v in got)
-    else:
-        assert set(stacked.channels) == {"w"}
-        v_snapshots = [stacked.snapshot("v", k).values for k in range(stacked.n_snapshots)]
-        assert np.array_equal(np.stack([v for _, _, v in got]), np.stack(v_snapshots))
+    assert [t for t, *_ in got] == list(stacked.times)
+    assert not stacked.channels and set(stacked.spectra) == {"w"}
+    for k, (t, w, v, w_hat, v_hat) in enumerate(got):
+        assert np.array_equal(w_hat, stacked.spectrum("w", k))
+        assert np.array_equal(w, stacked.snapshot("w", k).values)
+        assert np.array_equal(w, np.fft.ifftn(w_hat))
+        if v0 is None:
+            assert v is None and v_hat is None
+            continue
+        assert np.array_equal(v, stacked.snapshot("v", k).values)
+        if forcing == "zero":
+            assert v_hat is None and not np.any(v)
+        else:
+            assert np.array_equal(v_hat, stacked.spectrum("v", k))
+            assert np.array_equal(v, np.fft.ifftn(v_hat))
     for name in ("mass", "energy", "dmass_id", "denergy_id"):
         assert np.array_equal(getattr(streamed, name), getattr(series, name))
 
@@ -319,7 +333,7 @@ def test_fused_step_matches_unfused_reference(dim, points, half_width, forced):
     cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
     traj, series = solve_w(w0, v0, cfg)
     ws, vs, (mass, energy, dm, de) = _unfused_reference(w0, v0, cfg)
-    assert _rel(traj.channels["w"], ws) < 1e-12
+    assert _rel(np.stack([traj.snapshot("w", k).values for k in range(traj.n_snapshots)]), ws) < 1e-12
     assert _rel(series.mass, mass) < 1e-12
     assert _rel(series.energy, energy) < 1e-12
     if forced:
@@ -356,7 +370,7 @@ def test_forced_solve_stays_within_the_guard_workspace():
     # The memory guard charges a task that runs solve_w _SOLVER_FIELDS complex
     # lattice fields above the snapshots it keeps; a forced solve on a fresh
     # grid (its multipliers and weights cached inside the measurement), which
-    # keeps one w stack and v_hat(0), fits in it.
+    # keeps one w_hat stack and v_hat(0), fits in it.
     from roughnls.harness import _SOLVER_FIELDS
 
     def forced(grid):

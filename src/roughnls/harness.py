@@ -554,8 +554,9 @@ def _uses_partition(config: ExperimentConfig) -> bool:
 # complex lattice fields a forced solve_w needs beside what its snapshot consumer
 # keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
 # 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
-# two half-step multipliers and |xi|^2; tracemalloc measures 8.6 fields above
-# the w_hat stack at 64^3, 8.8 at 32^3 and 9.7 at 16^3
+# one half-step multiplier and |xi|^2; tracemalloc measures 7.6 fields above
+# the w_hat stack at 64^3, 8.0 at 32^3 and 9.6 at 16^3, the caller keeping w0
+# and v0 (a fresh grid, so its cached symbols are counted)
 _SOLVER_FIELDS = 10
 
 
@@ -563,27 +564,31 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     """Rough peak-memory estimate for one run, before anything is allocated, in
     complex lattice fields ("fields"); tracemalloc figures are per task.
 
-    A run holds FFT workspace, the partition's four float lattice arrays when
-    it builds one, and with forcing its base profile's spectrum. Per task:
+    A run holds FFT workspace, the partition's float lattice arrays when it
+    builds one (two, and four once a partition report reads its
+    diagnostics), and with forcing its base profile's spectrum. Per task:
     - linear-stats: v-hat(0), one snapshot's spectrum and values, and 2d
       fields of view buffers and symbols; 8.0 fields at 32^3 with 4 times or
       16, 9.5 at 12^4.
     - evolve, morawetz-audit: the snapshots stream, so one field per channel
-      (the initial w and v) plus the solver's 10 fields; a streamed forced
-      evolve task peaks 10.1 fields at 16^3 and 9.3 at 32^3, with 3
-      snapshots or 21. The audit adds 4 fields: it is handed the solve's
-      spectra and holds one channel's view at a time, then one component of
-      v's gradient (one add() peaks 3.1 fields at 24^3 and at 12^4). Only
-      with save_fields does it compute M(t) for interaction.csv, and add
-      its half-spectrum kernel tables, (d + 1) / 2 fields, and 2(d + 1)
-      fields for the momentum density, w's gradient and their temporaries,
-      or for the tables' build on a grid's first audit (such an add() peaks
-      8.0 fields at 24^3 and 10.5 at 12^4). A seed then peaks 13.3 fields at
-      12^3 and 14.2 at 8^4 without M(t), 17.9 and 21.2 with it, and 20.3
-      and 24.7 with the tables built.
+      (the initial w and v, which the solve drops before its first
+      snapshot) plus the solver's 10 fields; a streamed forced evolve task
+      peaks 11.1 fields at 16^3 and 9.5 at 32^3, with 3 snapshots or 21 (the
+      half-step multiplier's build, beside the inputs, adds numpy's fixed
+      128 KiB of loop buffers, 2 fields at 16^3). The
+      audit adds 4 fields: it is handed the solve's spectra and holds one
+      channel's view at a time, then one component of v's gradient (one
+      add() peaks 3.1 fields at 24^3 and at 12^4). Only with save_fields
+      does it compute M(t) for interaction.csv, and add its half-spectrum
+      kernel tables, (d + 1) / 2 fields, and d + 1 fields for one component
+      of w's gradient, of the momentum density and of its transform at a
+      time, with their buffers, or for the tables' build on a grid's first
+      audit (such an add() peaks 5.7 fields at 24^3 and 6.6 at 12^4). A
+      seed then peaks 11.4 fields at 12^3 and 12.2 at 8^4 without M(t),
+      14.0 and 15.9 with it, and 16.6 and 20.7 with the tables built.
     - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
       for a rung's scaled forcing and its gap buffer, plus the solver's 10;
-      16.1 fields at 16^3 with 3 snapshots and 34.1 with 21.
+      16.7 fields at 16^3 with 3 snapshots and 34.7 with 21.
     """
     g = config.grid
     if g is None:
@@ -605,7 +610,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
         elif kind == "morawetz-audit":
             audit = 4 * per
             if config.save_fields:
-                audit += 5 * (g.dim + 1) * per // 2
+                audit += 3 * (g.dim + 1) * per // 2
             per_task = chans * per + audit + solver
         else:
             per_task = chans * per + solver
@@ -629,10 +634,17 @@ def _guard_memory(config: ExperimentConfig) -> None:
 def _run_forced(
     config: ExperimentConfig, part: FrequencyPartition, task_seed: int, sink: SnapshotSink
 ) -> ConservationSeries:
-    """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v, w_hat, v_hat)."""
-    v0 = forcing_field(config.grid, part, config.forcing, task_seed)
-    w0 = initial_field(config.initial, config.grid)
-    return solve_w(w0, v0, config.solver, sink)[1]
+    """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v, w_hat, v_hat).
+
+    The inputs go straight into the call, so the solve holds the only
+    references to w(0) and v(0) and frees them before its first snapshot.
+    """
+    return solve_w(
+        initial_field(config.initial, config.grid),
+        forcing_field(config.grid, part, config.forcing, task_seed),
+        config.solver,
+        sink,
+    )[1]
 
 
 def _discard(t: float, w: np.ndarray, v: np.ndarray | None, w_hat: np.ndarray, v_hat: np.ndarray | None) -> None:
@@ -700,8 +712,7 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
     if forced:
         series = increment_residuals(_run_forced(config, part, task_seed, sink))
     else:
-        u0 = initial_field(config.initial, config.grid)
-        series = solve_w(u0, None, config.solver, sink)[1]
+        series = solve_w(initial_field(config.initial, config.grid), None, config.solver, sink)[1]
     metrics = _series_metrics(series)
     if forced:
         metrics["r_mass"] = series.max_rel_mass

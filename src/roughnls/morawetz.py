@@ -21,7 +21,8 @@ per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
 snapshots into it, spectra included. Each snapshot gets one FrequencyView
 (see norms) per channel, one channel at a time: every spatial figure of the
 terms below is read from those two views, m and p come from the w view's
-gradient, and the 4D Gagliardo-Nirenberg ratio reuses figures already taken.
+gradient, p one component at a time straight into its pairing, and the 4D
+Gagliardo-Nirenberg ratio reuses figures already taken.
 M(t) enters none of the terms: an accumulator built with interaction=False
 skips p, w's gradient and the pairing (14 -> 5 transforms per 4D snapshot
 whose spectra are given, 10 -> 3 in 3D) and keeps m only for the
@@ -113,12 +114,34 @@ class LocalDensities:
     e: np.ndarray | None = None
 
 
-def _mass_momentum(w: FrequencyView) -> tuple[np.ndarray, np.ndarray]:
-    """m = |w|^2 / 2 and p = Im(conj(w) grad w) / 2, the gradient taken from the view."""
-    m = 0.5 * w.modulus**2
+def _momentum_pairing(w: FrequencyView, m: np.ndarray) -> float:
+    """M(t) = sum_{x,y} (x-y)/|x-y| . p(x) m(y) dx^{2d}, p formed one gradient component at a time.
+
+    Each partial derivative of w is inverse transformed in one complex
+    buffer, where conj(w) times it is formed; p_k, its real transform (into
+    one half-spectrum buffer) and its product with the k-th kernel table
+    follow, and the products are summed in component order. The result
+    equals interaction_functional(LocalDensities(grid, m, p)) bit for bit
+    without holding the d components of grad w, of p or of their transforms.
+    """
+    g = w.grid
+    vec_hat, _ = _kernel_tables_hat(g)
     conj_w = np.conj(w.values)
-    mom = np.stack([0.5 * np.imag(conj_w * gk) for gk in w.gradient()])
-    return m, mom
+    comp = np.empty_like(conj_w)
+    p_k = np.empty(g.shape)
+    spec = np.empty(vec_hat.shape[1:], dtype=np.complex128)
+    prod = np.zeros_like(spec)
+    for table, c in zip(vec_hat, xi_grids_odd(g)):
+        np.multiply(w.fhat, 1j * c, out=comp)
+        np.fft.ifftn(comp, out=comp)
+        np.multiply(conj_w, comp, out=comp)
+        np.multiply(0.5, comp.imag, out=p_k)
+        np.fft.rfftn(p_k, out=spec)
+        prod += _times_table(spec, table, vec_hat.nbytes)
+    np.fft.rfftn(m, out=spec)
+    np.conjugate(spec, out=spec)
+    spec *= prod
+    return float(np.sum(spec.real))
 
 
 def local_densities(w: SpectralField, u: SpectralField) -> LocalDensities:
@@ -133,7 +156,9 @@ def local_densities(w: SpectralField, u: SpectralField) -> LocalDensities:
     p = _critical_power(g.dim)
     wv = FrequencyView(g, w.as_physical().values)
     up = u.as_physical().values
-    m, mom = _mass_momentum(wv)
+    m = 0.5 * wv.modulus**2
+    conj_w = np.conj(wv.values)
+    mom = np.stack([0.5 * np.imag(conj_w * gk) for gk in wv.gradient()])
     defect = np.abs(up) ** p * up - wv.modulus**p * wv.values
     return LocalDensities(g, m, mom, defect)
 
@@ -177,6 +202,21 @@ def _kernel_tables_hat(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.conj(np.fft.rfftn(vec, axes=axes)) * scale, np.conj(np.fft.rfftn(sca)) * scale
 
 
+# numpy elides a temporary operand of at least this many bytes into the result
+# of a binary operation, so `table * rfftn(f)` multiplies as (rfftn(f), table)
+# from this size on and as (table, rfftn(f)) below it; a complex product can
+# round differently with its factors swapped
+_ELIDE_BYTES = 256 * 1024
+
+
+def _times_table(spec: np.ndarray, table: np.ndarray, stack_bytes: int) -> np.ndarray:
+    """spec * table in place, its factors in the order `table * rfftn(...)` takes for a
+    transform of stack_bytes, so the pairing does not depend on how its spectra are held."""
+    if stack_bytes >= _ELIDE_BYTES:
+        return np.multiply(spec, table, out=spec)
+    return np.multiply(table, spec, out=spec)
+
+
 def _pair_fft(table_hat: np.ndarray, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> float:
     """sum_{x,y} K(x-y) f(x) g(y) dx^{2d} for real f, g, as one half-spectrum Parseval sum.
 
@@ -185,7 +225,8 @@ def _pair_fft(table_hat: np.ndarray, f: np.ndarray, g: np.ndarray, grid: GridSpe
     the single pairing with g.
     """
     axes = tuple(range(f.ndim - grid.dim, f.ndim))
-    prod = table_hat * np.fft.rfftn(f, axes=axes)
+    spec = np.fft.rfftn(f, axes=axes)
+    prod = _times_table(spec, table_hat, spec.nbytes)
     if prod.ndim > grid.dim:
         prod = prod.sum(axis=0)
     return float(np.sum((np.conj(np.fft.rfftn(g)) * prod).real))
@@ -361,7 +402,8 @@ class MorawetzAccumulator:
 
     With both spectra given, a 4D snapshot takes 14 transforms and a 3D one
     10: d for sup |grad v|, one for |grad|^{-1/4} w in 4D, and for M(t) d
-    for w's gradient and d + 1 real-input ones for the pairing. With
+    for w's gradient and d + 1 real-input ones for the pairing; M(t) holds
+    one component of grad w and of p at a time (_momentum_pairing). With
     interaction=False add() does not compute M(t): no momentum density, no
     gradient of w, no pairing and no kernel tables, so 5 transforms per 4D
     snapshot and 3 per 3D snapshot. Every other figure is taken as before,
@@ -414,12 +456,9 @@ class MorawetzAccumulator:
         g = self.grid
         view = FrequencyView(g, w, w_hat, self._symbols)
         self._take_norms("w", view)
+        m = 0.5 * view.modulus**2
         if self.interaction:
-            m, mom = _mass_momentum(view)
-            self._inter.append(interaction_functional(LocalDensities(g, m, mom)))
-            del mom
-        else:
-            m = 0.5 * view.modulus**2
+            self._inter.append(_momentum_pairing(view, m))
         self._loc.append(localization_ratio(m, g))
         del m
         if self.dim == 4:

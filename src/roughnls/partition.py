@@ -25,8 +25,10 @@ keeps its (rows x points) profile table and a boolean mask of its cells, so a
 weighted sum over its cutoffs (`FrequencyPartition.multiplier`) is d
 tensor-matrix contractions, and so are all its coefficients
 sum_xi psi_j(xi) h(xi) (`FrequencyPartition.coefficients`, the adjoint). The
-flat normalizer, the residual and the unity, square and overlap diagnostics
-are lattice arrays. A single cube's support and values are sampled on demand
+flat normalizer and the residual are the lattice arrays a build makes. The
+unity, square and overlap diagnostics (`unity_sum`, `sq_sum`, `kappa`),
+which only the partition report and the checks read, are built on first
+read and then kept. A single cube's support and values are sampled on demand
 (`FrequencyPartition.cutoff`).
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -226,11 +228,25 @@ class FrequencyPartition:
     # the core and N = 1 pieces, then one block per shell N >= 2
     blocks: list[ShellBlock] = dc_field(repr=False)
     shell_members: dict[int, range]  # shell label -> cutoff indices
-    kappa: int  # measured max overlap of cutoff supports
     normalizer: np.ndarray = dc_field(repr=False)  # t = max(sum_j raw_j, 1), flat
     residual: np.ndarray = dc_field(repr=False)  # 1 - sum_j raw_j / t, flat
-    sq_sum: np.ndarray = dc_field(repr=False)  # sum_j psi_j^2, flat
-    unity_sum: np.ndarray = dc_field(repr=False, default=None)  # sum_j psi_j, flat; set from multiplier
+
+    @cached_property
+    def kappa(self) -> int:
+        """Measured max overlap of cutoff supports, the residual's included."""
+        ones = np.ones(self.n_cutoffs - 1)
+        return int((_raw_sum(self.grid, self.blocks, ones, _positive) + (self.residual > 0)).max())
+
+    @cached_property
+    def sq_sum(self) -> np.ndarray:
+        """sum_j psi_j^2, flat."""
+        ones = np.ones(self.n_cutoffs - 1)
+        return _raw_sum(self.grid, self.blocks, ones, np.square) / self.normalizer**2 + self.residual**2
+
+    @cached_property
+    def unity_sum(self) -> np.ndarray:
+        """sum_j psi_j, flat."""
+        return self.multiplier(np.ones(self.n_cutoffs))
 
     @property
     def n_cutoffs(self) -> int:
@@ -393,23 +409,16 @@ def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartiti
 
     # Renormalize by the pointwise sum so the family sums to one exactly on the
     # covered lattice; the residual cutoff absorbs everything outside.
-    ones = np.ones(total + 1)
-    s = _raw_sum(grid, blocks, ones[:-1])
+    s = _raw_sum(grid, blocks, np.ones(total))
     t = np.maximum(s, 1.0)
-    res = 1.0 - s / t
-    counts = _raw_sum(grid, blocks, ones[:-1], _positive) + (res > 0)
-    part = FrequencyPartition(
+    return FrequencyPartition(
         config=config,
         grid=grid,
         blocks=blocks,
         shell_members=shell_members,
-        kappa=int(counts.max()),
         normalizer=t,
-        residual=res,
-        sq_sum=_raw_sum(grid, blocks, ones[:-1], np.square) / t**2 + res**2,
+        residual=1.0 - s / t,
     )
-    part.unity_sum = part.multiplier(ones)
-    return part
 
 
 @dataclass(frozen=True)

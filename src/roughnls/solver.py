@@ -23,11 +23,13 @@ and the snapshots share them: v_hat(t) is built in place by per-axis
 broadcast multiplies, |u|^2 and the nonlinear angle go into the float
 buffers, the forward transform writes into w_hat, and a snapshot's w and v
 are transformed into the phase and u buffers. After set-up neither a step
-nor a sample nor a snapshot allocates a lattice array.
+nor a sample nor a snapshot allocates a lattice array. Beside them the solve
+holds v_hat(0) and one half-step multiplier, which no cache keeps; it drops
+the physical w(0) and v(0) before its first snapshot.
 
 Snapshots are streamed to a consumer (a SnapshotSink; see solve_w). A forced
-solve peaks about 8.6 complex lattice fields above what its consumer keeps
-at 64^3, cached multipliers included.
+solve peaks about 7.6 complex lattice fields above what its consumer keeps
+at 64^3, its inputs not counted.
 """
 
 from __future__ import annotations
@@ -157,11 +159,6 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _half_kinetic(grid: GridSpec, dt: float) -> np.ndarray:
-    return free_multiplier(grid, 0.5 * dt)
-
-
 def _abs_sq(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """|values|^2 as re^2 + im^2 into out, without the square root of np.abs.
 
@@ -273,9 +270,13 @@ def solve_w(
     K_half w_hat + v_hat(t_mid) gives u = w + v at the step midpoint; the
     guard reads |u|; u is rotated in place by the exact nonlinear phase; one
     forward transform gives u_hat, from which v_hat(t_mid) is subtracted,
-    and the result is multiplied by K_half with the 2/3 mask folded in (one
-    multiplier, built once per solve). At snapshot steps the subtraction is
-    checked against u_hat for channel bookkeeping drift. Every value of v,
+    and the result is multiplied by K_half with the 2/3 mask folded in. The
+    solve holds one multiplier, built per solve and cached nowhere: step
+    0's opening half-step uses K_half as built, which is then dealiased in
+    place and serves every later half-step, opening ones included, exactly,
+    since w_hat leaves each closing half-step zero on the masked modes. At
+    snapshot steps the subtraction is checked against u_hat for channel
+    bookkeeping drift. Every value of v,
     the t = 0 snapshot's included, is the exact free propagator applied to
     v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
     snapshots are exact. Channel 'u' is synthesized as v + w on demand.
@@ -290,7 +291,14 @@ def solve_w(
     and returned as a Trajectory holding v, when v0 is given, as v_hat(0)
     alone; its spectra equal a sink's bit for bit, and so do its snapshots,
     one inverse transform each. With a sink no stack is built and the
-    trajectory returned is None.
+    trajectory returned is None. Without a sink no snapshot costs an inverse
+    transform of its own: at t = 0, and at a snapshot step that is not a
+    series step, nothing reads w or v.
+
+    The solve keeps w0 and v0 only until it has their spectra and the t = 0
+    series sample, which reads w(0) and u = w(0) + v(0); it then drops them,
+    before the t = 0 snapshot. A caller that passes them straight into the
+    call, as the harness does, so frees them for the whole step loop.
 
     With v0 None or identically zero, w solves the full equation and the
     per-step v work is skipped; v0 None also makes no v snapshots.
@@ -315,10 +323,11 @@ def solve_w(
             w_hat_stack[len(snap_times)] = what_k
             snap_times.append(t)
 
+    with_v = v0 is not None
     w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
     v_init = None
     v0hat = None
-    if v0 is not None:
+    if with_v:
         v_init = np.ascontiguousarray(v0.as_physical().values, dtype=np.complex128)
         v0hat = np.fft.fftn(v_init)
         if not np.any(v0hat):
@@ -334,10 +343,9 @@ def solve_w(
     scratch = np.empty(shape)
 
     xi2 = xi_sq(grid)
-    k_half = _half_kinetic(grid, cfg.dt)
-    # the closing half-step also dealiases: one multiply by K_half with the
-    # 2/3 mask folded in, built once per solve and dropped with it
-    k_half_out = np.where(dealias_mask(grid), k_half, 0.0) if cfg.dealias else k_half
+    # the one half-step multiplier: K_half for step 0's opening half-step, then
+    # dealiased in place for every later one (see the loop)
+    k_half = free_multiplier(grid, 0.5 * cfg.dt)
     dvol = grid.cell_volume
     # Parseval for the unnormalized transform: sum_x |f|^2 = sum_xi |fftn f|^2 / N
     kin_weight = 0.5 * dvol / grid.n_points
@@ -404,22 +412,29 @@ def solve_w(
         """A snapshot's v: the inverse transform of v_hat(t) into out; zeros unforced, None without v0."""
         if has_v:
             return np.fft.ifftn(vhat, out=out)
-        if v0 is None:
+        if not with_v:
             return None
         out[...] = 0.0
         return out
 
-    # the t = 0 snapshot's w goes to the phase buffer (the stack needs only
-    # w_hat) and its v to u's, which then holds w0 + v0 for the guard and the sample
-    if has_v:
-        free_flow_into(v0hat, grid, 0.0, out=vhat)
-    sink(0.0, None if stacked else np.fft.ifftn(what, out=phase), v_snapshot(u), what, vhat)
+    # the t = 0 sample reads w0 and u = w0 + v0 (in u's buffer) before the
+    # snapshot, so the physical inputs can be dropped first: from here on
+    # the solve holds only w_hat and v_hat(0)
     u_init = np.add(w_init, v_init, out=u) if has_v else w_init
     threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init, out=abs_sq))), 0.0)
     if threshold == 0.0:
         threshold = None
+    if has_v:
+        free_flow_into(v0hat, grid, 0.0, out=vhat)
     sample_series(0, 0.0, what, w_init, u, vhat)
-    del w_init, v_init, u_init
+    del w0, v0, w_init, v_init, u_init
+    if stacked:
+        # the stack keeps only w_hat, so nothing reads w or v here
+        sink(0.0, None, None, what, None)
+    else:
+        if has_v:
+            free_flow_into(v0hat, grid, 0.0, out=vhat)  # the sample overwrote it
+        sink(0.0, np.fft.ifftn(what, out=phase), v_snapshot(u), what, vhat)
     rotate = cfg.mu != 0.0
     ser = 1
     for step in range(cfg.n_steps):
@@ -428,6 +443,10 @@ def solve_w(
         at_snap = done % cfg.snapshot_stride == 0
         at_ser = done % cfg.series_stride == 0
         what *= k_half
+        if step == 0 and cfg.dealias:
+            # w_hat leaves every closing half-step zero on the masked modes, so
+            # one dealiased multiplier serves it and every later opening one
+            k_half[~dealias_mask(grid)] = 0.0
         if has_v:
             free_flow_into(v0hat, grid, t_mid, out=vhat)
             what += vhat
@@ -446,7 +465,11 @@ def solve_w(
                 what, u = u, what
             else:
                 what -= vhat
-        what *= k_half_out
+        what *= k_half
+        if at_snap and stacked and not at_ser:
+            # the stack keeps only w_hat, so nothing reads w or v here
+            sink(done * cfg.dt, None, None, what, None)
+            continue
         if not (at_snap or at_ser):
             continue
         t_k = done * cfg.dt
@@ -468,7 +491,7 @@ def solve_w(
 
     traj = None
     if stacked:
-        free = {} if v0 is None else {"v": v0hat if has_v else np.zeros(shape, dtype=np.complex128)}
+        free = {"v": v0hat if has_v else np.zeros(shape, dtype=np.complex128)} if with_v else {}
         traj = Trajectory(grid, snap_times, {}, cfg.provenance(), free, spectra={"w": w_hat_stack})
     series = ConservationSeries(
         times=ser_times,

@@ -1,8 +1,6 @@
 """Fourier conventions: transforms, multipliers, and the spectral operations
 (derivatives, gradients, norms and the free flow) in numpy's raw coordinates."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,8 @@ from roughnls import (
     scattering_proxy,
 )
 from roughnls.grids import derivative_symbol, xi_grids_odd, xi_sq
+
+from conftest import traced_peak
 
 
 def gaussian_field(grid, width=1.0, amp=1.0):
@@ -237,13 +237,7 @@ def test_transforms_allocate_one_lattice_field(dim, points):
     for name, field_in in inputs.items():
         transform = field_in.as_frequency if field_in.rep == "physical" else field_in.as_physical
         transform()  # warm the FFT plan caches
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = transform()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak, _ = traced_peak(transform)
         assert out.values.dtype == np.complex128
         assert field <= peak < 1.25 * field, (name, peak / field)
 

@@ -8,7 +8,6 @@ import signal
 import struct
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +36,8 @@ from roughnls import (
 from roughnls import harness, morawetz, solver
 from roughnls.cli import main as cli_main
 from roughnls.harness import ForcingSpec, InitialSpec, _set_axis
+
+from conftest import traced_peak
 
 GRID = {"dim": 3, "points": 12, "half_width": float(np.pi)}
 PART = {"a": 1, "n_max": 2, "s": -0.1}
@@ -462,13 +463,7 @@ def test_streamed_evolve_memory_does_not_grow_with_snapshots(tmp_path):
     task(few, part, 1, tmp_path / "warm")  # first-call caches are not per-task memory
     peaks = []
     for cfg in (few, many):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            task(cfg, part, 1, tmp_path / f"run{cfg.solver.n_snapshots}")
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: task(cfg, part, 1, tmp_path / f"run{cfg.solver.n_snapshots}"))[1])
     field = 16 * few.grid.n_points
     assert abs(peaks[1] - peaks[0]) < field, [p / field for p in peaks]
     # and the memory guard charges the streamed task no stack either
@@ -548,13 +543,7 @@ def _traced_peak(cfg, part, run_dir) -> int:
     """Traced peak of one seed of cfg's task, its caches warmed by an earlier seed."""
     task = harness._TASKS[cfg.kind]
     task(cfg, part, 1, run_dir / "warm")
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        task(cfg, part, 2, run_dir / "run")
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: task(cfg, part, 2, run_dir / "run"))[1]
 
 
 def _charge(cfg) -> int:

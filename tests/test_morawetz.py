@@ -1,7 +1,5 @@
 """Interaction functionals: FFT pairing, densities, audits, main-term identity."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,8 @@ from roughnls import (
     solve_w,
 )
 from roughnls.morawetz import SCALING_DEGREES, _kernel_tables_hat, _max_grad_sq, _pair_direct, _pair_fft
+
+from conftest import traced_peak
 
 
 def gaussian(grid, amp=1.0, width=1.0, wave=None):
@@ -495,13 +495,7 @@ def test_audit_keeps_only_half_spectrum_kernel_tables():
     # weights (under three complex fields), not the d + 1 real kernel tables.
     grid = GridSpec(4, 12, 2.75)  # a grid no other test warms
     traj = synth_traj(grid, n_times=3)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        morawetz_audit(traj)
-        retained = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+    _, _, retained = traced_peak(lambda: morawetz_audit(traj))
     tables = sum(t.nbytes for t in _kernel_tables_hat(grid))
     assert retained < tables + 3 * 16 * grid.n_points, retained / grid.n_points
 
@@ -539,6 +533,25 @@ def test_streamed_gradient_sup_equals_the_component_stack(dim, points):
         assert _max_grad_sq(view) == float(reference)
 
 
+@pytest.mark.parametrize("dim,points", [(3, 12), (3, 24), (3, 32), (4, 8), (4, 10)])
+def test_streamed_interaction_equals_the_density_stack(dim, points):
+    # add() pairs M(t)'s momentum density one gradient component at a time;
+    # each value must equal the functional of the stacked densities bit for
+    # bit, below numpy's 256 KiB elision size (12^3, 8^4), above it (32^3)
+    # and where only the stack reaches it (24^3, 10^4). A swapped factor
+    # order moves M(t) on about one seed in six, so six are taken.
+    g = GridSpec(dim, points, np.pi)
+    audit = MorawetzAccumulator(g)
+    want = []
+    for seed in range(6):
+        w = noise(g, seed) + 1j * noise(g, seed + 7)
+        v = noise(g, seed + 3)
+        audit.add(0.1 * seed, w, v, np.fft.fftn(w), None)
+        field = SpectralField(g, w, "physical")
+        want.append(interaction_functional(local_densities(field, field)))
+    assert audit.report().interaction.tolist() == want
+
+
 def test_one_4d_add_peaks_under_four_fields():
     # A warm 4D add() handed both spectra holds w's view, then v's view and
     # one component of v's gradient: its traced peak stays under 4 complex
@@ -549,11 +562,5 @@ def test_one_4d_add_peaks_under_four_fields():
     snap = (w, v, np.fft.fftn(w), np.fft.fftn(v))
     audit = MorawetzAccumulator(g, interaction=False)
     audit.add(0.0, *snap)  # warm the symbols
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        audit.add(0.1, *snap)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: audit.add(0.1, *snap))
     assert peak < 4 * 16 * g.n_points, peak / (16 * g.n_points)

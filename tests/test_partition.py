@@ -63,6 +63,18 @@ def test_partition_of_unity_on_coverage():
     assert cov_dev < 1e-10
 
 
+def test_build_leaves_the_diagnostics_to_first_read():
+    # A build makes the normalizer and the residual; kappa, sq_sum and
+    # unity_sum are built on first read and then kept.
+    g = GridSpec(2, 32, np.pi)
+    part = build_partition(PartitionConfig(dim=2, a=1, n_max=2), g)
+    names = ("kappa", "sq_sum", "unity_sum")
+    assert not set(names) & set(vars(part))
+    for name in names:
+        first = getattr(part, name)
+        assert name in vars(part) and getattr(part, name) is first
+
+
 def test_kappa_bound():
     for dim, pts in ((1, 256), (2, 64), (3, 32)):
         part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2), GridSpec(dim, pts, np.pi))

@@ -1,7 +1,7 @@
 """Splitting integrator: conservation, residual identities, twins, proxies."""
 
 import csv
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +26,8 @@ from roughnls import (
     solve_w,
     twin_run,
 )
+
+from conftest import traced_peak
 
 
 def bump(grid, amp, width, wave=None):
@@ -358,12 +360,34 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
             np.fft, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
     solve_w(w0, v0, cfg)
-    # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 snapshot
-    # makes v from v_hat(0) (1) and its sample Lap v (1), its u being w0 + v0;
-    # the final snapshot and sample make w and v for the snapshot and Lap v
-    # (3), u again being w + v
-    assert len(calls) == 2 * n_steps + 7
+    # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 sample
+    # makes Lap v (1), its u being w0 + v0, and the t = 0 snapshot, which the
+    # stack keeps as w_hat alone, none; the final snapshot and sample make w
+    # and v for the snapshot and Lap v (3), u again being w + v
+    assert len(calls) == 2 * n_steps + 6
     assert calls.count("fftn") == n_steps + 2
+
+
+def test_solve_frees_its_inputs_before_the_first_snapshot():
+    # Passed straight into the call, w(0) and v(0) are referenced only by the
+    # solve, which drops them once it has their spectra and the t = 0 sample:
+    # no snapshot, t = 0 included, finds them alive.
+    g = GridSpec(3, 8, np.pi / 2)
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
+    refs = []
+
+    def tracked(field):
+        refs.extend((weakref.ref(field), weakref.ref(field.values)))
+        return field
+
+    alive = []
+    solve_w(
+        tracked(bump(g, 0.3, 1.5)),
+        tracked(rough_v0(g, n0=2.0, amp=0.2)),
+        cfg,
+        lambda t, w, v, w_hat, v_hat: alive.append(sum(r() is not None for r in refs)),
+    )
+    assert alive == [0] * cfg.n_snapshots
 
 
 def test_forced_solve_stays_within_the_guard_workspace():
@@ -384,11 +408,5 @@ def test_forced_solve_stays_within_the_guard_workspace():
     w0, v0, cfg = forced(grid)
     field = 16 * grid.n_points
     stacks = cfg.n_snapshots * field
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        solve_w(w0, v0, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(lambda: solve_w(w0, v0, cfg))
     assert peak - stacks <= _SOLVER_FIELDS * field, (peak - stacks) / field

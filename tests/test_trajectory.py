@@ -1,7 +1,6 @@
 """Snapshot container and the binary trajectory format."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from roughnls import (
     save_trajectory,
     write_snapshot,
 )
+
+from conftest import traced_peak
 
 
 def make_traj(grid, n_times=3, channels=("v", "w"), seed=0):
@@ -83,17 +84,8 @@ def test_snapshot_bytes_match_the_old_formula(tmp_path):
     # only the array it returns
     path = tmp_path / "contiguous.rnls"
     nbytes = 16 * g.n_points
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        write_snapshot(path, fields["contiguous"], t=0.125, channel="w")
-        wrote = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        back, _, _ = read_snapshot(path)
-        read = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, wrote, _ = traced_peak(lambda: write_snapshot(path, fields["contiguous"], t=0.125, channel="w"))
+    (back, _, _), read, _ = traced_peak(lambda: read_snapshot(path))
     assert wrote < nbytes / 4, wrote / nbytes
     assert read < 1.25 * nbytes, read / nbytes
 
@@ -198,13 +190,7 @@ def test_snapshot_u_sums_one_snapshot():
     stack = traj.channels["v"] + traj.channels["w"]
     field = 16 * g.n_points
     for k in range(traj.n_snapshots):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            snap = traj.snapshot("u", k)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        snap, peak, _ = traced_peak(lambda: traj.snapshot("u", k))
         assert np.array_equal(snap.values, stack[k])
         assert peak < 2 * field, peak / field
 

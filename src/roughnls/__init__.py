@@ -7,8 +7,9 @@ Gaussian draws and tail statistics), linear_flow (free evolution and
 composite norms), solver (splitting integrator for the forced difference
 equation), morawetz (interaction functional audits), trajectory (snapshot
 container and binary format), norms (FrequencyView: spatial norms,
-derivatives and gradients of one snapshot; space-time Lebesgue/Sobolev norms),
-harness (batch experiment runner), cli (command line entry point).
+derivatives and gradients of one snapshot; NormPass: space-time
+Lebesgue/Sobolev norms over a run's snapshots), harness (batch experiment
+runner), cli (command line entry point).
 """
 
 from .errors import (
@@ -41,11 +42,9 @@ from .harness import (
 )
 from .linear_flow import (
     CompositeNormSpec,
-    composite_norm,
     composite_spec,
     high_pass,
     linear_seed,
-    linear_trajectory,
 )
 from .morawetz import (
     CStarSpread,
@@ -60,7 +59,7 @@ from .morawetz import (
     localization_ratio,
     morawetz_audit,
 )
-from .norms import FrequencyView, NormSpec, is_admissible, snapshot_norms, spacetime_norm
+from .norms import FrequencyView, NormPass, NormSpec, is_admissible
 from .partition import (
     FrequencyPartition,
     PartitionConfig,

@@ -686,7 +686,7 @@ def _task_linear_stats(config, part: FrequencyPartition, task_seed: int, run_dir
     pc = config.partition
     families = ("Y", "Z")
     specs = [composite_spec(f"{family}{config.grid.dim}", pc.s, float(pc.a)) for family in families]
-    _, l2, norms = linear_seed(f, part, task_seed, config.forcing.n0, config.times, specs)
+    l2, norms = linear_seed(f, part, task_seed, config.forcing.n0, config.times, specs)
     metrics = {"L2": l2}
     for family, (total, parts) in zip(families, norms):
         metrics[family] = total

@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import GridSpec, SpectralField, xi_grids_odd
-from .norms import FrequencyView, NormSpec, Symbols, snapshot_view, time_norm
+from .norms import FrequencyView, NormPass, NormSpec, snapshot_view, time_norm
 from .trajectory import Trajectory, write_atomic
 
 __all__ = [
@@ -391,12 +391,12 @@ class MorawetzAccumulator:
     from one FrequencyView of w and one of v and keeps only those numbers;
     the arrays themselves are not kept or written, so they may be buffers
     reused for the next snapshot. A view built on a given spectrum makes no
-    forward transform, one built on values alone makes one. The views share
-    the derivative symbols the accumulator keeps for its grid, and are built
-    one at a time: every figure of w, then w's view is dropped, then every
-    figure of v, and last sup |grad v|, one partial derivative at a time.
-    report() folds the figures into the time norms and the terms documented
-    at morawetz_audit. A solve can stream its snapshots straight into add, so
+    forward transform, one built on values alone makes one. The views come
+    from the audit's NormPass, which takes their norms, and are built one at
+    a time: every figure of w, then w's view is dropped, then every figure
+    of v, and last sup |grad v|, one partial derivative at a time. report()
+    folds the pass's series and sup |grad v| into the time norms and the
+    terms documented at morawetz_audit. A solve can stream its snapshots straight into add, so
     the audit holds no snapshot stack. The audit's dimension is the grid's,
     and a grid that is not 3D or 4D is a ConfigError.
 
@@ -419,24 +419,22 @@ class MorawetzAccumulator:
         self.dim = dim
         self.interaction = interaction
         inf = math.inf
-        # (channel, figure): the spatial norm taken at every snapshot and its time exponent
+        # each figure's channel, the spatial norm taken at every snapshot and its time exponent
         specs = {
-            ("w", "mass"): NormSpec(inf, 2),
-            ("w", "hhalf"): NormSpec(inf, 2, 0.5, "homogeneous"),
-            ("v", "sup"): NormSpec(2, inf),
-            ("v", "l4"): NormSpec(4, 4),
+            "w_mass": ("w", NormSpec(inf, 2)),
+            "w_hhalf": ("w", NormSpec(inf, 2, 0.5, "homogeneous")),
+            "v_sup": ("v", NormSpec(2, inf)),
+            "v_l4": ("v", NormSpec(4, 4)),
         }
         if dim == 3:
-            specs[("w", "l4")] = NormSpec(4, 4)
-            specs[("w", "l6")] = NormSpec(inf, 6)
-            specs[("v", "l6")] = NormSpec(inf, 6)
+            specs["w_l4"] = ("w", NormSpec(4, 4))
+            specs["w_l6"] = ("w", NormSpec(inf, 6))
+            specs["v_l6"] = ("v", NormSpec(inf, 6))
         else:
-            specs[("w", "g")] = NormSpec(4, 4, -0.25, "homogeneous")
-            specs[("w", "hhalf_inh")] = NormSpec(inf, 2, 0.5, "inhomogeneous")
-            specs[("v", "l6l3")] = NormSpec(6, 3)
-        self._specs = specs
-        self._symbols: Symbols = {}
-        self._series: dict[tuple[str, str], list[float]] = {key: [] for key in specs}
+            specs["w_g"] = ("w", NormSpec(4, 4, -0.25, "homogeneous"))
+            specs["w_hhalf_inh"] = ("w", NormSpec(inf, 2, 0.5, "inhomogeneous"))
+            specs["v_l6l3"] = ("v", NormSpec(6, 3))
+        self._pass = NormPass(grid, specs)
         self._times: list[float] = []
         self._dv: list[float] = []
         self._inter: list[float] = []
@@ -453,40 +451,31 @@ class MorawetzAccumulator:
     ) -> None:
         """Take the audit's figures of the snapshot at time t from the physical
         values of w and v and, when given, their raw spectra np.fft.fftn."""
-        g = self.grid
-        view = FrequencyView(g, w, w_hat, self._symbols)
-        self._take_norms("w", view)
+        view = self._pass.view(w, w_hat)
+        self._pass.take("w", view)
         m = 0.5 * view.modulus**2
         if self.interaction:
             self._inter.append(_momentum_pairing(view, m))
-        self._loc.append(localization_ratio(m, g))
+        self._loc.append(localization_ratio(m, self.grid))
         del m
         if self.dim == 4:
             self._gn.append(_gn_ratio(view))
-        view = FrequencyView(g, v, v_hat, self._symbols)
-        self._take_norms("v", view)
+        view = self._pass.view(v, v_hat)
+        self._pass.take("v", view)
         self._dv.append(math.sqrt(_max_grad_sq(view)))
         self._times.append(float(t))
-
-    def _take_norms(self, channel: str, view: FrequencyView) -> None:
-        for (ch, fig), spec in self._specs.items():
-            if ch == channel:
-                self._series[ch, fig].append(view.norm(spec.r, spec.s, spec.kind))
 
     def report(self) -> MorawetzReport:
         """Both sides of the inequality over the snapshots added so far."""
         times = np.array(self._times)
-        norm = {
-            key: time_norm(np.array(self._series[key]), times, spec.q)
-            for key, spec in self._specs.items()
-        }
-        w_mass, w_hhalf = norm["w", "mass"], norm["w", "hhalf"]
-        v_sup, v_l4 = norm["v", "sup"], norm["v", "l4"]
+        norm = self._pass.norms(times)
+        w_mass, w_hhalf = norm["w_mass"], norm["w_hhalf"]
+        v_sup, v_l4 = norm["v_sup"], norm["v_l4"]
         dv_sup = time_norm(np.array(self._dv), times, 2)
         if self.dim == 3:
-            w_l4 = norm["w", "l4"]
+            w_l4 = norm["w_l4"]
             mix4 = w_l4**2 + v_l4**2
-            mix6 = norm["w", "l6"] ** 3 + norm["v", "l6"] ** 3
+            mix6 = norm["w_l6"] ** 3 + norm["v_l6"] ** 3
             lhs = w_l4**4
             terms = {
                 "T1": w_mass**2 * w_hhalf**2,
@@ -494,12 +483,12 @@ class MorawetzAccumulator:
                 "T3": dv_sup * mix4 * mix6 * w_mass**2,
             }
         else:
-            g_norm = norm["w", "g"]
+            g_norm = norm["w_g"]
             lhs = g_norm**4
             terms = {
                 "T1": w_mass**2 * w_hhalf**2,
-                "T2": norm["w", "hhalf_inh"] * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
-                "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + norm["v", "l6l3"] ** 3),
+                "T2": norm["w_hhalf_inh"] * g_norm**2 * (v_sup * w_hhalf**2 + dv_sup * w_mass**2),
+                "T3": v_sup * w_hhalf**2 * (w_mass * v_l4**2 + norm["v_l6l3"] ** 3),
             }
 
         rhs = float(sum(terms.values()))

@@ -12,9 +12,12 @@ transform of it. From the view, an L^2 norm of D^s f is a Parseval sum over
 in-place inverse transform of fhat * symbol (cached in the view, so one D^s
 serves several exponents), and a gradient costs d of them. The raw
 coordinates need no weight pass: the transform weight folds into the
-Parseval constant dx^d / N. The derivative symbols of a norm pass are built
-once and shared by its views through a dict the pass owns. An unstored
-u = v + w is summed one snapshot at a time, so no v + w stack is built.
+Parseval constant dx^d / N.
+
+A NormPass is the one way a run's space-time norms are taken: the audit and
+the linear seed feed it one channel's view per snapshot, in time order, and
+it keeps only each norm's per-snapshot series, which norms() folds in time.
+Its views share the derivative symbols the pass owns, built once per pass.
 
 Spatial integrals are Riemann sums on the lattice, the time integral is a
 composite trapezoid rule on g(t)^q where g is the spatial norm, and q or r
@@ -37,10 +40,9 @@ __all__ = [
     "NormSpec",
     "FrequencyView",
     "is_admissible",
+    "NormPass",
     "snapshot_view",
-    "snapshot_norms",
     "time_norm",
-    "spacetime_norm",
 ]
 
 
@@ -183,25 +185,12 @@ class FrequencyView:
         return math.sqrt(total * self.grid.cell_volume / self.grid.n_points)
 
 
-def snapshot_view(
-    traj: Trajectory, channel: str, k: int, symbols: Symbols | None = None
-) -> FrequencyView:
+def snapshot_view(traj: Trajectory, channel: str, k: int) -> FrequencyView:
     """The view of one snapshot; a channel held as spectra gives its spectrum plus one inverse transform of it."""
     if traj.holds_spectra(channel):
         fhat = traj.spectrum(channel, k)
-        return FrequencyView(traj.grid, np.fft.ifftn(fhat), fhat, symbols)
-    return FrequencyView(traj.grid, traj.snapshot(channel, k).values, None, symbols)
-
-
-def snapshot_norms(traj: Trajectory, spec: NormSpec, channel: str) -> np.ndarray:
-    """Spatial norm of D^s(channel) at each snapshot time."""
-    symbols: Symbols = {}
-    return np.array(
-        [
-            snapshot_view(traj, channel, k, symbols).norm(spec.r, spec.s, spec.kind)
-            for k in range(traj.n_snapshots)
-        ]
-    )
+        return FrequencyView(traj.grid, np.fft.ifftn(fhat), fhat)
+    return FrequencyView(traj.grid, traj.snapshot(channel, k).values)
 
 
 def time_norm(series: np.ndarray, times: np.ndarray, q: float) -> float:
@@ -213,6 +202,32 @@ def time_norm(series: np.ndarray, times: np.ndarray, q: float) -> float:
     return float(np.trapezoid(series**q, times) ** (1.0 / q))
 
 
-def spacetime_norm(traj: Trajectory, spec: NormSpec, channel: str = "u") -> float:
-    """|| D^s channel ||_{L^q_t L^r_x} over the trajectory's time window."""
-    return time_norm(snapshot_norms(traj, spec, channel), traj.times, spec.q)
+class NormPass:
+    """One streaming pass of L^q_t L^r_x norms, built from {key: (channel, NormSpec)}.
+
+    take() reads one channel's view of one snapshot, in time order, so a
+    caller may drop it before it builds the next; norms() folds each series.
+    """
+
+    def __init__(self, grid: GridSpec, specs: dict[object, tuple[str, NormSpec]]):
+        self.grid = grid
+        self.specs = specs
+        self._symbols: Symbols = {}
+        self._series: dict[object, list[float]] = {key: [] for key in specs}
+
+    def view(self, values: np.ndarray | None, fhat: np.ndarray | None) -> FrequencyView:
+        """A FrequencyView of one snapshot that shares the pass's derivative symbols."""
+        return FrequencyView(self.grid, values, fhat, self._symbols)
+
+    def take(self, channel: str, view: FrequencyView) -> None:
+        """Append, for every spec on channel, its spatial norm of this snapshot."""
+        for key, (ch, spec) in self.specs.items():
+            if ch == channel:
+                self._series[key].append(view.norm(spec.r, spec.s, spec.kind))
+
+    def norms(self, times: np.ndarray) -> dict[object, float]:
+        """Each spec's L^q_t norm of its series over the snapshot times taken so far."""
+        return {
+            key: time_norm(np.array(self._series[key]), times, spec.q)
+            for key, (_, spec) in self.specs.items()
+        }

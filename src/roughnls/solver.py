@@ -279,7 +279,7 @@ def solve_w(
     bookkeeping drift. Every value of v,
     the t = 0 snapshot's included, is the exact free propagator applied to
     v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
-    snapshots are exact. Channel 'u' is synthesized as v + w on demand.
+    snapshots are exact.
 
     Each snapshot is handed to sink(t, w, v, w_hat, v_hat) as it is made, in
     time order: w_hat and v_hat are the spectra the solve holds at t, in raw
@@ -714,7 +714,7 @@ def scattering_proxy(traj: Trajectory) -> ScatteringReport:
     deltas = []
     for f1, f2 in zip(pulled, pulled[1:]):
         diff = f2 - f1
-        view = FrequencyView(grid, np.fft.ifftn(diff), diff, symbols)
+        view = FrequencyView(grid, None, diff, symbols)
         deltas.append(view.norm(2, 1.0, "inhomogeneous"))
     decreasing = all(d2 <= d1 * (1 + 1e-9) for d1, d2 in zip(deltas, deltas[1:]))
     return ScatteringReport(

@@ -1,9 +1,9 @@
 """Time-sampled fields and their on-disk form.
 
 A Trajectory is a uniform time grid plus named channels ("v" exact linear
-flow, "w" stepped remainder; "u" is derived as v+w on demand and never
-stored), each held as a stack of snapshot values, as a stack of snapshot
-spectra or, for a free flow, as its spectrum at t = 0 alone. Snapshot files
+flow, "w" stepped remainder, "u" a full field solved or stored as such),
+each held as a stack of snapshot values, as a stack of snapshot spectra or,
+for a free flow, as its spectrum at t = 0 alone. Snapshot files
 use a fixed little-endian binary layout so runs can be consumed by other
 tools:
 
@@ -125,14 +125,12 @@ class Trajectory:
         return free_flow_into(v0_hat, self.grid, float(self.times[k]), np.empty_like(v0_hat))
 
     def snapshot(self, name: str, k: int) -> SpectralField:
-        """Snapshot k of a channel; one held as spectra, and an unheld 'u' = v + w, are built for this snapshot only."""
+        """Snapshot k of a channel; one held as spectra is built for this snapshot only."""
         if self.holds_spectra(name):
             values = self.spectrum(name, k)
             np.fft.ifftn(values, out=values)
         elif name in self.channels:
             values = self.channels[name][k]
-        elif name == "u" and {"v", "w"} <= set(self.names):
-            values = self.snapshot("v", k).values + self.snapshot("w", k).values
         else:
             raise KeyError(f"trajectory has no channel {name!r} (have {list(self.names)})")
         return SpectralField(self.grid, values, "physical")

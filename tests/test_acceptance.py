@@ -151,7 +151,7 @@ def test_c05_tail_rates():
     times = np.linspace(0.0, 0.3, 4)
     totals = []
     for seed in range(200):
-        _, _, [(total, _)] = linear_seed(f, part, seed, 2.0, times, [spec])
+        _, [(total, _)] = linear_seed(f, part, seed, 2.0, times, [spec])
         totals.append(total)
     tail = tail_fit(np.array(totals), q_lo=0.75, q_hi=0.975)
     assert tail.r_squared > 0.9

@@ -271,10 +271,12 @@ def riemann_lp(values, r, grid):
 
 
 @pytest.mark.parametrize("dim,points,half_width", [(3, 12, 2.5), (4, 8, np.pi)])
-def test_view_matches_weighted_reference(dim, points, half_width):
+def test_view_matches_weighted_reference(dim, points, half_width, monkeypatch):
     # The continuum-weighted formulas the package used before every spectral
     # operation moved to numpy's raw coordinates: the view's H^s and D^s L^r
     # norms, its gradient and scattering_proxy's pulled-back H^1 deltas agree.
+    # The deltas are Parseval sums, so scattering_proxy makes no inverse
+    # transform, and each equals that of a view given the values as well.
     g = GridSpec(dim, points, half_width)
     f = noise_field(g, seed=dim + 20)
     view = FrequencyView(g, f.values)
@@ -288,7 +290,25 @@ def test_view_matches_weighted_reference(dim, points, half_width):
 
     times = np.linspace(0.0, 0.4, 5)
     stack = np.stack([noise_field(g, seed=dim + 30 + k).values for k in range(times.size)])
-    rep = scattering_proxy(Trajectory(g, times, {"w": stack}))
+    traj = Trajectory(g, times, {"w": stack})
+    inverse, calls = np.fft.ifftn, []
+
+    def counted_ifftn(*args, **kwargs):
+        calls.append(args)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
+    rep = scattering_proxy(traj)
+    monkeypatch.undo()
+    assert calls == []
+    raw = []
+    for k in range(1, times.size):  # the ladder: t_final / 4, ..., t_final
+        fhat = np.fft.fftn(stack[k])
+        raw.append(free_flow_into(fhat, g, -float(times[k]), fhat))
+    assert list(rep.deltas) == [
+        FrequencyView(g, np.fft.ifftn(p2 - p1), p2 - p1).norm(2, 1.0, "inhomogeneous")
+        for p1, p2 in zip(raw, raw[1:])
+    ]
     pulled = [
         SpectralField(g, w, "physical").as_frequency().values * free_multiplier(g, -t)
         for w, t in zip(stack, times)

@@ -10,20 +10,19 @@ from roughnls import (
     GridSpec,
     PartitionConfig,
     SpectralField,
+    FrequencyView,
     build_partition,
-    composite_norm,
     composite_spec,
     draw,
     free_flow_into,
     high_pass,
     linear_seed,
-    linear_trajectory,
     parse_config,
     run,
     shaped_profile,
 )
-from roughnls.grids import derivative_symbol, modulus_lp_norm
-from roughnls.norms import snapshot_view, time_norm
+from roughnls.grids import derivative_symbol, modulus_lp_norm, raw_spectrum
+from roughnls.norms import time_norm
 
 
 def weighted_free_flow(fhat: SpectralField, t: float) -> SpectralField:
@@ -38,7 +37,12 @@ def setup_draw(dim=1, points=256, half_width=np.pi, seed=0):
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
     vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     f = SpectralField(g, vals, "physical")
-    return g, part, draw(f, part, seed=seed)
+    return g, part, f, draw(f, part, seed=seed)
+
+
+def seed_snapshot(v0_hat, grid, t):
+    """v(t) as linear_seed builds it: the free flow of v-hat(0) and one inverse transform."""
+    return np.fft.ifftn(free_flow_into(v0_hat, grid, t, np.empty_like(v0_hat)))
 
 
 def test_high_pass_kills_low_modes():
@@ -52,57 +56,56 @@ def test_high_pass_kills_low_modes():
 
 
 def test_high_pass_idempotent():
-    g, part, rnd = setup_draw()
+    g, part, _, rnd = setup_draw()
     once = high_pass(rnd.field, 2.0)
     twice = high_pass(once, 2.0)
     assert np.max(np.abs(twice.as_frequency().values - once.as_frequency().values)) < 1e-12
 
 
 def test_linear_trajectory_matches_free_flow():
-    g, part, rnd = setup_draw(seed=3)
+    # The seed's v(t), the free flow of v-hat(0) in numpy's raw coordinates,
+    # matches the continuum-weighted free flow and keeps its L2 norm.
+    g, part, _, rnd = setup_draw(seed=3)
     times = np.linspace(0.0, 0.5, 6)
-    traj = linear_trajectory(rnd, 2.0, times)
+    v0_hat = raw_spectrum(high_pass(rnd.spectrum, 2.0))
     v0 = high_pass(rnd.field, 2.0)
+    snaps = [seed_snapshot(v0_hat, g, float(t)) for t in times]
     for k in (0, 3, 5):
         expect = weighted_free_flow(v0, float(times[k])).values
-        got = traj.snapshot("v", k).values
-        assert np.max(np.abs(got - expect)) < 1e-10
+        assert np.max(np.abs(snaps[k] - expect)) < 1e-10
     # free flow preserves the L2 norm along the whole trajectory
-    norms = [traj.snapshot("v", k).l2_norm() for k in range(6)]
+    norms = [FrequencyView(g, v).norm(2) for v in snaps]
     assert np.ptp(norms) < 1e-10 * norms[0]
 
 
 def test_composite_spec_names_and_channels():
-    for name in ("Y3", "Z3", "X3", "Y4", "Z4"):
+    for name in ("Y3", "Z3", "Y4", "Z4"):
         spec = composite_spec(name, -0.1, 1.0)
         assert spec.name == name
         assert spec.dim == int(name[-1])
         assert len(spec.components) >= 1
-    with pytest.raises(ConfigError):
-        composite_spec("Q3", -0.1, 1.0)
+        assert all(label.endswith("[v]") for label in spec.labels())
+    for name in ("Q3", "X3", "X4"):
+        with pytest.raises(ConfigError):
+            composite_spec(name, -0.1, 1.0)
 
 
 def test_composite_norm_parts_sum_to_total():
-    g, part, rnd = setup_draw(dim=1, seed=4)
-    times = np.linspace(0.0, 0.4, 5)
-    traj = linear_trajectory(rnd, 2.0, times)
-    # 1D has no named composite; use a 3D-shaped grid only for dims with
-    # defined families. Build a tiny 3D case instead.
     g3 = GridSpec(3, 16, np.pi)
     part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
     rng = np.random.Generator(np.random.Philox(key=np.array([6, 6], dtype=np.uint64)))
     f3 = SpectralField(g3, rng.normal(size=g3.shape) + 1j * rng.normal(size=g3.shape), "physical")
-    rnd3 = draw(f3, part3, seed=1)
-    traj3 = linear_trajectory(rnd3, 2.0, times)
     spec = composite_spec("Y3", -0.1, 1.0)
-    total, parts = composite_norm(traj3, spec)
+    _, [(total, parts)] = linear_seed(f3, part3, 1, 2.0, np.linspace(0.0, 0.4, 5), [spec])
     assert total == pytest.approx(sum(parts.values()), rel=1e-12)
-    assert set(parts.keys()) == set(spec.labels())
+    assert list(parts.keys()) == spec.labels()
+    with pytest.raises(ConfigError):
+        linear_seed(f3, part3, 1, 2.0, np.linspace(0.0, 0.4, 5), [composite_spec("Y4", -0.1, 1.0)])
 
 
 def test_composite_norms_transform_each_snapshot_once(monkeypatch):
     # Y3 and Z3 read one shared view per snapshot, whose spectrum is the
-    # trajectory's own free flow of v-hat(0): once the profile's spectrum
+    # seed's own free flow of v-hat(0): once the profile's spectrum
     # exists, a seed makes no forward transform, and per snapshot one inverse
     # transform for its values plus one per distinct derivative symbol outside
     # L^2 (Y3's <grad>^0.39 and Z3's <grad>^1.39 in L^inf; Z3's H^s is a
@@ -127,11 +130,13 @@ def test_composite_norms_transform_each_snapshot_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counting(name))
-    traj, l2, norms = linear_seed(f3, part3, 3, 2.0, times, specs)
-    assert calls == {"fftn": 0, "ifftn": traj.n_snapshots * (1 + 2)}
-    assert l2 == traj.snapshot("v", 0).l2_norm()
-    # sharing the views leaves every figure as composite_norm gives it alone
-    assert norms == [composite_norm(traj, spec) for spec in specs]
+    l2, norms = linear_seed(f3, part3, 3, 2.0, times, specs)
+    assert calls == {"fftn": 0, "ifftn": times.size * (1 + 2)}
+    monkeypatch.undo()
+    v0_hat = raw_spectrum(high_pass(draw(f3, part3, 3).spectrum, 2.0))
+    assert l2 == FrequencyView(g3, seed_snapshot(v0_hat, g3, 0.0)).norm(2)
+    # sharing the views leaves every figure as the spec gives it alone
+    assert norms == [linear_seed(f3, part3, 3, 2.0, times, [spec])[1][0] for spec in specs]
 
 
 @pytest.mark.parametrize("dim,points", [(3, 12), (4, 10)])
@@ -147,7 +152,7 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
     f = SpectralField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape), "physical")
     times = np.linspace(0.0, 0.3, 4)
     specs = [composite_spec(f"{family}{dim}", -0.1, 1.0) for family in "YZ"]
-    traj, l2, norms = linear_seed(f.as_frequency(), part, 5, 2.0, times, specs)
+    l2, norms = linear_seed(f.as_frequency(), part, 5, 2.0, times, specs)
 
     v0 = high_pass(draw(f, part, 5).field.as_frequency(), 2.0)
     snaps = [weighted_free_flow(v0, float(t)) for t in times]
@@ -160,7 +165,7 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
 
     for spec, (total, parts) in zip(specs, norms):
         want = {}
-        for (ns, _), label in zip(spec.components, spec.labels()):
+        for ns, label in zip(spec.components, spec.labels()):
             kind = "homogeneous" if ns.kind == "none" else ns.kind
             series = np.array([derivative_norm(v, ns.s, kind, ns.r) for v in snaps])
             want[label] = time_norm(series, times, ns.q)
@@ -174,22 +179,18 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
 
 
 def test_linear_trajectory_records_its_spectrum():
-    # The trajectory keeps v-hat(0) in numpy's raw coordinates and no stack.
-    # Each snapshot is its free flow, built on demand: a view's values are
-    # the snapshot's bit for bit, and its spectrum agrees with their forward
-    # transform.
-    g, part, rnd = setup_draw(dim=2, points=32, seed=6)
-    times = np.linspace(0.0, 0.2, 3)
-    traj = linear_trajectory(rnd, 2.0, times)
-    assert traj.channels == {} and traj.names == ("v",)
-    v0_hat = traj.free_spectra["v"]
-    assert np.allclose(v0_hat, np.fft.fftn(traj.snapshot("v", 0).values), rtol=0, atol=1e-12 * np.abs(v0_hat).max())
-    for k in range(traj.n_snapshots):
-        view = snapshot_view(traj, "v", k)
-        values = traj.snapshot("v", k).values
-        assert np.array_equal(view.values, values)
-        expect = np.fft.fftn(values)
-        assert np.max(np.abs(view.fhat - expect)) < 1e-12 * np.abs(expect).max()
+    # The seed holds v-hat(0) in numpy's raw coordinates: the forward
+    # transform of the high-passed draw. Each snapshot is its free flow, and
+    # the seed's L2 is the norm of the snapshot at the first time, which
+    # need not be 0.
+    g, part, f, rnd = setup_draw(dim=2, points=32, seed=6)
+    v0_hat = raw_spectrum(high_pass(rnd.spectrum, 2.0))
+    want = np.fft.fftn(high_pass(rnd.field, 2.0).as_physical().values)
+    assert np.allclose(v0_hat, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    times = np.linspace(0.1, 0.3, 3)
+    l2, norms = linear_seed(f, part, 6, 2.0, times, [])
+    assert norms == []
+    assert l2 == FrequencyView(g, seed_snapshot(v0_hat, g, 0.1)).norm(2)
 
 
 def linear_stats_config(out_dir, seed, n_samples, workers=1):
@@ -226,7 +227,7 @@ def test_harness_and_ensemble_give_identical_norms(tmp_path):
     spec = composite_spec("Y3", -0.1, 1.0)
     assert [r.seed for r in recs] == [40, 41, 42]
     for rec in recs:
-        _, _, [(total, parts)] = linear_seed(f, part, rec.seed, 2.0, cfg.times, [spec])
+        _, [(total, parts)] = linear_seed(f, part, rec.seed, 2.0, cfg.times, [spec])
         assert rec.metrics["Y"] == total
         for label, val in parts.items():
             assert rec.metrics[f"Y:{label}"] == val

@@ -151,8 +151,6 @@ def test_free_channel_snapshots_are_its_flow():
         want = np.exp(-1j * t * xi2) * traj.free_spectra["v"]
         assert np.allclose(traj.spectrum("v", k), want, rtol=0, atol=1e-12 * np.abs(want).max())
         assert np.array_equal(traj.snapshot("v", k).values, np.fft.ifftn(traj.spectrum("v", k)))
-        u = traj.snapshot("u", k).values
-        assert np.array_equal(u, traj.snapshot("v", k).values + traj.channels["w"][k])
 
 
 def test_free_channel_saves_as_snapshot_files(tmp_path):
@@ -175,31 +173,14 @@ def test_channel_held_two_ways_rejected():
         Trajectory(g, traj.times, {"w": traj.channels["w"]}, {}, {"v": np.zeros(4, dtype=complex)})
 
 
-def test_channel_u_synthesized():
-    g = GridSpec(1, 8, 1.0)
-    traj = make_traj(g, n_times=2)
-    snap = traj.snapshot("u", 1)
-    assert snap.rep == "physical"
-    assert np.allclose(snap.values, traj.channels["v"][1] + traj.channels["w"][1])
-
-
-def test_snapshot_u_sums_one_snapshot():
-    # snapshot('u', k) allocates one snapshot, not a v + w stack of four.
-    g = GridSpec(3, 8, 1.0)
-    traj = make_traj(g, n_times=4)
-    stack = traj.channels["v"] + traj.channels["w"]
-    field = 16 * g.n_points
-    for k in range(traj.n_snapshots):
-        snap, peak, _ = traced_peak(lambda: traj.snapshot("u", k))
-        assert np.array_equal(snap.values, stack[k])
-        assert peak < 2 * field, peak / field
-
-
 def test_missing_channel_raises():
     g = GridSpec(1, 8, 1.0)
     traj = Trajectory(g, np.array([0.0, 1.0]), {"w": np.zeros((2, 8), dtype=complex)}, {})
     with pytest.raises(KeyError):
         traj.snapshot("v", 0)
+    # u is a channel only where it is held: v + w is not summed on demand
+    with pytest.raises(KeyError):
+        make_traj(g, n_times=2).snapshot("u", 0)
 
 
 def test_nonuniform_times_rejected():

@@ -554,9 +554,9 @@ def _uses_partition(config: ExperimentConfig) -> bool:
 # complex lattice fields a forced solve_w needs beside what its snapshot consumer
 # keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
 # 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
-# one half-step multiplier and |xi|^2; tracemalloc measures 7.6 fields above
-# the w_hat stack at 64^3, 8.0 at 32^3 and 9.6 at 16^3, the caller keeping w0
-# and v0 (a fresh grid, so its cached symbols are counted)
+# one half-step multiplier and |xi|^2; tracemalloc measures 7.6 fields at
+# 64^3, 8.0 at 32^3 and 9.6 at 16^3 with a sink that keeps nothing, the caller
+# keeping w0 and v0 (a fresh grid, so its cached symbols are counted)
 _SOLVER_FIELDS = 10
 
 
@@ -644,7 +644,7 @@ def _run_forced(
         forcing_field(config.grid, part, config.forcing, task_seed),
         config.solver,
         sink,
-    )[1]
+    )
 
 
 def _discard(t: float, w: np.ndarray, v: np.ndarray | None, w_hat: np.ndarray, v_hat: np.ndarray | None) -> None:
@@ -712,7 +712,7 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
     if forced:
         series = increment_residuals(_run_forced(config, part, task_seed, sink))
     else:
-        series = solve_w(initial_field(config.initial, config.grid), None, config.solver, sink)[1]
+        series = solve_w(initial_field(config.initial, config.grid), None, config.solver, sink)
     metrics = _series_metrics(series)
     if forced:
         metrics["r_mass"] = series.max_rel_mass

@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import GridSpec, SpectralField, xi_grids_odd
-from .norms import FrequencyView, NormPass, NormSpec, snapshot_view, time_norm
+from .norms import FrequencyView, NormPass, NormSpec, time_norm
 from .trajectory import Trajectory, write_atomic
 
 __all__ = [
@@ -520,18 +520,16 @@ def morawetz_audit(traj: Trajectory) -> MorawetzReport:
     c_star_spread. The audit is defined for 3D and 4D grids only, and its
     dimension is the trajectory grid's. No audited figure depends on the
     nonlinearity power, since the defect field is not part of the audit. The
-    snapshots are fed to a MorawetzAccumulator in time order, one at a time,
-    each channel with its spectrum: a channel held as spectra (the solve's w
-    and free v) as it is held, so a stored audit equals the one a solve
-    streams bit for bit, and any other with one forward transform.
+    snapshots' values are fed to a MorawetzAccumulator in time order, one at
+    a time, as `rough-nls morawetz --traj` feeds a stored run's; each view
+    makes its channel's spectrum with one forward transform.
     """
     audit = MorawetzAccumulator(traj.grid)
     for name in ("v", "w"):
         if name not in traj.names:
             raise ConfigError(f"audit needs channel {name!r} (have {list(traj.names)})")
     for k, t in enumerate(traj.times):
-        w, v = snapshot_view(traj, "w", k), snapshot_view(traj, "v", k)
-        audit.add(t, w.values, v.values, w.fhat, v.fhat)
+        audit.add(t, traj.snapshot("w", k).values, traj.snapshot("v", k).values)
     return audit.report()
 
 

@@ -4,15 +4,13 @@ Every spatial norm is read through a FrequencyView: one snapshot of one
 channel, holding its physical values and its spectrum in numpy's raw
 coordinates, np.fft.fftn(values). A producer that already holds that
 spectrum passes it in and the view makes no forward transform; otherwise the
-view makes one, on first use. A trajectory's free channel is such a
-producer, and so is the w of a solve without a sink: snapshot_view takes
-the snapshot's spectrum from the trajectory and the values as one inverse
-transform of it. From the view, an L^2 norm of D^s f is a Parseval sum over
-|fhat|^2 with no further transform, any other L^r norm of D^s f costs one
-in-place inverse transform of fhat * symbol (cached in the view, so one D^s
-serves several exponents), and a gradient costs d of them. The raw
-coordinates need no weight pass: the transform weight folds into the
-Parseval constant dx^d / N.
+view makes one, on first use. A solve is such a producer: its sink receives
+each snapshot's w_hat and v_hat beside w and v. From the view, an L^2 norm
+of D^s f is a Parseval sum over |fhat|^2 with no further transform, any
+other L^r norm of D^s f costs one in-place inverse transform of
+fhat * symbol (cached in the view, so one D^s serves several exponents),
+and a gradient costs d of them. The raw coordinates need no weight pass:
+the transform weight folds into the Parseval constant dx^d / N.
 
 A NormPass is the one way a run's space-time norms are taken: the audit and
 the linear seed feed it one channel's view per snapshot, in time order, and
@@ -34,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, derivative_symbol, modulus_lp_norm, xi_grids_odd
-from .trajectory import Trajectory
 
 __all__ = [
     "NormSpec",
     "FrequencyView",
     "is_admissible",
     "NormPass",
-    "snapshot_view",
     "time_norm",
 ]
 
@@ -183,14 +179,6 @@ class FrequencyView:
             self._power = fhat.real**2 + fhat.imag**2
         total = float(np.sum(self._power * self._symbol(2.0 * s, kind)))
         return math.sqrt(total * self.grid.cell_volume / self.grid.n_points)
-
-
-def snapshot_view(traj: Trajectory, channel: str, k: int) -> FrequencyView:
-    """The view of one snapshot; a channel held as spectra gives its spectrum plus one inverse transform of it."""
-    if traj.holds_spectra(channel):
-        fhat = traj.spectrum(channel, k)
-        return FrequencyView(traj.grid, np.fft.ifftn(fhat), fhat)
-    return FrequencyView(traj.grid, traj.snapshot(channel, k).values)
 
 
 def time_norm(series: np.ndarray, times: np.ndarray, q: float) -> float:

@@ -27,15 +27,16 @@ nor a sample nor a snapshot allocates a lattice array. Beside them the solve
 holds v_hat(0) and one half-step multiplier, which no cache keeps; it drops
 the physical w(0) and v(0) before its first snapshot.
 
-Snapshots are streamed to a consumer (a SnapshotSink; see solve_w). A forced
-solve peaks about 7.6 complex lattice fields above what its consumer keeps
-at 64^3, its inputs not counted.
+Every snapshot, t = 0 included, is handed to a consumer (a SnapshotSink;
+see solve_w) as it is made; the solve keeps none. A forced solve peaks about
+7.6 complex lattice fields above what its consumer keeps at 64^3, its inputs
+not counted.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +45,6 @@ import numpy as np
 from .errors import BlowupError, ConfigError, RepresentationError
 from .grids import GridSpec, SpectralField, free_flow_into, free_multiplier, xi_sq
 from .norms import FrequencyView, Symbols
-from .trajectory import Trajectory
 
 __all__ = [
     "SnapshotSink",
@@ -261,8 +261,8 @@ def solve_w(
     w0: SpectralField,
     v0: SpectralField | None,
     cfg: SolverConfig,
-    sink: SnapshotSink | None = None,
-) -> tuple[Trajectory | None, ConservationSeries]:
+    sink: SnapshotSink,
+) -> ConservationSeries:
     """Integrate the forced remainder equation; snapshots of w and of the free flow v.
 
     The solve works in the raw coordinates and work arrays of the module
@@ -286,14 +286,9 @@ def solve_w(
     np.fft.fftn coordinates, and w and v are their inverse transforms, t = 0
     included. v is None when v0 is None, and v_hat is None when the solve
     holds no v_hat (v0 None or identically zero). All four are the solve's
-    work arrays, valid only during the call and not to be written to.
-    Without a sink the w_hat snapshots are copied into one spectral stack
-    and returned as a Trajectory holding v, when v0 is given, as v_hat(0)
-    alone; its spectra equal a sink's bit for bit, and so do its snapshots,
-    one inverse transform each. With a sink no stack is built and the
-    trajectory returned is None. Without a sink no snapshot costs an inverse
-    transform of its own: at t = 0, and at a snapshot step that is not a
-    series step, nothing reads w or v.
+    work arrays, valid only during the call and not to be written to; a
+    sink that keeps a snapshot keeps copies. The solve itself keeps no
+    snapshot and returns only the conservation series.
 
     The solve keeps w0 and v0 only until it has their spectra and the t = 0
     series sample, which reads w(0) and u = w(0) + v(0); it then drops them,
@@ -314,15 +309,6 @@ def solve_w(
         raise ConfigError("w0 and v0 live on different grids")
 
     shape = grid.shape
-    stacked = sink is None
-    if stacked:
-        w_hat_stack = np.empty((cfg.n_snapshots,) + shape, dtype=np.complex128)
-        snap_times: list[float] = []
-
-        def sink(t: float, w_k, v_k, what_k: np.ndarray, vhat_k) -> None:
-            w_hat_stack[len(snap_times)] = what_k
-            snap_times.append(t)
-
     with_v = v0 is not None
     w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
     v_init = None
@@ -428,13 +414,9 @@ def solve_w(
         free_flow_into(v0hat, grid, 0.0, out=vhat)
     sample_series(0, 0.0, what, w_init, u, vhat)
     del w0, v0, w_init, v_init, u_init
-    if stacked:
-        # the stack keeps only w_hat, so nothing reads w or v here
-        sink(0.0, None, None, what, None)
-    else:
-        if has_v:
-            free_flow_into(v0hat, grid, 0.0, out=vhat)  # the sample overwrote it
-        sink(0.0, np.fft.ifftn(what, out=phase), v_snapshot(u), what, vhat)
+    if has_v:
+        free_flow_into(v0hat, grid, 0.0, out=vhat)  # the sample overwrote it
+    sink(0.0, np.fft.ifftn(what, out=phase), v_snapshot(u), what, vhat)
     rotate = cfg.mu != 0.0
     ser = 1
     for step in range(cfg.n_steps):
@@ -466,10 +448,6 @@ def solve_w(
             else:
                 what -= vhat
         what *= k_half
-        if at_snap and stacked and not at_ser:
-            # the stack keeps only w_hat, so nothing reads w or v here
-            sink(done * cfg.dt, None, None, what, None)
-            continue
         if not (at_snap or at_ser):
             continue
         t_k = done * cfg.dt
@@ -489,11 +467,7 @@ def solve_w(
             sample_series(ser, t_k, what, w_k, u, vhat)
             ser += 1
 
-    traj = None
-    if stacked:
-        free = {"v": v0hat if has_v else np.zeros(shape, dtype=np.complex128)} if with_v else {}
-        traj = Trajectory(grid, snap_times, {}, cfg.provenance(), free, spectra={"w": w_hat_stack})
-    series = ConservationSeries(
+    return ConservationSeries(
         times=ser_times,
         mass=ser_mass,
         energy=ser_energy,
@@ -502,7 +476,6 @@ def solve_w(
         dmass_id=ser_dm_id,
         denergy_id=ser_de_id,
     )
-    return traj, series
 
 
 def increment_residuals(series: ConservationSeries) -> ConservationSeries:
@@ -637,7 +610,7 @@ class AlmostConservationReport:
 
 
 def almost_conservation_monitor(
-    traj: Trajectory,
+    v0: SpectralField | None,
     series: ConservationSeries,
     a: float,
     n0: float,
@@ -645,6 +618,7 @@ def almost_conservation_monitor(
 ) -> AlmostConservationReport:
     """Check sup_t M <= 2 A n0^{-2s} and sup_t E <= 2 A n0^{2(1-s)}.
 
+    series is the solve's and v0 its forcing, None for an unforced solve.
     Preconditions (initial data below the ceilings, v supported above n0/2)
     are enforced and violations raise a configuration error naming the
     offending quantity.
@@ -656,10 +630,10 @@ def almost_conservation_monitor(
         raise ConfigError(f"initial mass {m0:.6g} exceeds A n0^(-2s) = {mass_bound:.6g}")
     if e0 > energy_bound:
         raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
-    if "v" in traj.names:
+    if v0 is not None:
         # raw coordinates: the transform weight has constant modulus, so the relative leak is unchanged
-        vhat0 = traj.spectrum("v", 0)
-        low = np.sqrt(xi_sq(traj.grid)) < n0 / 2.0
+        vhat0 = np.fft.fftn(v0.as_physical().values)
+        low = np.sqrt(xi_sq(v0.grid)) < n0 / 2.0
         leak = float(np.linalg.norm(vhat0[low]))
         total = float(np.linalg.norm(vhat0))
         if total > 0 and leak > 1e-9 * total:
@@ -693,23 +667,24 @@ class ScatteringReport:
     decreasing: bool
 
 
-def scattering_proxy(traj: Trajectory) -> ScatteringReport:
+def scattering_proxy(grid: GridSpec, times: Sequence[float], w_hats: Sequence[np.ndarray]) -> ScatteringReport:
     """H^1 Cauchy differences of the free pullback along a time ladder.
 
-    Picks the snapshots nearest t_final / 4, t_final / 2, 3 t_final / 4 and
-    t_final, pulls each w back by the free flow, and reports whether consecutive differences decrease (they
-    vanish identically for a linear run).
+    times are a solve's snapshot times and w_hats[k] the raw spectrum
+    np.fft.fftn of w at times[k], as a SnapshotSink receives it; they are
+    only read. Picks the snapshots nearest t_final / 4, t_final / 2,
+    3 t_final / 4 and t_final, pulls each w back by the free flow, and
+    reports whether consecutive differences decrease (they vanish
+    identically for a linear run).
     """
-    t_final = float(traj.times[-1])
-    idx = sorted({int(np.argmin(np.abs(traj.times - f * t_final))) for f in (0.25, 0.5, 0.75, 1.0)})
+    times = np.asarray(times, dtype=float)
+    t_final = float(times[-1])
+    idx = sorted({int(np.argmin(np.abs(times - f * t_final))) for f in (0.25, 0.5, 0.75, 1.0)})
     if len(idx) < 2:
         raise ConfigError("scattering proxy needs at least two distinct ladder times")
-    name = "w" if "w" in traj.names else "u"
-    grid = traj.grid
     pulled = []
     for k in idx:
-        fhat = traj.spectrum(name, k)
-        pulled.append(free_flow_into(fhat, grid, -float(traj.times[k]), fhat))
+        pulled.append(free_flow_into(w_hats[k], grid, -float(times[k]), np.empty_like(w_hats[k])))
     symbols: Symbols = {}
     deltas = []
     for f1, f2 in zip(pulled, pulled[1:]):
@@ -718,7 +693,7 @@ def scattering_proxy(traj: Trajectory) -> ScatteringReport:
         deltas.append(view.norm(2, 1.0, "inhomogeneous"))
     decreasing = all(d2 <= d1 * (1 + 1e-9) for d1, d2 in zip(deltas, deltas[1:]))
     return ScatteringReport(
-        times=tuple(float(traj.times[k]) for k in idx),
+        times=tuple(float(times[k]) for k in idx),
         deltas=tuple(deltas),
         decreasing=decreasing,
     )

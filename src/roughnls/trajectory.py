@@ -2,10 +2,10 @@
 
 A Trajectory is a uniform time grid plus named channels ("v" exact linear
 flow, "w" stepped remainder, "u" a full field solved or stored as such),
-each held as a stack of snapshot values, as a stack of snapshot spectra or,
-for a free flow, as its spectrum at t = 0 alone. Snapshot files
-use a fixed little-endian binary layout so runs can be consumed by other
-tools:
+each held as a stack of physical snapshot values: a stored run read back by
+load_trajectory, or one built by hand. A solve keeps no Trajectory; it
+streams its snapshots to a sink (see solver.solve_w). Snapshot files use a
+fixed little-endian binary layout so runs can be consumed by other tools:
 
     header: magic 'RNLS' | version u32 | d u32 | M u32 | L f64 | t f64 | tag u8
     data:   M^d complex values as (real f64, imag f64) pairs, row-major,
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField, free_flow_into
+from .grids import GridSpec, SpectralField
 
 __all__ = [
     "Trajectory",
@@ -58,23 +58,16 @@ _MANIFEST = "manifest.json"
 
 @dataclass
 class Trajectory:
-    """Uniformly strided snapshots of field channels, each held one way only.
+    """Uniformly strided snapshots of field channels.
 
     `channels` holds (n_snapshots, *shape) stacks of physical values:
-    channels read from disk or built by hand. `spectra` holds stacks of the
-    same shape of numpy's raw spectra np.fft.fftn: the channel a solve
-    stepped, as the solve held it; its snapshot k is one inverse transform
-    of slot k. `free_spectra` holds each exact free flow as v-hat(0) alone,
-    the raw spectrum at t = 0; its snapshot k, the inverse transform of
-    e^{-i t_k |xi|^2} v-hat(0), is built on demand.
+    channels read from disk or built by hand.
     """
 
     grid: GridSpec
     times: np.ndarray
     channels: dict[str, np.ndarray]
     meta: dict = dc_field(default_factory=dict)
-    free_spectra: dict[str, np.ndarray] = dc_field(default_factory=dict)
-    spectra: dict[str, np.ndarray] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -89,16 +82,6 @@ class Trajectory:
         for name, arr in self.channels.items():
             if arr.shape != want:
                 raise ValueError(f"channel {name!r} has shape {arr.shape}, expected {want}")
-        for name, arr in self.spectra.items():
-            if name in self.channels:
-                raise ValueError(f"channel {name!r} is held both as values and as spectra")
-            if arr.shape != want:
-                raise ValueError(f"spectral stack {name!r} has shape {arr.shape}, expected {want}")
-        for name, arr in self.free_spectra.items():
-            if name in self.channels or name in self.spectra:
-                raise ValueError(f"channel {name!r} is held both as a stack and as a free spectrum")
-            if arr.shape != self.grid.shape:
-                raise ValueError(f"free spectrum {name!r} has shape {arr.shape}, expected {self.grid.shape}")
 
     @property
     def n_snapshots(self) -> int:
@@ -106,34 +89,14 @@ class Trajectory:
 
     @property
     def names(self) -> tuple[str, ...]:
-        """Every channel held, as a stack or as a free spectrum, sorted."""
-        return tuple(sorted(self.channels.keys() | self.spectra.keys() | self.free_spectra.keys()))
-
-    def holds_spectra(self, name: str) -> bool:
-        """Whether a channel is held as spectra (a spectral stack or a free spectrum), so spectrum() makes no transform."""
-        return name in self.spectra or name in self.free_spectra
-
-    def spectrum(self, name: str, k: int) -> np.ndarray:
-        """np.fft.fftn of snapshot k, new: a copy of a spectral stack's slot, a free
-        channel's built with no transform, any other's with one forward transform."""
-        stack = self.spectra.get(name)
-        if stack is not None:
-            return stack[k].copy()
-        v0_hat = self.free_spectra.get(name)
-        if v0_hat is None:
-            return np.fft.fftn(self.snapshot(name, k).values)
-        return free_flow_into(v0_hat, self.grid, float(self.times[k]), np.empty_like(v0_hat))
+        """Every channel held, sorted."""
+        return tuple(sorted(self.channels))
 
     def snapshot(self, name: str, k: int) -> SpectralField:
-        """Snapshot k of a channel; one held as spectra is built for this snapshot only."""
-        if self.holds_spectra(name):
-            values = self.spectrum(name, k)
-            np.fft.ifftn(values, out=values)
-        elif name in self.channels:
-            values = self.channels[name][k]
-        else:
+        """Snapshot k of a channel, a view of its stack's slot."""
+        if name not in self.channels:
             raise KeyError(f"trajectory has no channel {name!r} (have {list(self.names)})")
-        return SpectralField(self.grid, values, "physical")
+        return SpectralField(self.grid, self.channels[name][k], "physical")
 
 
 @contextmanager
@@ -244,7 +207,7 @@ class TrajectoryWriter:
 
 
 def save_trajectory(traj: Trajectory, out_dir: str | Path) -> Path:
-    """Persist a trajectory, free channels included, as snapshot files plus manifest.json."""
+    """Persist a trajectory as snapshot files plus manifest.json."""
     names = traj.names
     writer = TrajectoryWriter(out_dir, traj.grid, names, traj.meta)
     for k, t in enumerate(traj.times):
@@ -269,6 +232,11 @@ class TrajectoryReader:
             self.meta: dict = manifest.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"{manifest_path}: not a valid trajectory manifest ({exc!r})") from exc
+        for name, files in self.files.items():
+            if len(files) != self.times.size:
+                raise ConfigError(
+                    f"{manifest_path}: channel {name!r} lists {len(files)} files for {self.times.size} times"
+                )
         missing = [f for files in self.files.values() for f in files if not (self.root / f).is_file()]
         if missing:
             raise ConfigError(f"{self.root}: manifest names missing snapshot files {missing[:3]}")

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+from roughnls import solve_w
+
 
 def traced_peak(fn):
     """Run fn() under tracemalloc and return (its result, peak, retained).
@@ -18,3 +20,22 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak - base, current - base
+
+
+def discard(t, w, v, w_hat, v_hat):
+    """A snapshot sink that keeps nothing."""
+
+
+def kept_snapshots(w0, v0, cfg):
+    """Solve with a sink that keeps a copy of every snapshot; returns (snapshots, series).
+
+    Each snapshot is (t, w, v, w_hat, v_hat) as the sink received it, with
+    None kept where the solve handed None.
+    """
+    snapshots = []
+
+    def keep(t, w, v, w_hat, v_hat):
+        copy = lambda a: None if a is None else a.copy()
+        snapshots.append((t, w.copy(), copy(v), w_hat.copy(), copy(v_hat)))
+
+    return snapshots, solve_w(w0, v0, cfg, keep)

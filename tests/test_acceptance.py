@@ -37,6 +37,8 @@ from roughnls import (
     twin_run,
 )
 
+from conftest import discard
+
 
 def bump(grid, amp, width, wave=None):
     mesh = np.meshgrid(*([grid.x_axis()] * grid.dim), indexing="ij", sparse=True)
@@ -195,7 +197,7 @@ def test_c06_free_flow_exactness():
 def test_c07_solver_order_and_conservation(grid32):
     u0 = bump(grid32, 0.6, 1.5, wave=(1, 0, 0))
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=1.0, snapshot_stride=1000, series_stride=100)
-    _, series = solve_w(u0, None, cfg)
+    series = solve_w(u0, None, cfg, discard)
     drift = float(np.max(np.abs(series.mass / series.mass[0] - 1.0)))
     assert drift < 1e-10, f"mass drift {drift:.3e}"
 
@@ -203,7 +205,7 @@ def test_c07_solver_order_and_conservation(grid32):
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(1.0 / dt)
         c = SolverConfig(dim=3, dt=dt, t_final=1.0, snapshot_stride=n, series_stride=n, dealias=False)
-        _, s = solve_w(u0, None, c)
+        s = solve_w(u0, None, c, discard)
         finals.append(s.energy[-1])
     ratio = abs(finals[0] - finals[1]) / abs(finals[1] - finals[2])
     assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3, f"self-convergence ratio {ratio:.3f}"
@@ -217,8 +219,7 @@ def test_c08_increment_identities(grid32, part32):
     residuals = {}
     for dt in (1e-3, 5e-4):
         cfg = SolverConfig(dim=3, dt=dt, t_final=0.5, snapshot_stride=round(0.05 / dt), series_stride=1)
-        traj, series = solve_w(w0, v0, cfg)
-        series = increment_residuals(series)
+        series = increment_residuals(solve_w(w0, v0, cfg, discard))
         residuals[dt] = (series.max_rel_mass, series.max_rel_energy)
     rm, re_ = residuals[1e-3]
     assert rm < 1e-2 and re_ < 1e-2, f"rM {rm:.3e}, rE {re_:.3e}"
@@ -312,10 +313,10 @@ def test_c11_almost_conservation_sweep():
     for n0 in (4.0, 8.0, 16.0):
         v0 = high_pass(fw, n0)
         cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.6, snapshot_stride=60, series_stride=5, n0=n0)
-        traj, series = solve_w(w0, v0, cfg)
+        series = solve_w(w0, v0, cfg, discard)
         m0, e0 = series.mass[0], series.energy[0]
         a_cap = 1.5 * max(m0 * n0 ** (2 * s), e0 / n0 ** (2 * (1 - s)))
-        rep = almost_conservation_monitor(traj, series, a_cap, n0, s)
+        rep = almost_conservation_monitor(v0, series, a_cap, n0, s)
         assert rep.ok and rep.ratio_mass <= 2.0 and rep.ratio_energy <= 2.0
         ratios_m.append(rep.ratio_mass)
         ratios_e.append(rep.ratio_energy)
@@ -340,13 +341,20 @@ def test_c12_perturbation_ladder(grid32, part32):
 
 def test_c13_scattering_proxy(grid32):
     u0 = bump(grid32, 0.2, 2.0)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10)
-    traj, _ = solve_w(u0, None, cfg)
-    rep = scattering_proxy(traj)
+
+    def proxy(cfg):
+        times, spectra = [], []
+
+        def keep(t, w, v, w_hat, v_hat):
+            times.append(t)
+            spectra.append(w_hat.copy())
+
+        solve_w(u0, None, cfg, keep)
+        return scattering_proxy(grid32, times, spectra)
+
+    rep = proxy(SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10))
     assert rep.decreasing, f"deltas {rep.deltas}"
-    lin_cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10, mu=0.0, dealias=False)
-    lin_traj, _ = solve_w(u0, None, lin_cfg)
-    lin = scattering_proxy(lin_traj)
+    lin = proxy(SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10, mu=0.0, dealias=False))
     assert max(lin.deltas) < 1e-12
     print(f"\n[c13] pullback deltas decreasing ({', '.join(f'{d:.2e}' for d in rep.deltas)}); linear deltas {max(lin.deltas):.2e} ~ 0: PASS")
 

@@ -44,8 +44,8 @@ def test_no_module_imports_a_private_name():
 
 
 def test_only_the_trajectory_module_subscripts_channels():
-    # A Trajectory channel is a stack or a free spectrum; every other module
-    # reads snapshots through Trajectory.snapshot, which serves both.
+    # Every module but trajectory reads a Trajectory's snapshots through
+    # Trajectory.snapshot, one at a time, not its stacks.
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "trajectory.py":

@@ -30,14 +30,13 @@ from roughnls import (
     parse_config,
     run,
     save_trajectory,
-    solve_w,
     summarize,
 )
 from roughnls import harness, morawetz, solver
 from roughnls.cli import main as cli_main
 from roughnls.harness import ForcingSpec, InitialSpec, _set_axis
 
-from conftest import traced_peak
+from conftest import kept_snapshots, traced_peak
 
 GRID = {"dim": 3, "points": 12, "half_width": float(np.pi)}
 PART = {"a": 1, "n_max": 2, "s": -0.1}
@@ -393,25 +392,29 @@ def _same_files(a, b):
 
 def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
     # The evolve task streams its snapshots into traj/ during the solve; the
-    # files are those that saving the stacked trajectory makes, byte for byte.
+    # files are those that saving a Trajectory of the same solve's snapshot
+    # values makes, byte for byte.
+    def saved(cfg, w0, v0, out):
+        snapshots, _ = kept_snapshots(w0, v0, cfg.solver)
+        stack = lambda i: np.stack([snap[i] for snap in snapshots])
+        # the harness writes an unforced run's field as channel 'u'
+        channels = {"u": stack(1)} if v0 is None else {"w": stack(1), "v": stack(2)}
+        times = [t for t, *_ in snapshots]
+        return save_trajectory(Trajectory(cfg.grid, times, channels, cfg.solver.provenance()), out)
+
     cfg = parse_config(evolve_config(tmp_path / "run", n_samples=1, save_fields=True))
     run(cfg)
     part = harness.build_partition(cfg.partition, cfg.grid)
     v0 = harness.forcing_field(cfg.grid, part, cfg.forcing, cfg.seed)
     w0 = initial_field(cfg.initial, cfg.grid)
-    traj, _ = solve_w(w0, v0, cfg.solver)
-    save_trajectory(traj, tmp_path / "saved")
-    _same_files(tmp_path / "run" / "run_0000" / "traj", tmp_path / "saved")
+    _same_files(tmp_path / "run" / "run_0000" / "traj", saved(cfg, w0, v0, tmp_path / "saved"))
 
     raw = evolve_config(tmp_path / "unforced", n_samples=1, save_fields=True)
     del raw["forcing"]
     unforced = parse_config(raw)
     run(unforced)
-    full, _ = solve_w(initial_field(unforced.initial, unforced.grid), None, unforced.solver)
-    # the harness writes an unforced run's field as channel 'u'
-    as_u = Trajectory(full.grid, full.times, {}, full.meta, spectra={"u": full.spectra["w"]})
-    save_trajectory(as_u, tmp_path / "saved_unforced")
-    _same_files(tmp_path / "unforced" / "run_0000" / "traj", tmp_path / "saved_unforced")
+    w0 = initial_field(unforced.initial, unforced.grid)
+    _same_files(tmp_path / "unforced" / "run_0000" / "traj", saved(unforced, w0, None, tmp_path / "saved_unforced"))
 
 
 def test_failed_forced_evolve_leaves_no_manifest(tmp_path, monkeypatch):
@@ -861,6 +864,24 @@ def test_cli_partition_report_checks_the_worker_count(tmp_path, capsys):
     assert cli_main(["partition", "--config", str(p), "--workers", "0"]) == 2
     assert capsys.readouterr().err.splitlines() == ["config error: workers must be at least 1, got 0"]
     assert not (tmp_path / "part").exists()
+
+
+def test_cli_refuses_channel_lists_that_miss_the_times(tmp_path):
+    # A manifest whose channel lists one file fewer or one more than it has
+    # times is not a trajectory: `morawetz --traj` exits 2 rather than read
+    # past a list's end or ignore its tail.
+    shape = (3, 4, 4, 4)
+    for n_files in (2, 4):
+        traj = save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1, 0.2], {
+            "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), tmp_path / f"traj{n_files}")
+        manifest = json.loads((traj / "manifest.json").read_text())
+        files = manifest["channels"]["w"]
+        manifest["channels"]["w"] = (files + files)[:n_files]
+        (traj / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="channel 'w' lists"):
+            load_trajectory(traj)
+        assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
+    assert not (tmp_path / "mor").exists()
 
 
 def test_cli_dim_mismatch_exits_2(tmp_path):

@@ -21,7 +21,7 @@ from roughnls import (
 )
 from roughnls.morawetz import SCALING_DEGREES, _kernel_tables_hat, _max_grad_sq, _pair_direct, _pair_fft
 
-from conftest import traced_peak
+from conftest import kept_snapshots, traced_peak
 
 
 def gaussian(grid, amp=1.0, width=1.0, wave=None):
@@ -377,12 +377,20 @@ def _reference_audit(traj):
     return lhs, terms, (np.array(inter), np.array(bound)), np.array(loc), gn
 
 
-def _forced_traj(dim, points):
+def _forced_inputs(dim, points, **over):
     g = GridSpec(dim, points, np.pi)
     w0 = gaussian(g, 0.5, 1.5, wave=(1,) + (0,) * (dim - 1))
     v0 = gaussian(g, 0.3, 2.0, wave=(0, 2) + (0,) * (dim - 2))
-    cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5)
-    return solve_w(w0, v0, cfg)[0]
+    return w0, v0, SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, **over)
+
+
+def _forced_traj(dim, points):
+    """A forced solve's snapshot values as a Trajectory, as a stored run is read back."""
+    w0, v0, cfg = _forced_inputs(dim, points)
+    snapshots, _ = kept_snapshots(w0, v0, cfg)
+    times = [t for t, *_ in snapshots]
+    stack = lambda i: np.stack([snap[i] for snap in snapshots])
+    return Trajectory(w0.grid, times, {"w": stack(1), "v": stack(2)}, cfg.provenance())
 
 
 def _rel(a, b):
@@ -438,10 +446,11 @@ def _count_transforms(monkeypatch):
 
 def _snapshots(traj):
     """Each snapshot of a stored trajectory as (t, w, v, w_hat, v_hat), the arguments of add()."""
-    return [
-        (t, traj.snapshot("w", k).values, traj.snapshot("v", k).values, traj.spectrum("w", k), traj.spectrum("v", k))
-        for k, t in enumerate(traj.times)
-    ]
+    out = []
+    for k, t in enumerate(traj.times):
+        w, v = traj.snapshot("w", k).values, traj.snapshot("v", k).values
+        out.append((t, w, v, np.fft.fftn(w), np.fft.fftn(v)))
+    return out
 
 
 def _accumulate(grid, snapshots, interaction=True):
@@ -503,16 +512,14 @@ def test_audit_keeps_only_half_spectrum_kernel_tables():
 @pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
 def test_streamed_audit_equals_stored_audit(dim, points):
     # The snapshots a solve streams into the accumulator are made in its work
-    # buffers, not in stack slots; the report must not move by a bit.
-    g = GridSpec(dim, points, np.pi)
-    w0 = gaussian(g, 0.5, 1.5, wave=(1,) + (0,) * (dim - 1))
-    v0 = gaussian(g, 0.3, 2.0, wave=(0, 2) + (0,) * (dim - 2))
-    cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
-    stored = morawetz_audit(solve_w(w0, v0, cfg)[0])
-    audit = MorawetzAccumulator(g)
-    traj, _ = solve_w(w0, v0, cfg, audit.add)
+    # buffers, which the next snapshot overwrites; the report must equal, bit
+    # for bit, one fed copies of the same (t, w, v, w_hat, v_hat).
+    w0, v0, cfg = _forced_inputs(dim, points, series_stride=2)
+    snapshots, _ = kept_snapshots(w0, v0, cfg)
+    stored = _accumulate(w0.grid, snapshots)
+    audit = MorawetzAccumulator(w0.grid)
+    solve_w(w0, v0, cfg, audit.add)
     streamed = audit.report()
-    assert traj is None
     assert streamed.to_dict() == stored.to_dict()
     for name in ("times", "interaction", "localization"):
         assert np.array_equal(getattr(streamed, name), getattr(stored, name))

@@ -17,6 +17,7 @@ from roughnls import (
     almost_conservation_monitor,
     build_partition,
     draw,
+    free_flow_into,
     free_multiplier,
     high_pass,
     increment_residuals,
@@ -27,7 +28,7 @@ from roughnls import (
     twin_run,
 )
 
-from conftest import traced_peak
+from conftest import discard, kept_snapshots, traced_peak
 
 
 def bump(grid, amp, width, wave=None):
@@ -70,7 +71,7 @@ def test_mass_conserved_unforced():
     g = GridSpec(3, 16, np.pi)
     u0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.05, snapshot_stride=10, dealias=False)
-    traj, series = solve_w(u0, None, cfg)
+    series = solve_w(u0, None, cfg, discard)
     drift = np.max(np.abs(series.mass / series.mass[0] - 1.0))
     assert drift < 1e-12
 
@@ -80,9 +81,9 @@ def test_linear_limit_matches_free_flow():
     g = GridSpec(2, 16, np.pi)
     u0 = bump(g, 0.3, 1.0)
     cfg = SolverConfig(dim=2, dt=1e-2, t_final=0.1, mu=0.0, power=2.0, dealias=False)
-    traj, _ = solve_w(u0, None, cfg)
+    snapshots, _ = kept_snapshots(u0, None, cfg)
     exact = np.fft.ifftn(np.fft.fftn(u0.values) * free_multiplier(g, 0.1))
-    got = traj.snapshot("w", traj.n_snapshots - 1).values
+    got = snapshots[-1][1]
     assert np.max(np.abs(got - exact)) < 1e-10
 
 
@@ -92,7 +93,7 @@ def test_blowup_guard_raises():
     # Focusing sign with large data and a tight guard must trip the guard.
     cfg = SolverConfig(dim=1, dt=1e-2, t_final=5.0, mu=-1.0, power=4.0, blowup_factor=1.05)
     with pytest.raises(BlowupError):
-        solve_w(u0, None, cfg)
+        solve_w(u0, None, cfg, discard)
 
 
 def test_forced_residuals_present_and_small():
@@ -100,7 +101,7 @@ def test_forced_residuals_present_and_small():
     v0 = rough_v0(g, n0=2.0, amp=0.1)
     w0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=2, series_stride=2)
-    traj, series = solve_w(w0, v0, cfg)
+    series = solve_w(w0, v0, cfg, discard)
     bare = ConservationSeries(series.times, series.mass, series.energy, series.power, series.mu)
     with pytest.raises(ConfigError):
         increment_residuals(bare)  # no inline identity rates
@@ -137,22 +138,22 @@ def test_almost_conservation_preconditions():
     v0 = rough_v0(g, n0=2.0, amp=0.1)
     w0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.02)
-    traj, series = solve_w(w0, v0, cfg)
+    series = solve_w(w0, v0, cfg, discard)
     s = -0.1
     n0 = 2.0
     a_big = 10.0 * max(series.mass[0] * n0 ** (2 * s), series.energy[0] / n0 ** (2 * (1 - s)))
-    rep = almost_conservation_monitor(traj, series, a_big, n0, s)
+    rep = almost_conservation_monitor(v0, series, a_big, n0, s)
     assert rep.ok
     with pytest.raises(ConfigError):
-        almost_conservation_monitor(traj, series, a_big * 1e-9, n0, s)
+        almost_conservation_monitor(v0, series, a_big * 1e-9, n0, s)
 
 
 def test_scattering_proxy_zero_for_linear():
     g = GridSpec(3, 12, np.pi)
     u0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, mu=0.0, snapshot_stride=10)
-    traj, _ = solve_w(u0, None, cfg)
-    rep = scattering_proxy(traj)
+    snapshots, _ = kept_snapshots(u0, None, cfg)
+    rep = scattering_proxy(g, [t for t, *_ in snapshots], [w_hat for *_, w_hat, _ in snapshots])
     # Linear runs have an exactly constant pullback; only roundoff remains,
     # whose ordering is meaningless, so just the magnitude is checked.
     assert max(rep.deltas) < 1e-12
@@ -163,9 +164,8 @@ def test_dealias_flag_changes_solution():
     u0 = bump(g, 0.6, 1.0)
     on = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=True)
     off = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=False)
-    t1, _ = solve_w(u0, None, on)
-    t2, _ = solve_w(u0, None, off)
-    d = np.max(np.abs(t1.snapshot("w", t1.n_snapshots - 1).values - t2.snapshot("w", t2.n_snapshots - 1).values))
+    (s1, _), (s2, _) = kept_snapshots(u0, None, on), kept_snapshots(u0, None, off)
+    d = np.max(np.abs(s1[-1][1] - s2[-1][1]))
     assert d > 0.0
 
 
@@ -173,8 +173,8 @@ def test_series_stride_applies_unforced(tmp_path):
     g = GridSpec(3, 8, np.pi)
     u0 = bump(g, 0.4, 1.5)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.1, snapshot_stride=100, series_stride=10)
-    traj, series = solve_w(u0, None, cfg)
-    assert traj.n_snapshots == 2
+    snapshots, series = kept_snapshots(u0, None, cfg)
+    assert len(snapshots) == 2
     assert series.times.size == cfg.n_series == 11
     np.testing.assert_allclose(series.times, np.arange(11) * 0.01, rtol=0, atol=1e-15)
     assert np.all(series.dmass_id == 0.0) and np.all(series.denergy_id == 0.0)
@@ -200,23 +200,24 @@ def test_zero_forcing_is_the_full_equation():
     u0 = bump(g, 0.6, 1.0, wave=(1, 0, 0))
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5)
     zero = SpectralField(g, np.zeros(g.shape, dtype=complex), "physical")
-    forced, forced_series = solve_w(u0, zero, cfg)
-    full, full_series = solve_w(u0, None, cfg)
-    for k in range(full.n_snapshots):
-        assert np.array_equal(forced.spectrum("w", k), full.spectrum("w", k))
+    forced, forced_series = kept_snapshots(u0, zero, cfg)
+    full, full_series = kept_snapshots(u0, None, cfg)
+    assert len(forced) == len(full) == cfg.n_snapshots
+    for (_, _, v, w_hat, v_hat), (_, _, v_full, w_hat_full, _) in zip(forced, full):
+        assert np.array_equal(w_hat, w_hat_full)
+        assert v_hat is None and not np.any(v)
+        assert v_full is None
     assert np.array_equal(forced_series.mass, full_series.mass)
     assert np.array_equal(forced_series.energy, full_series.energy)
-    assert forced.names == ("v", "w") and "v" in forced.free_spectra
-    assert not any(np.any(forced.snapshot("v", k).values) for k in range(forced.n_snapshots))
-    assert full.names == ("w",)
 
 
 @pytest.mark.parametrize("forcing", ["rough", "zero", "none"])
 def test_sink_receives_the_stacked_snapshots(forcing):
-    # A sink gets every snapshot in time order, equal bit for bit to the
-    # trajectory solve_w returns without one (its w_hat stack, and v_hat built
-    # from v_hat(0), t = 0 included), each value the inverse transform of its
-    # spectrum, and the series does not change.
+    # A sink gets every snapshot in time order, t = 0 included: w and v are
+    # the inverse transforms of w_hat and v_hat bit for bit, v_hat is the
+    # free flow of v_hat(0) = fftn(v0), v is None without forcing and zero
+    # (with no v_hat) for zero forcing, and the series does not depend on
+    # what the sink does.
     g = GridSpec(3, 12, np.pi)
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = {
@@ -225,29 +226,18 @@ def test_sink_receives_the_stacked_snapshots(forcing):
         "none": None,
     }[forcing]
     cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
-    stacked, series = solve_w(w0, v0, cfg)
-    got = []
-
-    def keep(t, w, v, w_hat, v_hat):
-        copy = lambda a: None if a is None else a.copy()
-        got.append((t, w.copy(), copy(v), w_hat.copy(), copy(v_hat)))
-
-    traj, streamed = solve_w(w0, v0, cfg, keep)
-    assert traj is None
-    assert [t for t, *_ in got] == list(stacked.times)
-    assert not stacked.channels and set(stacked.spectra) == {"w"}
-    for k, (t, w, v, w_hat, v_hat) in enumerate(got):
-        assert np.array_equal(w_hat, stacked.spectrum("w", k))
-        assert np.array_equal(w, stacked.snapshot("w", k).values)
+    series = solve_w(w0, v0, cfg, discard)
+    got, streamed = kept_snapshots(w0, v0, cfg)
+    assert [t for t, *_ in got] == [k * cfg.snapshot_stride * cfg.dt for k in range(cfg.n_snapshots)]
+    v0_hat = None if v0 is None else np.fft.fftn(v0.values)
+    for t, w, v, w_hat, v_hat in got:
         assert np.array_equal(w, np.fft.ifftn(w_hat))
         if v0 is None:
             assert v is None and v_hat is None
-            continue
-        assert np.array_equal(v, stacked.snapshot("v", k).values)
-        if forcing == "zero":
+        elif forcing == "zero":
             assert v_hat is None and not np.any(v)
         else:
-            assert np.array_equal(v_hat, stacked.spectrum("v", k))
+            assert np.array_equal(v_hat, free_flow_into(v0_hat, g, t, np.empty_like(v0_hat)))
             assert np.array_equal(v, np.fft.ifftn(v_hat))
     for name in ("mass", "energy", "dmass_id", "denergy_id"):
         assert np.array_equal(getattr(streamed, name), getattr(series, name))
@@ -333,17 +323,17 @@ def test_fused_step_matches_unfused_reference(dim, points, half_width, forced):
     w0 = bump(g, 0.5, 1.0, wave=(1,) + (0,) * (dim - 1))
     v0 = rough_v0(g, n0=2.0, amp=0.3) if forced else None
     cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
-    traj, series = solve_w(w0, v0, cfg)
+    snapshots, series = kept_snapshots(w0, v0, cfg)
     ws, vs, (mass, energy, dm, de) = _unfused_reference(w0, v0, cfg)
-    assert _rel(np.stack([traj.snapshot("w", k).values for k in range(traj.n_snapshots)]), ws) < 1e-12
+    assert _rel(np.stack([w for _, w, *_ in snapshots]), ws) < 1e-12
     assert _rel(series.mass, mass) < 1e-12
     assert _rel(series.energy, energy) < 1e-12
     if forced:
-        assert _rel(np.stack([traj.snapshot("v", k).values for k in range(traj.n_snapshots)]), vs) < 1e-12
+        assert _rel(np.stack([v for _, _, v, *_ in snapshots]), vs) < 1e-12
         assert _rel(series.dmass_id, dm) < 1e-12
         assert _rel(series.denergy_id, de) < 1e-12
     else:
-        assert "v" not in traj.channels
+        assert all(v is None for _, _, v, *_ in snapshots)
         assert not np.any(series.dmass_id) and not np.any(series.denergy_id)
 
 
@@ -359,12 +349,12 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
         monkeypatch.setattr(
             np.fft, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
-    solve_w(w0, v0, cfg)
+    solve_w(w0, v0, cfg, discard)
     # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 sample
-    # makes Lap v (1), its u being w0 + v0, and the t = 0 snapshot, which the
-    # stack keeps as w_hat alone, none; the final snapshot and sample make w
-    # and v for the snapshot and Lap v (3), u again being w + v
-    assert len(calls) == 2 * n_steps + 6
+    # makes Lap v (1), its u being w0 + v0, and the t = 0 snapshot w and v
+    # (2); the final snapshot and sample make w and v for the snapshot and
+    # Lap v (3), u again being w + v
+    assert len(calls) == 2 * n_steps + 8
     assert calls.count("fftn") == n_steps + 2
 
 
@@ -393,8 +383,8 @@ def test_solve_frees_its_inputs_before_the_first_snapshot():
 def test_forced_solve_stays_within_the_guard_workspace():
     # The memory guard charges a task that runs solve_w _SOLVER_FIELDS complex
     # lattice fields above the snapshots it keeps; a forced solve on a fresh
-    # grid (its multipliers and weights cached inside the measurement), which
-    # keeps one w_hat stack and v_hat(0), fits in it.
+    # grid (its multipliers and weights cached inside the measurement) into
+    # a sink that keeps nothing fits in it.
     from roughnls.harness import _SOLVER_FIELDS
 
     def forced(grid):
@@ -403,10 +393,9 @@ def test_forced_solve_stays_within_the_guard_workspace():
         cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=10, series_stride=5)
         return bump(grid, 0.3, 1.5), v0, cfg
 
-    solve_w(*forced(GridSpec(3, 8, np.pi)))  # first-call imports are not lattice memory
+    solve_w(*forced(GridSpec(3, 8, np.pi)), discard)  # first-call imports are not lattice memory
     grid = GridSpec(3, 16, 2.25)  # a grid no other test warms
     w0, v0, cfg = forced(grid)
     field = 16 * grid.n_points
-    stacks = cfg.n_snapshots * field
-    _, peak, _ = traced_peak(lambda: solve_w(w0, v0, cfg))
-    assert peak - stacks <= _SOLVER_FIELDS * field, (peak - stacks) / field
+    _, peak, _ = traced_peak(lambda: solve_w(w0, v0, cfg, discard))
+    assert peak <= _SOLVER_FIELDS * field, peak / field

@@ -132,47 +132,6 @@ def test_trajectory_round_trip(tmp_path):
     assert back.meta.get("note") == "test"
 
 
-def free_traj(grid, n_times=3, seed=0):
-    """A stacked w beside a free channel v held as its spectrum alone."""
-    traj = make_traj(grid, n_times=n_times, channels=("v", "w"), seed=seed)
-    v0_hat = np.fft.fftn(traj.channels.pop("v")[0])
-    return Trajectory(grid, traj.times, traj.channels, traj.meta, {"v": v0_hat})
-
-
-def test_free_channel_snapshots_are_its_flow():
-    # Snapshot k of a free channel is ifftn(e^{-i t_k |xi|^2} v-hat(0)),
-    # and spectrum() gives the flowed spectrum with no transform.
-    g = GridSpec(2, 16, 2.0)
-    traj = free_traj(g, n_times=4)
-    assert traj.names == ("v", "w") and set(traj.channels) == {"w"}
-    xi = g.xi_axis()
-    xi2 = xi[:, None] ** 2 + xi[None, :] ** 2
-    for k, t in enumerate(traj.times):
-        want = np.exp(-1j * t * xi2) * traj.free_spectra["v"]
-        assert np.allclose(traj.spectrum("v", k), want, rtol=0, atol=1e-12 * np.abs(want).max())
-        assert np.array_equal(traj.snapshot("v", k).values, np.fft.ifftn(traj.spectrum("v", k)))
-
-
-def test_free_channel_saves_as_snapshot_files(tmp_path):
-    # On disk a free channel is a channel like any other; it loads as a stack.
-    g = GridSpec(2, 8, 1.0)
-    traj = free_traj(g, n_times=3)
-    back = load_trajectory(save_trajectory(traj, tmp_path / "traj"))
-    assert set(back.channels) == {"v", "w"} and not back.free_spectra
-    for k in range(traj.n_snapshots):
-        for ch in ("v", "w"):
-            assert np.array_equal(back.channels[ch][k], traj.snapshot(ch, k).values)
-
-
-def test_channel_held_two_ways_rejected():
-    g = GridSpec(1, 8, 1.0)
-    traj = make_traj(g, n_times=2)
-    with pytest.raises(ValueError, match="both"):
-        Trajectory(g, traj.times, traj.channels, {}, {"v": np.zeros(8, dtype=complex)})
-    with pytest.raises(ValueError, match="free spectrum"):
-        Trajectory(g, traj.times, {"w": traj.channels["w"]}, {}, {"v": np.zeros(4, dtype=complex)})
-
-
 def test_missing_channel_raises():
     g = GridSpec(1, 8, 1.0)
     traj = Trajectory(g, np.array([0.0, 1.0]), {"w": np.zeros((2, 8), dtype=complex)}, {})

@@ -19,6 +19,17 @@ to_physical, raw_spectrum, the as_* methods and l2_norm). Every other
 spectral operation works in numpy's raw np.fft.fftn coordinates, on which
 the diagonal symbols here act unchanged: norms, derivatives and gradients
 are read through norms.FrequencyView, and the free flow is free_flow_into.
+
+Caching: a lattice array is cached per grid only when a solve's step loop
+or every snapshot reads it, so the cache holds nothing the loop would not
+hold anyway. Here that is |xi|^2 (xi_sq, half a complex field) and the
+sparse per-axis frequency grids (_xi_grids, xi_grids_odd, d axes of M
+values each); solver.dealias_mask and morawetz._kernel_tables_hat keep the
+same rule. What only a seed's draw reads is not cached, so a forced solve
+holds none of it: lp_symbol is built per call (6 ms at 64^3), and the
+transform weight of to_frequency, to_physical and raw_spectrum is never
+built whole but applied one axis-0 slab at a time (_weigh), so a
+transform allocates its result and no lattice-sized weight.
 """
 
 from __future__ import annotations
@@ -127,11 +138,26 @@ def _outer_power(ax: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _transform_weight(grid: GridSpec) -> np.ndarray:
-    # dx^d * e^{-i x0 . xi} with x0 = (-L, ..., -L): cell volume times the
-    # reference phase of the leftmost sample.
-    return grid.cell_volume * _outer_power(np.exp(1j * grid.half_width * grid.xi_axis()), grid.dim)
+def _weigh(grid: GridSpec, op: np.ufunc, src: np.ndarray, out: np.ndarray) -> None:
+    """out = op(src, weight) for the transform weight dx^d * e^{-i x0 . xi}, x0 = (-L, ..., -L).
+
+    The weight is cell volume times the reference phase of the leftmost
+    sample, the outer product of the per-axis factors e^{i L xi_k}. It is
+    never built whole: op runs one axis-0 slab at a time (the whole axis on
+    a 1d grid), each slab's weight formed in the order the outer product
+    forms it, so out holds the bits of one op by the whole weight and no
+    lattice-sized weight is allocated.
+    """
+    ax = np.exp(1j * grid.half_width * grid.xi_axis())
+    if grid.dim == 1:
+        op(src, grid.cell_volume * ax, out=out)
+        return
+    for i in range(grid.points):
+        part = ax[i]
+        for _ in range(grid.dim - 1):
+            part = np.multiply.outer(part, ax)
+        np.multiply(grid.cell_volume, part, out=part)
+        op(src[i], part, out=out[i])
 
 
 def _free_axis_factor(grid: GridSpec, t: float) -> np.ndarray:
@@ -211,7 +237,7 @@ def to_frequency(field: SpectralField) -> SpectralField:
         # fftn would cast any other dtype into a temporary; cast into the buffer instead
         fhat = values.astype(np.complex128)
         np.fft.fftn(fhat, out=fhat)
-    fhat *= _transform_weight(g)
+    _weigh(g, np.multiply, fhat, fhat)
     return SpectralField(g, fhat, FREQUENCY)
 
 
@@ -235,7 +261,9 @@ def raw_spectrum(field: SpectralField) -> np.ndarray:
     """
     if field.rep != FREQUENCY:
         raise RepresentationError("expected a frequency-representation field")
-    return field.values / _transform_weight(field.grid)
+    raw = np.empty(field.grid.shape, dtype=np.complex128)
+    _weigh(field.grid, np.divide, field.values, raw)
+    return raw
 
 
 def derivative_symbol(grid: GridSpec, s: float, kind: str) -> np.ndarray:
@@ -266,7 +294,6 @@ def _phi(r: np.ndarray) -> np.ndarray:
     return 1.0 - smoothstep(np.asarray(r) - 1.0)
 
 
-@lru_cache(maxsize=256)
 def lp_symbol(grid: GridSpec, n: float, variant: str) -> np.ndarray:
     """Littlewood-Paley symbol on the grid: variant in {'low','band','high'}.
 

@@ -34,7 +34,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -400,6 +399,14 @@ def _shaped_noise(grid: GridSpec, field_seed: int, decay: float) -> SpectralFiel
     return SpectralField(grid, noise * (1.0 + xi_sq(grid)) ** (-decay), FREQUENCY)
 
 
+def _sup_scale(noise: SpectralField, amplitude: float) -> float:
+    """amplitude / sup |noise|, found by one inverse transform whose values are not kept."""
+    mx = float(np.abs(noise.as_physical().values).max())
+    if mx == 0.0:
+        raise ConfigError("profile is identically zero")
+    return amplitude / mx
+
+
 def shaped_profile(grid: GridSpec, field_seed: int, decay: float, amplitude: float) -> SpectralField:
     """The fixed base profile f for an ensemble, rescaled to sup |f| = amplitude.
 
@@ -408,19 +415,32 @@ def shaped_profile(grid: GridSpec, field_seed: int, decay: float, amplitude: flo
     not kept.
     """
     fhat = _shaped_noise(grid, field_seed, decay)
-    mx = float(np.abs(fhat.as_physical().values).max())
-    if mx == 0.0:
-        raise ConfigError("profile is identically zero")
-    return SpectralField(grid, (amplitude / mx) * fhat.values, FREQUENCY)
+    return SpectralField(grid, _sup_scale(fhat, amplitude) * fhat.values, FREQUENCY)
+
+
+@lru_cache(maxsize=2)
+def _profile_scale(grid: GridSpec, forcing: ForcingSpec) -> float:
+    """The sup rescaling of a forcing spec's profile, found once per (grid, spec).
+
+    A forced run keeps only this float of its profile, and each seed rebuilds
+    the spectrum from it (_forcing_profile), bit for bit shaped_profile's.
+    """
+    return _sup_scale(_shaped_noise(grid, forcing.field_seed, forcing.decay), forcing.amplitude)
+
+
+def _forcing_profile(grid: GridSpec, forcing: ForcingSpec) -> SpectralField:
+    """shaped_profile of a forcing spec, rebuilt from the run's stored scale with no transform."""
+    fhat = _shaped_noise(grid, forcing.field_seed, forcing.decay)
+    return SpectralField(grid, _profile_scale(grid, forcing) * fhat.values, FREQUENCY)
 
 
 @lru_cache(maxsize=2)
 def _profile_spectrum(grid: GridSpec, forcing: ForcingSpec) -> SpectralField:
-    """shaped_profile of a forcing spec, built once per (grid, spec) and shared by a run's seeds.
+    """_forcing_profile built once per (grid, spec) and shared by a linear-stats run's seeds.
 
     The cache keeps at most two profiles, and their arrays are read-only.
     """
-    f = shaped_profile(grid, forcing.field_seed, forcing.decay, forcing.amplitude)
+    f = _forcing_profile(grid, forcing)
     f.values.flags.writeable = False
     return f
 
@@ -433,10 +453,12 @@ def forcing_field(
 ) -> SpectralField:
     """One run's rough component v(0): cube draw, high-pass, sup normalization.
 
-    The draw reads the run's profile spectrum and the high-pass the draw's
-    spectrum, so once the profile exists v(0) costs one inverse transform.
+    The draw reads the profile spectrum, rebuilt for this seed from the run's
+    stored scale, and the high-pass the draw's spectrum, so once the scale
+    exists v(0) costs one inverse transform. Every lattice array of the draw
+    is freed when this returns: a forced solve holds none of them.
     """
-    rnd = draw(_profile_spectrum(grid, forcing), partition, task_seed)
+    rnd = draw(_forcing_profile(grid, forcing), partition, task_seed)
     v0 = high_pass(rnd.spectrum, forcing.n0).as_physical()
     mx = float(np.abs(v0.values).max())
     if mx == 0.0:
@@ -566,7 +588,13 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
 
     A run holds FFT workspace, the partition's float lattice arrays when it
     builds one (two, and four once a partition report reads its
-    diagnostics), and with forcing its base profile's spectrum. Per task:
+    diagnostics), and for linear-stats its base profile's spectrum, which
+    its seeds share. A forced task (evolve, morawetz-audit, twin-ladder)
+    keeps only the profile's scale: it rebuilds the spectrum, draws from it
+    and high-passes the draw, and frees all of it before its solve starts.
+    That phase peaks 4.0 to 4.3 fields at 32^3, 16^4 and 64^3 (4.5 to 6.1
+    on a run's first seed, which finds the scale), under every forced
+    task's solve charge below. Per task:
     - linear-stats: v-hat(0), one snapshot's spectrum and values, and 2d
       fields of view buffers and symbols; 8.0 fields at 32^3 with 4 times or
       16, 9.5 at 12^4.
@@ -584,7 +612,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
       of w's gradient, of the momentum density and of its transform at a
       time, with their buffers, or for the tables' build on a grid's first
       audit (such an add() peaks 5.7 fields at 24^3 and 6.6 at 12^4). A
-      seed then peaks 11.4 fields at 12^3 and 12.2 at 8^4 without M(t),
+      seed then peaks 11.3 fields at 12^3 and 12.2 at 8^4 without M(t),
       14.0 and 15.9 with it, and 16.6 and 20.7 with the tables built.
     - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
       for a rung's scaled forcing and its gap buffer, plus the solver's 10;
@@ -597,8 +625,8 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     workspace = 8 * per
     solver = _SOLVER_FIELDS * per
     partition = 2 * per if _uses_partition(config) else 0
-    profile = per if config.forcing is not None else 0
     kind = config.kind
+    profile = per if kind == "linear-stats" else 0
     if kind == "partition-report":
         per_task = 4 * per
     elif kind == "linear-stats":
@@ -887,14 +915,22 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             artifacts=tuple(artifacts),
         )
 
-    if todo:
-        # the pool starts no thread until a task is submitted; one worker runs inline
-        with ThreadPoolExecutor(max_workers=config.workers) as pool, open(records_path, "a") as fh:
-            for rec in pool.map(work, todo) if config.workers > 1 else map(work, todo):
+    def append(recs) -> None:
+        with open(records_path, "a") as fh:
+            for rec in recs:
                 fh.write(rec.to_line() + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
                 known.append(rec)
+
+    if todo and config.workers > 1:
+        # imported here, so a one-worker run, which runs its seeds inline, loads no pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            append(pool.map(work, todo))
+    elif todo:
+        append(map(work, todo))
 
     wanted = set(seeds)
     final = sorted((r for r in known if r.seed in wanted), key=lambda r: r.seed)

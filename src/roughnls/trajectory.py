@@ -232,6 +232,10 @@ class TrajectoryReader:
             self.meta: dict = manifest.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"{manifest_path}: not a valid trajectory manifest ({exc!r})") from exc
+        if not (isinstance(self.files, dict) and all(
+            isinstance(files, list) and all(isinstance(f, str) for f in files) for files in self.files.values()
+        )):
+            raise ConfigError(f"{manifest_path}: channels must map each channel to a list of file names")
         for name, files in self.files.items():
             if len(files) != self.times.size:
                 raise ConfigError(

@@ -197,7 +197,7 @@ def test_free_multiplier_matches_lattice_exponential(dim, points, t):
 
 @pytest.mark.parametrize("dim,points,half_width", [(1, 64, 3.0), (2, 16, np.pi), (3, 12, 2.5), (4, 6, np.pi)])
 def test_transforms_match_inline_normalization(dim, points, half_width):
-    # The cached weight is dx^d * e^{i L xi} per axis, formed exactly as the
+    # The weight is dx^d * e^{i L xi} per axis, applied exactly as the
     # inline fftn(x) * (dvol * phase) and ifftn(x / (dvol * phase)) did.
     g = GridSpec(dim, points, half_width)
     ax = np.exp(1j * g.half_width * g.xi_axis())
@@ -231,7 +231,7 @@ def test_transforms_allocate_one_lattice_field(dim, points):
     inputs = {
         "to_frequency": SpectralField(g, f.values, "physical"),
         "to_frequency real": SpectralField(g, f.values.real.copy(), "physical"),
-        "to_physical": f.as_frequency(),  # also warms the cached weight
+        "to_physical": f.as_frequency(),
     }
     for name, field_in in inputs.items():
         transform = field_in.as_frequency if field_in.rep == "physical" else field_in.as_physical

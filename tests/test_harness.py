@@ -527,6 +527,10 @@ def test_profile_spectrum_is_shared_and_read_only(tmp_path):
     assert f.rep == "frequency" and not f.values.flags.writeable
     sup = np.abs(f.as_physical().values).max()
     assert sup == pytest.approx(cfg.forcing.amplitude, rel=1e-12)
+    # a forced seed's per-seed rebuild and shaped_profile give the same bits
+    fc = cfg.forcing
+    assert np.array_equal(harness._forcing_profile(cfg.grid, fc).values, f.values)
+    assert np.array_equal(harness.shaped_profile(cfg.grid, fc.field_seed, fc.decay, fc.amplitude).values, f.values)
 
 
 def test_linear_stats_seed_makes_no_forward_transform(tmp_path, monkeypatch):
@@ -580,6 +584,25 @@ def test_morawetz_seed_peaks_within_its_charge(tmp_path, dim, points, save_field
     part = harness.build_partition(cfg.partition, cfg.grid)
     peak, charge = _traced_peak(cfg, part, tmp_path), _charge(cfg)
     assert charge / 2 <= peak < charge, (peak / (16 * cfg.grid.n_points), charge / (16 * cfg.grid.n_points))
+
+
+def test_forced_seed_leaves_no_lattice_array_behind(tmp_path):
+    # A forced seed's draw (its profile spectrum, the transform weight and the
+    # high-pass symbol) lives only while v(0) is made. A first seed on another
+    # 12^3 grid warms what is not per grid; then on a grid no other test
+    # uses, so no per-grid cache is warm, one audited seed leaves less than
+    # one complex field traced, the caches the step loop reads (|xi|^2 half a
+    # field, the dealiasing mask) included. About 0.1 s.
+    def config(half_width):
+        return parse_config(evolve_config(tmp_path, kind="morawetz-audit", n_samples=1,
+                                          grid=dict(GRID, half_width=half_width)))
+
+    task = harness._TASKS["morawetz-audit"]
+    warm, fresh = config(GRID["half_width"]), config(2.85)
+    task(warm, harness.build_partition(warm.partition, warm.grid), 1, tmp_path / "warm")
+    part = harness.build_partition(fresh.partition, fresh.grid)
+    retained = traced_peak(lambda: task(fresh, part, 1, tmp_path / "run"))[2]
+    assert retained < 16 * fresh.grid.n_points, retained / (16 * fresh.grid.n_points)
 
 
 @pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
@@ -881,6 +904,22 @@ def test_cli_refuses_channel_lists_that_miss_the_times(tmp_path):
         with pytest.raises(ConfigError, match="channel 'w' lists"):
             load_trajectory(traj)
         assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
+    assert not (tmp_path / "mor").exists()
+
+
+@pytest.mark.parametrize("channels", [["v", "w"], {"v": [1, 2, 3]}], ids=["list", "non-string-file"])
+def test_cli_refuses_channels_that_are_not_lists_of_file_names(tmp_path, channels):
+    # channels must map each channel to a list of file names; anything else
+    # is a bad manifest, which exits 2 rather than escape as a traceback.
+    shape = (3, 4, 4, 4)
+    traj = save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1, 0.2], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), tmp_path / "traj")
+    manifest = json.loads((traj / "manifest.json").read_text())
+    manifest["channels"] = channels
+    (traj / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="channels must map"):
+        load_trajectory(traj)
+    assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
     assert not (tmp_path / "mor").exists()
 
 

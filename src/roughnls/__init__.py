@@ -6,7 +6,7 @@ Modules: grids (Fourier conventions, spectral fields and symbols), partition
 Gaussian draws and tail statistics), linear_flow (free evolution and
 composite norms), solver (splitting integrator for the forced difference
 equation), morawetz (interaction functional audits), trajectory (snapshot
-container and binary format), norms (FrequencyView: spatial norms,
+files and trajectory directories), norms (FrequencyView: spatial norms,
 derivatives and gradients of one snapshot; NormPass: space-time
 Lebesgue/Sobolev norms over a run's snapshots), harness (batch experiment
 runner), cli (command line entry point).
@@ -57,7 +57,7 @@ from .morawetz import (
     interaction_functional,
     local_densities,
     localization_ratio,
-    morawetz_audit,
+    stored_audit,
 )
 from .norms import FrequencyView, NormPass, NormSpec, is_admissible
 from .partition import (
@@ -91,12 +91,9 @@ from .solver import (
     twin_run,
 )
 from .trajectory import (
-    Trajectory,
     TrajectoryReader,
     TrajectoryWriter,
-    load_trajectory,
     read_snapshot,
-    save_trajectory,
     write_snapshot,
 )
 

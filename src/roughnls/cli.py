@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import BlowupError, ConfigError, FitError, RepresentationError, ResourceLimitError
 from .harness import ENV_WORKERS, ExperimentConfig, parse_config, read_config, run
-from .morawetz import MorawetzAccumulator
+from .morawetz import stored_audit
 from .partition import build_partition
 from .randomize import tail_fit
 from .trajectory import TrajectoryReader, write_atomic
@@ -202,14 +202,10 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_morawetz(args) -> int:
-    # one snapshot pair in memory at a time, read from the files in time order
     reader = TrajectoryReader(args.traj)
     if args.dim is not None and reader.grid.dim != args.dim:
         raise ConfigError(f"trajectory grid has dim {reader.grid.dim}, --dim asked for {args.dim}")
-    audit = MorawetzAccumulator(reader.grid)
-    for t, snap in reader.snapshots(("v", "w")):
-        audit.add(t, snap["w"], snap["v"])
-    rep = audit.report()
+    rep = stored_audit(reader)
     out = Path(args.out) if args.out is not None else Path(args.traj)
     report_path, csv_path = rep.write(out)
     print(f"c_star = {rep.c_star:.6g} (lhs {rep.lhs:.6g}, rhs {rep.rhs:.6g})")

@@ -18,7 +18,8 @@ approximation stays auditable.
 
 The audit is one pass over the snapshots, in time order, and keeps only
 per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
-snapshots into it, spectra included. Each snapshot gets one FrequencyView
+snapshots into it, spectra included, and stored_audit feeds it a stored
+run's, read back one at a time. Each snapshot gets one FrequencyView
 (see norms) per channel, one channel at a time: every spatial figure of the
 terms below is read from those two views, m and p come from the w view's
 gradient, p one component at a time straight into its pairing, and the 4D
@@ -66,7 +67,7 @@ import numpy as np
 from .errors import ConfigError
 from .grids import GridSpec, SpectralField, xi_grids_odd
 from .norms import FrequencyView, NormPass, NormSpec, time_norm
-from .trajectory import Trajectory, write_atomic
+from .trajectory import TrajectoryReader, write_atomic
 
 __all__ = [
     "LocalDensities",
@@ -78,7 +79,7 @@ __all__ = [
     "interaction_functional",
     "localization_ratio",
     "MorawetzAccumulator",
-    "morawetz_audit",
+    "stored_audit",
     "c_star_spread",
     "identity_mor_mainterm",
 ]
@@ -395,8 +396,13 @@ class MorawetzAccumulator:
     from the audit's NormPass, which takes their norms, and are built one at
     a time: every figure of w, then w's view is dropped, then every figure
     of v, and last sup |grad v|, one partial derivative at a time. report()
-    folds the pass's series and sup |grad v| into the time norms and the
-    terms documented at morawetz_audit. A solve can stream its snapshots straight into add, so
+    folds the pass's series and sup |grad v| into the time norms, the
+    left-hand side and the right-hand side terms T1, T2 and T3: the three
+    summands of the module docstring's inequality, in order. C* is
+    measured, never asserted; ensemble stability is judged separately by
+    c_star_spread. No audited figure depends on the nonlinearity power,
+    since the defect field is not part of the audit. A solve can stream its
+    snapshots straight into add, and stored_audit feeds a stored run's, so
     the audit holds no snapshot stack. The audit's dimension is the grid's,
     and a grid that is not 3D or 4D is a ConfigError.
 
@@ -511,25 +517,18 @@ class MorawetzAccumulator:
         )
 
 
-def morawetz_audit(traj: Trajectory) -> MorawetzReport:
-    """Evaluate both sides of the interaction Morawetz inequality on a trajectory.
+def stored_audit(reader: TrajectoryReader) -> MorawetzReport:
+    """The audit of a stored run: its v and w snapshots fed to a MorawetzAccumulator.
 
-    Needs channels v and w. The right-hand side terms T1, T2 and T3 are the
-    three summands of the module docstring's inequality, in order. C* is
-    measured, never asserted; ensemble stability is judged separately by
-    c_star_spread. The audit is defined for 3D and 4D grids only, and its
-    dimension is the trajectory grid's. No audited figure depends on the
-    nonlinearity power, since the defect field is not part of the audit. The
-    snapshots' values are fed to a MorawetzAccumulator in time order, one at
-    a time, as `rough-nls morawetz --traj` feeds a stored run's; each view
-    makes its channel's spectrum with one forward transform.
+    The snapshots are read in time order, one pair in memory at a time, and
+    handed over as values alone, so each view makes its channel's spectrum
+    with one forward transform. The audit's dimension is the stored grid's;
+    a directory without channels v and w, or on a grid that is not 3D or
+    4D, is a ConfigError.
     """
-    audit = MorawetzAccumulator(traj.grid)
-    for name in ("v", "w"):
-        if name not in traj.names:
-            raise ConfigError(f"audit needs channel {name!r} (have {list(traj.names)})")
-    for k, t in enumerate(traj.times):
-        audit.add(t, traj.snapshot("w", k).values, traj.snapshot("v", k).values)
+    audit = MorawetzAccumulator(reader.grid)
+    for t, snap in reader.snapshots(("v", "w")):
+        audit.add(t, snap["w"], snap["v"])
     return audit.report()
 
 

@@ -1,22 +1,21 @@
-"""Time-sampled fields and their on-disk form.
+"""Snapshot files and trajectory directories.
 
-A Trajectory is a uniform time grid plus named channels ("v" exact linear
-flow, "w" stepped remainder, "u" a full field solved or stored as such),
-each held as a stack of physical snapshot values: a stored run read back by
-load_trajectory, or one built by hand. A solve keeps no Trajectory; it
-streams its snapshots to a sink (see solver.solve_w). Snapshot files use a
-fixed little-endian binary layout so runs can be consumed by other tools:
+A run's snapshots are physical lattice values of named channels ("v" exact
+linear flow, "w" stepped remainder, "u" a full field solved as such). A
+solve keeps none of them; it streams each snapshot to a sink (see
+solver.solve_w). Snapshot files use a fixed little-endian binary layout so
+runs can be consumed by other tools:
 
     header: magic 'RNLS' | version u32 | d u32 | M u32 | L f64 | t f64 | tag u8
     data:   M^d complex values as (real f64, imag f64) pairs, row-major,
             axis 0 slowest.
 
 A trajectory directory holds one such file per channel and snapshot plus
-manifest.json, written last. TrajectoryWriter writes it one snapshot at a
-time, so a solve can stream its snapshots to disk without stacking them, and
-save_trajectory feeds a Trajectory through the same writer.
-TrajectoryReader reads a directory back one snapshot at a time, and
-load_trajectory stacks what it reads.
+manifest.json, written last. TrajectoryWriter is its one writer: it writes
+the directory one snapshot at a time, so a solve can stream its snapshots
+to disk without stacking them. TrajectoryReader is its one reader: it
+checks the manifest and reads the snapshots back one at a time, in time
+order.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +32,11 @@ from .errors import ConfigError
 from .grids import GridSpec, SpectralField
 
 __all__ = [
-    "Trajectory",
     "write_atomic",
     "write_snapshot",
     "read_snapshot",
     "TrajectoryWriter",
     "TrajectoryReader",
-    "save_trajectory",
-    "load_trajectory",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
 ]
@@ -54,49 +49,6 @@ CHANNEL_TAGS = {"u": 0, "v": 1, "w": 2}
 _TAG_CHANNELS = {v: k for k, v in CHANNEL_TAGS.items()}
 _OTHER_TAG = 255
 _MANIFEST = "manifest.json"
-
-
-@dataclass
-class Trajectory:
-    """Uniformly strided snapshots of field channels.
-
-    `channels` holds (n_snapshots, *shape) stacks of physical values:
-    channels read from disk or built by hand.
-    """
-
-    grid: GridSpec
-    times: np.ndarray
-    channels: dict[str, np.ndarray]
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or self.times.size == 0:
-            raise ValueError("times must be a non-empty 1d array")
-        if self.times.size > 1:
-            steps = np.diff(self.times)
-            h = steps[0]
-            if h <= 0 or np.any(np.abs(steps - h) > 1e-12 * max(abs(h), 1.0)):
-                raise ValueError("snapshot times must be uniformly strided and increasing")
-        want = (self.times.size,) + self.grid.shape
-        for name, arr in self.channels.items():
-            if arr.shape != want:
-                raise ValueError(f"channel {name!r} has shape {arr.shape}, expected {want}")
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.times.size
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Every channel held, sorted."""
-        return tuple(sorted(self.channels))
-
-    def snapshot(self, name: str, k: int) -> SpectralField:
-        """Snapshot k of a channel, a view of its stack's slot."""
-        if name not in self.channels:
-            raise KeyError(f"trajectory has no channel {name!r} (have {list(self.names)})")
-        return SpectralField(self.grid, self.channels[name][k], "physical")
 
 
 @contextmanager
@@ -165,7 +117,7 @@ class TrajectoryWriter:
     add() writes one snapshot file per channel from the arrays it is given
     and keeps none of them, so they may be buffers the caller reuses for the
     next snapshot. close() writes manifest.json. A run that raises before
-    close() leaves no manifest, and load_trajectory refuses the directory.
+    close() leaves no manifest, and TrajectoryReader refuses the directory.
     Opening a writer removes a manifest left in the directory by an earlier
     run, so a directory being rewritten never shows one.
     """
@@ -206,17 +158,13 @@ class TrajectoryWriter:
         return self.out
 
 
-def save_trajectory(traj: Trajectory, out_dir: str | Path) -> Path:
-    """Persist a trajectory as snapshot files plus manifest.json."""
-    names = traj.names
-    writer = TrajectoryWriter(out_dir, traj.grid, names, traj.meta)
-    for k, t in enumerate(traj.times):
-        writer.add(t, {name: traj.snapshot(name, k).values for name in names})
-    return writer.close()
-
-
 class TrajectoryReader:
-    """A trajectory directory opened through its manifest; snapshots are read on demand."""
+    """A trajectory directory opened through its manifest; snapshots are read on demand.
+
+    The manifest is refused with a ConfigError unless its times are one or
+    more finite, strictly increasing numbers, each channel lists one file
+    per time and every listed file exists.
+    """
 
     def __init__(self, in_dir: str | Path):
         self.root = Path(in_dir)
@@ -232,6 +180,11 @@ class TrajectoryReader:
             self.meta: dict = manifest.get("meta", {})
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"{manifest_path}: not a valid trajectory manifest ({exc!r})") from exc
+        t = self.times
+        if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise ConfigError(
+                f"{manifest_path}: times must be a non-empty list of finite, strictly increasing numbers"
+            )
         if not (isinstance(self.files, dict) and all(
             isinstance(files, list) and all(isinstance(f, str) for f in files) for files in self.files.values()
         )):
@@ -262,14 +215,3 @@ class TrajectoryReader:
                 raise ConfigError(f"{self.root}: trajectory has no channel {name!r} (have {sorted(self.files)})")
         for k, t in enumerate(self.times):
             yield float(t), {name: self.read(name, k) for name in channels}
-
-
-def load_trajectory(in_dir: str | Path) -> Trajectory:
-    reader = TrajectoryReader(in_dir)
-    channels = {}
-    for name, files in reader.files.items():
-        stack = np.empty((len(files),) + reader.grid.shape, dtype=np.complex128)
-        for k in range(len(files)):
-            stack[k] = reader.read(name, k)
-        channels[name] = stack
-    return Trajectory(reader.grid, reader.times, channels, reader.meta)

@@ -2,7 +2,7 @@
 
 import tracemalloc
 
-from roughnls import solve_w
+from roughnls import TrajectoryWriter, solve_w
 
 
 def traced_peak(fn):
@@ -39,3 +39,15 @@ def kept_snapshots(w0, v0, cfg):
         snapshots.append((t, w.copy(), copy(v), w_hat.copy(), copy(v_hat)))
 
     return snapshots, solve_w(w0, v0, cfg, keep)
+
+
+def write_trajectory(out, grid, times, channels, meta=None):
+    """Write a trajectory directory through TrajectoryWriter; returns the directory.
+
+    channels maps each channel, in the manifest's order, to its snapshot
+    values, one per time.
+    """
+    writer = TrajectoryWriter(out, grid, channels, meta)
+    for k, t in enumerate(times):
+        writer.add(t, {name: snaps[k] for name, snaps in channels.items()})
+    return writer.close()

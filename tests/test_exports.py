@@ -1,11 +1,12 @@
 """Export hygiene: __all__ lists resolve, the package root re-exports only listed names,
 no module reaches into another module's private names, no module in src/ or
-tests/ imports a name it never uses, and only the trajectory module reads a
-Trajectory's stacks directly."""
+tests/ imports a name it never uses, and only the trajectory module reads or
+writes snapshot files or a trajectory manifest."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import roughnls
@@ -43,17 +44,26 @@ def test_no_module_imports_a_private_name():
     assert not found, f"private names imported across modules: {found}"
 
 
-def test_only_the_trajectory_module_subscripts_channels():
-    # Every module but trajectory reads a Trajectory's snapshots through
-    # Trajectory.snapshot, one at a time, not its stacks.
-    found = []
+def test_only_the_trajectory_module_touches_snapshot_files():
+    # TrajectoryWriter and TrajectoryReader are the one writer and the one
+    # reader of a trajectory directory, so a change of its layout stays in
+    # trajectory.py: no other module calls the snapshot file functions or
+    # names the manifest's file.
+    file_functions = {"read_snapshot", "write_snapshot", "_write_values"}
+    touched = {}
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "trajectory.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "channels":
-                found.append(f"{path.name}:{node.lineno}")
-    assert not found, f".channels[...] read outside trajectory.py: {found}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in file_functions:
+                    touched.setdefault(path.name, []).append(f"{node.lineno}: {name}()")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.search(r"(^|/)manifest\.json$", node.value):
+                    touched.setdefault(path.name, []).append(f"{node.lineno}: {node.value!r}")
+    assert "trajectory.py" in touched  # the check sees the module that does touch them
+    del touched["trajectory.py"]
+    assert not touched, f"snapshot files or the manifest touched outside trajectory.py: {touched}"
 
 
 def _unused_imports(path: Path) -> list[str]:

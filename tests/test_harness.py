@@ -19,24 +19,22 @@ from roughnls import (
     BlowupError,
     ConfigError,
     GridSpec,
-    Trajectory,
+    TrajectoryReader,
     build_partition,
     RepresentationError,
     ResourceLimitError,
     ResultRecord,
     initial_field,
-    load_trajectory,
-    morawetz_audit,
     parse_config,
     run,
-    save_trajectory,
+    stored_audit,
     summarize,
 )
 from roughnls import harness, morawetz, solver
 from roughnls.cli import main as cli_main
 from roughnls.harness import ForcingSpec, InitialSpec, _set_axis
 
-from conftest import kept_snapshots, traced_peak
+from conftest import kept_snapshots, traced_peak, write_trajectory
 
 GRID = {"dim": 3, "points": 12, "half_width": float(np.pi)}
 PART = {"a": 1, "n_max": 2, "s": -0.1}
@@ -392,15 +390,14 @@ def _same_files(a, b):
 
 def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
     # The evolve task streams its snapshots into traj/ during the solve; the
-    # files are those that saving a Trajectory of the same solve's snapshot
-    # values makes, byte for byte.
+    # files are those that writing the same solve's kept snapshot values
+    # after it makes, byte for byte.
     def saved(cfg, w0, v0, out):
         snapshots, _ = kept_snapshots(w0, v0, cfg.solver)
-        stack = lambda i: np.stack([snap[i] for snap in snapshots])
+        kept = lambda i: [snap[i] for snap in snapshots]
         # the harness writes an unforced run's field as channel 'u'
-        channels = {"u": stack(1)} if v0 is None else {"w": stack(1), "v": stack(2)}
-        times = [t for t, *_ in snapshots]
-        return save_trajectory(Trajectory(cfg.grid, times, channels, cfg.solver.provenance()), out)
+        channels = {"u": kept(1)} if v0 is None else {"v": kept(2), "w": kept(1)}
+        return write_trajectory(out, cfg.grid, kept(0), channels, cfg.solver.provenance())
 
     cfg = parse_config(evolve_config(tmp_path / "run", n_samples=1, save_fields=True))
     run(cfg)
@@ -446,7 +443,7 @@ def test_failed_forced_evolve_leaves_no_manifest(tmp_path, monkeypatch):
     clean = parse_config(evolve_config(tmp_path / "clean", n_samples=1, save_fields=True))
     run(clean)
     _same_files(traj_dir, tmp_path / "clean" / "run_0000" / "traj")
-    assert load_trajectory(traj_dir).n_snapshots == cfg.solver.n_snapshots
+    assert TrajectoryReader(traj_dir).times.size == cfg.solver.n_snapshots
 
 
 def test_streamed_evolve_memory_does_not_grow_with_snapshots(tmp_path):
@@ -698,8 +695,8 @@ def test_sweep_of_evolve_saves_fields_by_default(tmp_path):
     run(cfg)
     n_snapshots = parse_config(evolve_config(tmp_path)).solver.n_snapshots
     for value in ("1", "2"):
-        traj = load_trajectory(tmp_path / f"forcing-n0_{value}" / "run_0000" / "traj")
-        assert traj.names == ("v", "w") and traj.n_snapshots == n_snapshots
+        traj = TrajectoryReader(tmp_path / f"forcing-n0_{value}" / "run_0000" / "traj")
+        assert list(traj.files) == ["v", "w"] and traj.times.size == n_snapshots
 
 
 def test_sweep_unknown_axis_rejected(tmp_path):
@@ -804,8 +801,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     # a trajectory directory whose manifest is unreadable or names a missing file
     traj = tmp_path / "traj"
     shape = (2, 4, 4, 4)
-    save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1], {
-        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), traj)
+    write_trajectory(traj, GridSpec(3, 4, np.pi), [0.0, 0.1], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)})
     assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 0
     manifest = json.loads((traj / "manifest.json").read_text())
     (traj / manifest["channels"]["w"][1]).unlink()
@@ -817,8 +814,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli_main(["morawetz", "--traj", str(traj)]) == 2
 
     # a snapshot file whose header claims 7 points per axis, which no grid has
-    bad = save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1], {
-        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), tmp_path / "bad")
+    bad = write_trajectory(tmp_path / "bad", GridSpec(3, 4, np.pi), [0.0, 0.1], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)})
     snap = bad / manifest["channels"]["w"][1]
     header = bytearray(snap.read_bytes())
     struct.pack_into("<I", header, 12, 7)  # magic, version and dim come first
@@ -895,15 +892,33 @@ def test_cli_refuses_channel_lists_that_miss_the_times(tmp_path):
     # past a list's end or ignore its tail.
     shape = (3, 4, 4, 4)
     for n_files in (2, 4):
-        traj = save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1, 0.2], {
-            "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), tmp_path / f"traj{n_files}")
+        traj = write_trajectory(tmp_path / f"traj{n_files}", GridSpec(3, 4, np.pi), [0.0, 0.1, 0.2], {
+            "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)})
         manifest = json.loads((traj / "manifest.json").read_text())
         files = manifest["channels"]["w"]
         manifest["channels"]["w"] = (files + files)[:n_files]
         (traj / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="channel 'w' lists"):
-            load_trajectory(traj)
+            TrajectoryReader(traj)
         assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
+    assert not (tmp_path / "mor").exists()
+
+
+@pytest.mark.parametrize(
+    "times", [[0.2, 0.1, 0.0], [0.0, 0.1, 0.1], [0.0, np.nan, 0.2], []],
+    ids=["reversed", "repeated", "nan", "empty"],
+)
+def test_cli_refuses_times_that_do_not_increase(tmp_path, times):
+    # A manifest whose times run backwards, repeat one, are not finite or are
+    # none is not a trajectory: `morawetz --traj` exits 2 and writes nothing,
+    # rather than fold the snapshots into a NaN constant or die on an empty
+    # time series.
+    shape = (3, 4, 4, 4)
+    traj = write_trajectory(tmp_path / "traj", GridSpec(3, 4, np.pi), times, {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)})
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        TrajectoryReader(traj)
+    assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
     assert not (tmp_path / "mor").exists()
 
 
@@ -912,13 +927,13 @@ def test_cli_refuses_channels_that_are_not_lists_of_file_names(tmp_path, channel
     # channels must map each channel to a list of file names; anything else
     # is a bad manifest, which exits 2 rather than escape as a traceback.
     shape = (3, 4, 4, 4)
-    traj = save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1, 0.2], {
-        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), tmp_path / "traj")
+    traj = write_trajectory(tmp_path / "traj", GridSpec(3, 4, np.pi), [0.0, 0.1, 0.2], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)})
     manifest = json.loads((traj / "manifest.json").read_text())
     manifest["channels"] = channels
     (traj / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match="channels must map"):
-        load_trajectory(traj)
+        TrajectoryReader(traj)
     assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
     assert not (tmp_path / "mor").exists()
 
@@ -926,8 +941,8 @@ def test_cli_refuses_channels_that_are_not_lists_of_file_names(tmp_path, channel
 def test_cli_dim_mismatch_exits_2(tmp_path):
     traj = tmp_path / "traj"
     shape = (2, 4, 4, 4)
-    save_trajectory(Trajectory(GridSpec(3, 4, np.pi), [0.0, 0.1], {
-        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)}), traj)
+    write_trajectory(traj, GridSpec(3, 4, np.pi), [0.0, 0.1], {
+        "v": np.zeros(shape, dtype=complex), "w": np.ones(shape, dtype=complex)})
     assert cli_main(["morawetz", "--traj", str(traj), "--dim", "4", "--out", str(tmp_path / "mor4")]) == 2
     assert not (tmp_path / "mor4").exists()
     assert cli_main(["morawetz", "--traj", str(traj), "--dim", "3", "--out", str(tmp_path / "mor3")]) == 0
@@ -971,9 +986,8 @@ def test_cli_partition_and_morawetz(tmp_path):
     assert rows[0] == "t,interaction,localization"
     doc = json.load(open(tmp_path / "mor" / "morawetz.json"))
     assert "c_star" in doc
-    # the CLI streams the snapshots from the files; auditing the loaded
-    # trajectory writes the same two files
-    morawetz_audit(load_trajectory(traj_dir)).write(tmp_path / "loaded")
+    # the CLI writes the report of the library's stored audit, byte for byte
+    stored_audit(TrajectoryReader(traj_dir)).write(tmp_path / "loaded")
     for name in ("morawetz.json", "interaction.csv"):
         assert (tmp_path / "mor" / name).read_bytes() == (tmp_path / "loaded" / name).read_bytes()
 

@@ -10,18 +10,19 @@ from roughnls import (
     MorawetzAccumulator,
     SolverConfig,
     SpectralField,
-    Trajectory,
+    TrajectoryReader,
+    TrajectoryWriter,
     c_star_spread,
     identity_mor_mainterm,
     interaction_functional,
     local_densities,
     localization_ratio,
-    morawetz_audit,
     solve_w,
+    stored_audit,
 )
 from roughnls.morawetz import SCALING_DEGREES, _kernel_tables_hat, _max_grad_sq, _pair_direct, _pair_fft
 
-from conftest import kept_snapshots, traced_peak
+from conftest import kept_snapshots, traced_peak, write_trajectory
 
 
 def gaussian(grid, amp=1.0, width=1.0, wave=None):
@@ -38,14 +39,15 @@ def noise(grid, seed):
     return rng.normal(size=grid.shape)
 
 
-def synth_traj(grid, n_times=3, t_final=0.1, seed=0):
-    """Analytic v/w channels: Gaussians with time-varying phases."""
+def synth_snapshots(grid, n_times=3, t_final=0.1):
+    """Analytic (t, w, v) snapshots: Gaussians with time-varying phases."""
     times = np.linspace(0.0, t_final, n_times)
     w = gaussian(grid, 0.5, 1.5, wave=(1,) + (0,) * (grid.dim - 1))
     v = gaussian(grid, 0.3, 2.0, wave=(0, 2) + (0,) * (grid.dim - 2))
-    ws = np.stack([np.exp(1j * k * 0.3) * w.values for k in range(n_times)])
-    vs = np.stack([np.exp(-1j * k * 0.2) * v.values for k in range(n_times)])
-    return Trajectory(grid, times, {"v": vs, "w": ws}, {})
+    return [
+        (t, np.exp(1j * k * 0.3) * w.values, np.exp(-1j * k * 0.2) * v.values)
+        for k, t in enumerate(times)
+    ]
 
 
 def _compare_pairings(grid, seed):
@@ -162,31 +164,32 @@ def test_localization_ratio():
     assert localization_ratio(np.zeros(g.shape), g) == 1.0
 
 
-def test_audit_requires_v_and_w():
+def test_audit_requires_v_and_w(tmp_path):
     g = GridSpec(3, 8, np.pi)
-    traj = Trajectory(g, np.array([0.0, 0.1]), {"u": np.zeros((2,) + g.shape, complex)}, {})
-    with pytest.raises(ConfigError):
-        morawetz_audit(traj)
+    traj = write_trajectory(tmp_path / "traj", g, [0.0, 0.1], {"u": np.zeros((2,) + g.shape, complex)})
+    with pytest.raises(ConfigError, match="no channel 'v'"):
+        stored_audit(TrajectoryReader(traj))
 
 
-def test_audit_dimension_guard():
+def test_audit_dimension_guard(tmp_path):
     g = GridSpec(2, 8, np.pi)
     z = np.zeros((2,) + g.shape, complex)
-    traj = Trajectory(g, np.array([0.0, 0.1]), {"v": z, "w": z}, {})
-    with pytest.raises(ConfigError):
-        morawetz_audit(traj)
+    traj = write_trajectory(tmp_path / "traj", g, [0.0, 0.1], {"v": z, "w": z})
+    with pytest.raises(ConfigError, match="dimensions 3 and 4"):
+        stored_audit(TrajectoryReader(traj))
+
+
+def _scaled(snapshots, c):
+    return [(t, c * w, c * v) for t, w, v in snapshots]
 
 
 def test_audit_amplitude_scaling_3d():
     # Scaling w -> c w, v -> c v multiplies each audit term by c^degree.
     g = GridSpec(3, 12, np.pi)
-    traj = synth_traj(g)
+    snaps = synth_snapshots(g)
     c = 0.5
-    scaled = Trajectory(
-        g, traj.times, {k: c * traj.channels[k] for k in ("v", "w")}, {}
-    )
-    r1 = morawetz_audit(traj)
-    r2 = morawetz_audit(scaled)
+    r1 = _accumulate(g, snaps)
+    r2 = _accumulate(g, _scaled(snaps, c))
     deg = SCALING_DEGREES[3]
     assert r2.lhs == pytest.approx(c ** deg["lhs"] * r1.lhs, rel=1e-9)
     for name in ("T1", "T2", "T3"):
@@ -195,13 +198,10 @@ def test_audit_amplitude_scaling_3d():
 
 def test_audit_amplitude_scaling_4d():
     g = GridSpec(4, 8, np.pi)
-    traj = synth_traj(g)
+    snaps = synth_snapshots(g)
     c = 0.5
-    scaled = Trajectory(
-        g, traj.times, {k: c * traj.channels[k] for k in ("v", "w")}, {}
-    )
-    r1 = morawetz_audit(traj)
-    r2 = morawetz_audit(scaled)
+    r1 = _accumulate(g, snaps)
+    r2 = _accumulate(g, _scaled(snaps, c))
     deg = SCALING_DEGREES[4]
     assert r2.lhs == pytest.approx(c ** deg["lhs"] * r1.lhs, rel=1e-9)
     for name in ("T1", "T2", "T3"):
@@ -210,7 +210,7 @@ def test_audit_amplitude_scaling_4d():
 
 def test_audit_report_shape():
     g = GridSpec(3, 12, np.pi)
-    rep = morawetz_audit(synth_traj(g))
+    rep = _accumulate(g, synth_snapshots(g))
     assert rep.dim == 3
     assert rep.rhs == pytest.approx(sum(rep.terms.values()))
     assert rep.c_star == pytest.approx(rep.lhs / rep.rhs)
@@ -272,8 +272,7 @@ def test_c_star_spread():
 
 def test_gn_ratios_finite_positive_4d():
     g = GridSpec(4, 8, np.pi)
-    traj = synth_traj(g)
-    ratios = morawetz_audit(traj).gn_ratios
+    ratios = _accumulate(g, synth_snapshots(g)).gn_ratios
     assert ratios.shape == (3,)
     assert np.all(ratios > 0) and np.all(np.isfinite(ratios))
 
@@ -323,12 +322,12 @@ def _ref_kernel(grid):
         return np.where(rad > 0.0, r / rad, 0.0)
 
 
-def _reference_audit(traj):
+def _reference_audit(g, snapshots):
     """The norm-major audit: every norm re-transforms each snapshot, and the
     interaction is d complex circular correlations. The v + w stack and the
     defect field are left out because no reported figure reads them."""
-    g, t = traj.grid, traj.times
-    w, v = (np.stack([traj.snapshot(ch, k).values for k in range(traj.n_snapshots)]) for ch in "wv")
+    t = np.array([snap[0] for snap in snapshots])
+    w, v = (np.stack([snap[i] for snap in snapshots]) for i in (1, 2))
     inf = np.inf
     w_mass = _ref_time(_ref_series(w, g, 2), t, inf)
     w_hhalf = _ref_time(_ref_series(w, g, 2, 0.5, "homogeneous"), t, inf)
@@ -384,13 +383,16 @@ def _forced_inputs(dim, points, **over):
     return w0, v0, SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, **over)
 
 
-def _forced_traj(dim, points):
-    """A forced solve's snapshot values as a Trajectory, as a stored run is read back."""
+def _forced_snapshots(dim, points):
+    """A forced solve's grid and (t, w, v) snapshot values, as a stored run is read back."""
     w0, v0, cfg = _forced_inputs(dim, points)
     snapshots, _ = kept_snapshots(w0, v0, cfg)
-    times = [t for t, *_ in snapshots]
-    stack = lambda i: np.stack([snap[i] for snap in snapshots])
-    return Trajectory(w0.grid, times, {"w": stack(1), "v": stack(2)}, cfg.provenance())
+    return w0.grid, [(t, w, v) for t, w, v, *_ in snapshots]
+
+
+def _synth(dim, points):
+    g = GridSpec(dim, points, np.pi)
+    return g, synth_snapshots(g, n_times=5)
 
 
 def _rel(a, b):
@@ -401,17 +403,17 @@ def _rel(a, b):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: _forced_traj(3, 12),
-        lambda: _forced_traj(4, 8),
-        lambda: synth_traj(GridSpec(3, 12, np.pi), n_times=5),
-        lambda: synth_traj(GridSpec(4, 8, np.pi), n_times=5),
+        lambda: _forced_snapshots(3, 12),
+        lambda: _forced_snapshots(4, 8),
+        lambda: _synth(3, 12),
+        lambda: _synth(4, 8),
     ],
     ids=["forced-3d-12", "forced-4d-8", "synth-3d", "synth-4d"],
 )
 def test_audit_matches_norm_major_reference(make):
-    traj = make()
-    lhs, terms, (inter, bound), loc, gn = _reference_audit(traj)
-    rep = morawetz_audit(traj)
+    g, snapshots = make()
+    lhs, terms, (inter, bound), loc, gn = _reference_audit(g, snapshots)
+    rep = _accumulate(g, snapshots)
     assert _rel(rep.lhs, lhs) < 1e-12
     for name in ("T1", "T2", "T3"):
         assert _rel(rep.terms[name], terms[name]) < 1e-12
@@ -421,7 +423,7 @@ def test_audit_matches_norm_major_reference(make):
     # the scale of its rounding error.
     assert np.max(np.abs(rep.interaction - inter) / bound) < 1e-12
     assert _rel(rep.localization, loc) < 1e-12
-    if traj.grid.dim == 4:
+    if g.dim == 4:
         assert _rel(rep.gn_ratios, gn) < 1e-12
         assert "gn_ratios" not in rep.to_dict()
     else:
@@ -444,17 +446,14 @@ def _count_transforms(monkeypatch):
     return counter
 
 
-def _snapshots(traj):
-    """Each snapshot of a stored trajectory as (t, w, v, w_hat, v_hat), the arguments of add()."""
-    out = []
-    for k, t in enumerate(traj.times):
-        w, v = traj.snapshot("w", k).values, traj.snapshot("v", k).values
-        out.append((t, w, v, np.fft.fftn(w), np.fft.fftn(v)))
-    return out
+def _with_spectra(snapshots):
+    """Each (t, w, v) snapshot as (t, w, v, w_hat, v_hat), the arguments of add()."""
+    return [(t, w, v, np.fft.fftn(w), np.fft.fftn(v)) for t, w, v in snapshots]
 
 
 def _accumulate(grid, snapshots, interaction=True):
-    """The audit of the snapshots through an accumulator that computes M(t) or not."""
+    """The audit of the snapshots, the arguments of add(), through an accumulator
+    that computes M(t) or not."""
     audit = MorawetzAccumulator(grid, interaction=interaction)
     for snap in snapshots:
         audit.add(*snap)
@@ -471,23 +470,23 @@ def test_audit_transform_count(monkeypatch, dim, points, interaction, limit):
     # transform. M(t) adds d inverse transforms for w's gradient (the
     # momentum) and d + 1 real-input transforms for the pairing. The 4D
     # Gagliardo-Nirenberg ratios come with the audit at no transform.
-    traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
-    snapshots = _snapshots(traj)
-    _accumulate(traj.grid, snapshots, interaction)  # warm the symbol and kernel caches
+    g, plain = _synth(dim, points)
+    snapshots = _with_spectra(plain)
+    _accumulate(g, snapshots, interaction)  # warm the symbol and kernel caches
     counter = _count_transforms(monkeypatch)
-    rep = _accumulate(traj.grid, snapshots, interaction)
+    rep = _accumulate(g, snapshots, interaction)
     assert (rep.gn_ratios is not None) == (dim == 4)
     assert (rep.interaction is not None) == interaction
-    assert counter["n"] <= limit * traj.n_snapshots, counter["n"] / traj.n_snapshots
+    assert counter["n"] <= limit * len(snapshots), counter["n"] / len(snapshots)
 
 
 @pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
 def test_audit_without_interaction_keeps_every_other_figure(tmp_path, dim, points):
     # Skipping M(t) moves no other figure by a bit, and a report without M(t)
     # refuses to be written rather than leave a partial interaction.csv.
-    traj = synth_traj(GridSpec(dim, points, np.pi), n_times=5)
-    full, bare = morawetz_audit(traj), _accumulate(traj.grid, _snapshots(traj), interaction=False)
-    assert bare.interaction is None and full.interaction.shape == traj.times.shape
+    g, snapshots = _synth(dim, points)
+    full, bare = _accumulate(g, snapshots), _accumulate(g, _with_spectra(snapshots), interaction=False)
+    assert bare.interaction is None and full.interaction.shape == (len(snapshots),)
     assert bare.to_dict() == full.to_dict()
     for name in ("times", "localization"):
         assert np.array_equal(getattr(bare, name), getattr(full, name))
@@ -503,30 +502,49 @@ def test_audit_keeps_only_half_spectrum_kernel_tables():
     # half-spectrum kernel tables plus a few lattice-sized symbols and
     # weights (under three complex fields), not the d + 1 real kernel tables.
     grid = GridSpec(4, 12, 2.75)  # a grid no other test warms
-    traj = synth_traj(grid, n_times=3)
-    _, _, retained = traced_peak(lambda: morawetz_audit(traj))
+    snapshots = synth_snapshots(grid, n_times=3)
+    _, _, retained = traced_peak(lambda: _accumulate(grid, snapshots))
     tables = sum(t.nbytes for t in _kernel_tables_hat(grid))
     assert retained < tables + 3 * 16 * grid.n_points, retained / grid.n_points
 
 
 @pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])
-def test_streamed_audit_equals_stored_audit(dim, points):
+def test_streamed_audit_equals_stored_audit(tmp_path, dim, points):
     # The snapshots a solve streams into the accumulator are made in its work
     # buffers, which the next snapshot overwrites; the report must equal, bit
-    # for bit, one fed copies of the same (t, w, v, w_hat, v_hat).
+    # for bit, one fed copies of the same (t, w, v, w_hat, v_hat). The
+    # directory the same solve writes holds values alone: its stored audit
+    # equals, bit for bit, one fed copies of the same (t, w, v), and the
+    # streamed audit to rounding, since the forward transform of w gives the
+    # solve's w_hat back only to rounding.
     w0, v0, cfg = _forced_inputs(dim, points, series_stride=2)
     snapshots, _ = kept_snapshots(w0, v0, cfg)
-    stored = _accumulate(w0.grid, snapshots)
     audit = MorawetzAccumulator(w0.grid)
-    solve_w(w0, v0, cfg, audit.add)
+    writer = TrajectoryWriter(tmp_path / "traj", w0.grid, ("v", "w"))
+
+    def sink(t, w, v, w_hat, v_hat):
+        audit.add(t, w, v, w_hat, v_hat)
+        writer.add(t, {"v": v, "w": w})
+
+    solve_w(w0, v0, cfg, sink)
     streamed = audit.report()
-    assert streamed.to_dict() == stored.to_dict()
+    stored = stored_audit(TrajectoryReader(writer.close()))
+    _assert_same_report(streamed, _accumulate(w0.grid, snapshots))
+    _assert_same_report(stored, _accumulate(w0.grid, [(t, w, v) for t, w, v, *_ in snapshots]))
+    assert stored.c_star == pytest.approx(streamed.c_star, rel=1e-12)
+    for name in ("T1", "T2", "T3"):
+        assert stored.terms[name] == pytest.approx(streamed.terms[name], rel=1e-12)
+
+
+def _assert_same_report(a, b):
+    """Two audit reports agree bit for bit."""
+    assert a.to_dict() == b.to_dict()
     for name in ("times", "interaction", "localization"):
-        assert np.array_equal(getattr(streamed, name), getattr(stored, name))
-    if dim == 4:
-        assert np.array_equal(streamed.gn_ratios, stored.gn_ratios)
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    if a.dim == 4:
+        assert np.array_equal(a.gn_ratios, b.gn_ratios)
     else:
-        assert streamed.gn_ratios is None and stored.gn_ratios is None
+        assert a.gn_ratios is None and b.gn_ratios is None
 
 
 @pytest.mark.parametrize("dim,points", [(3, 12), (4, 8)])

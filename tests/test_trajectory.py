@@ -1,4 +1,4 @@
-"""Snapshot container and the binary trajectory format."""
+"""Snapshot files and trajectory directories in the binary format."""
 
 import struct
 
@@ -9,25 +9,37 @@ from roughnls import (
     ConfigError,
     GridSpec,
     SpectralField,
-    Trajectory,
+    TrajectoryReader,
     TrajectoryWriter,
-    load_trajectory,
     read_snapshot,
-    save_trajectory,
     write_snapshot,
 )
 
-from conftest import traced_peak
+from conftest import traced_peak, write_trajectory
 
 
-def make_traj(grid, n_times=3, channels=("v", "w"), seed=0):
+def make_snapshots(grid, n_times=3, seed=0):
+    """(times, {channel: stack of random complex snapshot values})."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
     times = np.linspace(0.0, 1.0, n_times)
     data = {}
-    for ch in channels:
+    for ch in ("v", "w"):
         data[ch] = (rng.normal(size=(n_times,) + grid.shape)
                     + 1j * rng.normal(size=(n_times,) + grid.shape))
-    return Trajectory(grid, times, data, {"note": "test"})
+    return times, data
+
+
+def assert_reads_back(out, grid, times, data):
+    """The directory's reader serves exactly these times and snapshot values."""
+    reader = TrajectoryReader(out)
+    assert reader.grid == grid
+    assert np.array_equal(reader.times, times)
+    assert sorted(reader.files) == sorted(data)
+    for k, (t, snap) in enumerate(reader.snapshots(tuple(data))):
+        assert t == times[k]
+        for ch, stack in data.items():
+            assert np.array_equal(snap[ch], stack[k])
+    return reader
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -101,54 +113,24 @@ def test_truncated_snapshot_data_rejected(tmp_path):
 
 def test_writer_writes_the_manifest_last(tmp_path):
     g = GridSpec(2, 8, 1.0)
-    traj = make_traj(g, n_times=3)
-    out = save_trajectory(traj, tmp_path / "traj")
-    writer = TrajectoryWriter(out, g, ("v", "w"), traj.meta)
+    times, data = make_snapshots(g, n_times=3)
+    out = write_trajectory(tmp_path / "traj", g, times, data)
+    writer = TrajectoryWriter(out, g, ("v", "w"))
     assert not (out / "manifest.json").exists()  # an earlier run's manifest goes first
-    for k, t in enumerate(traj.times[:2]):
-        writer.add(t, {"v": traj.channels["v"][k], "w": traj.channels["w"][k]})
+    for k, t in enumerate(times[:2]):
+        writer.add(t, {"v": data["v"][k], "w": data["w"][k]})
     assert not (out / "manifest.json").exists()
     with pytest.raises(ConfigError, match="no manifest"):
-        load_trajectory(out)
+        TrajectoryReader(out)
     with pytest.raises(ValueError):
-        writer.add(traj.times[2], {"w": traj.channels["w"][2]})
-    writer.add(traj.times[2], {"v": traj.channels["v"][2], "w": traj.channels["w"][2]})
+        writer.add(times[2], {"w": data["w"][2]})
+    writer.add(times[2], {"v": data["v"][2], "w": data["w"][2]})
     assert writer.close() == out
-    back = load_trajectory(out)
-    for ch in ("v", "w"):
-        assert np.array_equal(back.channels[ch], traj.channels[ch])
+    assert_reads_back(out, g, times, data)
 
 
 def test_trajectory_round_trip(tmp_path):
     g = GridSpec(2, 16, 2.0)
-    traj = make_traj(g, n_times=4)
-    out = save_trajectory(traj, tmp_path / "traj")
-    back = load_trajectory(out)
-    assert back.grid == g
-    assert np.array_equal(back.times, traj.times)
-    assert sorted(back.channels) == ["v", "w"]
-    for ch in ("v", "w"):
-        assert np.array_equal(back.channels[ch], traj.channels[ch])
-    assert back.meta.get("note") == "test"
-
-
-def test_missing_channel_raises():
-    g = GridSpec(1, 8, 1.0)
-    traj = Trajectory(g, np.array([0.0, 1.0]), {"w": np.zeros((2, 8), dtype=complex)}, {})
-    with pytest.raises(KeyError):
-        traj.snapshot("v", 0)
-    # u is a channel only where it is held: v + w is not summed on demand
-    with pytest.raises(KeyError):
-        make_traj(g, n_times=2).snapshot("u", 0)
-
-
-def test_nonuniform_times_rejected():
-    g = GridSpec(1, 8, 1.0)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 0.1, 0.5]), {"u": np.zeros((3, 8), dtype=complex)}, {})
-
-
-def test_shape_mismatch_rejected():
-    g = GridSpec(1, 8, 1.0)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0]), {"u": np.zeros((3, 8), dtype=complex)}, {})
+    times, data = make_snapshots(g, n_times=4)
+    out = write_trajectory(tmp_path / "traj", g, times, data, {"note": "test"})
+    assert assert_reads_back(out, g, times, data).meta.get("note") == "test"

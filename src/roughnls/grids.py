@@ -26,10 +26,11 @@ hold anyway. Here that is |xi|^2 (xi_sq, half a complex field) and the
 sparse per-axis frequency grids (_xi_grids, xi_grids_odd, d axes of M
 values each); solver.dealias_mask and morawetz._kernel_tables_hat keep the
 same rule. What only a seed's draw reads is not cached, so a forced solve
-holds none of it: lp_symbol is built per call (6 ms at 64^3), and the
-transform weight of to_frequency, to_physical and raw_spectrum is never
-built whole but applied one axis-0 slab at a time (_weigh), so a
-transform allocates its result and no lattice-sized weight.
+holds none of it: lp_symbol is built per call (6 ms at 64^3). The
+transform weight of to_frequency, to_physical and raw_spectrum is the
+exact sign pattern dx^d * (-1)^(m_1 + ... + m_d), applied by _weigh from
+two signed slabs of the trailing axes, so a transform allocates its result
+and no lattice-sized weight.
 """
 
 from __future__ import annotations
@@ -141,23 +142,19 @@ def _outer_power(ax: np.ndarray, dim: int) -> np.ndarray:
 def _weigh(grid: GridSpec, op: np.ufunc, src: np.ndarray, out: np.ndarray) -> None:
     """out = op(src, weight) for the transform weight dx^d * e^{-i x0 . xi}, x0 = (-L, ..., -L).
 
-    The weight is cell volume times the reference phase of the leftmost
-    sample, the outer product of the per-axis factors e^{i L xi_k}. It is
-    never built whole: op runs one axis-0 slab at a time (the whole axis on
-    a 1d grid), each slab's weight formed in the order the outer product
-    forms it, so out holds the bits of one op by the whole weight and no
-    lattice-sized weight is allocated.
+    L xi_k = pi m_k, so the weight is exactly dx^d * (-1)^(m_1 + ... + m_d),
+    and m_k has the parity of its FFT-order index. op runs one axis-0 slab
+    at a time against one of two signed slabs of the trailing axes. The
+    slabs are stacked, not broadcast, and every op's operands are
+    contiguous, so numpy allocates no loop buffers: the weight costs the
+    two slabs, 2/M of a lattice field.
     """
-    ax = np.exp(1j * grid.half_width * grid.xi_axis())
-    if grid.dim == 1:
-        op(src, grid.cell_volume * ax, out=out)
-        return
+    even = np.array(grid.cell_volume, dtype=np.complex128)
+    for _ in range(grid.dim - 1):
+        even = np.stack([even, -even] * (grid.points // 2))
+    slabs = (even, -even)
     for i in range(grid.points):
-        part = ax[i]
-        for _ in range(grid.dim - 1):
-            part = np.multiply.outer(part, ax)
-        np.multiply(grid.cell_volume, part, out=part)
-        op(src[i], part, out=out[i])
+        op(src[i], slabs[i % 2], out=out[i, ...])  # out[i, ...] is a view, 0-d on a 1d grid
 
 
 def _free_axis_factor(grid: GridSpec, t: float) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .grids import FREQUENCY, GridSpec, SpectralField, xi_sq
-from .linear_flow import composite_spec, high_pass, linear_seed
+from .linear_flow import check_cutoff, composite_spec, high_pass, linear_seed
 from .morawetz import MorawetzAccumulator, c_star_spread
 from .partition import FrequencyPartition, PartitionConfig, build_partition
 from .randomize import draw
@@ -327,6 +327,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     partition = _spec(PartitionConfig, "partition", sections["partition"], dim=grid.dim)
     forcing = _spec(ForcingSpec, "forcing", sections["forcing"])
     _require(forcing is None or partition is not None, "config: a forcing section needs a partition section")
+    if kind == "linear-stats":
+        check_cutoff(grid, forcing.n0)
     n0 = {} if forcing is None else {"n0": forcing.n0}
     solver = _spec(SolverConfig, "solver", sections["solver"], dim=grid.dim, **n0)
     initial = sections["initial"]
@@ -399,14 +401,6 @@ def _shaped_noise(grid: GridSpec, field_seed: int, decay: float) -> SpectralFiel
     return SpectralField(grid, noise * (1.0 + xi_sq(grid)) ** (-decay), FREQUENCY)
 
 
-def _sup_scale(noise: SpectralField, amplitude: float) -> float:
-    """amplitude / sup |noise|, found by one inverse transform whose values are not kept."""
-    mx = float(np.abs(noise.as_physical().values).max())
-    if mx == 0.0:
-        raise ConfigError("profile is identically zero")
-    return amplitude / mx
-
-
 def shaped_profile(grid: GridSpec, field_seed: int, decay: float, amplitude: float) -> SpectralField:
     """The fixed base profile f for an ensemble, rescaled to sup |f| = amplitude.
 
@@ -415,32 +409,21 @@ def shaped_profile(grid: GridSpec, field_seed: int, decay: float, amplitude: flo
     not kept.
     """
     fhat = _shaped_noise(grid, field_seed, decay)
-    return SpectralField(grid, _sup_scale(fhat, amplitude) * fhat.values, FREQUENCY)
-
-
-@lru_cache(maxsize=2)
-def _profile_scale(grid: GridSpec, forcing: ForcingSpec) -> float:
-    """The sup rescaling of a forcing spec's profile, found once per (grid, spec).
-
-    A forced run keeps only this float of its profile, and each seed rebuilds
-    the spectrum from it (_forcing_profile), bit for bit shaped_profile's.
-    """
-    return _sup_scale(_shaped_noise(grid, forcing.field_seed, forcing.decay), forcing.amplitude)
-
-
-def _forcing_profile(grid: GridSpec, forcing: ForcingSpec) -> SpectralField:
-    """shaped_profile of a forcing spec, rebuilt from the run's stored scale with no transform."""
-    fhat = _shaped_noise(grid, forcing.field_seed, forcing.decay)
-    return SpectralField(grid, _profile_scale(grid, forcing) * fhat.values, FREQUENCY)
+    mx = float(np.abs(fhat.as_physical().values).max())
+    if mx == 0.0:
+        raise ConfigError("profile is identically zero")
+    return SpectralField(grid, (amplitude / mx) * fhat.values, FREQUENCY)
 
 
 @lru_cache(maxsize=2)
 def _profile_spectrum(grid: GridSpec, forcing: ForcingSpec) -> SpectralField:
-    """_forcing_profile built once per (grid, spec) and shared by a linear-stats run's seeds.
+    """shaped_profile of a forcing spec, built once per (grid, spec) and shared by a linear-stats run's seeds.
 
-    The cache keeps at most two profiles, and their arrays are read-only.
+    A linear seed's norms scale with the profile, so it reads the sup-scaled
+    spectrum. The cache keeps at most two profiles, and their arrays are
+    read-only.
     """
-    f = _forcing_profile(grid, forcing)
+    f = shaped_profile(grid, forcing.field_seed, forcing.decay, forcing.amplitude)
     f.values.flags.writeable = False
     return f
 
@@ -453,12 +436,14 @@ def forcing_field(
 ) -> SpectralField:
     """One run's rough component v(0): cube draw, high-pass, sup normalization.
 
-    The draw reads the profile spectrum, rebuilt for this seed from the run's
-    stored scale, and the high-pass the draw's spectrum, so once the scale
-    exists v(0) costs one inverse transform. Every lattice array of the draw
-    is freed when this returns: a forced solve holds none of them.
+    The draw and the high-pass are linear and v(0) is rescaled to its sup
+    afterwards, so the profile's own sup scale cancels: the draw reads the
+    unscaled shaped noise, and the high-pass the draw's spectrum. v(0) costs
+    one inverse transform, and a forced run keeps nothing of the profile.
+    Every lattice array of the draw is freed when this returns: a forced
+    solve holds none of them.
     """
-    rnd = draw(_forcing_profile(grid, forcing), partition, task_seed)
+    rnd = draw(_shaped_noise(grid, forcing.field_seed, forcing.decay), partition, task_seed)
     v0 = high_pass(rnd.spectrum, forcing.n0).as_physical()
     mx = float(np.abs(v0.values).max())
     if mx == 0.0:
@@ -590,10 +575,11 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     builds one (two, and four once a partition report reads its
     diagnostics), and for linear-stats its base profile's spectrum, which
     its seeds share. A forced task (evolve, morawetz-audit, twin-ladder)
-    keeps only the profile's scale: it rebuilds the spectrum, draws from it
-    and high-passes the draw, and frees all of it before its solve starts.
-    That phase peaks 4.0 to 4.3 fields at 32^3, 16^4 and 64^3 (4.5 to 6.1
-    on a run's first seed, which finds the scale), under every forced
+    keeps nothing of the profile: it draws from the unscaled shaped noise,
+    high-passes the draw, and frees all of it before its solve starts.
+    That phase peaks 4.3 fields at 16^4 (n_max 2) and 64^3 (n_max 4) and
+    6.1 at 32^3 (n_max 4, 29,129 cubes), and a process's first seed adds
+    half a field for the cached |xi|^2; all of it is under every forced
     task's solve charge below. Per task:
     - linear-stats: v-hat(0), one snapshot's spectrum and values, and 2d
       fields of view buffers and symbols; 8.0 fields at 32^3 with 4 times or

@@ -30,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import SpectralField, free_flow_into, lp_symbol, raw_spectrum
+from .grids import GridSpec, SpectralField, free_flow_into, lp_symbol, raw_spectrum
 from .norms import NormPass, NormSpec
 from .partition import FrequencyPartition
 from .randomize import draw
 
 __all__ = [
     "CompositeNormSpec",
+    "check_cutoff",
     "composite_spec",
     "high_pass",
     "linear_seed",
@@ -96,9 +97,16 @@ def composite_spec(name: str, s: float, a: float) -> CompositeNormSpec:
     return CompositeNormSpec(name=name, components=tuple(comps))
 
 
-def _is_dyadic(n: float) -> bool:
-    m = int(n)
-    return m == n and m >= 1 and (m & (m - 1)) == 0
+def check_cutoff(grid: GridSpec, n0: float) -> None:
+    """Refuse a linear-ensemble cutoff n0 that is not a dyadic integer or exceeds half the Nyquist frequency."""
+    m = int(n0)
+    if not (m == n0 and m >= 1 and (m & (m - 1)) == 0):
+        raise ConfigError(f"n0 must be a dyadic integer >= 1, got {n0}")
+    if n0 > grid.nyquist / 2.0:
+        raise ConfigError(
+            f"n0={n0:g} exceeds half the Nyquist frequency {grid.nyquist:g}/2; "
+            "refine the grid or lower the cutoff"
+        )
 
 
 def high_pass(field: SpectralField, n0: float) -> SpectralField:
@@ -130,13 +138,7 @@ def linear_seed(
     each of its seeds through here.
     """
     grid = f.grid
-    if not _is_dyadic(n0):
-        raise ConfigError(f"n0 must be a dyadic integer >= 1, got {n0}")
-    if n0 > grid.nyquist / 2.0:
-        raise ConfigError(
-            f"n0={n0:g} exceeds half the Nyquist frequency {grid.nyquist:g}/2; "
-            "refine the grid or lower the cutoff"
-        )
+    check_cutoff(grid, n0)
     for spec in specs:
         if spec.dim != grid.dim:
             raise ConfigError(f"{spec.name} is a {spec.dim}d norm; the grid is {grid.dim}d")

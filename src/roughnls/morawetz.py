@@ -138,7 +138,8 @@ def _momentum_pairing(w: FrequencyView, m: np.ndarray) -> float:
         np.multiply(conj_w, comp, out=comp)
         np.multiply(0.5, comp.imag, out=p_k)
         np.fft.rfftn(p_k, out=spec)
-        prod += _times_table(spec, table, vec_hat.nbytes)
+        spec *= table
+        prod += spec
     np.fft.rfftn(m, out=spec)
     np.conjugate(spec, out=spec)
     spec *= prod
@@ -203,21 +204,6 @@ def _kernel_tables_hat(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.conj(np.fft.rfftn(vec, axes=axes)) * scale, np.conj(np.fft.rfftn(sca)) * scale
 
 
-# numpy elides a temporary operand of at least this many bytes into the result
-# of a binary operation, so `table * rfftn(f)` multiplies as (rfftn(f), table)
-# from this size on and as (table, rfftn(f)) below it; a complex product can
-# round differently with its factors swapped
-_ELIDE_BYTES = 256 * 1024
-
-
-def _times_table(spec: np.ndarray, table: np.ndarray, stack_bytes: int) -> np.ndarray:
-    """spec * table in place, its factors in the order `table * rfftn(...)` takes for a
-    transform of stack_bytes, so the pairing does not depend on how its spectra are held."""
-    if stack_bytes >= _ELIDE_BYTES:
-        return np.multiply(spec, table, out=spec)
-    return np.multiply(table, spec, out=spec)
-
-
 def _pair_fft(table_hat: np.ndarray, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> float:
     """sum_{x,y} K(x-y) f(x) g(y) dx^{2d} for real f, g, as one half-spectrum Parseval sum.
 
@@ -226,8 +212,8 @@ def _pair_fft(table_hat: np.ndarray, f: np.ndarray, g: np.ndarray, grid: GridSpe
     the single pairing with g.
     """
     axes = tuple(range(f.ndim - grid.dim, f.ndim))
-    spec = np.fft.rfftn(f, axes=axes)
-    prod = _times_table(spec, table_hat, spec.nbytes)
+    prod = np.fft.rfftn(f, axes=axes)
+    prod *= table_hat
     if prod.ndim > grid.dim:
         prod = prod.sum(axis=0)
     return float(np.sum((np.conj(np.fft.rfftn(g)) * prod).real))

@@ -197,28 +197,36 @@ def test_free_multiplier_matches_lattice_exponential(dim, points, t):
 
 @pytest.mark.parametrize("dim,points,half_width", [(1, 64, 3.0), (2, 16, np.pi), (3, 12, 2.5), (4, 6, np.pi)])
 def test_transforms_match_inline_normalization(dim, points, half_width):
-    # The weight is dx^d * e^{i L xi} per axis, applied exactly as the
-    # inline fftn(x) * (dvol * phase) and ifftn(x / (dvol * phase)) did.
+    # The weight dx^d * e^{i L xi} per axis is exactly dx^d * (-1)^(m_1+...+m_d),
+    # since L xi_k = pi m_k; it is applied exactly as the inline
+    # fftn(x) * (dvol * sign) and ifftn(x / (dvol * sign)) do.
     g = GridSpec(dim, points, half_width)
-    ax = np.exp(1j * g.half_width * g.xi_axis())
-    phase = ax
-    for _ in range(dim - 1):
-        phase = np.multiply.outer(phase, ax)
+    sign = 1.0 - 2.0 * (np.indices(g.shape).sum(axis=0) % 2)
+    weight = g.cell_volume * sign
     f = noise_field(g, seed=dim)
     kept = f.values.copy()
     fhat = f.as_frequency().values
-    assert np.array_equal(fhat, np.fft.fftn(f.values) * (g.cell_volume * phase))
+    assert np.array_equal(fhat, np.fft.fftn(f.values) * weight)
     assert np.array_equal(f.values, kept)  # the transform does not write its input
     kept_hat = fhat.copy()
     back = SpectralField(g, fhat, "frequency").as_physical().values
-    assert np.array_equal(back, np.fft.ifftn(fhat / (g.cell_volume * phase)))
+    assert np.array_equal(back, np.fft.ifftn(fhat / weight))
     assert np.array_equal(fhat, kept_hat)
     # a real-dtype physical field transforms as its complex cast does
     real = f.values.real.copy()
     rhat = SpectralField(g, real, "physical").as_frequency().values
     assert rhat.dtype == np.complex128
-    assert np.array_equal(rhat, np.fft.fftn(real) * (g.cell_volume * phase))
+    assert np.array_equal(rhat, np.fft.fftn(real) * weight)
     assert np.array_equal(real, f.values.real)
+    # the phase form of the weight agrees to rounding
+    ax = np.exp(1j * g.half_width * g.xi_axis())
+    phase = ax
+    for _ in range(dim - 1):
+        phase = np.multiply.outer(phase, ax)
+    ref = np.fft.fftn(f.values) * (g.cell_volume * phase)
+    assert np.max(np.abs(fhat - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ref_back = np.fft.ifftn(fhat / (g.cell_volume * phase))
+    assert np.max(np.abs(back - ref_back)) <= 1e-13 * np.max(np.abs(ref_back))
 
 
 @pytest.mark.parametrize("dim,points", [(3, 32), (4, 16)])

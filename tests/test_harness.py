@@ -502,18 +502,21 @@ def linear_stats_config(out_dir, points=12, n_times=4):
 
 def test_forcing_field_reads_the_profile_spectrum(tmp_path, monkeypatch):
     # v(0) is the old physical round trip's to rounding: shaped noise made
-    # physical, drawn, transformed back and high-passed. Once the run's
-    # profile spectrum exists, one seed's v(0) is one inverse transform.
-    cfg = parse_config(evolve_config(tmp_path))
+    # physical, drawn, transformed back and high-passed. The draw reads the
+    # unscaled noise spectrum, so every seed's v(0), a run's first included,
+    # is one inverse transform. The forcing spec is this test's own, so no
+    # other test has warmed a cache for it.
+    cfg = parse_config(evolve_config(tmp_path, forcing=dict(FORCING, field_seed=23)))
     grid, forcing = cfg.grid, cfg.forcing
     part = harness.build_partition(cfg.partition, grid)
     noise = harness._shaped_noise(grid, forcing.field_seed, forcing.decay).as_physical()
     hp = harness.high_pass(harness.draw(noise, part, 5).field, forcing.n0).as_physical().values
     want = forcing.amplitude / np.abs(hp).max() * hp
-    harness.forcing_field(grid, part, forcing, 4)  # builds the profile spectrum
     calls = _count_fft(monkeypatch)
-    got = harness.forcing_field(grid, part, forcing, 5).values
+    harness.forcing_field(grid, part, forcing, 4)
     assert calls == {"fftn": 0, "ifftn": 1}
+    got = harness.forcing_field(grid, part, forcing, 5).values
+    assert calls == {"fftn": 0, "ifftn": 2}
     assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
 
 
@@ -524,9 +527,7 @@ def test_profile_spectrum_is_shared_and_read_only(tmp_path):
     assert f.rep == "frequency" and not f.values.flags.writeable
     sup = np.abs(f.as_physical().values).max()
     assert sup == pytest.approx(cfg.forcing.amplitude, rel=1e-12)
-    # a forced seed's per-seed rebuild and shaped_profile give the same bits
     fc = cfg.forcing
-    assert np.array_equal(harness._forcing_profile(cfg.grid, fc).values, f.values)
     assert np.array_equal(harness.shaped_profile(cfg.grid, fc.field_seed, fc.decay, fc.amplitude).values, f.values)
 
 
@@ -709,14 +710,22 @@ def test_sweep_unknown_axis_rejected(tmp_path):
         parse_config(cfg)
 
 
-@pytest.mark.parametrize("axis, values, code", [
-    ("solver.dt", [0.02, 0.03], 2),  # 0.1 is no whole number of steps of 0.03
-    ("grid.points", [12, 64], 4),  # 64^3 is over the 20 MB limit
-    ("forcing.n0", [2.0000001, 2.0000002], 2),  # both would run into forcing-n0_2/
+@pytest.mark.parametrize("kind, axis, values, code", [
+    # 0.1 is no whole number of steps of 0.03
+    pytest.param("evolve", "solver.dt", [0.02, 0.03], 2, id="solver.dt-values0-2"),
+    # 64^3 is over the 20 MB limit
+    pytest.param("evolve", "grid.points", [12, 64], 4, id="grid.points-values1-4"),
+    # both would run into forcing-n0_2/
+    pytest.param("evolve", "forcing.n0", [2.0000001, 2.0000002], 2, id="forcing.n0-values2-2"),
+    # a linear-stats cutoff must be dyadic; rung 2 would run in full before it
+    pytest.param("linear-stats", "forcing.n0", [2, 3], 2, id="linear-stats-forcing.n0-values3-2"),
 ])
-def test_cli_sweep_refuses_a_bad_later_value_before_running(tmp_path, axis, values, code):
+def test_cli_sweep_refuses_a_bad_later_value_before_running(tmp_path, kind, axis, values, code):
     raw = evolve_config(tmp_path / "unused", kind="sweep", n_samples=1, memory_limit_mb=20,
-                        sweep={"axis": axis, "values": values, "kind": "evolve"})
+                        sweep={"axis": axis, "values": values, "kind": kind})
+    if kind == "linear-stats":
+        del raw["solver"], raw["initial"]
+        raw["times"] = {"t_final": 0.3, "n_times": 4}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(raw))
     assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == code

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField, free_flow_into, lp_symbol, raw_spectrum
+from .grids import GridSpec, SpectralField, free_flow_into, ifftn, lp_symbol, raw_spectrum
 from .norms import NormPass, NormSpec
 from .partition import FrequencyPartition
 from .randomize import draw
@@ -161,7 +161,7 @@ def linear_seed(
     l2 = 0.0
     for k, t in enumerate(times):
         fhat = free_flow_into(v0_hat, grid, float(t), np.empty_like(v0_hat))
-        view = norm_pass.view(np.fft.ifftn(fhat), fhat)
+        view = norm_pass.view(ifftn(fhat), fhat)
         if k == 0:
             l2 = view.norm(2)
         norm_pass.take("v", view)

@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField, xi_grids_odd
+from .grids import GridSpec, SpectralField, ifftn, xi_grids_odd
 from .norms import FrequencyView, NormPass, NormSpec, time_norm
 from .trajectory import TrajectoryReader, write_atomic
 
@@ -134,7 +134,7 @@ def _momentum_pairing(w: FrequencyView, m: np.ndarray) -> float:
     prod = np.zeros_like(spec)
     for table, c in zip(vec_hat, xi_grids_odd(g)):
         np.multiply(w.fhat, 1j * c, out=comp)
-        np.fft.ifftn(comp, out=comp)
+        ifftn(comp, out=comp)
         np.multiply(conj_w, comp, out=comp)
         np.multiply(0.5, comp.imag, out=p_k)
         np.fft.rfftn(p_k, out=spec)
@@ -671,7 +671,7 @@ def _max_grad_sq(f: FrequencyView) -> float:
     sq = np.empty(f.grid.shape)
     for c in xi_grids_odd(f.grid):
         np.multiply(fhat, 1j * c, out=comp)
-        np.fft.ifftn(comp, out=comp)
+        ifftn(comp, out=comp)
         np.multiply(comp.real, comp.real, out=sq)
         np.multiply(comp.imag, comp.imag, out=comp.real)
         sq += comp.real

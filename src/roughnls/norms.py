@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, derivative_symbol, modulus_lp_norm, xi_grids_odd
+from .grids import GridSpec, derivative_symbol, fftn, ifftn, modulus_lp_norm, xi_grids_odd
 
 __all__ = [
     "NormSpec",
@@ -118,7 +118,7 @@ class FrequencyView:
         The transform writes every axis pass into one new array.
         """
         if self._fhat is None:
-            self._fhat = np.fft.fftn(self.values, out=np.empty(self.grid.shape, dtype=np.complex128))
+            self._fhat = fftn(self.values, out=np.empty(self.grid.shape, dtype=np.complex128))
         return self._fhat
 
     @property
@@ -141,7 +141,7 @@ class FrequencyView:
         out = self._derivatives.get(key)
         if out is None:
             out = self.fhat * self._symbol(s, kind)
-            np.fft.ifftn(out, out=out)
+            ifftn(out, out=out)
             self._derivatives[key] = out
         return out
 
@@ -154,7 +154,7 @@ class FrequencyView:
         out = []
         for c in xi_grids_odd(self.grid):
             comp = self.fhat * (1j * c)
-            np.fft.ifftn(comp, out=comp)
+            ifftn(comp, out=comp)
             out.append(comp)
         return out
 

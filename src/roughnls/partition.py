@@ -41,7 +41,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, ResolutionError, ResourceLimitError
-from .grids import GridSpec, SpectralField, modulus_lp_norm, smoothstep
+from .grids import GridSpec, SpectralField, ifftn, modulus_lp_norm, smoothstep
 
 __all__ = [
     "PartitionConfig",
@@ -457,7 +457,7 @@ def bernstein_exponent(partition: FrequencyPartition) -> BernsteinFit:
             fhat = np.zeros(partition.grid.n_points, dtype=np.complex128)
             fhat[cut.support] = cut.values * moduli
             # raw coordinates: the probe is a half-box translate of the weighted one, same ratio
-            modulus = np.abs(np.fft.ifftn(fhat.reshape(partition.grid.shape)))
+            modulus = np.abs(ifftn(fhat.reshape(partition.grid.shape)))
             denom = modulus_lp_norm(modulus, 2.0, partition.grid)
             if denom > 0:
                 ratios.append(modulus_lp_norm(modulus, math.inf, partition.grid) / denom)

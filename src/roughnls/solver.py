@@ -16,8 +16,12 @@ equations: the full equation is the remainder equation with v = 0.
 The solve carries w_hat in numpy's unnormalized coordinates, np.fft.fftn(w),
 rather than the continuum-normalized transform of grids: the transform weight
 is diagonal, so every multiplier of the step acts on these coordinates
-unchanged, and each grid transform is a bare in-place np.fft call with no
-weight pass. The solve allocates its lattice work arrays once (w_hat, u,
+unchanged, and each grid transform is an in-place grids.fftn or
+grids.ifftn call, numpy's bits, with no weight pass. On a lattice large
+enough to split (grids.SPLIT_POINTS) the transforms, |u|^2, the rotation,
+the free flow and the step's in-place products run in slabs on the CPUs,
+with the same bits; the sums of the series and the checks do not. The solve
+allocates its lattice work arrays once (w_hat, u,
 v_hat(t), the phase and two float buffers) and the step, the series sample
 and the snapshots share them: v_hat(t) is built in place by per-axis
 broadcast multiplies, |u|^2 and the nonlinear angle go into the float
@@ -43,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BlowupError, ConfigError, RepresentationError
-from .grids import GridSpec, SpectralField, free_flow_into, free_multiplier, xi_sq
+from .grids import GridSpec, SpectralField, fftn, free_flow_into, free_multiplier, ifftn, on_slabs, xi_sq
 from .norms import FrequencyView, Symbols
 
 __all__ = [
@@ -159,16 +163,35 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _abs_sq(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """|values|^2 as re^2 + im^2 into out, without the square root of np.abs.
-
-    out and scratch are float lattice buffers; scratch is overwritten.
-    """
+def _abs_sq_slab(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     re, im = values.real, values.imag
     np.multiply(re, re, out=out)
     np.multiply(im, im, out=scratch)
     out += scratch
+
+
+def _abs_sq(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|values|^2 as re^2 + im^2 into out, without the square root of np.abs.
+
+    out and scratch are float lattice buffers; scratch is overwritten. A
+    large lattice is squared in slabs (grids.on_slabs), with the same bits.
+    """
+    on_slabs(_abs_sq_slab, values, out, scratch)
     return out
+
+
+def _open_slab(what: np.ndarray, k_half: np.ndarray, *vhat: np.ndarray) -> None:
+    """A step's opening in place, on one slab: w_hat <- K_half w_hat, plus v_hat(t_mid) if given."""
+    np.multiply(what, k_half, out=what)
+    if vhat:
+        np.add(what, vhat[0], out=what)
+
+
+def _close_slab(what: np.ndarray, k_half: np.ndarray, *vhat: np.ndarray) -> None:
+    """A step's closing in place, on one slab: w_hat <- K_half (w_hat, less v_hat(t_mid) if given)."""
+    if vhat:
+        np.subtract(what, vhat[0], out=what)
+    np.multiply(what, k_half, out=what)
 
 
 def _guard(abs_sq: np.ndarray, threshold: float | None, t: float) -> None:
@@ -186,13 +209,18 @@ def _rotate(
 
     The angle is formed in abs_sq's own buffer, which is overwritten, and the
     phase is assembled in the complex buffer `phase` from cos and sin of the
-    real angle, which avoids a lattice-sized complex exponential.
+    real angle, which avoids a lattice-sized complex exponential. A large
+    lattice is rotated in slabs (grids.on_slabs), with the same bits.
     """
-    theta = np.power(abs_sq, 0.5 * power, out=abs_sq)
-    theta *= -dt_mu
-    np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    phys *= phase
+
+    def rotate_slab(phys: np.ndarray, abs_sq: np.ndarray, phase: np.ndarray) -> None:
+        theta = np.power(abs_sq, 0.5 * power, out=abs_sq)
+        theta *= -dt_mu
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        phys *= phase
+
+    on_slabs(rotate_slab, phys, abs_sq, phase)
 
 
 def _split_checked(
@@ -276,7 +304,10 @@ def solve_w(
     place and serves every later half-step, opening ones included, exactly,
     since w_hat leaves each closing half-step zero on the masked modes. At
     snapshot steps the subtraction is checked against u_hat for channel
-    bookkeeping drift. Every value of v,
+    bookkeeping drift. On a large lattice the transforms and the
+    elementwise passes of a step run in slabs on the CPUs (module
+    docstring); the snapshots and the series have the same bits on any
+    number of CPUs. Every value of v,
     the t = 0 snapshot's included, is the exact free propagator applied to
     v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
     snapshots are exact.
@@ -315,13 +346,13 @@ def solve_w(
     v0hat = None
     if with_v:
         v_init = np.ascontiguousarray(v0.as_physical().values, dtype=np.complex128)
-        v0hat = np.fft.fftn(v_init)
+        v0hat = fftn(v_init)
         if not np.any(v0hat):
             v0hat = None
     has_v = v0hat is not None
 
     # the solve's work arrays, shared by the step, the series sample and the snapshots
-    what = np.fft.fftn(w_init)
+    what = fftn(w_init)
     u = np.empty(shape, dtype=np.complex128)
     phase = np.empty(shape, dtype=np.complex128)
     vhat = np.empty(shape, dtype=np.complex128) if has_v else None
@@ -379,7 +410,7 @@ def solve_w(
         # dE/dt = mu Im int conj(Lap v) nl_u with Lap v = -ifftn(|xi|^2 v_hat);
         # the sign is folded into the sum
         vhat_k *= xi2
-        np.fft.ifftn(vhat_k, out=vhat_k)
+        ifftn(vhat_k, out=vhat_k)
         np.conjugate(vhat_k, out=vhat_k)
         vhat_k *= u_k
         ser_de_id[idx] = -cfg.mu * float(np.sum(vhat_k.imag)) * dvol
@@ -397,7 +428,7 @@ def solve_w(
     def v_snapshot(out: np.ndarray) -> np.ndarray | None:
         """A snapshot's v: the inverse transform of v_hat(t) into out; zeros unforced, None without v0."""
         if has_v:
-            return np.fft.ifftn(vhat, out=out)
+            return ifftn(vhat, out=out)
         if not with_v:
             return None
         out[...] = 0.0
@@ -416,38 +447,37 @@ def solve_w(
     del w0, v0, w_init, v_init, u_init
     if has_v:
         free_flow_into(v0hat, grid, 0.0, out=vhat)  # the sample overwrote it
-    sink(0.0, np.fft.ifftn(what, out=phase), v_snapshot(u), what, vhat)
+    sink(0.0, ifftn(what, out=phase), v_snapshot(u), what, vhat)
     rotate = cfg.mu != 0.0
+    v_mid = (vhat,) if has_v else ()  # v_hat(t_mid), added and subtracted by each step
     ser = 1
     for step in range(cfg.n_steps):
         t_mid = (step + 0.5) * cfg.dt
         done = step + 1
         at_snap = done % cfg.snapshot_stride == 0
         at_ser = done % cfg.series_stride == 0
-        what *= k_half
+        if has_v:
+            free_flow_into(v0hat, grid, t_mid, out=vhat)
+        on_slabs(_open_slab, what, k_half, *v_mid)
         if step == 0 and cfg.dealias:
             # w_hat leaves every closing half-step zero on the masked modes, so
             # one dealiased multiplier serves it and every later opening one
             k_half[~dealias_mask(grid)] = 0.0
-        if has_v:
-            free_flow_into(v0hat, grid, t_mid, out=vhat)
-            what += vhat
-        np.fft.ifftn(what, out=u)
+        ifftn(what, out=u)
         if rotate or threshold is not None:
             _abs_sq(u, abs_sq, scratch)
             _guard(abs_sq, threshold, t_mid)
             if rotate:
                 _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, cfg.power)
-        np.fft.fftn(u, out=what)
-        if has_v:
-            if at_snap:
-                # w_hat goes to u's buffer, which then carries w_hat; u_hat
-                # stays in the other one for the check
-                _split_checked(what, vhat, u, phase, abs_sq)
-                what, u = u, what
-            else:
-                what -= vhat
-        what *= k_half
+        fftn(u, out=what)
+        if has_v and at_snap:
+            # w_hat goes to u's buffer, which then carries w_hat; u_hat
+            # stays in the other one for the check
+            _split_checked(what, vhat, u, phase, abs_sq)
+            what, u = u, what
+            on_slabs(_close_slab, what, k_half)
+        else:
+            on_slabs(_close_slab, what, k_half, *v_mid)
         if not (at_snap or at_ser):
             continue
         t_k = done * cfg.dt
@@ -455,14 +485,14 @@ def solve_w(
             free_flow_into(v0hat, grid, t_k, out=vhat)
         # w goes to the phase buffer, free after the step; a snapshot's v goes
         # to u's buffer, which then becomes u = v + w for the series sample
-        w_k = np.fft.ifftn(what, out=phase)
+        w_k = ifftn(what, out=phase)
         if at_snap:
             sink(t_k, w_k, v_snapshot(u), what, vhat)
             if has_v and at_ser:
                 u += w_k
         elif has_v:
             np.add(what, vhat, out=u)
-            np.fft.ifftn(u, out=u)
+            ifftn(u, out=u)
         if at_ser:
             sample_series(ser, t_k, what, w_k, u, vhat)
             ser += 1
@@ -632,7 +662,7 @@ def almost_conservation_monitor(
         raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
     if v0 is not None:
         # raw coordinates: the transform weight has constant modulus, so the relative leak is unchanged
-        vhat0 = np.fft.fftn(v0.as_physical().values)
+        vhat0 = fftn(v0.as_physical().values)
         low = np.sqrt(xi_sq(v0.grid)) < n0 / 2.0
         leak = float(np.linalg.norm(vhat0[low]))
         total = float(np.linalg.norm(vhat0))

@@ -1,6 +1,9 @@
 """Fourier conventions: transforms, multipliers, and the spectral operations
 (derivatives, gradients, norms and the free flow) in numpy's raw coordinates."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from roughnls import (
     lp_symbol,
     scattering_proxy,
 )
+from roughnls import grids
 from roughnls.grids import derivative_symbol, xi_grids_odd, xi_sq
 
 from conftest import traced_peak
@@ -229,10 +233,12 @@ def test_transforms_match_inline_normalization(dim, points, half_width):
     assert np.max(np.abs(back - ref_back)) <= 1e-13 * np.max(np.abs(ref_back))
 
 
-@pytest.mark.parametrize("dim,points", [(3, 32), (4, 16)])
-def test_transforms_allocate_one_lattice_field(dim, points):
+@pytest.mark.parametrize("dim,points", [(3, 32), (4, 16), (3, 64)])
+def test_transforms_allocate_one_lattice_field(dim, points, monkeypatch):
     # Each transform allocates its result and transforms in place in it, so
-    # its traced peak is one complex lattice field above its input.
+    # its traced peak is one complex lattice field above its input; 64^3
+    # holds the split path to it on any host.
+    monkeypatch.setattr(grids, "_CPUS", max(grids._CPUS, 2))
     g = GridSpec(dim, points, np.pi)
     field = 16 * g.n_points
     f = noise_field(g, seed=5)
@@ -247,6 +253,86 @@ def test_transforms_allocate_one_lattice_field(dim, points):
         out, peak, _ = traced_peak(transform)
         assert out.values.dtype == np.complex128
         assert field <= peak < 1.25 * field, (name, peak / field)
+
+
+@pytest.mark.parametrize("shape", [(64,) * 3, (65,) * 3, (20,) * 4])
+def test_split_transforms_are_numpys_bits(shape, monkeypatch):
+    # 0.3 s in all. Two slabs on any host (65^3 splits unevenly): in place,
+    # into out= and into a new array, the split transforms give np.fft's bits.
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    assert grids._slab_count(shape, 0) == 2
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 1], dtype=np.uint64)))
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for split, whole in ((grids.fftn, np.fft.fftn), (grids.ifftn, np.fft.ifftn)):
+        ref = whole(values)
+        in_place = values.copy()
+        assert split(in_place, out=in_place) is in_place
+        out = np.empty_like(values)
+        assert split(values, out=out) is out
+        for got in (in_place, out, split(values)):
+            assert np.array_equal(got, ref)
+    real = values.real.copy()
+    assert np.array_equal(grids.fftn(real), np.fft.fftn(real))
+
+
+def test_small_lattices_never_use_the_slab_pool(monkeypatch):
+    # 0.01 s. The 3D linear-stats (32^3) and 4D audit (16^4) lattices stay one plain call.
+    def no_pool():
+        raise AssertionError("the slab pool was used")
+
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    monkeypatch.setattr(grids, "_slab_pool", no_pool)
+    for g in (GridSpec(3, 32, np.pi), GridSpec(4, 16, np.pi)):
+        assert grids._slab_count(g.shape, 0) == 1
+        f = noise_field(g)
+        assert f.as_frequency().as_physical().values.shape == g.shape
+        free_flow_into(f.values, g, 0.1, np.empty_like(f.values))
+
+
+def test_a_slab_exception_reaches_the_caller(monkeypatch):
+    # 0.01 s. The raising slab runs on a pool thread; the call returns once both slabs are done.
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    err = ValueError("slab 1")
+    lattice = np.zeros((64,) * 3)
+    lattice[32:] = np.nan
+
+    def fill(slab):
+        if np.isnan(slab).any():
+            raise err
+        slab[...] = 1.0
+
+    with pytest.raises(ValueError) as caught:
+        grids.on_slabs(fill, lattice)
+    assert caught.value is err
+    assert (lattice[:32] == 1.0).all() and np.isnan(lattice[32:]).all()
+
+
+def test_callers_on_more_threads_than_cpus_share_the_slab_pool(monkeypatch):
+    # 0.2 s. Four threads transform their own 64^3 lattices on the one pool,
+    # with the interpreter switching threads every microsecond: each gets
+    # np.fft's bits for its own lattice, every time.
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 2], dtype=np.uint64)))
+    lattices = [rng.normal(size=(64,) * 3) + 1j * rng.normal(size=(64,) * 3) for _ in range(4)]
+    refs = [np.fft.fftn(a) for a in lattices]
+    equal = []
+
+    def transform(a, ref):
+        for _ in range(5):
+            equal.append(np.array_equal(grids.fftn(a), ref))
+
+    threads = [threading.Thread(target=transform, args=pair) for pair in zip(lattices, refs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert equal == [True] * 20
 
 
 def test_lp_norm_against_closed_form():

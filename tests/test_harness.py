@@ -30,7 +30,7 @@ from roughnls import (
     stored_audit,
     summarize,
 )
-from roughnls import harness, morawetz, solver
+from roughnls import grids, harness, morawetz, solver
 from roughnls.cli import main as cli_main
 from roughnls.harness import ForcingSpec, InitialSpec, _set_axis
 
@@ -170,6 +170,16 @@ def test_run_resume_skips_completed(tmp_path):
 def test_worker_count_does_not_change_metrics(tmp_path):
     r1 = run(parse_config(evolve_config(tmp_path / "w1", n_samples=3)))
     r2 = run(parse_config(evolve_config(tmp_path / "w2", n_samples=3, workers=3)))
+    assert [r.metrics for r in r1] == [r.metrics for r in r2]
+
+
+def test_seed_threads_share_the_slab_pool(tmp_path, monkeypatch):
+    # 0.7 s. Two 64^3 seeds on two seed threads split their transforms and
+    # rotations on the one slab pool, and give the metrics of one thread.
+    monkeypatch.setattr(grids, "_CPUS", max(grids._CPUS, 2))
+    base = evolve_config(tmp_path, grid=dict(GRID, points=64), solver={"dt": 1e-3, "t_final": 2e-3})
+    r1 = run(parse_config(dict(base, out_dir=str(tmp_path / "w1"), workers=1)))
+    r2 = run(parse_config(dict(base, out_dir=str(tmp_path / "w2"), workers=2)))
     assert [r.metrics for r in r1] == [r.metrics for r in r2]
 
 

@@ -28,6 +28,9 @@ from roughnls import (
     twin_run,
 )
 
+from roughnls import grids
+from roughnls.solver import _abs_sq, _rotate
+
 from conftest import discard, kept_snapshots, traced_peak
 
 
@@ -356,6 +359,51 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
     # Lap v (3), u again being w + v
     assert len(calls) == 2 * n_steps + 8
     assert calls.count("fftn") == n_steps + 2
+
+
+def _noise(shape, seed):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("points", [64, 65])
+def test_split_kernels_are_the_serial_bits(points, monkeypatch):
+    # 0.1 s in all. |u|^2 and the rotation in two slabs (uneven at 65^3) against one call.
+    shape = (points,) * 3
+    u = _noise(shape, points)
+    got = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(grids, "_CPUS", cpus)
+        assert grids._slab_count(shape, 0) == cpus
+        abs_sq, scratch = np.empty(shape), np.empty(shape)
+        _abs_sq(u, abs_sq, scratch)
+        rotated = u.copy()
+        _rotate(rotated, abs_sq.copy(), np.empty_like(u), 1e-3, 4.0)
+        got[cpus] = (abs_sq, rotated)
+    for serial, split in zip(got[1], got[2]):
+        assert np.array_equal(serial, split)
+
+
+def test_split_solve_is_the_serial_solve(monkeypatch):
+    # 0.6 s. A forced 64^3 solve, every step a snapshot and a series sample,
+    # with the slab pool on and off: its sink gets the same arrays and it
+    # returns the same series, bit for bit.
+    g = GridSpec(3, 64, np.pi)
+    w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
+    v0 = SpectralField(g, 0.2 * _noise(g.shape, 3), "physical")
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=3e-3, snapshot_stride=1, series_stride=1)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(grids, "_CPUS", cpus)
+        runs[cpus] = kept_snapshots(w0, v0, cfg)
+    (snaps1, series1), (snaps2, series2) = runs[1], runs[2]
+    assert len(snaps1) == len(snaps2) == cfg.n_snapshots
+    for a, b in zip(snaps1, snaps2):
+        assert a[0] == b[0]
+        for x, y in zip(a[1:], b[1:]):
+            assert np.array_equal(x, y)
+    for name in ("times", "mass", "energy", "dmass_id", "denergy_id"):
+        assert np.array_equal(getattr(series1, name), getattr(series2, name))
 
 
 def test_solve_frees_its_inputs_before_the_first_snapshot():

@@ -17,7 +17,6 @@ error).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -28,7 +27,7 @@ from .harness import ENV_WORKERS, ExperimentConfig, parse_config, read_config, r
 from .morawetz import stored_audit
 from .partition import build_partition
 from .randomize import tail_fit
-from .trajectory import TrajectoryReader, write_atomic
+from .trajectory import TrajectoryReader, write_csv, write_json
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
@@ -145,8 +144,7 @@ def _cmd_partition(args) -> int:
         report = build_partition(config.partition, config.grid).report()
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "partition.json"
-    with write_atomic(report_path) as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True))
+    write_json(report_path, report)
     print(f"partition report: {report_path}")
     return 0
 
@@ -158,14 +156,8 @@ def _cmd_linear_stats(args) -> int:
         raise ConfigError(f"config grid has dim {config.grid.dim}, --dim asked for {args.dim}")
     records = run(config)
     out = Path(config.out_dir)
-    values = []
-    with write_atomic(out / "norms.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", args.norm])
-        for rec in records:
-            val = rec.metrics[args.norm]
-            values.append(val)
-            writer.writerow([rec.seed, val])
+    values = [rec.metrics[args.norm] for rec in records]
+    write_csv(out / "norms.csv", ["seed", args.norm], zip((rec.seed for rec in records), values))
     tail_path = out / "tail.json"
     try:
         rep = tail_fit(values)
@@ -182,8 +174,7 @@ def _cmd_linear_stats(args) -> int:
         }
     except FitError as exc:
         tail_doc = {"fitted": False, "n_samples": len(values), "reason": str(exc)}
-    with write_atomic(tail_path) as fh:
-        fh.write(json.dumps(tail_doc, indent=2, sort_keys=True))
+    write_json(tail_path, tail_doc)
     print(f"norm column: {out / 'norms.csv'}")
     print(f"tail report: {tail_path}")
     return 0

@@ -22,13 +22,12 @@ summary.json (recomputed from records on every run), metrics.csv (long format
 seed/metric/value), per-seed artifact directories, and for sweeps one
 subdirectory per axis value plus sweep.csv / sweep_summary.json. Summaries,
 tables and each seed's series.csv replace the old ones atomically
-(trajectory.write_atomic).
+(trajectory.write_json, trajectory.write_csv).
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 import os
@@ -55,7 +54,7 @@ from .solver import (
     solve_w,
     twin_run,
 )
-from .trajectory import TrajectoryWriter, write_atomic
+from .trajectory import TrajectoryWriter, write_csv, write_json
 
 __all__ = [
     "KINDS",
@@ -329,8 +328,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     _require(forcing is None or partition is not None, "config: a forcing section needs a partition section")
     if kind == "linear-stats":
         check_cutoff(grid, forcing.n0)
-    n0 = {} if forcing is None else {"n0": forcing.n0}
-    solver = _spec(SolverConfig, "solver", sections["solver"], dim=grid.dim, **n0)
+    solver = _spec(SolverConfig, "solver", sections["solver"], dim=grid.dim)
     initial = sections["initial"]
     if initial is not None and initial.get("kind") == "zero":
         _check_keys(initial, "initial")
@@ -562,8 +560,9 @@ def _uses_partition(config: ExperimentConfig) -> bool:
 # keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
 # 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
 # one half-step multiplier and |xi|^2; tracemalloc measures 7.6 fields at
-# 64^3, 8.0 at 32^3 and 9.6 at 16^3 with a sink that keeps nothing, the caller
-# keeping w0 and v0 (a fresh grid, so its cached symbols are counted)
+# 64^3, 8.0 at 32^3 and 9.6 at 16^3 with a sink that keeps nothing, whether
+# the caller keeps w0 and v0 or passes them straight in (a fresh grid, so its
+# cached symbols are counted)
 _SOLVER_FIELDS = 10
 
 
@@ -585,11 +584,10 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
       fields of view buffers and symbols; 8.0 fields at 32^3 with 4 times or
       16, 9.5 at 12^4.
     - evolve, morawetz-audit: the snapshots stream, so one field per channel
-      (the initial w and v, which the solve drops before its first
-      snapshot) plus the solver's 10 fields; a streamed forced evolve task
-      peaks 11.1 fields at 16^3 and 9.5 at 32^3, with 3 snapshots or 21 (the
-      half-step multiplier's build, beside the inputs, adds numpy's fixed
-      128 KiB of loop buffers, 2 fields at 16^3). The
+      (the initial w and v, which the solve drops before it allocates its
+      other work arrays) plus the solver's 10 fields; a streamed forced
+      evolve task peaks 9.1 fields at 16^3 and 7.5 at 32^3, with 3 snapshots
+      or 21, and 9.6 and 8.0 with 3 snapshots that a sink drops. The
       audit adds 4 fields: it is handed the solve's spectra and holds one
       channel's view at a time, then one component of v's gradient (one
       add() peaks 3.1 fields at 24^3 and at 12^4). Only with save_fields
@@ -602,7 +600,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
       14.0 and 15.9 with it, and 16.6 and 20.7 with the tables built.
     - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
       for a rung's scaled forcing and its gap buffer, plus the solver's 10;
-      16.7 fields at 16^3 with 3 snapshots and 34.7 with 21.
+      15.7 fields at 16^3 with 3 snapshots and 33.7 with 21.
     """
     g = config.grid
     if g is None:
@@ -651,7 +649,8 @@ def _run_forced(
     """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v, w_hat, v_hat).
 
     The inputs go straight into the call, so the solve holds the only
-    references to w(0) and v(0) and frees them before its first snapshot.
+    references to w(0) and v(0) and frees them before it allocates its
+    other work arrays.
     """
     return solve_w(
         initial_field(config.initial, config.grid),
@@ -679,13 +678,6 @@ def _series_metrics(series: ConservationSeries) -> dict:
         out["energy_drift"] = 0.0
         out["ratio_energy"] = 1.0
     return out
-
-
-def _write_series_csv(path: Path, series: ConservationSeries) -> None:
-    with write_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ConservationSeries.CSV_HEADER)
-        writer.writerows(series.csv_rows())
 
 
 def _task_partition_report(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
@@ -718,7 +710,10 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
         # the snapshots stream into traj/ as the solve makes them; an unforced
         # run solves the full equation, so its w is stored as channel 'u'
         names = ("v", "w") if forced else ("u",)
-        writer = TrajectoryWriter(run_dir / "traj", config.grid, names, config.solver.provenance())
+        meta = config.solver.provenance()
+        if forced:
+            meta["n0"] = config.forcing.n0
+        writer = TrajectoryWriter(run_dir / "traj", config.grid, names, meta)
         if forced:
             sink = lambda t, w, v, w_hat, v_hat: writer.add(t, {"v": v, "w": w})
         else:
@@ -732,7 +727,7 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
         metrics["r_mass"] = series.max_rel_mass
         metrics["r_energy"] = series.max_rel_energy
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_series_csv(run_dir / "series.csv", series)
+    write_csv(run_dir / "series.csv", ConservationSeries.CSV_HEADER, series.csv_rows())
     artifacts.append(str(run_dir.name) + "/series.csv")
     if writer is not None:
         writer.close()
@@ -854,14 +849,10 @@ def _write_summary(config: ExperimentConfig, records: list[ResultRecord], contex
     summary.update(summarize(records))
     summary.update(_kind_extras(config, records, context))
     out = Path(config.out_dir)
-    with write_atomic(out / "summary.json") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True))
-    with write_atomic(out / "metrics.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "metric", "value"])
-        for rec in sorted(records, key=lambda r: r.seed):
-            for key in sorted(rec.metrics):
-                writer.writerow([rec.seed, key, rec.metrics[key]])
+    write_json(out / "summary.json", summary)
+    by_seed = sorted(records, key=lambda r: r.seed)
+    rows = [[rec.seed, key, rec.metrics[key]] for rec in by_seed for key in sorted(rec.metrics)]
+    write_csv(out / "metrics.csv", ["seed", "metric", "value"], rows)
     return summary
 
 
@@ -950,10 +941,7 @@ def _run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
             for key in sorted(rec.metrics):
                 rows.append([value, rec.seed, key, rec.metrics[key]])
 
-    with write_atomic(out / "sweep.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis_value", "seed", "metric", "value"])
-        writer.writerows(rows)
+    write_csv(out / "sweep.csv", ["axis_value", "seed", "metric", "value"], rows)
 
     values = [value for value, _ in config.rungs]
     flags = {}
@@ -971,6 +959,5 @@ def _run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
         "medians": per_value_medians,
         "flags": flags,
     }
-    with write_atomic(out / "sweep_summary.json") as fh:
-        fh.write(json.dumps(sweep_summary, indent=2, sort_keys=True))
+    write_json(out / "sweep_summary.json", sweep_summary)
     return all_records

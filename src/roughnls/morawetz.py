@@ -55,8 +55,6 @@ derivative of the momentum density, which never enters the reported bounds.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,9 +63,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField, ifftn, xi_grids_odd
+from .grids import GridSpec, SpectralField
 from .norms import FrequencyView, NormPass, NormSpec, time_norm
-from .trajectory import TrajectoryReader, write_atomic
+from .trajectory import TrajectoryReader, write_csv, write_json
 
 __all__ = [
     "LocalDensities",
@@ -118,23 +116,20 @@ class LocalDensities:
 def _momentum_pairing(w: FrequencyView, m: np.ndarray) -> float:
     """M(t) = sum_{x,y} (x-y)/|x-y| . p(x) m(y) dx^{2d}, p formed one gradient component at a time.
 
-    Each partial derivative of w is inverse transformed in one complex
-    buffer, where conj(w) times it is formed; p_k, its real transform (into
-    one half-spectrum buffer) and its product with the k-th kernel table
-    follow, and the products are summed in component order. The result
+    Each partial derivative of w comes in the one buffer of
+    FrequencyView.partials, where conj(w) times it is formed; p_k, its real
+    transform (into one half-spectrum buffer) and its product with the k-th
+    kernel table follow, and the products are summed in component order. The result
     equals interaction_functional(LocalDensities(grid, m, p)) bit for bit
     without holding the d components of grad w, of p or of their transforms.
     """
     g = w.grid
     vec_hat, _ = _kernel_tables_hat(g)
     conj_w = np.conj(w.values)
-    comp = np.empty_like(conj_w)
     p_k = np.empty(g.shape)
     spec = np.empty(vec_hat.shape[1:], dtype=np.complex128)
     prod = np.zeros_like(spec)
-    for table, c in zip(vec_hat, xi_grids_odd(g)):
-        np.multiply(w.fhat, 1j * c, out=comp)
-        ifftn(comp, out=comp)
+    for table, comp in zip(vec_hat, w.partials()):
         np.multiply(conj_w, comp, out=comp)
         np.multiply(0.5, comp.imag, out=p_k)
         np.fft.rfftn(p_k, out=spec)
@@ -361,13 +356,9 @@ class MorawetzReport:
         rows = self.csv_rows()  # before anything is written: a report without M(t) raises
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "morawetz.json"
-        with write_atomic(report_path) as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_json(report_path, self.to_dict())
         csv_path = out / "interaction.csv"
-        with write_atomic(csv_path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            writer.writerows(rows)
+        write_csv(csv_path, self.CSV_HEADER, rows)
         return report_path, csv_path
 
 
@@ -660,18 +651,14 @@ def identity_mor_mainterm(
 def _max_grad_sq(f: FrequencyView) -> float:
     """max over the lattice of |grad f|^2, one spectral partial derivative at a time.
 
-    Each component i xi_k fhat is inverse transformed in one complex buffer
-    and its re^2 + im^2 summed into the total in axis order, so the result
+    Each partial comes in the one buffer of FrequencyView.partials, and its
+    re^2 + im^2 is summed into the total in axis order, so the result
     equals sum(c.real**2 + c.imag**2 for c in f.gradient()).max() bit for
     bit without holding d components.
     """
-    fhat = f.fhat
-    comp = np.empty_like(fhat)
     total = np.zeros(f.grid.shape)
     sq = np.empty(f.grid.shape)
-    for c in xi_grids_odd(f.grid):
-        np.multiply(fhat, 1j * c, out=comp)
-        ifftn(comp, out=comp)
+    for comp in f.partials():
         np.multiply(comp.real, comp.real, out=sq)
         np.multiply(comp.imag, comp.imag, out=comp.real)
         sq += comp.real

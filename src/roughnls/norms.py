@@ -27,6 +27,7 @@ reported norms by well under a percent.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,18 +146,23 @@ class FrequencyView:
             self._derivatives[key] = out
         return out
 
-    def gradient(self) -> list[np.ndarray]:
-        """Physical values of the d spectral partial derivatives, one in-place inverse transform each.
+    def partials(self) -> Iterator[np.ndarray]:
+        """Yield the physical values of each spectral partial derivative in turn, in one reused buffer.
 
-        The odd symbol i xi_k is zeroed at the unpaired Nyquist mode (grids.xi_grids_odd),
-        so a real field has a real gradient.
+        Each is one in-place inverse transform of i xi_k fhat, valid until the
+        next is yielded; the caller may overwrite it. The odd symbol i xi_k is
+        zeroed at the unpaired Nyquist mode (grids.xi_grids_odd), so a real
+        field has real partials.
         """
-        out = []
+        fhat = self.fhat
+        comp = np.empty_like(fhat)
         for c in xi_grids_odd(self.grid):
-            comp = self.fhat * (1j * c)
-            ifftn(comp, out=comp)
-            out.append(comp)
-        return out
+            np.multiply(fhat, 1j * c, out=comp)
+            yield ifftn(comp, out=comp)
+
+    def gradient(self) -> list[np.ndarray]:
+        """Physical values of the d spectral partial derivatives: a copy of each of partials()."""
+        return [comp.copy() for comp in self.partials()]
 
     def norm(self, r: float, s: float = 0.0, kind: str = "none") -> float:
         """Spatial ||D^s f||_{L^r}, with D^s as in NormSpec."""

@@ -21,20 +21,21 @@ grids.ifftn call, numpy's bits, with no weight pass. On a lattice large
 enough to split (grids.SPLIT_POINTS) the transforms, |u|^2, the rotation,
 the free flow and the step's in-place products run in slabs on the CPUs,
 with the same bits; the sums of the series and the checks do not. The solve
-allocates its lattice work arrays once (w_hat, u,
-v_hat(t), the phase and two float buffers) and the step, the series sample
-and the snapshots share them: v_hat(t) is built in place by per-axis
-broadcast multiplies, |u|^2 and the nonlinear angle go into the float
-buffers, the forward transform writes into w_hat, and a snapshot's w and v
-are transformed into the phase and u buffers. After set-up neither a step
-nor a sample nor a snapshot allocates a lattice array. Beside them the solve
-holds v_hat(0) and one half-step multiplier, which no cache keeps; it drops
-the physical w(0) and v(0) before its first snapshot.
+allocates its lattice work arrays once (w_hat, u, v_hat(t), the phase and
+two float buffers) and the step and the reporting block share them: v_hat(t)
+is built in place by per-axis broadcast multiplies, |u|^2 and the nonlinear
+angle go into the float buffers, the forward transform writes into w_hat,
+and a reported w and v are transformed into the phase and u buffers. After
+set-up neither a step nor a report allocates a lattice array. Beside them
+the solve holds v_hat(0) and one half-step multiplier, which no cache keeps;
+it drops the physical w(0) and v(0) before it allocates its other work
+arrays.
 
 Every snapshot, t = 0 included, is handed to a consumer (a SnapshotSink;
 see solve_w) as it is made; the solve keeps none. A forced solve peaks about
 7.6 complex lattice fields above what its consumer keeps at 64^3, its inputs
-not counted.
+not counted; inputs passed straight into the call are dropped before that
+peak.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class SolverConfig:
     series_stride: int | None = None
     power: float | None = None
     mu: float = 1.0
-    n0: float = 1.0
     blowup_factor: float = 1e6
     dealias: bool = True
 
@@ -145,7 +145,6 @@ class SolverConfig:
             "series_stride": self.series_stride,
             "power": self.power,
             "mu": self.mu,
-            "n0": self.n0,
             "dealias": self.dealias,
         }
 
@@ -312,22 +311,21 @@ def solve_w(
     v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
     snapshots are exact.
 
+    Every reported time, t = 0 included, goes through one block: v_hat(t)
+    is flowed from v_hat(0), w and v are transformed into two work arrays,
+    a snapshot is handed to the sink, and a series sample forms u = v + w.
     Each snapshot is handed to sink(t, w, v, w_hat, v_hat) as it is made, in
     time order: w_hat and v_hat are the spectra the solve holds at t, in raw
-    np.fft.fftn coordinates, and w and v are their inverse transforms, t = 0
-    included. v is None when v0 is None, and v_hat is None when the solve
-    holds no v_hat (v0 None or identically zero). All four are the solve's
-    work arrays, valid only during the call and not to be written to; a
-    sink that keeps a snapshot keeps copies. The solve itself keeps no
-    snapshot and returns only the conservation series.
+    np.fft.fftn coordinates, and w and v are their inverse transforms. v and
+    v_hat are None exactly when v0 is None; w then solves the full equation.
+    All four are the solve's work arrays, valid only during the call and not
+    to be written to; a sink that keeps a snapshot keeps copies. The solve
+    itself keeps no snapshot and returns only the conservation series.
 
-    The solve keeps w0 and v0 only until it has their spectra and the t = 0
-    series sample, which reads w(0) and u = w(0) + v(0); it then drops them,
-    before the t = 0 snapshot. A caller that passes them straight into the
-    call, as the harness does, so frees them for the whole step loop.
-
-    With v0 None or identically zero, w solves the full equation and the
-    per-step v work is skipped; v0 None also makes no v snapshots.
+    The solve keeps w0 and v0 only until it has their spectra and the guard
+    threshold; it drops them before it allocates its other work arrays. A
+    caller that passes them straight into the call, as the harness does, so
+    frees them for the whole step loop.
 
     The conservation series is sampled inline every cfg.series_stride steps,
     including the identity rates (exactly 0 when v = 0), so it can run on a
@@ -340,25 +338,29 @@ def solve_w(
         raise ConfigError("w0 and v0 live on different grids")
 
     shape = grid.shape
-    with_v = v0 is not None
+    # w(0) and v(0) are read only for their spectra and the guard threshold,
+    # max |u(0)| with u(0) = w(0) + v(0); its buffers become u and |u|^2
     w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
-    v_init = None
+    what = fftn(w_init)
     v0hat = None
-    if with_v:
+    if v0 is None:
+        u = np.empty(shape, dtype=np.complex128)
+        abs_sq = np.abs(w_init)
+    else:
         v_init = np.ascontiguousarray(v0.as_physical().values, dtype=np.complex128)
         v0hat = fftn(v_init)
-        if not np.any(v0hat):
-            v0hat = None
-    has_v = v0hat is not None
+        u = np.add(w_init, v_init)
+        abs_sq = np.abs(u)
+        del v_init
+    del w0, v0, w_init
+    threshold = cfg.blowup_factor * max(float(np.max(abs_sq)), 0.0)
+    if threshold == 0.0:
+        threshold = None
 
-    # the solve's work arrays, shared by the step, the series sample and the snapshots
-    what = fftn(w_init)
-    u = np.empty(shape, dtype=np.complex128)
+    # the solve's other work arrays, shared by the step and the reporting block
     phase = np.empty(shape, dtype=np.complex128)
-    vhat = np.empty(shape, dtype=np.complex128) if has_v else None
-    abs_sq = np.empty(shape)
+    vhat = None if v0hat is None else np.empty(shape, dtype=np.complex128)
     scratch = np.empty(shape)
-
     xi2 = xi_sq(grid)
     # the one half-step multiplier: K_half for step 0's opening half-step, then
     # dealiased in place for every later one (see the loop)
@@ -375,127 +377,91 @@ def solve_w(
     ser_dm_id = np.zeros(n_ser)
     ser_de_id = np.zeros(n_ser)
 
-    def sample_series(
-        idx: int,
-        t_k: float,
-        what_k: np.ndarray,
-        w_k: np.ndarray,
-        u_k: np.ndarray | None,
-        vhat_k: np.ndarray | None,
-    ) -> None:
-        """Sample M, E and the identity rates at t_k from w_hat, w and, when
-        forced, u and v_hat(t_k). u_k and vhat_k are work arrays and are
-        overwritten; w_hat and w are only read.
-        """
-        ser_times[idx] = t_k
-        kin = _abs_sq(what_k, abs_sq, scratch)
+    rotate = cfg.mu != 0.0
+    v_mid = () if vhat is None else (vhat,)  # v_hat(t_mid), added and subtracted by each step
+    ser = 0
+    for done in range(cfg.n_steps + 1):
+        at_snap = done % cfg.snapshot_stride == 0
+        at_ser = done % cfg.series_stride == 0
+        if done:
+            # the step from t = (done - 1) dt to done dt
+            t_mid = (done - 0.5) * cfg.dt
+            if vhat is not None:
+                free_flow_into(v0hat, grid, t_mid, out=vhat)
+            on_slabs(_open_slab, what, k_half, *v_mid)
+            if done == 1 and cfg.dealias:
+                # w_hat leaves every closing half-step zero on the masked modes, so
+                # one dealiased multiplier serves it and every later opening one
+                k_half[~dealias_mask(grid)] = 0.0
+            ifftn(what, out=u)
+            if rotate or threshold is not None:
+                _abs_sq(u, abs_sq, scratch)
+                _guard(abs_sq, threshold, t_mid)
+                if rotate:
+                    _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, cfg.power)
+            fftn(u, out=what)
+            if vhat is not None and at_snap:
+                # w_hat goes to u's buffer, which then carries w_hat; u_hat
+                # stays in the other one for the check
+                _split_checked(what, vhat, u, phase, abs_sq)
+                what, u = u, what
+                on_slabs(_close_slab, what, k_half)
+            else:
+                on_slabs(_close_slab, what, k_half, *v_mid)
+        if not (at_snap or at_ser):
+            continue
+
+        # the reporting block, t = 0 included: w goes to the phase buffer and v
+        # to u's buffer, both free after the step; u = v + w for the sample
+        t = done * cfg.dt
+        if vhat is not None:
+            free_flow_into(v0hat, grid, t, out=vhat)
+        w = ifftn(what, out=phase)
+        v = None if vhat is None else ifftn(vhat, out=u)
+        if at_snap:
+            sink(t, w, v, what, vhat)
+        if not at_ser:
+            continue
+        ser_times[ser] = t
+        kin = _abs_sq(what, abs_sq, scratch)
         kin *= xi2
         kinetic = kin_weight * float(np.sum(kin))
-        if not has_v:
-            mod_sq = _abs_sq(w_k, abs_sq, scratch)
-            ser_mass[idx] = float(np.sum(mod_sq)) * dvol
-            if cfg.mu != 0.0:
+        if v is None:
+            mod_sq = _abs_sq(w, abs_sq, scratch)
+            ser_mass[ser] = float(np.sum(mod_sq)) * dvol
+            if rotate:
                 pot = np.power(mod_sq, half_power, out=scratch)
                 pot *= mod_sq
                 kinetic += cfg.mu / (cfg.power + 2.0) * float(np.sum(pot)) * dvol
-            ser_energy[idx] = kinetic
-            return
+            ser_energy[ser] = kinetic
+            ser += 1
+            continue
+        u += w
         # |u|^2 gives |u|^{p+2} and, in u's own buffer, nl_u = |u|^p u
-        mod_sq = _abs_sq(u_k, abs_sq, scratch)
+        mod_sq = _abs_sq(u, abs_sq, scratch)
         u_pow = np.power(mod_sq, half_power, out=scratch)
-        u_k *= u_pow
+        u *= u_pow
         mod_sq *= u_pow
-        pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(mod_sq)) * dvol if cfg.mu != 0.0 else 0.0
-        ser_energy[idx] = kinetic + pot
+        pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(mod_sq)) * dvol if rotate else 0.0
+        ser_energy[ser] = kinetic + pot
         # dE/dt = mu Im int conj(Lap v) nl_u with Lap v = -ifftn(|xi|^2 v_hat);
         # the sign is folded into the sum
-        vhat_k *= xi2
-        ifftn(vhat_k, out=vhat_k)
-        np.conjugate(vhat_k, out=vhat_k)
-        vhat_k *= u_k
-        ser_de_id[idx] = -cfg.mu * float(np.sum(vhat_k.imag)) * dvol
+        vhat *= xi2
+        ifftn(vhat, out=vhat)
+        np.conjugate(vhat, out=vhat)
+        vhat *= u
+        ser_de_id[ser] = -cfg.mu * float(np.sum(vhat.imag)) * dvol
         # dM/dt = 2 mu Im int conj(w) (nl_u - |w|^p w), summed as
         # -Im w conj(nl_u - |w|^p w) so the product forms in place
-        mod_sq = _abs_sq(w_k, abs_sq, scratch)
-        ser_mass[idx] = float(np.sum(mod_sq)) * dvol
+        mod_sq = _abs_sq(w, abs_sq, scratch)
+        ser_mass[ser] = float(np.sum(mod_sq)) * dvol
         np.power(mod_sq, half_power, out=mod_sq)
-        np.multiply(w_k, mod_sq, out=vhat_k)
-        np.subtract(u_k, vhat_k, out=vhat_k)
-        np.conjugate(vhat_k, out=vhat_k)
-        vhat_k *= w_k
-        ser_dm_id[idx] = -2.0 * cfg.mu * float(np.sum(vhat_k.imag)) * dvol
-
-    def v_snapshot(out: np.ndarray) -> np.ndarray | None:
-        """A snapshot's v: the inverse transform of v_hat(t) into out; zeros unforced, None without v0."""
-        if has_v:
-            return ifftn(vhat, out=out)
-        if not with_v:
-            return None
-        out[...] = 0.0
-        return out
-
-    # the t = 0 sample reads w0 and u = w0 + v0 (in u's buffer) before the
-    # snapshot, so the physical inputs can be dropped first: from here on
-    # the solve holds only w_hat and v_hat(0)
-    u_init = np.add(w_init, v_init, out=u) if has_v else w_init
-    threshold = cfg.blowup_factor * max(float(np.max(np.abs(u_init, out=abs_sq))), 0.0)
-    if threshold == 0.0:
-        threshold = None
-    if has_v:
-        free_flow_into(v0hat, grid, 0.0, out=vhat)
-    sample_series(0, 0.0, what, w_init, u, vhat)
-    del w0, v0, w_init, v_init, u_init
-    if has_v:
-        free_flow_into(v0hat, grid, 0.0, out=vhat)  # the sample overwrote it
-    sink(0.0, ifftn(what, out=phase), v_snapshot(u), what, vhat)
-    rotate = cfg.mu != 0.0
-    v_mid = (vhat,) if has_v else ()  # v_hat(t_mid), added and subtracted by each step
-    ser = 1
-    for step in range(cfg.n_steps):
-        t_mid = (step + 0.5) * cfg.dt
-        done = step + 1
-        at_snap = done % cfg.snapshot_stride == 0
-        at_ser = done % cfg.series_stride == 0
-        if has_v:
-            free_flow_into(v0hat, grid, t_mid, out=vhat)
-        on_slabs(_open_slab, what, k_half, *v_mid)
-        if step == 0 and cfg.dealias:
-            # w_hat leaves every closing half-step zero on the masked modes, so
-            # one dealiased multiplier serves it and every later opening one
-            k_half[~dealias_mask(grid)] = 0.0
-        ifftn(what, out=u)
-        if rotate or threshold is not None:
-            _abs_sq(u, abs_sq, scratch)
-            _guard(abs_sq, threshold, t_mid)
-            if rotate:
-                _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, cfg.power)
-        fftn(u, out=what)
-        if has_v and at_snap:
-            # w_hat goes to u's buffer, which then carries w_hat; u_hat
-            # stays in the other one for the check
-            _split_checked(what, vhat, u, phase, abs_sq)
-            what, u = u, what
-            on_slabs(_close_slab, what, k_half)
-        else:
-            on_slabs(_close_slab, what, k_half, *v_mid)
-        if not (at_snap or at_ser):
-            continue
-        t_k = done * cfg.dt
-        if has_v:
-            free_flow_into(v0hat, grid, t_k, out=vhat)
-        # w goes to the phase buffer, free after the step; a snapshot's v goes
-        # to u's buffer, which then becomes u = v + w for the series sample
-        w_k = ifftn(what, out=phase)
-        if at_snap:
-            sink(t_k, w_k, v_snapshot(u), what, vhat)
-            if has_v and at_ser:
-                u += w_k
-        elif has_v:
-            np.add(what, vhat, out=u)
-            ifftn(u, out=u)
-        if at_ser:
-            sample_series(ser, t_k, what, w_k, u, vhat)
-            ser += 1
+        np.multiply(w, mod_sq, out=vhat)
+        np.subtract(u, vhat, out=vhat)
+        np.conjugate(vhat, out=vhat)
+        vhat *= w
+        ser_dm_id[ser] = -2.0 * cfg.mu * float(np.sum(vhat.imag)) * dvol
+        ser += 1
 
     return ConservationSeries(
         times=ser_times,

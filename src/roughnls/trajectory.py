@@ -16,10 +16,15 @@ the directory one snapshot at a time, so a solve can stream its snapshots
 to disk without stacking them. TrajectoryReader is its one reader: it
 checks the manifest and reads the snapshots back one at a time, in time
 order.
+
+write_json and write_csv are the one writer of each report format (the
+manifest, summaries, tables and series): each writes under a temporary name
+and moves the file into place once whole, so a killed run leaves the old one.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
@@ -32,7 +37,8 @@ from .errors import ConfigError
 from .grids import GridSpec, SpectralField
 
 __all__ = [
-    "write_atomic",
+    "write_json",
+    "write_csv",
     "write_snapshot",
     "read_snapshot",
     "TrajectoryWriter",
@@ -52,17 +58,31 @@ _MANIFEST = "manifest.json"
 
 
 @contextmanager
-def write_atomic(path: str | Path, newline: str | None = None):
+def _write_atomic(path: str | Path):
     """A text file written under a temporary name and moved over `path` once whole; on failure `path` is untouched."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, doc) -> None:
+    """A JSON report, indent 2 with sorted keys, written atomically."""
+    with _write_atomic(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """A CSV table, the header row then the rows, written atomically."""
+    with _write_atomic(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_values(path: Path, grid: GridSpec, values: np.ndarray, t: float, channel: str) -> None:
@@ -153,8 +173,7 @@ class TrajectoryWriter:
             "channels": self.files,
             "meta": self.meta,
         }
-        with write_atomic(self.out / _MANIFEST) as fh:
-            fh.write(json.dumps(manifest, indent=2))
+        write_json(self.out / _MANIFEST, manifest)
         return self.out
 
 

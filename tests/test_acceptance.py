@@ -312,7 +312,7 @@ def test_c11_almost_conservation_sweep():
     ratios_m, ratios_e = [], []
     for n0 in (4.0, 8.0, 16.0):
         v0 = high_pass(fw, n0)
-        cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.6, snapshot_stride=60, series_stride=5, n0=n0)
+        cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.6, snapshot_stride=60, series_stride=5)
         series = solve_w(w0, v0, cfg, discard)
         m0, e0 = series.mass[0], series.energy[0]
         a_cap = 1.5 * max(m0 * n0 ** (2 * s), e0 / n0 ** (2 * (1 - s)))

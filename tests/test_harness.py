@@ -401,13 +401,17 @@ def _same_files(a, b):
 def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
     # The evolve task streams its snapshots into traj/ during the solve; the
     # files are those that writing the same solve's kept snapshot values
-    # after it makes, byte for byte.
+    # after it makes, byte for byte. A forced run's manifest also records
+    # its forcing cutoff.
     def saved(cfg, w0, v0, out):
         snapshots, _ = kept_snapshots(w0, v0, cfg.solver)
         kept = lambda i: [snap[i] for snap in snapshots]
         # the harness writes an unforced run's field as channel 'u'
         channels = {"u": kept(1)} if v0 is None else {"v": kept(2), "w": kept(1)}
-        return write_trajectory(out, cfg.grid, kept(0), channels, cfg.solver.provenance())
+        meta = cfg.solver.provenance()
+        if v0 is not None:
+            meta["n0"] = cfg.forcing.n0
+        return write_trajectory(out, cfg.grid, kept(0), channels, meta)
 
     cfg = parse_config(evolve_config(tmp_path / "run", n_samples=1, save_fields=True))
     run(cfg)

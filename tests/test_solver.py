@@ -1,6 +1,7 @@
 """Splitting integrator: conservation, residual identities, twins, proxies."""
 
 import csv
+import dataclasses
 import weakref
 
 import numpy as np
@@ -206,10 +207,10 @@ def test_zero_forcing_is_the_full_equation():
     forced, forced_series = kept_snapshots(u0, zero, cfg)
     full, full_series = kept_snapshots(u0, None, cfg)
     assert len(forced) == len(full) == cfg.n_snapshots
-    for (_, _, v, w_hat, v_hat), (_, _, v_full, w_hat_full, _) in zip(forced, full):
+    for (_, _, v, w_hat, v_hat), (_, _, v_full, w_hat_full, v_hat_full) in zip(forced, full):
         assert np.array_equal(w_hat, w_hat_full)
-        assert v_hat is None and not np.any(v)
-        assert v_full is None
+        assert not np.any(v_hat) and not np.any(v)
+        assert v_full is None and v_hat_full is None
     assert np.array_equal(forced_series.mass, full_series.mass)
     assert np.array_equal(forced_series.energy, full_series.energy)
 
@@ -218,9 +219,9 @@ def test_zero_forcing_is_the_full_equation():
 def test_sink_receives_the_stacked_snapshots(forcing):
     # A sink gets every snapshot in time order, t = 0 included: w and v are
     # the inverse transforms of w_hat and v_hat bit for bit, v_hat is the
-    # free flow of v_hat(0) = fftn(v0), v is None without forcing and zero
-    # (with no v_hat) for zero forcing, and the series does not depend on
-    # what the sink does.
+    # free flow of v_hat(0) = fftn(v0), v and v_hat are None without forcing
+    # and zero for zero forcing, and the series does not depend on what the
+    # sink does.
     g = GridSpec(3, 12, np.pi)
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = {
@@ -238,7 +239,7 @@ def test_sink_receives_the_stacked_snapshots(forcing):
         if v0 is None:
             assert v is None and v_hat is None
         elif forcing == "zero":
-            assert v_hat is None and not np.any(v)
+            assert not np.any(v_hat) and not np.any(v)
         else:
             assert np.array_equal(v_hat, free_flow_into(v0_hat, g, t, np.empty_like(v0_hat)))
             assert np.array_equal(v, np.fft.ifftn(v_hat))
@@ -353,10 +354,9 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
             np.fft, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
     solve_w(w0, v0, cfg, discard)
-    # 2 per step; the forward transforms of w0 and v0 (2); the t = 0 sample
-    # makes Lap v (1), its u being w0 + v0, and the t = 0 snapshot w and v
-    # (2); the final snapshot and sample make w and v for the snapshot and
-    # Lap v (3), u again being w + v
+    # 2 per step; the forward transforms of w0 and v0 (2); the reports at
+    # t = 0 and at the end each make w and v for the snapshot and Lap v for
+    # the sample (3 each), u being v + w
     assert len(calls) == 2 * n_steps + 8
     assert calls.count("fftn") == n_steps + 2
 
@@ -408,8 +408,8 @@ def test_split_solve_is_the_serial_solve(monkeypatch):
 
 def test_solve_frees_its_inputs_before_the_first_snapshot():
     # Passed straight into the call, w(0) and v(0) are referenced only by the
-    # solve, which drops them once it has their spectra and the t = 0 sample:
-    # no snapshot, t = 0 included, finds them alive.
+    # solve, which drops them once it has their spectra and the guard
+    # threshold: no snapshot, t = 0 included, finds them alive.
     g = GridSpec(3, 8, np.pi / 2)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
     refs = []
@@ -429,21 +429,64 @@ def test_solve_frees_its_inputs_before_the_first_snapshot():
 
 
 def test_forced_solve_stays_within_the_guard_workspace():
-    # The memory guard charges a task that runs solve_w _SOLVER_FIELDS complex
-    # lattice fields above the snapshots it keeps; a forced solve on a fresh
-    # grid (its multipliers and weights cached inside the measurement) into
-    # a sink that keeps nothing fits in it.
+    # 0.15 s. The memory guard charges a task that runs solve_w _SOLVER_FIELDS
+    # complex lattice fields above the snapshots it keeps; a forced solve on
+    # a fresh grid (its multipliers and weights cached inside the
+    # measurement) into a sink that keeps nothing fits in it. Built inside
+    # the traced call and passed straight in, as the harness passes them, the
+    # inputs are dropped before the solve allocates its other work arrays,
+    # so the solve then peaks near its 7.6-field workspace.
     from roughnls.harness import _SOLVER_FIELDS
 
-    def forced(grid):
-        rng = np.random.Generator(np.random.Philox(key=np.array([3, 9], dtype=np.uint64)))
-        v0 = SpectralField(grid, 0.1 * (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)))
-        cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=10, series_stride=5)
-        return bump(grid, 0.3, 1.5), v0, cfg
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=10, series_stride=5)
 
-    solve_w(*forced(GridSpec(3, 8, np.pi)), discard)  # first-call imports are not lattice memory
+    def forcing(grid):
+        rng = np.random.Generator(np.random.Philox(key=np.array([3, 9], dtype=np.uint64)))
+        return SpectralField(grid, 0.1 * (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)))
+
+    warm = GridSpec(3, 8, np.pi)
+    solve_w(bump(warm, 0.3, 1.5), forcing(warm), cfg, discard)  # first-call imports are not lattice memory
     grid = GridSpec(3, 16, 2.25)  # a grid no other test warms
-    w0, v0, cfg = forced(grid)
+    w0, v0 = bump(grid, 0.3, 1.5), forcing(grid)
     field = 16 * grid.n_points
     _, peak, _ = traced_peak(lambda: solve_w(w0, v0, cfg, discard))
     assert peak <= _SOLVER_FIELDS * field, peak / field
+
+    grid = GridSpec(3, 32, 2.75)  # a grid no other test warms
+    field = 16 * grid.n_points
+    _, peak, _ = traced_peak(lambda: solve_w(bump(grid, 0.3, 1.5), forcing(grid), cfg, discard))
+    assert peak <= 9 * field, peak / field
+
+
+def test_series_does_not_depend_on_the_snapshot_stride():
+    # 0.04 s. Every reported time goes through one block, so a series sample
+    # is made the same way whether or not its step is also a snapshot.
+    g = GridSpec(3, 12, np.pi)
+    w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
+    v0 = rough_v0(g, n0=2.0, amp=0.2)
+    runs = [
+        solve_w(w0, v0, SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=stride, series_stride=1), discard)
+        for stride in (1, 4)
+    ]
+    for name in ("mass", "energy", "dmass_id", "denergy_id"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
+def test_a_forced_solve_reads_every_solver_setting(monkeypatch):
+    # 0.01 s. Every setting of SolverConfig must take effect: a forced solve
+    # reads each of its fields.
+    g = GridSpec(3, 8, np.pi / 2)
+    w0, v0 = bump(g, 0.3, 1.5), rough_v0(g, n0=2.0, amp=0.2)
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
+    read = set()
+    get = object.__getattribute__
+
+    def recording(self, name):
+        read.add(name)
+        return get(self, name)
+
+    monkeypatch.setattr(SolverConfig, "__getattribute__", recording)
+    solve_w(w0, v0, cfg, discard)
+    monkeypatch.undo()
+    unread = {f.name for f in dataclasses.fields(SolverConfig)} - read
+    assert not unread, f"SolverConfig settings a forced solve never reads: {sorted(unread)}"

@@ -14,17 +14,21 @@ Conventions (fixed once, used everywhere):
   array and transforms in place in it: the per-axis FFT passes and the
   weight multiply write into that array, never into the input.
 
-Every lattice transform of the package goes through fftn and ifftn here,
-which give np.fft.fftn's and np.fft.ifftn's bits, in place or into out=.
+Every lattice transform of the package goes through fftn, ifftn and
+fftn_kept here, which give np.fft.fftn's and np.fft.ifftn's bits (fftn_kept
+on the modes it keeps), in place or into out=.
 This module alone decides how a transform runs. A lattice of at least
 SPLIT_POINTS points, on a process whose CPU affinity holds more than one
 CPU, is transformed in slabs: the trailing axes on axis-0 slabs, then axis 0
 on axis-1 slabs, one slab per CPU, on one process-wide pool made on first
-use (on_slabs). Any smaller lattice, or any lattice on one CPU, is one plain
-np.fft call. The solver's elementwise passes over a large lattice (|u|^2,
-the rotation, the free flow and the step's in-place products) go through
-on_slabs too; no sum does, since splitting a sum changes its order and its
-bits.
+use (on_slabs) and made again in a child forked from the process. Any
+smaller lattice, or any lattice on one CPU, is one plain np.fft call. On a
+large lattice fftn_kept finishes only the modes the 2/3 rule keeps
+(dealias_ranges, the rule's one definition), for the solver's steps, which
+read the rest through a zero multiplier. The solver's elementwise passes over
+a large lattice (|u|^2, the rotation, the free flow, the step's in-place
+products, the series sample's passes) and its maxima go through on_slabs
+too; no sum does, since splitting a sum changes its order and its bits.
 
 The continuum weight exists only at the SpectralField boundary (to_frequency,
 to_physical, raw_spectrum, the as_* methods and l2_norm). Every other
@@ -47,6 +51,7 @@ and no lattice-sized weight.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -63,6 +68,8 @@ __all__ = [
     "SpectralField",
     "fftn",
     "ifftn",
+    "fftn_kept",
+    "dealias_ranges",
     "on_slabs",
     "to_frequency",
     "to_physical",
@@ -112,13 +119,11 @@ def _serve(cpu: int, jobs) -> None:
     except OSError:
         pass  # an unpinned thread gives the same bits, only slower
     while True:
-        fn, slab, done = jobs.get()
+        k, fn, args, done = jobs.get()
         try:
-            fn(*slab)
+            done.put((k, True, fn(*args)))
         except BaseException as exc:  # raised again by the waiting caller
-            done.put(exc)
-        else:
-            done.put(None)
+            done.put((k, False, exc))
 
 
 def _slab_pool() -> list:
@@ -137,36 +142,58 @@ def _slab_pool() -> list:
     return _pool
 
 
-def on_slabs(fn, *arrays: np.ndarray, axis: int = 0) -> None:
-    """fn(*slabs) on matching slabs of arrays along axis, one slab per CPU for a large lattice.
+def _forget_pool() -> None:
+    """In a forked child: the parent's slab threads do not exist there, so the
+    child drops their queues and makes its own pool on first use."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _on_pool(calls: list) -> list:
+    """fn(*args) for each (fn, args) of calls, the k-th on the pool's k-th thread, while
+    the caller waits; returns the results in call order. An exception raised in a
+    call reaches the caller unchanged, once every call has finished."""
+    from queue import SimpleQueue  # loaded with the pool
+
+    pool = _slab_pool()
+    done = SimpleQueue()
+    for k, (fn, args) in enumerate(calls):
+        pool[k % len(pool)].put((k, fn, args, done))
+    outcomes = sorted(done.get() for _ in calls)  # (k, ok, value), k unique
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, _, value in outcomes]
+
+
+def on_slabs(fn, *arrays: np.ndarray, axis: int = 0) -> list:
+    """fn(*slabs) on matching slabs of arrays along axis, one slab per CPU for a large
+    lattice; returns fn's results, one per slab, in slab order.
 
     arrays[0] is the lattice, and every array has its length along axis.
     fn must act on each element, or on each line across the other axes,
     independently of the rest: numpy then computes every element with the
     same code whatever the slab, so the result has the same bits as the
     one call fn(*arrays) that runs below SPLIT_POINTS or on one CPU. Never
-    split a sum this way, since that changes its order. Slab k runs on the
+    split a sum this way, since that changes its order; a maximum may be
+    split, its slabs' maxima having the same maximum. Slab k runs on the
     pool's k-th thread, so the same CPU reads the same part of a lattice
     from one pass to the next, while the caller waits; an exception raised
     in a slab reaches the caller unchanged, once every slab has finished.
+    The pool belongs to one process: a child forked from it (say by
+    multiprocessing's fork start method) makes its own on first use.
     """
     parts = _slab_count(arrays[0].shape, axis)
     if parts == 1:
-        fn(*arrays)
-        return
-    from queue import SimpleQueue  # loaded with the pool
-
-    pool = _slab_pool()
+        return [fn(*arrays)]
     n = arrays[0].shape[axis]
     lead = (slice(None),) * axis
-    done = SimpleQueue()
-    for k in range(parts):
-        slab = [a[lead + (slice(n * k // parts, n * (k + 1) // parts),)] for a in arrays]
-        pool[k % len(pool)].put((fn, slab, done))
-    errors = [done.get() for _ in range(parts)]
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    slabs = [[a[lead + (slice(n * k // parts, n * (k + 1) // parts),)] for a in arrays] for k in range(parts)]
+    return _on_pool([(fn, slab) for slab in slabs])
 
 
 def _transform(values: np.ndarray, out: np.ndarray | None, inverse: bool) -> np.ndarray:
@@ -188,9 +215,10 @@ def _transform(values: np.ndarray, out: np.ndarray | None, inverse: bool) -> np.
 def fftn(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.fft.fftn(values, out=out), bit for bit; out may be values itself.
 
-    Every lattice transform of the package goes through fftn and ifftn. On
-    a lattice of at least SPLIT_POINTS points, on more than one CPU, the
-    line transforms run in slabs on the slab pool (see on_slabs).
+    Every lattice transform of the package goes through fftn, ifftn and
+    fftn_kept. On a lattice of at least SPLIT_POINTS points, on more than
+    one CPU, the line transforms run in slabs on the slab pool (see
+    on_slabs).
     """
     return _transform(values, out, inverse=False)
 
@@ -198,6 +226,59 @@ def fftn(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def ifftn(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.fft.ifftn(values, out=out), bit for bit; out may be values itself. See fftn."""
     return _transform(values, out, inverse=True)
+
+
+def dealias_ranges(points: int) -> tuple[slice, slice]:
+    """The 2/3 rule on an axis of M points: the FFT-order indices of the signed
+    modes |m| < M/3 it keeps, as two ranges.
+
+    With n = ceil(M/3), [0, n) holds m = 0, ..., n - 1 and [M - n + 1, M)
+    holds m = -(n - 1), ..., -1; at M = 64 they are [0, 22) and [43, 64).
+    """
+    n = -(-points // 3)
+    return slice(0, n), slice(points - n + 1, points)
+
+
+def _kept_lines(a: np.ndarray, axis: int, later: list) -> None:
+    """np.fft.fft along axis, in place in a, of the lines whose indices on the
+    following axes lie in the ranges later[0], later[1], ..."""
+    for ranges in itertools.product(*later):
+        lines = a[(slice(None),) * (axis + 1) + ranges]
+        np.fft.fft(lines, axis=axis, out=lines)
+
+
+def fftn_kept(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.fftn(values, out=out) on the modes the 2/3 rule keeps, bit for bit.
+
+    The kept modes are those with every index in dealias_ranges. A caller
+    reads the result only through a multiplier that is zero off them: there
+    out holds finite partial sums of the transform (for finite values), not
+    the transform. Axes run last to first as in np.fft.fftn, and an axis
+    transforms only the lines whose later-axis indices are all kept, so a
+    64^3 lattice makes 4,096 + 2,752 + 1,849 = 8,697 line transforms where
+    fftn makes 12,288. Split as fftn is: the trailing axes on axis-0 slabs,
+    then axis 0 on the kept axis-1 ranges, one range per pool thread. A
+    lattice of fewer than SPLIT_POINTS points, where the extra calls cost
+    more than the lines they save, takes the full fftn. Returns out.
+    """
+    if values.ndim < 2 or values.size < SPLIT_POINTS:
+        return fftn(values, out=out)
+    last = values.ndim - 1
+    keep = [dealias_ranges(n) for n in values.shape]
+
+    def trailing(src: np.ndarray, dst: np.ndarray) -> None:
+        np.fft.fft(src, axis=last, out=dst)
+        for axis in range(last - 1, 0, -1):
+            _kept_lines(dst, axis, keep[axis + 1 :])
+
+    on_slabs(trailing, values, out)
+    leading = [(_kept_lines, (out, 0, [(r,)] + keep[2:])) for r in keep[1]]
+    if _slab_count(values.shape, 0) == 1:
+        for fn, args in leading:
+            fn(*args)
+    else:
+        _on_pool(leading)
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,13 @@ the stepper only freezes v at the step midpoint while rotating u = w + v as a
 unit. A step makes two grid transforms: one inverse transform of
 K_half w_hat + v_hat(t_mid), which is u at the midpoint because the transform
 is linear, and one forward transform of the rotated u, from which v_hat(t_mid)
-is subtracted in frequency space. One step loop (solve_w) serves both
-equations: the full equation is the remainder equation with v = 0.
+is subtracted in frequency space. With the 2/3 mask on, that forward
+transform is read only through the dealiased K_half, so on a lattice of at
+least grids.SPLIT_POINTS points it finishes only the kept modes
+(grids.fftn_kept); a forced step that ends at a snapshot, whose subtraction
+is checked on every mode, makes the full transform. One step loop (solve_w)
+serves both equations: the full equation is the remainder equation with
+v = 0.
 
 The solve carries w_hat in numpy's unnormalized coordinates, np.fft.fftn(w),
 rather than the continuum-normalized transform of grids: the transform weight
@@ -19,8 +24,9 @@ is diagonal, so every multiplier of the step acts on these coordinates
 unchanged, and each grid transform is an in-place grids.fftn or
 grids.ifftn call, numpy's bits, with no weight pass. On a lattice large
 enough to split (grids.SPLIT_POINTS) the transforms, |u|^2, the rotation,
-the free flow and the step's in-place products run in slabs on the CPUs,
-with the same bits; the sums of the series and the checks do not. The solve
+the free flow, the step's in-place products, the guard's and the check's
+maxima and the series sample's elementwise passes run in slabs on the CPUs,
+with the same bits; the sums of the series do not. The solve
 allocates its lattice work arrays once (w_hat, u, v_hat(t), the phase and
 two float buffers) and the step and the reporting block share them: v_hat(t)
 is built in place by per-axis broadcast multiplies, |u|^2 and the nonlinear
@@ -43,12 +49,23 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError, RepresentationError
-from .grids import GridSpec, SpectralField, fftn, free_flow_into, free_multiplier, ifftn, on_slabs, xi_sq
+from .grids import (
+    GridSpec,
+    SpectralField,
+    dealias_ranges,
+    fftn,
+    fftn_kept,
+    free_flow_into,
+    free_multiplier,
+    ifftn,
+    on_slabs,
+    xi_sq,
+)
 from .norms import FrequencyView, Symbols
 
 __all__ = [
@@ -151,9 +168,10 @@ class SolverConfig:
 
 @lru_cache(maxsize=64)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """2/3-rule mask: keep signed index |m| < M/3 along every axis."""
-    m = np.fft.fftfreq(grid.points) * grid.points
-    keep1d = np.abs(m) < grid.points / 3.0
+    """2/3-rule mask: keep signed index |m| < M/3 along every axis (grids.dealias_ranges)."""
+    keep1d = np.zeros(grid.points, dtype=bool)
+    for kept in dealias_ranges(grid.points):
+        keep1d[kept] = True
     out = np.ones(grid.shape, dtype=bool)
     for ax in range(grid.dim):
         sh = [1] * grid.dim
@@ -194,10 +212,14 @@ def _close_slab(what: np.ndarray, k_half: np.ndarray, *vhat: np.ndarray) -> None
 
 
 def _guard(abs_sq: np.ndarray, threshold: float | None, t: float) -> None:
+    """Raise BlowupError when max |u|^2 exceeds threshold^2 or is not a number.
+
+    The maximum is taken in slabs (grids.on_slabs), NaN propagating.
+    """
     if threshold is None:
         return
-    peak = float(np.max(abs_sq))
-    if peak > threshold * threshold:
+    peak = float(np.max(on_slabs(np.max, abs_sq)))
+    if not peak <= threshold * threshold:
         raise BlowupError(t=t, amplitude=math.sqrt(peak), threshold=threshold)
 
 
@@ -222,23 +244,74 @@ def _rotate(
     on_slabs(rotate_slab, phys, abs_sq, phase)
 
 
+def _split_slab(
+    uhat: np.ndarray, vhat: np.ndarray, out: np.ndarray, check: np.ndarray, modulus: np.ndarray
+) -> tuple[float, float]:
+    """_split_checked's pass on one slab; returns max |(u - v) + v - u| and max |u| there."""
+    np.subtract(uhat, vhat, out=out)
+    np.add(out, vhat, out=check)
+    check -= uhat
+    return np.max(np.abs(check, out=modulus)), np.max(np.abs(uhat, out=modulus))
+
+
 def _split_checked(
     uhat: np.ndarray, vhat: np.ndarray, out: np.ndarray, check: np.ndarray, modulus: np.ndarray
 ) -> None:
     """out = uhat - vhat, checked: (u - v) + v must reproduce u to far better
     than the documented 1e-9 channel consistency budget. check (complex) and
     modulus (float) are work buffers; the check is scale-invariant, so it
-    holds in any diagonally weighted frequency coordinates.
+    holds in any diagonally weighted frequency coordinates. A large lattice
+    is split and checked in slabs (grids.on_slabs), and the maxima of the
+    slabs give the same two maxima.
     """
-    np.subtract(uhat, vhat, out=out)
-    np.add(out, vhat, out=check)
-    check -= uhat
-    drift = float(np.max(np.abs(check, out=modulus)))
-    scale = max(float(np.max(np.abs(uhat, out=modulus))), 1e-300)
+    drift, scale = np.max(on_slabs(_split_slab, uhat, vhat, out, check, modulus), axis=0)
+    drift, scale = float(drift), max(float(scale), 1e-300)
     if drift > 1e-9 * scale:
         raise RepresentationError(
             f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
         )
+
+
+def _kinetic_slab(
+    what: np.ndarray, xi2: np.ndarray, kin: np.ndarray, scratch: np.ndarray, *vhat: np.ndarray
+) -> None:
+    """A series sample's first pass, on one slab: kin = |w_hat|^2 |xi|^2, and
+    v_hat <- |xi|^2 v_hat if given."""
+    _abs_sq_slab(what, kin, scratch)
+    kin *= xi2
+    if vhat:
+        np.multiply(vhat[0], xi2, out=vhat[0])
+
+
+def _nonlinear_slab(
+    half_power: float, u: np.ndarray, w: np.ndarray, mod_sq: np.ndarray, scratch: np.ndarray
+) -> None:
+    """On one slab, with v in u's buffer: u <- v + w, then u <- |u|^p u, and mod_sq = |u|^{p+2}."""
+    u += w
+    _abs_sq_slab(u, mod_sq, scratch)
+    u_pow = np.power(mod_sq, half_power, out=scratch)
+    u *= u_pow
+    mod_sq *= u_pow
+
+
+def _pairing_slab(
+    lap_v: np.ndarray, nl_u: np.ndarray, w: np.ndarray, mod_sq: np.ndarray, scratch: np.ndarray
+) -> None:
+    """On one slab: lap_v <- conj(lap_v) nl_u, and mod_sq = |w|^2."""
+    np.conjugate(lap_v, out=lap_v)
+    lap_v *= nl_u
+    _abs_sq_slab(w, mod_sq, scratch)
+
+
+def _mass_rate_slab(
+    half_power: float, out: np.ndarray, nl_u: np.ndarray, w: np.ndarray, mod_sq: np.ndarray
+) -> None:
+    """On one slab: out = conj(nl_u - |w|^p w) w, from mod_sq = |w|^2, which becomes |w|^p."""
+    np.power(mod_sq, half_power, out=mod_sq)
+    np.multiply(w, mod_sq, out=out)
+    np.subtract(nl_u, out, out=out)
+    np.conjugate(out, out=out)
+    out *= w
 
 
 @dataclass
@@ -284,6 +357,13 @@ class ConservationSeries:
     CSV_HEADER = ["t", "M", "E", "dMdt_fd", "dMdt_id", "rM", "dEdt_fd", "dEdt_id", "rE"]
 
 
+def _finite(values: np.ndarray, channel: str) -> np.ndarray:
+    """values, refused with a ConfigError naming the channel unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise ConfigError(f"initial data {channel} has non-finite values (NaN or inf)")
+    return values
+
+
 def solve_w(
     w0: SpectralField,
     v0: SpectralField | None,
@@ -297,19 +377,25 @@ def solve_w(
     K_half w_hat + v_hat(t_mid) gives u = w + v at the step midpoint; the
     guard reads |u|; u is rotated in place by the exact nonlinear phase; one
     forward transform gives u_hat, from which v_hat(t_mid) is subtracted,
-    and the result is multiplied by K_half with the 2/3 mask folded in. The
+    and the result is multiplied by K_half with the 2/3 mask folded in, so
+    with the mask on the forward transform finishes only the kept modes on
+    a large lattice (module docstring), except at a forced snapshot step. The
     solve holds one multiplier, built per solve and cached nowhere: step
     0's opening half-step uses K_half as built, which is then dealiased in
     place and serves every later half-step, opening ones included, exactly,
     since w_hat leaves each closing half-step zero on the masked modes. At
     snapshot steps the subtraction is checked against u_hat for channel
-    bookkeeping drift. On a large lattice the transforms and the
-    elementwise passes of a step run in slabs on the CPUs (module
-    docstring); the snapshots and the series have the same bits on any
-    number of CPUs. Every value of v,
-    the t = 0 snapshot's included, is the exact free propagator applied to
-    v_hat(0) = np.fft.fftn(v0), so unitarity and frequency support of the v
-    snapshots are exact.
+    bookkeeping drift. A w_hat handed to the sink is zero on the masked
+    modes; after a kept-mode step the sign of such a zero may differ from
+    a full transform's. The guard refuses a non-finite or too large |u| at
+    every step, and the solve refuses initial data with a non-finite value
+    (a ConfigError naming w0 or v0). On a large lattice the transforms and
+    the elementwise passes of a step and of a series sample run in slabs on
+    the CPUs (module docstring); the snapshots and the series have the same
+    bits on any number of CPUs. Every value of v, the t = 0 snapshot's
+    included, is the exact free propagator applied to v_hat(0) =
+    np.fft.fftn(v0), so unitarity and frequency support of the v snapshots
+    are exact.
 
     Every reported time, t = 0 included, goes through one block: v_hat(t)
     is flowed from v_hat(0), w and v are transformed into two work arrays,
@@ -340,14 +426,14 @@ def solve_w(
     shape = grid.shape
     # w(0) and v(0) are read only for their spectra and the guard threshold,
     # max |u(0)| with u(0) = w(0) + v(0); its buffers become u and |u|^2
-    w_init = np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128)
+    w_init = _finite(np.ascontiguousarray(w0.as_physical().values, dtype=np.complex128), "w0")
     what = fftn(w_init)
     v0hat = None
     if v0 is None:
         u = np.empty(shape, dtype=np.complex128)
         abs_sq = np.abs(w_init)
     else:
-        v_init = np.ascontiguousarray(v0.as_physical().values, dtype=np.complex128)
+        v_init = _finite(np.ascontiguousarray(v0.as_physical().values, dtype=np.complex128), "v0")
         v0hat = fftn(v_init)
         u = np.add(w_init, v_init)
         abs_sq = np.abs(u)
@@ -369,6 +455,8 @@ def solve_w(
     # Parseval for the unnormalized transform: sum_x |f|^2 = sum_xi |fftn f|^2 / N
     kin_weight = 0.5 * dvol / grid.n_points
     half_power = 0.5 * cfg.power
+    nonlinear = partial(_nonlinear_slab, half_power)
+    mass_rate = partial(_mass_rate_slab, half_power)
 
     n_ser = cfg.n_series
     ser_times = np.empty(n_ser)
@@ -399,8 +487,14 @@ def solve_w(
                 _guard(abs_sq, threshold, t_mid)
                 if rotate:
                     _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, cfg.power)
-            fftn(u, out=what)
-            if vhat is not None and at_snap:
+            checked = vhat is not None and at_snap
+            if checked or not cfg.dealias:
+                fftn(u, out=what)
+            else:
+                # u_hat is read only through the close's dealiased K_half,
+                # zero on every mode the kept-mode transform leaves unfinished
+                fftn_kept(u, out=what)
+            if checked:
                 # w_hat goes to u's buffer, which then carries w_hat; u_hat
                 # stays in the other one for the check
                 _split_checked(what, vhat, u, phase, abs_sq)
@@ -423,9 +517,10 @@ def solve_w(
         if not at_ser:
             continue
         ser_times[ser] = t
-        kin = _abs_sq(what, abs_sq, scratch)
-        kin *= xi2
-        kinetic = kin_weight * float(np.sum(kin))
+        # |w_hat|^2 |xi|^2 for the kinetic sum; v_hat(t), already transformed
+        # into v, becomes |xi|^2 v_hat(t) for Lap v
+        on_slabs(_kinetic_slab, what, xi2, abs_sq, scratch, *v_mid)
+        kinetic = kin_weight * float(np.sum(abs_sq))
         if v is None:
             mod_sq = _abs_sq(w, abs_sq, scratch)
             ser_mass[ser] = float(np.sum(mod_sq)) * dvol
@@ -436,30 +531,19 @@ def solve_w(
             ser_energy[ser] = kinetic
             ser += 1
             continue
-        u += w
-        # |u|^2 gives |u|^{p+2} and, in u's own buffer, nl_u = |u|^p u
-        mod_sq = _abs_sq(u, abs_sq, scratch)
-        u_pow = np.power(mod_sq, half_power, out=scratch)
-        u *= u_pow
-        mod_sq *= u_pow
-        pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(mod_sq)) * dvol if rotate else 0.0
+        # u = v + w gives |u|^{p+2} and, in u's own buffer, nl_u = |u|^p u
+        on_slabs(nonlinear, u, w, abs_sq, scratch)
+        pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(abs_sq)) * dvol if rotate else 0.0
         ser_energy[ser] = kinetic + pot
         # dE/dt = mu Im int conj(Lap v) nl_u with Lap v = -ifftn(|xi|^2 v_hat);
-        # the sign is folded into the sum
-        vhat *= xi2
+        # the sign is folded into the sum. The same pass forms |w|^2.
         ifftn(vhat, out=vhat)
-        np.conjugate(vhat, out=vhat)
-        vhat *= u
+        on_slabs(_pairing_slab, vhat, u, w, abs_sq, scratch)
         ser_de_id[ser] = -cfg.mu * float(np.sum(vhat.imag)) * dvol
+        ser_mass[ser] = float(np.sum(abs_sq)) * dvol
         # dM/dt = 2 mu Im int conj(w) (nl_u - |w|^p w), summed as
         # -Im w conj(nl_u - |w|^p w) so the product forms in place
-        mod_sq = _abs_sq(w, abs_sq, scratch)
-        ser_mass[ser] = float(np.sum(mod_sq)) * dvol
-        np.power(mod_sq, half_power, out=mod_sq)
-        np.multiply(w, mod_sq, out=vhat)
-        np.subtract(u, vhat, out=vhat)
-        np.conjugate(vhat, out=vhat)
-        vhat *= w
+        on_slabs(mass_rate, vhat, u, w, abs_sq)
         ser_dm_id[ser] = -2.0 * cfg.mu * float(np.sum(vhat.imag)) * dvol
         ser += 1
 

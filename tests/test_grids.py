@@ -1,8 +1,11 @@
 """Fourier conventions: transforms, multipliers, and the spectral operations
 (derivatives, gradients, norms and the free flow) in numpy's raw coordinates."""
 
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -276,7 +279,9 @@ def test_split_transforms_are_numpys_bits(shape, monkeypatch):
 
 
 def test_small_lattices_never_use_the_slab_pool(monkeypatch):
-    # 0.01 s. The 3D linear-stats (32^3) and 4D audit (16^4) lattices stay one plain call.
+    # 0.01 s. The 3D linear-stats (32^3) and 4D audit (16^4) lattices stay one
+    # plain call, and fftn_kept, whose extra calls would cost more than the
+    # lines they save there, is the full fftn.
     def no_pool():
         raise AssertionError("the slab pool was used")
 
@@ -287,6 +292,7 @@ def test_small_lattices_never_use_the_slab_pool(monkeypatch):
         f = noise_field(g)
         assert f.as_frequency().as_physical().values.shape == g.shape
         free_flow_into(f.values, g, 0.1, np.empty_like(f.values))
+        assert np.array_equal(grids.fftn_kept(f.values, out=np.empty_like(f.values)), np.fft.fftn(f.values))
 
 
 def test_a_slab_exception_reaches_the_caller(monkeypatch):
@@ -333,6 +339,83 @@ def test_callers_on_more_threads_than_cpus_share_the_slab_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert equal == [True] * 20
+
+
+def _kept_mask(shape):
+    """The modes whose every FFT-order index lies in grids.dealias_ranges."""
+    mask = np.ones(shape, dtype=bool)
+    for axis, points in enumerate(shape):
+        keep = np.zeros(points, dtype=bool)
+        for kept in grids.dealias_ranges(points):
+            keep[kept] = True
+        mask &= keep.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(64,) * 3, (20,) * 4])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_kept_transform_is_numpys_bits_on_the_kept_modes(shape, cpus, monkeypatch):
+    # 0.1 s in all. Into out= and in place, with the slab pool off and on:
+    # np.fft.fftn's bits on the kept modes, finite partial sums elsewhere.
+    monkeypatch.setattr(grids, "_CPUS", cpus)
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ref = np.fft.fftn(values)
+    mask = _kept_mask(shape)
+    out = np.empty_like(values)
+    in_place = values.copy()
+    assert grids.fftn_kept(values, out=out) is out
+    assert grids.fftn_kept(in_place, out=in_place) is in_place
+    for got in (out, in_place):
+        assert np.array_equal(got[mask], ref[mask])
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_kept_transform_makes_8697_line_transforms(cpus, monkeypatch):
+    # 0.05 s. At 64^3 the last axis transforms all 4,096 lines, axis 1 the
+    # 64 x 43 lines of a kept axis-2 index and axis 0 the 43 x 43 lines of
+    # kept axis-1 and axis-2 indices, against fftn's 3 x 4,096.
+    monkeypatch.setattr(grids, "_CPUS", cpus)
+    real = np.fft.fft
+    lines = []  # appended from the pool's threads too
+
+    def counted(a, *args, axis=-1, **kwargs):
+        lines.append(a.size // a.shape[axis])
+        return real(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    values = np.ones((64,) * 3, dtype=np.complex128)
+    grids.fftn_kept(values, out=values)
+    assert sum(lines) == 4096 + 64 * 43 + 43 * 43 == 8697
+
+
+def test_a_forked_child_makes_its_own_slab_pool(monkeypatch):
+    # 0.04 s. A child forked after the parent's pool exists inherits its queues
+    # but not its threads; it must make its own pool, not wait on theirs. One
+    # child, killed if it is not done within 20 s.
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    values = noise_field(GridSpec(3, 64, np.pi), seed=4).values
+    ref = np.fft.fftn(values)
+    assert np.array_equal(grids.fftn(values), ref)  # the parent's pool is made
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(grids.fftn(values), ref) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in its first 64^3 transform")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_lp_norm_against_closed_form():

@@ -13,6 +13,7 @@ from roughnls import (
     ConservationSeries,
     GridSpec,
     PartitionConfig,
+    RepresentationError,
     SolverConfig,
     SpectralField,
     almost_conservation_monitor,
@@ -30,7 +31,17 @@ from roughnls import (
 )
 
 from roughnls import grids
-from roughnls.solver import _abs_sq, _rotate
+from roughnls.solver import (
+    _abs_sq,
+    _guard,
+    _kinetic_slab,
+    _mass_rate_slab,
+    _nonlinear_slab,
+    _pairing_slab,
+    _rotate,
+    _split_checked,
+    dealias_mask,
+)
 
 from conftest import discard, kept_snapshots, traced_peak
 
@@ -404,6 +415,142 @@ def test_split_solve_is_the_serial_solve(monkeypatch):
             assert np.array_equal(x, y)
     for name in ("times", "mass", "energy", "dmass_id", "denergy_id"):
         assert np.array_equal(getattr(series1, name), getattr(series2, name))
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_kept_mode_solve_is_the_full_solve(forced, monkeypatch):
+    # 1.0 s in all. A 64^3 solve whose steps 1, 2, 4 and 5 (forced; unforced,
+    # every step) finish only the kept modes in their forward transforms:
+    # with the kept path and the slab pool on and off (SPLIT_POINTS above the
+    # lattice turns off both), its sink gets equal arrays and it returns the
+    # same series, bit for bit. A handed w_hat may differ only in the sign
+    # of a masked zero.
+    g = GridSpec(3, 64, np.pi)
+    w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
+    v0 = SpectralField(g, 0.2 * _noise(g.shape, 4), "physical") if forced else None
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=6e-3, snapshot_stride=3, series_stride=2)
+    runs = []
+    for split, cpus in ((grids.SPLIT_POINTS, 2), (grids.SPLIT_POINTS, 1), (2 * g.n_points, 1)):
+        monkeypatch.setattr(grids, "SPLIT_POINTS", split)
+        monkeypatch.setattr(grids, "_CPUS", cpus)
+        runs.append(kept_snapshots(w0, v0, cfg))
+    ref_snaps, ref_series = runs[-1]
+    assert len(ref_snaps) == cfg.n_snapshots == 3
+    for snaps, series in runs[:-1]:
+        for a, b in zip(snaps, ref_snaps):
+            assert a[0] == b[0]
+            for x, y in zip(a[1:], b[1:]):
+                assert np.array_equal(x, y)
+        for name in ("times", "mass", "energy", "dmass_id", "denergy_id"):
+            assert np.array_equal(getattr(series, name), getattr(ref_series, name)), name
+
+
+def _serial_series_passes(what, xi2, vhat, u, w, half_power):
+    """A series sample's lattice passes as one numpy call each, in the order of
+    the unfused sample; returns what each fused pass leaves in its arrays."""
+    vhat, u = vhat.copy(), u.copy()
+    abs_sq, scratch = np.empty(what.shape), np.empty(what.shape)
+    kin = _abs_sq(what, abs_sq, scratch)
+    kin *= xi2
+    kin = kin.copy()
+    u += w
+    mod_sq = _abs_sq(u, abs_sq, scratch)
+    u_pow = np.power(mod_sq, half_power, out=scratch)
+    u *= u_pow
+    mod_sq *= u_pow
+    pot = mod_sq.copy()
+    vhat *= xi2
+    lap = vhat.copy()
+    np.conjugate(vhat, out=vhat)
+    vhat *= u
+    pairing = vhat.copy()
+    mod_sq = _abs_sq(w, abs_sq, scratch).copy()
+    np.power(abs_sq, half_power, out=abs_sq)
+    np.multiply(w, abs_sq, out=vhat)
+    np.subtract(u, vhat, out=vhat)
+    np.conjugate(vhat, out=vhat)
+    vhat *= w
+    return kin, lap, u, pot, pairing, mod_sq, vhat, abs_sq
+
+
+@pytest.mark.parametrize("points", [64, 65])
+def test_fused_series_passes_are_the_serial_bits(points, monkeypatch):
+    # 0.2 s in all. The series sample's fused passes, in two slabs (uneven at
+    # 65^3), against one numpy call per operation.
+    shape = (points,) * 3
+    what, vhat, u, w = (_noise(shape, seed) for seed in (11, 12, 13, 14))
+    xi2 = np.abs(_noise(shape, 15))
+    half_power = 2.0
+    want = _serial_series_passes(what, xi2, vhat, u, w, half_power)
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    assert grids._slab_count(shape, 0) == 2
+    vhat, u = vhat.copy(), u.copy()
+    kin, scratch = np.empty(shape), np.empty(shape)
+    grids.on_slabs(_kinetic_slab, what, xi2, kin, scratch, vhat)
+    lap = vhat.copy()
+    mod_sq = np.empty(shape)
+    grids.on_slabs(lambda *a: _nonlinear_slab(half_power, *a), u, w, mod_sq, scratch)
+    pot = mod_sq.copy()
+    grids.on_slabs(_pairing_slab, vhat, u, w, mod_sq, scratch)
+    pairing, w_sq = vhat.copy(), mod_sq.copy()
+    grids.on_slabs(lambda *a: _mass_rate_slab(half_power, *a), vhat, u, w, mod_sq)
+    got = (kin, lap, u, pot, pairing, w_sq, vhat, mod_sq)
+    for name, x, y in zip(("kin", "lap", "nl_u", "pot", "pairing", "w_sq", "mass_rate", "w_pow"), got, want):
+        assert np.array_equal(x, y), name
+
+
+def test_split_check_and_guard_read_every_slab(monkeypatch):
+    # 0.03 s. In two slabs, the checked subtraction writes np.subtract's bits,
+    # its maxima see a drift in the second slab, and the guard's see the
+    # largest value and a NaN in either slab.
+    monkeypatch.setattr(grids, "_CPUS", 2)
+    shape = (64,) * 3
+    uhat, vhat = _noise(shape, 21), _noise(shape, 22)
+    out, check, modulus = np.empty_like(uhat), np.empty_like(uhat), np.empty(shape)
+    _split_checked(uhat, vhat, out, check, modulus)
+    assert np.array_equal(out, uhat - vhat)
+    vhat[40, 3, 5] = 1e20  # (u - v) + v loses u there
+    with pytest.raises(RepresentationError):
+        _split_checked(uhat, vhat, out, check, modulus)
+    abs_sq = np.ones(shape)
+    _guard(abs_sq, 1.0, 0.0)
+    for where, value in (((63, 0, 0), 1.5), ((0, 0, 0), 1.5), ((50, 1, 2), np.nan), ((3, 1, 2), np.inf)):
+        spiked = abs_sq.copy()
+        spiked[where] = value
+        with pytest.raises(BlowupError):
+            _guard(spiked, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("channel", ["w0", "v0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_initial_channel_is_refused(channel, value):
+    # 0.01 s. Unrefused, a NaN would run to an all-NaN series with no error:
+    # the guard's threshold would be NaN, and no comparison with NaN is true.
+    g = GridSpec(3, 8, np.pi / 2)
+    fields = {"w0": bump(g, 0.3, 1.5), "v0": rough_v0(g, n0=2.0, amp=0.2)}
+    values = fields[channel].values.copy()
+    values[1, 2, 3] = value
+    fields[channel] = SpectralField(g, values, "physical")
+    cfg = SolverConfig(dim=3, dt=1e-3, t_final=2e-3)
+    with pytest.raises(ConfigError, match=channel):
+        solve_w(fields["w0"], fields["v0"], cfg, discard)
+    if channel == "w0":
+        with pytest.raises(ConfigError, match=channel):
+            solve_w(fields["w0"], None, cfg, discard)
+
+
+def test_dealias_mask_is_the_product_of_the_kept_ranges():
+    # 0.1 s. The 2/3 rule has one definition, grids.dealias_ranges: per axis
+    # it keeps exactly the signed modes |m| < M/3, and the solver's mask is
+    # the product of the axes' ranges.
+    for points in range(8, 67, 2):
+        signed = np.fft.fftfreq(points) * points
+        keep = np.zeros(points, dtype=bool)
+        for kept in grids.dealias_ranges(points):
+            keep[kept] = True
+        assert np.array_equal(keep, np.abs(signed) < points / 3.0), points
+        product = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+        assert np.array_equal(dealias_mask(GridSpec(3, points, np.pi)), product), points
 
 
 def test_solve_frees_its_inputs_before_the_first_snapshot():

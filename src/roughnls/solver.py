@@ -266,7 +266,7 @@ def _split_checked(
     """
     drift, scale = np.max(on_slabs(_split_slab, uhat, vhat, out, check, modulus), axis=0)
     drift, scale = float(drift), max(float(scale), 1e-300)
-    if drift > 1e-9 * scale:
+    if not drift <= 1e-9 * scale:  # a NaN drift fails too
         raise RepresentationError(
             f"channel bookkeeping drift {drift:.3e} exceeds 1e-9 x {scale:.3e}"
         )

@@ -501,17 +501,18 @@ def test_fused_series_passes_are_the_serial_bits(points, monkeypatch):
 
 def test_split_check_and_guard_read_every_slab(monkeypatch):
     # 0.03 s. In two slabs, the checked subtraction writes np.subtract's bits,
-    # its maxima see a drift in the second slab, and the guard's see the
-    # largest value and a NaN in either slab.
+    # its maxima see a drift or a NaN in the second slab, and the guard's see
+    # the largest value and a NaN in either slab.
     monkeypatch.setattr(grids, "_CPUS", 2)
     shape = (64,) * 3
     uhat, vhat = _noise(shape, 21), _noise(shape, 22)
     out, check, modulus = np.empty_like(uhat), np.empty_like(uhat), np.empty(shape)
     _split_checked(uhat, vhat, out, check, modulus)
     assert np.array_equal(out, uhat - vhat)
-    vhat[40, 3, 5] = 1e20  # (u - v) + v loses u there
-    with pytest.raises(RepresentationError):
-        _split_checked(uhat, vhat, out, check, modulus)
+    for value in (1e20, np.nan):  # (u - v) + v loses u there, or is NaN
+        vhat[40, 3, 5] = value
+        with pytest.raises(RepresentationError):
+            _split_checked(uhat, vhat, out, check, modulus)
     abs_sq = np.ones(shape)
     _guard(abs_sq, 1.0, 0.0)
     for where, value in (((63, 0, 0), 1.5), ((0, 0, 0), 1.5), ((50, 1, 2), np.nan), ((3, 1, 2), np.inf)):

@@ -48,14 +48,12 @@ from .linear_flow import (
 )
 from .morawetz import (
     CStarSpread,
-    LocalDensities,
     MainTermReport,
     MorawetzAccumulator,
     MorawetzReport,
     c_star_spread,
     identity_mor_mainterm,
     interaction_functional,
-    local_densities,
     localization_ratio,
     stored_audit,
 )

@@ -591,13 +591,14 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
       audit adds 4 fields: it is handed the solve's spectra and holds one
       channel's view at a time, then one component of v's gradient (one
       add() peaks 3.1 fields at 24^3 and at 12^4). Only with save_fields
-      does it compute M(t) for interaction.csv, and add its half-spectrum
-      kernel tables, (d + 1) / 2 fields, and d + 1 fields for one component
+      does it compute M(t) for interaction.csv, and add the vector kernel's
+      half-spectrum tables, d / 2 fields, and d + 1 fields for one component
       of w's gradient, of the momentum density and of its transform at a
       time, with their buffers, or for the tables' build on a grid's first
-      audit (such an add() peaks 5.7 fields at 24^3 and 6.6 at 12^4). A
-      seed then peaks 11.3 fields at 12^3 and 12.2 at 8^4 without M(t),
-      14.0 and 15.9 with it, and 16.6 and 20.7 with the tables built.
+      audit (such an add() peaks 5.7 fields at 24^3 and 6.6 at 12^4, and
+      9.1 and 13.1 while it builds the tables). A seed then peaks 11.3
+      fields at 12^3 and 12.2 at 8^4 without M(t), 14.0 and 15.9 with it,
+      and 16.6 and 20.7 with the tables built.
     - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
       for a rung's scaled forcing and its gap buffer, plus the solver's 10;
       15.7 fields at 16^3 with 3 snapshots and 33.7 with 21.
@@ -622,7 +623,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
         elif kind == "morawetz-audit":
             audit = 4 * per
             if config.save_fields:
-                audit += 3 * (g.dim + 1) * per // 2
+                audit += (3 * g.dim + 2) * per // 2
             per_task = chans * per + audit + solver
         else:
             per_task = chans * per + solver
@@ -665,19 +666,18 @@ def _discard(t: float, w: np.ndarray, v: np.ndarray | None, w_hat: np.ndarray, v
 
 
 def _series_metrics(series: ConservationSeries) -> dict:
-    m0 = series.mass[0]
-    e0 = series.energy[0]
-    out = {
-        "mass_drift": float(np.max(np.abs(series.mass / m0 - 1.0))) if m0 != 0 else 0.0,
-        "ratio_mass": float(np.max(series.mass / m0)) if m0 != 0 else 1.0,
+    ratio_mass, ratio_energy = series.sup_ratios()
+    return {
+        "mass_drift": _drift(series.mass),
+        "ratio_mass": ratio_mass,
+        "energy_drift": _drift(series.energy),
+        "ratio_energy": ratio_energy,
     }
-    if e0 != 0:
-        out["energy_drift"] = float(np.max(np.abs(series.energy / e0 - 1.0)))
-        out["ratio_energy"] = float(np.max(series.energy / e0))
-    else:
-        out["energy_drift"] = 0.0
-        out["ratio_energy"] = 1.0
-    return out
+
+
+def _drift(values: np.ndarray) -> float:
+    """max |X / X(0) - 1| over a series X; 0.0 when X(0) = 0."""
+    return float(np.max(np.abs(values / values[0] - 1.0))) if values[0] != 0 else 0.0
 
 
 def _task_partition_report(config, part: FrequencyPartition, task_seed: int, run_dir: Path):

@@ -1,16 +1,17 @@
-"""Interaction Morawetz functionals, inequality audits, and the main-term identity.
+"""The interaction Morawetz functional M(t), the inequality audit, and the main-term identity.
 
-Local densities of the remainder field w: mass density m = |w|^2 / 2, momentum
-density p = Im(conj(w) grad w) / 2, and the nonlinear defect
-e = |u|^p u - |w|^p w. The pairwise functional
+M(t) pairs the momentum density p = Im(conj(w) grad w) / 2 of the remainder
+field w against a real density, in the audit its mass density m = |w|^2 / 2:
 
     M(t) = sum_{x,y} (x-y)/|x-y| . p(t,x) m(t,y) dx^{2d}
 
-is the circular pairing against a kernel tabulated with minimal-image
-displacements and K(0) = 0, evaluated in Parseval form: one real-input
-transform of m and of each component of p, summed against cached conjugated
-transforms of the kernel tables over the half spectrum, with no inverse
-transform. A direct double sum is kept as a cross-check. The kernels are not
+interaction_functional is its one implementation: the circular pairing
+against the vector kernel tabulated with minimal-image displacements and
+K(0) = 0, evaluated in Parseval form: one real-input transform of m and of
+each component of p, formed one at a time from w's partial derivatives,
+summed against cached conjugated transforms of the kernel tables over the
+half spectrum, with no inverse transform. The direct double sum
+_pair_direct is its reference on small grids. The kernels are not
 periodic, so the circular sum matches the whole-space integral only for
 well-localized densities; every functional value is paired with a
 localization ratio (fraction of mass inside the half-box) so the
@@ -21,14 +22,13 @@ per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
 snapshots into it, spectra included, and stored_audit feeds it a stored
 run's, read back one at a time. Each snapshot gets one FrequencyView
 (see norms) per channel, one channel at a time: every spatial figure of the
-terms below is read from those two views, m and p come from the w view's
-gradient, p one component at a time straight into its pairing, and the 4D
-Gagliardo-Nirenberg ratio reuses figures already taken.
+terms below is read from those two views, m and M(t) from the w view, and
+the 4D Gagliardo-Nirenberg ratio reuses figures already taken.
 M(t) enters none of the terms: an accumulator built with interaction=False
-skips p, w's gradient and the pairing (14 -> 5 transforms per 4D snapshot
-whose spectra are given, 10 -> 3 in 3D) and keeps m only for the
-localization ratio. The harness's morawetz-audit task audits that way unless
-it writes interaction.csv (save_fields).
+skips the pairing, and with it p, w's gradient and the kernel tables (14 -> 5
+transforms per 4D snapshot whose spectra are given, 10 -> 3 in 3D), and
+keeps m only for the localization ratio. The harness's morawetz-audit task
+audits that way unless it writes interaction.csv (save_fields).
 
 The audit measures, per trajectory, the constant C* = LHS / (T1 + T2 + T3) in
 
@@ -68,12 +68,10 @@ from .norms import FrequencyView, NormPass, NormSpec, time_norm
 from .trajectory import TrajectoryReader, write_csv, write_json
 
 __all__ = [
-    "LocalDensities",
     "MorawetzReport",
     "MainTermReport",
     "CStarSpread",
     "SCALING_DEGREES",
-    "local_densities",
     "interaction_functional",
     "localization_ratio",
     "MorawetzAccumulator",
@@ -97,34 +95,20 @@ def _critical_power(dim: int) -> float:
     raise ConfigError(f"the energy-critical power is defined in dimensions 3 and 4, got {dim}")
 
 
-@dataclass(frozen=True)
-class LocalDensities:
-    """Pointwise densities of one snapshot: mass m, momentum p, defect e.
+def interaction_functional(w: FrequencyView, m: np.ndarray) -> float:
+    """M(t) = sum_{x,y} (x-y)/|x-y| . p(x) m(y) dx^{2d} of one snapshot, with p = Im(conj(w) grad w) / 2.
 
-    m has the grid's shape, p stacks the d components along axis 0, and e is
-    complex with the grid's shape, or None where the caller did not form it
-    (the audit). m >= 0 and p is real by construction; e vanishes wherever
-    u = w.
-    """
-
-    grid: GridSpec
-    m: np.ndarray
-    p: np.ndarray
-    e: np.ndarray | None = None
-
-
-def _momentum_pairing(w: FrequencyView, m: np.ndarray) -> float:
-    """M(t) = sum_{x,y} (x-y)/|x-y| . p(x) m(y) dx^{2d}, p formed one gradient component at a time.
-
-    Each partial derivative of w comes in the one buffer of
-    FrequencyView.partials, where conj(w) times it is formed; p_k, its real
-    transform (into one half-spectrum buffer) and its product with the k-th
-    kernel table follow, and the products are summed in component order. The result
-    equals interaction_functional(LocalDensities(grid, m, p)) bit for bit
-    without holding the d components of grad w, of p or of their transforms.
+    w is the snapshot's view of the remainder field and m a real density on
+    its grid (the audit's is m = |w|^2 / 2). Each partial derivative of w
+    comes in the one buffer of FrequencyView.partials, where conj(w) times it
+    is formed; p_k, its real transform (into one half-spectrum buffer) and
+    its product with the k-th kernel table follow, and the products are
+    summed in component order before the one pairing with m's transform. So
+    the d components of grad w, of p and of their transforms are never held
+    at once. _pair_direct is the double-sum reference.
     """
     g = w.grid
-    vec_hat, _ = _kernel_tables_hat(g)
+    vec_hat = _kernel_tables_hat(g)
     conj_w = np.conj(w.values)
     p_k = np.empty(g.shape)
     spec = np.empty(vec_hat.shape[1:], dtype=np.complex128)
@@ -141,33 +125,14 @@ def _momentum_pairing(w: FrequencyView, m: np.ndarray) -> float:
     return float(np.sum(spec.real))
 
 
-def local_densities(w: SpectralField, u: SpectralField) -> LocalDensities:
-    """Mass/momentum densities of w and the defect |u|^p u - |w|^p w.
-
-    The gradient inside p is spectral (i xi multipliers). The power is the
-    energy-critical exponent 4/(d-2), so the grid must be 3D or 4D.
-    """
-    if w.grid != u.grid:
-        raise ConfigError("w and u must live on the same grid")
-    g = w.grid
-    p = _critical_power(g.dim)
-    wv = FrequencyView(g, w.as_physical().values)
-    up = u.as_physical().values
-    m = 0.5 * wv.modulus**2
-    conj_w = np.conj(wv.values)
-    mom = np.stack([0.5 * np.imag(conj_w * gk) for gk in wv.gradient()])
-    defect = np.abs(up) ** p * up - wv.modulus**p * wv.values
-    return LocalDensities(g, m, mom, defect)
-
-
 def _kernel_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Tabulated kernels on the displacement lattice, minimal image, K(0) = 0.
 
     Index delta holds the value at displacement r = delta*dx wrapped to
     [-L, L)^d. Returns (vector table (d, *shape) with x_k/|x|, scalar table
-    with 1/|x|). Not cached: the audit keeps only their half-spectrum
-    transforms (_kernel_tables_hat), so (d + 1) real lattice tables do not
-    stay resident after an audit.
+    with 1/|x|). Not cached: M(t) keeps only the vector table's half-spectrum
+    transform (_kernel_tables_hat), so no real lattice table stays resident
+    after an audit.
     """
     ax = grid.dx * np.arange(grid.points)
     two_l = 2.0 * grid.half_width
@@ -182,44 +147,28 @@ def _kernel_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _kernel_tables_hat(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum pairing tables: conj(rfftn(kernel)) with every constant folded in.
+def _kernel_tables_hat(grid: GridSpec) -> np.ndarray:
+    """M(t)'s half-spectrum pairing tables: conj(rfftn(x_k/|x|)) with every constant folded in.
 
     For real f and g, sum_{x,y} K(x-y) f(x) g(y) = (1/N) sum_xi conj(Khat) fhat
     conj(ghat) over the full DFT lattice. The summand at -xi is the conjugate
     of the one at xi, so the real part of the full sum is the half-spectrum sum
     with weight 2 off the planes k_last = 0 and k_last = M/2. That weight, 1/N
-    and dx^{2d} are multiplied into the tables.
+    and dx^{2d} are multiplied into the tables, d complex half-spectrum arrays.
     """
-    vec, sca = _kernel_tables(grid)
+    vec, _ = _kernel_tables(grid)
     axes = tuple(range(1, grid.dim + 1))
     half = np.full(grid.points // 2 + 1, 2.0)
     half[0] = half[-1] = 1.0
     scale = half * (grid.cell_volume**2 / grid.n_points)
-    return np.conj(np.fft.rfftn(vec, axes=axes)) * scale, np.conj(np.fft.rfftn(sca)) * scale
+    return np.conj(np.fft.rfftn(vec, axes=axes)) * scale
 
 
-def _pair_fft(table_hat: np.ndarray, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> float:
-    """sum_{x,y} K(x-y) f(x) g(y) dx^{2d} for real f, g, as one half-spectrum Parseval sum.
+def _pair_direct(p: np.ndarray, m: np.ndarray, grid: GridSpec) -> float:
+    """Reference M(t): the explicit double sum of (x-y)/|x-y| . p(x) m(y) dx^{2d} over all point pairs.
 
-    f may stack components along a leading axis, paired with a matching stack
-    of tables (the vector kernel); the components' products are summed before
-    the single pairing with g.
-    """
-    axes = tuple(range(f.ndim - grid.dim, f.ndim))
-    prod = np.fft.rfftn(f, axes=axes)
-    prod *= table_hat
-    if prod.ndim > grid.dim:
-        prod = prod.sum(axis=0)
-    return float(np.sum((np.conj(np.fft.rfftn(g)) * prod).real))
-
-
-def _pair_direct(kind: str, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> float:
-    """Reference evaluator: explicit double sum over all point pairs.
-
-    f carries the stacked components (d, *shape) for the vector kernel and a
-    plain scalar array for the 1/|x-y| kernel. Quadratic in the point count;
-    meant for small cross-check grids only.
+    p stacks the d components along axis 0, (d, *shape). Quadratic in the
+    point count; meant for small cross-check grids only.
     """
     d = grid.dim
     ax = grid.x_axis()
@@ -230,57 +179,14 @@ def _pair_direct(kind: str, f: np.ndarray, g: np.ndarray, grid: GridSpec) -> flo
     diff = (diff + grid.half_width) % two_l - grid.half_width
     rad = np.sqrt(np.sum(diff * diff, axis=2))
     ok = rad > 0.0
-    gv = g.ravel()
-    if kind == "vector":
-        fv = f.reshape(d, -1)
-        total = 0.0
-        for k in range(d):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kern = np.where(ok, diff[:, :, k] / rad, 0.0)
-            total += float(fv[k] @ kern @ gv)
-        return total * grid.cell_volume**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = np.where(ok, 1.0 / rad, 0.0)
-    return float(f.ravel() @ kern @ gv) * grid.cell_volume**2
-
-
-def interaction_functional(
-    dens: LocalDensities,
-    kind: str = "vector",
-    scalar_field: np.ndarray | None = None,
-    method: str = "fft",
-) -> float:
-    """Pairwise kernel functional of one snapshot's densities.
-
-    kind 'vector' evaluates sum (x-y)/|x-y| . p(x) m(y) dx^{2d}; kind 'scalar'
-    pairs a caller-supplied real field f(x) against m(y) under the weight
-    1/|x-y|. method 'fft' (the default) is the half-spectrum Parseval sum:
-    d + 1 (vector) or 2 (scalar) real-input transforms and no inverse
-    transform. method 'direct' switches to the double-sum reference path.
-    """
-    g = dens.grid
-    if kind == "vector":
-        f: np.ndarray = dens.p
-    elif kind == "scalar":
-        if scalar_field is None:
-            raise ConfigError("scalar kind needs the field to pair against m")
-        if scalar_field.shape != g.shape:
-            raise ConfigError(
-                f"scalar field shape {scalar_field.shape} does not match grid {g.shape}"
-            )
-        f = scalar_field
-    else:
-        raise ConfigError(f"kernel kind must be 'vector' or 'scalar', got {kind!r}")
-
-    if method == "direct":
-        return _pair_direct(kind, f, dens.m, g)
-    if method != "fft":
-        raise ConfigError(f"method must be 'fft' or 'direct', got {method!r}")
-
-    vec_hat, sca_hat = _kernel_tables_hat(g)
-    if kind == "scalar":
-        return _pair_fft(sca_hat, np.real(f), dens.m, g)
-    return _pair_fft(vec_hat, dens.p, dens.m, g)
+    pv = p.reshape(d, -1)
+    mv = m.ravel()
+    total = 0.0
+    for k in range(d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern = np.where(ok, diff[:, :, k] / rad, 0.0)
+        total += float(pv[k] @ kern @ mv)
+    return total * grid.cell_volume**2
 
 
 def localization_ratio(density: np.ndarray, grid: GridSpec) -> float:
@@ -377,16 +283,15 @@ class MorawetzAccumulator:
     left-hand side and the right-hand side terms T1, T2 and T3: the three
     summands of the module docstring's inequality, in order. C* is
     measured, never asserted; ensemble stability is judged separately by
-    c_star_spread. No audited figure depends on the nonlinearity power,
-    since the defect field is not part of the audit. A solve can stream its
-    snapshots straight into add, and stored_audit feeds a stored run's, so
-    the audit holds no snapshot stack. The audit's dimension is the grid's,
+    c_star_spread. No audited figure depends on the nonlinearity power. A
+    solve can stream its snapshots straight into add, and stored_audit feeds
+    a stored run's, so the audit holds no snapshot stack. The audit's dimension is the grid's,
     and a grid that is not 3D or 4D is a ConfigError.
 
     With both spectra given, a 4D snapshot takes 14 transforms and a 3D one
     10: d for sup |grad v|, one for |grad|^{-1/4} w in 4D, and for M(t) d
     for w's gradient and d + 1 real-input ones for the pairing; M(t) holds
-    one component of grad w and of p at a time (_momentum_pairing). With
+    one component of grad w and of p at a time (interaction_functional). With
     interaction=False add() does not compute M(t): no momentum density, no
     gradient of w, no pairing and no kernel tables, so 5 transforms per 4D
     snapshot and 3 per 3D snapshot. Every other figure is taken as before,
@@ -438,7 +343,7 @@ class MorawetzAccumulator:
         self._pass.take("w", view)
         m = 0.5 * view.modulus**2
         if self.interaction:
-            self._inter.append(_momentum_pairing(view, m))
+            self._inter.append(interaction_functional(view, m))
         self._loc.append(localization_ratio(m, self.grid))
         del m
         if self.dim == 4:
@@ -521,15 +426,13 @@ class CStarSpread:
 
 
 def c_star_spread(values) -> CStarSpread:
-    """max/median spread of C* across runs; stable when the ratio stays below 10.
+    """max/median spread of the constants C* of an ensemble's runs, given as numbers;
+    stable when the ratio stays below 10.
 
-    Accepts MorawetzReport instances or bare numbers. Degenerate runs with
-    C* = 0 are excluded from the median so an all-linear ensemble does not
-    divide by zero.
+    Degenerate runs with C* = 0 are excluded from the median so an all-linear
+    ensemble does not divide by zero.
     """
-    vals = np.asarray(
-        [v.c_star if isinstance(v, MorawetzReport) else float(v) for v in values], dtype=float
-    )
+    vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("need at least one run")
     if np.any(~np.isfinite(vals)):

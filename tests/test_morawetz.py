@@ -1,4 +1,4 @@
-"""Interaction functionals: FFT pairing, densities, audits, main-term identity."""
+"""The interaction functional M(t) against its direct sum, audits, main-term identity."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,11 @@ from roughnls import (
     c_star_spread,
     identity_mor_mainterm,
     interaction_functional,
-    local_densities,
     localization_ratio,
     solve_w,
     stored_audit,
 )
-from roughnls.morawetz import SCALING_DEGREES, _kernel_tables_hat, _max_grad_sq, _pair_direct, _pair_fft
+from roughnls.morawetz import SCALING_DEGREES, _kernel_tables, _kernel_tables_hat, _max_grad_sq, _pair_direct
 
 from conftest import kept_snapshots, traced_peak, write_trajectory
 
@@ -50,19 +49,18 @@ def synth_snapshots(grid, n_times=3, t_final=0.1):
     ]
 
 
+def momentum(view):
+    """The momentum density Im(conj(w) grad w) / 2 of a view, its d components stacked."""
+    return np.stack([0.5 * np.imag(np.conj(view.values) * gk) for gk in view.gradient()])
+
+
 def _compare_pairings(grid, seed):
-    vec_hat, sca_hat = _kernel_tables_hat(grid)
-    stack = np.stack([noise(grid, seed + k) for k in range(grid.dim)])
+    view = FrequencyView(grid, noise(grid, seed) + 1j * noise(grid, seed + 1))
     h = noise(grid, seed + 10)
-    a = sum(_pair_fft(vec_hat[k], stack[k], h, grid) for k in range(grid.dim))
-    b = _pair_direct("vector", stack, h, grid)
+    a = interaction_functional(view, h)
+    b = _pair_direct(momentum(view), h, grid)
     scale = max(abs(a), abs(b), 1e-30)
     assert abs(a - b) / scale < 1e-10
-    f = noise(grid, seed + 20)
-    sa = _pair_fft(sca_hat, f, h, grid)
-    sb = _pair_direct("scalar", f, h, grid)
-    scale = max(abs(sa), abs(sb), 1e-30)
-    assert abs(sa - sb) / scale < 1e-10
 
 
 def test_fft_pairing_matches_direct_sum_3d():
@@ -74,93 +72,76 @@ def test_fft_pairing_matches_direct_sum_4d():
 
 
 def test_plane_wave_momentum_density():
-    # w = A e^{ik.x} has momentum density |A|^2 k / 2 exactly.
+    # w = A e^{ik.x} has momentum density |A|^2 k / 2 exactly; against a
+    # constant p the double sum factors into p . (sum of the kernel table)
+    # times sum m.
     g = GridSpec(3, 16, np.pi)
     w = gaussian(g, 1.0, 0.0, wave=(2, -1, 0))  # width 0: pure plane wave
-    dens = local_densities(w, w)
+    m = noise(g, 5)
     expect = np.array([2.0, -1.0, 0.0]) * 0.5
-    for i in range(3):
-        comp = dens.p[i]
-        assert np.max(np.abs(comp - expect[i])) < 1e-12
+    kernel_sums = _kernel_tables(g)[0].sum(axis=(1, 2, 3))
+    ref = float(expect @ kernel_sums) * np.sum(m) * g.cell_volume**2
+    assert interaction_functional(FrequencyView(g, w.values), m) == pytest.approx(ref, rel=1e-12)
 
 
 def test_real_field_has_zero_momentum():
+    # p vanishes for a real w; |M(t)| is held to what a pointwise |p| < 1e-12
+    # allows against |K| <= 1
     g = GridSpec(3, 16, np.pi)
-    w = SpectralField(g, noise(g, 7).astype(complex), "physical")
-    dens = local_densities(w, w)
-    assert np.max(np.abs(dens.p)) < 1e-12
-
-
-def test_defect_zero_when_u_equals_w():
-    g = GridSpec(3, 12, np.pi)
-    w = gaussian(g, 0.7, 1.0, wave=(1, 1, 0))
-    dens = local_densities(w, w)
-    assert np.max(np.abs(dens.e)) == 0.0
+    view = FrequencyView(g, noise(g, 7).astype(complex))
+    m = noise(g, 8)
+    bound = 1e-12 * np.sqrt(g.dim) * g.n_points * np.sum(np.abs(m)) * g.cell_volume**2
+    assert abs(interaction_functional(view, m)) < bound
 
 
 def test_mass_density_normalization():
+    # the audit's M(t) pairs p against m = |w|^2 / 2, whose integral is half of
+    # ||w||^2; on a smaller grid, where the direct sum is cheap, with a wave
+    # so that p does not vanish
     g = GridSpec(3, 12, np.pi)
     w = gaussian(g, 0.6, 1.0)
-    dens = local_densities(w, w)
-    total = np.sum(dens.m) * g.cell_volume
+    total = np.sum(0.5 * np.abs(w.values) ** 2) * g.cell_volume
     assert total == pytest.approx(0.5 * w.l2_norm() ** 2, rel=1e-12)
+    g = GridSpec(3, 8, np.pi)
+    w = gaussian(g, 0.6, 1.0, wave=(1, 0, 0))
+    m = 0.5 * np.abs(w.values) ** 2
+    audit = MorawetzAccumulator(g)
+    for t in (0.0, 0.1):
+        audit.add(t, w.values, np.zeros(g.shape, complex))
+    ref = _pair_direct(momentum(FrequencyView(g, w.values)), m, g)
+    assert audit.report().interaction == pytest.approx([ref, ref], rel=1e-10)
 
 
 def test_vector_functional_antisymmetry():
     # For even m the vector kernel pairing vanishes by antisymmetry; the
     # sharply localized Gaussian keeps the self-paired half-box displacements
-    # negligible.
+    # negligible. w = sqrt(2m) e^{i x_1} has momentum density p = (m, 0, 0).
     g = GridSpec(3, 16, np.pi)
     mesh = np.meshgrid(*([g.x_axis()] * 3), indexing="ij", sparse=True)
     r2 = sum(x**2 for x in mesh)
     m = np.exp(-2.0 * r2)
-    w = SpectralField(g, np.sqrt(2.0 * m).astype(complex), "physical")
-    dens = local_densities(w, w)
-    # pair m against itself through the vector kernel via the scalar slot of
-    # interaction_functional's vector path: use p = (m, 0, 0) replacement.
-    from dataclasses import replace
-
-    p_stack = np.stack([m] + [np.zeros_like(m)] * 2)
-    dens2 = replace(dens, p=p_stack, m=m)
-    val = interaction_functional(dens2, kind="vector")
-    ref = interaction_functional(dens, kind="vector")
+    w = np.sqrt(2.0 * m) * np.exp(1j * mesh[0])
+    val = interaction_functional(FrequencyView(g, w), m)
     norm = np.sum(np.abs(m)) ** 2 * g.cell_volume**2
     assert abs(val) / norm < 1e-4
 
 
 def test_interaction_functional_methods_agree():
+    # the Parseval pairing against the direct double sum
     g = GridSpec(3, 8, np.pi)
     w = gaussian(g, 0.8, 1.0, wave=(1, 0, 0))
-    u = gaussian(g, 1.0, 1.2, wave=(0, 1, 0))
-    dens = local_densities(w, u)
-    a = interaction_functional(dens, kind="vector", method="fft")
-    b = interaction_functional(dens, kind="vector", method="direct")
-    assert a == pytest.approx(b, rel=1e-10)
-    sa = interaction_functional(dens, kind="scalar", scalar_field=dens.m, method="fft")
-    sb = interaction_functional(dens, kind="scalar", scalar_field=dens.m, method="direct")
-    assert sa == pytest.approx(sb, rel=1e-10)
-
-
-def test_interaction_functional_bad_args():
-    g = GridSpec(3, 8, np.pi)
-    w = gaussian(g, 0.5, 1.0)
-    dens = local_densities(w, w)
-    with pytest.raises(ConfigError):
-        interaction_functional(dens, kind="tensor")
-    with pytest.raises(ConfigError):
-        interaction_functional(dens, kind="scalar")  # missing scalar_field
-    with pytest.raises(ConfigError):
-        interaction_functional(dens, kind="vector", method="magic")
+    view = FrequencyView(g, w.values)
+    m = 0.5 * view.modulus**2
+    a = interaction_functional(view, m)
+    assert a == pytest.approx(_pair_direct(momentum(view), m, g), rel=1e-10)
 
 
 def test_localization_ratio():
     g = GridSpec(3, 16, np.pi)
     centered = gaussian(g, 1.0, 3.0)
     flat = SpectralField(g, np.ones(g.shape, dtype=complex), "physical")
-    dc = local_densities(centered, centered)
-    df = local_densities(flat, flat)
-    assert localization_ratio(dc.m, g) > 0.8
-    assert localization_ratio(df.m, g) < 0.2
+    assert localization_ratio(0.5 * np.abs(centered.values) ** 2, g) > 0.8
+    assert localization_ratio(0.5 * np.abs(flat.values) ** 2, g) < 0.2
     assert localization_ratio(np.zeros(g.shape), g) == 1.0
 
 
@@ -558,10 +539,17 @@ def test_streamed_gradient_sup_equals_the_component_stack(dim, points):
         assert _max_grad_sq(view) == float(reference)
 
 
+def stacked_interaction(view, m):
+    """M(t) with the d components of p stacked and transformed at once, then summed and paired."""
+    prod = np.fft.rfftn(momentum(view), axes=tuple(range(1, view.grid.dim + 1)))
+    prod *= _kernel_tables_hat(view.grid)
+    return float(np.sum((np.conj(np.fft.rfftn(m)) * prod.sum(axis=0)).real))
+
+
 @pytest.mark.parametrize("dim,points", [(3, 12), (3, 24), (3, 32), (4, 8), (4, 10)])
 def test_streamed_interaction_equals_the_density_stack(dim, points):
     # add() pairs M(t)'s momentum density one gradient component at a time;
-    # each value must equal the functional of the stacked densities bit for
+    # each value must equal the pairing of the stacked densities bit for
     # bit, below numpy's 256 KiB elision size (12^3, 8^4), above it (32^3)
     # and where only the stack reaches it (24^3, 10^4). A swapped factor
     # order moves M(t) on about one seed in six, so six are taken.
@@ -572,8 +560,8 @@ def test_streamed_interaction_equals_the_density_stack(dim, points):
         w = noise(g, seed) + 1j * noise(g, seed + 7)
         v = noise(g, seed + 3)
         audit.add(0.1 * seed, w, v, np.fft.fftn(w), None)
-        field = SpectralField(g, w, "physical")
-        want.append(interaction_functional(local_densities(field, field)))
+        view = FrequencyView(g, w)
+        want.append(stacked_interaction(view, 0.5 * view.modulus**2))
     assert audit.report().interaction.tolist() == want
 
 

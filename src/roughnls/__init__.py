@@ -7,9 +7,17 @@ Gaussian draws and tail statistics), linear_flow (free evolution and
 composite norms), solver (splitting integrator for the forced difference
 equation), morawetz (interaction functional audits), trajectory (snapshot
 files and trajectory directories), norms (FrequencyView: spatial norms,
-derivatives and gradients of one snapshot; NormPass: space-time
+derivatives and partial derivatives of one snapshot; NormPass: space-time
 Lebesgue/Sobolev norms over a run's snapshots), harness (batch experiment
 runner), cli (command line entry point).
+
+The package is what a run executes: every public function, method and
+property is entered by some rough-nls subcommand, which
+tests/test_reachability.py checks. The reference instruments that only the
+tier-1 claims read (the double-sum M(t), the main-term identity, single
+cubes, the Bernstein fit, the chaos moments, the almost-conservation
+monitor and the scattering proxy) live beside those claims, in
+tests/instruments.py.
 """
 
 from .errors import (
@@ -48,43 +56,33 @@ from .linear_flow import (
 )
 from .morawetz import (
     CStarSpread,
-    MainTermReport,
     MorawetzAccumulator,
     MorawetzReport,
     c_star_spread,
-    identity_mor_mainterm,
     interaction_functional,
     localization_ratio,
     stored_audit,
 )
-from .norms import FrequencyView, NormPass, NormSpec, is_admissible
+from .norms import FrequencyView, NormPass, NormSpec
 from .partition import (
     FrequencyPartition,
     PartitionConfig,
-    bernstein_exponent,
     build_partition,
     expected_count,
 )
 from .randomize import (
     RandomizationDraw,
     TailReport,
-    chaos_moment,
-    cube_gaussian,
     draw,
-    moment_estimate,
     tail_fit,
 )
 from .solver import (
-    AlmostConservationReport,
     ConservationSeries,
-    ScatteringReport,
     SnapshotSink,
     SolverConfig,
     TwinReport,
-    almost_conservation_monitor,
     dealias_mask,
     increment_residuals,
-    scattering_proxy,
     solve_w,
     twin_run,
 )

@@ -595,10 +595,11 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
       half-spectrum tables, d / 2 fields, and d + 1 fields for one component
       of w's gradient, of the momentum density and of its transform at a
       time, with their buffers, or for the tables' build on a grid's first
-      audit (such an add() peaks 5.7 fields at 24^3 and 6.6 at 12^4, and
-      9.1 and 13.1 while it builds the tables). A seed then peaks 11.3
-      fields at 12^3 and 12.2 at 8^4 without M(t), 14.0 and 15.9 with it,
-      and 16.6 and 20.7 with the tables built.
+      audit, one table at a time (such an add() peaks 5.7 fields at 24^3
+      and 6.6 at 12^4, and 8.4 and 10.9 on a fresh grid, where it builds
+      the tables). A seed then peaks 11.3 fields at 12^3 and 12.2 at 8^4
+      without M(t), 14.0 and 15.9 with it, and 15.8 and 18.4 with the
+      tables built.
     - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
       for a rung's scaled forcing and its gap buffer, plus the solver's 10;
       15.7 fields at 16^3 with 3 snapshots and 33.7 with 21.
@@ -922,9 +923,7 @@ def _run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     'solver.dt'. Each rung gets its own subdirectory (own records, resume,
     summary); sweep.csv collects (axis value, seed, metric, value) rows and
     sweep_summary.json the per-value medians, with the values as written in
-    the config. When the axis is a forcing cutoff, the mass/energy ratio
-    columns are also checked for being nonincreasing in the cutoff and
-    flagged if not.
+    the config.
     """
     axis = config.sweep_axis
     out = Path(config.out_dir)
@@ -943,21 +942,11 @@ def _run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
 
     write_csv(out / "sweep.csv", ["axis_value", "seed", "metric", "value"], rows)
 
-    values = [value for value, _ in config.rungs]
-    flags = {}
-    if axis.endswith(".n0"):
-        for metric in ("ratio_mass", "ratio_energy"):
-            med = [per_value_medians[f"{v:g}"].get(metric) for v in values]
-            if all(m is not None for m in med):
-                flags[f"nonincreasing_{metric}"] = all(
-                    med[i + 1] <= med[i] * (1.0 + 1e-12) for i in range(len(med) - 1)
-                )
     sweep_summary = {
         "kind": config.rungs[0][1].kind,
         "axis": axis,
-        "values": values,
+        "values": [value for value, _ in config.rungs],
         "medians": per_value_medians,
-        "flags": flags,
     }
     write_json(out / "sweep_summary.json", sweep_summary)
     return all_records

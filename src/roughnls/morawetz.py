@@ -1,4 +1,4 @@
-"""The interaction Morawetz functional M(t), the inequality audit, and the main-term identity.
+"""The interaction Morawetz functional M(t) and the inequality audit.
 
 M(t) pairs the momentum density p = Im(conj(w) grad w) / 2 of the remainder
 field w against a real density, in the audit its mass density m = |w|^2 / 2:
@@ -10,12 +10,13 @@ against the vector kernel tabulated with minimal-image displacements and
 K(0) = 0, evaluated in Parseval form: one real-input transform of m and of
 each component of p, formed one at a time from w's partial derivatives,
 summed against cached conjugated transforms of the kernel tables over the
-half spectrum, with no inverse transform. The direct double sum
-_pair_direct is its reference on small grids. The kernels are not
-periodic, so the circular sum matches the whole-space integral only for
-well-localized densities; every functional value is paired with a
-localization ratio (fraction of mass inside the half-box) so the
-approximation stays auditable.
+half spectrum, with no inverse transform. Its double-sum reference and
+the main-term identity check are test instruments, in tests/instruments.py
+beside c09; they read the displacement lattice of this module
+(_displacements). The kernels are not periodic, so the circular sum
+matches the whole-space integral only for well-localized densities; every
+functional value is paired with a localization ratio (fraction of mass
+inside the half-box) so the approximation stays auditable.
 
 The audit is one pass over the snapshots, in time order, and keeps only
 per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
@@ -63,37 +64,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, SpectralField
+from .grids import GridSpec
 from .norms import FrequencyView, NormPass, NormSpec, time_norm
 from .trajectory import TrajectoryReader, write_csv, write_json
 
 __all__ = [
     "MorawetzReport",
-    "MainTermReport",
     "CStarSpread",
-    "SCALING_DEGREES",
     "interaction_functional",
     "localization_ratio",
     "MorawetzAccumulator",
     "stored_audit",
     "c_star_spread",
-    "identity_mor_mainterm",
 ]
-
-# Homogeneity degree of each reported audit value under (w, v) -> (alpha w, alpha v),
-# read off from the norm products above.
-SCALING_DEGREES = {
-    3: {"lhs": 4, "T1": 4, "T2": 8, "T3": 8},
-    4: {"lhs": 4, "T1": 4, "T2": 6, "T3": 6},
-}
-
-
-def _critical_power(dim: int) -> float:
-    """The energy-critical power 4/(d-2), defined in dimensions 3 and 4."""
-    if dim in (3, 4):
-        return 4.0 / (dim - 2)
-    raise ConfigError(f"the energy-critical power is defined in dimensions 3 and 4, got {dim}")
-
 
 def interaction_functional(w: FrequencyView, m: np.ndarray) -> float:
     """M(t) = sum_{x,y} (x-y)/|x-y| . p(x) m(y) dx^{2d} of one snapshot, with p = Im(conj(w) grad w) / 2.
@@ -105,7 +88,7 @@ def interaction_functional(w: FrequencyView, m: np.ndarray) -> float:
     its product with the k-th kernel table follow, and the products are
     summed in component order before the one pairing with m's transform. So
     the d components of grad w, of p and of their transforms are never held
-    at once. _pair_direct is the double-sum reference.
+    at once. Its double-sum reference is tests/instruments.py's _pair_direct.
     """
     g = w.grid
     vec_hat = _kernel_tables_hat(g)
@@ -125,68 +108,43 @@ def interaction_functional(w: FrequencyView, m: np.ndarray) -> float:
     return float(np.sum(spec.real))
 
 
-def _kernel_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulated kernels on the displacement lattice, minimal image, K(0) = 0.
-
-    Index delta holds the value at displacement r = delta*dx wrapped to
-    [-L, L)^d. Returns (vector table (d, *shape) with x_k/|x|, scalar table
-    with 1/|x|). Not cached: M(t) keeps only the vector table's half-spectrum
-    transform (_kernel_tables_hat), so no real lattice table stays resident
-    after an audit.
-    """
+def _displacements(grid: GridSpec) -> np.ndarray:
+    """The minimal-image displacement lattice along one axis: index delta holds delta*dx wrapped to [-L, L)."""
     ax = grid.dx * np.arange(grid.points)
     two_l = 2.0 * grid.half_width
-    ax = (ax + grid.half_width) % two_l - grid.half_width
-    comps = np.meshgrid(*([ax] * grid.dim), indexing="ij")
-    r = np.stack(comps)
-    rad = np.sqrt(np.sum(r * r, axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vec = np.where(rad > 0.0, r / rad, 0.0)
-        sca = np.where(rad > 0.0, 1.0 / rad, 0.0)
-    return vec, sca
+    return (ax + grid.half_width) % two_l - grid.half_width
 
 
 @lru_cache(maxsize=16)
 def _kernel_tables_hat(grid: GridSpec) -> np.ndarray:
     """M(t)'s half-spectrum pairing tables: conj(rfftn(x_k/|x|)) with every constant folded in.
 
-    For real f and g, sum_{x,y} K(x-y) f(x) g(y) = (1/N) sum_xi conj(Khat) fhat
-    conj(ghat) over the full DFT lattice. The summand at -xi is the conjugate
-    of the one at xi, so the real part of the full sum is the half-spectrum sum
-    with weight 2 off the planes k_last = 0 and k_last = M/2. That weight, 1/N
-    and dx^{2d} are multiplied into the tables, d complex half-spectrum arrays.
+    x_k/|x| is the vector kernel on the displacement lattice (_displacements
+    along each axis), with K(0) = 0. For real f and g, sum_{x,y} K(x-y) f(x)
+    g(y) = (1/N) sum_xi conj(Khat) fhat conj(ghat) over the full DFT lattice.
+    The summand at -xi is the conjugate of the one at xi, so the real part of
+    the full sum is the half-spectrum sum with weight 2 off the planes
+    k_last = 0 and k_last = M/2. That weight, 1/N and dx^{2d} are multiplied
+    into the tables, d complex half-spectrum arrays. They are built one
+    component at a time from the sparse axes: |x| is one real lattice array,
+    and each x_k/|x| one more, transformed into its row of the result, so no
+    real lattice table stays resident after an audit.
     """
-    vec, _ = _kernel_tables(grid)
-    axes = tuple(range(1, grid.dim + 1))
+    r = np.meshgrid(*([_displacements(grid)] * grid.dim), indexing="ij", sparse=True)
+    rad = r[0] * r[0]
+    for c in r[1:]:
+        rad = rad + c * c
+    np.sqrt(rad, out=rad)
+    live = rad > 0.0
     half = np.full(grid.points // 2 + 1, 2.0)
     half[0] = half[-1] = 1.0
     scale = half * (grid.cell_volume**2 / grid.n_points)
-    return np.conj(np.fft.rfftn(vec, axes=axes)) * scale
-
-
-def _pair_direct(p: np.ndarray, m: np.ndarray, grid: GridSpec) -> float:
-    """Reference M(t): the explicit double sum of (x-y)/|x-y| . p(x) m(y) dx^{2d} over all point pairs.
-
-    p stacks the d components along axis 0, (d, *shape). Quadratic in the
-    point count; meant for small cross-check grids only.
-    """
-    d = grid.dim
-    ax = grid.x_axis()
-    coords = np.meshgrid(*([ax] * d), indexing="ij")
-    pts = np.stack([c.ravel() for c in coords], axis=1)
-    two_l = 2.0 * grid.half_width
-    diff = pts[:, None, :] - pts[None, :, :]
-    diff = (diff + grid.half_width) % two_l - grid.half_width
-    rad = np.sqrt(np.sum(diff * diff, axis=2))
-    ok = rad > 0.0
-    pv = p.reshape(d, -1)
-    mv = m.ravel()
-    total = 0.0
-    for k in range(d):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = np.where(ok, diff[:, :, k] / rad, 0.0)
-        total += float(pv[k] @ kern @ mv)
-    return total * grid.cell_volume**2
+    comp = np.zeros(grid.shape)
+    out = np.empty((grid.dim,) + grid.shape[:-1] + (half.size,), dtype=np.complex128)
+    for row, c in zip(out, r):
+        np.divide(c, rad, out=comp, where=live)
+        np.multiply(np.conjugate(np.fft.rfftn(comp)), scale, out=row)
+    return out
 
 
 def localization_ratio(density: np.ndarray, grid: GridSpec) -> float:
@@ -405,9 +363,13 @@ def stored_audit(reader: TrajectoryReader) -> MorawetzReport:
     The snapshots are read in time order, one pair in memory at a time, and
     handed over as values alone, so each view makes its channel's spectrum
     with one forward transform. The audit's dimension is the stored grid's;
-    a directory without channels v and w, or on a grid that is not 3D or
-    4D, is a ConfigError.
+    a directory without channels v and w, on a grid that is not 3D or 4D,
+    or with fewer than the two snapshots its time norms integrate over, is
+    a ConfigError.
     """
+    n = reader.times.size
+    if n < 2:
+        raise ConfigError(f"{reader.root}: the audit needs at least 2 snapshots, got {n}")
     audit = MorawetzAccumulator(reader.grid)
     for t, snap in reader.snapshots(("v", "w")):
         audit.add(t, snap["w"], snap["v"])
@@ -446,118 +408,13 @@ def c_star_spread(values) -> CStarSpread:
     return CStarSpread(n=vals.size, max=mx, median=med, ratio=ratio, stable=ratio < 10.0)
 
 
-@dataclass(frozen=True)
-class MainTermReport:
-    """Both sides of the defect main-term identity at each sampled center y.
-
-    lhs(y) = sum_x (x-y)/|x-y| . Re[(|u|^p u - |w|^p w) grad conj(w)] dx^d and
-    rhs(y) = hardy(y) + cross(y) with
-    hardy(y) = -(d-1)/(p+2) sum_x (|u|^{p+2} - |w|^{p+2}) / |x-y| dx^d,
-    cross(y) = -sum_x (x-y)/|x-y| . Re[|u|^p u grad conj(v)] dx^d.
-    max_rel normalizes by the largest constituent integral, so degenerate
-    cancellations (w identically zero) still report the small quadrature error
-    rather than 100 percent.
-    """
-
-    y_indices: tuple[tuple[int, ...], ...]
-    lhs: np.ndarray
-    hardy: np.ndarray
-    cross: np.ndarray
-    max_rel: float
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return self.hardy + self.cross
-
-
-def _y_lattice_indices(
-    grid: GridSpec,
-    y_points,
-    n_points: int,
-    seed: int,
-) -> list[tuple[int, ...]]:
-    if y_points is None:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x4D59], dtype=np.uint64)))
-        raw = rng.integers(0, grid.points, size=(n_points, grid.dim))
-        return [tuple(int(j) for j in row) for row in raw]
-    out = []
-    for pt in y_points:
-        pt = np.atleast_1d(np.asarray(pt, dtype=float))
-        if pt.shape != (grid.dim,):
-            raise ConfigError(f"sample point {pt} is not a {grid.dim}-vector")
-        idx = np.rint((pt + grid.half_width) / grid.dx).astype(int) % grid.points
-        out.append(tuple(int(j) for j in idx))
-    return out
-
-
-def identity_mor_mainterm(
-    w: SpectralField,
-    u: SpectralField,
-    v: SpectralField,
-    y_points=None,
-    n_points: int = 8,
-    seed: int = 0,
-) -> MainTermReport:
-    """Check the integration-by-parts identity behind the defect main term.
-
-    At each center y both sides are evaluated by lattice quadrature with
-    spectral gradients; the identity holds exactly in the continuum, so the
-    residual is pure discretization error and must shrink under grid
-    refinement. The power is the energy-critical 4/(d-2). y_points are
-    physical coordinates snapped to the nearest lattice point; by default
-    n_points centers are drawn from a seeded counter-based generator.
-    """
-    g = w.grid
-    if u.grid != g or v.grid != g:
-        raise ConfigError("w, u, v must live on the same grid")
-    p = _critical_power(g.dim)
-    coeff = (g.dim - 1) / (p + 2.0)
-
-    wp = w.as_physical().values
-    up = u.as_physical().values
-    nl_u = np.abs(up) ** p * up
-    nl_w = np.abs(wp) ** p * wp
-    grad_w = np.stack(FrequencyView(g, wp).gradient())
-    grad_v = np.stack(FrequencyView(g, v.as_physical().values).gradient())
-    f_main = np.real((nl_u - nl_w)[None] * np.conj(grad_w))
-    g_hardy = np.abs(up) ** (p + 2.0) - np.abs(wp) ** (p + 2.0)
-    h_cross = np.real(nl_u[None] * np.conj(grad_v))
-
-    vec, sca = _kernel_tables(g)
-    centers = _y_lattice_indices(g, y_points, n_points, seed)
-    axes = tuple(range(g.dim))
-    dvol = g.cell_volume
-    lhs = np.empty(len(centers))
-    hardy = np.empty(len(centers))
-    cross = np.empty(len(centers))
-    for i, j in enumerate(centers):
-        vec_y = np.roll(vec, shift=j, axis=tuple(a + 1 for a in axes))
-        sca_y = np.roll(sca, shift=j, axis=axes)
-        lhs[i] = float(np.sum(vec_y * f_main)) * dvol
-        hardy[i] = -coeff * float(np.sum(sca_y * g_hardy)) * dvol
-        cross[i] = -float(np.sum(vec_y * h_cross)) * dvol
-
-    scale = max(np.abs(lhs).max(), np.abs(hardy).max(), np.abs(cross).max())
-    if scale == 0.0:
-        max_rel = 0.0
-    else:
-        max_rel = float(np.abs(lhs - hardy - cross).max() / scale)
-    return MainTermReport(
-        y_indices=tuple(centers),
-        lhs=lhs,
-        hardy=hardy,
-        cross=cross,
-        max_rel=max_rel,
-    )
-
-
 def _max_grad_sq(f: FrequencyView) -> float:
     """max over the lattice of |grad f|^2, one spectral partial derivative at a time.
 
     Each partial comes in the one buffer of FrequencyView.partials, and its
     re^2 + im^2 is summed into the total in axis order, so the result
-    equals sum(c.real**2 + c.imag**2 for c in f.gradient()).max() bit for
-    bit without holding d components.
+    equals, bit for bit, the maximum of sum_k (re^2 + im^2) over the d
+    partials held at once, without holding d components.
     """
     total = np.zeros(f.grid.shape)
     sq = np.empty(f.grid.shape)

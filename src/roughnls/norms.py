@@ -37,7 +37,6 @@ from .grids import GridSpec, derivative_symbol, fftn, ifftn, modulus_lp_norm, xi
 __all__ = [
     "NormSpec",
     "FrequencyView",
-    "is_admissible",
     "NormPass",
     "time_norm",
 ]
@@ -68,16 +67,6 @@ class NormSpec:
         if self.kind == "inhomogeneous":
             return f"<grad>^{self.s:g}_" + core
         return core
-
-
-def is_admissible(q: float, r: float, d: int) -> bool:
-    """Schrodinger admissibility: 2/q + d/r = d/2, q,r >= 2, (q,r,d) != (2,inf,2)."""
-    if q < 2 or r < 2:
-        return False
-    if d == 2 and q == 2 and math.isinf(r):
-        return False
-    lhs = (0.0 if math.isinf(q) else 2.0 / q) + (0.0 if math.isinf(r) else d / r)
-    return abs(lhs - d / 2.0) < 1e-9
 
 
 # A norm pass's derivative symbols, keyed by (order, kind) and shared by its views.
@@ -159,10 +148,6 @@ class FrequencyView:
         for c in xi_grids_odd(self.grid):
             np.multiply(fhat, 1j * c, out=comp)
             yield ifftn(comp, out=comp)
-
-    def gradient(self) -> list[np.ndarray]:
-        """Physical values of the d spectral partial derivatives: a copy of each of partials()."""
-        return [comp.copy() for comp in self.partials()]
 
     def norm(self, r: float, s: float = 0.0, kind: str = "none") -> float:
         """Spatial ||D^s f||_{L^r}, with D^s as in NormSpec."""

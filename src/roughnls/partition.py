@@ -23,13 +23,16 @@ N >= 2 is one block: its cubes are the cells m in [-2P, 2P)^d outside the
 inner block [-P, P)^d, P = N^{a+1}/2, with one profile row per m. A block
 keeps its (rows x points) profile table and a boolean mask of its cells, so a
 weighted sum over its cutoffs (`FrequencyPartition.multiplier`) is d
-tensor-matrix contractions, and so are all its coefficients
-sum_xi psi_j(xi) h(xi) (`FrequencyPartition.coefficients`, the adjoint). The
-flat normalizer and the residual are the lattice arrays a build makes. The
-unity, square and overlap diagnostics (`unity_sum`, `sq_sum`, `kappa`),
-which only the partition report and the checks read, are built on first
-read and then kept. A single cube's support and values are sampled on demand
-(`FrequencyPartition.cutoff`).
+tensor-matrix contractions. The flat normalizer and the residual are the
+lattice arrays a build makes. The unity, square and overlap diagnostics
+(`unity_sum`, `sq_sum`, `kappa`), which only the partition report and the
+checks read, are built on first read and then kept.
+
+What only the tests read lives in tests/instruments.py: c04's Bernstein fit
+(`bernstein_exponent`), and for it and the unit tests a single cube sampled
+on demand (`cutoff`), the cubes with lattice support (`supported_members`)
+and every coefficient sum_xi psi_j(xi) h(xi), the adjoint contractions of
+`multiplier` (`coefficients`).
 """
 
 from __future__ import annotations
@@ -40,18 +43,15 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError, ResourceLimitError
-from .grids import GridSpec, SpectralField, ifftn, modulus_lp_norm, smoothstep
+from .errors import ConfigError, ResourceLimitError
+from .grids import GridSpec, SpectralField, smoothstep
 
 __all__ = [
     "PartitionConfig",
-    "CubeCutoff",
     "ShellBlock",
     "FrequencyPartition",
     "build_partition",
     "expected_count",
-    "bernstein_exponent",
-    "BernsteinFit",
 ]
 
 CORE_SHELL = 0
@@ -118,16 +118,6 @@ def _profile(x, lo, hi, w):
 
 
 @dataclass(frozen=True)
-class CubeCutoff:
-    """One member of the partition, sampled: its lattice support and values."""
-
-    index: int
-    shell: int  # 0 core, -1 residual, else the dyadic shell N
-    support: np.ndarray  # flat indices into the FFT-ordered lattice
-    values: np.ndarray  # renormalized psi_j at those points
-
-
-@dataclass(frozen=True)
 class ShellBlock:
     """Cutoffs start..stop-1 in separable form.
 
@@ -141,25 +131,11 @@ class ShellBlock:
     profiles: np.ndarray  # (rows, points)
     cells: np.ndarray  # bool, (rows,)*d
 
-    def supported(self) -> np.ndarray:
-        """Indices (numbered from `start`) of the cutoffs with lattice support.
-
-        A cutoff is empty exactly when one of its profile rows vanishes on the
-        whole lattice axis, so this needs no sampling.
-        """
-        live = self.profiles.any(axis=1)
-        cells = reduce(np.logical_and.outer, [live] * self.cells.ndim)
-        return self.start + np.flatnonzero(cells[self.cells])
-
     def combine(self, coeffs: np.ndarray, profiles: np.ndarray) -> np.ndarray:
         """sum_k coeffs[k] prod_i profiles[m_i(k), x_i] on the whole lattice (grid shape)."""
         cells = np.zeros(self.cells.shape, dtype=coeffs.dtype)
         cells[self.cells] = coeffs
         return _contract_axes(cells, profiles)
-
-    def contract(self, h: np.ndarray) -> np.ndarray:
-        """sum_x h[x] prod_i profiles[m_i(k), x_i] for each cutoff k: the adjoint of combine."""
-        return _contract_axes(h, self.profiles.T)[self.cells]
 
 
 # multiply-adds per matrix product in _contract_leading: OpenBLAS runs products
@@ -259,42 +235,6 @@ class FrequencyPartition:
         """Flat sum_j c_j psi_j over all n_cutoffs cutoffs, the residual (last) included."""
         raw = _raw_sum(self.grid, self.blocks, coeffs[:-1])
         return raw / self.normalizer + coeffs[-1] * self.residual
-
-    def coefficients(self, h: np.ndarray) -> np.ndarray:
-        """c_j = sum_xi psi_j(xi) h(xi) for every cutoff, the residual (last) included.
-
-        The adjoint of `multiplier`: sum(multiplier(c) * h) = sum(c * coefficients(h)).
-        """
-        h = np.reshape(h, -1)
-        g = (h / self.normalizer).reshape(self.grid.shape)
-        return np.concatenate([block.contract(g) for block in self.blocks] + [[np.sum(self.residual * h)]])
-
-    def cutoff(self, j: int) -> CubeCutoff:
-        """The j-th cutoff psi_j, sampled on demand.
-
-        Along each axis the support runs in increasing frequency, the order in
-        which `bernstein_exponent` lays its probe moduli down.
-        """
-        if not 0 <= j < self.n_cutoffs:
-            raise IndexError(f"cube index {j} out of range 0..{self.n_cutoffs - 1}")
-        shell = next(n for n, members in self.shell_members.items() if j in members)
-        if shell == RESIDUAL_SHELL:
-            sup = np.flatnonzero(self.residual > 0)
-            return CubeCutoff(j, shell, sup, self.residual[sup])
-        block = next(b for b in self.blocks if j < b.stop)
-        cell = np.unravel_index(np.flatnonzero(block.cells)[j - block.start], block.cells.shape)
-        order = np.argsort(self.grid.xi_axis(), kind="stable")
-        rows = [block.profiles[m, order] for m in cell]
-        idx = np.meshgrid(*[order[row > 0] for row in rows], indexing="ij")
-        sup = np.ravel_multi_index(tuple(i.reshape(-1) for i in idx), self.grid.shape)
-        vals = reduce(np.multiply.outer, [row[row > 0] for row in rows]).reshape(-1)
-        return CubeCutoff(j, shell, sup, vals / self.normalizer[sup])
-
-    def supported_members(self, shell: int) -> list[int]:
-        """The cutoff indices of the core or of shell N with nonempty lattice support, in index order."""
-        members = self.shell_members.get(shell, range(0))
-        blocks = [b for b in self.blocks if b.start < members.stop and members.start < b.stop]
-        return [j for b in blocks for j in b.supported().tolist() if j in members]
 
     def coverage_mask(self) -> np.ndarray:
         """Flat boolean mask of lattice points with |xi|_inf <= 2*N_max."""
@@ -419,50 +359,3 @@ def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartiti
         normalizer=t,
         residual=1.0 - s / t,
     )
-
-
-@dataclass(frozen=True)
-class BernsteinFit:
-    slope: float
-    expected: float
-    shells: tuple[int, ...]
-    ratios: tuple[float, ...]  # median ||box f||_inf / ||box f||_2 per shell
-
-
-def bernstein_exponent(partition: FrequencyPartition) -> BernsteinFit:
-    """Fit the growth exponent of ||box_j f||_inf / ||box_j f||_2 across the shells N >= 2.
-
-    Probes up to 8 single-cube random fields per shell, drawn from a Philox
-    stream with seed 0, and regresses log2(median ratio) on log2 N. Probe spectra have random Rayleigh moduli
-    with aligned phases (random phases would not saturate the volume factor,
-    and the ratio would go flat). The expected slope from the cube side
-    2*N^-a is -a*d/2.
-    """
-    cfg = partition.config
-    shells = tuple(n for n in cfg.shells if n >= 2)
-    if len(shells) < 2:
-        raise ConfigError("bernstein_exponent needs at least two shells >= 2")
-    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0xB3A7], dtype=np.uint64)))
-    medians = []
-    for n in shells:
-        usable = partition.supported_members(n)
-        if not usable:
-            raise ResolutionError(f"shell {n} has no lattice-resolvable cubes on this grid")
-        take = min(8, len(usable))
-        picks = rng.choice(len(usable), size=take, replace=False)
-        ratios = []
-        for k in picks:
-            cut = partition.cutoff(usable[int(k)])
-            moduli = rng.rayleigh(scale=math.sqrt(0.5), size=cut.support.size)
-            fhat = np.zeros(partition.grid.n_points, dtype=np.complex128)
-            fhat[cut.support] = cut.values * moduli
-            # raw coordinates: the probe is a half-box translate of the weighted one, same ratio
-            modulus = np.abs(ifftn(fhat.reshape(partition.grid.shape)))
-            denom = modulus_lp_norm(modulus, 2.0, partition.grid)
-            if denom > 0:
-                ratios.append(modulus_lp_norm(modulus, math.inf, partition.grid) / denom)
-        medians.append(float(np.median(ratios)))
-    lg_n = np.log2(np.asarray(shells, dtype=float))
-    lg_r = np.log2(np.asarray(medians))
-    slope = float(np.polyfit(lg_n, lg_r, 1)[0])
-    return BernsteinFit(slope, -cfg.a * (cfg.dim / 2.0), shells, tuple(medians))

@@ -1,26 +1,28 @@
-"""Cube randomization f -> f^omega and the Gaussian-chaos diagnostics.
+"""Cube randomization f -> f^omega and the subgaussian tail fit.
 
 Each cutoff j gets an independent unit complex Gaussian g_j (real and
 imaginary parts each of variance 1/2, so E|g_j|^2 = 1), drawn from a
 counter-based Philox stream keyed by (master seed, cube index). The draw is
 therefore reproducible per cube, independent of enumeration order or of how
-many other cubes exist. `cube_gaussian` builds the stream of one cube.
-`draw` computes the first Philox block of every cube at once in uint64
-lanes and maps its two words through the fast path of numpy's ziggurat
-normal sampler; the few cubes that leave that path are drawn by numpy from
-a re-keyed bit generator. The coefficients are `cube_gaussian`'s bit for
-bit, and `draw` applies them through the partition's per-shell multiplier
-rather than cube by cube. A draw keeps the spectrum of f^omega, which the
-multiplier gives it: given f in frequency representation, `draw` makes no
-transform, and f^omega's physical values cost one inverse transform, made
-only when asked for (`RandomizationDraw.field`).
+many other cubes exist. `draw` computes the first Philox block of every
+cube at once in uint64 lanes and maps its two words through the fast path
+of numpy's ziggurat normal sampler; the few cubes that leave that path are
+drawn by numpy from a re-keyed bit generator. The coefficients are those
+of numpy's generator on each cube's own stream, bit for bit (the reference
+`cube_gaussian` lives in tests/instruments.py, beside the chaos moments
+that the unit tests check), and `draw` applies them through the
+partition's per-shell multiplier rather than cube by cube. A draw keeps the
+spectrum of f^omega, which the multiplier gives it: given f in frequency
+representation, `draw` makes no transform, and f^omega's physical values
+cost one inverse transform, made only when asked for
+(`RandomizationDraw.field`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,21 +33,9 @@ from .partition import FrequencyPartition
 __all__ = [
     "RandomizationDraw",
     "draw",
-    "cube_gaussian",
-    "chaos_moment",
-    "moment_estimate",
-    "MomentEstimate",
     "TailReport",
     "tail_fit",
 ]
-
-
-def cube_gaussian(seed: int, j: int, size: int = 1) -> np.ndarray:
-    """Unit complex Gaussians for cube j under the given master seed."""
-    key = np.array([np.uint64(seed), np.uint64(j)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return z * math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -175,7 +165,7 @@ def _fast_normals(r: np.ndarray, wi: np.ndarray, ki: np.ndarray) -> tuple[np.nda
 
 
 def _cube_gaussians(seed: int, n: int) -> np.ndarray:
-    """cube_gaussian(seed, j, 1)[0] for j in 0..n-1, bit for bit.
+    """cube_gaussian(seed, j, 1)[0] (tests/instruments.py) for j in 0..n-1, bit for bit.
 
     Each cube's real and imaginary parts are numpy's standard normals of
     the first two words of its Philox stream, computed for all cubes at
@@ -216,58 +206,6 @@ def draw(f: SpectralField, partition: FrequencyPartition, seed: int) -> Randomiz
     fhat = f.as_frequency().values.reshape(-1) * partition.multiplier(coeffs)
     spectrum = SpectralField(grid, fhat.reshape(grid.shape), "frequency")
     return RandomizationDraw(seed=seed, coefficients=coeffs, spectrum=spectrum)
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    p: float
-    moment: float  # (E |F|^p)^{1/p} Monte Carlo estimate
-    coeff_norm: float  # ||c||_{l2}
-    ratio: float  # moment / (sqrt(p) ||c||_{l2})
-    n_samples: int
-
-
-def chaos_moment(coeffs: np.ndarray, p: float, n_samples: int, seed: int = 0) -> MomentEstimate:
-    """Monte Carlo estimate of the L^p_omega moment of F = sum_n c_n g_n."""
-    if p < 2:
-        raise ValueError(f"moment order must be >= 2, got {p}")
-    if n_samples < 100:
-        raise ValueError(f"moment estimate needs at least 100 samples, got {n_samples}")
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    key = np.array([np.uint64(seed), np.uint64(0xC0E5)], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    g = (
-        rng.standard_normal((n_samples, c.size))
-        + 1j * rng.standard_normal((n_samples, c.size))
-    ) * math.sqrt(0.5)
-    samples = np.abs(g @ c)
-    moment = float(np.mean(samples**p) ** (1.0 / p))
-    cn = float(np.linalg.norm(c))
-    return MomentEstimate(p, moment, cn, moment / (math.sqrt(p) * cn), n_samples)
-
-
-def moment_estimate(
-    f: SpectralField,
-    partition: FrequencyPartition,
-    p: float,
-    n_samples: int,
-    seed: int = 0,
-    point: tuple[int, ...] | None = None,
-) -> MomentEstimate:
-    """Moment of the scalar chaos F(omega) = f^omega(x0) at a lattice point.
-
-    The chaos coefficients are c_j = (box_j f)(x0); x0 defaults to the lattice
-    argmax of |f|. The inverse transform at x0 is (2L)^-d sum_xi ghat(xi)
-    e^{i x0.xi}, so all of them come from one adjoint contraction,
-    c = partition.coefficients(fhat e^{i x0.xi} / (2L)^d).
-    """
-    grid = f.grid
-    if point is None:
-        point = np.unravel_index(int(np.argmax(np.abs(f.as_physical().values))), grid.shape)
-    x, xi = grid.x_axis(), grid.xi_axis()
-    phase = reduce(np.multiply.outer, [np.exp(1j * x[i] * xi) for i in point])
-    h = f.as_frequency().values * phase / (2.0 * grid.half_width) ** grid.dim
-    return chaos_moment(partition.coefficients(h), p, n_samples, seed)
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,17 @@ see solve_w) as it is made; the solve keeps none. A forced solve peaks about
 7.6 complex lattice fields above what its consumer keeps at 64^3, its inputs
 not counted; inputs passed straight into the call are dropped before that
 peak.
+
+What reads a solve's output only for a claim is a test instrument, in
+tests/instruments.py: the almost-conservation monitor of c11, which reads
+the series through ConservationSeries.sup_ratios, and the scattering proxy
+of c13, which reads the snapshots' w_hat.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -77,10 +82,6 @@ __all__ = [
     "increment_residuals",
     "TwinReport",
     "twin_run",
-    "AlmostConservationReport",
-    "almost_conservation_monitor",
-    "ScatteringReport",
-    "scattering_proxy",
 ]
 
 
@@ -367,8 +368,9 @@ class ConservationSeries:
         """The almost-conservation figures (sup M / M(0), sup E / E(0)) over the samples.
 
         Each is max(X / X(0)) over the series X, and 1.0 when X(0) = 0. The
-        evolve task's ratio_mass/ratio_energy and almost_conservation_monitor
-        both read this one definition.
+        evolve task's ratio_mass/ratio_energy and c11's
+        almost_conservation_monitor (tests/instruments.py) both read this one
+        definition.
         """
         return _sup_ratio(self.mass), _sup_ratio(self.energy)
 
@@ -687,116 +689,4 @@ def twin_run(
         slopes=tuple(slopes),
         slope_smallest=slope_smallest,
         monotone=monotone,
-    )
-
-
-@dataclass(frozen=True)
-class AlmostConservationReport:
-    """Whether sup M and sup E stay below twice their stated ceilings."""
-
-    a: float
-    n0: float
-    s: float
-    mass_bound: float
-    energy_bound: float
-    sup_mass: float
-    sup_energy: float
-    ratio_mass: float  # ConservationSeries.sup_ratios
-    ratio_energy: float
-    ok_mass: bool
-    ok_energy: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.ok_mass and self.ok_energy
-
-
-def almost_conservation_monitor(
-    v0: SpectralField | None,
-    series: ConservationSeries,
-    a: float,
-    n0: float,
-    s: float,
-) -> AlmostConservationReport:
-    """Check sup_t M <= 2 A n0^{-2s} and sup_t E <= 2 A n0^{2(1-s)}.
-
-    series is the solve's and v0 its forcing, None for an unforced solve.
-    Preconditions (initial data below the ceilings, v supported above n0/2)
-    are enforced and violations raise a configuration error naming the
-    offending quantity.
-    """
-    mass_bound = a * n0 ** (-2.0 * s)
-    energy_bound = a * n0 ** (2.0 * (1.0 - s))
-    m0, e0 = float(series.mass[0]), float(series.energy[0])
-    if m0 > mass_bound:
-        raise ConfigError(f"initial mass {m0:.6g} exceeds A n0^(-2s) = {mass_bound:.6g}")
-    if e0 > energy_bound:
-        raise ConfigError(f"initial energy {e0:.6g} exceeds A n0^(2(1-s)) = {energy_bound:.6g}")
-    if v0 is not None:
-        # raw coordinates: the transform weight has constant modulus, so the relative leak is unchanged
-        vhat0 = fftn(v0.as_physical().values)
-        low = np.sqrt(xi_sq(v0.grid)) < n0 / 2.0
-        leak = float(np.linalg.norm(vhat0[low]))
-        total = float(np.linalg.norm(vhat0))
-        if total > 0 and leak > 1e-9 * total:
-            raise ConfigError(
-                f"v carries frequency content below n0/2 = {n0 / 2:g} "
-                f"(relative l2 leak {leak / total:.3e})"
-            )
-    sup_m = float(series.mass.max())
-    sup_e = float(series.energy.max())
-    ratio_mass, ratio_energy = series.sup_ratios()
-    return AlmostConservationReport(
-        a=a,
-        n0=n0,
-        s=s,
-        mass_bound=mass_bound,
-        energy_bound=energy_bound,
-        sup_mass=sup_m,
-        sup_energy=sup_e,
-        ratio_mass=ratio_mass,
-        ratio_energy=ratio_energy,
-        ok_mass=sup_m <= 2.0 * mass_bound,
-        ok_energy=sup_e <= 2.0 * energy_bound,
-    )
-
-
-@dataclass(frozen=True)
-class ScatteringReport:
-    """Cauchy behavior of the free pullback w_+(t) = e^{-it Lap} w(t)."""
-
-    times: tuple[float, ...]
-    deltas: tuple[float, ...]  # consecutive H^1 differences of w_+
-    decreasing: bool
-
-
-def scattering_proxy(grid: GridSpec, times: Sequence[float], w_hats: Sequence[np.ndarray]) -> ScatteringReport:
-    """H^1 Cauchy differences of the free pullback along a time ladder.
-
-    times are a solve's snapshot times and w_hats[k] the raw spectrum
-    np.fft.fftn of w at times[k], as a SnapshotSink receives it; they are
-    only read. Picks the snapshots nearest t_final / 4, t_final / 2,
-    3 t_final / 4 and t_final, pulls each w back by the free flow, and
-    reports whether consecutive differences decrease (they vanish
-    identically for a linear run).
-    """
-    times = np.asarray(times, dtype=float)
-    t_final = float(times[-1])
-    idx = sorted({int(np.argmin(np.abs(times - f * t_final))) for f in (0.25, 0.5, 0.75, 1.0)})
-    if len(idx) < 2:
-        raise ConfigError("scattering proxy needs at least two distinct ladder times")
-    pulled = []
-    for k in idx:
-        pulled.append(free_flow_into(w_hats[k], grid, -float(times[k]), np.empty_like(w_hats[k])))
-    symbols: Symbols = {}
-    deltas = []
-    for f1, f2 in zip(pulled, pulled[1:]):
-        diff = f2 - f1
-        view = FrequencyView(grid, None, diff, symbols)
-        deltas.append(view.norm(2, 1.0, "inhomogeneous"))
-    decreasing = all(d2 <= d1 * (1 + 1e-9) for d1, d2 in zip(deltas, deltas[1:]))
-    return ScatteringReport(
-        times=tuple(float(times[k]) for k in idx),
-        deltas=tuple(deltas),
-        decreasing=decreasing,
     )

@@ -16,8 +16,6 @@ from roughnls import (
     PartitionConfig,
     SolverConfig,
     SpectralField,
-    almost_conservation_monitor,
-    bernstein_exponent,
     build_partition,
     c_star_spread,
     composite_spec,
@@ -25,20 +23,25 @@ from roughnls import (
     expected_count,
     free_flow_into,
     high_pass,
-    identity_mor_mainterm,
     increment_residuals,
     interaction_functional,
     linear_seed,
     parse_config,
     run,
-    scattering_proxy,
     solve_w,
     tail_fit,
     twin_run,
 )
-from roughnls.morawetz import _pair_direct
 
 from conftest import discard
+from instruments import (
+    _pair_direct,
+    almost_conservation_monitor,
+    bernstein_exponent,
+    gradient,
+    identity_mor_mainterm,
+    scattering_proxy,
+)
 
 
 def bump(grid, amp, width, wave=None):
@@ -237,7 +240,7 @@ def test_c09_morawetz_machinery():
         rng = np.random.Generator(np.random.Philox(key=np.array([d, 0x99], dtype=np.uint64)))
         view = FrequencyView(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
         m = 0.5 * view.modulus**2
-        p = np.stack([0.5 * np.imag(np.conj(view.values) * gk) for gk in view.gradient()])
+        p = np.stack([0.5 * np.imag(np.conj(view.values) * gk) for gk in gradient(view)])
         a = interaction_functional(view, m)
         b = _pair_direct(p, m, g)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-30))

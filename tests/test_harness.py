@@ -693,7 +693,6 @@ def test_sweep_writes_long_table(tmp_path):
     assert lines[0] == "axis_value,seed,metric,value"
     summary = json.load(open(tmp_path / "sweep_summary.json"))
     assert set(summary["medians"]) == {"1", "2"}
-    assert "nonincreasing_ratio_mass" in summary["flags"]
 
 
 def test_sweep_of_evolve_saves_fields_by_default(tmp_path):
@@ -943,6 +942,19 @@ def test_cli_refuses_times_that_do_not_increase(tmp_path, times):
         TrajectoryReader(traj)
     assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
     assert not (tmp_path / "mor").exists()
+
+
+def test_cli_refuses_a_one_snapshot_trajectory(tmp_path, capsys):
+    # The audit's time norms integrate over at least two snapshots: a
+    # directory TrajectoryWriter wrote with one is refused with exit 2 and a
+    # message that names the count, and no report is written.
+    traj = write_trajectory(tmp_path / "traj", GridSpec(3, 4, np.pi), [0.0], {
+        "v": np.zeros((1, 4, 4, 4), dtype=complex), "w": np.ones((1, 4, 4, 4), dtype=complex)})
+    assert cli_main(["morawetz", "--traj", str(traj), "--out", str(tmp_path / "mor")]) == 2
+    assert "at least 2 snapshots, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "mor").exists()
+    assert cli_main(["morawetz", "--traj", str(traj)]) == 2
+    assert sorted(p.name for p in traj.iterdir()) == ["manifest.json", "v_000000.rnls", "w_000000.rnls"]
 
 
 @pytest.mark.parametrize("channels", [["v", "w"], {"v": [1, 2, 3]}], ids=["list", "non-string-file"])

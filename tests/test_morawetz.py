@@ -13,15 +13,15 @@ from roughnls import (
     TrajectoryReader,
     TrajectoryWriter,
     c_star_spread,
-    identity_mor_mainterm,
     interaction_functional,
     localization_ratio,
     solve_w,
     stored_audit,
 )
-from roughnls.morawetz import SCALING_DEGREES, _kernel_tables, _kernel_tables_hat, _max_grad_sq, _pair_direct
+from roughnls.morawetz import _kernel_tables_hat, _max_grad_sq
 
 from conftest import kept_snapshots, traced_peak, write_trajectory
+from instruments import SCALING_DEGREES, _kernel_tables, _pair_direct, gradient, identity_mor_mainterm
 
 
 def gaussian(grid, amp=1.0, width=1.0, wave=None):
@@ -51,7 +51,7 @@ def synth_snapshots(grid, n_times=3, t_final=0.1):
 
 def momentum(view):
     """The momentum density Im(conj(w) grad w) / 2 of a view, its d components stacked."""
-    return np.stack([0.5 * np.imag(np.conj(view.values) * gk) for gk in view.gradient()])
+    return np.stack([0.5 * np.imag(np.conj(view.values) * gk) for gk in gradient(view)])
 
 
 def _compare_pairings(grid, seed):
@@ -82,6 +82,21 @@ def test_plane_wave_momentum_density():
     kernel_sums = _kernel_tables(g)[0].sum(axis=(1, 2, 3))
     ref = float(expect @ kernel_sums) * np.sum(m) * g.cell_volume**2
     assert interaction_functional(FrequencyView(g, w.values), m) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,points", [(3, 8), (3, 24), (4, 6), (4, 12)])
+def test_kernel_tables_are_the_stacked_transform(dim, points):
+    # 0.01 s in all. The pairing tables are built one component at a time
+    # from the sparse displacement axes; they equal, bit for bit, the former
+    # build: the transform of the stacked real-space vector table, which held
+    # the d real tables and their squares at once.
+    g = GridSpec(dim, points, np.pi)
+    vec, _ = _kernel_tables(g)
+    half = np.full(points // 2 + 1, 2.0)
+    half[0] = half[-1] = 1.0
+    scale = half * (g.cell_volume**2 / g.n_points)
+    stacked = np.conj(np.fft.rfftn(vec, axes=tuple(range(1, dim + 1)))) * scale
+    assert _kernel_tables_hat(g).tobytes() == stacked.tobytes()
 
 
 def test_real_field_has_zero_momentum():
@@ -535,7 +550,7 @@ def test_streamed_gradient_sup_equals_the_component_stack(dim, points):
     g = GridSpec(dim, points, np.pi)
     for seed in range(3):
         view = FrequencyView(g, noise(g, seed) + 1j * noise(g, seed + 7))
-        reference = sum(c.real**2 + c.imag**2 for c in view.gradient()).max()
+        reference = sum(c.real**2 + c.imag**2 for c in gradient(view)).max()
         assert _max_grad_sq(view) == float(reference)
 
 

@@ -1,9 +1,9 @@
-"""Space-time norms through one NormPass: labels, admissibility, closed forms."""
+"""Space-time norms through one NormPass: labels and closed forms."""
 
 import numpy as np
 import pytest
 
-from roughnls import GridSpec, NormPass, NormSpec, is_admissible
+from roughnls import GridSpec, NormPass, NormSpec
 
 
 def pass_norms(grid, snapshots, times, specs):
@@ -19,14 +19,6 @@ def test_labels():
     assert NormSpec(np.inf, 2.0).label() == "Linft_L2x"
     lab = NormSpec(2.0, np.inf, s=0.39, kind="inhomogeneous").label()
     assert "grad" in lab and "0.39" in lab
-
-
-def test_admissibility():
-    # 2/q + d/r = d/2 for Schrodinger-admissible pairs.
-    assert is_admissible(2.0, 6.0, 3)
-    assert is_admissible(np.inf, 2.0, 3)
-    assert is_admissible(2.0, 4.0, 4)
-    assert not is_admissible(2.0, 6.0, 4)
 
 
 def test_constant_field_closed_form():

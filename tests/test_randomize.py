@@ -9,13 +9,13 @@ from roughnls import (
     PartitionConfig,
     SpectralField,
     build_partition,
-    chaos_moment,
-    cube_gaussian,
     draw,
-    moment_estimate,
     tail_fit,
 )
 from roughnls import randomize
+
+import instruments
+from instruments import chaos_moment, cube_gaussian, cutoff, moment_estimate
 
 
 def small_partition(dim=1, points=256, half_width=np.pi, n_max=2):
@@ -155,7 +155,7 @@ def test_draw_preserves_mean_l2():
     fhat = f.as_frequency().values
     target = 0.0
     for j in range(part.n_cutoffs):
-        cut = part.cutoff(j)
+        cut = cutoff(part, j)
         box = np.zeros_like(fhat)
         box[cut.support] = cut.values * fhat[cut.support]
         target += SpectralField(g, box, "frequency").l2_norm() ** 2
@@ -222,12 +222,12 @@ def test_moment_estimate_coefficients_are_the_cube_projections(dim, points, poin
         seen["c"] = coeffs
         return chaos_moment(coeffs, p, n_samples, seed)
 
-    monkeypatch.setattr(randomize, "chaos_moment", capture)
+    monkeypatch.setattr(instruments, "chaos_moment", capture)
     moment_estimate(f, part, p=4.0, n_samples=200, point=point)
     fhat = f.as_frequency().values.reshape(-1)
     ref = np.empty(part.n_cutoffs, dtype=complex)
     for j in range(part.n_cutoffs):
-        cut = part.cutoff(j)
+        cut = cutoff(part, j)
         box = np.zeros(g.n_points, dtype=complex)
         box[cut.support] = cut.values * fhat[cut.support]
         ref[j] = SpectralField(g, box.reshape(g.shape), "frequency").as_physical().values[point]

@@ -16,7 +16,6 @@ from roughnls import (
     RepresentationError,
     SolverConfig,
     SpectralField,
-    almost_conservation_monitor,
     build_partition,
     draw,
     free_flow_into,
@@ -25,7 +24,6 @@ from roughnls import (
     increment_residuals,
     parse_config,
     run,
-    scattering_proxy,
     solve_w,
     twin_run,
 )
@@ -45,6 +43,7 @@ from roughnls.solver import (
 )
 
 from conftest import discard, kept_snapshots, traced_peak
+from instruments import almost_conservation_monitor, scattering_proxy
 
 
 def bump(grid, amp, width, wave=None):
@@ -666,6 +665,42 @@ def test_plane_wave_is_solved_to_rounding(dt, dealias):
     exact = u0.values * np.exp(-1j * omega * t)
     assert t == t_final
     assert np.max(np.abs(u - exact)) < 1e-12
+
+
+def test_forced_solve_is_the_full_solve_unmasked():
+    # 0.11 s. v(t_mid) is the exact free flow of v(t_n), so one forced step
+    # maps u = w + v exactly as one full step maps it: unmasked, w(T) + v(T)
+    # equals the full solve of w0 + v0 to rounding (measured 1.2e-14
+    # relative, 100 steps at 16^3). With the mask on they differ (93%): the
+    # full solve projects v's masked modes away.
+    g = GridSpec(3, 16, np.pi)
+    w0, v0 = bump(g, 0.4, 1.5, wave=(1, 0, 0)), rough_v0(g, n0=2.0, amp=0.3)
+    u0 = SpectralField(g, w0.values + v0.values, "physical")
+    gaps = []
+    for dealias in (False, True):
+        cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, snapshot_stride=100, dealias=dealias)
+        forced, _ = kept_snapshots(w0, v0, cfg)
+        full, _ = kept_snapshots(u0, None, cfg)
+        (t, w, v, *_), u = forced[-1], full[-1][1]
+        assert t == full[-1][0] == 0.2
+        gaps.append(np.max(np.abs(w + v - u)) / np.max(np.abs(u)))
+    assert gaps[0] < 1e-12
+    assert gaps[1] > 0.1
+
+
+def test_forced_solve_is_reversed_by_its_conjugate():
+    # 0.06 s. Strang splitting is symmetric: the forced solve from conj(w(T))
+    # and conj(v(T)) over the same time returns conj(w0), unmasked, to
+    # rounding (measured 1.4e-14 relative, 100 steps at 16^3), and its free
+    # flow returns conj(v0).
+    g = GridSpec(3, 16, np.pi)
+    w0, v0 = bump(g, 0.4, 1.5, wave=(1, 0, 0)), rough_v0(g, n0=2.0, amp=0.3)
+    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, snapshot_stride=100, dealias=False)
+    _, w, v, *_ = kept_snapshots(w0, v0, cfg)[0][-1]
+    conj = lambda a: SpectralField(g, np.conj(a), "physical")
+    _, w_back, v_back, *_ = kept_snapshots(conj(w), conj(v), cfg)[0][-1]
+    assert np.max(np.abs(w_back - np.conj(w0.values))) < 1e-12 * np.max(np.abs(w0.values))
+    assert np.max(np.abs(v_back - np.conj(v0.values))) < 1e-12 * np.max(np.abs(v0.values))
 
 
 @pytest.mark.parametrize("initial, forced", [("bump", True), ("zero", True), ("zero", False)])

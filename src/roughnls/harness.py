@@ -321,14 +321,24 @@ def parse_config(data: dict) -> ExperimentConfig:
             sections[name] is None or name in required + optional,
             f"config: section {name!r} is not used by kind {kind!r}",
         )
+    # an evolve's partition serves only its forcing's draw, so a run uses a partition when it has one
+    _require(
+        kind != "evolve" or (sections["forcing"] is None) == (sections["partition"] is None),
+        "config: kind 'evolve' takes a forcing section and a partition section together or neither",
+    )
 
     grid = _spec(GridSpec, "grid", sections["grid"])
     partition = _spec(PartitionConfig, "partition", sections["partition"], dim=grid.dim)
     forcing = _spec(ForcingSpec, "forcing", sections["forcing"])
-    _require(forcing is None or partition is not None, "config: a forcing section needs a partition section")
     if kind == "linear-stats":
         check_cutoff(grid, forcing.n0)
     solver = _spec(SolverConfig, "solver", sections["solver"], dim=grid.dim)
+    if kind == "evolve" and forcing is not None:
+        _require(
+            solver.n_series >= 3,
+            f"config: a forced evolve's increment residuals need at least 3 series samples, got n_series = "
+            f"{solver.n_series} (t_final / (dt * series_stride) + 1)",
+        )
     initial = sections["initial"]
     if initial is not None and initial.get("kind") == "zero":
         _check_keys(initial, "initial")
@@ -551,11 +561,6 @@ def _clean_metrics(metrics: dict) -> dict:
 # resource guard
 
 
-def _uses_partition(config: ExperimentConfig) -> bool:
-    """Every task that uses the partition draws forcing from it or reports on it."""
-    return config.forcing is not None or config.kind == "partition-report"
-
-
 # complex lattice fields a forced solve_w needs beside what its snapshot consumer
 # keeps: its work arrays (w_hat, u, v_hat(t), the phase and two float buffers,
 # 5 fields; each snapshot is made in the phase and u buffers), v_hat(0), the
@@ -581,8 +586,8 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     half a field for the cached |xi|^2; all of it is under every forced
     task's solve charge below. Per task:
     - linear-stats: v-hat(0), one snapshot's spectrum and values, and 2d
-      fields of view buffers and symbols; 8.0 fields at 32^3 with 4 times or
-      16, 9.5 at 12^4.
+      fields of view buffers, symbols and one derivative D^s v at a time;
+      7.0 fields at 32^3 with 4 times or 16, 7.5 at 12^4.
     - evolve, morawetz-audit: the snapshots stream, so one field per channel
       (the initial w and v, which the solve drops before it allocates its
       other work arrays) plus the solver's 10 fields; a streamed forced
@@ -590,15 +595,15 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
       or 21, and 9.6 and 8.0 with 3 snapshots that a sink drops. The
       audit adds 4 fields: it is handed the solve's spectra and holds one
       channel's view at a time, then one component of v's gradient (one
-      add() peaks 3.1 fields at 24^3 and at 12^4). Only with save_fields
+      add() peaks 3.1 fields at 24^3 and 2.9 at 12^4). Only with save_fields
       does it compute M(t) for interaction.csv, and add the vector kernel's
       half-spectrum tables, d / 2 fields, and d + 1 fields for one component
       of w's gradient, of the momentum density and of its transform at a
       time, with their buffers, or for the tables' build on a grid's first
       audit, one table at a time (such an add() peaks 5.7 fields at 24^3
-      and 6.6 at 12^4, and 8.4 and 10.9 on a fresh grid, where it builds
-      the tables). A seed then peaks 11.3 fields at 12^3 and 12.2 at 8^4
-      without M(t), 14.0 and 15.9 with it, and 15.8 and 18.4 with the
+      and 5.6 at 12^4, and 8.3 and 9.9 on a fresh grid, where it builds
+      the tables). A seed then peaks 11.3 fields at 12^3 and 12.1 at 8^4
+      without M(t), 14.0 and 14.9 with it, and 16.4 and 18.0 with the
       tables built.
     - twin-ladder: the unforced twin's w_hat stack, the inputs, and 4 fields
       for a rung's scaled forcing and its gap buffer, plus the solver's 10;
@@ -610,7 +615,7 @@ def _estimate_bytes(config: ExperimentConfig) -> int:
     per = 16 * g.n_points
     workspace = 8 * per
     solver = _SOLVER_FIELDS * per
-    partition = 2 * per if _uses_partition(config) else 0
+    partition = 2 * per if config.partition is not None else 0
     kind = config.kind
     profile = per if kind == "linear-stats" else 0
     if kind == "partition-report":
@@ -879,7 +884,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     seeds = [config.seed + i for i in range(config.n_samples)]
     todo = [s for s in seeds if s not in done]
 
-    context = build_partition(config.partition, config.grid) if _uses_partition(config) else None
+    context = build_partition(config.partition, config.grid) if config.partition is not None else None
     task = _TASKS[config.kind]
 
     def work(task_seed: int) -> ResultRecord:

@@ -154,7 +154,7 @@ def linear_seed(
     v0_hat = raw_spectrum(v0)
     del rnd, v0  # the time loop holds v-hat(0) alone
     norm_pass = NormPass(grid, {
-        (i, label): ("v", ns)
+        (i, label): ns
         for i, spec in enumerate(specs)
         for ns, label in zip(spec.components, spec.labels())
     })
@@ -164,7 +164,7 @@ def linear_seed(
         view = norm_pass.view(ifftn(fhat), fhat)
         if k == 0:
             l2 = view.norm(2)
-        norm_pass.take("v", view)
+        norm_pass.take(view)
         del fhat, view  # release this snapshot's arrays before the next one is built
     figures = norm_pass.norms(times)
     results = []

@@ -22,9 +22,10 @@ The audit is one pass over the snapshots, in time order, and keeps only
 per-snapshot numbers (MorawetzAccumulator), so a solve can stream its
 snapshots into it, spectra included, and stored_audit feeds it a stored
 run's, read back one at a time. Each snapshot gets one FrequencyView
-(see norms) per channel, one channel at a time: every spatial figure of the
-terms below is read from those two views, m and M(t) from the w view, and
-the 4D Gagliardo-Nirenberg ratio reuses figures already taken.
+(see norms) per channel, one channel at a time, each fed to that channel's
+NormPass: every spatial figure of the terms below is read from those two
+views, m and M(t) from the w view, and the 4D Gagliardo-Nirenberg ratio
+reads two of the figures the w pass returned and ||w||_{L3} from the view.
 M(t) enters none of the terms: an accumulator built with interaction=False
 skips the pairing, and with it p, w's gradient and the kernel tables (14 -> 5
 transforms per 4D snapshot whose spectra are given, 10 -> 3 in 3D), and
@@ -233,21 +234,23 @@ class MorawetzAccumulator:
     from one FrequencyView of w and one of v and keeps only those numbers;
     the arrays themselves are not kept or written, so they may be buffers
     reused for the next snapshot. A view built on a given spectrum makes no
-    forward transform, one built on values alone makes one. The views come
-    from the audit's NormPass, which takes their norms, and are built one at
-    a time: every figure of w, then w's view is dropped, then every figure
-    of v, and last sup |grad v|, one partial derivative at a time. report()
-    folds the pass's series and sup |grad v| into the time norms, the
-    left-hand side and the right-hand side terms T1, T2 and T3: the three
-    summands of the module docstring's inequality, in order. C* is
-    measured, never asserted; ensemble stability is judged separately by
-    c_star_spread. No audited figure depends on the nonlinearity power. A
+    forward transform, one built on values alone makes one. Each channel's
+    view comes from its own NormPass, which takes its norms, and the views
+    are built one at a time: every figure of w, then w's view is dropped,
+    then every figure of v, and last sup |grad v|, one partial derivative at
+    a time. report() folds both passes' series and sup |grad v| into the
+    time norms, the left-hand side and the right-hand side terms T1, T2 and
+    T3: the three summands of the module docstring's inequality, in order.
+    C* is measured, never asserted; ensemble stability is judged separately
+    by c_star_spread. No audited figure depends on the nonlinearity power. A
     solve can stream its snapshots straight into add, and stored_audit feeds
-    a stored run's, so the audit holds no snapshot stack. The audit's dimension is the grid's,
-    and a grid that is not 3D or 4D is a ConfigError.
+    a stored run's, so the audit holds no snapshot stack. The audit's
+    dimension is the grid's, and a grid that is not 3D or 4D is a
+    ConfigError.
 
     With both spectra given, a 4D snapshot takes 14 transforms and a 3D one
-    10: d for sup |grad v|, one for |grad|^{-1/4} w in 4D, and for M(t) d
+    10: d for sup |grad v|, one for |grad|^{-1/4} w in 4D (which the 4D
+    Gagliardo-Nirenberg ratio reads from the w pass's take()), and for M(t) d
     for w's gradient and d + 1 real-input ones for the pairing; M(t) holds
     one component of grad w and of p at a time (interaction_functional). With
     interaction=False add() does not compute M(t): no momentum density, no
@@ -265,22 +268,19 @@ class MorawetzAccumulator:
         self.dim = dim
         self.interaction = interaction
         inf = math.inf
-        # each figure's channel, the spatial norm taken at every snapshot and its time exponent
-        specs = {
-            "w_mass": ("w", NormSpec(inf, 2)),
-            "w_hhalf": ("w", NormSpec(inf, 2, 0.5, "homogeneous")),
-            "v_sup": ("v", NormSpec(2, inf)),
-            "v_l4": ("v", NormSpec(4, 4)),
-        }
+        # each channel's figures: the spatial norm taken at every snapshot and its time exponent
+        w_specs = {"w_mass": NormSpec(inf, 2), "w_hhalf": NormSpec(inf, 2, 0.5, "homogeneous")}
+        v_specs = {"v_sup": NormSpec(2, inf), "v_l4": NormSpec(4, 4)}
         if dim == 3:
-            specs["w_l4"] = ("w", NormSpec(4, 4))
-            specs["w_l6"] = ("w", NormSpec(inf, 6))
-            specs["v_l6"] = ("v", NormSpec(inf, 6))
+            w_specs["w_l4"] = NormSpec(4, 4)
+            w_specs["w_l6"] = NormSpec(inf, 6)
+            v_specs["v_l6"] = NormSpec(inf, 6)
         else:
-            specs["w_g"] = ("w", NormSpec(4, 4, -0.25, "homogeneous"))
-            specs["w_hhalf_inh"] = ("w", NormSpec(inf, 2, 0.5, "inhomogeneous"))
-            specs["v_l6l3"] = ("v", NormSpec(6, 3))
-        self._pass = NormPass(grid, specs)
+            w_specs["w_g"] = NormSpec(4, 4, -0.25, "homogeneous")
+            w_specs["w_hhalf_inh"] = NormSpec(inf, 2, 0.5, "inhomogeneous")
+            v_specs["v_l6l3"] = NormSpec(6, 3)
+        self._w_pass = NormPass(grid, w_specs)
+        self._v_pass = NormPass(grid, v_specs)
         self._times: list[float] = []
         self._dv: list[float] = []
         self._inter: list[float] = []
@@ -297,24 +297,24 @@ class MorawetzAccumulator:
     ) -> None:
         """Take the audit's figures of the snapshot at time t from the physical
         values of w and v and, when given, their raw spectra np.fft.fftn."""
-        view = self._pass.view(w, w_hat)
-        self._pass.take("w", view)
+        view = self._w_pass.view(w, w_hat)
+        figures = self._w_pass.take(view)
         m = 0.5 * view.modulus**2
         if self.interaction:
             self._inter.append(interaction_functional(view, m))
         self._loc.append(localization_ratio(m, self.grid))
         del m
         if self.dim == 4:
-            self._gn.append(_gn_ratio(view))
-        view = self._pass.view(v, v_hat)
-        self._pass.take("v", view)
+            self._gn.append(_gn_ratio(view.norm(3), figures["w_hhalf_inh"], figures["w_g"]))
+        view = self._v_pass.view(v, v_hat)
+        self._v_pass.take(view)
         self._dv.append(math.sqrt(_max_grad_sq(view)))
         self._times.append(float(t))
 
     def report(self) -> MorawetzReport:
         """Both sides of the inequality over the snapshots added so far."""
         times = np.array(self._times)
-        norm = self._pass.norms(times)
+        norm = self._w_pass.norms(times) | self._v_pass.norms(times)
         w_mass, w_hhalf = norm["w_mass"], norm["w_hhalf"]
         v_sup, v_l4 = norm["v_sup"], norm["v_l4"]
         dv_sup = time_norm(np.array(self._dv), times, 2)
@@ -426,10 +426,10 @@ def _max_grad_sq(f: FrequencyView) -> float:
     return float(total.max())
 
 
-def _gn_ratio(f: FrequencyView) -> float:
-    """||f||_{L3}^3 / (||f||_{H(1/2)} || |grad|^{-1/4} f ||_{L4}^2); 0 when both sides vanish."""
-    num = f.norm(3) ** 3
-    den = f.norm(2, 0.5, "inhomogeneous") * f.norm(4, -0.25, "homogeneous") ** 2
+def _gn_ratio(l3: float, h_half: float, g: float) -> float:
+    """||f||_{L3}^3 / (||f||_{H(1/2)} || |grad|^{-1/4} f ||_{L4}^2) from those norms; 0 when both sides vanish."""
+    num = l3**3
+    den = h_half * g**2
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den

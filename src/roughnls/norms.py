@@ -8,14 +8,16 @@ view makes one, on first use. A solve is such a producer: its sink receives
 each snapshot's w_hat and v_hat beside w and v. From the view, an L^2 norm
 of D^s f is a Parseval sum over |fhat|^2 with no further transform, any
 other L^r norm of D^s f costs one in-place inverse transform of
-fhat * symbol (cached in the view, so one D^s serves several exponents),
-and a gradient costs d of them. The raw coordinates need no weight pass:
-the transform weight folds into the Parseval constant dx^d / N.
+fhat * symbol, freed once the norm is read, and a gradient costs d of them.
+The view remembers no figure: a norm asked for twice is computed twice. The
+raw coordinates need no weight pass: the transform weight folds into the
+Parseval constant dx^d / N.
 
-A NormPass is the one way a run's space-time norms are taken: the audit and
-the linear seed feed it one channel's view per snapshot, in time order, and
-it keeps only each norm's per-snapshot series, which norms() folds in time.
-Its views share the derivative symbols the pass owns, built once per pass.
+A NormPass is the one way a run's space-time norms are taken: the audit
+(one pass per channel) and the linear seed feed it one view per snapshot,
+in time order; take() returns that snapshot's figures and keeps only each
+norm's series, which norms() folds in time. A pass's views share the
+derivative symbols it owns, built once per pass.
 
 Spatial integrals are Riemann sums on the lattice, the time integral is a
 composite trapezoid rule on g(t)^q where g is the spatial norm, and q or r
@@ -76,13 +78,13 @@ Symbols = dict[tuple[float, str], np.ndarray]
 class FrequencyView:
     """One snapshot of one channel: physical values and their raw spectrum fftn(values).
 
-    Norms are memoized per (r, s, kind) and D^s f per (s, kind), so a figure
-    asked for twice, or a D^s f that serves two exponents, is computed once.
-    Symbols come from `symbols`, the dict of the norm pass the view belongs
-    to; a view given none keeps its own. Arrays handed out are the view's own
-    and must not be written to. A view given its spectrum may be given no
-    values (None) when only the L^2 norms of a derivative are read, which are
-    Parseval sums of the spectrum.
+    The view keeps its spectrum, |f| and |fhat|^2 once made, and no figure
+    or derivative: each norm() and derivative() call computes anew. Symbols
+    come from `symbols`, the dict of the norm pass the view belongs to; a
+    view given none keeps its own. The arrays of its properties are the
+    view's own and must not be written to. A view given its spectrum may be
+    given no values (None) when only the L^2 norms of a derivative are read,
+    which are Parseval sums of the spectrum.
     """
 
     def __init__(
@@ -98,8 +100,6 @@ class FrequencyView:
         self._symbols = {} if symbols is None else symbols
         self._modulus: np.ndarray | None = None
         self._power: np.ndarray | None = None
-        self._derivatives: dict[tuple[float, str], np.ndarray] = {}
-        self._norms: dict[tuple[float, float, str], float] = {}
 
     @property
     def fhat(self) -> np.ndarray:
@@ -126,14 +126,9 @@ class FrequencyView:
         return sym
 
     def derivative(self, s: float, kind: str) -> np.ndarray:
-        """Physical values of D^s f: one in-place inverse transform of fhat * symbol, cached."""
-        key = (s, kind)
-        out = self._derivatives.get(key)
-        if out is None:
-            out = self.fhat * self._symbol(s, kind)
-            ifftn(out, out=out)
-            self._derivatives[key] = out
-        return out
+        """Physical values of D^s f in a new array: one in-place inverse transform of fhat * symbol."""
+        out = self.fhat * self._symbol(s, kind)
+        return ifftn(out, out=out)
 
     def partials(self) -> Iterator[np.ndarray]:
         """Yield the physical values of each spectral partial derivative in turn, in one reused buffer.
@@ -151,17 +146,11 @@ class FrequencyView:
 
     def norm(self, r: float, s: float = 0.0, kind: str = "none") -> float:
         """Spatial ||D^s f||_{L^r}, with D^s as in NormSpec."""
-        key = (r, s, kind)
-        val = self._norms.get(key)
-        if val is None:
-            if kind == "none" or (kind == "homogeneous" and s == 0):
-                val = modulus_lp_norm(self.modulus, r, self.grid)
-            elif r == 2:
-                val = self._parseval(s, kind)
-            else:
-                val = modulus_lp_norm(np.abs(self.derivative(s, kind)), r, self.grid)
-            self._norms[key] = val
-        return val
+        if kind == "none" or (kind == "homogeneous" and s == 0):
+            return modulus_lp_norm(self.modulus, r, self.grid)
+        if r == 2:
+            return self._parseval(s, kind)
+        return modulus_lp_norm(np.abs(self.derivative(s, kind)), r, self.grid)
 
     def _parseval(self, s: float, kind: str) -> float:
         # sum_x |D^s f|^2 dx^d = (dx^d / N) sum_xi |xi-symbol|^2 |fftn f|^2
@@ -182,13 +171,13 @@ def time_norm(series: np.ndarray, times: np.ndarray, q: float) -> float:
 
 
 class NormPass:
-    """One streaming pass of L^q_t L^r_x norms, built from {key: (channel, NormSpec)}.
+    """One streaming pass of one channel's L^q_t L^r_x norms, built from {key: NormSpec}.
 
-    take() reads one channel's view of one snapshot, in time order, so a
+    take() reads the channel's view of one snapshot, in time order, so a
     caller may drop it before it builds the next; norms() folds each series.
     """
 
-    def __init__(self, grid: GridSpec, specs: dict[object, tuple[str, NormSpec]]):
+    def __init__(self, grid: GridSpec, specs: dict[object, NormSpec]):
         self.grid = grid
         self.specs = specs
         self._symbols: Symbols = {}
@@ -198,15 +187,16 @@ class NormPass:
         """A FrequencyView of one snapshot that shares the pass's derivative symbols."""
         return FrequencyView(self.grid, values, fhat, self._symbols)
 
-    def take(self, channel: str, view: FrequencyView) -> None:
-        """Append, for every spec on channel, its spatial norm of this snapshot."""
-        for key, (ch, spec) in self.specs.items():
-            if ch == channel:
-                self._series[key].append(view.norm(spec.r, spec.s, spec.kind))
+    def take(self, view: FrequencyView) -> dict[object, float]:
+        """Append every spec's spatial norm of this snapshot to its series; returns {key: norm}."""
+        figures = {key: view.norm(spec.r, spec.s, spec.kind) for key, spec in self.specs.items()}
+        for key, val in figures.items():
+            self._series[key].append(val)
+        return figures
 
     def norms(self, times: np.ndarray) -> dict[object, float]:
         """Each spec's L^q_t norm of its series over the snapshot times taken so far."""
         return {
             key: time_norm(np.array(self._series[key]), times, spec.q)
-            for key, (_, spec) in self.specs.items()
+            for key, spec in self.specs.items()
         }

@@ -334,8 +334,6 @@ class ConservationSeries:
     times: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
-    power: float
-    mu: float
     dmass_fd: np.ndarray | None = None
     dmass_id: np.ndarray | None = None
     res_mass: np.ndarray | None = None
@@ -575,8 +573,6 @@ def solve_w(
         times=ser_times,
         mass=ser_mass,
         energy=ser_energy,
-        power=cfg.power,
-        mu=cfg.mu,
         dmass_id=ser_dm_id,
         denergy_id=ser_de_id,
     )
@@ -620,8 +616,6 @@ def increment_residuals(series: ConservationSeries) -> ConservationSeries:
         times=series.times,
         mass=series.mass,
         energy=series.energy,
-        power=series.power,
-        mu=series.mu,
         dmass_fd=dm_fd,
         dmass_id=dm_id,
         res_mass=res_m,

@@ -81,6 +81,33 @@ def test_kind_section_requirements():
         parse_config(cfg2)  # forcing needs partition
 
 
+def test_evolve_refuses_a_partition_without_forcing():
+    # An unforced evolve draws nothing, so a partition section would be
+    # ignored and yet enter the config hash; it is refused like any other
+    # section a kind does not use.
+    raw = evolve_config("/tmp/x")
+    del raw["forcing"]
+    with pytest.raises(ConfigError, match="partition"):
+        parse_config(raw)
+    del raw["partition"]
+    assert parse_config(raw).partition is None
+
+
+def test_forced_evolve_with_too_few_series_samples_is_refused_before_any_seed(tmp_path):
+    # Its increment residuals need 3 series samples; a run of one step has 2.
+    # The config is refused before the solve: the CLI exits 2 and writes no
+    # run directory, records or snapshot files. An unforced run needs none.
+    raw = evolve_config(tmp_path / "out", n_samples=1, save_fields=True, solver={"dt": 0.02, "t_final": 0.02})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["evolve", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="n_series = 2"):
+        parse_config(raw)
+    del raw["forcing"], raw["partition"]
+    assert parse_config(raw).solver.n_series == 2
+
+
 def _config_using(section: str) -> dict:
     """A valid config whose kind reads the given section."""
     if section == "times":
@@ -358,7 +385,7 @@ def test_unforced_evolve_builds_no_partition(tmp_path, monkeypatch):
 
     monkeypatch.setattr("roughnls.harness.build_partition", refuse)
     raw = evolve_config(tmp_path, n_samples=1)
-    del raw["forcing"]
+    del raw["forcing"], raw["partition"]
     recs = run(parse_config(raw))
     assert len(recs) == 1 and "r_mass" not in recs[0].metrics
 
@@ -421,7 +448,7 @@ def test_streamed_evolve_writes_what_save_trajectory_writes(tmp_path):
     _same_files(tmp_path / "run" / "run_0000" / "traj", saved(cfg, w0, v0, tmp_path / "saved"))
 
     raw = evolve_config(tmp_path / "unforced", n_samples=1, save_fields=True)
-    del raw["forcing"]
+    del raw["forcing"], raw["partition"]
     unforced = parse_config(raw)
     run(unforced)
     w0 = initial_field(unforced.initial, unforced.grid)

@@ -117,7 +117,7 @@ def test_forced_residuals_present_and_small():
     w0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=2, series_stride=2)
     series = solve_w(w0, v0, cfg, discard)
-    bare = ConservationSeries(series.times, series.mass, series.energy, series.power, series.mu)
+    bare = ConservationSeries(series.times, series.mass, series.energy)
     with pytest.raises(ConfigError):
         increment_residuals(bare)  # no inline identity rates
     series = increment_residuals(series)
@@ -725,7 +725,7 @@ def test_evolve_ratios_are_the_monitors(tmp_path, initial, forced):
     with open(tmp_path / rec.artifacts[0]) as fh:
         cols = list(zip(*list(csv.reader(fh))[1:]))
     times, mass, energy = (np.array(c, dtype=float) for c in cols[:3])
-    series = ConservationSeries(times, mass, energy, power=4.0, mu=1.0)
+    series = ConservationSeries(times, mass, energy)
     rep = almost_conservation_monitor(None, series, 1e6, 1.0, 0.0)
     assert (rep.ratio_mass, rep.ratio_energy) == (rec.metrics["ratio_mass"], rec.metrics["ratio_energy"])
     if initial == "zero":

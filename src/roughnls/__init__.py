@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     FitError,
     RepresentationError,
-    ResolutionError,
     ResourceLimitError,
 )
 from .grids import (
@@ -81,7 +80,7 @@ from .solver import (
     SnapshotSink,
     SolverConfig,
     TwinReport,
-    dealias_mask,
+    critical_power,
     increment_residuals,
     solve_w,
     twin_run,

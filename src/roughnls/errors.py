@@ -8,7 +8,6 @@ ordinary bug.
 __all__ = [
     "RepresentationError",
     "ConfigError",
-    "ResolutionError",
     "BlowupError",
     "ResourceLimitError",
     "FitError",
@@ -21,10 +20,6 @@ class RepresentationError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration (bad keys, bad values, failed preconditions)."""
-
-
-class ResolutionError(ConfigError):
-    """Requested frequency structure is finer than the grid can resolve."""
 
 
 class BlowupError(RuntimeError):

@@ -40,9 +40,11 @@ Caching: a lattice array is cached per grid only when a solve's step loop
 or every snapshot reads it, so the cache holds nothing the loop would not
 hold anyway. Here that is |xi|^2 (xi_sq, half a complex field) and the
 sparse per-axis frequency grids (_xi_grids, xi_grids_odd, d axes of M
-values each); solver.dealias_mask and morawetz._kernel_tables_hat keep the
-same rule. What only a seed's draw reads is not cached, so a forced solve
-holds none of it: lp_symbol is built per call (6 ms at 64^3). The
+values each); morawetz._kernel_tables_hat keeps the same rule. What a solve
+reads once is not cached either: it zeroes the 2/3 rule's masked modes of
+its half-step multiplier as one slab per axis, the complement of
+dealias_ranges. What only a seed's draw reads is not cached, so a forced
+solve holds none of it: lp_symbol is built per call (6 ms at 64^3). The
 transform weight of to_frequency, to_physical and raw_spectrum is the
 exact sign pattern dx^d * (-1)^(m_1 + ... + m_d), applied by _weigh from
 two signed slabs of the trailing axes, so a transform allocates its result

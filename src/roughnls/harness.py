@@ -50,6 +50,7 @@ from .solver import (
     ConservationSeries,
     SnapshotSink,
     SolverConfig,
+    critical_power,
     increment_residuals,
     solve_w,
     twin_run,
@@ -174,13 +175,13 @@ def _read(section: dict, where: str) -> dict:
     return values
 
 
-def _spec(cls, where: str, section: dict | None, **extra):
+def _spec(cls, where: str, section: dict | None):
     """cls built from one config object, None when it is absent; the class checks its own invariants."""
     if section is None:
         return None
     values = _read(section, where)
     try:
-        return cls(**extra, **values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -312,6 +313,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         return ExperimentConfig(kind=kind, payload=payload, sweep_axis=axis, rungs=rungs, **top)
     if top["save_fields"] is None:
         top["save_fields"] = kind == "evolve"
+    _require(
+        not top["save_fields"] or kind in ("evolve", "morawetz-audit"),
+        f"config: kind {kind!r} saves no fields, so save_fields must be false",
+    )
 
     required, optional = _KIND_SECTIONS[kind]
     for name in required:
@@ -328,11 +333,20 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
     grid = _spec(GridSpec, "grid", sections["grid"])
-    partition = _spec(PartitionConfig, "partition", sections["partition"], dim=grid.dim)
+    # the composite norms Y3 ... Z4 and the inequality audit are the paper's, posed in 3d and 4d
+    _require(
+        kind not in ("linear-stats", "morawetz-audit") or grid.dim in (3, 4),
+        f"config: kind {kind!r} runs on a 3d or 4d grid, got grid.dim = {grid.dim}",
+    )
+    partition = _spec(PartitionConfig, "partition", sections["partition"])
     forcing = _spec(ForcingSpec, "forcing", sections["forcing"])
     if kind == "linear-stats":
         check_cutoff(grid, forcing.n0)
-    solver = _spec(SolverConfig, "solver", sections["solver"], dim=grid.dim)
+    solver = sections["solver"]
+    if solver is not None and solver.get("power") is None:
+        # a null power is the grid's energy-critical one, so the config and the manifest record the number
+        solver = dict(solver, power=critical_power(grid.dim))
+    solver = _spec(SolverConfig, "solver", solver)
     if kind == "evolve" and forcing is not None:
         _require(
             solver.n_series >= 3,

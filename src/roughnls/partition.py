@@ -69,20 +69,17 @@ def expected_count(dim: int, a: int, shell: int) -> int:
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    """Parameters of the cube family.
+    """Parameters of the cube family, in any dimension: the grid it is built on gives that.
 
     s is recorded for regime bookkeeping only; a is the narrowing exponent
     (integer so cube corners stay dyadic), n_max the largest shell.
     """
 
-    dim: int
     a: int
     n_max: int
     s: float = 0.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3, 4):
-            raise ConfigError(f"dim must be in 1..4, got {self.dim}")
         if not isinstance(self.a, int) or self.a < 1:
             raise ConfigError(f"narrowing exponent a must be a positive integer, got {self.a!r}")
         n = self.n_max
@@ -98,16 +95,15 @@ class PartitionConfig:
         """Cutoff family covers {|xi|_inf <= coverage}."""
         return 2.0 * self.n_max
 
-    def total_cubes(self) -> int:
-        """Core + shell pieces (no residual)."""
-        return 1 + sum(expected_count(self.dim, self.a, n) for n in self.shells)
+    def total_cubes(self, dim: int) -> int:
+        """Core + shell pieces (no residual) in dimension dim."""
+        return 1 + sum(expected_count(dim, self.a, n) for n in self.shells)
 
-    def in_paper_regime(self, s: float | None = None) -> bool:
-        """Whether (s, a) satisfy the narrowing thresholds of the wellposedness theory."""
-        s = self.s if s is None else s
-        if self.dim == 4:
-            return self.a > max(1 - 2 * s, 10)
-        return self.a > max(3 - 4 * s, 1 - 2 * s, 10)
+    def in_paper_regime(self, dim: int) -> bool:
+        """Whether (s, a) satisfy the narrowing thresholds of the wellposedness theory in dimension dim."""
+        if dim == 4:
+            return self.a > max(1 - 2 * self.s, 10)
+        return self.a > max(3 - 4 * self.s, 1 - 2 * self.s, 10)
 
 
 def _profile(x, lo, hi, w):
@@ -269,11 +265,11 @@ class FrequencyPartition:
         for n in self.config.shells:
             shells[str(n)] = {
                 "count": self.shell_count(n),
-                "expected": expected_count(self.config.dim, self.config.a, n),
+                "expected": expected_count(self.grid.dim, self.config.a, n),
                 "side": 2.0 * n**-self.config.a,
             }
         return {
-            "dim": self.config.dim,
+            "dim": self.grid.dim,
             "a": self.config.a,
             "n_max": self.config.n_max,
             "coverage": self.config.coverage,
@@ -286,10 +282,10 @@ class FrequencyPartition:
             "core_count": self.shell_count(CORE_SHELL),
             "shells": shells,
             "kappa": self.kappa,
-            "kappa_bound": 4 * 3**self.config.dim,
+            "kappa_bound": 4 * 3**self.grid.dim,
             "unity_deviation_coverage": cov_dev,
             "unity_deviation_full": full_dev,
-            "paper_regime": self.config.in_paper_regime(),
+            "paper_regime": self.config.in_paper_regime(self.grid.dim),
         }
 
 
@@ -303,7 +299,7 @@ def _core_block(config: PartitionConfig, grid: GridSpec) -> ShellBlock:
     xi = grid.xi_axis()
     frac = MOLLIFY_FRACTION
     profiles = np.stack([_profile(xi, -1.0, 1.0, frac * 2.0), _profile(np.abs(xi), 1.0, 2.0, frac)])
-    return ShellBlock(0, 2**config.dim, profiles, np.ones((2,) * config.dim, dtype=bool))
+    return ShellBlock(0, 2**grid.dim, profiles, np.ones((2,) * grid.dim, dtype=bool))
 
 
 def _shell_block(config: PartitionConfig, grid: GridSpec, n: int, start: int) -> ShellBlock:
@@ -321,20 +317,18 @@ def _shell_block(config: PartitionConfig, grid: GridSpec, n: int, start: int) ->
     profiles = _profile(grid.xi_axis()[None, :], m * side, (m + 1) * side, w)
     inner = np.zeros(4 * p, dtype=bool)
     inner[p : 3 * p] = True
-    outer = ~reduce(np.logical_and.outer, [inner] * config.dim)
-    return ShellBlock(start, start + expected_count(config.dim, config.a, n), profiles, outer)
+    outer = ~reduce(np.logical_and.outer, [inner] * grid.dim)
+    return ShellBlock(start, start + expected_count(grid.dim, config.a, n), profiles, outer)
 
 
 def build_partition(config: PartitionConfig, grid: GridSpec) -> FrequencyPartition:
-    """Construct the cutoff family sampled on the grid's frequency lattice."""
-    if grid.dim != config.dim:
-        raise ConfigError(f"grid dim {grid.dim} != partition dim {config.dim}")
+    """Construct the cutoff family sampled on the grid's frequency lattice, in the grid's dimension."""
     if grid.nyquist <= config.coverage:
         raise ConfigError(
             f"grid Nyquist {grid.nyquist:g} must strictly exceed the outermost "
             f"shell frequency {config.coverage:g}"
         )
-    total = config.total_cubes()
+    total = config.total_cubes(grid.dim)
     if total + 1 > MAX_CUBES:
         raise ResourceLimitError(
             f"partition would have {total} cubes, above the cap {MAX_CUBES}; lower a or n_max"

@@ -54,13 +54,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError, RepresentationError
 from .grids import (
-    GridSpec,
     SpectralField,
     dealias_ranges,
     fftn,
@@ -77,7 +76,7 @@ __all__ = [
     "SnapshotSink",
     "SolverConfig",
     "ConservationSeries",
-    "dealias_mask",
+    "critical_power",
     "solve_w",
     "increment_residuals",
     "TwinReport",
@@ -89,16 +88,22 @@ __all__ = [
 SnapshotSink = Callable[[float, np.ndarray, "np.ndarray | None", np.ndarray, "np.ndarray | None"], None]
 
 
+def critical_power(dim: int) -> float:
+    """The energy-critical power p = 4/(d - 2) of |u|^p u: 4.0 (quintic) in 3d, 2.0 (cubic) in 4d; no other d."""
+    if dim not in (3, 4):
+        raise ConfigError(f"power must be given in dimension {dim}: the energy-critical 4/(d - 2) is for d = 3, 4")
+    return 4.0 / (dim - 2)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters; the spatial grid travels with the fields.
+    """Time-stepping parameters; the spatial grid, and with it the dimension, travels with the fields.
 
-    power defaults to the energy-critical exponent 4/(dim - 2) in 3d and 4d
-    (quintic and cubic nonlinearities); lower dimensions are allowed for
-    cheap tests but must state the power explicitly.
+    power None is critical_power of the solve's grid (quintic in 3d, cubic
+    in 4d), which the config reader writes in; other dimensions are allowed
+    for cheap tests but must state the power explicitly.
     """
 
-    dim: int
     dt: float
     t_final: float
     snapshot_stride: int = 1
@@ -109,14 +114,7 @@ class SolverConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3, 4):
-            raise ConfigError(f"dim must be 1..4, got {self.dim}")
-        if self.power is None:
-            if self.dim in (3, 4):
-                object.__setattr__(self, "power", 4.0 / (self.dim - 2))
-            else:
-                raise ConfigError("power must be given explicitly for dim < 3")
-        if self.power < 0:
+        if self.power is not None and self.power < 0:
             raise ConfigError(f"nonlinearity power must be >= 0, got {self.power}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
@@ -156,7 +154,6 @@ class SolverConfig:
 
     def provenance(self) -> dict:
         return {
-            "dim": self.dim,
             "dt": self.dt,
             "t_final": self.t_final,
             "snapshot_stride": self.snapshot_stride,
@@ -165,20 +162,6 @@ class SolverConfig:
             "mu": self.mu,
             "dealias": self.dealias,
         }
-
-
-@lru_cache(maxsize=64)
-def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """2/3-rule mask: keep signed index |m| < M/3 along every axis (grids.dealias_ranges)."""
-    keep1d = np.zeros(grid.points, dtype=bool)
-    for kept in dealias_ranges(grid.points):
-        keep1d[kept] = True
-    out = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sh = [1] * grid.dim
-        sh[ax] = grid.points
-        out &= keep1d.reshape(sh)
-    return out
 
 
 def _abs_sq_slab(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -392,6 +375,9 @@ def solve_w(
 ) -> ConservationSeries:
     """Integrate the forced remainder equation; snapshots of w and of the free flow v.
 
+    The dimension is w0's grid's, which v0 must share; a None cfg.power is
+    critical_power of it, so a grid that is not 3d or 4d must give one.
+
     The solve works in the raw coordinates and work arrays of the module
     docstring. Per step, in two grid transforms: one inverse transform of
     K_half w_hat + v_hat(t_mid) gives u = w + v at the step midpoint; the
@@ -438,8 +424,7 @@ def solve_w(
     much finer time grid than the snapshots without blowing up memory.
     """
     grid = w0.grid
-    if grid.dim != cfg.dim:
-        raise ConfigError(f"field is {grid.dim}d but config says {cfg.dim}d")
+    power = critical_power(grid.dim) if cfg.power is None else cfg.power
     if v0 is not None and v0.grid != grid:
         raise ConfigError("w0 and v0 live on different grids")
 
@@ -474,7 +459,7 @@ def solve_w(
     dvol = grid.cell_volume
     # Parseval for the unnormalized transform: sum_x |f|^2 = sum_xi |fftn f|^2 / N
     kin_weight = 0.5 * dvol / grid.n_points
-    half_power = 0.5 * cfg.power
+    half_power = 0.5 * power
     nonlinear = partial(_nonlinear_slab, half_power)
     potential = partial(_potential_slab, half_power)
     mass_rate = partial(_mass_rate_slab, half_power)
@@ -500,14 +485,18 @@ def solve_w(
             on_slabs(_open_slab, what, k_half, *v_mid)
             if done == 1 and cfg.dealias:
                 # w_hat leaves every closing half-step zero on the masked modes, so
-                # one dealiased multiplier serves it and every later opening one
-                k_half[~dealias_mask(grid)] = 0.0
+                # one dealiased multiplier serves it and every later opening one;
+                # a mode is masked when one of its indices lies between the two
+                # kept ranges of grids.dealias_ranges, one slab per axis
+                low, high = dealias_ranges(grid.points)
+                for axis in range(grid.dim):
+                    k_half[(slice(None),) * axis + (slice(low.stop, high.start),)] = 0.0
             ifftn(what, out=u)
             if rotate or threshold is not None:
                 _abs_sq(u, abs_sq, scratch)
                 _guard(abs_sq, threshold, t_mid)
                 if rotate:
-                    _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, cfg.power)
+                    _rotate(u, abs_sq, phase, cfg.dt * cfg.mu, power)
             checked = vhat is not None and at_snap
             if checked or not cfg.dealias:
                 fftn(u, out=what)
@@ -546,7 +535,7 @@ def solve_w(
             # |w|^2 and, in scratch, |w|^{p+2}
             if rotate:
                 on_slabs(potential, w, abs_sq, scratch)
-                kinetic += cfg.mu / (cfg.power + 2.0) * float(np.sum(scratch)) * dvol
+                kinetic += cfg.mu / (power + 2.0) * float(np.sum(scratch)) * dvol
             else:
                 _abs_sq(w, abs_sq, scratch)
             ser_mass[ser] = float(np.sum(abs_sq)) * dvol
@@ -555,7 +544,7 @@ def solve_w(
             continue
         # u = v + w gives |u|^{p+2} and, in u's own buffer, nl_u = |u|^p u
         on_slabs(nonlinear, u, w, abs_sq, scratch)
-        pot = cfg.mu / (cfg.power + 2.0) * float(np.sum(abs_sq)) * dvol if rotate else 0.0
+        pot = cfg.mu / (power + 2.0) * float(np.sum(abs_sq)) * dvol if rotate else 0.0
         ser_energy[ser] = kinetic + pot
         # dE/dt = mu Im int conj(Lap v) nl_u with Lap v = -ifftn(|xi|^2 v_hat);
         # the sign is folded into the sum. The same pass forms |w|^2.

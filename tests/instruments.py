@@ -9,7 +9,7 @@ lattice, and `partition._contract_axes`.
 - c09, the interaction functional and the main-term identity: `_pair_direct`,
   the double-sum reference of `morawetz.interaction_functional`; the
   real-space kernel tables `_kernel_tables`; `identity_mor_mainterm` with
-  `MainTermReport`, `_y_lattice_indices` and `_critical_power`; and
+  `MainTermReport` and `_y_lattice_indices`; and
   `SCALING_DEGREES`, the homogeneity of each audit figure.
 - c04, the Bernstein fit `bernstein_exponent`, and the single cubes it and
   the partition's unit tests read: `cutoff`, `supported_members`,
@@ -38,9 +38,9 @@ from roughnls import (
     FrequencyView,
     GridSpec,
     SpectralField,
+    critical_power,
     free_flow_into,
 )
-from roughnls.errors import ResolutionError
 from roughnls.grids import fftn, ifftn, modulus_lp_norm, xi_sq
 from roughnls.morawetz import _displacements
 from roughnls.norms import Symbols
@@ -61,13 +61,6 @@ SCALING_DEGREES = {
     3: {"lhs": 4, "T1": 4, "T2": 8, "T3": 8},
     4: {"lhs": 4, "T1": 4, "T2": 6, "T3": 6},
 }
-
-
-def _critical_power(dim: int) -> float:
-    """The energy-critical power 4/(d-2), defined in dimensions 3 and 4."""
-    if dim in (3, 4):
-        return 4.0 / (dim - 2)
-    raise ConfigError(f"the energy-critical power is defined in dimensions 3 and 4, got {dim}")
 
 
 def _kernel_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +169,7 @@ def identity_mor_mainterm(
     g = w.grid
     if u.grid != g or v.grid != g:
         raise ConfigError("w, u, v must live on the same grid")
-    p = _critical_power(g.dim)
+    p = critical_power(g.dim)
     coeff = (g.dim - 1) / (p + 2.0)
 
     wp = w.as_physical().values
@@ -312,7 +305,7 @@ def bernstein_exponent(partition: FrequencyPartition) -> BernsteinFit:
     for n in shells:
         usable = supported_members(partition, n)
         if not usable:
-            raise ResolutionError(f"shell {n} has no lattice-resolvable cubes on this grid")
+            raise ConfigError(f"shell {n} has no lattice-resolvable cubes on this grid")
         take = min(8, len(usable))
         picks = rng.choice(len(usable), size=take, replace=False)
         ratios = []
@@ -330,7 +323,7 @@ def bernstein_exponent(partition: FrequencyPartition) -> BernsteinFit:
     lg_n = np.log2(np.asarray(shells, dtype=float))
     lg_r = np.log2(np.asarray(medians))
     slope = float(np.polyfit(lg_n, lg_r, 1)[0])
-    return BernsteinFit(slope, -cfg.a * (cfg.dim / 2.0), shells, tuple(medians))
+    return BernsteinFit(slope, -cfg.a * (partition.grid.dim / 2.0), shells, tuple(medians))
 
 
 # ---------------------------------------------------------------------------

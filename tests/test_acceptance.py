@@ -73,7 +73,7 @@ def grid32():
 
 @pytest.fixture(scope="session")
 def part32(grid32):
-    return build_partition(PartitionConfig(dim=3, a=1, n_max=4, s=-0.1), grid32)
+    return build_partition(PartitionConfig(a=1, n_max=4, s=-0.1), grid32)
 
 
 def test_c01_cube_counts_exact():
@@ -85,7 +85,7 @@ def test_c01_cube_counts_exact():
     ]
     checked = []
     for d, a, n_max, grid in cases:
-        part = build_partition(PartitionConfig(dim=d, a=a, n_max=n_max), grid)
+        part = build_partition(PartitionConfig(a=a, n_max=n_max), grid)
         for shell in part.config.shells:
             want = expected_count(d, a, shell)
             assert want == (2**d - 1) * shell ** (d * (a + 1))
@@ -104,7 +104,7 @@ def test_c02_partition_of_unity():
     ]
     worst = 0.0
     for d, a, n_max, grid in configs:
-        part = build_partition(PartitionConfig(dim=d, a=a, n_max=n_max), grid)
+        part = build_partition(PartitionConfig(a=a, n_max=n_max), grid)
         dev, _ = part.unity_deviation()
         worst = max(worst, dev)
         assert dev < 1e-10, f"(d={d}, a={a}, n_max={n_max}) deviation {dev:.3e}"
@@ -119,7 +119,7 @@ def test_c03_orthogonality_bounds():
     ]
     lo_margin = np.inf
     for d, grid in configs:
-        part = build_partition(PartitionConfig(dim=d, a=1, n_max=2), grid)
+        part = build_partition(PartitionConfig(a=1, n_max=2), grid)
         assert part.kappa <= 4 * 3**d
         rng = np.random.Generator(np.random.Philox(key=np.array([d, 0xA3], dtype=np.uint64)))
         for _ in range(50):
@@ -132,9 +132,9 @@ def test_c03_orthogonality_bounds():
 
 def test_c04_bernstein_scaling():
     fits = []
-    part1 = build_partition(PartitionConfig(dim=1, a=1, n_max=8), GridSpec(1, 4096, 32 * np.pi))
+    part1 = build_partition(PartitionConfig(a=1, n_max=8), GridSpec(1, 4096, 32 * np.pi))
     fits.append((1, bernstein_exponent(part1)))
-    part2 = build_partition(PartitionConfig(dim=2, a=1, n_max=4), GridSpec(2, 512, 16 * np.pi))
+    part2 = build_partition(PartitionConfig(a=1, n_max=4), GridSpec(2, 512, 16 * np.pi))
     fits.append((2, bernstein_exponent(part2)))
     for d, fit in fits:
         assert fit.expected == pytest.approx(-1.0 * d / 2.0)
@@ -151,7 +151,7 @@ def test_c05_tail_rates():
     assert rep.r_squared > 0.95
 
     g = GridSpec(3, 12, np.pi)
-    part = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g)
     f = shaped_noise(g, [51, 7], 1.2)
     spec = composite_spec("Y3", -0.1, 1.0)
     times = np.linspace(0.0, 0.3, 4)
@@ -200,7 +200,7 @@ def test_c06_free_flow_exactness():
 
 def test_c07_solver_order_and_conservation(grid32):
     u0 = bump(grid32, 0.6, 1.5, wave=(1, 0, 0))
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=1.0, snapshot_stride=1000, series_stride=100)
+    cfg = SolverConfig(dt=1e-3, t_final=1.0, snapshot_stride=1000, series_stride=100)
     series = solve_w(u0, None, cfg, discard)
     drift = float(np.max(np.abs(series.mass / series.mass[0] - 1.0)))
     assert drift < 1e-10, f"mass drift {drift:.3e}"
@@ -208,7 +208,7 @@ def test_c07_solver_order_and_conservation(grid32):
     finals = []
     for dt in (4e-3, 2e-3, 1e-3):
         n = round(1.0 / dt)
-        c = SolverConfig(dim=3, dt=dt, t_final=1.0, snapshot_stride=n, series_stride=n, dealias=False)
+        c = SolverConfig(dt=dt, t_final=1.0, snapshot_stride=n, series_stride=n, dealias=False)
         s = solve_w(u0, None, c, discard)
         finals.append(s.energy[-1])
     ratio = abs(finals[0] - finals[1]) / abs(finals[1] - finals[2])
@@ -222,7 +222,7 @@ def test_c08_increment_identities(grid32, part32):
     w0 = bump(grid32, 0.3, 1.5)
     residuals = {}
     for dt in (1e-3, 5e-4):
-        cfg = SolverConfig(dim=3, dt=dt, t_final=0.5, snapshot_stride=round(0.05 / dt), series_stride=1)
+        cfg = SolverConfig(dt=dt, t_final=0.5, snapshot_stride=round(0.05 / dt), series_stride=1)
         series = increment_residuals(solve_w(w0, v0, cfg, discard))
         residuals[dt] = (series.max_rel_mass, series.max_rel_energy)
     rm, re_ = residuals[1e-3]
@@ -304,7 +304,7 @@ def test_c10_inequality_audits(tmp_path):
 
 def test_c11_almost_conservation_sweep():
     g = GridSpec(3, 64, np.pi)
-    part = build_partition(PartitionConfig(dim=3, a=1, n_max=4, s=-0.1), g)
+    part = build_partition(PartitionConfig(a=1, n_max=4, s=-0.1), g)
     fw = draw(shaped_noise(g, [21, 1], 1.2), part, 2).field
     base = high_pass(fw, 4.0).as_physical()
     scale = 0.4 / np.abs(base.values).max()
@@ -314,7 +314,7 @@ def test_c11_almost_conservation_sweep():
     ratios_m, ratios_e = [], []
     for n0 in (4.0, 8.0, 16.0):
         v0 = high_pass(fw, n0)
-        cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.6, snapshot_stride=60, series_stride=5)
+        cfg = SolverConfig(dt=2e-3, t_final=0.6, snapshot_stride=60, series_stride=5)
         series = solve_w(w0, v0, cfg, discard)
         m0, e0 = series.mass[0], series.energy[0]
         a_cap = 1.5 * max(m0 * n0 ** (2 * s), e0 / n0 ** (2 * (1 - s)))
@@ -332,7 +332,7 @@ def test_c12_perturbation_ladder(grid32, part32):
     f = shaped_noise(grid32, [11, 2], 2.0)
     v0 = normalized_high_pass(draw(f, part32, 3).field, 4.0, 0.05)
     w0 = bump(grid32, 0.3, 1.5)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.5, snapshot_stride=25)
+    cfg = SolverConfig(dt=2e-3, t_final=0.5, snapshot_stride=25)
     rep = twin_run(w0, v0, cfg, amplitudes=(1.0, 0.5, 0.25))
     assert abs(rep.slope_smallest - 1.0) < 0.3, f"slope {rep.slope_smallest:.4f}"
     zero = SpectralField(grid32, np.zeros(grid32.shape, complex), "physical")
@@ -354,9 +354,9 @@ def test_c13_scattering_proxy(grid32):
         solve_w(u0, None, cfg, keep)
         return scattering_proxy(grid32, times, spectra)
 
-    rep = proxy(SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10))
+    rep = proxy(SolverConfig(dt=2e-3, t_final=0.8, snapshot_stride=10))
     assert rep.decreasing, f"deltas {rep.deltas}"
-    lin = proxy(SolverConfig(dim=3, dt=2e-3, t_final=0.8, snapshot_stride=10, mu=0.0, dealias=False))
+    lin = proxy(SolverConfig(dt=2e-3, t_final=0.8, snapshot_stride=10, mu=0.0, dealias=False))
     assert max(lin.deltas) < 1e-12
     print(f"\n[c13] pullback deltas decreasing ({', '.join(f'{d:.2e}' for d in rep.deltas)}); linear deltas {max(lin.deltas):.2e} ~ 0: PASS")
 

@@ -341,6 +341,16 @@ def test_callers_on_more_threads_than_cpus_share_the_slab_pool(monkeypatch):
     assert equal == [True] * 20
 
 
+def test_dealias_ranges_keep_the_signed_modes_below_a_third():
+    # 0.01 s. The 2/3 rule has one definition: per axis it keeps exactly the
+    # signed modes |m| < M/3.
+    for points in range(1, 67):
+        keep = np.zeros(points, dtype=bool)
+        for kept in grids.dealias_ranges(points):
+            keep[kept] = True
+        assert np.array_equal(keep, np.abs(np.fft.fftfreq(points) * points) < points / 3.0), points
+
+
 def _kept_mask(shape):
     """The modes whose every FFT-order index lies in grids.dealias_ranges."""
     mask = np.ones(shape, dtype=bool)

@@ -108,6 +108,62 @@ def test_forced_evolve_with_too_few_series_samples_is_refused_before_any_seed(tm
     assert parse_config(raw).solver.n_series == 2
 
 
+def test_config_reader_fills_the_critical_power(tmp_path):
+    # 0.01 s. A missing or null solver.power is the grid's energy-critical
+    # 4/(d - 2), written into the parsed config so that the manifest records
+    # the number; an explicit power is kept. A 2d evolve without a power is
+    # refused at load, naming power: the CLI exits 2 and writes nothing.
+    grid4 = {"dim": 4, "points": 8, "half_width": float(np.pi)}
+    assert parse_config(evolve_config("/tmp/x")).solver.power == 4.0
+    assert parse_config(evolve_config("/tmp/x", solver=dict(SOLVER, power=None))).solver.power == 4.0
+    assert parse_config(evolve_config("/tmp/x", grid=grid4)).solver.power == 2.0
+    assert parse_config(evolve_config("/tmp/x", grid=grid4, solver=dict(SOLVER, power=3))).solver.power == 3.0
+    raw = evolve_config(tmp_path / "out", grid=dict(GRID, dim=2))
+    del raw["forcing"], raw["partition"]
+    with pytest.raises(ConfigError, match="power"):
+        parse_config(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["evolve", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+    raw["solver"]["power"] = 2.0
+    assert parse_config(raw).solver.power == 2.0
+
+
+@pytest.mark.parametrize("kind", ["linear-stats", "morawetz-audit"])
+def test_cli_refuses_a_paper_kind_off_3d_and_4d_at_load(tmp_path, kind, capsys):
+    # 0.01 s. The composite norms Y3 ... Z4 and the inequality audit are
+    # posed in 3d and 4d, so a 2d config of either kind exits 2 at load,
+    # naming the kind and grid.dim, before it writes anything.
+    raw = evolve_config(tmp_path / "out", kind=kind, grid=dict(GRID, dim=2), solver=dict(SOLVER, power=2.0))
+    if kind == "linear-stats":
+        del raw["solver"], raw["initial"]
+        raw["times"] = {"t_final": 0.3, "n_times": 4}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main([kind, "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert kind in err and "grid.dim = 2" in err
+
+
+@pytest.mark.parametrize("kind", ["linear-stats", "partition-report", "twin-ladder"])
+def test_save_fields_is_refused_on_a_kind_that_saves_nothing(kind):
+    # 0.01 s. These kinds write no fields, so save_fields true would be
+    # silently ignored; it is refused at load, and false stays accepted.
+    raw = evolve_config("/tmp/x", kind=kind, ladder={"amplitudes": [1.0, 0.5]})
+    if kind != "twin-ladder":
+        del raw["solver"], raw["initial"], raw["ladder"]
+    if kind == "linear-stats":
+        raw["times"] = {"t_final": 0.3, "n_times": 4}
+    if kind == "partition-report":
+        del raw["forcing"]
+    assert not parse_config(raw).save_fields
+    raw["save_fields"] = True
+    with pytest.raises(ConfigError, match="save_fields"):
+        parse_config(raw)
+
+
 def _config_using(section: str) -> dict:
     """A valid config whose kind reads the given section."""
     if section == "times":

@@ -33,7 +33,7 @@ def weighted_free_flow(fhat: SpectralField, t: float) -> SpectralField:
 
 def setup_draw(dim=1, points=256, half_width=np.pi, seed=0):
     g = GridSpec(dim, points, half_width)
-    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2, s=-0.1), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
     vals = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     f = SpectralField(g, vals, "physical")
@@ -92,7 +92,7 @@ def test_composite_spec_names_and_channels():
 
 def test_composite_norm_parts_sum_to_total():
     g3 = GridSpec(3, 16, np.pi)
-    part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
+    part3 = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g3)
     rng = np.random.Generator(np.random.Philox(key=np.array([6, 6], dtype=np.uint64)))
     f3 = SpectralField(g3, rng.normal(size=g3.shape) + 1j * rng.normal(size=g3.shape), "physical")
     spec = composite_spec("Y3", -0.1, 1.0)
@@ -111,7 +111,7 @@ def test_composite_norms_transform_each_snapshot_once(monkeypatch):
     # L^2 (Y3's <grad>^0.39 and Z3's <grad>^1.39 in L^inf; Z3's H^s is a
     # Parseval sum). The L^2 norm of v(t_0) is read off the first view.
     g3 = GridSpec(3, 12, np.pi)
-    part3 = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
+    part3 = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g3)
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
     f3 = SpectralField(g3, rng.normal(size=g3.shape) + 1j * rng.normal(size=g3.shape), "physical")
     f3 = f3.as_frequency()
@@ -147,7 +147,7 @@ def test_linear_seed_matches_physical_round_trip(dim, points):
     # from physical values: D^s as transform, symbol, inverse transform, then
     # a Riemann sum, apart from FrequencyView. Every Y/Z component and L2 agree.
     g = GridSpec(dim, points, np.pi)
-    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2, s=-0.1), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g)
     rng = np.random.Generator(np.random.Philox(key=np.array([dim, 13], dtype=np.uint64)))
     f = SpectralField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape), "physical")
     times = np.linspace(0.0, 0.3, 4)

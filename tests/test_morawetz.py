@@ -376,7 +376,7 @@ def _forced_inputs(dim, points, **over):
     g = GridSpec(dim, points, np.pi)
     w0 = gaussian(g, 0.5, 1.5, wave=(1,) + (0,) * (dim - 1))
     v0 = gaussian(g, 0.3, 2.0, wave=(0, 2) + (0,) * (dim - 2))
-    return w0, v0, SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, **over)
+    return w0, v0, SolverConfig(dt=2e-3, t_final=0.04, snapshot_stride=5, **over)
 
 
 def _forced_snapshots(dim, points):

@@ -108,7 +108,7 @@ def test_views_keep_no_derivative_past_its_norm():
         assert peak < bound * field(g4), (interaction, peak / field(g4))
 
     g3 = GridSpec(3, 16, np.pi)
-    part = build_partition(PartitionConfig(dim=3, a=1, n_max=2, s=-0.1), g3)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g3)
     f = shaped_profile(g3, 11, 2.0, 0.3)
     specs = [composite_spec(name, -0.1, 1.0) for name in ("Y3", "Z3")]
     times = np.linspace(0.0, 0.3, 4)

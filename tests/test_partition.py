@@ -38,19 +38,17 @@ def test_expected_count_formula():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        PartitionConfig(dim=5, a=1, n_max=2)
+        PartitionConfig(a=0, n_max=2)
     with pytest.raises(ConfigError):
-        PartitionConfig(dim=3, a=0, n_max=2)
-    with pytest.raises(ConfigError):
-        PartitionConfig(dim=3, a=1, n_max=3)  # not a power of two
-    cfg = PartitionConfig(dim=2, a=1, n_max=4, s=-0.2)
+        PartitionConfig(a=1, n_max=3)  # not a power of two
+    cfg = PartitionConfig(a=1, n_max=4, s=-0.2)
     assert cfg.shells == (1, 2, 4)
     assert cfg.coverage == 8.0
 
 
 def test_built_counts_match_formula():
     g = GridSpec(2, 64, np.pi)
-    cfg = PartitionConfig(dim=2, a=1, n_max=2, s=0.0)
+    cfg = PartitionConfig(a=1, n_max=2, s=0.0)
     part = build_partition(cfg, g)
     for shell in cfg.shells:
         assert part.shell_count(shell) == expected_count(2, 1, shell)
@@ -58,7 +56,7 @@ def test_built_counts_match_formula():
 
 def test_partition_of_unity_on_coverage():
     g = GridSpec(2, 64, np.pi)
-    part = build_partition(PartitionConfig(dim=2, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     cov_dev, _ = part.unity_deviation()
     assert cov_dev < 1e-10
 
@@ -67,7 +65,7 @@ def test_build_leaves_the_diagnostics_to_first_read():
     # A build makes the normalizer and the residual; kappa, sq_sum and
     # unity_sum are built on first read and then kept.
     g = GridSpec(2, 32, np.pi)
-    part = build_partition(PartitionConfig(dim=2, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     names = ("kappa", "sq_sum", "unity_sum")
     assert not set(names) & set(vars(part))
     for name in names:
@@ -77,13 +75,13 @@ def test_build_leaves_the_diagnostics_to_first_read():
 
 def test_kappa_bound():
     for dim, pts in ((1, 256), (2, 64), (3, 32)):
-        part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2), GridSpec(dim, pts, np.pi))
+        part = build_partition(PartitionConfig(a=1, n_max=2), GridSpec(dim, pts, np.pi))
         assert 1 <= part.kappa <= 4 * 3**dim
 
 
 def test_orthogonality_ratio_bounds():
     g = GridSpec(2, 64, np.pi)
-    part = build_partition(PartitionConfig(dim=2, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     for seed in range(5):
         ratio = part.orthogonality_ratio(noise_field(g, seed))
         assert 1.0 / part.kappa <= ratio <= 1.0 + 1e-10
@@ -91,7 +89,7 @@ def test_orthogonality_ratio_bounds():
 
 def test_orthogonality_rejects_zero_field():
     g = GridSpec(1, 64, np.pi)
-    part = build_partition(PartitionConfig(dim=1, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     zero = SpectralField(g, np.zeros(64, dtype=complex), "physical")
     with pytest.raises(ValueError):
         part.orthogonality_ratio(zero)
@@ -101,7 +99,7 @@ def test_projection_reconstructs_on_coverage():
     # Summing all projections equals multiplying by the (coverage-complete)
     # weight sum; inside the covered band that weight sum is 1.
     g = GridSpec(1, 256, np.pi)
-    part = build_partition(PartitionConfig(dim=1, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     f = noise_field(g, seed=9)
     fhat = f.as_frequency().values
     total = np.zeros_like(fhat)
@@ -117,7 +115,7 @@ def test_coefficients_are_the_adjoint_of_multiplier(dim, points):
     # <multiplier(c), h> = <c, coefficients(h)> for complex c and h: the cube
     # coefficients are the transpose of the weighted sum, residual included.
     g = GridSpec(dim, points, np.pi)
-    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     rng = np.random.default_rng(dim)
     c = rng.normal(size=part.n_cutoffs) + 1j * rng.normal(size=part.n_cutoffs)
     h = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
@@ -132,7 +130,7 @@ def test_coefficients_are_the_adjoint_of_multiplier(dim, points):
 
 def test_report_keys():
     g = GridSpec(2, 64, np.pi)
-    part = build_partition(PartitionConfig(dim=2, a=1, n_max=2, s=-0.3), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.3), g)
     rep = part.report()
     keys = ("dim", "a", "n_max", "kappa", "kappa_bound", "shells",
             "unity_deviation_coverage", "unity_deviation_full")
@@ -145,7 +143,7 @@ def test_bernstein_slope_1d():
     # Cube sides must span several frequency-lattice cells, so the box is
     # large (small dxi) while n_max stays modest.
     g = GridSpec(1, 4096, 32 * np.pi)
-    part = build_partition(PartitionConfig(dim=1, a=1, n_max=8), g)
+    part = build_partition(PartitionConfig(a=1, n_max=8), g)
     fit = bernstein_exponent(part)
     assert fit.expected == pytest.approx(-0.5)
     assert abs(fit.slope - fit.expected) < 0.2
@@ -173,7 +171,7 @@ def geometric_cutoffs(grid, cfg):
     frac*side) with m in [-2P, 2P)^d outside [-P, P)^d, in C order.
     """
     xi = grid.xi_axis()
-    frac, dim = MOLLIFY_FRACTION, cfg.dim
+    frac, dim = MOLLIFY_FRACTION, grid.dim
     k = {0: ramp(xi, -1.0, 1.0, 2.0 * frac), 1: ramp(np.abs(xi), 1.0, 2.0, frac)}
     for delta in itertools.product((0, 1), repeat=dim):
         yield (1 if any(delta) else 0), [k[b] for b in delta]
@@ -193,7 +191,7 @@ def test_separable_sums_match_cube_by_cube(dim, a):
     # empty.
     points = {1: 64, 2: 24, 3: 12, 4: 12}[dim]
     g = GridSpec(dim, points, np.pi)
-    cfg = PartitionConfig(dim=dim, a=a, n_max=2)
+    cfg = PartitionConfig(a=a, n_max=2)
     part = build_partition(cfg, g)
     cubes = []
     raw_sum = np.zeros(g.n_points)

@@ -20,7 +20,7 @@ from instruments import chaos_moment, cube_gaussian, cutoff, moment_estimate
 
 def small_partition(dim=1, points=256, half_width=np.pi, n_max=2):
     g = GridSpec(dim, points, half_width)
-    return g, build_partition(PartitionConfig(dim=dim, a=1, n_max=n_max), g)
+    return g, build_partition(PartitionConfig(a=1, n_max=n_max), g)
 
 
 def noise_field(grid, seed=0):
@@ -53,7 +53,7 @@ def test_draw_deterministic_and_seed_sensitive():
 def test_draw_coefficients_are_the_per_cube_streams():
     # one re-keyed generator must give each cube's own Philox stream, bit for bit
     g = GridSpec(3, 32, np.pi)
-    part = build_partition(PartitionConfig(dim=3, a=1, n_max=4, s=-0.1), g)
+    part = build_partition(PartitionConfig(a=1, n_max=4, s=-0.1), g)
     f = noise_field(g, seed=1)
     for seed in (0, 1004):
         coeffs = draw(f, part, seed).coefficients
@@ -102,7 +102,7 @@ def test_ziggurat_fast_path_is_numpys(sign):
 def test_draw_coefficients_4d_take_both_paths(monkeypatch):
     # 16^4, a=1, n_max=2: the vectorized lanes and the per-cube fallback
     g = GridSpec(4, 16, np.pi)
-    part = build_partition(PartitionConfig(dim=4, a=1, n_max=2, s=-0.1), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), g)
     accepted = []
     fast_normals = randomize._fast_normals
 
@@ -214,7 +214,7 @@ def test_moment_estimate_single_cube():
 def test_moment_estimate_coefficients_are_the_cube_projections(dim, points, point, monkeypatch):
     # c_j = (box_j f)(x0): one inverse transform per cube, read at x0
     g = GridSpec(dim, points, 2.5)
-    part = build_partition(PartitionConfig(dim=dim, a=1, n_max=2), g)
+    part = build_partition(PartitionConfig(a=1, n_max=2), g)
     f = noise_field(g, seed=dim)
     seen = {}
 

@@ -17,6 +17,7 @@ from roughnls import (
     SolverConfig,
     SpectralField,
     build_partition,
+    critical_power,
     draw,
     free_flow_into,
     free_multiplier,
@@ -39,7 +40,6 @@ from roughnls.solver import (
     _potential_slab,
     _rotate,
     _split_checked,
-    dealias_mask,
 )
 
 from conftest import discard, kept_snapshots, traced_peak
@@ -57,7 +57,7 @@ def bump(grid, amp, width, wave=None):
 
 
 def rough_v0(grid, n0=2.0, amp=0.2, seed=3):
-    part = build_partition(PartitionConfig(dim=grid.dim, a=1, n_max=2, s=-0.1), grid)
+    part = build_partition(PartitionConfig(a=1, n_max=2, s=-0.1), grid)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 7], dtype=np.uint64)))
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     f = SpectralField(grid, vals, "physical")
@@ -68,16 +68,37 @@ def rough_v0(grid, n0=2.0, amp=0.2, seed=3):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(dim=3, dt=-1e-3, t_final=1.0)
+        SolverConfig(dt=-1e-3, t_final=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dim=3, dt=1e-3, t_final=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dim=5, dt=1e-3, t_final=1.0)
-    cfg = SolverConfig(dim=3, dt=1e-2, t_final=0.1)
-    assert cfg.power == pytest.approx(4.0)  # quintic: |u|^4 u
-    cfg4 = SolverConfig(dim=4, dt=1e-2, t_final=0.1)
-    assert cfg4.power == pytest.approx(2.0)  # cubic
+        SolverConfig(dt=1e-3, t_final=0.0)
+    cfg = SolverConfig(dt=1e-2, t_final=0.1)
+    assert cfg.power is None  # the solve's grid gives it: critical_power(grid.dim)
     assert cfg.provenance()["dt"] == pytest.approx(1e-2)
+
+
+def test_critical_power_is_four_over_d_minus_two():
+    # 0.00 s. The one definition of the energy-critical power: quintic in 3d,
+    # cubic in 4d, and no default in any other dimension.
+    assert critical_power(3) == 4.0
+    assert critical_power(4) == 2.0
+    for dim in (1, 2):
+        with pytest.raises(ConfigError, match="power"):
+            critical_power(dim)
+
+
+def test_a_solve_without_a_power_takes_the_grids_critical_power():
+    # 0.01 s. power None is critical_power(grid.dim), bit for bit, and a 2d
+    # solve without a power is refused naming it.
+    for dim, points in ((3, 8), (4, 6)):
+        g = GridSpec(dim, points, np.pi)
+        w0 = bump(g, 0.4, 1.5)
+        cfg = SolverConfig(dt=1e-2, t_final=0.04, snapshot_stride=2)
+        snaps, series = kept_snapshots(w0, None, cfg)
+        ref_snaps, ref = kept_snapshots(w0, None, dataclasses.replace(cfg, power=critical_power(dim)))
+        assert all(np.array_equal(a[1], b[1]) for a, b in zip(snaps, ref_snaps))
+        assert np.array_equal(series.energy, ref.energy)
+    with pytest.raises(ConfigError, match="power"):
+        solve_w(bump(GridSpec(2, 8, np.pi), 0.4, 1.5), None, SolverConfig(dt=1e-2, t_final=0.02), discard)
 
 
 def test_mass_conserved_unforced():
@@ -85,7 +106,7 @@ def test_mass_conserved_unforced():
     # projection (which clips unresolved tails) mass is machine-exact.
     g = GridSpec(3, 16, np.pi)
     u0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.05, snapshot_stride=10, dealias=False)
+    cfg = SolverConfig(dt=1e-3, t_final=0.05, snapshot_stride=10, dealias=False)
     series = solve_w(u0, None, cfg, discard)
     drift = np.max(np.abs(series.mass / series.mass[0] - 1.0))
     assert drift < 1e-12
@@ -95,7 +116,7 @@ def test_linear_limit_matches_free_flow():
     # mu = 0 turns the stepper into the exact free propagator.
     g = GridSpec(2, 16, np.pi)
     u0 = bump(g, 0.3, 1.0)
-    cfg = SolverConfig(dim=2, dt=1e-2, t_final=0.1, mu=0.0, power=2.0, dealias=False)
+    cfg = SolverConfig(dt=1e-2, t_final=0.1, mu=0.0, power=2.0, dealias=False)
     snapshots, _ = kept_snapshots(u0, None, cfg)
     exact = np.fft.ifftn(np.fft.fftn(u0.values) * free_multiplier(g, 0.1))
     got = snapshots[-1][1]
@@ -106,7 +127,7 @@ def test_blowup_guard_raises():
     g = GridSpec(1, 64, np.pi)
     u0 = bump(g, 5.0, 0.5)
     # Focusing sign with large data and a tight guard must trip the guard.
-    cfg = SolverConfig(dim=1, dt=1e-2, t_final=5.0, mu=-1.0, power=4.0, blowup_factor=1.05)
+    cfg = SolverConfig(dt=1e-2, t_final=5.0, mu=-1.0, power=4.0, blowup_factor=1.05)
     with pytest.raises(BlowupError):
         solve_w(u0, None, cfg, discard)
 
@@ -115,7 +136,7 @@ def test_forced_residuals_present_and_small():
     g = GridSpec(3, 12, np.pi)
     v0 = rough_v0(g, n0=2.0, amp=0.1)
     w0 = bump(g, 0.2, 1.5)
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=2, series_stride=2)
+    cfg = SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=2, series_stride=2)
     series = solve_w(w0, v0, cfg, discard)
     bare = ConservationSeries(series.times, series.mass, series.energy)
     with pytest.raises(ConfigError):
@@ -133,7 +154,7 @@ def test_twin_zero_forcing_gives_zero_divergence():
     g = GridSpec(3, 12, np.pi)
     v0 = SpectralField(g, np.zeros(g.shape, dtype=complex), "physical")
     w0 = bump(g, 0.2, 1.5)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.02)
+    cfg = SolverConfig(dt=2e-3, t_final=0.02)
     rep = twin_run(w0, v0, cfg, amplitudes=(1.0, 0.5))
     assert all(d == 0.0 for d in rep.divergences)
 
@@ -142,7 +163,7 @@ def test_twin_divergence_scales_linearly():
     g = GridSpec(3, 12, np.pi)
     v0 = rough_v0(g, n0=2.0, amp=0.05)
     w0 = bump(g, 0.3, 1.5)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.1)
+    cfg = SolverConfig(dt=2e-3, t_final=0.1)
     rep = twin_run(w0, v0, cfg, amplitudes=(1.0, 0.5, 0.25))
     assert rep.divergences[0] > rep.divergences[1] > rep.divergences[2] > 0
     assert abs(rep.slope_smallest - 1.0) < 0.5
@@ -152,7 +173,7 @@ def test_almost_conservation_preconditions():
     g = GridSpec(3, 12, np.pi)
     v0 = rough_v0(g, n0=2.0, amp=0.1)
     w0 = bump(g, 0.2, 1.5)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.02)
+    cfg = SolverConfig(dt=2e-3, t_final=0.02)
     series = solve_w(w0, v0, cfg, discard)
     s = -0.1
     n0 = 2.0
@@ -166,7 +187,7 @@ def test_almost_conservation_preconditions():
 def test_scattering_proxy_zero_for_linear():
     g = GridSpec(3, 12, np.pi)
     u0 = bump(g, 0.2, 1.5)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, mu=0.0, snapshot_stride=10)
+    cfg = SolverConfig(dt=2e-3, t_final=0.2, mu=0.0, snapshot_stride=10)
     snapshots, _ = kept_snapshots(u0, None, cfg)
     rep = scattering_proxy(g, [t for t, *_ in snapshots], [w_hat for *_, w_hat, _ in snapshots])
     # Linear runs have an exactly constant pullback; only roundoff remains,
@@ -177,8 +198,8 @@ def test_scattering_proxy_zero_for_linear():
 def test_dealias_flag_changes_solution():
     g = GridSpec(3, 12, np.pi)
     u0 = bump(g, 0.6, 1.0)
-    on = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=True)
-    off = SolverConfig(dim=3, dt=2e-3, t_final=0.05, dealias=False)
+    on = SolverConfig(dt=2e-3, t_final=0.05, dealias=True)
+    off = SolverConfig(dt=2e-3, t_final=0.05, dealias=False)
     (s1, _), (s2, _) = kept_snapshots(u0, None, on), kept_snapshots(u0, None, off)
     d = np.max(np.abs(s1[-1][1] - s2[-1][1]))
     assert d > 0.0
@@ -187,7 +208,7 @@ def test_dealias_flag_changes_solution():
 def test_series_stride_applies_unforced(tmp_path):
     g = GridSpec(3, 8, np.pi)
     u0 = bump(g, 0.4, 1.5)
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.1, snapshot_stride=100, series_stride=10)
+    cfg = SolverConfig(dt=1e-3, t_final=0.1, snapshot_stride=100, series_stride=10)
     snapshots, series = kept_snapshots(u0, None, cfg)
     assert len(snapshots) == 2
     assert series.times.size == cfg.n_series == 11
@@ -213,7 +234,7 @@ def test_series_stride_applies_unforced(tmp_path):
 def test_zero_forcing_is_the_full_equation():
     g = GridSpec(3, 12, np.pi)
     u0 = bump(g, 0.6, 1.0, wave=(1, 0, 0))
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5)
+    cfg = SolverConfig(dt=2e-3, t_final=0.04, snapshot_stride=5)
     zero = SpectralField(g, np.zeros(g.shape, dtype=complex), "physical")
     forced, forced_series = kept_snapshots(u0, zero, cfg)
     full, full_series = kept_snapshots(u0, None, cfg)
@@ -240,7 +261,7 @@ def test_sink_receives_the_stacked_snapshots(forcing):
         "zero": SpectralField(g, np.zeros(g.shape, dtype=complex), "physical"),
         "none": None,
     }[forcing]
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
+    cfg = SolverConfig(dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
     series = solve_w(w0, v0, cfg, discard)
     got, streamed = kept_snapshots(w0, v0, cfg)
     assert [t for t, *_ in got] == [k * cfg.snapshot_stride * cfg.dt for k in range(cfg.n_snapshots)]
@@ -284,7 +305,7 @@ def _unfused_reference(w0, v0, cfg):
     for _ in range(g.dim - 1):
         mask = np.logical_and.outer(mask, keep)
     k_half = np.exp(-0.5j * cfg.dt * xi2)
-    mu, p = cfg.mu, cfg.power
+    mu, p = cfg.mu, critical_power(g.dim) if cfg.power is None else cfg.power
     v0hat = fwd(v0.values) if v0 is not None else np.zeros(g.shape, dtype=complex)
 
     def v_at(t):
@@ -337,7 +358,7 @@ def test_fused_step_matches_unfused_reference(dim, points, half_width, forced):
     g = GridSpec(dim, points, half_width)
     w0 = bump(g, 0.5, 1.0, wave=(1,) + (0,) * (dim - 1))
     v0 = rough_v0(g, n0=2.0, amp=0.3) if forced else None
-    cfg = SolverConfig(dim=dim, dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
+    cfg = SolverConfig(dt=2e-3, t_final=0.04, snapshot_stride=5, series_stride=2)
     snapshots, series = kept_snapshots(w0, v0, cfg)
     ws, vs, (mass, energy, dm, de) = _unfused_reference(w0, v0, cfg)
     assert _rel(np.stack([w for _, w, *_ in snapshots]), ws) < 1e-12
@@ -357,7 +378,7 @@ def test_forced_step_makes_two_transforms(monkeypatch, n_steps):
     g = GridSpec(3, 8, np.pi / 2)
     v0 = rough_v0(g, n0=2.0, amp=0.2)
     w0 = bump(g, 0.3, 1.5)
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=n_steps * 1e-3, snapshot_stride=n_steps, series_stride=n_steps)
+    cfg = SolverConfig(dt=1e-3, t_final=n_steps * 1e-3, snapshot_stride=n_steps, series_stride=n_steps)
     calls = []  # every np.fft.fftn / ifftn call made inside solve_w
     for name in ("fftn", "ifftn"):
         real = getattr(np.fft, name)
@@ -402,7 +423,7 @@ def test_split_solve_is_the_serial_solve(monkeypatch):
     g = GridSpec(3, 64, np.pi)
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = SpectralField(g, 0.2 * _noise(g.shape, 3), "physical")
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=3e-3, snapshot_stride=1, series_stride=1)
+    cfg = SolverConfig(dt=1e-3, t_final=3e-3, snapshot_stride=1, series_stride=1)
     runs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(grids, "_CPUS", cpus)
@@ -428,7 +449,7 @@ def test_kept_mode_solve_is_the_full_solve(forced, monkeypatch):
     g = GridSpec(3, 64, np.pi)
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = SpectralField(g, 0.2 * _noise(g.shape, 4), "physical") if forced else None
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=6e-3, snapshot_stride=3, series_stride=2)
+    cfg = SolverConfig(dt=1e-3, t_final=6e-3, snapshot_stride=3, series_stride=2)
     runs = []
     for split, cpus in ((grids.SPLIT_POINTS, 2), (grids.SPLIT_POINTS, 1), (2 * g.n_points, 1)):
         monkeypatch.setattr(grids, "SPLIT_POINTS", split)
@@ -539,7 +560,7 @@ def test_a_non_finite_initial_channel_is_refused(channel, value):
     values = fields[channel].values.copy()
     values[1, 2, 3] = value
     fields[channel] = SpectralField(g, values, "physical")
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=2e-3)
+    cfg = SolverConfig(dt=1e-3, t_final=2e-3)
     with pytest.raises(ConfigError, match=channel):
         solve_w(fields["w0"], fields["v0"], cfg, discard)
     if channel == "w0":
@@ -547,26 +568,12 @@ def test_a_non_finite_initial_channel_is_refused(channel, value):
             solve_w(fields["w0"], None, cfg, discard)
 
 
-def test_dealias_mask_is_the_product_of_the_kept_ranges():
-    # 0.1 s. The 2/3 rule has one definition, grids.dealias_ranges: per axis
-    # it keeps exactly the signed modes |m| < M/3, and the solver's mask is
-    # the product of the axes' ranges.
-    for points in range(8, 67, 2):
-        signed = np.fft.fftfreq(points) * points
-        keep = np.zeros(points, dtype=bool)
-        for kept in grids.dealias_ranges(points):
-            keep[kept] = True
-        assert np.array_equal(keep, np.abs(signed) < points / 3.0), points
-        product = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-        assert np.array_equal(dealias_mask(GridSpec(3, points, np.pi)), product), points
-
-
 def test_solve_frees_its_inputs_before_the_first_snapshot():
     # Passed straight into the call, w(0) and v(0) are referenced only by the
     # solve, which drops them once it has their spectra and the guard
     # threshold: no snapshot, t = 0 included, finds them alive.
     g = GridSpec(3, 8, np.pi / 2)
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
+    cfg = SolverConfig(dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
     refs = []
 
     def tracked(field):
@@ -593,7 +600,7 @@ def test_forced_solve_stays_within_the_guard_workspace():
     # so the solve then peaks near its 7.6-field workspace.
     from roughnls.harness import _SOLVER_FIELDS
 
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=0.02, snapshot_stride=10, series_stride=5)
+    cfg = SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=10, series_stride=5)
 
     def forcing(grid):
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 9], dtype=np.uint64)))
@@ -620,7 +627,7 @@ def test_series_does_not_depend_on_the_snapshot_stride():
     w0 = bump(g, 0.4, 1.5, wave=(1, 0, 0))
     v0 = rough_v0(g, n0=2.0, amp=0.2)
     runs = [
-        solve_w(w0, v0, SolverConfig(dim=3, dt=2e-3, t_final=0.04, snapshot_stride=stride, series_stride=1), discard)
+        solve_w(w0, v0, SolverConfig(dt=2e-3, t_final=0.04, snapshot_stride=stride, series_stride=1), discard)
         for stride in (1, 4)
     ]
     for name in ("mass", "energy", "dmass_id", "denergy_id"):
@@ -632,7 +639,7 @@ def test_a_forced_solve_reads_every_solver_setting(monkeypatch):
     # reads each of its fields.
     g = GridSpec(3, 8, np.pi / 2)
     w0, v0 = bump(g, 0.3, 1.5), rough_v0(g, n0=2.0, amp=0.2)
-    cfg = SolverConfig(dim=3, dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
+    cfg = SolverConfig(dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
     read = set()
     get = object.__getattribute__
 
@@ -658,7 +665,7 @@ def test_plane_wave_is_solved_to_rounding(dt, dealias):
     amp, k = 0.4, (2, -1, 1)
     u0 = bump(g, amp, 0.0, wave=k)  # width 0: a pure plane wave
     t_final = 0.5
-    cfg = SolverConfig(dim=3, dt=dt, t_final=t_final, snapshot_stride=round(t_final / dt), dealias=dealias)
+    cfg = SolverConfig(dt=dt, t_final=t_final, snapshot_stride=round(t_final / dt), dealias=dealias)
     snapshots, _ = kept_snapshots(u0, None, cfg)
     t, u = snapshots[-1][:2]
     omega = sum(kj * kj for kj in k) + cfg.mu * amp**4
@@ -678,7 +685,7 @@ def test_forced_solve_is_the_full_solve_unmasked():
     u0 = SpectralField(g, w0.values + v0.values, "physical")
     gaps = []
     for dealias in (False, True):
-        cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, snapshot_stride=100, dealias=dealias)
+        cfg = SolverConfig(dt=2e-3, t_final=0.2, snapshot_stride=100, dealias=dealias)
         forced, _ = kept_snapshots(w0, v0, cfg)
         full, _ = kept_snapshots(u0, None, cfg)
         (t, w, v, *_), u = forced[-1], full[-1][1]
@@ -695,7 +702,7 @@ def test_forced_solve_is_reversed_by_its_conjugate():
     # flow returns conj(v0).
     g = GridSpec(3, 16, np.pi)
     w0, v0 = bump(g, 0.4, 1.5, wave=(1, 0, 0)), rough_v0(g, n0=2.0, amp=0.3)
-    cfg = SolverConfig(dim=3, dt=2e-3, t_final=0.2, snapshot_stride=100, dealias=False)
+    cfg = SolverConfig(dt=2e-3, t_final=0.2, snapshot_stride=100, dealias=False)
     _, w, v, *_ = kept_snapshots(w0, v0, cfg)[0][-1]
     conj = lambda a: SpectralField(g, np.conj(a), "physical")
     _, w_back, v_back, *_ = kept_snapshots(conj(w), conj(v), cfg)[0][-1]

@@ -25,7 +25,6 @@ from pathlib import Path
 from .errors import BlowupError, ConfigError, FitError, RepresentationError, ResourceLimitError
 from .harness import ENV_WORKERS, ExperimentConfig, parse_config, read_config, run
 from .morawetz import stored_audit
-from .partition import build_partition
 from .randomize import tail_fit
 from .trajectory import TrajectoryReader, write_csv, write_json
 
@@ -135,14 +134,10 @@ def _expect_kind(config, kind: str) -> None:
 def _cmd_partition(args) -> int:
     config = _load_with_overrides(args)
     _expect_kind(config, "partition-report")
+    # run() builds the partition and writes its report into summary.json, whatever the sample count
+    run(config)
     out = Path(config.out_dir)
-    if config.n_samples > 0:
-        # run() builds the partition and writes its report into summary.json
-        run(config)
-        report = json.loads((out / "summary.json").read_text())["partition"]
-    else:
-        report = build_partition(config.partition, config.grid).report()
-    out.mkdir(parents=True, exist_ok=True)
+    report = json.loads((out / "summary.json").read_text())["partition"]
     report_path = out / "partition.json"
     write_json(report_path, report)
     print(f"partition report: {report_path}")

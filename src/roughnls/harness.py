@@ -33,7 +33,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from hashlib import sha256
 from pathlib import Path
@@ -192,8 +192,11 @@ class ForcingSpec:
 
     A complex Gaussian spectrum shaped by (1 + |xi|^2)^(-decay) and seeded by
     field_seed fixes the base profile f; each task draws cube coefficients
-    with its own seed, high-passes at n0, and rescales the result to the given
-    sup amplitude.
+    with its own seed and high-passes at n0. amplitude is a sup, of one of
+    two fields: a forced task (evolve, morawetz-audit, twin-ladder) rescales
+    its high-passed draw to sup |v(0)| = amplitude (forcing_field), while
+    linear-stats scales the profile to sup |f| = amplitude (_profile_spectrum)
+    and never rescales a draw, so its ensemble keeps its tail statistics.
     """
 
     field_seed: int
@@ -390,7 +393,9 @@ def read_config(path: str | Path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file {p} does not exist")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {p} cannot be read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     _require(isinstance(data, dict), f"{p}: top level must be an object")
@@ -665,39 +670,25 @@ def _guard_memory(config: ExperimentConfig) -> None:
 
 
 def _run_forced(
-    config: ExperimentConfig, part: FrequencyPartition, task_seed: int, sink: SnapshotSink
+    config: ExperimentConfig, part: FrequencyPartition, task_seed: int, sink: SnapshotSink, solver: SolverConfig
 ) -> ConservationSeries:
     """Solve one seed's forced remainder equation, streaming its snapshots into sink(t, w, v, w_hat, v_hat).
 
-    The inputs go straight into the call, so the solve holds the only
-    references to w(0) and v(0) and frees them before it allocates its
-    other work arrays.
+    The solve runs under solver, config.solver or a copy that samples the
+    series only at its ends. The inputs go straight into the call, so the
+    solve holds the only references to w(0) and v(0) and frees them before
+    it allocates its other work arrays.
     """
     return solve_w(
         initial_field(config.initial, config.grid),
         forcing_field(config.grid, part, config.forcing, task_seed),
-        config.solver,
+        solver,
         sink,
     )
 
 
 def _discard(t: float, w: np.ndarray, v: np.ndarray | None, w_hat: np.ndarray, v_hat: np.ndarray | None) -> None:
     """The snapshot sink of a run that keeps no fields."""
-
-
-def _series_metrics(series: ConservationSeries) -> dict:
-    ratio_mass, ratio_energy = series.sup_ratios()
-    return {
-        "mass_drift": _drift(series.mass),
-        "ratio_mass": ratio_mass,
-        "energy_drift": _drift(series.energy),
-        "ratio_energy": ratio_energy,
-    }
-
-
-def _drift(values: np.ndarray) -> float:
-    """max |X / X(0) - 1| over a series X; 0.0 when X(0) = 0."""
-    return float(np.max(np.abs(values / values[0] - 1.0))) if values[0] != 0 else 0.0
 
 
 def _task_partition_report(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
@@ -739,26 +730,24 @@ def _task_evolve(config, part: FrequencyPartition | None, task_seed: int, run_di
         else:
             sink = lambda t, w, v, w_hat, v_hat: writer.add(t, {"u": w})
     if forced:
-        series = increment_residuals(_run_forced(config, part, task_seed, sink))
+        series = increment_residuals(_run_forced(config, part, task_seed, sink, config.solver))
     else:
         series = solve_w(initial_field(config.initial, config.grid), None, config.solver, sink)
-    metrics = _series_metrics(series)
-    if forced:
-        metrics["r_mass"] = series.max_rel_mass
-        metrics["r_energy"] = series.max_rel_energy
     run_dir.mkdir(parents=True, exist_ok=True)
     write_csv(run_dir / "series.csv", ConservationSeries.CSV_HEADER, series.csv_rows())
     artifacts.append(str(run_dir.name) + "/series.csv")
     if writer is not None:
         writer.close()
         artifacts.append(str(run_dir.name) + "/traj")
-    return metrics, artifacts
+    # an unforced series keeps r_mass and r_energy NaN, which the record drops
+    return series.figures(), artifacts
 
 
 def _task_morawetz(config, part: FrequencyPartition, task_seed: int, run_dir: Path):
     # M(t) is computed only for the interaction.csv that save_fields writes
     audit = MorawetzAccumulator(config.grid, interaction=config.save_fields)
-    _run_forced(config, part, task_seed, audit.add)
+    # the audit reads no series, so the solve samples it only at t = 0 and t_final
+    _run_forced(config, part, task_seed, audit.add, replace(config.solver, series_stride=config.solver.n_steps))
     rep = audit.report()
     metrics = {
         "lhs": rep.lhs,

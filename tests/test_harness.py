@@ -641,6 +641,54 @@ def test_linear_stats_seed_makes_no_forward_transform(tmp_path, monkeypatch):
     assert calls == {"fftn": 0, "ifftn": 12}
 
 
+COUNTED_SOLVER = {"dt": 0.01, "t_final": 0.08, "snapshot_stride": 2, "series_stride": 2}
+
+
+def _counted_config(case: str) -> dict:
+    """One small config per task kind, without its out_dir, for the pinned transform counts."""
+    if case == "linear-stats":
+        return {"kind": "linear-stats", "n_samples": 1, "grid": dict(GRID), "partition": dict(PART),
+                "forcing": dict(FORCING), "times": {"t_final": 0.3, "n_times": 4}}
+    raw = evolve_config(None, n_samples=1, solver=dict(COUNTED_SOLVER))
+    del raw["out_dir"]
+    if case == "evolve-unforced":
+        del raw["forcing"], raw["partition"]
+    elif case == "morawetz-audit-3d":
+        raw["kind"] = "morawetz-audit"
+    elif case == "morawetz-audit-4d":
+        raw.update(kind="morawetz-audit", grid=dict(GRID, dim=4, points=8), partition=dict(PART, n_max=1))
+    elif case == "twin-ladder":
+        raw.update(kind="twin-ladder", ladder={"amplitudes": [1.0, 0.5]})
+    return raw
+
+
+# forward and inverse transforms of one run() per case, pinned from a measured run
+PINNED_TRANSFORMS = {
+    "linear-stats": {"fftn": 0, "ifftn": 12},
+    "evolve-forced": {"fftn": 10, "ifftn": 24},
+    "evolve-unforced": {"fftn": 9, "ifftn": 13},
+    "morawetz-audit-3d": {"fftn": 10, "ifftn": 36},
+    "morawetz-audit-4d": {"fftn": 10, "ifftn": 46},
+    "twin-ladder": {"fftn": 29, "ifftn": 54},
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_TRANSFORMS))
+def test_each_task_kind_makes_its_pinned_transforms(tmp_path, monkeypatch, case):
+    # One run() per task kind, after a warm run of the same config, so no
+    # cache another test warmed (the linear-stats profile) moves a count. A
+    # change to a count shows here. The forced solves sample their series at
+    # every snapshot, and a series sample's Delta v is one inverse transform;
+    # the audit's and the twin ladder's solves, which read no series, sample
+    # it only at t = 0 and t_final. 8 steps of 2 transforms each; under
+    # 0.1 s a case.
+    raw = _counted_config(case)
+    run(parse_config(dict(raw, out_dir=str(tmp_path / "warm"))))
+    calls = _count_fft(monkeypatch)
+    run(parse_config(dict(raw, out_dir=str(tmp_path / "run"))))
+    assert calls == PINNED_TRANSFORMS[case]
+
+
 def _traced_peak(cfg, part, run_dir) -> int:
     """Traced peak of one seed of cfg's task, its caches warmed by an earlier seed."""
     task = harness._TASKS[cfg.kind]
@@ -928,6 +976,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert cli_main(["morawetz", "--traj", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("case", ["directory", "undecodable"])
+def test_cli_refuses_a_config_file_it_cannot_read(tmp_path, capsys, case):
+    # A config path that is a directory, or a file that is not UTF-8 (one that
+    # opens with the bytes ff fe of a UTF-16 byte-order mark), exits 2 with a
+    # config error that names the path, rather than escape as a traceback.
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + json.dumps(evolve_config(tmp_path / "out")).encode("utf-16-le"))
+    assert cli_main(["evolve", "--config", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: config file {path} cannot be read"), line
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_worker_counts_below_one(tmp_path, monkeypatch, capsys):
     # the flag and the environment variable are held to config.workers' rule
     cfg_path = tmp_path / "cfg.json"
@@ -976,7 +1040,7 @@ def test_cli_worker_count_reaches_the_memory_guard(tmp_path, monkeypatch):
 
 
 def test_cli_partition_report_checks_the_worker_count(tmp_path, capsys):
-    # with n_samples 0 the report is built without run(), and the flag is still checked
+    # with n_samples 0 the flag is still checked, when the config is loaded and before run() builds anything
     part_cfg = {
         "kind": "partition-report",
         "out_dir": str(tmp_path / "part"),
@@ -1130,7 +1194,6 @@ def test_cli_partition_builds_once(tmp_path, monkeypatch):
         builds.append(args)
         return build_partition(*args)
 
-    monkeypatch.setattr("roughnls.cli.build_partition", counting)
     monkeypatch.setattr("roughnls.harness.build_partition", counting)
     assert cli_main(["partition", "--config", str(p)]) == 0
     assert len(builds) == 1

@@ -138,9 +138,6 @@ def test_forced_residuals_present_and_small():
     w0 = bump(g, 0.2, 1.5)
     cfg = SolverConfig(dt=1e-3, t_final=0.02, snapshot_stride=2, series_stride=2)
     series = solve_w(w0, v0, cfg, discard)
-    bare = ConservationSeries(series.times, series.mass, series.energy)
-    with pytest.raises(ConfigError):
-        increment_residuals(bare)  # no inline identity rates
     series = increment_residuals(series)
     assert np.isfinite(series.max_rel_mass)
     assert np.isfinite(series.max_rel_energy)
@@ -148,6 +145,27 @@ def test_forced_residuals_present_and_small():
     rows = series.csv_rows()
     assert len(rows[0]) == len(series.CSV_HEADER)
     assert len(rows) == series.times.size
+
+
+def test_solve_returns_the_series_complete_and_residuals_fill_it_in_place():
+    # solve_w's series has every column, the difference and residual columns
+    # NaN; increment_residuals fills those and max_rel_* in the same object
+    # and returns it, the boundary samples staying NaN. 0.01 s.
+    g = GridSpec(3, 12, np.pi)
+    cfg = SolverConfig(dt=1e-3, t_final=4e-3, snapshot_stride=2, series_stride=1)
+    series = solve_w(bump(g, 0.2, 1.5), rough_v0(g, n0=2.0, amp=0.1), cfg, discard)
+    filled = ("dmass_fd", "res_mass", "denergy_fd", "res_energy")
+    for name in ("times", "mass", "energy", "dmass_id", "denergy_id") + filled:
+        assert getattr(series, name).shape == (cfg.n_series,), name
+    assert all(np.isnan(getattr(series, name)).all() for name in filled)
+    assert np.isnan(series.max_rel_mass) and np.isnan(series.max_rel_energy)
+    identity = series.dmass_id.copy(), series.denergy_id.copy()
+    assert increment_residuals(series) is series
+    for name in filled:
+        column = getattr(series, name)
+        assert np.isnan(column[[0, -1]]).all() and np.isfinite(column[1:-1]).all(), name
+    assert np.isfinite(series.max_rel_mass) and np.isfinite(series.max_rel_energy)
+    assert np.array_equal(series.dmass_id, identity[0]) and np.array_equal(series.denergy_id, identity[1])
 
 
 def test_twin_zero_forcing_gives_zero_divergence():
@@ -731,8 +749,8 @@ def test_evolve_ratios_are_the_monitors(tmp_path, initial, forced):
     (rec,) = run(parse_config(payload))
     with open(tmp_path / rec.artifacts[0]) as fh:
         cols = list(zip(*list(csv.reader(fh))[1:]))
-    times, mass, energy = (np.array(c, dtype=float) for c in cols[:3])
-    series = ConservationSeries(times, mass, energy)
+    times, mass, energy, dmass_id, denergy_id = (np.array(cols[k], dtype=float) for k in (0, 1, 2, 4, 7))
+    series = ConservationSeries(times, mass, energy, dmass_id, denergy_id)
     rep = almost_conservation_monitor(None, series, 1e6, 1.0, 0.0)
     assert (rep.ratio_mass, rep.ratio_energy) == (rec.metrics["ratio_mass"], rec.metrics["ratio_energy"])
     if initial == "zero":
